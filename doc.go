@@ -25,10 +25,16 @@
 // mid-stream (a crash retire being the remove path's special case). A
 // streaming skeleton is an engine.Runner; the skeleton packages
 // contribute only their dispatch topologies and structural adaptation
-// levers, each of which doubles as its grow/shrink lever:
+// levers, each of which doubles as its grow/shrink lever. The farm and
+// the deal map each have exactly one coordinator loop: the Runner feeds
+// it from a live channel and recalibrates in place on a breach
+// (engine.ModeRecalibrate); the finite-population entry point (farm.Run,
+// dmap.Run) hands the same loop its task slice as an already-closed,
+// pre-admitted input and stops on a breach (engine.ModeStop), returning
+// the undispatched tail so core can feed it back to calibration.
 //
 //   - skel/farm: demand-driven chunk pulls; breaches re-weight dispatch
-//     shares by inverse recent mean time (stop-and-return in batch mode).
+//     shares by inverse recent mean time.
 //   - skel/dmap: scatter waves with EWMA re-weighting between waves;
 //     breaches re-weight the block decomposition in place.
 //   - skel/pipeline: a stage graph over bounded buffers; breaches remap
@@ -42,7 +48,7 @@
 //
 // # Streaming layer
 //
-// Above the batch skeletons sits a streaming service stack that keeps the
+// Above the skeletons sits a streaming service stack that keeps the
 // adaptive skeletons alive under continuous traffic:
 //
 //   - Every engine.Runner is a long-lived skeleton fed from a channel.
@@ -176,8 +182,8 @@
 // with format=csv; the coordinator keeps its own trace at
 // /api/v1/cluster/timeline. internal/metrics adds fixed-bucket
 // histograms (task latency, journal fsync, lease wait, results batch
-// size) and renders /metrics in Prometheus text exposition format while
-// keeping the legacy `name value` sample lines. Both daemons log through
+// size) and renders /metrics in Prometheus text exposition format, the
+// daemons' one exposition. Both daemons log through
 // log/slog with per-job/per-node fields (-log-format, -log-level) and
 // mount net/http/pprof on a separate -debug-addr listener. The
 // instrumentation is budgeted, not just present: histogram Observe is

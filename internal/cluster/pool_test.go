@@ -7,6 +7,7 @@ import (
 
 	"grasp/internal/platform"
 	"grasp/internal/rt"
+	"grasp/internal/skel/engine"
 	"grasp/internal/skel/farm"
 )
 
@@ -32,7 +33,7 @@ func startTestWorker(t *testing.T, url, id string) *Worker {
 
 // runFarmOverPool streams n sleep tasks through the adaptive farm on a
 // pool snapshot of the coordinator's live nodes.
-func runFarmOverPool(t *testing.T, co *Coordinator, n int, sleepUS int64) (farm.StreamReport, *Pool) {
+func runFarmOverPool(t *testing.T, co *Coordinator, n int, sleepUS int64) (engine.StreamReport, *Pool) {
 	t.Helper()
 	l := rt.NewLocal()
 	pool := NewPool(co, l, co.Live())
@@ -43,9 +44,9 @@ func runFarmOverPool(t *testing.T, co *Coordinator, n int, sleepUS int64) (farm.
 		}
 		in.Close(c)
 	})
-	var rep farm.StreamReport
+	var rep engine.StreamReport
 	l.Go("root", func(c rt.Ctx) {
-		rep = farm.RunStream(pool, c, in, farm.StreamOptions{Window: 8})
+		rep = farm.Stream(nil)(pool, c, in, engine.StreamOptions{Window: 8})
 	})
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestWorkerStopDoesNotResurrectTheNode(t *testing.T) {
 
 // assertUniqueTaskIDs fails on any duplicated completion — the dedup
 // guarantee at-least-once redelivery must preserve.
-func assertUniqueTaskIDs(t *testing.T, rep farm.StreamReport) {
+func assertUniqueTaskIDs(t *testing.T, rep engine.StreamReport) {
 	t.Helper()
 	seen := make(map[int]int)
 	for _, r := range rep.Results {

@@ -3,13 +3,13 @@
 // and the coupling of Algorithm 1 (calibration) with Algorithm 2
 // (threshold-monitored execution with feedback to recalibration).
 //
-// A Program binds a skeleton instance to a platform with calibration and
-// threshold parameters. RunFarm drives the task farm through repeated
-// calibrate→execute rounds: each round runs sample tasks over all nodes
-// (the samples contribute to the job, as the paper requires), selects the
-// fittest subset, derives the threshold Z from the calibrated mean, and
-// farms the remaining tasks until completion or breach. On breach it feeds
-// back to calibration, re-ranking nodes under the new resource conditions.
+// That coupling is written once (rounds): each round runs sample tasks
+// over all nodes (the samples contribute to the job, as the paper
+// requires), selects the fittest subset, derives the threshold Z from the
+// calibrated mean, and executes the remaining tasks on the skeleton until
+// completion or breach; on breach it feeds back to calibration, re-ranking
+// nodes under the new resource conditions. RunFarm and RunMap are that
+// loop over farm.Run and dmap.Run, each adding only its skeleton's levers.
 // RunPipeline uses calibration to derive the stage→node mapping and spare
 // pool for the self-remapping pipeline.
 package core
@@ -24,6 +24,7 @@ import (
 	"grasp/internal/platform"
 	"grasp/internal/rt"
 	"grasp/internal/sched"
+	"grasp/internal/skel/engine"
 	"grasp/internal/skel/farm"
 	"grasp/internal/skel/pipeline"
 	"grasp/internal/trace"
@@ -140,18 +141,95 @@ func meanCost(tasks []platform.Task) float64 {
 // RunFarm executes tasks as a GRASP task farm from within process c.
 // It implements the full methodology: the static phases are recorded, then
 // calibration and execution alternate per Algorithms 1 and 2 until the task
-// pool drains.
+// pool drains. The farm's levers on top of the shared round loop are the
+// chunk policy, the calibrated dispatch weights (UseWeights), and the
+// proactive load-trend stop.
 func RunFarm(pf platform.Platform, c rt.Ctx, tasks []platform.Task, cfg Config) (Report, error) {
-	factor := cfg.ThresholdFactor
+	return rounds{
+		skeleton: "farm",
+		strategy: cfg.Strategy, selectK: cfg.SelectK, factor: cfg.ThresholdFactor,
+		rule: cfg.Rule, maxRecal: cfg.MaxRecalibrations, log: cfg.Log,
+		exec: func(c rt.Ctx, e execution) engine.StreamReport {
+			opts := farm.Options{
+				Workers: e.chosen, Chunk: cfg.Chunk,
+				Detector: e.detector, NormCost: e.normCost, Log: cfg.Log,
+			}
+			if cfg.UseWeights {
+				opts.Weights = e.weights
+			}
+			if cfg.Proactive != nil && e.chosen != nil {
+				watch, done := startTrendWatch(pf, c, e, cfg.Proactive.withDefaults())
+				defer done.set()
+				opts.Stop = watch.Triggered
+			}
+			return farm.Run(pf, c, e.tasks, opts)
+		},
+	}.run(pf, c, tasks)
+}
+
+// startTrendWatch spawns the proactive monitor for one execution phase: a
+// process sampling the chosen nodes' load sensors every pro.Every until
+// the returned flag is set.
+func startTrendWatch(pf platform.Platform, c rt.Ctx, e execution, pro Proactive) (*monitor.TrendWatch, *atomicFlag) {
+	sensors := make([]monitor.Sensor, len(e.chosen))
+	for i, cw := range e.chosen {
+		sensors[i] = pf.LoadSensor(cw)
+	}
+	watch := monitor.NewTrendWatch(pro.LoadBound, pro.MinWorkers, pro.Window, e.chosen, sensors)
+	done := &atomicFlag{}
+	c.Go(fmt.Sprintf("core.promon.%d", e.round), func(cc rt.Ctx) {
+		for !done.get() {
+			watch.Sample()
+			cc.Sleep(pro.Every)
+		}
+	})
+	return watch, done
+}
+
+// execution is one execution phase the round loop hands to a skeleton's
+// batch executor.
+type execution struct {
+	round int
+	tasks []platform.Task
+	// chosen is nil (as are weights and detector) for the final run that
+	// finishes the job unmonitored over every platform worker.
+	chosen   []int
+	weights  map[int]float64
+	detector *monitor.Detector
+	normCost float64
+}
+
+// rounds is the coupling of Algorithm 1 with Algorithm 2, written once for
+// every skeleton with a stop-on-breach batch executor: calibrate over all
+// nodes (the probes are real tasks and contribute to the job), select the
+// fittest subset, derive Z from the calibrated mean, execute under the
+// threshold rule, and on a breach feed the unexecuted tail back to a fresh
+// calibration — until the pool drains or the recalibration budget is spent.
+type rounds struct {
+	skeleton string // names the skeleton in phase notes, events and errors
+	note     string // skeleton-specific suffix of the execution phase note
+	strategy calibrate.Strategy
+	selectK  int
+	factor   float64 // Z = factor × calibrated mean (default 4)
+	rule     monitor.Rule
+	maxRecal int // default 8
+	log      *trace.Log
+	// exec runs one execution phase on the skeleton: until the tasks are
+	// done, the detector breaches, or no worker is left.
+	exec func(c rt.Ctx, e execution) engine.StreamReport
+}
+
+func (r rounds) run(pf platform.Platform, c rt.Ctx, tasks []platform.Task) (Report, error) {
+	factor := r.factor
 	if factor <= 0 {
 		factor = 4
 	}
-	maxRecal := cfg.MaxRecalibrations
+	maxRecal := r.maxRecal
 	if maxRecal <= 0 {
 		maxRecal = 8
 	}
-	logPhase(cfg.Log, c, PhaseProgramming, "skeleton=farm")
-	logPhase(cfg.Log, c, PhaseCompilation, fmt.Sprintf("strategy=%v nodes=%d", cfg.Strategy, pf.Size()))
+	logPhase(r.log, c, PhaseProgramming, "skeleton="+r.skeleton)
+	logPhase(r.log, c, PhaseCompilation, fmt.Sprintf("strategy=%v nodes=%d", r.strategy, pf.Size()))
 
 	rep := Report{}
 	start := c.Now()
@@ -167,12 +245,12 @@ func RunFarm(pf platform.Platform, c rt.Ctx, tasks []platform.Task, cfg Config) 
 			probes := remaining[:pf.Size()]
 			remaining = remaining[pf.Size():]
 			out, err := calibrate.Run(pf, c, calibrate.Options{
-				Strategy: cfg.Strategy,
+				Strategy: r.strategy,
 				Probes:   probes,
-				Log:      cfg.Log,
+				Log:      r.log,
 			})
 			if err != nil {
-				return rep, fmt.Errorf("core: calibration round %d: %w", round, err)
+				return rep, fmt.Errorf("core: %s calibration round %d: %w", r.skeleton, round, err)
 			}
 			rep.Results = append(rep.Results, out.Results...)
 			rep.CalibrationTasks += len(out.Results)
@@ -181,23 +259,21 @@ func RunFarm(pf platform.Platform, c rt.Ctx, tasks []platform.Task, cfg Config) 
 			if len(out.FailedProbes) > 0 {
 				remaining = append(append([]platform.Task(nil), out.FailedProbes...), remaining...)
 			}
-			k := cfg.SelectK
+			k := r.selectK
 			if k <= 0 {
 				k = pf.Size()
 			}
 			chosen = out.Ranking.Select(k)
 			weights = out.Ranking.Weights(chosen)
 			z = thresholdFromSamples(out.Ranking, chosen, norm, factor)
-		} else {
+		} else if len(rep.Rounds) > 0 {
 			// Not enough tasks left to probe every node: reuse the previous
 			// round's choice, or all nodes on the first round.
-			if len(rep.Rounds) > 0 {
-				prev := rep.Rounds[len(rep.Rounds)-1]
-				chosen = prev.Chosen
-				z = prev.Z
-			} else {
-				chosen = allWorkers(pf)
-			}
+			prev := rep.Rounds[len(rep.Rounds)-1]
+			chosen = prev.Chosen
+			z = prev.Z
+		} else {
+			chosen = allWorkers(pf)
 		}
 
 		if len(remaining) == 0 {
@@ -206,82 +282,48 @@ func RunFarm(pf platform.Platform, c rt.Ctx, tasks []platform.Task, cfg Config) 
 		}
 
 		// --- Execution phase (Algorithm 2). ---
-		logPhase(cfg.Log, c, PhaseExecution, fmt.Sprintf("round=%d chosen=%d", round, len(chosen)))
+		logPhase(r.log, c, PhaseExecution, fmt.Sprintf("round=%d chosen=%d%s", round, len(chosen), r.note))
 		var det *monitor.Detector
 		if z > 0 {
 			det = &monitor.Detector{
 				Z:          z,
-				Rule:       cfg.Rule,
+				Rule:       r.rule,
 				Window:     len(chosen),
 				MinSamples: len(chosen),
 			}
 		}
-		var w map[int]float64
-		if cfg.UseWeights {
-			w = weights
-		}
-		var stop func() bool
-		var samplerDone *atomicFlag
-		if cfg.Proactive != nil {
-			pro := cfg.Proactive.withDefaults()
-			sensors := make([]monitor.Sensor, len(chosen))
-			for i, cw := range chosen {
-				sensors[i] = pf.LoadSensor(cw)
-			}
-			watch := monitor.NewTrendWatch(pro.LoadBound, pro.MinWorkers, pro.Window, chosen, sensors)
-			stop = watch.Triggered
-			samplerDone = &atomicFlag{}
-			done := samplerDone
-			c.Go(fmt.Sprintf("core.promon.%d", round), func(cc rt.Ctx) {
-				for !done.get() {
-					watch.Sample()
-					cc.Sleep(pro.Every)
-				}
-			})
-		}
-		frep := farm.Run(pf, c, remaining, farm.Options{
-			Workers:  chosen,
-			Chunk:    cfg.Chunk,
-			Weights:  w,
-			Detector: det,
-			NormCost: norm,
-			Log:      cfg.Log,
-			Stop:     stop,
+		erep := r.exec(c, execution{
+			round: round, tasks: remaining,
+			chosen: chosen, weights: weights, detector: det, normCost: norm,
 		})
-		if samplerDone != nil {
-			samplerDone.set()
-		}
-		rep.Results = append(rep.Results, frep.Results...)
-		remaining = frep.Remaining
+		rep.Results = append(rep.Results, erep.Results...)
+		remaining = erep.Remaining
 		rep.Rounds = append(rep.Rounds, RoundInfo{
 			Chosen: chosen, Z: z, CalibratedAt: c.Now(),
-			TasksExecuted: len(frep.Results), Breached: frep.Breached,
+			TasksExecuted: len(erep.Results), Breached: erep.Breached,
 		})
-		endPhase(cfg.Log, c, PhaseExecution)
+		endPhase(r.log, c, PhaseExecution)
 
 		if len(remaining) == 0 {
 			break
 		}
-		if !frep.Breached || rep.Recalibrations >= maxRecal {
+		if !erep.Breached || rep.Recalibrations >= maxRecal {
 			// Budget exhausted, or the chosen set died under us without a
 			// threshold breach: finish without monitoring over every
-			// platform worker (the farm itself routes around dead nodes).
-			final := farm.Run(pf, c, remaining, farm.Options{
-				Chunk: cfg.Chunk, Log: cfg.Log,
-			})
+			// platform worker (the skeleton itself routes around dead nodes).
+			final := r.exec(c, execution{round: round, tasks: remaining})
 			rep.Results = append(rep.Results, final.Results...)
-			remaining = final.Remaining
-			if len(remaining) > 0 {
+			if len(final.Remaining) > 0 {
 				rep.Makespan = c.Now() - start
-				return rep, fmt.Errorf("core: %d tasks unexecutable: no live workers", len(remaining))
+				return rep, fmt.Errorf("core: %d tasks unexecutable: no live workers", len(final.Remaining))
 			}
 			break
 		}
 		rep.Recalibrations++
-		if cfg.Log != nil {
-			cfg.Log.Append(trace.Event{
+		if r.log != nil {
+			r.log.Append(trace.Event{
 				At: c.Now(), Kind: trace.KindRecalibrate,
-				Msg: fmt.Sprintf("round %d breached (stat %v > Z %v)", round, frep.BreachStat, z),
+				Msg: fmt.Sprintf("%s round %d breached (stat %v > Z %v)", r.skeleton, round, erep.BreachStat, z),
 			})
 		}
 	}

@@ -3,7 +3,8 @@
 // driver follows the same four-phase shape as RunFarm — record the static
 // phases, calibrate with Algorithm 1, execute under Algorithm 2's threshold
 // rule, feed back to calibration on breach — specialised to the skeleton's
-// intrinsic adaptation levers (see each function).
+// intrinsic adaptation levers (see each function). RunMap shares RunFarm's
+// round loop outright; the others calibrate once or re-run whole.
 package core
 
 import (
@@ -17,6 +18,7 @@ import (
 	"grasp/internal/skel/compose"
 	"grasp/internal/skel/dc"
 	"grasp/internal/skel/dmap"
+	"grasp/internal/skel/engine"
 	"grasp/internal/skel/reduce"
 	"grasp/internal/trace"
 )
@@ -49,116 +51,22 @@ type MapConfig struct {
 // throughput, and Algorithm 2's threshold — evaluated on the streamed task
 // times — feeds the tail of the population back to a fresh calibration.
 func RunMap(pf platform.Platform, c rt.Ctx, tasks []platform.Task, cfg MapConfig) (Report, error) {
-	factor := cfg.ThresholdFactor
-	if factor <= 0 {
-		factor = 4
-	}
-	maxRecal := cfg.MaxRecalibrations
-	if maxRecal <= 0 {
-		maxRecal = 8
-	}
 	waves := cfg.Waves
 	if waves <= 0 {
 		waves = 4
 	}
-	logPhase(cfg.Log, c, PhaseProgramming, "skeleton=map")
-	logPhase(cfg.Log, c, PhaseCompilation, fmt.Sprintf("strategy=%v nodes=%d", cfg.Strategy, pf.Size()))
-
-	rep := Report{}
-	start := c.Now()
-	remaining := tasks
-	norm := meanCost(tasks)
-
-	for round := 0; ; round++ {
-		var chosen []int
-		var weights map[int]float64
-		var z time.Duration
-		if len(remaining) >= pf.Size() {
-			probes := remaining[:pf.Size()]
-			remaining = remaining[pf.Size():]
-			out, err := calibrate.Run(pf, c, calibrate.Options{
-				Strategy: cfg.Strategy,
-				Probes:   probes,
-				Log:      cfg.Log,
-			})
-			if err != nil {
-				return rep, fmt.Errorf("core: map calibration round %d: %w", round, err)
-			}
-			rep.Results = append(rep.Results, out.Results...)
-			rep.CalibrationTasks += len(out.Results)
-			if len(out.FailedProbes) > 0 {
-				remaining = append(append([]platform.Task(nil), out.FailedProbes...), remaining...)
-			}
-			k := cfg.SelectK
-			if k <= 0 {
-				k = pf.Size()
-			}
-			chosen = out.Ranking.Select(k)
-			weights = out.Ranking.Weights(chosen)
-			z = thresholdFromSamples(out.Ranking, chosen, norm, factor)
-		} else if len(rep.Rounds) > 0 {
-			prev := rep.Rounds[len(rep.Rounds)-1]
-			chosen = prev.Chosen
-			z = prev.Z
-		} else {
-			chosen = allWorkers(pf)
-		}
-
-		if len(remaining) == 0 {
-			rep.Rounds = append(rep.Rounds, RoundInfo{Chosen: chosen, Z: z, CalibratedAt: c.Now()})
-			break
-		}
-
-		logPhase(cfg.Log, c, PhaseExecution, fmt.Sprintf("round=%d chosen=%d waves=%d", round, len(chosen), waves))
-		var det *monitor.Detector
-		if z > 0 {
-			det = &monitor.Detector{
-				Z:          z,
-				Rule:       cfg.Rule,
-				Window:     len(chosen),
-				MinSamples: len(chosen),
-			}
-		}
-		mrep := dmap.Run(pf, c, remaining, dmap.Options{
-			Workers:  chosen,
-			Weights:  weights,
-			Waves:    waves,
-			Alpha:    cfg.Alpha,
-			Detector: det,
-			NormCost: norm,
-			Log:      cfg.Log,
-		})
-		rep.Results = append(rep.Results, mrep.Results...)
-		remaining = mrep.Remaining
-		rep.Rounds = append(rep.Rounds, RoundInfo{
-			Chosen: chosen, Z: z, CalibratedAt: c.Now(),
-			TasksExecuted: len(mrep.Results), Breached: mrep.Breached,
-		})
-		endPhase(cfg.Log, c, PhaseExecution)
-
-		if len(remaining) == 0 {
-			break
-		}
-		if !mrep.Breached || rep.Recalibrations >= maxRecal {
-			final := dmap.Run(pf, c, remaining, dmap.Options{Waves: waves, Log: cfg.Log})
-			rep.Results = append(rep.Results, final.Results...)
-			remaining = final.Remaining
-			if len(remaining) > 0 {
-				rep.Makespan = c.Now() - start
-				return rep, fmt.Errorf("core: %d tasks unexecutable: no live workers", len(remaining))
-			}
-			break
-		}
-		rep.Recalibrations++
-		if cfg.Log != nil {
-			cfg.Log.Append(trace.Event{
-				At: c.Now(), Kind: trace.KindRecalibrate,
-				Msg: fmt.Sprintf("map round %d breached (stat %v > Z %v)", round, mrep.BreachStat, z),
-			})
-		}
-	}
-	rep.Makespan = c.Now() - start
-	return rep, nil
+	return rounds{
+		skeleton: "map", note: fmt.Sprintf(" waves=%d", waves),
+		strategy: cfg.Strategy, selectK: cfg.SelectK, factor: cfg.ThresholdFactor,
+		rule: cfg.Rule, maxRecal: cfg.MaxRecalibrations, log: cfg.Log,
+		exec: func(c rt.Ctx, e execution) engine.StreamReport {
+			return dmap.Run(pf, c, e.tasks, dmap.Options{
+				Workers: e.chosen, Weights: e.weights,
+				Waves: waves, Alpha: cfg.Alpha,
+				Detector: e.detector, NormCost: e.normCost, Log: cfg.Log,
+			}).StreamReport
+		},
+	}.run(pf, c, tasks)
 }
 
 // MapReduceConfig parameterises a GRASP map-reduce run.

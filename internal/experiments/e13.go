@@ -78,7 +78,7 @@ func E13Map(seed int64) Result {
 		span := w.run(func(c rt.Ctx) {
 			rep = dmap.Run(w.pf, c, fixedTasks(nTasks, taskCost, 0, 0), dmap.Options{Waves: 1})
 		})
-		return outcome{span: span, trips: rep.Scatters, n: len(rep.Results)}
+		return outcome{span: span, trips: rep.Requests, n: len(rep.Results)}
 	}
 
 	// GRASP map: calibrated decomposition; wv waves; threshold feedback

@@ -134,13 +134,21 @@ func E28TimelineObservability(seed int64) Result {
 		yesNo(st.Completed == counts[trace.KindComplete]))
 	table.AddRow("dispatches", st.Submitted, counts[trace.KindDispatch],
 		yesNo(st.Submitted == counts[trace.KindDispatch]))
-	table.AddRow("breach recalibrations", st.Recalibrations, breachRecals,
+	// How many breaches a wall-clock run sees varies with scheduling, and
+	// this table is committed to a byte-gated file: print only what every
+	// healthy run agrees on. The counts themselves are in the checks.
+	atLeastOne := func(n int) string {
+		if n >= 1 {
+			return "≥1"
+		}
+		return "0"
+	}
+	table.AddRow("breach recalibrations", atLeastOne(st.Recalibrations), atLeastOne(breachRecals),
 		yesNo(st.Recalibrations == breachRecals))
-	table.AddRow("threshold breaches", st.Breaches, counts[trace.KindThreshold],
+	table.AddRow("threshold breaches", atLeastOne(st.Breaches), atLeastOne(counts[trace.KindThreshold]),
 		yesNo(st.Breaches == counts[trace.KindThreshold]))
 	table.AddRow("phase spans closed", "—", fmt.Sprintf("%d spans", len(tl.Phases)), yesNo(phasesClosed))
-	table.AddRow("events retained / dropped", "—",
-		fmt.Sprintf("%d / %d", len(tl.Events), tl.Dropped), yesNo(tl.Dropped == 0))
+	table.AddRow("events dropped", "—", tl.Dropped, yesNo(tl.Dropped == 0))
 	table.AddNote("fast body ×%d then %d× slower tail ×%d; one GET of /api/v1/jobs/{name}/timeline after drain",
 		fastN, slowUS/fastUS, slowN)
 

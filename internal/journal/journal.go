@@ -36,7 +36,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -378,23 +377,4 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// sortEpochs is kept for diagnostics: it lists the journal epochs present
-// in dir in ascending order (normally exactly one).
-func sortEpochs(dir string) ([]int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, e := range entries {
-		if rest, ok := strings.CutPrefix(e.Name(), journalName+"-"); ok {
-			if n, err := strconv.ParseInt(rest, 10, 64); err == nil {
-				out = append(out, n)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -380,12 +381,18 @@ func TestStoreRotate(t *testing.T) {
 	s.Close()
 
 	// Only the current journal remains on disk.
-	epochs, err := sortEpochs(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(epochs) != 1 || epochs[0] != 1 {
-		t.Fatalf("journal epochs on disk = %v, want [1]", epochs)
+	var journals []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), journalName+"-") {
+			journals = append(journals, e.Name())
+		}
+	}
+	if len(journals) != 1 || journals[0] != journalName+"-1" {
+		t.Fatalf("journal files on disk = %v, want [%s-1]", journals, journalName)
 	}
 
 	_, rec, err := OpenStore(dir)

@@ -1,9 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -159,20 +156,4 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[name+"_max"] = g.Max()
 	}
 	return out
-}
-
-// Render writes the snapshot as sorted "name value" lines — the plain-text
-// exposition format the daemon's /metrics endpoint serves.
-func (r *Registry) Render() string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %d\n", name, snap[name])
-	}
-	return b.String()
 }

@@ -46,7 +46,7 @@ func TestGaugeHighWaterMark(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotAndRender(t *testing.T) {
+func TestRegistrySnapshotAndRenderProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(2)
 	r.Gauge("a_inflight").Set(5)
@@ -54,8 +54,9 @@ func TestRegistrySnapshotAndRender(t *testing.T) {
 	if snap["b_total"] != 2 || snap["a_inflight"] != 5 || snap["a_inflight_max"] != 5 {
 		t.Errorf("snapshot = %v", snap)
 	}
-	rendered := r.Render()
-	if !strings.HasPrefix(rendered, "a_inflight 5\n") || !strings.Contains(rendered, "b_total 2\n") {
+	rendered := r.RenderProm()
+	if !strings.HasPrefix(rendered, "# HELP a_inflight ") || !strings.Contains(rendered, "\na_inflight 5\n") ||
+		!strings.Contains(rendered, "\nb_total 2\n") {
 		t.Errorf("render = %q", rendered)
 	}
 }

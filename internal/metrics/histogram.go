@@ -9,7 +9,7 @@ import (
 
 // Histogram is a fixed-bucket distribution, safe for concurrent use.
 // Observe is allocation-free (a linear scan over a handful of bounds plus
-// three atomic updates), so the dispatch and journal hot paths can carry
+// two atomic updates), so the dispatch and journal hot paths can carry
 // one without disturbing the zero-allocation discipline those paths are
 // benchmarked under. Buckets are fixed at construction: the exposition is
 // Prometheus's cumulative `le` convention, where bucket i counts the
@@ -17,8 +17,7 @@ import (
 type Histogram struct {
 	bounds  []float64      // ascending upper bounds; +Inf is implicit
 	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf overflow
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-updated
+	sumBits atomic.Uint64  // float64 bits, CAS-updated
 }
 
 // DefDurationBuckets are the default upper bounds (seconds) for duration
@@ -60,7 +59,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -73,8 +71,16 @@ func (h *Histogram) Observe(v float64) {
 // base unit every *_seconds histogram here uses.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns how many samples were observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns how many samples were observed: the sum of the buckets,
+// which are the only per-sample count kept, so a count and the buckets it
+// is read beside can never disagree about a sample in flight.
+func (h *Histogram) Count() int64 {
+	var total int64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	return total
+}
 
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -95,7 +101,7 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 // histogram_quantile would produce from the exposition. Samples past the
 // last finite bound clamp to it. Returns 0 with no samples.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -195,6 +196,41 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if got := h.Sum(); math.Abs(got-8000) > 1e-6 {
 		t.Fatalf("Sum = %v, want 8000", got)
+	}
+}
+
+// TestRenderPromUntornUnderObserve renders in a loop while other
+// goroutines Observe: every exposition must be self-consistent (`_count`
+// equal to the +Inf bucket), which ParseProm checks. Run under -race.
+func TestRenderPromUntornUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("busy_seconds", []float64{0.5, 1, 2})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(float64((i + g) % 4))
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 2000; i++ {
+		if _, err := ParseProm(r.RenderProm()); err != nil {
+			t.Errorf("render %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, err := ParseProm(r.RenderProm()); err != nil {
+		t.Errorf("final render: %v", err)
 	}
 }
 

@@ -3,8 +3,7 @@
 // fairness across nodes. It also provides the operational Registry the
 // daemons export: counters, gauges, and fixed-bucket latency histograms
 // with a zero-allocation Observe path, rendered deterministically in
-// Prometheus text exposition format (RenderProm) alongside the legacy
-// `name value` sample lines.
+// Prometheus text exposition format (RenderProm) — the one exposition.
 package metrics
 
 import (

@@ -1,10 +1,9 @@
 package metrics
 
-// Prometheus text exposition for the Registry. The legacy Render keeps
-// serving bare "name value" lines; RenderProm is the superset the daemon's
-// /metrics endpoint serves — the same sorted sample lines, now preceded by
-// `# HELP`/`# TYPE` metadata and joined by histogram `_bucket`/`_sum`/
-// `_count` series. Series are emitted in deterministic sorted order and
+// Prometheus text exposition for the Registry — the one format the
+// daemons' /metrics endpoints serve: sorted sample lines preceded by
+// `# HELP`/`# TYPE` metadata, histograms as `_bucket`/`_sum`/`_count`
+// series. Series are emitted in deterministic sorted order and
 // every name passes through LabelSafe on the way out, so a dynamically
 // named series (a per-node gauge minted from a worker id) can never break
 // the exposition. ParseProm is the matching validator the tests and the CI
@@ -75,7 +74,9 @@ func (r *Registry) RenderProm() string {
 }
 
 // renderPromHistogram emits one histogram family: cumulative `le` buckets
-// ending at +Inf, then the sum and count series.
+// ending at +Inf, then the sum and count series. `_count` is the same
+// cumulative sum as the +Inf bucket, taken from one snapshot of the
+// buckets, so an Observe racing the render cannot tear the family.
 func renderPromHistogram(b *strings.Builder, name string, h *Histogram) {
 	bounds, counts := h.Buckets()
 	fmt.Fprintf(b, "# HELP %s grasp histogram\n# TYPE %s histogram\n", name, name)
@@ -88,7 +89,7 @@ func renderPromHistogram(b *strings.Builder, name string, h *Histogram) {
 	cum += counts[len(counts)-1]
 	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(b, "%s_sum %s\n", name, strconv.FormatFloat(h.Sum(), 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
+	fmt.Fprintf(b, "%s_count %d\n", name, cum)
 }
 
 // PromStats summarises a parsed exposition.

@@ -116,8 +116,7 @@ func NewHandler(s *Service) http.Handler {
 
 	// Prometheus text exposition. The two registries use disjoint name
 	// prefixes (service_/cluster_), so the concatenation is itself a valid
-	// exposition. Legacy "name value" sample lines are unchanged — the new
-	// format only adds # HELP/# TYPE comments and histogram series.
+	// exposition.
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		io.WriteString(w, s.Metrics().RenderProm())

@@ -1,6 +1,6 @@
 // Package dmap implements the data-parallel map ("deal") algorithmic
-// skeleton: the task population is decomposed up front into one contiguous
-// block per worker and scattered in a single round-trip, in contrast to the
+// skeleton: the task population is decomposed into one contiguous block
+// per worker and scattered in a single round-trip, in contrast to the
 // farm's per-request dispatch.
 //
 // The skeleton's intrinsic properties, in GRASP terms, are
@@ -11,19 +11,26 @@
 //     rebalanced, so decomposition quality is decided by the weights the
 //     calibration phase supplies.
 //
-// Adaptivity therefore happens *between* waves: Options.Waves splits the
-// population into successive decomposition rounds, each wave's observed
-// per-worker throughput re-weights the next (an EWMA blend), and the shared
-// skel/engine contract supplies everything else — the calibrated weights,
-// the monitor.Detector implementing Algorithm 2's threshold rule, and
-// failure/retire handling. On a batch breach the remaining waves are
-// returned to the caller so the GRASP core can recalibrate, exactly as the
-// farm does; the streaming map (Stream) instead recalibrates its
-// decomposition weights in place between waves.
+// Adaptivity therefore happens *between* waves: each wave's observed
+// per-worker throughput re-weights the next (an EWMA blend), every wave is
+// partitioned over the engine's membership at fire time — so a worker
+// admitted mid-run joins the next wave and a removed or crashed one is
+// left out of it — and the shared skel/engine contract supplies everything
+// else: the calibrated weights, the monitor.Detector implementing
+// Algorithm 2's threshold rule, and failure/retire handling.
+//
+// One coordinator loop (run) serves both entry points. Stream feeds it
+// from a live channel under the engine's admission-credit window: a wave
+// fires as soon as the previous one has drained, sized by whatever the
+// window has buffered (up to WaveSize), and a breach recalibrates the
+// weights in place. Run feeds it a finite task slice as an already-closed
+// input split into Options.Waves even rounds and, on a breach, returns the
+// remaining waves so the GRASP core can recalibrate, exactly as the farm
+// does.
 //
 // Workers that crash mid-block (grid.ErrNodeFailed) lose the rest of their
-// block; the lost tasks are re-queued into the next wave (or returned in
-// Remaining on the last one) and the worker is excluded from later waves.
+// block; the lost tasks are re-queued at the head of the next wave (or
+// returned in Remaining after Run's last one).
 package dmap
 
 import (
@@ -63,39 +70,32 @@ type Options struct {
 	OnResult func(platform.Result)
 }
 
-// Report is the outcome of a map run.
+// Report is the outcome of a map run: the engine's report — Remaining holds
+// the tail waves after a detector breach plus any tasks lost to crashes on
+// the final wave; Requests counts block dispatches, one per live worker
+// per wave, the deal skeleton's whole dispatch traffic — plus the wave
+// statistics.
 type Report struct {
-	// Results holds one entry per executed task, in completion order.
-	Results []platform.Result
-	// Remaining are tasks never executed: the tail waves after a detector
-	// breach plus any tasks lost to crashes on the final wave.
-	Remaining []platform.Task
-	// Breached reports whether the detector triggered.
-	Breached bool
-	// BreachStat is the statistic that crossed the threshold.
-	BreachStat time.Duration
-	// Makespan is the time from map start to the last completion.
-	Makespan time.Duration
-	// BusyByWorker sums execution time per worker index.
-	BusyByWorker map[int]time.Duration
-	// TasksByWorker counts tasks per worker index.
-	TasksByWorker map[int]int
-	// Scatters counts block dispatches (one per live worker per wave) — the
-	// deal skeleton's whole dispatch traffic.
-	Scatters int
+	engine.StreamReport
 	// WavesRun counts decomposition rounds actually executed.
 	WavesRun int
 	// WaveImbalance records, per executed wave, max/mean worker busy time
 	// minus one (0 = perfectly balanced).
 	WaveImbalance []float64
 	// FinalWeights are the decomposition weights after the last executed
-	// wave's re-weighting (nil when a single wave ran with no feedback).
+	// wave's re-weighting (nil when no wave ran).
 	FinalWeights map[int]float64
-	// Failures counts executions lost to worker crashes.
-	Failures int
-	// DeadWorkers lists workers that crashed during the run, in detection
-	// order.
-	DeadWorkers []int
+}
+
+// StreamParams are the streaming map's own knobs; everything adaptive
+// comes from engine.StreamOptions.
+type StreamParams struct {
+	// WaveSize caps how many tasks one decomposition wave scatters
+	// (default: the admission window).
+	WaveSize int
+	// Alpha is the EWMA blend factor for between-wave re-weighting in
+	// (0, 1]; 0 defaults to 0.5.
+	Alpha float64
 }
 
 // blockOutcome is what one worker reports back after processing its block.
@@ -107,22 +107,244 @@ type blockOutcome struct {
 	executed float64         // summed cost of completed tasks
 }
 
-// gatherMsg multiplexes per-task results and end-of-block outcomes onto the
-// master's gather channel.
-type gatherMsg struct {
-	isOutcome bool
-	res       platform.Result
-	out       blockOutcome
+// message is the coordinator's multiplexed inbox entry.
+type message struct {
+	kind msgKind
+	task platform.Task   // msgTask: forwarded by the intake pump
+	res  platform.Result // msgResult: one finished task of a block
+	out  blockOutcome    // msgOutcome: a block is done
+}
+
+type msgKind int
+
+const (
+	msgTask msgKind = iota
+	msgEOF
+	msgResult
+	msgOutcome
+)
+
+// Run executes a finite task population with block decomposition from
+// within process c, blocking until all waves complete, the detector stops
+// the map, or every worker has died. It is the coordinator loop run over
+// an already-closed input: the tasks are the pre-admitted backlog, each
+// wave takes an even share of what remains (so later waves can still
+// rebalance; the final wave drains the queue), and a breach stops the map
+// after the current wave (engine.ModeStop).
+func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Report {
+	waves := opts.Waves
+	if waves < 1 {
+		waves = 1
+	}
+	var rep Report
+	rep.StreamReport = run(pf, c, nil, tasks, engine.ModeStop,
+		func(buffered, wave int) int {
+			if wave >= waves {
+				return 0
+			}
+			return waveSize(buffered, waves-wave)
+		},
+		opts.Alpha,
+		func(outcomes []blockOutcome, weights map[int]float64) {
+			rep.WavesRun++
+			rep.WaveImbalance = append(rep.WaveImbalance, imbalance(outcomes))
+			rep.FinalWeights = weights
+		},
+		engine.StreamOptions{
+			Workers:  opts.Workers,
+			Weights:  opts.Weights,
+			Detector: opts.Detector,
+			NormCost: opts.NormCost,
+			Log:      opts.Log,
+			OnResult: opts.OnResult,
+		})
+	return rep
+}
+
+// Stream returns the deal skeleton's engine runner: waves are
+// demand-driven, so the skeleton degrades to fine scatters under light
+// load and amortises dispatch under pressure.
+func Stream(params StreamParams) engine.Runner {
+	return func(pf platform.Platform, c rt.Ctx, in rt.Chan, opts engine.StreamOptions) engine.StreamReport {
+		if opts.Window <= 0 {
+			// The credit window's default: 2× the worker count.
+			opts.Window = 2 * pf.Size()
+			if n := len(opts.Workers); n > 0 {
+				opts.Window = 2 * n
+			}
+		}
+		waveCap := params.WaveSize
+		if waveCap <= 0 || waveCap > opts.Window {
+			waveCap = opts.Window
+		}
+		return run(pf, c, in, nil, engine.ModeRecalibrate,
+			func(buffered, _ int) int { return min(buffered, waveCap) },
+			params.Alpha, nil, opts)
+	}
+}
+
+// run is the deal skeleton's one coordinator loop. Tasks reach the buffer
+// from backlog (admitted before the first wave, so its sizing sees the
+// whole population) and, when in is non-nil, from the intake pump under
+// the credit window (opts.Window, resolved by the caller); a nil in is an
+// input already closed. Whenever no wave is active, take(buffered, wave)
+// sizes the next one (0: no further waves) and it is scattered over the
+// live membership by the engine's current weights. When a wave's last
+// block outcome is back, crashed blocks' lost tasks return to the head of
+// the buffer, the wave's observed throughput is blended into the weights,
+// and onWave (optional) sees the outcomes and the new weights. In ModeStop
+// a breach ends the run after the current wave; whatever is still buffered
+// is returned as Remaining.
+func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mode engine.Mode,
+	take func(buffered, wave int) int, alpha float64,
+	onWave func(outcomes []blockOutcome, weights map[int]float64),
+	opts engine.StreamOptions) engine.StreamReport {
+	workers := opts.Workers
+	if len(workers) == 0 {
+		workers = make([]int, pf.Size())
+		for i := range workers {
+			workers[i] = i
+		}
+	}
+	if alpha <= 0 || alpha > 1 {
+		alpha = 0.5
+	}
+	opts.Weights = engine.NormalisedWeights(workers, opts.Weights)
+
+	co := engine.NewCore(pf, workers, mode, c.Now(), opts)
+	runtime := pf.Runtime()
+	window := 0
+	if in != nil {
+		window = opts.Window
+	}
+	// Sized so neither the pump (at most window tasks ahead) nor a wave's
+	// block processes stall on the coordinator between two receives.
+	inbox := runtime.NewChan("dmap.inbox", window*2+len(workers)*2+8)
+	var intake *engine.Intake
+	if in != nil {
+		intake = engine.NewIntake(runtime, c, "dmap.credits", window)
+		intake.Pump(c, "dmap.pump", in,
+			func(cc rt.Ctx, t platform.Task) { inbox.Send(cc, message{kind: msgTask, task: t}) },
+			func(cc rt.Ctx) { inbox.Send(cc, message{kind: msgEOF}) },
+		)
+	}
+
+	var (
+		// buffer is admitted, not yet scattered; capped at the backlog's
+		// length so no append can write into the caller's slice.
+		buffer   = backlog[:len(backlog):len(backlog)]
+		inflight = len(backlog) // admitted minus completed
+		eof      = in == nil
+		stopped  bool // no further waves: ModeStop breach, or take said so
+		waveSeq  int
+		owed     int // block outcomes the active wave still owes
+		outcomes []blockOutcome
+	)
+	co.Rep.Admitted = inflight
+	co.Rep.MaxInFlight = inflight
+
+	fireWave := func() {
+		for !stopped && owed == 0 && len(buffer) > 0 && co.LiveCount() > 0 {
+			n := take(len(buffer), waveSeq)
+			if n == 0 {
+				stopped = true
+				return
+			}
+			waveTasks := buffer[:n] // scatterWave copies each block out of it
+			buffer = buffer[n:]
+			outcomes = outcomes[:0]
+			owed = scatterWave(pf, c, co, inbox, waveTasks, waveSeq, opts.Log)
+			waveSeq++
+		}
+	}
+	fireWave()
+
+	for owed > 0 || !stopped && co.LiveCount() > 0 && !(eof && len(buffer) == 0) {
+		v, ok := inbox.Recv(c)
+		if !ok {
+			break
+		}
+		// Drain after Recv, not before: an update arriving while the
+		// coordinator is parked must apply before the event that woke
+		// it fires a wave on the stale membership.
+		co.DrainControl(c, opts.Control)
+		m := v.(message)
+		switch m.kind {
+		case msgTask:
+			co.Rep.Admitted++
+			inflight++
+			if inflight > co.Rep.MaxInFlight {
+				co.Rep.MaxInFlight = inflight
+			}
+			buffer = append(buffer, m.task)
+			fireWave()
+		case msgEOF:
+			eof = true
+			fireWave()
+		case msgResult:
+			inflight--
+			if intake != nil {
+				intake.Release(c)
+			}
+			co.Complete(c, m.res)
+		case msgOutcome:
+			owed--
+			outcomes = append(outcomes, m.out)
+			if owed > 0 {
+				continue
+			}
+			// Wave complete: absorb crashes — lost tasks go back to the head
+			// of the buffer, dead workers are retired — then blend the wave's
+			// observed throughput into the decomposition weights.
+			for _, out := range outcomes {
+				if len(out.lost) == 0 {
+					continue
+				}
+				co.Rep.Failures += len(out.lost)
+				co.Retire(c, out.worker, fmt.Sprintf("worker %s failed; %d tasks re-queued",
+					pf.WorkerName(out.worker), len(out.lost)))
+				buffer = append(append([]platform.Task(nil), out.lost...), buffer...)
+			}
+			co.SetWeights(reweight(co.Weights(), outcomes, alpha))
+			if onWave != nil {
+				onWave(outcomes, co.Weights())
+			}
+			if mode == engine.ModeStop && co.Rep.Breached {
+				stopped = true
+				if opts.Log != nil {
+					opts.Log.Append(trace.Event{
+						At: c.Now(), Kind: trace.KindNote,
+						Msg: fmt.Sprintf("map stop after wave %d", waveSeq-1),
+					})
+				}
+			}
+			fireWave()
+		}
+	}
+
+	if intake != nil {
+		// Shut the pump down and recover any tasks it had already forwarded
+		// as Remaining, along with the unscattered buffer.
+		intake.Close(c)
+		for {
+			v, ok, polled := inbox.TryRecv(c)
+			if !polled || !ok {
+				break
+			}
+			if m, isMsg := v.(message); isMsg && m.kind == msgTask {
+				buffer = append(buffer, m.task)
+			}
+		}
+	}
+	co.Rep.Remaining = append([]platform.Task(nil), buffer...)
+	return co.Finish()
 }
 
 // scatterWave spawns one block process per live worker for the wave's
 // tasks, partitioned by the engine's current weights, and returns how many
-// outcomes the caller must gather. Shared by the batch and streaming maps.
-func scatterWave(pf platform.Platform, c rt.Ctx, co *engine.Core, gather rt.Chan, waveTasks []platform.Task, wave int, log *trace.Log) int {
+// outcomes the coordinator must gather.
+func scatterWave(pf platform.Platform, c rt.Ctx, co *engine.Core, inbox rt.Chan, waveTasks []platform.Task, wave int, log *trace.Log) int {
 	live := co.Live()
-	if len(live) == 0 {
-		return 0
-	}
 	part := sched.WeightedBlocks(len(waveTasks), co.WeightSliceFor(live))
 	spawned := 0
 	for i, w := range live {
@@ -154,140 +376,13 @@ func scatterWave(pf platform.Platform, c rt.Ctx, co *engine.Core, gather rt.Chan
 				}
 				out.done++
 				out.executed += t.Cost
-				gather.Send(cc, gatherMsg{res: res})
+				inbox.Send(cc, message{kind: msgResult, res: res})
 			}
 			out.busy = cc.Now() - blockStart
-			gather.Send(cc, gatherMsg{isOutcome: true, out: out})
+			inbox.Send(cc, message{kind: msgOutcome, out: out})
 		})
 	}
 	return spawned
-}
-
-// absorbLoss books a crashed worker's block outcome: the lost executions
-// are counted, the worker retired. It returns the lost tasks for the
-// caller to re-queue.
-func absorbLoss(pf platform.Platform, c rt.Ctx, co *engine.Core, out blockOutcome) []platform.Task {
-	if len(out.lost) == 0 {
-		return nil
-	}
-	co.Rep.Failures += len(out.lost)
-	co.Retire(c, out.worker, fmt.Sprintf("worker %s failed; %d tasks re-queued",
-		pf.WorkerName(out.worker), len(out.lost)))
-	return out.lost
-}
-
-// Run executes tasks with block decomposition from within process c,
-// blocking until all waves complete, the detector stops the map, or every
-// worker has died.
-func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Report {
-	workers := opts.Workers
-	if len(workers) == 0 {
-		workers = make([]int, pf.Size())
-		for i := range workers {
-			workers[i] = i
-		}
-	}
-	waves := opts.Waves
-	if waves < 1 {
-		waves = 1
-	}
-	alpha := opts.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
-
-	co := engine.NewCore(pf, workers, engine.ModeStop, c.Now(), engine.StreamOptions{
-		Weights:  engine.NormalisedWeights(workers, opts.Weights),
-		Detector: opts.Detector,
-		NormCost: opts.NormCost,
-		Log:      opts.Log,
-		OnResult: opts.OnResult,
-	})
-	rep := Report{}
-	runtime := pf.Runtime()
-
-	queue := tasks
-	for wave := 0; wave < waves; wave++ {
-		if len(queue) == 0 || len(co.Live()) == 0 {
-			break
-		}
-		// The wave takes an even share of what remains, so later waves can
-		// still rebalance; the final wave drains the queue.
-		take := waveSize(len(queue), waves-wave)
-		waveTasks := queue[:take]
-		queue = queue[take:]
-
-		gather := runtime.NewChan(fmt.Sprintf("dmap.gather.%d", wave), len(workers)*2)
-		spawned := scatterWave(pf, c, co, gather, waveTasks, wave, opts.Log)
-		rep.Scatters += spawned
-
-		// Gather: per-task results stream in; the wave ends when every
-		// scattered block's outcome is back.
-		outcomes := make([]blockOutcome, 0, spawned)
-		for len(outcomes) < spawned {
-			v, ok := gather.Recv(c)
-			if !ok {
-				break
-			}
-			m := v.(gatherMsg)
-			if m.isOutcome {
-				outcomes = append(outcomes, m.out)
-				continue
-			}
-			co.Complete(c, m.res)
-		}
-		rep.WavesRun++
-		rep.WaveImbalance = append(rep.WaveImbalance, imbalance(outcomes))
-
-		// Crashes: requeue lost tasks at the head of the next wave and
-		// retire the dead workers.
-		for _, out := range outcomes {
-			if lost := absorbLoss(pf, c, co, out); len(lost) > 0 {
-				queue = append(append([]platform.Task(nil), lost...), queue...)
-			}
-		}
-
-		if co.Rep.Breached {
-			if opts.Log != nil {
-				opts.Log.Append(trace.Event{
-					At: c.Now(), Kind: trace.KindNote,
-					Msg: fmt.Sprintf("map stop after wave %d", wave),
-				})
-			}
-			break
-		}
-		// Re-weight the next wave by observed throughput: the per-worker rate
-		// (cost per second) this wave, EWMA-blended into the prior weight so
-		// one noisy wave cannot capsize the decomposition.
-		if wave < waves-1 {
-			co.SetWeights(reweight(co.Weights(), outcomes, alpha))
-			rep.FinalWeights = co.Weights()
-		}
-	}
-
-	erep := co.Finish()
-	rep.Results = erep.Results
-	rep.Remaining = queue
-	rep.Breached = erep.Breached
-	rep.BreachStat = erep.BreachStat
-	rep.Makespan = erep.Makespan
-	rep.BusyByWorker = erep.BusyByWorker
-	rep.TasksByWorker = erep.TasksByWorker
-	rep.Failures = erep.Failures
-	rep.DeadWorkers = erep.DeadWorkers
-	return rep
-}
-
-// RunStatic executes tasks as a single-wave map with the given weights: the
-// non-adaptive deal baseline (equivalent to Run with Waves=1 and no
-// detector, provided for symmetry with farm.RunStatic).
-func RunStatic(pf platform.Platform, c rt.Ctx, tasks []platform.Task, weights map[int]float64, workers []int, log *trace.Log) Report {
-	return Run(pf, c, tasks, Options{
-		Workers: workers,
-		Weights: weights,
-		Waves:   1,
-		Log:     log,
-	})
 }
 
 // waveSize returns how many tasks the next wave takes when wavesLeft rounds
@@ -335,49 +430,47 @@ func imbalance(outcomes []blockOutcome) float64 {
 	return float64(max)/mean - 1
 }
 
-// reweight blends throughput-derived weights into the current ones. Workers
-// that executed nothing this wave (empty block, or died instantly) keep
-// their prior weight scaled into the new normalisation; dead workers are
-// naturally excluded on the next wave by the engine's retire list.
+// reweight blends one wave's throughput-derived shares into the full
+// weight map: the wave's workers redistribute their combined prior mass by
+// observed rate (cost per second), EWMA-blended so one noisy wave cannot
+// capsize the decomposition; workers outside the wave (empty block, joined
+// since) keep their shares, and dead ones are excluded from the next wave
+// by the engine's membership.
 func reweight(prev map[int]float64, outcomes []blockOutcome, alpha float64) map[int]float64 {
 	rates := make(map[int]float64, len(outcomes))
-	var totalRate float64
+	var totalRate, groupMass float64
 	for _, o := range outcomes {
+		groupMass += prev[o.worker]
 		if o.busy > 0 && o.executed > 0 {
 			r := o.executed / o.busy.Seconds()
 			rates[o.worker] = r
 			totalRate += r
 		}
 	}
+	if totalRate <= 0 {
+		return prev
+	}
 	next := make(map[int]float64, len(prev))
 	var total float64
+	for w, v := range prev {
+		next[w] = v
+	}
 	for _, o := range outcomes {
 		w := o.worker
-		blended := prev[w]
-		if totalRate > 0 {
-			if r, ok := rates[w]; ok {
-				blended = alpha*(r/totalRate) + (1-alpha)*prev[w]
-			} else {
-				blended = (1 - alpha) * prev[w]
-			}
+		target := prev[w]
+		if r, ok := rates[w]; ok {
+			target = groupMass * r / totalRate
 		}
-		next[w] = blended
-		total += blended
+		next[w] = alpha*target + (1-alpha)*prev[w]
+	}
+	for _, v := range next {
+		total += v
 	}
 	if total <= 0 {
-		return engine.NormalisedWeights(keys(next), nil)
+		return prev
 	}
 	for w := range next {
 		next[w] /= total
 	}
 	return next
-}
-
-// keys lists a weight map's workers.
-func keys(w map[int]float64) []int {
-	out := make([]int, 0, len(w))
-	for k := range w {
-		out = append(out, k)
-	}
-	return out
 }

@@ -39,7 +39,7 @@ func ExampleRun() {
 	}
 
 	fmt.Printf("blocks: %d and %d tasks, %d scatters, makespan %v\n",
-		rep.TasksByWorker[0], rep.TasksByWorker[1], rep.Scatters, rep.Makespan)
+		rep.TasksByWorker[0], rep.TasksByWorker[1], rep.Requests, rep.Makespan)
 	// Output:
 	// blocks: 60 and 30 tasks, 2 scatters, makespan 3s
 }

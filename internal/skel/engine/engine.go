@@ -36,7 +36,10 @@
 // A skeleton adapter is a Runner: it owns the dispatch topology (demand
 // pulls, scatter waves, stage graphs) and delegates every adaptive decision
 // to the engine. The service layer holds only Runners, which is what makes
-// the daemon skeleton-agnostic.
+// the daemon skeleton-agnostic. The Mode is the only thing that separates
+// a skeleton's streaming and finite-population entry points: farm and dmap
+// drive one coordinator loop in ModeRecalibrate from a live channel and in
+// ModeStop over a pre-admitted task slice (an input already closed).
 package engine
 
 import (
@@ -172,7 +175,8 @@ type StreamReport struct {
 	Failures int
 	// DeadWorkers lists workers that crashed, in detection order.
 	DeadWorkers []int
-	// Admitted counts tasks taken from the input channel.
+	// Admitted counts tasks taken from the input channel (for a ModeStop run
+	// over a task slice: the slice, admitted up front).
 	Admitted int
 	// MaxInFlight is the peak number of admitted-but-uncompleted tasks —
 	// never above the window when backpressure is working.

@@ -156,3 +156,29 @@ func newTestDetector(z time.Duration) *monitor.Detector {
 	d.MinSamples = 2
 	return d
 }
+
+func TestFarmCrashAfterQueueDrainedIsReExecuted(t *testing.T) {
+	// Three tasks, a fast worker and a slow one. By t=0.2s the queue is
+	// empty and the fast worker idle; the slow worker dies at t=0.5s holding
+	// the last in-flight task. The idle worker is parked, not gone, so it
+	// re-runs the lost task and nothing surfaces as Remaining.
+	pf, sim := gridPF(t, []grid.NodeSpec{
+		{BaseSpeed: 10},
+		{BaseSpeed: 1, FailAt: 500 * time.Millisecond},
+	})
+	var rep Report
+	sim.Go("root", func(c rt.Ctx) {
+		rep = Run(pf, c, fixedTasks(3, 1), Options{})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Remaining) != 0 {
+		t.Errorf("remaining = %v, want none: an idle worker must pick up the lost task", rep.Remaining)
+	}
+	assertExactlyOnce(t, rep.Results, 3)
+	if rep.Failures != 1 || rep.TasksByWorker[0] != 3 {
+		t.Errorf("failures = %d, tasks by worker = %v; want 1 failure and all 3 tasks on worker 0",
+			rep.Failures, rep.TasksByWorker)
+	}
+}

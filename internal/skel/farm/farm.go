@@ -7,12 +7,15 @@
 // naturally pull more work. Granularity is controlled by a sched.ChunkPolicy
 // and dispatch shares by calibrated weights. Everything adaptive — the
 // weights, the monitor.Detector implementing Algorithm 2's threshold rule,
-// failure/retire handling, live recalibration — is delegated to the shared
-// skel/engine contract; this package owns only the demand-driven dispatch
-// topology. On a batch breach the farm stops dispatching and returns the
-// unexecuted tail so the GRASP core can recalibrate and resume ("feeding
-// back to the calibration phase"); the streaming farm (Stream, RunStream)
-// instead recalibrates in place and keeps serving.
+// failure/retire handling, live recalibration, elastic membership — is
+// delegated to the shared skel/engine contract; this package owns only the
+// demand-driven dispatch topology, and owns it once: one farmer loop (run)
+// serves both entry points. Stream feeds it from a live channel under the
+// engine's admission-credit window and recalibrates in place on a breach.
+// Run feeds it a finite task slice as an already-closed input and, on a
+// breach, stops dispatching and returns the unexecuted tail so the GRASP
+// core can recalibrate and resume ("feeding back to the calibration
+// phase").
 //
 // RunStatic provides the non-adaptive baseline the experiments compare
 // against: a fixed task-to-node partition decided up front.
@@ -57,43 +60,20 @@ type Options struct {
 	Stop func() bool
 }
 
-// Report is the outcome of a farm run.
-type Report struct {
-	// Results holds one entry per executed task, in completion order.
-	Results []platform.Result
-	// Remaining are the tasks never dispatched because the detector
-	// triggered. Empty on a clean run.
-	Remaining []platform.Task
-	// Breached reports whether the detector triggered.
-	Breached bool
-	// BreachStat is the statistic that crossed the threshold.
-	BreachStat time.Duration
-	// Makespan is the virtual/real time from farm start to the last
-	// completion.
-	Makespan time.Duration
-	// BusyByWorker sums execution time per worker index.
-	BusyByWorker map[int]time.Duration
-	// TasksByWorker counts tasks per worker index.
-	TasksByWorker map[int]int
-	// Requests counts farmer round-trips (worker chunk requests) — the
-	// dispatch-traffic cost a coarser chunk policy amortises.
-	Requests int
-	// Failures counts executions lost to worker crashes; each failed task
-	// was re-queued and (unless the farm stopped) re-executed elsewhere.
-	Failures int
-	// DeadWorkers lists workers that crashed during the run, in detection
-	// order.
-	DeadWorkers []int
-}
+// Report is the outcome of a farm run: the engine's skeleton-agnostic
+// report. Remaining holds the tasks never executed — the undispatched tail
+// after a breach or Stop, or whatever was left when every worker died;
+// Requests counts farmer round-trips (worker chunk requests), the
+// dispatch-traffic cost a coarser chunk policy amortises.
+type Report = engine.StreamReport
 
-// message is the farmer's multiplexed inbox entry (shared by the batch and
-// streaming farms; task carries a pumped input task on the stream path).
+// message is the farmer's multiplexed inbox entry.
 type message struct {
 	kind   msgKind
 	worker int
 	reply  rt.Chan         // request: where to send the chunk
 	result platform.Result // result
-	task   platform.Task   // stream: a task forwarded by the pump
+	task   platform.Task   // task: forwarded by the intake pump
 }
 
 type msgKind int
@@ -102,12 +82,50 @@ const (
 	msgRequest msgKind = iota
 	msgResult
 	msgDone
+	msgTask
+	msgEOF
 )
 
-// Run executes tasks on the platform with demand-driven dispatch from
-// within process c, blocking until all work completes or the detector
-// stops the farm.
+// Run executes a finite task population from within process c, blocking
+// until all work completes, the detector or Options.Stop halts the farm,
+// or every worker has died. It is the coordinator loop run over an
+// already-closed input: the tasks are the pre-admitted backlog, and a
+// breach stops dispatch (engine.ModeStop) instead of recalibrating in
+// place, so the caller can feed the tail back to calibration.
 func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Report {
+	return run(pf, c, nil, tasks, engine.ModeStop, opts.Chunk, opts.Stop, engine.StreamOptions{
+		Workers:  opts.Workers,
+		Weights:  opts.Weights,
+		Detector: opts.Detector,
+		NormCost: opts.NormCost,
+		Log:      opts.Log,
+		OnResult: opts.OnResult,
+	})
+}
+
+// Stream returns the farm's engine runner: demand-driven dispatch with the
+// given chunk policy (default sched.Single) over a live input channel,
+// admission bounded by the engine's credit window, breaches recalibrating
+// in place. This is what the skeleton-agnostic service layer holds.
+func Stream(chunk sched.ChunkPolicy) engine.Runner {
+	return func(pf platform.Platform, c rt.Ctx, in rt.Chan, opts engine.StreamOptions) engine.StreamReport {
+		return run(pf, c, in, nil, engine.ModeRecalibrate, chunk, nil, opts)
+	}
+}
+
+// run is the farm's one coordinator loop. Tasks reach the pending queue
+// from backlog (admitted before the first worker request, so chunk
+// policies see the whole population) and, when in is non-nil, from the
+// intake pump under the credit window; a nil in is an input already
+// closed. Idle worker requests are parked and served chunks of pending
+// tasks; a task lost to a crash goes back to the front of pending and to
+// the next parked worker. In ModeStop a breach or the stop predicate ends
+// dispatch: chunks in flight finish and pending is returned as Remaining.
+// Membership is elastic: a worker admitted mid-run gets its own demand
+// loop spawned on the spot, and a removed worker simply stops being fed —
+// its next request is answered with an empty chunk and its loop exits (to
+// be respawned if the worker is later re-admitted).
+func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mode engine.Mode, policy sched.ChunkPolicy, stop func() bool, opts engine.StreamOptions) engine.StreamReport {
 	workers := opts.Workers
 	if len(workers) == 0 {
 		workers = make([]int, pf.Size())
@@ -115,37 +133,136 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 			workers[i] = i
 		}
 	}
-	policy := opts.Chunk
 	if policy == nil {
 		policy = sched.Single{}
 	}
 
-	// The engine carries the adaptive mechanism in stop-on-breach mode:
-	// weights, detector, failure/retire, and report accumulation.
-	co := engine.NewCore(pf, workers, engine.ModeStop, c.Now(), engine.StreamOptions{
-		Weights:  opts.Weights,
-		Detector: opts.Detector,
-		NormCost: opts.NormCost,
-		Log:      opts.Log,
-		OnResult: opts.OnResult,
-	})
+	co := engine.NewCore(pf, workers, mode, c.Now(), opts)
 	runtime := pf.Runtime()
 	inbox := runtime.NewChan("farm.inbox", len(workers)*2)
+	var intake *engine.Intake
+	if in != nil {
+		window := opts.Window
+		if window <= 0 {
+			window = 2 * len(workers)
+		}
+		intake = engine.NewIntake(runtime, c, "farm.credits", window)
+		intake.Pump(c, "farm.pump", in,
+			func(cc rt.Ctx, t platform.Task) { inbox.Send(cc, message{kind: msgTask, task: t}) },
+			func(cc rt.Ctx) { inbox.Send(cc, message{kind: msgEOF}) },
+		)
+	}
 
-	// Workers: request → execute chunk → stream results → repeat.
-	spawnWorkers(pf, c, inbox, workers, "farm")
+	type parkedReq struct {
+		worker int
+		reply  rt.Chan
+	}
+	var (
+		// pending is admitted, not yet dispatched; capped at the backlog's
+		// length so no append can write into the caller's slice.
+		pending   = backlog[:len(backlog):len(backlog)]
+		parked    []parkedReq // idle workers awaiting work
+		executing int         // dispatched, result not yet back
+		eof       = in == nil
+		stopped   bool // ModeStop breach or stop predicate: no more dispatch
+		released  bool // empty chunks sent: workers are shutting down
+		live      = len(workers)
+	)
+	co.Rep.Admitted = len(backlog)
+	co.Rep.MaxInFlight = len(backlog)
+	// loopActive tracks which worker indices currently have a demand
+	// loop, so a worker that leaves and rejoins the membership while its
+	// old loop is still draining never ends up with two loops.
+	loopActive := make(map[int]bool, len(workers))
+	for _, w := range workers {
+		loopActive[w] = true
+		spawnWorker(pf, c, inbox, w)
+	}
 
-	// Farmer: multiplex requests and results until every worker has exited.
-	next := 0 // index of the first undispatched task
-	var retry []platform.Task
-	stopped := false
-	live := len(workers)
+	// serve hands the front parked worker a chunk of pending tasks.
+	// Membership cannot change inside one serve call, so the live
+	// count is hoisted out of the dispatch loop.
+	serve := func() {
+		nLive := co.LiveCount()
+		for !stopped && len(parked) > 0 && len(pending) > 0 {
+			p := parked[0]
+			parked = parked[0:copy(parked, parked[1:])]
+			if !co.Alive(p.worker) {
+				p.reply.Send(c, []platform.Task{})
+				continue
+			}
+			n := policy.Chunk(len(pending), nLive, co.Weight(p.worker))
+			if wc, isWC := policy.(sched.WorkerChunker); isWC {
+				// Worker-aware policies (e.g. sched.AdaptiveChunk) size the
+				// chunk for the specific requester.
+				n = wc.ChunkFor(p.worker, len(pending), nLive, co.Weight(p.worker))
+			}
+			if n > len(pending) {
+				n = len(pending)
+			}
+			if n < 1 {
+				n = 1
+			}
+			// pending only ever moves forward, so the chunk's slots are never
+			// written again and it can be handed out without a copy.
+			chunk := pending[:n:n]
+			pending = pending[n:]
+			executing += n
+			if opts.Log != nil {
+				for _, task := range chunk {
+					opts.Log.Append(trace.Event{
+						At: c.Now(), Kind: trace.KindDispatch,
+						Node: pf.WorkerName(p.worker), Task: task.ID,
+					})
+				}
+			}
+			p.reply.Send(c, chunk)
+		}
+	}
+
+	// release shuts the workers down once nothing is executing and nothing
+	// more will be dispatched: the input is drained, or the farm stopped.
+	release := func() {
+		if released || executing > 0 || !(stopped || eof && len(pending) == 0) {
+			return
+		}
+		released = true
+		for _, p := range parked {
+			p.reply.Send(c, []platform.Task{})
+		}
+		parked = parked[:0]
+	}
+
+	// Membership deltas from the control channel: an admitted worker
+	// gets a demand loop on the spot; a removed worker needs nothing
+	// here — serve() stops feeding it, its loop exits on the next empty
+	// chunk, and msgDone below retires (or respawns) the loop.
+	co.SetOnMembership(func(added []engine.Member, removed []int) {
+		if released {
+			return
+		}
+		for _, m := range added {
+			if loopActive[m.Worker] {
+				continue // the old loop is still draining; it resumes serving
+			}
+			loopActive[m.Worker] = true
+			live++
+			spawnWorker(pf, c, inbox, m.Worker)
+		}
+	})
+
 	for live > 0 {
 		v, ok := inbox.Recv(c)
 		if !ok {
 			break
 		}
-		if !stopped && opts.Stop != nil && opts.Stop() {
+		// Drain after Recv, not before: a control update (threshold,
+		// weights, membership) that arrives while the farmer is parked
+		// must apply before the message that woke it is served, or the
+		// first dispatch after an idle period would use the stale
+		// membership.
+		co.DrainControl(c, opts.Control)
+		if !stopped && stop != nil && stop() {
 			stopped = true
 			co.Rep.Breached = true
 			if opts.Log != nil {
@@ -157,78 +274,90 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 		}
 		m := v.(message)
 		switch m.kind {
+		case msgTask:
+			co.Rep.Admitted++
+			pending = append(pending, m.task)
+			if n := len(pending) + executing; n > co.Rep.MaxInFlight {
+				co.Rep.MaxInFlight = n
+			}
+			serve()
+		case msgEOF:
+			eof = true
+			release()
 		case msgRequest:
 			co.Rep.Requests++
-			remaining := len(retry) + len(tasks) - next
-			if stopped || remaining == 0 || !co.Alive(m.worker) {
+			if released || !co.Alive(m.worker) {
 				m.reply.Send(c, []platform.Task{})
 				continue
 			}
-			n := policy.Chunk(remaining, len(workers), co.Weight(m.worker))
-			if wc, isWC := policy.(sched.WorkerChunker); isWC {
-				// Worker-aware policies (e.g. sched.AdaptiveChunk) size the
-				// chunk for the specific requester.
-				n = wc.ChunkFor(m.worker, remaining, len(workers), co.Weight(m.worker))
-			}
-			chunk := make([]platform.Task, 0, n)
-			// Re-queued (failed) tasks are served first: their loss already
-			// cost one execution, so delaying them lengthens the tail.
-			for len(chunk) < n && len(retry) > 0 {
-				chunk = append(chunk, retry[0])
-				retry = retry[0:copy(retry, retry[1:])]
-			}
-			for len(chunk) < n && next < len(tasks) {
-				chunk = append(chunk, tasks[next])
-				next++
-			}
-			if opts.Log != nil {
-				for _, task := range chunk {
-					opts.Log.Append(trace.Event{
-						At: c.Now(), Kind: trace.KindDispatch,
-						Node: pf.WorkerName(m.worker), Task: task.ID,
-					})
-				}
-			}
-			m.reply.Send(c, chunk)
+			parked = append(parked, parkedReq{worker: m.worker, reply: m.reply})
+			serve()
+			release()
 		case msgResult:
 			res := m.result
+			executing--
 			if res.Failed() {
-				// The worker crashed mid-task: re-queue the task and stop
-				// feeding that worker.
+				// The worker crashed mid-task: stop feeding that worker and
+				// re-queue the task at the front — its loss already cost one
+				// execution, so delaying it lengthens the tail.
 				co.Fail(c, res, "re-queued")
-				retry = append(retry, res.Task)
+				pending = append([]platform.Task{res.Task}, pending...)
+				serve()
+				release()
 				continue
+			}
+			if intake != nil {
+				intake.Release(c)
 			}
 			if obs, isObs := policy.(sched.TimeObserver); isObs {
 				obs.ObserveTime(res.Worker, res.Time)
 			}
-			if co.Complete(c, res) {
+			if co.Complete(c, res) && mode == engine.ModeStop {
 				stopped = true
 			}
+			release()
 		case msgDone:
+			if !released && co.Alive(m.worker) {
+				// The worker rejoined the membership while its old loop
+				// was exiting: restart the loop in place.
+				spawnWorker(pf, c, inbox, m.worker)
+				continue
+			}
+			loopActive[m.worker] = false
 			live--
 		}
 	}
-	rep := co.Finish()
-	rep.Remaining = append(retry, tasks[next:]...)
-	return reportFromEngine(rep)
-}
-
-// spawnWorkers starts one demand-driven worker process per index, shared
-// by the batch and streaming farms.
-func spawnWorkers(pf platform.Platform, c rt.Ctx, inbox rt.Chan, workers []int, prefix string) {
-	for _, w := range workers {
-		spawnWorker(pf, c, inbox, w, prefix)
+	if intake != nil {
+		// If every worker died mid-stream the pump may still hold or await a
+		// credit; closing the credit channel stops it. Tasks the pump had
+		// already forwarded when the farmer stopped are recovered from the
+		// inbox so they surface as Remaining rather than vanishing; tasks
+		// still buffered in `in` (or in a blocked producer's hand) stay on
+		// the producer's side and are detectable by comparing Admitted with
+		// what was sent.
+		intake.Close(c)
+		for {
+			v, ok, polled := inbox.TryRecv(c)
+			if !polled || !ok {
+				break
+			}
+			if m, isMsg := v.(message); isMsg && m.kind == msgTask {
+				pending = append(pending, m.task)
+			}
+		}
 	}
+	co.Rep.Remaining = append([]platform.Task(nil), pending...)
+	return co.Finish()
 }
 
 // spawnWorker starts one demand-driven worker process: request a chunk on
 // inbox, execute it, stream results back, and exit on an empty chunk or a
-// closed reply channel, announcing the exit with msgDone. The streaming
-// farm also calls this mid-run when a worker joins the membership.
-func spawnWorker(pf platform.Platform, c rt.Ctx, inbox rt.Chan, w int, prefix string) {
-	reply := pf.Runtime().NewChan(fmt.Sprintf("%s.reply.%d", prefix, w), 1)
-	c.Go(fmt.Sprintf("%s.worker.%s", prefix, pf.WorkerName(w)), func(cc rt.Ctx) {
+// closed reply channel, announcing the exit with msgDone. An empty chunk
+// only ever means shutdown: the farmer parks idle requests instead of
+// answering them.
+func spawnWorker(pf platform.Platform, c rt.Ctx, inbox rt.Chan, w int) {
+	reply := pf.Runtime().NewChan(fmt.Sprintf("farm.reply.%d", w), 1)
+	c.Go(fmt.Sprintf("farm.worker.%s", pf.WorkerName(w)), func(cc rt.Ctx) {
 		for {
 			inbox.Send(cc, message{kind: msgRequest, worker: w, reply: reply})
 			v, ok := reply.Recv(cc)

@@ -1,7 +1,9 @@
 package farm
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"grasp/internal/grid"
 	"grasp/internal/platform"
@@ -74,5 +76,42 @@ func TestFarmStopLogsThresholdEvent(t *testing.T) {
 	}
 	if !found {
 		t.Error("external stop should log a threshold event")
+	}
+}
+
+func TestFarmStopPredicateOnLocalRuntime(t *testing.T) {
+	// The stop predicate is polled by the farmer while real goroutine
+	// workers execute and report concurrently; run under -race. Whatever
+	// instant the stop lands, results and remaining partition the input.
+	const n = 200
+	l := rt.NewLocal()
+	pf := platform.NewLocalPlatform(l, 4)
+	var done atomic.Int64
+	var rep Report
+	l.Go("root", func(c rt.Ctx) {
+		rep = Run(pf, c, sleepTasks(n, 50*time.Microsecond), Options{
+			OnResult: func(platform.Result) { done.Add(1) },
+			Stop:     func() bool { return done.Load() >= 20 },
+		})
+	})
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Breached || len(rep.Remaining) == 0 {
+		t.Fatalf("stop ignored: breached=%v remaining=%d", rep.Breached, len(rep.Remaining))
+	}
+	seen := make(map[int]bool, n)
+	for _, r := range rep.Results {
+		seen[r.Task.ID] = true
+	}
+	for _, task := range rep.Remaining {
+		if seen[task.ID] {
+			t.Errorf("task %d both executed and remaining", task.ID)
+		}
+		seen[task.ID] = true
+	}
+	if len(rep.Results)+len(rep.Remaining) != n || len(seen) != n {
+		t.Errorf("results %d + remaining %d cover %d of %d tasks",
+			len(rep.Results), len(rep.Remaining), len(seen), n)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"grasp/internal/monitor"
 	"grasp/internal/platform"
 	"grasp/internal/rt"
+	"grasp/internal/skel/engine"
 )
 
 // pushAll feeds tasks into in from its own process and closes it.
@@ -23,17 +24,17 @@ func pushAll(l *rt.Local, in rt.Chan, tasks []platform.Task) {
 	})
 }
 
-// localStream runs RunStream on a fresh local platform and returns the
+// localStream runs Stream(nil) on a fresh local platform and returns the
 // report.
-func localStream(t *testing.T, workers int, tasks []platform.Task, opts StreamOptions) StreamReport {
+func localStream(t *testing.T, workers int, tasks []platform.Task, opts engine.StreamOptions) engine.StreamReport {
 	t.Helper()
 	l := rt.NewLocal()
 	pf := platform.NewLocalPlatform(l, workers)
 	in := l.NewChan("in", 1)
 	pushAll(l, in, tasks)
-	var rep StreamReport
+	var rep engine.StreamReport
 	l.Go("root", func(c rt.Ctx) {
-		rep = RunStream(pf, c, in, opts)
+		rep = Stream(nil)(pf, c, in, opts)
 	})
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func assertExactlyOnce(t *testing.T, results []platform.Result, n int) {
 
 func TestStreamCompletesAndDrains(t *testing.T) {
 	const n = 60
-	rep := localStream(t, 4, sleepTasks(n, 100*time.Microsecond), StreamOptions{Window: 8})
+	rep := localStream(t, 4, sleepTasks(n, 100*time.Microsecond), engine.StreamOptions{Window: 8})
 	if rep.Admitted != n {
 		t.Errorf("admitted = %d, want %d", rep.Admitted, n)
 	}
@@ -85,7 +86,7 @@ func TestStreamCompletesAndDrains(t *testing.T) {
 }
 
 func TestStreamEmptyInput(t *testing.T) {
-	rep := localStream(t, 3, nil, StreamOptions{})
+	rep := localStream(t, 3, nil, engine.StreamOptions{})
 	if rep.Admitted != 0 || len(rep.Results) != 0 || len(rep.Remaining) != 0 {
 		t.Errorf("empty stream produced %+v", rep)
 	}
@@ -110,7 +111,7 @@ func TestStreamBackpressureBoundsInFlight(t *testing.T) {
 			return i
 		}}
 	}
-	rep := localStream(t, 8, tasks, StreamOptions{Window: window})
+	rep := localStream(t, 8, tasks, engine.StreamOptions{Window: window})
 	assertExactlyOnce(t, rep.Results, n)
 	if rep.MaxInFlight > window {
 		t.Errorf("MaxInFlight = %d exceeds window %d", rep.MaxInFlight, window)
@@ -141,13 +142,13 @@ func TestStreamBreachRecalibratesMidStream(t *testing.T) {
 	}
 	det := &monitor.Detector{Z: 500 * time.Microsecond, Rule: monitor.RuleMinOver, Window: 3, MinSamples: 3}
 	var breaches atomic.Int64
-	rep := localStream(t, 3, tasks, StreamOptions{
+	rep := localStream(t, 3, tasks, engine.StreamOptions{
 		Window:   6,
 		Detector: det,
-		OnRecalibrate: func(info BreachInfo) (StreamUpdate, bool) {
+		OnRecalibrate: func(info engine.Breach) (engine.Update, bool) {
 			breaches.Add(1)
 			// Tolerate the new regime: raise Z so the stream settles.
-			return StreamUpdate{Z: 100 * time.Millisecond}, true
+			return engine.Update{Z: 100 * time.Millisecond}, true
 		},
 	})
 	assertExactlyOnce(t, rep.Results, n)
@@ -170,7 +171,7 @@ func TestStreamDefaultRecalibrationReweights(t *testing.T) {
 	const n = 30
 	tasks := sleepTasks(n, 300*time.Microsecond)
 	det := &monitor.Detector{Z: 50 * time.Microsecond, Rule: monitor.RuleMinOver, Window: 2, MinSamples: 2}
-	rep := localStream(t, 2, tasks, StreamOptions{Window: 4, Detector: det})
+	rep := localStream(t, 2, tasks, engine.StreamOptions{Window: 4, Detector: det})
 	assertExactlyOnce(t, rep.Results, n)
 	if rep.Breaches == 0 || rep.Recalibrations == 0 {
 		t.Errorf("breaches=%d recals=%d, want both > 0", rep.Breaches, rep.Recalibrations)
@@ -190,9 +191,9 @@ func TestStreamControlUpdateAppliesLive(t *testing.T) {
 	sent := false
 	tasks := sleepTasks(n, 100*time.Microsecond)
 	pushAll(l, in, tasks)
-	var rep StreamReport
+	var rep engine.StreamReport
 	l.Go("root", func(c rt.Ctx) {
-		rep = RunStream(pf, c, in, StreamOptions{
+		rep = Stream(nil)(pf, c, in, engine.StreamOptions{
 			Window:   8,
 			Detector: det,
 			Control:  control,
@@ -202,7 +203,7 @@ func TestStreamControlUpdateAppliesLive(t *testing.T) {
 				completed++
 				if completed == n/2 && !sent {
 					sent = true
-					control.TrySend(nil, StreamUpdate{Z: 42 * time.Millisecond, ResetDetector: true})
+					control.TrySend(nil, engine.Update{Z: 42 * time.Millisecond, ResetDetector: true})
 				}
 			},
 		})
@@ -247,7 +248,7 @@ func TestStreamMatchesBatchProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		stream := localStream(t, workers, mk(), StreamOptions{Window: window})
+		stream := localStream(t, workers, mk(), engine.StreamOptions{Window: window})
 
 		if len(stream.Results) != len(batch.Results) {
 			t.Fatalf("round %d (n=%d w=%d win=%d): stream %d results, batch %d",
@@ -285,9 +286,9 @@ func TestStreamOnSimulatedGrid(t *testing.T) {
 		}
 		in.Close(c)
 	})
-	var rep StreamReport
+	var rep engine.StreamReport
 	sim.Go("root", func(c rt.Ctx) {
-		rep = RunStream(pf, c, in, StreamOptions{Window: 4})
+		rep = Stream(nil)(pf, c, in, engine.StreamOptions{Window: 4})
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
