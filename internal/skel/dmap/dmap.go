@@ -161,6 +161,18 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 	return rep
 }
 
+// RunStatic executes tasks as a single-wave map with the given weights: the
+// non-adaptive deal baseline (equivalent to Run with Waves=1 and no
+// detector, provided for symmetry with farm.RunStatic).
+func RunStatic(pf platform.Platform, c rt.Ctx, tasks []platform.Task, weights map[int]float64, workers []int, log *trace.Log) Report {
+	return Run(pf, c, tasks, Options{
+		Workers: workers,
+		Weights: weights,
+		Waves:   1,
+		Log:     log,
+	})
+}
+
 // Stream returns the deal skeleton's engine runner: waves are
 // demand-driven, so the skeleton degrades to fine scatters under light
 // load and amortises dispatch under pressure.

@@ -403,6 +403,31 @@ func TestMapOnLocalPlatform(t *testing.T) {
 	}
 }
 
+func TestMapRunStaticMatchesSingleWave(t *testing.T) {
+	specs := []grid.NodeSpec{{BaseSpeed: 20}, {BaseSpeed: 10}}
+	w := map[int]float64{0: 2, 1: 1}
+
+	makespan := func(f func(pf *platform.GridPlatform, c rt.Ctx) Report) time.Duration {
+		pf, sim := gridPF(t, specs)
+		var rep Report
+		sim.Go("root", func(c rt.Ctx) { rep = f(pf, c) })
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Makespan
+	}
+
+	a := makespan(func(pf *platform.GridPlatform, c rt.Ctx) Report {
+		return Run(pf, c, fixedTasks(60, 1), Options{Weights: w, Waves: 1})
+	})
+	b := makespan(func(pf *platform.GridPlatform, c rt.Ctx) Report {
+		return RunStatic(pf, c, fixedTasks(60, 1), w, nil, nil)
+	})
+	if a != b {
+		t.Errorf("RunStatic %v != single-wave Run %v", b, a)
+	}
+}
+
 // TestMapConservationProperty: for arbitrary task counts, wave counts and
 // weight skews, every task is either completed exactly once or returned in
 // Remaining — never lost, never duplicated.

@@ -149,6 +149,41 @@ func TestFarmRetryServedBeforeFreshTasks(t *testing.T) {
 	}
 }
 
+func TestFarmLostChunkRetriedInOrderBeforeFreshTasks(t *testing.T) {
+	// Worker 0 dies during the first task of its 4-task chunk, so all of
+	// tasks 0–3 fail. They must come back as one chunk, in their original
+	// order, ahead of the fresh tail.
+	pf, sim := gridPF(t, []grid.NodeSpec{
+		{BaseSpeed: 1, FailAt: 500 * time.Millisecond},
+		{BaseSpeed: 10},
+	})
+	var rep Report
+	sim.Go("root", func(c rt.Ctx) {
+		rep = Run(pf, c, fixedTasks(20, 1), Options{Chunk: sched.FixedChunk{K: 4}})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	assertExactlyOnce(t, rep.Results, 20)
+	if rep.Failures != 4 {
+		t.Fatalf("failures = %d, want the whole lost chunk (4)", rep.Failures)
+	}
+	at := -1
+	for i, r := range rep.Results {
+		if r.Task.ID == 0 {
+			at = i
+		}
+	}
+	if at < 0 || at+4 > len(rep.Results)-4 {
+		t.Fatalf("task 0 completed at position %d of %d; want the retry ahead of the last fresh chunk", at, len(rep.Results))
+	}
+	for k := 0; k < 4; k++ {
+		if id := rep.Results[at+k].Task.ID; id != k {
+			t.Errorf("completion %d is task %d, want %d (lost chunk out of order)", at+k, id, k)
+		}
+	}
+}
+
 // newTestDetector builds a detector with a window suited to small farms.
 func newTestDetector(z time.Duration) *monitor.Detector {
 	d := monitor.NewDetector(z)

@@ -118,9 +118,10 @@ func Stream(chunk sched.ChunkPolicy) engine.Runner {
 // policies see the whole population) and, when in is non-nil, from the
 // intake pump under the credit window; a nil in is an input already
 // closed. Idle worker requests are parked and served chunks of pending
-// tasks; a task lost to a crash goes back to the front of pending and to
-// the next parked worker. In ModeStop a breach or the stop predicate ends
-// dispatch: chunks in flight finish and pending is returned as Remaining.
+// tasks; a task lost to a crash joins the retry queue, which is served
+// ahead of pending, and goes to the next parked worker. In ModeStop a
+// breach or the stop predicate ends dispatch: chunks in flight finish and
+// what is still queued is returned as Remaining.
 // Membership is elastic: a worker admitted mid-run gets its own demand
 // loop spawned on the spot, and a removed worker simply stops being fed —
 // its next request is answered with an empty chunk and its loop exits (to
@@ -160,7 +161,11 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 	var (
 		// pending is admitted, not yet dispatched; capped at the backlog's
 		// length so no append can write into the caller's slice.
-		pending   = backlog[:len(backlog):len(backlog)]
+		pending = backlog[:len(backlog):len(backlog)]
+		// retry holds tasks whose execution failed; serve drains it before
+		// pending — their loss already cost one execution, so delaying
+		// them lengthens the tail.
+		retry     []platform.Task
 		parked    []parkedReq // idle workers awaiting work
 		executing int         // dispatched, result not yet back
 		eof       = in == nil
@@ -179,34 +184,41 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 		spawnWorker(pf, c, inbox, w)
 	}
 
-	// serve hands the front parked worker a chunk of pending tasks.
+	// queued is how many admitted tasks await dispatch.
+	queued := func() int { return len(retry) + len(pending) }
+
+	// serve hands the front parked worker a chunk of queued tasks.
 	// Membership cannot change inside one serve call, so the live
 	// count is hoisted out of the dispatch loop.
 	serve := func() {
 		nLive := co.LiveCount()
-		for !stopped && len(parked) > 0 && len(pending) > 0 {
+		for !stopped && len(parked) > 0 && queued() > 0 {
 			p := parked[0]
 			parked = parked[0:copy(parked, parked[1:])]
 			if !co.Alive(p.worker) {
 				p.reply.Send(c, []platform.Task{})
 				continue
 			}
-			n := policy.Chunk(len(pending), nLive, co.Weight(p.worker))
+			n := policy.Chunk(queued(), nLive, co.Weight(p.worker))
 			if wc, isWC := policy.(sched.WorkerChunker); isWC {
 				// Worker-aware policies (e.g. sched.AdaptiveChunk) size the
 				// chunk for the specific requester.
-				n = wc.ChunkFor(p.worker, len(pending), nLive, co.Weight(p.worker))
+				n = wc.ChunkFor(p.worker, queued(), nLive, co.Weight(p.worker))
 			}
-			if n > len(pending) {
-				n = len(pending)
-			}
-			if n < 1 {
-				n = 1
-			}
+			n = max(1, min(n, queued()))
 			// pending only ever moves forward, so the chunk's slots are never
-			// written again and it can be handed out without a copy.
-			chunk := pending[:n:n]
-			pending = pending[n:]
+			// written again and it can be handed out without a copy; only a
+			// chunk that carries retried tasks is assembled.
+			var chunk []platform.Task
+			if k := min(n, len(retry)); k > 0 {
+				chunk = append(make([]platform.Task, 0, n), retry[:k]...)
+				retry = retry[:copy(retry, retry[k:])]
+				chunk = append(chunk, pending[:n-k]...)
+				pending = pending[n-k:]
+			} else {
+				chunk = pending[:n:n]
+				pending = pending[n:]
+			}
 			executing += n
 			if opts.Log != nil {
 				for _, task := range chunk {
@@ -223,7 +235,7 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 	// release shuts the workers down once nothing is executing and nothing
 	// more will be dispatched: the input is drained, or the farm stopped.
 	release := func() {
-		if released || executing > 0 || !(stopped || eof && len(pending) == 0) {
+		if released || executing > 0 || !(stopped || eof && queued() == 0) {
 			return
 		}
 		released = true
@@ -277,7 +289,7 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 		case msgTask:
 			co.Rep.Admitted++
 			pending = append(pending, m.task)
-			if n := len(pending) + executing; n > co.Rep.MaxInFlight {
+			if n := queued() + executing; n > co.Rep.MaxInFlight {
 				co.Rep.MaxInFlight = n
 			}
 			serve()
@@ -298,10 +310,9 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 			executing--
 			if res.Failed() {
 				// The worker crashed mid-task: stop feeding that worker and
-				// re-queue the task at the front — its loss already cost one
-				// execution, so delaying it lengthens the tail.
+				// re-queue the task ahead of pending.
 				co.Fail(c, res, "re-queued")
-				pending = append([]platform.Task{res.Task}, pending...)
+				retry = append(retry, res.Task)
 				serve()
 				release()
 				continue
@@ -346,7 +357,7 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 			}
 		}
 	}
-	co.Rep.Remaining = append([]platform.Task(nil), pending...)
+	co.Rep.Remaining = append(retry, pending...)
 	return co.Finish()
 }
 
