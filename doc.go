@@ -124,13 +124,17 @@
 // internal/journal is the storage primitive under the control plane: an
 // append-only write-ahead log of CRC-framed records with a torn-tail
 // truncation rule, plus a snapshot/compaction store (epoch-named journal
-// files folded into a single fsynced snapshot). The service layer
-// journals every externally visible mutation — job creation, accepted
-// task batches, acknowledged results, close, completion, removal, and
-// the cluster registry's generation/dispatch-id ceilings — and fsyncs
-// before the mutation's effects become observable: "accepted" implies
-// "survives a crash", and a result a poller's cursor has advanced past
-// can never be re-delivered after a restart. A graspd started with
+// files folded into a single fsynced snapshot). The service layer keeps
+// each job's task pool — submitted count, pending tasks, retained
+// results, lost count, closed/done flags — in one place, its wal, and
+// changes it only by committing records (creation, accepted batches,
+// acknowledged results, close, completion, removal, the cluster
+// registry's token ceilings). A commit applies the record through the
+// function replay uses and, with -data-dir, fsyncs it before its effects
+// are observable: "accepted" implies "survives a crash", a result becomes
+// visible only once its ack is on disk (so it is never re-delivered),
+// "done" is announced only once durable, and submitted = completed +
+// pending + lost holds by construction. A graspd started with
 // -data-dir replays snapshot+journal on startup (before the cluster
 // listener accepts a single registration), resumes unfinished jobs at
 // their last durable cursor, re-delivers exactly the un-acked tasks, and

@@ -73,3 +73,30 @@ func BenchmarkDurableIngest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServicePush streams b.N zero-work tasks through one in-memory
+// farm job — Push, the engine, onResult — so -benchmem reports what the
+// service path allocates per task. The store-less wal must add nothing to
+// it: a commit there is lock, apply, unlock.
+func BenchmarkServicePush(b *testing.B) {
+	s := New(Config{Workers: 2})
+	j, err := s.Submit("bench", JobSpec{Window: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := burst(0, 64, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent := 0; sent < b.N; sent += len(batch) {
+		if _, err := j.Push(batch[:min(len(batch), b.N-sent)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.CloseInput(); err != nil {
+		b.Fatal(err)
+	}
+	<-j.Done()
+	if st := j.Status(); st.Completed != b.N {
+		b.Fatalf("completed %d of %d", st.Completed, b.N)
+	}
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -276,8 +277,8 @@ const (
 	// JobRecovering is the limbo of a durable job replayed from the journal
 	// whose runner has not been re-attached yet (a cluster job waiting for
 	// its worker fleet to re-register). It accepts pushes — journaled, fed
-	// to the engine at resume — and CloseInput, and its recovered results
-	// serve the cursor API throughout.
+	// to the engine at resume — and CloseInput (after which it reads
+	// draining), and its recovered results serve the cursor API throughout.
 	JobRecovering = "recovering"
 )
 
@@ -375,19 +376,26 @@ type Job struct {
 	// a push in flight.
 	sendMu sync.RWMutex
 
-	mu             sync.Mutex
-	state          string
-	submitted      int
+	// wj is the job's task pool (see wal.go), guarded by the wal's lock:
+	// written only by committing records, read through wal.view. ack is
+	// onResult's scratch record (acks are serial; commit does not keep it).
+	wj  *walJob
+	ack [1]TaskResult
+
+	mu sync.Mutex
+	// running reports an attached runner (false for a recovered job until
+	// resume); the rest of the lifecycle is wj.Closed and the done channel.
+	running bool
+	// completed is the visibility watermark: how many of wj's results
+	// pollers may see. It advances only after the ack's commit returns, so
+	// visible implies durable though the wal applies before it fsyncs.
 	completed      int
-	lost           int
 	breaches       int
 	recalibrations int
 	zMicros        int64
 	warmTotal      time.Duration
 	warmSeen       int
 	zInstalled     bool
-	results        []TaskResult
-	resultsBase    int // results dropped by the retention bound
 	rep            engine.StreamReport
 
 	// Predictive-policy observability and admission state (zero-valued for
@@ -415,11 +423,6 @@ type Job struct {
 	engineSet      map[int]bool
 	memberWeights  map[int]float64 // initial weight per desired worker
 	pendingWeights map[int]float64 // full re-normalised map to install
-
-	// walClosed marks a recovering job whose input is durably closed (the
-	// close happened before the crash, or while recovering); resume closes
-	// the re-attached runner's input after re-delivering the pending tasks.
-	walClosed bool
 }
 
 // Name returns the job's name.
@@ -428,8 +431,32 @@ func (j *Job) Name() string { return j.name }
 // Trace returns the job's bounded event timeline.
 func (j *Job) Trace() *trace.Log { return j.tr }
 
-// Done is closed when the job's stream has fully drained.
+// Done is closed once the job's stream has drained and its completion is durable.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// finished reports whether Done is closed.
+func (j *Job) finished() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// lifecycle derives a job's state from the three facts that make it up:
+// Done is closed, wj.Closed is set, a runner is attached.
+func lifecycle(done, closed, running bool) string {
+	switch {
+	case done:
+		return JobDone
+	case closed:
+		return JobDraining
+	case !running:
+		return JobRecovering
+	}
+	return JobAccepting
+}
 
 // Push submits tasks to the job, blocking under backpressure (the
 // engine's in-flight window plus the input buffer are both bounded). It
@@ -437,17 +464,17 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // push is blocked — every cluster node died and the engine abandoned the
 // stream — unblocks with an error instead of hanging the submitter: the
 // runner no longer drains the input, so a plain channel send would never
-// return.
+// return. The batch stays in the submitted count (it was committed); the
+// part that never ran is counted lost when the job ends.
 func (j *Job) Push(specs []TaskSpec) (int, error) {
 	j.sendMu.RLock()
 	defer j.sendMu.RUnlock()
+	w := j.svc.wal
+	closed := w.view(j.wj).Closed
 	j.mu.Lock()
-	state := j.state
-	if state != JobAccepting && state != JobRecovering || state == JobRecovering && j.walClosed {
+	state := lifecycle(j.finished(), closed, j.running)
+	if state != JobAccepting && state != JobRecovering {
 		j.mu.Unlock()
-		if state == JobRecovering {
-			state = JobDraining // closed while recovering: draining to the caller
-		}
 		return 0, fmt.Errorf("service: job %q is %s, not accepting tasks", j.name, state)
 	}
 	// Admission control: while the queue-depth forecast is over the bound
@@ -461,31 +488,20 @@ func (j *Job) Push(specs []TaskSpec) (int, error) {
 		return 0, fmt.Errorf("service: job %q queue-depth forecast over the admission bound: %w", j.name, ErrOverloaded)
 	}
 	j.mu.Unlock()
-	// Journal the batch before a single task becomes observable: when a
+	// Commit the batch before a single task becomes observable: when a
 	// durable service says "accepted", the tasks survive a crash. Recovery
 	// re-delivers exactly the journaled-but-unacknowledged remainder. The
 	// whole HTTP batch is one walTasks record, and concurrent pushers'
 	// records group-commit under a single fsync, so durable ingest scales
 	// with pusher concurrency instead of the disk's serial fsync rate.
-	if w := j.svc.wal; w != nil {
-		if err := w.commit(walRecord{Kind: walTasks, Job: j.name, Tasks: specs}); err != nil {
-			return 0, fmt.Errorf("service: job %q: journal: %w", j.name, err)
-		}
+	if err := w.commit(walRecord{Kind: walTasks, Job: j.name, Tasks: specs}); err != nil {
+		return 0, fmt.Errorf("service: job %q: journal: %w", j.name, err)
 	}
-	j.mu.Lock()
-	j.submitted += len(specs)
-	j.mu.Unlock()
-	if state == JobRecovering {
-		// No runner to feed yet: the batch lives in the journal's pending
-		// set and resume delivers it with the rest of the backlog.
-		j.svc.reg.Counter("service_tasks_submitted_total").Add(int64(len(specs)))
-		return len(specs), nil
-	}
-	accepted, pushErr := j.feed(specs)
-	if accepted < len(specs) {
-		j.mu.Lock()
-		j.submitted -= len(specs) - accepted
-		j.mu.Unlock()
+	// With no runner to feed yet the batch waits in the pending set: resume
+	// delivers it with the rest of the backlog.
+	accepted, pushErr := len(specs), error(nil)
+	if state == JobAccepting {
+		accepted, pushErr = j.feed(specs)
 	}
 	j.svc.reg.Counter("service_tasks_submitted_total").Add(int64(accepted))
 	return accepted, pushErr
@@ -509,22 +525,12 @@ func (j *Job) feed(specs []TaskSpec) (int, error) {
 		// Cluster placement: check for a finished job before every send, not
 		// only when the buffer is full — after the runner abandons the stream
 		// (all nodes dead) nothing drains j.in, so a send into remaining
-		// buffer space would be accepted and silently lost. A task can still
-		// slip in during the instant between check and send, but the loss
-		// window is one task, not a buffer's worth.
-		finished := func() bool {
-			select {
-			case <-j.done:
-				return true
-			default:
-				return false
-			}
-		}
+		// buffer space would be reported accepted though it can only be lost.
 	send:
 		for _, ts := range specs {
 			t := ts.task()
 			for {
-				if finished() {
+				if j.finished() {
 					pushErr = fmt.Errorf("service: job %q finished mid-push (workers lost); %d of %d tasks accepted",
 						j.name, accepted, len(specs))
 					break send
@@ -545,45 +551,25 @@ func (j *Job) feed(specs []TaskSpec) (int, error) {
 
 // CloseInput ends submission; the job drains its in-flight tasks and then
 // completes. Closing an already-closed job is an error for callers but
-// harmless.
+// harmless. The close is committed first (recovery re-delivers a closed
+// job's backlog, then drains); with no runner yet, resume closes the input.
 func (j *Job) CloseInput() error {
 	j.sendMu.Lock()
 	defer j.sendMu.Unlock()
+	w := j.svc.wal
+	closed := w.view(j.wj).Closed
 	j.mu.Lock()
-	if j.state == JobRecovering {
-		// No runner to close yet: journal the close so resume performs it
-		// after re-delivering the pending backlog (and so it survives
-		// another crash before then).
-		if j.walClosed {
-			j.mu.Unlock()
-			return fmt.Errorf("service: job %q already draining", j.name)
-		}
-		j.walClosed = true
-		j.mu.Unlock()
-		if w := j.svc.wal; w != nil {
-			if err := w.commit(walRecord{Kind: walClose, Job: j.name}); err != nil {
-				return fmt.Errorf("service: job %q: journal: %w", j.name, err)
-			}
-		}
-		return nil
-	}
-	if state := j.state; state != JobAccepting {
-		j.mu.Unlock()
+	state := lifecycle(j.finished(), closed, j.running)
+	j.mu.Unlock()
+	if state != JobAccepting && state != JobRecovering {
 		return fmt.Errorf("service: job %q already %s", j.name, state)
 	}
-	j.state = JobDraining
-	j.mu.Unlock()
-	// Journal before closing: the close is part of the durable history
-	// (recovery of a closed job re-delivers its backlog and then drains).
-	if w := j.svc.wal; w != nil {
-		if err := w.commit(walRecord{Kind: walClose, Job: j.name}); err != nil {
-			j.mu.Lock()
-			j.state = JobAccepting
-			j.mu.Unlock()
-			return fmt.Errorf("service: job %q: journal: %w", j.name, err)
-		}
+	if err := w.commit(walRecord{Kind: walClose, Job: j.name}); err != nil {
+		return fmt.Errorf("service: job %q: journal: %w", j.name, err)
 	}
-	j.in.Close(nil)
+	if state == JobAccepting {
+		j.in.Close(nil)
+	}
 	return nil
 }
 
@@ -628,7 +614,7 @@ func capWork(v, max int64) int64 {
 // synchronously; it never blocks.
 func (j *Job) applyDelta(added []engine.Member, removed []int, weights map[int]float64) {
 	j.mu.Lock()
-	if j.state == JobDone {
+	if j.finished() {
 		// An in-flight membership event can outlive the unsubscribe; a
 		// finished job must not grow phantom workers or resurrect its
 		// deleted gauge.
@@ -746,28 +732,22 @@ func (j *Job) onResult(res platform.Result) {
 		Micros: res.Time.Microseconds(),
 		Node:   node,
 	}
-	// The acknowledgement is journaled (and fsynced) before the result
-	// becomes poller-visible: once a client's cursor moves past a result,
-	// no crash can make the service deliver that task again — the replayed
-	// pending set no longer contains it. Each job's coordinator commits its
-	// acks serially, but acks from different jobs — and acks racing pushes —
-	// coalesce through the wal's group commit, so a busy daemon pays one
-	// fsync for a convoy of acknowledgements. A latched journal error does
-	// not suppress publication (live pollers keep working; new accepts fail
-	// loudly instead).
-	if w := j.svc.wal; w != nil {
-		w.commit(walRecord{Kind: walResults, Job: j.name, Results: []TaskResult{tr}})
+	// The acknowledgement is committed before the watermark moves past the
+	// result: once a client's cursor is beyond it, no crash can make the
+	// service deliver that task again — the replayed pending set no longer
+	// contains it. Each job's coordinator commits its acks serially, but
+	// acks from different jobs — and acks racing pushes — coalesce through
+	// the wal's group commit, so a busy daemon pays one fsync for a convoy of
+	// acknowledgements. A latched journal error does not suppress
+	// publication (the wal still applies the ack; new accepts fail loudly
+	// instead); a wal already shut down applied nothing, and the next Open
+	// re-delivers the task, so publishing it here would deliver it twice.
+	j.ack[0] = tr
+	if err := j.svc.wal.commit(walRecord{Kind: walResults, Job: j.name, Results: j.ack[:]}); errors.Is(err, errWALClosed) {
+		return
 	}
 	j.mu.Lock()
 	j.completed++
-	j.results = append(j.results, tr)
-	// Enforce the retention bound with slack so the copy amortises: trim
-	// back to MaxResults once the overshoot reaches a quarter of it.
-	if slack := j.spec.MaxResults / 4; len(j.results) > j.spec.MaxResults+max(slack, 1) {
-		drop := len(j.results) - j.spec.MaxResults
-		j.resultsBase += drop
-		j.results = append(j.results[:0:0], j.results[drop:]...)
-	}
 	var install time.Duration
 	if !j.zInstalled {
 		j.warmTotal += res.Time
@@ -841,18 +821,22 @@ func (j *Job) onRecalibrate(engine.Breach) (engine.Update, bool) {
 	return engine.Update{}, false
 }
 
-// finish stores the final report and marks the job done. The runner no
-// longer drains the input after it returns, so anything still buffered
-// there was accepted by a Push but will never execute: drain and count it
-// as lost — together with the engine's Remaining — rather than leaving
-// submitted > completed unexplained forever. Push checks j.done before
-// every send, so after this drain at most one racing task can slip
-// through unaccounted.
+// finish stores the final report and ends the job in the order results
+// obey: durable first, visible second. The done record settles the task
+// pool — whatever was accepted and has not completed (the engine's
+// Remaining, tasks buffered in the input, a push cut short by the last
+// node's death) becomes the lost count — and only after its commit returns
+// is Done closed, so observing done means done is on disk, lost count
+// included. A crash before the record lands replays the job as an
+// unfinished stream, which re-runs this same path and converges.
 func (j *Job) finish(rep engine.StreamReport) {
 	j.mu.Lock()
 	j.rep = rep
-	j.state = JobDone
 	j.mu.Unlock()
+	j.tr.Append(trace.Event{At: j.svc.l.Now(), Kind: trace.KindPhaseEnd, Msg: "stream"})
+	// An error is the journal's latch (the record still applied) or a
+	// service already shut down: nothing a waiter should keep waiting for.
+	_ = j.svc.wal.commit(walRecord{Kind: walDone, Job: j.name})
 	// Return the job's workers to the pool before announcing completion:
 	// the allocator's rebalance hands them to the surviving jobs (work
 	// conservation), and a waiter observing Done must already see the
@@ -865,35 +849,20 @@ func (j *Job) finish(rep engine.StreamReport) {
 		j.svc.alloc.Leave(j.name)
 	}
 	close(j.done)
-	lost := len(rep.Remaining)
-	for {
-		_, ok, polled := j.in.TryRecv(nil)
-		if !polled || !ok {
-			break
-		}
-		lost++
-	}
-	j.mu.Lock()
-	j.lost = lost
-	completed := j.completed
-	j.mu.Unlock()
-	j.tr.Append(trace.Event{At: j.svc.l.Now(), Kind: trace.KindPhaseEnd, Msg: "stream"})
+	pool := j.svc.wal.view(j.wj)
 	j.svc.log.Info("job finished",
-		"job", j.name, "completed", completed, "lost", lost,
+		"job", j.name, "completed", pool.completed(), "lost", pool.Lost,
 		"failures", rep.Failures, "makespan", rep.Makespan)
-	// Journal completion last: the done record clears the job's pending
-	// set (lost tasks are lost, not redelivered) and marks it a husk for
-	// recovery. A crash before this lands replays the job as an unfinished
-	// empty stream, which re-runs this same path and converges.
-	if w := j.svc.wal; w != nil {
-		w.commit(walRecord{Kind: walDone, Job: j.name, Lost: lost})
-	}
 }
 
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// done before the view: a status that says done has the settled lost
+	// count. View under j.mu: the watermark cannot pass its submitted count.
+	done := j.finished()
+	pool := j.svc.wal.view(j.wj)
 	allocated := make([]int, 0, len(j.workerSet))
 	for w := range j.workerSet {
 		allocated = append(allocated, w)
@@ -903,13 +872,13 @@ func (j *Job) Status() JobStatus {
 		Name:             j.name,
 		Skeleton:         j.spec.skeleton(),
 		Placement:        j.spec.placement(),
-		State:            j.state,
+		State:            lifecycle(done, pool.Closed, j.running),
 		Share:            j.spec.share(),
 		Workers:          len(allocated),
 		AllocatedWorkers: allocated,
-		Submitted:        j.submitted,
+		Submitted:        pool.Submitted,
 		Completed:        j.completed,
-		InFlight:         j.submitted - j.completed,
+		InFlight:         pool.Submitted - j.completed,
 		Window:           j.spec.Window,
 		ZMicros:          j.zMicros,
 		Breaches:         j.breaches,
@@ -928,11 +897,11 @@ func (j *Job) Status() JobStatus {
 			st.ForecastMicros[w] = f
 		}
 	}
-	if j.state == JobDone {
+	if done {
 		st.Failures = j.rep.Failures
 		st.MaxInFlight = j.rep.MaxInFlight
 		st.MakespanMicros = j.rep.Makespan.Microseconds()
-		st.Lost = j.lost
+		st.Lost = pool.Lost
 		// Breaches/Recalibrations stay the job's own breach-driven counts:
 		// the engine report additionally counts control updates (the warm-up
 		// threshold install), which would make the numbers jump at
@@ -945,20 +914,23 @@ func (j *Job) Status() JobStatus {
 }
 
 // Results returns completed results from cursor after onward plus the
-// next cursor value. Cursors predating the retention bound are advanced
-// to the oldest retained result, so a slow poller loses trimmed results
-// but never stalls.
+// next cursor value, serving only below the visibility watermark. Cursors
+// predating the retention bound are advanced to the oldest retained
+// result, so a slow poller loses trimmed results but never stalls. The
+// returned slice aliases the retained results and must not be modified.
 func (j *Job) Results(after int) ([]TaskResult, int) {
+	// j.mu is held across the view so the watermark cannot pass it; the trim
+	// keeps ≥ 1 result and at most one is invisible, so base ≤ completed.
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if after < j.resultsBase {
-		after = j.resultsBase
+	next := j.completed
+	pool := j.svc.wal.view(j.wj)
+	j.mu.Unlock()
+	base := pool.ResultsBase
+	after = min(max(after, base), next)
+	if after == next {
+		return nil, next
 	}
-	if after > j.resultsBase+len(j.results) {
-		after = j.resultsBase + len(j.results)
-	}
-	out := append([]TaskResult(nil), j.results[after-j.resultsBase:]...)
-	return out, after + len(out)
+	return pool.Results[after-base : next-base : next-base], next
 }
 
 // Report returns the final engine report (zero until the job is done).

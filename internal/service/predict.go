@@ -45,12 +45,7 @@ const (
 // state from the forecast. One goroutine per predictive job, started by
 // startRunner.
 func (s *Service) forecastLoop(j *Job) {
-	depth := func() float64 {
-		j.mu.Lock()
-		d := j.submitted - j.completed
-		j.mu.Unlock()
-		return float64(d)
-	}
+	depth := func() float64 { return float64(j.Status().InFlight) }
 	probe := monitor.NewProbe("queue:"+j.name, monitor.FuncSensor(depth),
 		stats.NewTrendWindow(forecastWindow), forecastWindow)
 	window := float64(j.spec.Window)

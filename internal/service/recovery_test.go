@@ -87,6 +87,10 @@ func TestRecoveryGracefulShutdownAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j, 10*time.Second)
+	assertConserved(t, s)
+	// What pollers read is the state the wal applied, so what a restart
+	// replays must be that state and that status, byte for byte.
+	live, before := s.wal.mirror(), countsOf(j.Status())
 	if err := s.Close(); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
@@ -106,6 +110,13 @@ func TestRecoveryGracefulShutdownAndReopen(t *testing.T) {
 	j2, ok := s2.Job("graceful")
 	if !ok {
 		t.Fatal("job lost across graceful restart")
+	}
+	assertConserved(t, s2)
+	if replayed := s2.wal.mirror(); !bytes.Equal(replayed, live) {
+		t.Errorf("replayed state diverges from the state pollers read:\nlive:     %s\nreplayed: %s", live, replayed)
+	}
+	if after := countsOf(j2.Status()); after != before {
+		t.Errorf("status changed across the restart: live %+v, replayed %+v", before, after)
 	}
 	st := j2.Status()
 	if st.State != JobDone {
@@ -131,6 +142,7 @@ func TestRecoveryCloseIsIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+	assertConserved(t, s)
 }
 
 // TestRecoveryMidStreamCrash is the core fault injection: the data dir is
@@ -157,6 +169,7 @@ func TestRecoveryMidStreamCrash(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	assertConserved(t, s)
 	crash := copyDir(t, dir) // SIGKILL equivalent: state as of this instant
 
 	s2 := durableService(t, crash)
@@ -179,6 +192,7 @@ func TestRecoveryMidStreamCrash(t *testing.T) {
 	if st := j2.Status(); st.Lost != 0 {
 		t.Errorf("recovered job lost %d tasks", st.Lost)
 	}
+	assertConserved(t, s2)
 }
 
 // TestRecoveryCursorStability: a poller's cursor from before the crash
@@ -208,6 +222,7 @@ func TestRecoveryCursorStability(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	assertConserved(t, s)
 	crash := copyDir(t, dir)
 	s2 := durableService(t, crash)
 	defer s2.Close()
@@ -225,6 +240,7 @@ func TestRecoveryCursorStability(t *testing.T) {
 	// poller already consumed is journaled, never re-delivered.)
 	post, _ := j2.Results(cursor)
 	assertExactlyOnceIDs(t, append(append([]TaskResult(nil), pre...), post...), n)
+	assertConserved(t, s2)
 }
 
 // TestRecoveryClosedJobDrains: a job whose input was closed before the
@@ -246,6 +262,7 @@ func TestRecoveryClosedJobDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	assertConserved(t, s)
 	crash := copyDir(t, dir)
 	s2 := durableService(t, crash)
 	defer s2.Close()
@@ -259,6 +276,7 @@ func TestRecoveryClosedJobDrains(t *testing.T) {
 	if st := j2.Status(); st.State != JobDone {
 		t.Errorf("state = %s, want done", st.State)
 	}
+	assertConserved(t, s2)
 }
 
 // TestRecoveryRemovedJobStaysRemoved: a removed job must not resurrect.
@@ -274,6 +292,7 @@ func TestRecoveryRemovedJobStaysRemoved(t *testing.T) {
 	}
 	j.CloseInput()
 	waitDone(t, j, 10*time.Second)
+	assertConserved(t, s)
 	if err := s.Remove("removed"); err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +303,7 @@ func TestRecoveryRemovedJobStaysRemoved(t *testing.T) {
 	if _, ok := s2.Job("removed"); ok {
 		t.Fatal("removed job resurrected by recovery")
 	}
+	assertConserved(t, s2)
 }
 
 // TestRecoveryReplayDeterminism is the property the whole design rests
@@ -370,6 +390,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	}
 	j.CloseInput()
 	waitDone(t, j, 10*time.Second)
+	assertConserved(t, s)
 	// No graceful close: leave the journal populated, then tear its tail.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -400,6 +421,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	if st := j2.Status(); st.State != JobDone && st.State != JobDraining && st.State != JobAccepting {
 		t.Fatalf("unexpected recovered state %q", st.State)
 	}
+	assertConserved(t, s2)
 }
 
 // TestRecoveryWalStateJSONStable guards the on-disk schema: a walState

@@ -27,16 +27,18 @@
 // memberships, its register-time benchmark sample becoming its initial
 // dispatch weight.
 //
-// With a DataDir configured the service is crash-recoverable: every
-// externally visible mutation commits to a write-ahead journal before its
-// effects are observable. The commit path is a group-commit wal —
-// concurrent committers coalesce into bounded batches, each appended
-// through one write syscall and covered by one fsync, with the leader
-// delivering the shared result to every member — so durable ingest
-// throughput scales with request concurrency instead of the disk's
-// serial fsync rate, under the unchanged contract that a nil commit
-// means the record is fsynced and storage errors latch the wal
-// fail-stop.
+// A job's task pool — submitted count, pending tasks, retained results,
+// lost count, closed/done flags — lives in one place, the service's wal
+// (wal.go), and changes only through committed records; the Job keeps a
+// visibility watermark over it, advanced after each ack's commit returns.
+// With a DataDir the wal has a store behind it and the service is
+// crash-recoverable: every externally visible mutation is journaled and
+// fsynced before its effects are observable, and a restart replays the
+// records through the function that applied them live. Concurrent commits
+// group into bounded batches (one write syscall, one fsync each), so
+// durable ingest scales with request concurrency; a nil commit means the
+// record is fsynced, and storage errors latch the wal fail-stop. Without a
+// DataDir the same wal has no store and a commit only applies.
 //
 // The service runs only on the real runtime (rt.Local): it exists to serve
 // actual traffic, while the simulator remains the domain of the experiment
@@ -210,15 +212,15 @@ type Service struct {
 	// the registry's name-lookup path.
 	hTaskLatency *metrics.Histogram
 
-	// wal is the write-ahead journal when the service is durable (nil
-	// otherwise); closed signals shutdown to background recovery waiters.
+	// wal holds every job's task pool and, when the service is durable, the
+	// journal behind it; closed signals shutdown to recovery waiters.
 	wal       *wal
 	closed    chan struct{}
 	closeOnce sync.Once
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
-	pending map[string]bool // names reserved by in-flight Submits
+	pending map[string]bool // names reserved by in-flight Submits and Removes
 
 	calOnce sync.Once
 	ranking calibrate.Ranking
@@ -263,9 +265,6 @@ func Open(cfg Config) (*Service, error) {
 		pending: make(map[string]bool),
 	}
 	s.hTaskLatency = s.reg.Histogram("service_task_latency_seconds", metrics.DefDurationBuckets)
-	if cfg.DataDir == "" {
-		return s, nil
-	}
 	w, err := openWAL(cfg.DataDir, walOptions{
 		maxBytes: cfg.MaxJournalBytes,
 		linger:   cfg.CommitLinger,
@@ -274,10 +273,13 @@ func Open(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.wal = w
+	if cfg.DataDir == "" {
+		return s, nil
+	}
 	w.hFsync = s.reg.Histogram("service_journal_fsync_seconds", metrics.DefDurationBuckets)
 	w.hBatch = s.reg.Histogram("service_commit_batch_size", metrics.BatchBuckets)
 	w.log = cfg.Logger
-	s.wal = w
 	// The coordinator's token ceilings must be restored before it serves
 	// any cluster traffic: a gen or dispatch id minted below the pre-crash
 	// ceiling could collide with an id a surviving worker still holds.
@@ -291,8 +293,9 @@ func Open(cfg Config) (*Service, error) {
 			w.commit(walRecord{Kind: walCluster, Cluster: &st})
 		})
 	}
-	for _, rj := range w.recoveredJobs() {
-		s.recoverJob(rj)
+	names, jobs := w.jobs()
+	for i, name := range names {
+		s.recoverJob(name, jobs[i])
 	}
 	return s, nil
 }
@@ -303,9 +306,6 @@ func Open(cfg Config) (*Service, error) {
 // next Open. This is the graceful-shutdown path graspd takes on SIGTERM.
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() { close(s.closed) })
-	if s.wal == nil {
-		return nil
-	}
 	return s.wal.close()
 }
 
@@ -516,12 +516,15 @@ func (s *Service) Submit(name string, spec JobSpec) (*Job, error) {
 	spec = spec.withDefaults(s.cfg)
 
 	j := &Job{
-		name:  name,
-		svc:   s,
-		spec:  spec,
-		state: JobAccepting,
-		done:  make(chan struct{}),
-		tr:    trace.NewBounded(s.cfg.TraceCap),
+		name: name,
+		svc:  s,
+		spec: spec,
+		// Exists before the runner starts (the forecast loop reads it); the
+		// create record installs this object in the wal.
+		wj:      new(walJob),
+		running: true,
+		done:    make(chan struct{}),
+		tr:      trace.NewBounded(s.cfg.TraceCap),
 	}
 
 	// Reserve the name without publishing the job: a half-constructed Job
@@ -545,17 +548,12 @@ func (s *Service) Submit(name string, spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("service: job %q: %w", name, err)
 	}
 
-	// Journal the creation before the job becomes reachable: a crash after
+	// Commit the creation before the job becomes reachable: a crash after
 	// Submit returns must replay it. On a durable failure the just-started
 	// runner is drained back out (no tasks ever entered it).
-	if s.wal != nil {
-		if err := s.wal.commit(walRecord{Kind: walCreate, Job: name, Spec: &j.spec}); err != nil {
-			j.mu.Lock()
-			j.state = JobDraining
-			j.mu.Unlock()
-			j.in.Close(nil)
-			return nil, fmt.Errorf("service: job %q: journal: %w", name, err)
-		}
+	if err := s.wal.commit(walRecord{Kind: walCreate, Job: name, Spec: &j.spec, adopt: j.wj}); err != nil {
+		j.in.Close(nil)
+		return nil, fmt.Errorf("service: job %q: journal: %w", name, err)
 	}
 
 	// Publish the fully constructed job.
@@ -723,43 +721,38 @@ func (s *Service) startRunner(j *Job, explicitWindow bool) error {
 	return nil
 }
 
-// recoverJob rebuilds one journaled job at Open time. Done jobs come back
-// as finished husks — their retained results still serve the cursor API,
-// so a poller that was mid-drain when the daemon died finishes cleanly.
+// recoverJob rebuilds one journaled job at Open time around its replayed
+// state (adopted, not copied). Done jobs come back as
+// finished husks — their retained results still serve the cursor API, so a
+// poller that was mid-drain when the daemon died finishes cleanly.
 // Unfinished jobs come back in JobRecovering: visible, accepting durable
 // pushes, but with no runner yet; resume attaches one and re-delivers the
 // un-acked tasks — immediately for local placement, or as soon as a
 // worker node re-registers for cluster placement.
-func (s *Service) recoverJob(rj recoveredJob) {
+func (s *Service) recoverJob(name string, wj *walJob) {
+	pool := s.wal.view(wj)
 	j := &Job{
-		name:        rj.name,
-		svc:         s,
-		spec:        rj.spec,
-		state:       JobRecovering,
-		done:        make(chan struct{}),
-		tr:          trace.NewBounded(s.cfg.TraceCap),
-		submitted:   rj.submitted,
-		completed:   rj.resultsBase + len(rj.results),
-		lost:        rj.lost,
-		results:     rj.results,
-		resultsBase: rj.resultsBase,
-		walClosed:   rj.closed,
-	}
-	if rj.done {
-		j.state = JobDone
-		close(j.done)
+		name: name,
+		svc:  s,
+		spec: pool.Spec,
+		wj:   wj,
+		// Everything replayed is on disk, so all of it is visible.
+		completed: pool.completed(),
+		done:      make(chan struct{}),
+		tr:        trace.NewBounded(s.cfg.TraceCap),
 	}
 	s.mu.Lock()
-	s.jobs[rj.name] = j
+	s.jobs[name] = j
 	s.mu.Unlock()
-	if rj.done {
+	if pool.Done {
+		close(j.done)
 		return
 	}
 	s.reg.Counter("service_jobs_recovered_total").Inc()
 	s.log.Info("job recovered from journal",
-		"job", rj.name, "skeleton", rj.spec.skeleton(), "placement", rj.spec.placement(),
-		"submitted", rj.submitted, "completed", j.completed)
-	if rj.spec.placement() == PlacementCluster {
+		"job", name, "skeleton", j.spec.skeleton(), "placement", j.spec.placement(),
+		"submitted", pool.Submitted, "completed", j.completed)
+	if j.spec.placement() == PlacementCluster {
 		go s.resumeWhenNodesLive(j)
 		return
 	}
@@ -789,10 +782,10 @@ func (s *Service) resumeWhenNodesLive(j *Job) {
 }
 
 // resume attaches a runner to a recovered job and re-delivers its
-// un-acked tasks. Holding sendMu across the state flip and the feed
-// serialises against Push and CloseInput: a durable push journaled while
-// the job was recovering is either in the pending snapshot fed here or
-// arrives after the flip through the normal live path — never both,
+// un-acked tasks. Holding sendMu across the backlog copy, the running flip
+// and the feed serialises against Push and CloseInput: a durable push
+// journaled while the job was recovering is either in the backlog fed here
+// or arrives after the flip through the normal live path — never both,
 // never neither.
 func (s *Service) resume(j *Job) error {
 	if err := s.startRunner(j, true); err != nil {
@@ -800,22 +793,19 @@ func (s *Service) resume(j *Job) error {
 	}
 	j.sendMu.Lock()
 	defer j.sendMu.Unlock()
-	pending, closed := s.wal.jobPending(j.name)
+	pending, closed := s.wal.backlog(j.wj), s.wal.view(j.wj).Closed
 	j.mu.Lock()
-	j.state = JobAccepting
+	j.running = true
 	j.mu.Unlock()
 	if len(pending) > 0 {
 		// A feed error means the substrate died mid-redelivery; the
-		// runner's finish accounts the remainder as lost, exactly as a
-		// live push would.
+		// remainder is counted lost when the job ends, exactly as a live
+		// push cut short would be.
 		j.feed(pending)
 		s.reg.Counter("service_tasks_redelivered_total").Add(int64(len(pending)))
 	}
 	s.log.Info("job resumed", "job", j.name, "redelivered", len(pending), "closed", closed)
 	if closed {
-		j.mu.Lock()
-		j.state = JobDraining
-		j.mu.Unlock()
 		j.in.Close(nil)
 	}
 	return nil
@@ -848,23 +838,31 @@ func (s *Service) Statuses() []JobStatus {
 // Remove deletes a finished job and its retained results — the retention
 // lever for a daemon that otherwise accumulates every result it ever
 // produced. Only done jobs can be removed; a running job's farm cannot be
-// detached from the shared runtime.
+// detached from the shared runtime. The commit (a disk flush) runs without
+// s.mu so other jobs' lookups never wait on it; the name stays reserved.
 func (s *Service) Remove(name string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[name]
-	if !ok {
+	if !ok || s.pending[name] {
+		s.mu.Unlock()
 		return fmt.Errorf("service: no job %q", name)
 	}
-	if j.Status().State != JobDone {
+	if !j.finished() {
+		s.mu.Unlock()
 		return fmt.Errorf("service: job %q is not done; close and drain it first", name)
 	}
-	if s.wal != nil {
-		if err := s.wal.commit(walRecord{Kind: walRemove, Job: name}); err != nil {
-			return fmt.Errorf("service: job %q: journal: %w", name, err)
-		}
+	s.pending[name] = true
+	s.mu.Unlock()
+	err := s.wal.commit(walRecord{Kind: walRemove, Job: name})
+	s.mu.Lock()
+	delete(s.pending, name)
+	if err == nil {
+		delete(s.jobs, name)
 	}
-	delete(s.jobs, name)
+	s.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("service: job %q: journal: %w", name, err)
+	}
 	s.reg.Delete("service_job_workers_" + metrics.LabelSafe(name))
 	s.reg.Counter("service_jobs_removed_total").Inc()
 	s.log.Info("job removed", "job", name)

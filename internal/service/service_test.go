@@ -131,6 +131,7 @@ func TestServiceThreeConcurrentStreamingJobs(t *testing.T) {
 		t.Errorf("jobs_active gauge = %d (max %d), want 0 (max %d)",
 			snap["service_jobs_active"], snap["service_jobs_active_max"], jobs)
 	}
+	assertConserved(t, s)
 }
 
 func TestServicePushBlocksUnderBackpressure(t *testing.T) {
@@ -279,6 +280,7 @@ func TestServiceResultsRetentionBound(t *testing.T) {
 	if len(tail) != 2 || next2 != n {
 		t.Errorf("Results(next-2) = %d items, next %d", len(tail), next2)
 	}
+	assertConserved(t, s)
 }
 
 func TestServiceMixedSkeletonJobs(t *testing.T) {

@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,29 +16,28 @@ import (
 	"grasp/internal/metrics"
 )
 
-// The service's write-ahead log. Every externally visible mutation —
-// job creation, accepted tasks, acknowledged results, close, completion,
-// removal, and the cluster registry's token state — is journaled and
-// fsynced before the mutation's effects become observable:
+// The service's write-ahead log — and the one place a job's task pool
+// lives: the walJob in wal.state is the only holder of a job's submitted
+// count, pending tasks, retained results, lost count and closed/done
+// flags. It changes only through commit, which applies the record — with
+// the function replay uses, so a restart rebuilds exactly the state
+// pollers were reading and compaction's snapshot is that state marshalled
+// — and, on a durable service, journals and fsyncs it before returning:
 //
-//   - Submit journals the create record before the job is published;
-//   - Push journals the accepted batch before a single task reaches the
+//   - Submit commits the create record before the job is published;
+//   - Push commits the accepted batch before a single task reaches the
 //     engine (so "accepted" implies "survives a crash");
-//   - onResult journals the ack before the result enters the poller-
-//     visible results slice (so a cursor a client advanced past a result
-//     can never see that task re-delivered after a restart).
+//   - onResult commits the ack before it advances the job's visibility
+//     watermark (Job.completed): apply runs ahead of the fsync, but pollers
+//     read only below the watermark, so visible still implies durable — a
+//     cursor advanced past a result never sees that task re-delivered.
 //
-// The wal keeps an in-memory mirror (walState) maintained by applying
-// each record exactly as replay would, which makes replay determinism a
-// testable property — replay(snapshot + journal) == live mirror — and
-// gives compaction its snapshot for free.
-//
-// The commit path is a group commit: concurrent committers coalesce into
-// batches journaled through one write syscall and made durable by one
-// fsync, so durable ingest throughput scales with concurrency instead of
-// being capped at the disk's serial fsync rate. The contract is
-// unchanged — commit returns nil only after the fsync covering its record
-// completes.
+// A service opened without a DataDir gets the same wal with no store:
+// commit is lock, apply, unlock — nothing is marshalled, queued or synced,
+// and Pending is not tracked because nothing can be re-delivered. With a
+// store, concurrent committers coalesce into batches journaled through one
+// write syscall and one fsync, so durable ingest throughput scales with
+// concurrency instead of being capped at the disk's serial fsync rate.
 
 // walRecord kinds.
 const (
@@ -51,19 +52,25 @@ const (
 
 // walRecord is one journaled mutation.
 type walRecord struct {
-	Kind    string                 `json:"kind"`
-	Job     string                 `json:"job,omitempty"`
-	Spec    *JobSpec               `json:"spec,omitempty"`
-	Tasks   []TaskSpec             `json:"tasks,omitempty"`
-	Results []TaskResult           `json:"results,omitempty"`
+	Kind    string       `json:"kind"`
+	Job     string       `json:"job,omitempty"`
+	Spec    *JobSpec     `json:"spec,omitempty"`
+	Tasks   []TaskSpec   `json:"tasks,omitempty"`
+	Results []TaskResult `json:"results,omitempty"`
+	// Lost: journaled by earlier builds; apply derives the count instead.
 	Lost    int                    `json:"lost,omitempty"`
 	Cluster *cluster.RegistryState `json:"cluster,omitempty"`
+
+	// adopt, set on a live create, is the walJob the submitting Job already
+	// holds; apply installs it instead of allocating one.
+	adopt *walJob
 }
 
-// walJob is one job's durable state: the defaulted spec, lifecycle flags,
-// the accepted-but-unacknowledged tasks (Pending — exactly what recovery
-// must re-deliver), and the acknowledged results under the same retention
-// arithmetic the live job applies.
+// walJob is one job's state: the defaulted spec, lifecycle flags, the
+// accepted-but-unacknowledged tasks (Pending — exactly what recovery must
+// re-deliver) and the acknowledged results under the retention bound,
+// guarded by the owning wal's lock. Submitted == ResultsBase +
+// len(Results) + len(Pending) + Lost (once done, if Pending is not kept).
 type walJob struct {
 	Spec        JobSpec      `json:"spec"`
 	Closed      bool         `json:"closed,omitempty"`
@@ -75,15 +82,21 @@ type walJob struct {
 	ResultsBase int          `json:"results_base,omitempty"`
 }
 
-// walState is the full durable state — the snapshot payload.
+// completed counts the acknowledged results, retained or trimmed.
+func (wj *walJob) completed() int { return wj.ResultsBase + len(wj.Results) }
+
+// walState is the full state — the snapshot payload.
 type walState struct {
 	Jobs    map[string]*walJob     `json:"jobs,omitempty"`
 	Cluster *cluster.RegistryState `json:"cluster,omitempty"`
+
+	// volatile: no store behind the state, so Pending is not tracked.
+	volatile bool
 }
 
 // apply folds one record into the state. It must be deterministic and
-// total: replay calls it on every journaled record, and commit calls it
-// on the live mirror before appending — the two must never diverge.
+// total: replay calls it on every journaled record and commit calls it on
+// the live state, so what a restart rebuilds is what pollers were reading.
 // Records referencing unknown jobs (a remove journaled, then replayed
 // against a snapshot already past it) are ignored.
 func (st *walState) apply(rec walRecord) {
@@ -94,12 +107,22 @@ func (st *walState) apply(rec walRecord) {
 	switch rec.Kind {
 	case walCreate:
 		if rec.Spec != nil {
-			st.Jobs[rec.Job] = &walJob{Spec: *rec.Spec}
+			wj = rec.adopt
+			if wj == nil {
+				wj = new(walJob)
+			}
+			wj.Spec = *rec.Spec
+			st.Jobs[rec.Job] = wj
 		}
 	case walTasks:
 		if wj != nil {
 			wj.Submitted += len(rec.Tasks)
-			wj.Pending = append(wj.Pending, rec.Tasks...)
+			switch {
+			case wj.Done: // a push racing the last node's death: counted, never run
+				wj.Lost += len(rec.Tasks)
+			case !st.volatile:
+				wj.Pending = append(wj.Pending, rec.Tasks...)
+			}
 		}
 	case walResults:
 		if wj != nil {
@@ -113,8 +136,9 @@ func (st *walState) apply(rec walRecord) {
 		}
 	case walDone:
 		if wj != nil {
+			// What was accepted and has not completed is lost, not re-delivered.
 			wj.Done = true
-			wj.Lost = rec.Lost
+			wj.Lost = max(wj.Submitted-wj.completed(), 0)
 			wj.Pending = nil
 		}
 	case walRemove:
@@ -126,14 +150,13 @@ func (st *walState) apply(rec walRecord) {
 
 // ack settles one acknowledged result: the first pending occurrence of
 // its task id is retired (redelivery after a crash re-pushes exactly the
-// un-acked remainder) and the result joins the retained slice under the
-// live job's retention trim, so replayed cursors match live ones.
+// un-acked remainder) and the result joins the retained slice, trimmed
+// back to MaxResults once the overshoot reaches a quarter of it (slack, so
+// the copy amortises; it reallocates, so a poller's sub-slice stays put).
 func (wj *walJob) ack(r TaskResult) {
-	for i, ts := range wj.Pending {
-		if ts.ID == r.ID {
-			// Full-slice-capacity copy: recovery snapshots Pending, and an
-			// in-place shift here would mutate that snapshot underneath it.
-			wj.Pending = append(wj.Pending[:i:i], wj.Pending[i+1:]...)
+	for i := range wj.Pending {
+		if wj.Pending[i].ID == r.ID {
+			wj.Pending = slices.Delete(wj.Pending, i, i+1) // in place: resume copies
 			break
 		}
 	}
@@ -158,7 +181,7 @@ type walStore interface {
 }
 
 // walCommit is one record enqueued for the flush leader: the decoded
-// record (applied to the mirror in queue order), its marshalled bytes,
+// record (applied to the state in queue order), its marshalled bytes,
 // and the channel the leader delivers the batch's shared result on.
 type walCommit struct {
 	rec  walRecord
@@ -166,10 +189,11 @@ type walCommit struct {
 	done chan error
 }
 
-// wal owns the store and the live mirror. All methods are safe for
-// concurrent use; a storage error latches (fail-stop durability): every
-// later commit reports it and appends nothing, so the daemon can degrade
-// loudly instead of silently diverging from its journal.
+// wal owns the state and, on a durable service, the store behind it. All
+// methods are safe for concurrent use; a storage error latches (fail-stop
+// durability): every later commit reports it and appends nothing, so the
+// daemon can degrade loudly instead of silently diverging from its
+// journal.
 //
 // Commits are group-committed: concurrent committers enqueue, the first
 // to find no leader becomes one and drains the queue in bounded batches —
@@ -180,7 +204,7 @@ type walCommit struct {
 type wal struct {
 	mu    sync.Mutex
 	idle  *sync.Cond // signalled when a flush round retires (flushing → false)
-	store walStore
+	store walStore   // nil: an in-memory service; commit only applies
 	state walState
 
 	// queue and flushing are the group-commit core. Committers append to
@@ -249,11 +273,12 @@ func (o walOptions) withDefaults() walOptions {
 }
 
 // newWAL wires the group-commit machinery over an open store (shared by
-// openWAL and the fault-injection tests).
+// openWAL and the fault-injection tests); nil: an in-memory service's wal.
 func newWAL(store walStore, opt walOptions) *wal {
 	opt = opt.withDefaults()
 	w := &wal{
 		store:         store,
+		state:         walState{volatile: store == nil},
 		maxBytes:      opt.maxBytes,
 		linger:        opt.linger,
 		maxBatch:      opt.maxBatch,
@@ -263,8 +288,12 @@ func newWAL(store walStore, opt walOptions) *wal {
 	return w
 }
 
-// openWAL recovers (or initialises) the durable state under dir.
+// openWAL recovers (or initialises) the durable state under dir; an empty
+// dir opens a wal with no store and nothing to recover.
 func openWAL(dir string, opt walOptions) (*wal, error) {
+	if dir == "" {
+		return newWAL(nil, opt), nil
+	}
 	store, rec, err := journal.OpenStore(dir)
 	if err != nil {
 		return nil, err
@@ -289,13 +318,22 @@ func openWAL(dir string, opt walOptions) (*wal, error) {
 	return w, nil
 }
 
-// commit makes rec durable — the record is applied to the mirror,
-// journaled, and fsynced before commit returns nil, exactly the contract
-// of the serial path. Concurrent commits coalesce: this caller either
-// joins the current leader's queue and sleeps until its batch's single
-// fsync completes, or becomes the leader itself. Oversized journals
-// compact inline (by the leader).
+// errWALClosed: the service has shut down; nothing was applied or journaled.
+var errWALClosed = errors.New("service: wal is closed")
+
+// commit applies rec to the state and makes it durable — journaled and
+// fsynced before commit returns nil (without a store it only applies).
+// Concurrent commits coalesce: this caller either joins the current
+// leader's queue and sleeps until its batch's single fsync completes, or
+// becomes the leader itself. Oversized journals compact inline (by the
+// leader).
 func (w *wal) commit(rec walRecord) error {
+	if w.store == nil {
+		w.mu.Lock()
+		w.state.apply(rec)
+		w.mu.Unlock()
+		return nil
+	}
 	// Marshal outside the mutex: a slow marshal of a large task batch must
 	// never extend the critical section or stall another committer's batch.
 	raw, merr := json.Marshal(rec)
@@ -303,10 +341,10 @@ func (w *wal) commit(rec walRecord) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return fmt.Errorf("service: wal is closed")
+		return errWALClosed
 	}
 	if w.err != nil {
-		err := w.err
+		err := w.latched(rec)
 		w.mu.Unlock()
 		return err
 	}
@@ -328,8 +366,19 @@ func (w *wal) commit(rec walRecord) error {
 	return <-c.done
 }
 
+// latched answers a record reaching a wal whose journal has failed:
+// requests (create, tasks, close, remove) are refused unapplied; acks of
+// accepted work (results, done) still apply, so publication is not
+// suppressed. Called with w.mu held.
+func (w *wal) latched(rec walRecord) error {
+	if rec.Kind == walResults || rec.Kind == walDone {
+		w.state.apply(rec)
+	}
+	return w.err
+}
+
 // flushLoop drains the queue as the flush leader: carve a bounded batch,
-// apply it to the mirror in order, journal it through one write syscall
+// apply it to the state in order, journal it through one write syscall
 // and one fsync, deliver the shared result to every member, repeat.
 // Called with w.mu held and returns with it held; the lock is released
 // around the linger window and the store I/O, with the flushing flag
@@ -341,7 +390,7 @@ func (w *wal) flushLoop() {
 			// Fail-stop: the error latched mid-drain, so everyone still
 			// queued gets it without touching the store.
 			for _, c := range w.queue {
-				c.done <- w.err
+				c.done <- w.latched(c.rec)
 			}
 			w.queue = nil
 			break
@@ -354,9 +403,9 @@ func (w *wal) flushLoop() {
 			w.mu.Lock()
 		}
 		batch := w.takeBatch()
-		// Mirror application stays ordered with the journal: records are
-		// applied under the lock, in queue order, before their bytes are
-		// written — the exact order replay will see.
+		// Application stays ordered with the journal: records are applied
+		// under the lock, in queue order, before their bytes are written —
+		// the exact order replay will see.
 		for _, c := range batch {
 			w.state.apply(c.rec)
 		}
@@ -424,11 +473,11 @@ func (w *wal) flushBatch(batch []*walCommit) error {
 	return err
 }
 
-// rotateAsLeader folds the mirror into a fresh snapshot. Called with
-// w.mu held by the flush leader; the snapshot marshal and the store I/O
-// run with the lock released — safe because only the leader mutates the
-// mirror while flushing is set (concurrent readers take the lock and only
-// read), and close waits for the flush round to retire.
+// rotateAsLeader folds the state into a fresh snapshot. Called with w.mu
+// held, by the flush leader or by close; the snapshot marshal and the
+// store I/O run with the lock released — safe because only the leader
+// mutates the state while flushing is set (concurrent readers take the
+// lock and only read), and close waits for the flush round to retire.
 func (w *wal) rotateAsLeader() error {
 	w.mu.Unlock()
 	snap, err := json.Marshal(w.state)
@@ -441,48 +490,59 @@ func (w *wal) rotateAsLeader() error {
 
 // close waits for any in-flight flush round to retire, takes a final
 // snapshot (compacting the journal away), and releases the store — the
-// graceful-shutdown flush. Safe to call more than once.
+// graceful-shutdown flush. Safe to call more than once; a wal with no
+// store has nothing to flush and keeps serving.
 func (w *wal) close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	for w.flushing {
 		w.idle.Wait()
 	}
-	if w.closed {
-		w.mu.Unlock()
+	if w.closed || w.store == nil {
 		return nil
 	}
 	w.closed = true
 	var err error
 	if w.err == nil {
-		// closed is set and no flush is in flight, so the mirror is frozen:
-		// the final snapshot marshal runs outside the lock too.
-		w.mu.Unlock()
-		snap, merr := json.Marshal(w.state)
-		if merr == nil {
-			err = w.store.Rotate(snap)
-		} else {
-			err = merr
-		}
-		w.mu.Lock()
+		// closed is set and no flush is in flight, so the state is frozen.
+		err = w.rotateAsLeader()
 	}
 	if cerr := w.store.Close(); err == nil {
 		err = cerr
 	}
-	w.mu.Unlock()
 	return err
 }
 
-// jobPending snapshots one job's recovery view: the un-acked tasks to
-// re-deliver and whether its input was durably closed. The copy is safe
-// against concurrent acks (see walJob.ack).
-func (w *wal) jobPending(name string) (pending []TaskSpec, closed bool) {
+// view returns a copy of one job's state taken under the lock — O(1), as
+// every read must be: pollers share this lock with the commit path. Pending
+// is dropped (ack edits it in place; resume uses backlog); the rest stays valid.
+func (w *wal) view(wj *walJob) walJob {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	wj := w.state.Jobs[name]
-	if wj == nil {
-		return nil, false
+	v := *wj
+	v.Pending = nil
+	return v
+}
+
+// backlog copies one job's un-acked tasks — what resume re-delivers.
+func (w *wal) backlog(wj *walJob) []TaskSpec {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]TaskSpec(nil), wj.Pending...)
+}
+
+// jobs lists the replayed jobs in name order, for deterministic recovery.
+func (w *wal) jobs() (names []string, jobs []*walJob) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for name := range w.state.Jobs {
+		names = append(names, name)
 	}
-	return wj.Pending, wj.Closed
+	sort.Strings(names)
+	for _, name := range names {
+		jobs = append(jobs, w.state.Jobs[name])
+	}
+	return names, jobs
 }
 
 // clusterState returns the last journaled coordinator state (nil when
@@ -494,46 +554,7 @@ func (w *wal) clusterState() *cluster.RegistryState {
 	return w.state.Cluster
 }
 
-// recoveredJobs lists the journaled jobs in name order (for deterministic
-// recovery) along with deep-enough copies of their durable state.
-func (w *wal) recoveredJobs() []recoveredJob {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	names := make([]string, 0, len(w.state.Jobs))
-	for name := range w.state.Jobs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]recoveredJob, 0, len(names))
-	for _, name := range names {
-		wj := w.state.Jobs[name]
-		out = append(out, recoveredJob{
-			name:        name,
-			spec:        wj.Spec,
-			closed:      wj.Closed,
-			done:        wj.Done,
-			lost:        wj.Lost,
-			submitted:   wj.Submitted,
-			results:     append([]TaskResult(nil), wj.Results...),
-			resultsBase: wj.ResultsBase,
-		})
-	}
-	return out
-}
-
-// recoveredJob is one job's replayed state handed to the recovery path.
-type recoveredJob struct {
-	name        string
-	spec        JobSpec
-	closed      bool
-	done        bool
-	lost        int
-	submitted   int
-	results     []TaskResult
-	resultsBase int
-}
-
-// mirror returns a serialised copy of the live state (test hook for the
+// mirror returns a serialised copy of the state (test hook for the
 // replay-determinism property).
 func (w *wal) mirror() []byte {
 	w.mu.Lock()

@@ -148,8 +148,11 @@ func TestRecoveryGroupCommitCoalesces(t *testing.T) {
 	if got := replayed.mirror(); !bytes.Equal(got, live) {
 		t.Fatalf("replay diverges from live mirror:\nlive:     %s\nreplayed: %s", live, got)
 	}
-	pending, _ := replayed.jobPending("g")
-	if len(pending) != followers {
+	_, jobs := replayed.jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("replayed %d jobs, want 1", len(jobs))
+	}
+	if pending := replayed.backlog(jobs[0]); len(pending) != followers {
 		t.Fatalf("replayed %d pending tasks, want %d", len(pending), followers)
 	}
 }
