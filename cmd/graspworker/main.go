@@ -33,7 +33,7 @@ func main() {
 		coordinator = flag.String("coordinator", "http://localhost:8090", "coordinator base URL (graspd -cluster-listen)")
 		id          = flag.String("id", "", "node id (default <hostname>-<pid>)")
 		capacity    = flag.Int("capacity", 2, "concurrent task executions")
-		batch       = flag.Int("batch", 1, "tasks pulled per lease")
+		batch       = flag.Int("batch", 0, "cap on tasks pulled per lease (0 = no worker-side cap: leases are chunk-sized, bounded by the coordinator)")
 		benchSpin   = flag.Int64("bench-spin", 2_000_000, "startup benchmark iterations (calibration sample)")
 		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval (0 = coordinator-advertised)")
 		leaseWait   = flag.Duration("lease-wait", 2*time.Second, "lease long-poll bound")

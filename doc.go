@@ -82,7 +82,9 @@
 // -cluster-listen) runs a coordinator that remote cmd/graspworker
 // processes register with — announcing an id, a concurrency capacity, and
 // a benchmark-derived speed — then serve task batches over long-poll
-// leases and heartbeat between them. A job created with `"placement":
+// leases and heartbeat between them; a farm chunk or dmap block reaches
+// its node as one dispatch group, so a lease carries the skeleton's
+// calibrated granularity. A job created with `"placement":
 // "cluster"` executes on a cluster.Pool, a platform.Platform over the
 // nodes live at submission, so remote processes appear to skel/engine as
 // ordinary grid workers and the adaptive machinery runs unchanged — the
@@ -91,9 +93,10 @@
 //
 //   - initial dispatch weights come from Algorithm 1's ranking step
 //     applied to the register-time benchmark samples;
-//   - the detector observes coordinator-measured round-trip times, so
-//     Algorithm 2 adapts to real network, queueing, and node
-//     heterogeneity;
+//   - the detector observes node-measured execution time plus each
+//     task's share of its chunk's queueing and wire time (a lone task's
+//     round trip), so Algorithm 2 adapts to real network, queueing, and
+//     node heterogeneity without mistaking chunk position for slowness;
 //   - missed heartbeats (or eviction) retire a node through the engine's
 //     Faults path: its queued and in-flight executions fail over and the
 //     skeleton redelivers them to live nodes under fresh dispatch ids,

@@ -3,14 +3,17 @@ package cluster
 // Benchmarks pinning the zero-allocation dispatch path. The codec
 // benchmarks cover encode/decode of the two hot frames (lease batch,
 // results batch); BenchmarkDispatchSteadyState drives the coordinator's
-// whole in-process loop — submit, lease, results, outcome, release — the
-// way the binary server does, with every buffer reused. All report
+// whole in-process loop — chunk submit, lease, results, outcomes, release
+// — the way the binary server does, with every buffer reused. All report
 // allocations; the dispatch loop must stay at 0 allocs/task.
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
+
+	"grasp/internal/platform"
 )
 
 // benchTasks builds a full lease batch for the codec benchmarks.
@@ -106,60 +109,58 @@ func BenchmarkCodecJSONLeaseRoundTrip(b *testing.B) {
 }
 
 // BenchmarkDispatchSteadyState measures the coordinator's end-to-end
-// in-process dispatch loop at steady state: submit a batch, lease it into
-// reused scratch (as the binary server does), post results out of reused
-// scratch, receive every outcome, release every dispatch. The sweep and
-// long-poll machinery is live but idle. Reported allocs/op are per task
-// and must be 0.
+// in-process dispatch loop at steady state, for the chunk of one (what
+// Exec and a sched.Single farm submit) and a chunk of 16: submit the chunk
+// under one lock hold, lease it into reused scratch (as the binary server
+// does), post results out of reused scratch, receive every outcome off the
+// chunk's sink, release the chunk. The sweep and long-poll machinery is
+// live but idle. Reported allocs/op are per task and must be 0.
 func BenchmarkDispatchSteadyState(b *testing.B) {
-	co := NewCoordinator(Config{
-		DeadAfter:  time.Hour, // no death sweeps mid-benchmark
-		SweepEvery: time.Hour,
-		MaxBatch:   64,
-	})
-	defer co.Close()
-	reg, err := co.Register(RegisterRequest{ID: "bench-node", Capacity: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	dispatches := make([]*dispatch, 0, batch)
-	tasks := make([]WireTask, 0, batch)
-	results := make([]WireResult, 0, batch)
-	req := ResultsRequest{ID: "bench-node", Gen: reg.Gen}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		n := batch
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		dispatches = dispatches[:0]
-		for k := 0; k < n; k++ {
-			d, err := co.submit("bench-node", reg.Gen, k, Work{Spin: 1})
+	for _, k := range []int{1, 16} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			co := NewCoordinator(Config{
+				DeadAfter:  time.Hour, // no death sweeps mid-benchmark
+				SweepEvery: time.Hour,
+			})
+			defer co.Close()
+			// Capacity 1: one lease takes the whole queued chunk.
+			reg, err := co.Register(RegisterRequest{ID: "bench-node", Capacity: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			dispatches = append(dispatches, d)
-		}
-		tasks, err = co.LeaseAppend(LeaseRequest{ID: "bench-node", Gen: reg.Gen, Max: n, WaitMS: 1}, tasks[:0])
-		if err != nil || len(tasks) != n {
-			b.Fatalf("lease: %v (%d tasks)", err, len(tasks))
-		}
-		results = results[:0]
-		for k := range tasks {
-			results = append(results, WireResult{Dispatch: tasks[k].Dispatch, Task: tasks[k].Task, Micros: 1})
-		}
-		req.Results = results
-		if err := co.Results(req); err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range dispatches {
-			out := <-d.done
-			if out.err != nil {
-				b.Fatal(out.err)
+			chunk := make([]platform.Task, k)
+			for i := range chunk {
+				chunk[i] = platform.Task{ID: i, Data: Work{Spin: 1}}
 			}
-			d.release()
-		}
+			tasks := make([]WireTask, 0, k)
+			results := make([]WireResult, 0, k)
+			req := ResultsRequest{ID: "bench-node", Gen: reg.Gen}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += k {
+				ch, err := co.submit("bench-node", reg.Gen, chunk)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tasks, err = co.LeaseAppend(LeaseRequest{ID: "bench-node", Gen: reg.Gen, WaitMS: 1}, tasks[:0])
+				if err != nil || len(tasks) != k {
+					b.Fatalf("lease: %v (%d tasks)", err, len(tasks))
+				}
+				results = results[:0]
+				for _, t := range tasks {
+					results = append(results, WireResult{Dispatch: t.Dispatch, Task: t.Task, Micros: 1})
+				}
+				req.Results = results
+				if err := co.Results(req); err != nil {
+					b.Fatal(err)
+				}
+				for range tasks {
+					if out := <-ch.sink; out.err != nil {
+						b.Fatal(out.err)
+					}
+				}
+				ch.release()
+			}
+		})
 	}
 }

@@ -10,10 +10,17 @@
 //     cluster job's initial dispatch weights are ranked from (Algorithm 1's
 //     ranking step over reported benchmarks instead of fresh probes);
 //   - a Pool projects a snapshot of live nodes as a platform.Platform, so
-//     remote nodes appear to skel/engine exactly like grid workers: Exec
-//     blocks for the task's round trip, and the observed round-trip times
-//     feed the job's Detector (Algorithm 2's monitoring, now measuring
-//     real network + queue + execution heterogeneity);
+//     remote nodes appear to skel/engine exactly like grid workers. A farm
+//     chunk or dmap block is queued on its node as one dispatch group (a
+//     lone Exec is the group of one) that a worker drains in one lease
+//     frame, so the granularity Algorithm 1 calibrates is what amortises
+//     the wire; outcomes come back one by one, and the Result.Time the
+//     job's Detector monitors (Algorithm 2) is the node-measured execution
+//     time plus a per-task share of queueing and wire time — the node's
+//     speed, not the task's place in its chunk (see Pool);
+//   - a lease takes the node's capacity share of what is queued, so the
+//     executors of one node split a chunk; the worker's -batch flag only
+//     caps that;
 //   - missed heartbeats retire nodes: every queued or in-flight dispatch of
 //     a dead node fails with ErrNodeLost, which surfaces through the
 //     engine's Faults path — the skeleton re-queues the task onto a live
@@ -54,6 +61,7 @@ import (
 	"time"
 
 	"grasp/internal/metrics"
+	"grasp/internal/platform"
 	"grasp/internal/trace"
 )
 
@@ -93,8 +101,10 @@ type Config struct {
 	// against a lease response lost in transit, which would otherwise
 	// strand the dispatch forever (the node keeps heartbeating, so death
 	// never fires). It must exceed the longest legitimate execution
-	// (default 90s, above the service layer's 60s per-task sleep cap);
-	// a late result from the original delivery is deduplicated as usual.
+	// (default 90s, above the service layer's 60s per-task sleep cap); a
+	// lease of several tasks runs in order on one executor, so the i-th
+	// task's TTL counts from i TTLs after the lease. A late result from the
+	// original delivery is deduplicated as usual.
 	LeaseTTL time.Duration
 	// DeadRetention is how long dead/left registrations stay listed for
 	// inspection before being pruned, with their per-node metric series
@@ -149,8 +159,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// dispatchOutcome resolves one submitted execution.
+// dispatchOutcome resolves one submitted execution; idx is its position in
+// the chunk it was submitted with.
 type dispatchOutcome struct {
+	idx    int
 	micros int64
 	err    error
 }
@@ -160,29 +172,50 @@ type dispatch struct {
 	id   int64
 	task int
 	work Work
-	done chan dispatchOutcome // buffered(1); resolved exactly once
-	// leasedAt is when the dispatch last moved to in-flight; the sweeper
-	// requeues it after LeaseTTL in case the lease response never arrived.
+	idx  int
+	sink chan<- dispatchOutcome // its chunk's sink; resolved exactly once
+	// leasedAt is when the dispatch's turn on its executor began at the
+	// latest; the sweeper requeues it LeaseTTL later in case the lease
+	// response never arrived.
 	leasedAt time.Time
 }
 
-// dispatchPool recycles dispatch structs (and their buffered done
-// channels) across executions — the other half of the zero-allocation
-// dispatch path next to the codec's pooled frame buffers.
-var dispatchPool = sync.Pool{
-	New: func() any { return &dispatch{done: make(chan dispatchOutcome, 1)} },
-}
+// dispatchPool recycles dispatch structs across executions — half of the
+// zero-allocation dispatch path, next to chunkPool and the codec's pooled
+// frame buffers.
+var dispatchPool = sync.Pool{New: func() any { return new(dispatch) }}
 
-// release returns a resolved dispatch to the pool. Only the receiver of
-// the outcome may call it, and only after receiving: resolution is
-// exactly-once (every resolving path first removes the dispatch from the
-// node's queue or in-flight map under co.mu), so once the single buffered
-// outcome has been consumed nothing else holds a reference and the done
-// channel is empty — the struct is safe to reuse as-is.
-func (d *dispatch) release() {
-	d.work = Work{}
+// recycle returns a dispatch nothing references any more to the pool.
+func (d *dispatch) recycle() {
+	d.work, d.sink = Work{}, nil
 	dispatchPool.Put(d)
 }
+
+// resolve delivers the dispatch's single outcome and recycles it. The
+// caller holds co.mu and has just removed d from the node's queue or
+// in-flight map — that removal is what makes resolution exactly-once —
+// and the send cannot block: a chunk's sink has room for every one of
+// its dispatches.
+func (d *dispatch) resolve(micros int64, err error) {
+	d.sink <- dispatchOutcome{idx: d.idx, micros: micros, err: err}
+	d.recycle()
+}
+
+// chunk is one dispatch group in flight — a farm chunk, a dmap block, or
+// a lone Exec (the group of one): the sink its dispatches resolve onto,
+// and the scratch they are assembled in before the node's queue takes
+// them. Chunks are pooled, so a steady stream of groups allocates nothing.
+type chunk struct {
+	sink chan dispatchOutcome // capacity ≥ the group's size
+	ds   []*dispatch          // submit scratch; the coordinator's once queued
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+// release returns the chunk to the pool. Only the submitter may call it,
+// and only after receiving one outcome per task, which leaves the sink
+// empty and the chunk safe to reuse as-is.
+func (ch *chunk) release() { chunkPool.Put(ch) }
 
 // node is one registration's server-side state. A re-registration under
 // the same id replaces the whole entry under a new generation.
@@ -437,7 +470,7 @@ func (co *Coordinator) now() time.Duration { return time.Since(co.start) }
 func (co *Coordinator) DeadAfter() time.Duration { return co.cfg.DeadAfter }
 
 // Close stops the death sweeper. Outstanding dispatches are failed so no
-// Pool.Exec stays blocked forever.
+// Pool call stays blocked forever.
 func (co *Coordinator) Close() {
 	co.stopOnce.Do(func() {
 		close(co.stop)
@@ -608,12 +641,12 @@ func (co *Coordinator) expireLocked(n *node, state, cause string) {
 	n.state = state
 	lost := len(n.queue) + len(n.inflight)
 	for _, d := range n.queue {
-		d.done <- dispatchOutcome{err: ErrNodeLost}
+		d.resolve(0, ErrNodeLost)
 	}
 	n.queue = nil
 	for id, d := range n.inflight {
 		delete(n.inflight, id)
-		d.done <- dispatchOutcome{err: ErrNodeLost}
+		d.resolve(0, ErrNodeLost)
 	}
 	n.failed += int64(lost)
 	close(n.gone)
@@ -689,7 +722,7 @@ func (co *Coordinator) pruneLocked(id string) {
 // requeueExpiredLeasesLocked redelivers in-flight dispatches whose lease
 // outlived the TTL on a node that is otherwise alive — the lease response
 // (or the worker's grip on it) was lost in transit. The dispatch keeps its
-// id and done channel: resolution only ever happens out of the in-flight
+// id and sink: resolution only ever happens out of the in-flight
 // map, so if the original delivery's result does arrive later it is
 // deduplicated, and the redelivered execution resolves the task instead.
 func (co *Coordinator) requeueExpiredLeasesLocked(n *node, now time.Time) {
@@ -713,32 +746,55 @@ func (co *Coordinator) requeueExpiredLeasesLocked(n *node, now time.Time) {
 	}
 }
 
-// submit queues one execution on a node and returns its dispatch. Pools
-// call this from Exec, receive the single outcome from d.done, and then
-// release the dispatch back to the pool; an error means the node is
-// already gone and the caller should fail the execution immediately.
-func (co *Coordinator) submit(id string, gen int64, task int, w Work) (*dispatch, error) {
+// submit queues one dispatch group on a node — one co.mu hold and one
+// wake whatever its size; a single execution is the group of one — and
+// returns the chunk whose sink will carry exactly one outcome per task.
+// The caller receives them all, then releases the chunk. An error means
+// the node is already gone and nothing was queued: the caller should fail
+// every execution immediately.
+func (co *Coordinator) submit(id string, gen int64, tasks []platform.Task) (*chunk, error) {
+	ch := chunkPool.Get().(*chunk)
+	if cap(ch.sink) < len(tasks) {
+		ch.sink = make(chan dispatchOutcome, len(tasks))
+	}
+	// Assembled outside the lock, so no producer code (a WorkCarrier) ever
+	// runs under co.mu.
+	ch.ds = ch.ds[:0]
+	for i := range tasks {
+		d := dispatchPool.Get().(*dispatch)
+		d.task, d.work = tasks[i].ID, EncodeWork(tasks[i].Cost, tasks[i].Data)
+		d.idx, d.sink = i, ch.sink
+		ch.ds = append(ch.ds, d)
+	}
 	co.mu.Lock()
 	n, err := co.lookupLocked(id, gen)
 	if err != nil {
 		co.mu.Unlock()
+		for _, d := range ch.ds {
+			d.recycle()
+		}
+		ch.release()
 		return nil, err
 	}
-	co.reserveDispatchLocked()
-	co.nextDispatch++
-	d := dispatchPool.Get().(*dispatch)
-	d.id = co.nextDispatch
-	d.task = task
-	d.work = w
-	n.queue = append(n.queue, d)
+	for _, d := range ch.ds {
+		co.reserveDispatchLocked()
+		co.nextDispatch++
+		d.id = co.nextDispatch
+	}
+	n.queue = append(n.queue, ch.ds...)
 	co.mu.Unlock()
-	co.mDispatched.Inc()
-	co.tr.Append(trace.Event{At: co.now(), Kind: trace.KindDispatch, Node: id, Task: task})
+	// From here the dispatches belong to the coordinator: any of them may
+	// already be resolved and recycled.
+	co.mDispatched.Add(int64(len(tasks)))
+	at := co.now()
+	for i := range tasks {
+		co.tr.Append(trace.Event{At: at, Kind: trace.KindDispatch, Node: id, Task: tasks[i].ID})
+	}
 	select {
 	case n.wake <- struct{}{}:
 	default:
 	}
-	return d, nil
+	return ch, nil
 }
 
 // Lease hands out up to req.Max queued executions, long-polling up to
@@ -778,12 +834,14 @@ func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask
 		}
 		now := time.Now()
 		n.lastSeen = now
-		take := len(n.queue)
-		if take > maxTasks {
-			take = maxTasks
-		}
-		for _, d := range n.queue[:take] {
-			d.leasedAt = now
+		// A lease takes the node's capacity share of what is queued, not
+		// all of it — guided self-scheduling at node level — so one executor
+		// never runs a whole chunk serially while its siblings idle.
+		take := min(maxTasks, (len(n.queue)+n.capacity-1)/n.capacity)
+		for i, d := range n.queue[:take] {
+			// An executor runs its lease in order, so the i-th task's turn
+			// may legitimately begin up to i TTLs from now.
+			d.leasedAt = now.Add(time.Duration(i) * co.cfg.LeaseTTL)
 			n.inflight[d.id] = d
 			buf = append(buf, WireTask{Dispatch: d.id, Task: d.task, Work: d.work})
 		}
@@ -864,7 +922,7 @@ func (co *Coordinator) Results(req ResultsRequest) error {
 			At: at, Kind: trace.KindComplete, Node: n.id, Task: r.Task,
 			Dur: time.Duration(r.Micros) * time.Microsecond,
 		})
-		d.done <- dispatchOutcome{micros: r.Micros}
+		d.resolve(r.Micros, nil)
 	}
 	// Per-node series are written under co.mu: a prune of this node's
 	// series cannot interleave between the lookup above and these writes

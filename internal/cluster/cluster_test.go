@@ -4,7 +4,19 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"grasp/internal/platform"
 )
+
+// submitOne queues the chunk of one — task id carrying work w — and
+// returns the sink its single outcome arrives on.
+func submitOne(co *Coordinator, id string, gen int64, task int, w Work) (<-chan dispatchOutcome, error) {
+	ch, err := co.submit(id, gen, []platform.Task{{ID: task, Data: w}})
+	if err != nil {
+		return nil, err
+	}
+	return ch.sink, nil
+}
 
 // testCoordinator builds a coordinator with fast death detection for tests.
 func testCoordinator(t *testing.T, deadAfter time.Duration) *Coordinator {
@@ -28,7 +40,7 @@ func TestRegisterLeaseResults(t *testing.T) {
 		t.Fatalf("register response %+v", reg)
 	}
 
-	done, err := co.submit("n1", reg.Gen, 7, Work{Spin: 10})
+	done, err := submitOne(co, "n1", reg.Gen, 7, Work{Spin: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +57,7 @@ func TestRegisterLeaseResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case out := <-done.done:
+	case out := <-done:
 		if out.err != nil || out.micros != 42 {
 			t.Fatalf("outcome = %+v", out)
 		}
@@ -63,7 +75,7 @@ func TestLeaseLongPollPicksUpLateSubmit(t *testing.T) {
 	reg, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		co.submit("n1", reg.Gen, 1, Work{})
+		submitOne(co, "n1", reg.Gen, 1, Work{})
 	}()
 	lease, err := co.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, Max: 1, WaitMS: 150})
 	if err != nil {
@@ -77,16 +89,16 @@ func TestLeaseLongPollPicksUpLateSubmit(t *testing.T) {
 func TestMissedHeartbeatsFailInflightAndQueued(t *testing.T) {
 	co := testCoordinator(t, 80*time.Millisecond)
 	reg, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
-	inflight, _ := co.submit("n1", reg.Gen, 1, Work{})
+	inflight, _ := submitOne(co, "n1", reg.Gen, 1, Work{})
 	if _, err := co.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, Max: 1, WaitMS: 10}); err != nil {
 		t.Fatal(err)
 	}
-	queued, _ := co.submit("n1", reg.Gen, 2, Work{})
+	queued, _ := submitOne(co, "n1", reg.Gen, 2, Work{})
 
 	// No heartbeats: both dispatches must fail over within the bound.
-	for name, ch := range map[string]*dispatch{"inflight": inflight, "queued": queued} {
+	for name, ch := range map[string]<-chan dispatchOutcome{"inflight": inflight, "queued": queued} {
 		select {
-		case out := <-ch.done:
+		case out := <-ch:
 			if !errors.Is(out.err, ErrNodeLost) {
 				t.Errorf("%s outcome err = %v, want ErrNodeLost", name, out.err)
 			}
@@ -98,7 +110,7 @@ func TestMissedHeartbeatsFailInflightAndQueued(t *testing.T) {
 		t.Errorf("dead node still listed live: %+v", live)
 	}
 	// Dispatches to the dead registration are refused outright.
-	if _, err := co.submit("n1", reg.Gen, 3, Work{}); !errors.Is(err, ErrGone) {
+	if _, err := submitOne(co, "n1", reg.Gen, 3, Work{}); !errors.Is(err, ErrGone) {
 		t.Errorf("submit to dead node err = %v, want ErrGone", err)
 	}
 }
@@ -106,12 +118,12 @@ func TestMissedHeartbeatsFailInflightAndQueued(t *testing.T) {
 func TestLateResultAfterDeathIsDeduped(t *testing.T) {
 	co := testCoordinator(t, time.Hour) // no sweeping; eviction is explicit
 	reg, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
-	done, _ := co.submit("n1", reg.Gen, 9, Work{})
+	done, _ := submitOne(co, "n1", reg.Gen, 9, Work{})
 	lease, _ := co.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, Max: 1, WaitMS: 10})
 	if err := co.Evict("n1"); err != nil {
 		t.Fatal(err)
 	}
-	out := <-done.done
+	out := <-done
 	if !errors.Is(out.err, ErrNodeLost) {
 		t.Fatalf("evicted dispatch err = %v", out.err)
 	}
@@ -130,13 +142,13 @@ func TestLateResultAfterDeathIsDeduped(t *testing.T) {
 func TestReRegistrationSupersedesOldGeneration(t *testing.T) {
 	co := testCoordinator(t, time.Hour)
 	reg1, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
-	done, _ := co.submit("n1", reg1.Gen, 1, Work{})
+	done, _ := submitOne(co, "n1", reg1.Gen, 1, Work{})
 	reg2, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
 	if reg2.Gen == reg1.Gen {
 		t.Fatal("re-registration reused the generation")
 	}
 	// The superseded incarnation's work failed over...
-	if out := <-done.done; !errors.Is(out.err, ErrNodeLost) {
+	if out := <-done; !errors.Is(out.err, ErrNodeLost) {
 		t.Fatalf("superseded dispatch err = %v", out.err)
 	}
 	// ...and its credentials no longer lease.
@@ -151,12 +163,12 @@ func TestReRegistrationSupersedesOldGeneration(t *testing.T) {
 func TestGracefulLeaveFailsOverImmediately(t *testing.T) {
 	co := testCoordinator(t, time.Hour)
 	reg, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
-	done, _ := co.submit("n1", reg.Gen, 1, Work{})
+	done, _ := submitOne(co, "n1", reg.Gen, 1, Work{})
 	if err := co.Leave(LeaveRequest{ID: "n1", Gen: reg.Gen}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case out := <-done.done:
+	case out := <-done:
 		if !errors.Is(out.err, ErrNodeLost) {
 			t.Fatalf("left dispatch err = %v", out.err)
 		}
@@ -178,7 +190,7 @@ func TestExpiredLeaseIsRedeliveredOnLiveNode(t *testing.T) {
 	})
 	t.Cleanup(co.Close)
 	reg, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
-	done, _ := co.submit("n1", reg.Gen, 5, Work{Spin: 1})
+	done, _ := submitOne(co, "n1", reg.Gen, 5, Work{Spin: 1})
 	first, err := co.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, Max: 1, WaitMS: 10})
 	if err != nil || len(first.Tasks) != 1 {
 		t.Fatalf("first lease = %+v err %v", first, err)
@@ -212,7 +224,7 @@ func TestExpiredLeaseIsRedeliveredOnLiveNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case out := <-done.done:
+	case out := <-done:
 		if out.err != nil {
 			t.Fatalf("outcome = %+v", out)
 		}

@@ -76,7 +76,7 @@ func TestRestoreDispatchIDsMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := co.submit("w", resp.Gen, 1, Work{})
+	done, err := submitOne(co, "w", resp.Gen, 1, Work{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRestoreDispatchIDsMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co2.submit("w", resp2.Gen, 2, Work{}); err != nil {
+	if _, err := submitOne(co2, "w", resp2.Gen, 2, Work{}); err != nil {
 		t.Fatal(err)
 	}
 	lease2, err := co2.Lease(LeaseRequest{ID: "w", Gen: resp2.Gen, Max: 1, WaitMS: 50})
@@ -165,7 +165,7 @@ func TestRecoveryPruneMetricsRace(t *testing.T) {
 				// Drive the racy paths: a submit feeds a lease (gauge write)
 				// and a result post (counter + gauge writes), while the
 				// sweeper expires and prunes this registration underneath.
-				if _, err := co.submit("racer", resp.Gen, 1, Work{}); err != nil {
+				if _, err := submitOne(co, "racer", resp.Gen, 1, Work{}); err != nil {
 					continue
 				}
 				lease, err := co.Lease(LeaseRequest{ID: "racer", Gen: resp.Gen, Max: 4, WaitMS: 1})

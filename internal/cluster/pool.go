@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"grasp/internal/monitor"
 	"grasp/internal/platform"
@@ -12,26 +13,39 @@ import (
 
 // Pool projects the live cluster nodes as a platform.Platform, which is
 // how remote worker processes appear to skel/engine as ordinary grid
-// workers. Every skeleton executes at most one task at a time per worker
-// index, so a node's declared capacity is exposed as that many worker
-// indices (execution slots): a node with capacity 4 contributes 4 indices,
-// each a serial Exec lane, and its 4 worker-side executors serve them
-// concurrently — one job can use the whole node. Exec queues the task on
-// the slot's node and blocks until a worker process delivers the result
-// (or the node dies, in which case the failed Result drives the engine's
+// workers. Every skeleton runs at most one dispatch group at a time per
+// worker index, so a node's declared capacity is exposed as that many
+// worker indices (execution slots): a node with capacity 4 contributes 4
+// indices and its 4 worker-side executors serve them concurrently — one
+// job can use the whole node.
+//
+// The unit of dispatch is the chunk (platform.Chunker): ExecChunk queues
+// a whole farm chunk or dmap block on the slot's node in one step, so a
+// worker process drains it in one lease frame and answers in as few
+// results posts as its flusher needs — the skeleton's granularity is what
+// amortises the wire. Each outcome is emitted as it arrives, so
+// visibility, admission credits and the detector stay per-task. Exec is
+// the chunk of one. A node that dies (or is already gone) fails every
+// unresolved task of the chunk with ErrNodeLost, which drives the engine's
 // Faults reassignment exactly like a grid node crash — every slot of the
-// dead node fails over). Result.Time is the coordinator-observed round
-// trip — queueing, network, and execution — so the Detector adapts to the
-// heterogeneity the cluster actually exhibits.
+// dead node fails over.
+//
+// Result.Time is what the Detector adapts to, and it measures the node,
+// not the task's position in its chunk: the node-measured execution time
+// (WireResult.Micros) plus the slot's latest per-task share of everything
+// else — queueing, lease and results round trips — taken over the slot's
+// most recently completed chunk as (chunk wall time − Σ Micros)/k, never
+// negative. The last task of a chunk completes it, so a chunk of one
+// reports exactly its coordinator-observed round trip.
 //
 // A Pool starts from the nodes live at job submission and is growable:
 // Admit appends execution slots for a node that registers later (the
 // service layer feeds coordinator membership events into running jobs'
 // engine membership this way), so worker indices are append-only and a
 // node that dies and re-registers joins as fresh slots under its new
-// generation. It is safe for concurrent Exec calls, and it only runs on
-// the real runtime (remote processes have no place in the simulator's
-// virtual time).
+// generation. It is safe for concurrent calls, and it only runs on the
+// real runtime (remote processes have no place in the simulator's virtual
+// time).
 type Pool struct {
 	coord *Coordinator
 	l     *rt.Local
@@ -55,11 +69,14 @@ type PoolMember struct {
 }
 
 // poolStats is one member's per-job accounting, atomic because skeleton
-// processes call Exec concurrently.
+// processes call into the pool concurrently.
 type poolStats struct {
 	dispatched atomic.Int64
 	completed  atomic.Int64
 	failed     atomic.Int64
+	// overhead is the slot's latest per-task share, in nanoseconds, of
+	// chunk time that was not node-measured execution (see Pool).
+	overhead atomic.Int64
 }
 
 // NodeCount is one member's per-job execution tally, JSON-ready for job
@@ -173,39 +190,59 @@ func (p *Pool) NodeName(i int) string {
 	return m.ID
 }
 
-// Exec implements Platform: the task is queued on member i's node and the
-// calling context blocks for the round trip. A node lost mid-flight (or
-// already gone) yields a failed Result carrying ErrNodeLost, which the
-// skeletons treat exactly like a worker crash: retire and re-queue.
-func (p *Pool) Exec(c rt.Ctx, i int, t platform.Task) platform.Result {
+// Exec implements Platform: the chunk of one.
+func (p *Pool) Exec(c rt.Ctx, i int, t platform.Task) (res platform.Result) {
+	one := [1]platform.Task{t}
+	p.ExecChunk(c, i, one[:], func(r platform.Result) { res = r })
+	return res
+}
+
+// ExecChunk implements platform.Chunker: the tasks are queued on member
+// i's node as one dispatch group and the calling context blocks until
+// every outcome has been emitted, each as it arrives. A node lost
+// mid-chunk (or already gone) yields failed Results carrying ErrNodeLost
+// for everything unresolved, which the skeletons treat exactly like a
+// worker crash: retire and re-queue.
+func (p *Pool) ExecChunk(c rt.Ctx, i int, tasks []platform.Task, emit func(platform.Result)) {
 	m, st := p.member(i)
 	start := c.Now()
-	st.dispatched.Add(1)
-	d, err := p.coord.submit(m.ID, m.Gen, t.ID, EncodeWork(t.Cost, t.Data))
+	st.dispatched.Add(int64(len(tasks)))
+	ch, err := p.coord.submit(m.ID, m.Gen, tasks)
 	if err != nil {
-		st.failed.Add(1)
-		return platform.Result{Task: t, Worker: i, Start: start, Err: ErrNodeLost}
+		st.failed.Add(int64(len(tasks)))
+		for _, t := range tasks {
+			emit(platform.Result{Task: t, Worker: i, Start: start, Err: ErrNodeLost})
+		}
+		return
 	}
-	// Exec is the dispatch's sole outcome receiver, so after this receive
-	// nothing references it and it returns to the pool (see dispatch.release).
-	out := <-d.done
-	d.release()
-	if out.err != nil {
-		st.failed.Add(1)
-		return platform.Result{Task: t, Worker: i, Start: start, Time: c.Now() - start, Err: out.err}
+	var exec time.Duration // Σ node-measured execution of the chunk so far
+	for left := len(tasks); left > 0; left-- {
+		out := <-ch.sink
+		t := tasks[out.idx]
+		if out.err != nil {
+			st.failed.Add(1)
+			emit(platform.Result{Task: t, Worker: i, Start: start, Time: c.Now() - start, Err: out.err})
+			continue
+		}
+		micros := time.Duration(out.micros) * time.Microsecond
+		exec += micros
+		if left == 1 {
+			st.overhead.Store(int64(max(0, c.Now()-start-exec)) / int64(len(tasks)))
+		}
+		st.completed.Add(1)
+		emit(platform.Result{
+			Task:   t,
+			Worker: i,
+			Value:  t.ID,
+			Time:   micros + time.Duration(st.overhead.Load()),
+			Start:  start,
+		})
 	}
-	st.completed.Add(1)
-	return platform.Result{
-		Task:   t,
-		Worker: i,
-		Value:  t.ID,
-		Time:   c.Now() - start,
-		Start:  start,
-	}
+	ch.release()
 }
 
 // LoadSensor implements Platform: remote load is already embedded in the
-// round-trip times the detector observes, so the sensor reads zero.
+// task times the detector observes, so the sensor reads zero.
 func (p *Pool) LoadSensor(int) monitor.Sensor {
 	return monitor.FuncSensor(func() float64 { return 0 })
 }

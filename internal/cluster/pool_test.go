@@ -16,19 +16,7 @@ import (
 // runs, minus the process boundary.
 func startTestWorker(t *testing.T, url, id string) *Worker {
 	t.Helper()
-	w, err := StartWorker(WorkerConfig{
-		Coordinator: url,
-		ID:          id,
-		Capacity:    2,
-		BenchSpin:   10_000,
-		Heartbeat:   20 * time.Millisecond,
-		LeaseWait:   100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
-	return w
+	return startWorkerWith(t, WorkerConfig{Coordinator: url, ID: id, Capacity: 2})
 }
 
 // runFarmOverPool streams n sleep tasks through the adaptive farm on a

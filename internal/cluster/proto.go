@@ -98,9 +98,9 @@ type LeaseResponse struct {
 type WireResult struct {
 	Dispatch int64 `json:"dispatch"`
 	Task     int   `json:"task"`
-	// Micros is the node-measured execution time. The coordinator's own
-	// round-trip measurement is what feeds the detector; this is kept for
-	// traces and node-vs-wire comparisons.
+	// Micros is the node-measured execution time: the node-speed part of
+	// the Result.Time the detector is fed (see Pool), and the Dur of the
+	// coordinator trace's complete events.
 	Micros int64 `json:"micros"`
 }
 

@@ -71,7 +71,7 @@ func TestTransportContract(t *testing.T) {
 			}
 
 			// Submit → lease → results resolves the dispatch.
-			d, err := co.submit("n1", reg.Gen, 7, Work{Spin: 10})
+			d, err := submitOne(co, "n1", reg.Gen, 7, Work{Spin: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,8 +88,7 @@ func TestTransportContract(t *testing.T) {
 			if err := tr.Results(res); err != nil {
 				t.Fatal(err)
 			}
-			out := <-d.done
-			d.release()
+			out := <-d
 			if out.err != nil || out.micros != 42 {
 				t.Fatalf("outcome = %+v", out)
 			}
@@ -245,13 +244,12 @@ func TestWorkerBatchesResults(t *testing.T) {
 		t.Fatalf("live = %+v", live)
 	}
 	for i := 0; i < n; i++ {
-		d, err := co.submit(live[0].ID, live[0].Gen, i, Work{})
+		d, err := submitOne(co, live[0].ID, live[0].Gen, i, Work{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		go func() {
-			out := <-d.done
-			d.release()
+			out := <-d
 			if out.err == nil && resolved.Add(1) == n {
 				close(done)
 			}

@@ -23,8 +23,10 @@ type WorkerConfig struct {
 	ID string
 	// Capacity is how many tasks execute concurrently (default 2).
 	Capacity int
-	// Batch is how many tasks one lease pulls (default 1; each of the
-	// Capacity executors leases independently).
+	// Batch caps the tasks one lease pulls; each of the Capacity executors
+	// leases independently. The default 0 sets no worker-side cap: a lease
+	// then takes the node's capacity share of what the skeleton queued —
+	// a farm chunk, a dmap block — bounded by the coordinator's MaxBatch.
 	Batch int
 	// BenchSpin is the startup benchmark's iteration count; the measured
 	// speed registers as this node's calibration sample (default 2e6).
@@ -80,8 +82,8 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.Capacity < 1 {
 		c.Capacity = 2
 	}
-	if c.Batch < 1 {
-		c.Batch = 1
+	if c.Batch < 0 {
+		c.Batch = 0
 	}
 	if c.BenchSpin <= 0 {
 		c.BenchSpin = 2_000_000

@@ -65,6 +65,34 @@ type Platform interface {
 	BandwidthSensor(i int) monitor.Sensor
 }
 
+// Chunker is the optional Platform refinement for substrates where a
+// dispatch group is cheaper than its tasks one by one: cluster.Pool queues
+// the whole group on the worker's node in one step, so a chunk costs one
+// lease and one results round trip instead of one pair per task.
+type Chunker interface {
+	// ExecChunk runs tasks on worker i and calls emit exactly once per
+	// task, from the calling context, as each Result arrives — completion
+	// order, which need not be task order.
+	ExecChunk(c rt.Ctx, i int, tasks []Task, emit func(Result))
+}
+
+// ExecChunk runs one dispatch group — a farm chunk, a dmap block — on
+// worker i, blocking the calling context until every task has been
+// emitted; a lost execution is emitted as a failed Result like any other.
+// Platforms that implement Chunker take the group whole; on every other
+// platform (the simulated grid, local goroutines) a group is its tasks
+// executed in order, which is what keeps virtual-time runs identical to a
+// per-task Exec loop.
+func ExecChunk(pf Platform, c rt.Ctx, i int, tasks []Task, emit func(Result)) {
+	if ch, ok := pf.(Chunker); ok {
+		ch.ExecChunk(c, i, tasks, emit)
+		return
+	}
+	for _, t := range tasks {
+		emit(pf.Exec(c, i, t))
+	}
+}
+
 // GridPlatform runs tasks on a simulated grid. Worker i is grid node i.
 type GridPlatform struct {
 	sim *rt.Sim

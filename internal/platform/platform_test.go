@@ -179,3 +179,47 @@ func TestTasksFromItems(t *testing.T) {
 		}
 	}
 }
+
+// chunkRecorder is a local platform that also takes dispatch groups whole.
+type chunkRecorder struct {
+	*LocalPlatform
+	chunks [][]Task
+}
+
+func (p *chunkRecorder) ExecChunk(c rt.Ctx, i int, tasks []Task, emit func(Result)) {
+	p.chunks = append(p.chunks, tasks)
+	for _, t := range tasks {
+		emit(Result{Task: t, Worker: i})
+	}
+}
+
+func TestExecChunkIsASerialExecLoopUnlessThePlatformChunks(t *testing.T) {
+	var order []int
+	tasks := make([]Task, 4)
+	for i := range tasks {
+		id := i
+		tasks[i] = Task{ID: id, Fn: func() any { order = append(order, id); return id * id }}
+	}
+	l := rt.NewLocal()
+	var got []Result
+	emit := func(r Result) { got = append(got, r) }
+	l.Go("m", func(c rt.Ctx) { ExecChunk(NewLocalPlatform(l, 2), c, 1, tasks, emit) })
+	l.Run()
+	if len(got) != 4 || len(order) != 4 {
+		t.Fatalf("emitted %d results over %d executions, want 4 and 4", len(got), len(order))
+	}
+	for i, r := range got {
+		if order[i] != i || r.Task.ID != i || r.Worker != 1 || r.Value != i*i {
+			t.Errorf("result %d = %+v (execution order %v), want task %d in order on worker 1", i, r, order, i)
+		}
+	}
+
+	pf := &chunkRecorder{LocalPlatform: NewLocalPlatform(l, 2)}
+	got, order = nil, nil
+	l.Go("m", func(c rt.Ctx) { ExecChunk(pf, c, 0, tasks, emit) })
+	l.Run()
+	if len(pf.chunks) != 1 || len(pf.chunks[0]) != 4 || len(got) != 4 || len(order) != 0 {
+		t.Errorf("a Chunker must receive the group whole: chunks %d, emitted %d, per-task Execs %d",
+			len(pf.chunks), len(got), len(order))
+	}
+}

@@ -90,6 +90,20 @@ type localChan struct {
 // Send implements Chan.
 func (lc *localChan) Send(_ Ctx, v any) { lc.ch <- v }
 
+// SendOrDone delivers v on a channel of the Local runtime, blocking until
+// it is accepted or done is closed, and reports whether v was sent — the
+// send for a producer whose consumer may stop draining. Wall-clock
+// producers only: it panics on a simulated channel, whose blocking is the
+// scheduler's business.
+func SendOrDone(ch Chan, v any, done <-chan struct{}) bool {
+	select {
+	case ch.(*localChan).ch <- v:
+		return true
+	case <-done:
+		return false
+	}
+}
+
 // TrySend implements Chan.
 func (lc *localChan) TrySend(_ Ctx, v any) bool {
 	select {

@@ -273,3 +273,27 @@ func TestLocalManyGoroutines(t *testing.T) {
 		t.Errorf("n = %d", n.Load())
 	}
 }
+
+func TestSendOrDone(t *testing.T) {
+	l := NewLocal()
+	ch := l.NewChan("c", 1)
+	done := make(chan struct{})
+	if !SendOrDone(ch, 1, done) {
+		t.Fatal("send into free buffer space reported not sent")
+	}
+	// The buffer is full: the send parks until done closes.
+	returned := make(chan bool, 1)
+	go func() { returned <- SendOrDone(ch, 2, done) }()
+	select {
+	case <-returned:
+		t.Fatal("send into a full channel returned before done closed")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(done)
+	if <-returned {
+		t.Error("send reported delivered though nothing drained the channel")
+	}
+	if v, _ := ch.Recv(nil); v != 1 || ch.Len() != 0 {
+		t.Errorf("channel holds %v then %d more, want exactly the first value", v, ch.Len())
+	}
+}

@@ -188,6 +188,52 @@ func TestPushUnblocksWhenEveryNodeDies(t *testing.T) {
 	}
 }
 
+// TestBlockedPushReturnsAsTheJobFinishes pins the feed's wakeup: a push
+// parked on a full input is woken by the job's done channel itself, so it
+// returns with the job — not up to a poll period later.
+func TestBlockedPushReturnsAsTheJobFinishes(t *testing.T) {
+	s, _, url := startClusterDaemonURL(t, 0)
+	w := startClusterWorker(t, url, "a")
+	j, err := s.Submit("doomed", service.JobSpec{Placement: service.PlacementCluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]service.TaskSpec, 200)
+	for i := range specs {
+		specs[i] = service.TaskSpec{ID: i, SleepUS: 20_000}
+	}
+	returned := make(chan time.Time, 1)
+	go func() {
+		if n, err := j.Push(specs); err == nil || n == len(specs) {
+			t.Errorf("push accepted %d of %d tasks with err %v despite the dead cluster", n, len(specs), err)
+		}
+		returned <- time.Now()
+	}()
+	// Once a task has completed, the 200-task push has long filled the
+	// window and is parked on the input.
+	for deadline := time.Now().Add(10 * time.Second); j.Status().Completed == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no task ever completed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	w.Stop() // graceful leave: the job's only node is gone at once
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("job never finished after losing its only node")
+	}
+	finished := time.Now()
+	select {
+	case at := <-returned:
+		if lag := at.Sub(finished); lag > 50*time.Millisecond {
+			t.Errorf("push returned %v after the job finished, want within 50ms", lag)
+		}
+	case <-time.After(50 * time.Millisecond):
+		t.Error("push still blocked 50ms after the job finished")
+	}
+}
+
 // TestNodeJoinsRunningClusterJob is the join-symmetric counterpart of the
 // node-loss tests: a job submitted with one live node gains a second node
 // that registers mid-stream — through the coordinator's membership events,

@@ -511,42 +511,20 @@ func (j *Job) Push(specs []TaskSpec) (int, error) {
 // Push, also used by recovery to re-deliver the journaled backlog.
 // Callers hold sendMu (Push the read side, resume the write side).
 func (j *Job) feed(specs []TaskSpec) (int, error) {
-	accepted := 0
-	var pushErr error
-	if j.pool == nil {
-		// Local placement: the platform's workers cannot all die, so the
-		// runner provably drains the input until close — the plain blocking
-		// send parks the goroutine for free under backpressure.
-		for _, ts := range specs {
-			j.in.Send(nil, ts.task()) // local channels ignore the ctx
-			accepted++
-		}
-	} else {
-		// Cluster placement: check for a finished job before every send, not
-		// only when the buffer is full — after the runner abandons the stream
-		// (all nodes dead) nothing drains j.in, so a send into remaining
-		// buffer space would be reported accepted though it can only be lost.
-	send:
-		for _, ts := range specs {
-			t := ts.task()
-			for {
-				if j.finished() {
-					pushErr = fmt.Errorf("service: job %q finished mid-push (workers lost); %d of %d tasks accepted",
-						j.name, accepted, len(specs))
-					break send
-				}
-				if j.in.TrySend(nil, t) {
-					break
-				}
-				// Cluster tasks are at least network-round-trip grained, so a
-				// millisecond poll costs nothing relative to the work while
-				// keeping the all-nodes-dead wakeup bounded.
-				time.Sleep(time.Millisecond)
-			}
-			accepted++
+	// A finished job is checked for before every send, not only when the
+	// buffer is full: once a cluster job's runner abandons the stream (all
+	// nodes dead) nothing drains j.in, so a send into remaining buffer
+	// space would be reported accepted though it can only be lost. A send
+	// that does block parks until the runner takes it or the job finishes.
+	// (A local job's workers cannot all die: its runner drains the input
+	// until close, and the done arm never fires mid-push.)
+	for accepted, ts := range specs {
+		if j.finished() || !rt.SendOrDone(j.in, ts.task(), j.done) {
+			return accepted, fmt.Errorf("service: job %q finished mid-push (workers lost); %d of %d tasks accepted",
+				j.name, accepted, len(specs))
 		}
 	}
-	return accepted, pushErr
+	return len(specs), nil
 }
 
 // CloseInput ends submission; the job drains its in-flight tasks and then

@@ -378,18 +378,17 @@ func scatterWave(pf platform.Platform, c rt.Ctx, co *engine.Core, inbox rt.Chan,
 		c.Go(fmt.Sprintf("dmap.worker.%s.w%d", pf.WorkerName(w), wave), func(cc rt.Ctx) {
 			out := blockOutcome{worker: w}
 			blockStart := cc.Now()
-			for bi, t := range block {
-				res := pf.Exec(cc, w, t)
+			platform.ExecChunk(pf, cc, w, block, func(res platform.Result) {
 				if res.Failed() {
-					// The rest of the block dies with the node. The task
-					// whose execution failed is lost work too.
-					out.lost = append(out.lost, block[bi:]...)
-					break
+					// Lost work: a dead node fails this execution and every
+					// one of the block after it.
+					out.lost = append(out.lost, res.Task)
+					return
 				}
 				out.done++
-				out.executed += t.Cost
+				out.executed += res.Task.Cost
 				inbox.Send(cc, message{kind: msgResult, res: res})
-			}
+			})
 			out.busy = cc.Now() - blockStart
 			inbox.Send(cc, message{kind: msgOutcome, out: out})
 		})

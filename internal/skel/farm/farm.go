@@ -362,13 +362,16 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 }
 
 // spawnWorker starts one demand-driven worker process: request a chunk on
-// inbox, execute it, stream results back, and exit on an empty chunk or a
-// closed reply channel, announcing the exit with msgDone. An empty chunk
-// only ever means shutdown: the farmer parks idle requests instead of
-// answering them.
+// inbox, execute it as one dispatch group, stream each result back as it
+// arrives, and exit on an empty chunk or a closed reply channel,
+// announcing the exit with msgDone. An empty chunk only ever means
+// shutdown: the farmer parks idle requests instead of answering them.
 func spawnWorker(pf platform.Platform, c rt.Ctx, inbox rt.Chan, w int) {
 	reply := pf.Runtime().NewChan(fmt.Sprintf("farm.reply.%d", w), 1)
 	c.Go(fmt.Sprintf("farm.worker.%s", pf.WorkerName(w)), func(cc rt.Ctx) {
+		report := func(res platform.Result) {
+			inbox.Send(cc, message{kind: msgResult, worker: w, result: res})
+		}
 		for {
 			inbox.Send(cc, message{kind: msgRequest, worker: w, reply: reply})
 			v, ok := reply.Recv(cc)
@@ -379,10 +382,7 @@ func spawnWorker(pf platform.Platform, c rt.Ctx, inbox rt.Chan, w int) {
 			if len(chunk) == 0 {
 				break
 			}
-			for _, task := range chunk {
-				res := pf.Exec(cc, w, task)
-				inbox.Send(cc, message{kind: msgResult, worker: w, result: res})
-			}
+			platform.ExecChunk(pf, cc, w, chunk, report)
 		}
 		inbox.Send(cc, message{kind: msgDone, worker: w})
 	})
@@ -412,13 +412,13 @@ func RunStatic(pf platform.Platform, c rt.Ctx, tasks []platform.Task, partition 
 	total := 0
 	for i, idxs := range partition {
 		w := workers[i]
-		mine := idxs
+		mine := make([]platform.Task, len(idxs))
+		for k, ti := range idxs {
+			mine[k] = tasks[ti]
+		}
 		total += len(idxs)
 		c.Go(fmt.Sprintf("farm.static.%s", pf.WorkerName(w)), func(cc rt.Ctx) {
-			for _, ti := range mine {
-				res := pf.Exec(cc, w, tasks[ti])
-				results.Send(cc, res)
-			}
+			platform.ExecChunk(pf, cc, w, mine, func(res platform.Result) { results.Send(cc, res) })
 		})
 	}
 	var lastCompletion time.Duration
