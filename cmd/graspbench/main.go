@@ -15,19 +15,6 @@
 //	                           EXPERIMENTS.md and DESIGN.md in the module
 //	                           root (deterministic; wired to `go generate .`
 //	                           and CI's docs-drift gate)
-//	graspbench -json FILE      bench every streaming skeleton and write a
-//	                           machine-readable BENCH_*.json record
-//	                           (throughput, makespan, breach/recalibration
-//	                           counts per skeleton) instead of the tables
-//	graspbench -json FILE -compare BASELINE
-//	                           additionally join the fresh run against a
-//	                           committed baseline on the (skeleton, nodes,
-//	                           durable, transport, workload) row identity
-//	                           and fail on any per-row throughput
-//	                           regression beyond -max-regression (0.15),
-//	                           or if the binary transport's dispatch-bound
-//	                           row fails to beat JSON's by >= 25% in the
-//	                           same run
 //
 // The process exits non-zero if any shape check fails.
 package main
@@ -42,31 +29,13 @@ import (
 
 func main() {
 	var (
-		expID    = flag.String("experiment", "", "experiment ID to run (default: all)")
-		seed     = flag.Int64("seed", 42, "seed for stochastic inputs")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		quiet    = flag.Bool("quiet", false, "print only check failures")
-		jsonPath = flag.String("json", "", "bench the streaming skeletons and write machine-readable results to this path")
-		compare  = flag.String("compare", "", "baseline BENCH_*.json to gate the fresh -json run against")
-		maxRegr  = flag.Float64("max-regression", 0.15, "per-row throughput regression tolerated by -compare (fraction)")
-		durOnly  = flag.Bool("durable-only", false, "with -json: run only the durable rows (journaled farm + group/serial ingest) — CI's durable-bench step")
-		docs     = flag.Bool("write-docs", false, "run the E-matrix and regenerate EXPERIMENTS.md and DESIGN.md in the module root")
+		expID = flag.String("experiment", "", "experiment ID to run (default: all)")
+		seed  = flag.Int64("seed", 42, "seed for stochastic inputs")
+		list  = flag.Bool("list", false, "list experiments and exit")
+		quiet = flag.Bool("quiet", false, "print only check failures")
+		docs  = flag.Bool("write-docs", false, "run the E-matrix and regenerate EXPERIMENTS.md and DESIGN.md in the module root")
 	)
 	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := runSkelBench(*jsonPath, *seed, *quiet, *durOnly); err != nil {
-			fmt.Fprintf(os.Stderr, "graspbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *compare != "" {
-			if err := runCompare(*jsonPath, *compare, *maxRegr, *quiet); err != nil {
-				fmt.Fprintf(os.Stderr, "graspbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	if *docs {
 		root, err := findRoot()

@@ -121,7 +121,6 @@ func main() {
 		dataDir       = flag.String("data-dir", "", "durability: journal job state under this directory and recover it on restart (empty = in-memory only)")
 		maxJournal    = flag.Int64("max-journal-bytes", 0, "durability: compact the journal into a snapshot past this size (0 = 8 MiB)")
 		commitLinger  = flag.Duration("commit-linger", 0, "durability: how long the group-commit leader lingers to let a batch fill before each fsync (0 = flush immediately)")
-		commitBatch   = flag.Int("commit-max-batch", 0, "durability: max journal records coalesced under one fsync (0 = 256, 1 = serial fsync per record)")
 		drive         = flag.String("drive", "", "drive mode: hammer the daemon at this base URL instead of serving")
 		jobs          = flag.Int("jobs", 3, "drive: concurrent jobs")
 		tasks         = flag.Int("tasks", 200, "drive: tasks per job")
@@ -207,7 +206,6 @@ func main() {
 		DataDir:         *dataDir,
 		MaxJournalBytes: *maxJournal,
 		CommitLinger:    *commitLinger,
-		CommitMaxBatch:  *commitBatch,
 		Logger:          logger.With("component", "service"),
 	}
 	var coord *cluster.Coordinator

@@ -193,9 +193,10 @@
 // daemons' one exposition. Both daemons log through
 // log/slog with per-job/per-node fields (-log-format, -log-level) and
 // mount net/http/pprof on a separate -debug-addr listener. The
-// instrumentation is budgeted, not just present: histogram Observe is
-// zero-allocation and graspbench -compare fails if the instrumented
-// dispatch path costs more than 5% of plain dispatch throughput. E28
+// instrumentation is budgeted, not just present: histogram Observe and
+// the trace ring's Append are zero-allocation, and CI's ladder ratio gate
+// fails if one observation plus two appends cost a task more than 5% of
+// its binary-wire time in the same bench/ladder run. E28
 // reconstructs a breach-recalibration from the timeline endpoint alone.
 // See README.md's Observability section.
 package grasp

@@ -20,6 +20,15 @@ import (
 // and because the copier may catch an append mid-record, it exercises
 // the torn-tail truncation path for free.
 
+// mirror returns a serialised copy of the wal's state: what the
+// replay-determinism properties compare a live wal and its replay by.
+func (w *wal) mirror() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	raw, _ := json.Marshal(w.state)
+	return raw
+}
+
 // copyDir snapshots src into a fresh directory — the simulated crash
 // image of a running daemon's data dir.
 func copyDir(t *testing.T, src string) string {

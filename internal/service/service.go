@@ -112,10 +112,6 @@ type Config struct {
 	// previous fsync was in flight). A small linger trades single-commit
 	// latency for fewer fsyncs under light concurrency.
 	CommitLinger time.Duration
-	// CommitMaxBatch caps how many journal records one group-commit flush
-	// coalesces into a single write + fsync (default 256). 1 reproduces the
-	// serial one-fsync-per-record discipline — the benchmark baseline mode.
-	CommitMaxBatch int
 	// Logger receives job lifecycle events as structured records carrying
 	// per-job fields (default: discard).
 	Logger *slog.Logger
@@ -268,7 +264,6 @@ func Open(cfg Config) (*Service, error) {
 	w, err := openWAL(cfg.DataDir, walOptions{
 		maxBytes: cfg.MaxJournalBytes,
 		linger:   cfg.CommitLinger,
-		maxBatch: cfg.CommitMaxBatch,
 	})
 	if err != nil {
 		return nil, err

@@ -213,10 +213,7 @@ type wal struct {
 	queue    []*walCommit
 	flushing bool
 
-	maxBytes      int64
-	linger        time.Duration
-	maxBatch      int
-	maxBatchBytes int64
+	opt walOptions // defaults resolved
 
 	err    error
 	closed bool
@@ -232,13 +229,13 @@ type wal struct {
 const (
 	// defaultMaxJournalBytes triggers compaction once the journal outgrows it.
 	defaultMaxJournalBytes = 8 << 20
-	// defaultCommitMaxBatch bounds one flush by record count; with 9-byte
+	// defaultMaxBatch bounds one flush by record count; with 9-byte
 	// frames and small records this keeps wakeup convoys and batch latency
 	// bounded while still amortising the fsync ~two orders of magnitude.
-	defaultCommitMaxBatch = 256
-	// defaultCommitMaxBatchBytes bounds one flush by marshalled payload, so
+	defaultMaxBatch = 256
+	// defaultMaxBatchBytes bounds one flush by marshalled payload, so
 	// a convoy of maximal task batches cannot buffer unbounded memory.
-	defaultCommitMaxBatchBytes = 4 << 20
+	defaultMaxBatchBytes = 4 << 20
 )
 
 // walOptions tunes the group-commit flush loop. The zero value means
@@ -249,8 +246,9 @@ type walOptions struct {
 	// linger is how long the leader waits — lock released, committers free
 	// to join — before carving each batch; zero flushes immediately.
 	linger time.Duration
-	// maxBatch caps records per flush. 1 reproduces the serial
-	// one-fsync-per-record discipline (the benchmark baseline mode).
+	// maxBatch caps records per flush. No service sets it: 1 reproduces the
+	// serial one-fsync-per-record discipline, the reference
+	// BenchmarkDurableIngest and the group-commit tests compare against.
 	maxBatch int
 	// maxBatchBytes caps marshalled bytes per flush.
 	maxBatchBytes int64
@@ -264,10 +262,10 @@ func (o walOptions) withDefaults() walOptions {
 		o.linger = 0
 	}
 	if o.maxBatch <= 0 {
-		o.maxBatch = defaultCommitMaxBatch
+		o.maxBatch = defaultMaxBatch
 	}
 	if o.maxBatchBytes <= 0 {
-		o.maxBatchBytes = defaultCommitMaxBatchBytes
+		o.maxBatchBytes = defaultMaxBatchBytes
 	}
 	return o
 }
@@ -275,14 +273,10 @@ func (o walOptions) withDefaults() walOptions {
 // newWAL wires the group-commit machinery over an open store (shared by
 // openWAL and the fault-injection tests); nil: an in-memory service's wal.
 func newWAL(store walStore, opt walOptions) *wal {
-	opt = opt.withDefaults()
 	w := &wal{
-		store:         store,
-		state:         walState{volatile: store == nil},
-		maxBytes:      opt.maxBytes,
-		linger:        opt.linger,
-		maxBatch:      opt.maxBatch,
-		maxBatchBytes: opt.maxBatchBytes,
+		store: store,
+		state: walState{volatile: store == nil},
+		opt:   opt.withDefaults(),
 	}
 	w.idle = sync.NewCond(&w.mu)
 	return w
@@ -395,11 +389,11 @@ func (w *wal) flushLoop() {
 			w.queue = nil
 			break
 		}
-		if w.linger > 0 {
+		if w.opt.linger > 0 {
 			// Let the batch fill under light load; committers enqueue behind
 			// the leader while it sleeps with the lock released.
 			w.mu.Unlock()
-			time.Sleep(w.linger)
+			time.Sleep(w.opt.linger)
 			w.mu.Lock()
 		}
 		batch := w.takeBatch()
@@ -412,7 +406,7 @@ func (w *wal) flushLoop() {
 		w.mu.Unlock()
 		err := w.flushBatch(batch)
 		w.mu.Lock()
-		if err == nil && w.store.JournalSize() > w.maxBytes {
+		if err == nil && w.store.JournalSize() > w.opt.maxBytes {
 			err = w.rotateAsLeader()
 		}
 		if err != nil {
@@ -435,9 +429,9 @@ func (w *wal) flushLoop() {
 // oversized commit still progresses).
 func (w *wal) takeBatch() []*walCommit {
 	n, size := 0, int64(0)
-	for n < len(w.queue) && n < w.maxBatch {
+	for n < len(w.queue) && n < w.opt.maxBatch {
 		size += int64(len(w.queue[n].raw))
-		if n > 0 && size > w.maxBatchBytes {
+		if n > 0 && size > w.opt.maxBatchBytes {
 			break
 		}
 		n++
@@ -552,13 +546,4 @@ func (w *wal) clusterState() *cluster.RegistryState {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.state.Cluster
-}
-
-// mirror returns a serialised copy of the state (test hook for the
-// replay-determinism property).
-func (w *wal) mirror() []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	raw, _ := json.Marshal(w.state)
-	return raw
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"grasp/internal/journal"
+	"grasp/internal/metrics"
 )
 
 // errDiskGone is the injected storage failure the latched-error tests
@@ -154,6 +155,39 @@ func TestRecoveryGroupCommitCoalesces(t *testing.T) {
 	}
 	if pending := replayed.backlog(jobs[0]); len(pending) != followers {
 		t.Fatalf("replayed %d pending tasks, want %d", len(pending), followers)
+	}
+}
+
+// TestRecoveryOneCommitterNeverBatches: with a single committer the queue
+// never holds more than one record, so takeBatch never reaches the
+// maxBatch bound and the group-commit wal (maxBatch 0 → 256) does exactly
+// the serial one's work (maxBatch 1) — one fsync per record, every batch
+// of size 1. Any throughput difference between the two modes at one
+// pusher (BenchmarkDurableIngest's p1 pair) is the disk, not the code.
+func TestRecoveryOneCommitterNeverBatches(t *testing.T) {
+	const records = 64
+	for _, maxBatch := range []int{0, 1} {
+		cs := &countingStore{Store: walOverStore(t, t.TempDir())}
+		w := newWAL(cs, walOptions{maxBatch: maxBatch})
+		w.hBatch = metrics.NewRegistry().Histogram("service_commit_batch_size", metrics.BatchBuckets)
+		if err := w.commit(walRecord{Kind: walCreate, Job: "one", Spec: &JobSpec{}}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < records; i++ {
+			if err := w.commit(walRecord{Kind: walTasks, Job: "one", Tasks: []TaskSpec{{ID: i, Cost: 1}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := cs.syncs.Load(); got != records {
+			t.Errorf("maxBatch %d: %d fsyncs for %d records from one committer, want one each", maxBatch, got, records)
+		}
+		_, counts := w.hBatch.Buckets()
+		if n := w.hBatch.Count(); n != records || counts[0] != records {
+			t.Errorf("maxBatch %d: %d batches, %d of size 1, want %d of each", maxBatch, n, counts[0], records)
+		}
 	}
 }
 
