@@ -38,7 +38,6 @@ func main() {
 		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval (0 = coordinator-advertised)")
 		leaseWait   = flag.Duration("lease-wait", 2*time.Second, "lease long-poll bound")
 		transport   = flag.String("transport", "auto", "wire binding to offer at registration (auto, json, binary)")
-		flush       = flag.Duration("flush-interval", 0, "linger before posting a result batch (0 = self-clocking, no added latency)")
 		degradeAt   = flag.Duration("degrade-after", 0, "script a slow-node failure: stretch every execution after this long (0 = healthy forever)")
 		degradeBy   = flag.Float64("degrade-factor", 0, "post-degradation execution-time multiplier (0 = 3 when -degrade-after is set)")
 		logFormat   = flag.String("log-format", "text", "log output format (text, json)")
@@ -62,7 +61,6 @@ func main() {
 		Heartbeat:     *heartbeat,
 		LeaseWait:     *leaseWait,
 		Transport:     *transport,
-		FlushInterval: *flush,
 		DegradeAfter:  *degradeAt,
 		DegradeFactor: *degradeBy,
 		Logger:        logger,

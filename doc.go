@@ -84,7 +84,11 @@
 // a benchmark-derived speed — then serve task batches over long-poll
 // leases and heartbeat between them; a farm chunk or dmap block reaches
 // its node as one dispatch group, so a lease carries the skeleton's
-// calibrated granularity. A job created with `"placement":
+// calibrated granularity, and it is answered as a unit: the results of a
+// lease ride the worker's next lease request (on either binding), one
+// round trip per chunk, unless the lease runs long enough — about a
+// millisecond — that its results stream through the results verb
+// instead. A job created with `"placement":
 // "cluster"` executes on a cluster.Pool, a platform.Platform over the
 // nodes live at submission, so remote processes appear to skel/engine as
 // ordinary grid workers and the adaptive machinery runs unchanged — the

@@ -1,11 +1,13 @@
 package cluster
 
 // Benchmarks pinning the zero-allocation dispatch path. The codec
-// benchmarks cover encode/decode of the two hot frames (lease batch,
-// results batch); BenchmarkDispatchSteadyState drives the coordinator's
-// whole in-process loop — chunk submit, lease, results, outcomes, release
-// — the way the binary server does, with every buffer reused. All report
-// allocations; the dispatch loop must stay at 0 allocs/task.
+// benchmarks cover encode/decode of the hot frames (lease batch, results
+// batch, and the lease request that carries the previous lease's
+// results); BenchmarkDispatchSteadyState drives the coordinator's whole
+// in-process loop — chunk submit, lease carrying the last chunk's results,
+// outcomes, release — the way the binary server does, with every buffer
+// reused. All report allocations; the dispatch loop must stay at 0
+// allocs/task.
 
 import (
 	"encoding/json"
@@ -55,11 +57,44 @@ func BenchmarkCodecLeaseDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecResultsEncode(b *testing.B) {
-	req := ResultsRequest{ID: "bench-node", Gen: 1, Results: make([]WireResult, 64)}
-	for i := range req.Results {
-		req.Results[i] = WireResult{Dispatch: int64(i + 1), Task: i, Micros: 100}
+// benchResults builds a full results batch for the codec benchmarks.
+func benchResults(n int) []WireResult {
+	results := make([]WireResult, n)
+	for i := range results {
+		results[i] = WireResult{Dispatch: int64(i + 1), Task: i, Micros: 100}
 	}
+	return results
+}
+
+func BenchmarkCodecLeaseWithResultsEncode(b *testing.B) {
+	req := LeaseRequest{ID: "bench-node", Gen: 1, Max: 64, WaitMS: 2000, Results: benchResults(64)}
+	buf := make([]byte, 0, 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = finishFrame(appendLeaseRequest(beginFrame(buf[:0], msgLease), req))
+	}
+}
+
+func BenchmarkCodecLeaseWithResultsDecode(b *testing.B) {
+	in := LeaseRequest{ID: "bench-node", Gen: 1, Max: 64, WaitMS: 2000, Results: benchResults(64)}
+	frame := finishFrame(appendLeaseRequest(beginFrame(nil, msgLease), in))
+	out := LeaseRequest{Results: make([]WireResult, 0, 64)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, payload, err := decodeFrame(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := decodeLeaseRequest(payload, &out); err != nil || len(out.Results) != 64 {
+			b.Fatalf("decode: %v", err)
+		}
+	}
+}
+
+func BenchmarkCodecResultsEncode(b *testing.B) {
+	req := ResultsRequest{ID: "bench-node", Gen: 1, Results: benchResults(64)}
 	buf := make([]byte, 0, 8192)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -69,10 +104,7 @@ func BenchmarkCodecResultsEncode(b *testing.B) {
 }
 
 func BenchmarkCodecResultsDecode(b *testing.B) {
-	in := ResultsRequest{ID: "bench-node", Gen: 1, Results: make([]WireResult, 64)}
-	for i := range in.Results {
-		in.Results[i] = WireResult{Dispatch: int64(i + 1), Task: i, Micros: 100}
-	}
+	in := ResultsRequest{ID: "bench-node", Gen: 1, Results: benchResults(64)}
 	frame := finishFrame(appendResultsRequest(beginFrame(nil, msgResults), in))
 	var out ResultsRequest
 	out.Results = make([]WireResult, 0, 64)
@@ -110,11 +142,13 @@ func BenchmarkCodecJSONLeaseRoundTrip(b *testing.B) {
 
 // BenchmarkDispatchSteadyState measures the coordinator's end-to-end
 // in-process dispatch loop at steady state, for the chunk of one (what
-// Exec and a sched.Single farm submit) and a chunk of 16: submit the chunk
-// under one lock hold, lease it into reused scratch (as the binary server
-// does), post results out of reused scratch, receive every outcome off the
-// chunk's sink, release the chunk. The sweep and long-poll machinery is
-// live but idle. Reported allocs/op are per task and must be 0.
+// Exec and a sched.Single farm submit) and a chunk of 16, as a worker
+// executor drives it: submit the chunk under one lock hold, then one lease
+// request that carries the previous chunk's results out of reused scratch
+// and takes this chunk into reused scratch (as the binary server does);
+// receive the previous chunk's outcomes off its sink and release it. The
+// sweep and long-poll machinery is live but idle. Reported allocs/op are
+// per task and must be 0.
 func BenchmarkDispatchSteadyState(b *testing.B) {
 	for _, k := range []int{1, 16} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -128,38 +162,36 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chunk := make([]platform.Task, k)
-			for i := range chunk {
-				chunk[i] = platform.Task{ID: i, Data: Work{Spin: 1}}
+			tasks := make([]platform.Task, k)
+			for i := range tasks {
+				tasks[i] = platform.Task{ID: i, Data: Work{Spin: 1}}
 			}
-			tasks := make([]WireTask, 0, k)
-			results := make([]WireResult, 0, k)
-			req := ResultsRequest{ID: "bench-node", Gen: reg.Gen}
+			leased := make([]WireTask, 0, k)
+			req := LeaseRequest{ID: "bench-node", Gen: reg.Gen, WaitMS: 1, Results: make([]WireResult, 0, k)}
+			var running *chunk // leased and "executed"; its results ride the next request
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += k {
-				ch, err := co.submit("bench-node", reg.Gen, chunk)
+				ch, err := co.submit("bench-node", reg.Gen, tasks)
 				if err != nil {
 					b.Fatal(err)
 				}
-				tasks, err = co.LeaseAppend(LeaseRequest{ID: "bench-node", Gen: reg.Gen, WaitMS: 1}, tasks[:0])
-				if err != nil || len(tasks) != k {
-					b.Fatalf("lease: %v (%d tasks)", err, len(tasks))
+				leased, err = co.LeaseAppend(req, leased[:0])
+				if err != nil || len(leased) != k {
+					b.Fatalf("lease: %v (%d tasks)", err, len(leased))
 				}
-				results = results[:0]
-				for _, t := range tasks {
-					results = append(results, WireResult{Dispatch: t.Dispatch, Task: t.Task, Micros: 1})
-				}
-				req.Results = results
-				if err := co.Results(req); err != nil {
-					b.Fatal(err)
-				}
-				for range tasks {
-					if out := <-ch.sink; out.err != nil {
-						b.Fatal(out.err)
+				if running != nil {
+					for range req.Results {
+						if out := <-running.sink; out.err != nil {
+							b.Fatal(out.err)
+						}
 					}
+					running.release()
 				}
-				ch.release()
+				running, req.Results = ch, req.Results[:0]
+				for _, t := range leased {
+					req.Results = append(req.Results, WireResult{Dispatch: t.Dispatch, Task: t.Task, Micros: 1})
+				}
 			}
 		})
 	}

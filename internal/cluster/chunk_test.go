@@ -6,18 +6,26 @@ package cluster
 // position — as Result.Time.
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"grasp/internal/metrics"
 	"grasp/internal/platform"
 	"grasp/internal/rt"
 	"grasp/internal/sched"
 	"grasp/internal/skel/dmap"
 	"grasp/internal/skel/engine"
 	"grasp/internal/skel/farm"
+	"grasp/internal/trace"
 )
 
 // sleepTasks builds n tasks with ids from..from+n-1, each sleeping sleepUS
@@ -151,15 +159,138 @@ func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 	const n = 160
 	l := rt.NewLocal()
 	pool := NewPool(co, l, co.Live())
-	rep := startFarm(pool, l, 8, sleepTasks(0, n, 100), engine.StreamOptions{Window: 32})()
+	rep := startFarm(pool, l, 8, sleepTasks(0, n, 0), engine.StreamOptions{Window: 32})()
 	assertExactIDs(t, rep, n)
 	if rep.Failures != 0 {
 		t.Errorf("failures = %d", rep.Failures)
 	}
 	// A chunk of 8 is one queue append, so an unflagged worker drains it in
 	// one lease; only a chunk cut short by the admission window is smaller.
-	if leases := co.Metrics().Counter("cluster_leases_total").Value(); leases > n/4 {
+	leases := co.Metrics().Counter("cluster_leases_total").Value()
+	if leases > n/4 {
 		t.Errorf("cluster_leases_total = %d for %d tasks in chunks of 8, want <= %d", leases, n, n/4)
+	}
+	// And it comes back in one frame: the chunk's results ride the request
+	// for the next one (+2: a scheduling stall over resultHold mid-lease
+	// streams that lease's results instead).
+	frames := co.Metrics().Histogram("cluster_results_batch_size", metrics.BatchBuckets).Count()
+	if frames > leases+2 {
+		t.Errorf("cluster_results_batch_size_count = %d for %d leases of short tasks, want one results frame per lease", frames, leases)
+	}
+}
+
+// TestLongLeaseStreamsPerTask: a lease is answered as a unit only while it
+// is short. The first outcome of a lease of four 10 ms tasks reaches the
+// submitter while the lease is still running — before its third task even
+// starts — not with the next lease request 40 ms on.
+func TestLongLeaseStreamsPerTask(t *testing.T) {
+	co := testCoordinator(t, time.Second)
+	url := startTestServer(t, co)
+	w := startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "w1", Capacity: 1})
+	live := co.Live()
+	ch, err := co.submit(live[0].ID, live[0].Gen, sleepTasks(0, 4, 10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first time.Time
+	for i := 0; i < 4; i++ {
+		if out := <-ch.sink; out.err != nil {
+			t.Fatalf("task %d: %v", out.idx, out.err)
+		}
+		if i == 0 {
+			first = time.Now()
+		}
+	}
+	if leases := co.Metrics().Counter("cluster_leases_total").Value(); leases != 1 {
+		t.Fatalf("the chunk went out in %d leases, want 1", leases)
+	}
+	for _, ev := range w.Trace().Filter(trace.KindDispatch) {
+		if third := w.start.Add(ev.At); ev.Task == 2 && !first.Before(third) {
+			t.Errorf("first outcome surfaced %v after the lease's third task started; long tasks must stream one by one", first.Sub(third))
+		}
+	}
+}
+
+// lossyLeases is an HTTP round tripper that loses the first lose lease
+// requests that carry results — the request never reaches the coordinator —
+// and counts them.
+type lossyLeases struct {
+	lose, lost atomic.Int64
+}
+
+func (ll *lossyLeases) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/lease") {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if bytes.Contains(body, []byte(`"results"`)) && ll.lose.Add(-1) >= 0 {
+			ll.lost.Add(1)
+			return nil, errors.New("lossy: lease request dropped")
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestHeldResults pins what an executor does with the results it holds
+// when the lease request carrying them fails: it keeps them and resends,
+// and the work completes on this node; but a Stop in between drops them —
+// the leave fails the dispatches over, nothing is posted late, and every
+// task still completes exactly once, on the other node.
+func TestHeldResults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lose int64
+		stop bool
+	}{
+		{"resent after a transport error", 1, false},
+		{"dropped on stop", math.MaxInt64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co := testCoordinator(t, time.Second)
+			url := startTestServer(t, co)
+			startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})
+			lossy := &lossyLeases{}
+			lossy.lose.Store(tc.lose)
+			victim := startWorkerWith(t, WorkerConfig{
+				Coordinator: url, ID: "b-victim", Capacity: 1,
+				Transport: TransportJSON, Client: &http.Client{Transport: lossy},
+			})
+			const n = 40
+			l := rt.NewLocal()
+			pool := NewPool(co, l, co.Live())
+			// The batch farm admits the whole population up front, so the
+			// victim's first chunk is a full pair.
+			wait := startRun(l, func(c rt.Ctx) engine.StreamReport {
+				return farm.Run(pool, c, sleepTasks(0, n, 0), farm.Options{Workers: []int{0, 1}, Chunk: sched.FixedChunk{K: 2}})
+			})
+			wantFailed := int64(0)
+			if tc.stop {
+				for lossy.lost.Load() == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				victim.Stop()
+				wantFailed = 2
+			}
+			rep := wait()
+			assertExactIDs(t, rep, n)
+			if int64(rep.Failures) != wantFailed {
+				t.Errorf("failures = %d, want %d", rep.Failures, wantFailed)
+			}
+			for _, ni := range co.Nodes() {
+				if ni.ID != "b-victim" {
+					continue
+				}
+				if ni.Failed != wantFailed || ni.Deduped != 0 || (ni.Completed == 0) != tc.stop {
+					t.Errorf("victim = %+v, want %d failed over, no late or duplicate post, completions only without the stop", ni, wantFailed)
+				}
+			}
+			if lost := lossy.lost.Load(); lost < 1 {
+				t.Errorf("no lease request carrying results was ever lost: the scenario did not run")
+			}
+		})
 	}
 }
 

@@ -13,8 +13,9 @@
 //     remote nodes appear to skel/engine exactly like grid workers. A farm
 //     chunk or dmap block is queued on its node as one dispatch group (a
 //     lone Exec is the group of one) that a worker drains in one lease
-//     frame, so the granularity Algorithm 1 calibrates is what amortises
-//     the wire; outcomes come back one by one, and the Result.Time the
+//     frame and answers in its next lease request, so the granularity
+//     Algorithm 1 calibrates is what amortises the wire — one round trip
+//     per chunk; outcomes are emitted one by one, and the Result.Time the
 //     job's Detector monitors (Algorithm 2) is the node-measured execution
 //     time plus a per-task share of queueing and wire time — the node's
 //     speed, not the task's place in its chunk (see Pool);
@@ -41,9 +42,11 @@
 //     connections, whose batched lease/results bodies decode into reused
 //     buffers so the steady-state dispatch path allocates nothing per
 //     task. Workers offer their bindings at register time and the
-//     coordinator picks, so a fleet can mix transports mid-upgrade;
-//     workers also coalesce finished tasks into batched results posts
-//     instead of one POST per task.
+//     coordinator picks, so a fleet can mix transports mid-upgrade. On
+//     both, LeaseRequest.Results carries a lease's finished executions
+//     back with the request for the next one; a lease that outlasts the
+//     worker's resultHold streams them through its flusher's batched
+//     results posts instead, so long tasks still report one by one.
 //
 // The coordinator is transport-level only: it never decides which node
 // runs a task. Placement stays with the skeletons' adaptive dispatch
@@ -808,6 +811,11 @@ func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 // appended onto buf (pass a reused slice's [:0] — the binary server
 // threads per-connection scratch through here) and the long-poll timer is
 // created lazily, so a lease that finds work queued allocates nothing.
+//
+// req.Results — the requester's previous lease, finished — are applied
+// first, by the code a results post runs and under the co.mu hold that
+// takes the next batch, so they resolve on arrival whether or not the
+// request then long-polls. A stale generation applies nothing.
 func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask, error) {
 	begin := time.Now()
 	wait := time.Duration(req.WaitMS) * time.Millisecond
@@ -818,6 +826,7 @@ func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask
 	if maxTasks < 1 || maxTasks > co.cfg.MaxBatch {
 		maxTasks = co.cfg.MaxBatch
 	}
+	results := req.Results
 	var deadline *time.Timer
 	var deadlineC <-chan time.Time
 	defer func() {
@@ -830,10 +839,15 @@ func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask
 		n, err := co.lookupLocked(req.ID, req.Gen)
 		if err != nil {
 			co.mu.Unlock()
+			co.mResultsDropped.Add(int64(len(results)))
 			return buf, err
 		}
 		now := time.Now()
 		n.lastSeen = now
+		if len(results) > 0 {
+			co.applyResultsLocked(n, results)
+			results = nil // applied once, not again after a long-poll wake
+		}
 		// A lease takes the node's capacity share of what is queued, not
 		// all of it — guided self-scheduling at node level — so one executor
 		// never runs a whole chunk serially while its siblings idle.
@@ -893,22 +907,29 @@ func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask
 // at-least-once redelivery from ever surfacing a task twice.
 func (co *Coordinator) Results(req ResultsRequest) error {
 	co.mu.Lock()
+	defer co.mu.Unlock()
 	n, err := co.lookupLocked(req.ID, req.Gen)
 	if err != nil {
-		co.mu.Unlock()
 		co.mResultsDropped.Add(int64(len(req.Results)))
 		return err
 	}
 	n.lastSeen = time.Now()
+	co.applyResultsLocked(n, req.Results)
+	return nil
+}
+
+// applyResultsLocked resolves one results-bearing frame — a results post
+// or the results a lease request carried — against n's in-flight map.
+func (co *Coordinator) applyResultsLocked(n *node, results []WireResult) {
 	// The posts counter next to the completed counter makes batching
-	// observable: completions-per-post is the worker flusher's batch
-	// depth; the histogram gives the depth's distribution.
+	// observable: completions-per-post is how many results one frame
+	// carries; the histogram gives the depth's distribution.
 	co.mResultsPosts.Inc()
-	co.hBatch.Observe(float64(len(req.Results)))
+	co.hBatch.Observe(float64(len(results)))
 	at := co.now()
 	var accepted, dropped int64
-	for i := range req.Results {
-		r := &req.Results[i]
+	for i := range results {
+		r := &results[i]
 		d, ok := n.inflight[r.Dispatch]
 		if !ok {
 			dropped++
@@ -925,15 +946,13 @@ func (co *Coordinator) Results(req ResultsRequest) error {
 		d.resolve(r.Micros, nil)
 	}
 	// Per-node series are written under co.mu: a prune of this node's
-	// series cannot interleave between the lookup above and these writes
+	// series cannot interleave between the caller's lookup and these writes
 	// and have them resurrect deleted series (see pruneLocked). The handles
 	// themselves were resolved at registration — no name building here.
 	co.mCompleted.Add(accepted)
 	n.mCompleted.Add(accepted)
 	co.mResultsDropped.Add(dropped)
 	n.mInflight.Set(int64(len(n.inflight)))
-	co.mu.Unlock()
-	return nil
 }
 
 // infoLocked snapshots one node for the admin listing.

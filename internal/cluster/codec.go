@@ -311,19 +311,33 @@ func decodeRegisterResponse(payload []byte, resp *RegisterResponse) error {
 	return nil
 }
 
+// appendLeaseRequest encodes the lease verb. The results of the previous
+// lease ride behind the fixed fields as an optional trailing section —
+// omitted when there are none, which is byte for byte the layout that
+// predates it.
 func appendLeaseRequest(dst []byte, req LeaseRequest) []byte {
 	dst = appendStr(dst, req.ID)
 	dst = appendI64(dst, req.Gen)
 	dst = appendU32(dst, uint32(req.Max))
-	return appendI64(dst, req.WaitMS)
+	dst = appendI64(dst, req.WaitMS)
+	if len(req.Results) > 0 {
+		dst = appendResults(dst, req.Results)
+	}
+	return dst
 }
 
+// decodeLeaseRequest decodes into req, reusing req.ID and req.Results'
+// backing array across calls like decodeResultsRequest.
 func decodeLeaseRequest(payload []byte, req *LeaseRequest) error {
 	r := byteReader{b: payload}
 	req.ID = r.str(req.ID)
 	req.Gen = r.i64()
 	req.Max = int(int32(r.u32()))
 	req.WaitMS = r.i64()
+	req.Results = req.Results[:0]
+	if r.off < len(r.b) { // the optional results section
+		req.Results = decodeResults(&r, req.Results)
+	}
 	if !r.done() {
 		return errDecode
 	}
@@ -378,17 +392,41 @@ const leaseTaskWireSize = 40
 // resultWireSize is one result's encoded size (three 8-byte fields).
 const resultWireSize = 24
 
-func appendResultsRequest(dst []byte, req ResultsRequest) []byte {
-	dst = appendStr(dst, req.ID)
-	dst = appendI64(dst, req.Gen)
-	dst = appendU32(dst, uint32(len(req.Results)))
-	for i := range req.Results {
-		res := &req.Results[i]
+// appendResults encodes a results section: a count and one fixed-size
+// record per finished execution.
+func appendResults(dst []byte, results []WireResult) []byte {
+	dst = appendU32(dst, uint32(len(results)))
+	for i := range results {
+		res := &results[i]
 		dst = appendI64(dst, res.Dispatch)
 		dst = appendI64(dst, int64(res.Task))
 		dst = appendI64(dst, res.Micros)
 	}
 	return dst
+}
+
+// decodeResults appends the next results section onto buf and returns it;
+// a count the payload cannot hold or a short record latches r.bad.
+func decodeResults(r *byteReader, buf []WireResult) []WireResult {
+	n := int(r.u32())
+	if n < 0 || n > (len(r.b)-r.off)/resultWireSize {
+		r.bad = true
+		return buf
+	}
+	for i := 0; i < n; i++ {
+		var res WireResult
+		res.Dispatch = r.i64()
+		res.Task = int(r.i64())
+		res.Micros = r.i64()
+		buf = append(buf, res)
+	}
+	return buf
+}
+
+func appendResultsRequest(dst []byte, req ResultsRequest) []byte {
+	dst = appendStr(dst, req.ID)
+	dst = appendI64(dst, req.Gen)
+	return appendResults(dst, req.Results)
 }
 
 // decodeResultsRequest decodes into req, reusing req.ID and req.Results'
@@ -398,21 +436,7 @@ func decodeResultsRequest(payload []byte, req *ResultsRequest) error {
 	r := byteReader{b: payload}
 	req.ID = r.str(req.ID)
 	req.Gen = r.i64()
-	n := int(r.u32())
-	if n < 0 || n > maxFramePayload/resultWireSize {
-		return errDecode
-	}
-	req.Results = req.Results[:0]
-	for i := 0; i < n; i++ {
-		var res WireResult
-		res.Dispatch = r.i64()
-		res.Task = int(r.i64())
-		res.Micros = r.i64()
-		if r.bad {
-			return errDecode
-		}
-		req.Results = append(req.Results, res)
-	}
+	req.Results = decodeResults(&r, req.Results[:0])
 	if !r.done() {
 		return errDecode
 	}

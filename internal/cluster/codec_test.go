@@ -52,16 +52,41 @@ func TestCodecRegisterRoundTrip(t *testing.T) {
 }
 
 func TestCodecLeaseRoundTrip(t *testing.T) {
-	reqIn := LeaseRequest{ID: "node-a", Gen: 7, Max: 64, WaitMS: 2000}
-	payload := frameRoundTrip(t, msgLease, func(dst []byte) []byte {
-		return appendLeaseRequest(dst, reqIn)
-	})
-	var reqOut LeaseRequest
-	if err := decodeLeaseRequest(payload, &reqOut); err != nil {
-		t.Fatal(err)
+	// One decode target across both requests, as the binary server reuses
+	// its per-connection scratch: the results of the first must not leak
+	// into the second, which carries none.
+	bare := LeaseRequest{ID: "node-a", Gen: 7, Max: 64, WaitMS: 2000}
+	carrying := bare
+	carrying.Results = []WireResult{
+		{Dispatch: 201, Task: 5, Micros: 1234},
+		{Dispatch: 202, Task: 6, Micros: 5678},
 	}
-	if reqOut != reqIn {
-		t.Fatalf("lease request round trip: got %+v, want %+v", reqOut, reqIn)
+	var reqOut LeaseRequest
+	for _, reqIn := range []LeaseRequest{carrying, bare} {
+		payload := frameRoundTrip(t, msgLease, func(dst []byte) []byte {
+			return appendLeaseRequest(dst, reqIn)
+		})
+		if err := decodeLeaseRequest(payload, &reqOut); err != nil {
+			t.Fatal(err)
+		}
+		if reqOut.ID != reqIn.ID || reqOut.Gen != reqIn.Gen || reqOut.Max != reqIn.Max ||
+			reqOut.WaitMS != reqIn.WaitMS || len(reqOut.Results) != len(reqIn.Results) {
+			t.Fatalf("lease request round trip: got %+v, want %+v", reqOut, reqIn)
+		}
+		for i, res := range reqIn.Results {
+			if reqOut.Results[i] != res {
+				t.Fatalf("lease-carried result %d: got %+v, want %+v", i, reqOut.Results[i], res)
+			}
+		}
+	}
+	// A request without results is byte for byte the layout that predates
+	// the section: a peer that never heard of it still decodes.
+	old := appendI64(appendU32(appendI64(appendStr(nil, bare.ID), bare.Gen), uint32(bare.Max)), bare.WaitMS)
+	if got := appendLeaseRequest(nil, bare); !bytes.Equal(got, old) {
+		t.Errorf("lease request without results = % x, want the old layout % x", got, old)
+	}
+	if got := len(appendLeaseRequest(nil, carrying)); got != len(old)+4+len(carrying.Results)*resultWireSize {
+		t.Errorf("lease request with results is %d bytes, want %d", got, len(old)+4+len(carrying.Results)*resultWireSize)
 	}
 
 	tasks := []WireTask{
@@ -69,7 +94,7 @@ func TestCodecLeaseRoundTrip(t *testing.T) {
 		{Dispatch: 102, Task: 2, Work: Work{Spin: 1_000_000}},
 		{Dispatch: 103, Task: 3},
 	}
-	payload = frameRoundTrip(t, msgLeaseResp, func(dst []byte) []byte {
+	payload := frameRoundTrip(t, msgLeaseResp, func(dst []byte) []byte {
 		return appendLeaseResponse(dst, tasks)
 	})
 	out, err := decodeLeaseResponse(payload, nil)
@@ -172,12 +197,30 @@ func TestFrameRejectsCorruption(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncatedPayloads(t *testing.T) {
-	full := appendResultsRequest(nil, ResultsRequest{ID: "n", Gen: 1, Results: []WireResult{{Dispatch: 1, Task: 1, Micros: 1}}})
+	one := []WireResult{{Dispatch: 1, Task: 1, Micros: 1}}
+	full := appendResultsRequest(nil, ResultsRequest{ID: "n", Gen: 1, Results: one})
 	for cut := 0; cut < len(full); cut++ {
 		var out ResultsRequest
 		if err := decodeResultsRequest(full[:cut], &out); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(full))
 		}
+	}
+	// A lease request cut anywhere but at the end of its fixed fields —
+	// where it is a whole request without results — is refused too, as is
+	// a results count the payload cannot hold.
+	lease := appendLeaseRequest(nil, LeaseRequest{ID: "n", Gen: 1, Max: 8, WaitMS: 100, Results: one})
+	fixed := len(lease) - 4 - resultWireSize
+	for cut := 0; cut < len(lease); cut++ {
+		var out LeaseRequest
+		if err := decodeLeaseRequest(lease[:cut], &out); (err == nil) != (cut == fixed) {
+			t.Fatalf("lease request truncated at %d/%d: err = %v", cut, len(lease), err)
+		}
+	}
+	overcount := append([]byte(nil), lease...)
+	overcount[fixed] = 2
+	var out LeaseRequest
+	if err := decodeLeaseRequest(overcount, &out); err == nil {
+		t.Error("results count beyond the payload accepted")
 	}
 }
 
@@ -235,6 +278,8 @@ func FuzzFrameDecode(f *testing.F) {
 		[]WireTask{{Dispatch: 1, Task: 1, Work: Work{Spin: 5}}})))
 	f.Add(finishFrame(appendResultsRequest(beginFrame(nil, msgResults),
 		ResultsRequest{ID: "n", Gen: 1, Results: []WireResult{{Dispatch: 1, Task: 1, Micros: 9}}})))
+	f.Add(finishFrame(appendLeaseRequest(beginFrame(nil, msgLease),
+		LeaseRequest{ID: "n", Gen: 1, Max: 8, WaitMS: 100, Results: []WireResult{{Dispatch: 1, Task: 1, Micros: 9}}})))
 	f.Add(finishFrame(appendError(beginFrame(nil, msgError), 410, "gone")))
 	f.Add([]byte{frameMagic, frameVersion, msgOK, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte("GET /cluster/v1/nodes HTTP/1.1"))

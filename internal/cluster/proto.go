@@ -3,8 +3,9 @@ package cluster
 // Wire types for the coordinator/worker HTTP protocol served under
 // /cluster/v1/. The protocol is deliberately small: a worker registers
 // (announcing its identity, capacity, and benchmark-derived speed), pulls
-// task batches with long-poll leases, posts result batches, and heartbeats
-// between leases. Every worker-originated request carries the (id, gen)
+// task batches with long-poll leases — each request carrying the previous
+// lease's results — posts result batches when a lease runs long, and
+// heartbeats between leases. Every worker-originated request carries the (id, gen)
 // pair the coordinator issued at registration; a stale generation gets
 // HTTP 410 so zombies re-register instead of corrupting a newer
 // incarnation's bookkeeping.
@@ -71,12 +72,17 @@ type RegisterResponse struct {
 }
 
 // LeaseRequest pulls up to Max queued tasks, long-polling up to WaitMS
-// when the queue is empty.
+// when the queue is empty. Results carries the finished executions of the
+// requester's previous lease: the coordinator applies them — exactly as a
+// results post would — before it leases or long-polls, so a chunk costs one
+// round trip, not a lease plus its results posts. A request without them is
+// the pre-existing layout on both bindings.
 type LeaseRequest struct {
-	ID     string `json:"id"`
-	Gen    int64  `json:"gen"`
-	Max    int    `json:"max"`
-	WaitMS int64  `json:"wait_ms"`
+	ID      string       `json:"id"`
+	Gen     int64        `json:"gen"`
+	Max     int          `json:"max"`
+	WaitMS  int64        `json:"wait_ms"`
+	Results []WireResult `json:"results,omitempty"`
 }
 
 // WireTask is one leased execution: Dispatch identifies this delivery

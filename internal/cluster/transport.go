@@ -25,7 +25,9 @@ import (
 // Transport is safe for concurrent use by a worker's executors,
 // heartbeat, and result flusher. Lease takes a scratch slice the decoded
 // batch is appended onto (pass a reused buffer's [:0] to keep the
-// steady-state dispatch path allocation-free; nil is fine too).
+// steady-state dispatch path allocation-free; nil is fine too); the
+// results its request carries are encoded before it returns and never
+// retained, so the caller may reuse their backing array.
 type Transport interface {
 	Name() string
 	Register(req RegisterRequest) (RegisterResponse, error)

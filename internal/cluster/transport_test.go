@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -24,9 +23,9 @@ func startTestServer(t *testing.T, co *Coordinator) string {
 }
 
 // TestTransportContract runs the protocol contract — register, lease,
-// results, heartbeat, stale-gen 410, result dedup, leave — against every
-// binding through one shared harness: the wire format must never change
-// the protocol's semantics.
+// results (posted and lease-carried), heartbeat, stale-gen 410, result
+// dedup, leave — against every binding through one shared harness: the
+// wire format must never change the protocol's semantics.
 func TestTransportContract(t *testing.T) {
 	for _, name := range []string{TransportJSON, TransportBinary} {
 		t.Run(name, func(t *testing.T) {
@@ -100,6 +99,63 @@ func TestTransportContract(t *testing.T) {
 			nodes := co.Nodes()
 			if len(nodes) != 1 || nodes[0].Completed != 1 || nodes[0].Deduped != 1 {
 				t.Fatalf("after duplicate post: %+v", nodes)
+			}
+
+			// Lease-carried results. Task 8 is leased; its result then rides
+			// the request that leases task 9.
+			metric := func(name string) int64 { return co.Metrics().Counter(name).Value() }
+			d8, err := submitOne(co, "n1", reg.Gen, 8, Work{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := tr.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, Max: 4, WaitMS: 1000}, nil)
+			if err != nil || len(first) != 1 || first[0].Task != 8 {
+				t.Fatalf("lease = %+v, %v", first, err)
+			}
+			if _, err := submitOne(co, "n1", reg.Gen, 9, Work{}); err != nil {
+				t.Fatal(err)
+			}
+			carried := []WireResult{{Dispatch: first[0].Dispatch, Task: 8, Micros: 17}}
+			posts, dropped := metric("cluster_results_posts_total"), metric("cluster_results_dropped_total")
+
+			// Under a stale generation the request is 410 and nothing it
+			// carried is applied.
+			stale := LeaseRequest{ID: "n1", Gen: reg.Gen + 1, Max: 4, WaitMS: 10, Results: carried}
+			if _, err := tr.Lease(stale, nil); !errors.Is(err, ErrGone) {
+				t.Fatalf("stale-gen lease err = %v, want ErrGone", err)
+			}
+			if len(d8) != 0 || metric("cluster_results_posts_total") != posts ||
+				metric("cluster_results_dropped_total") != dropped+1 {
+				t.Fatalf("stale-gen lease applied its results: %d outcomes, posts %d→%d, dropped %d→%d", len(d8),
+					posts, metric("cluster_results_posts_total"), dropped, metric("cluster_results_dropped_total"))
+			}
+
+			// Under the live one they resolve their dispatch, the request
+			// leases on, and the frame counts as one results post.
+			live := LeaseRequest{ID: "n1", Gen: reg.Gen, Max: 4, WaitMS: 1000, Results: carried}
+			second, err := tr.Lease(live, nil)
+			if err != nil || len(second) != 1 || second[0].Task != 9 {
+				t.Fatalf("lease carrying results = %+v, %v", second, err)
+			}
+			if out := <-d8; out.err != nil || out.micros != 17 {
+				t.Fatalf("lease-carried outcome = %+v", out)
+			}
+			if got := metric("cluster_results_posts_total"); got != posts+1 {
+				t.Errorf("cluster_results_posts_total = %d after one lease-carried batch, want %d", got, posts+1)
+			}
+
+			// The response was lost, says the worker, and resends: deduped,
+			// the task is not emitted again, and — the queue being empty —
+			// the request long-polls like any other.
+			live.WaitMS = 10
+			if again, err := tr.Lease(live, nil); err != nil || len(again) != 0 {
+				t.Fatalf("resent lease = %+v, %v", again, err)
+			}
+			nodes = co.Nodes()
+			if len(d8) != 0 || nodes[0].Completed != 2 || nodes[0].Deduped != 2 ||
+				metric("cluster_results_dropped_total") != dropped+2 {
+				t.Fatalf("after resend: %d outcomes, dropped %d→%d, node %+v", len(d8),
+					dropped, metric("cluster_results_dropped_total"), nodes[0])
 			}
 
 			// Leave retires the registration: every verb is 410 afterwards.
@@ -218,17 +274,17 @@ func TestMixedTransportFleet(t *testing.T) {
 	}
 }
 
-// TestWorkerBatchesResults pins the flusher fix: a worker executing a
-// burst of near-instant tasks must deliver them in fewer results posts
-// than tasks — the old runtime posted once per task.
+// TestWorkerBatchesResults pins how a short lease is answered: as a unit.
+// A worker executing a burst of near-instant tasks delivers each lease's
+// results in one batch, on its next lease request — never one post per
+// task, and no more results-bearing frames than leases.
 func TestWorkerBatchesResults(t *testing.T) {
 	co := testCoordinator(t, time.Second)
 	url := startTestServer(t, co)
 	w, err := StartWorker(WorkerConfig{
 		Coordinator: url, ID: "wf", Capacity: 2, Batch: 8, BenchSpin: 10_000,
 		Heartbeat: 20 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
-		Transport:     TransportJSON,
-		FlushInterval: 2 * time.Millisecond,
+		Transport: TransportJSON,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,35 +293,31 @@ func TestWorkerBatchesResults(t *testing.T) {
 	reg := co.Metrics()
 
 	const n = 200
-	var resolved atomic.Int64
-	done := make(chan struct{})
 	live := co.Live()
 	if len(live) != 1 {
 		t.Fatalf("live = %+v", live)
 	}
+	ch, err := co.submit(live[0].ID, live[0].Gen, sleepTasks(0, n, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
-		d, err := submitOne(co, live[0].ID, live[0].Gen, i, Work{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			out := <-d
-			if out.err == nil && resolved.Add(1) == n {
-				close(done)
+		select {
+		case out := <-ch.sink:
+			if out.err != nil {
+				t.Fatalf("task %d: %v", out.idx, out.err)
 			}
-		}()
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d/%d tasks resolved", i, n)
+		}
 	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("only %d/%d tasks resolved", resolved.Load(), n)
-	}
-	completed := reg.Counter("cluster_tasks_completed_total").Value()
+	leases := reg.Counter("cluster_leases_total").Value()
 	posts := reg.Counter("cluster_results_posts_total").Value()
-	if completed < n {
-		t.Fatalf("completed %d, want >= %d", completed, n)
+	if leases > n/4 {
+		t.Errorf("cluster_leases_total = %d for %d queued tasks at -batch 8, want <= %d", leases, n, n/4)
 	}
-	if posts >= completed {
-		t.Errorf("results posts = %d for %d completions; flusher is not batching", posts, completed)
+	// +2: a scheduling stall over resultHold mid-lease streams that lease.
+	if posts > leases+2 {
+		t.Errorf("results posts = %d for %d leases of near-instant tasks; a lease is not answered as a unit", posts, leases)
 	}
 }

@@ -41,12 +41,6 @@ type WorkerConfig struct {
 	// the offer; registration itself always bootstraps over JSON, so a
 	// worker preferring binary still joins a JSON-only coordinator.
 	Transport string
-	// FlushInterval is an optional linger before a result batch posts,
-	// letting more completions coalesce into the same frame. The default 0
-	// adds no latency: the flusher is self-clocking — the first completion
-	// posts immediately, and completions arriving during that post's round
-	// trip batch into the next one, so batches grow exactly when load does.
-	FlushInterval time.Duration
 	// Client is the HTTP client for the JSON binding (default:
 	// DefaultWorkerClient, tuned for persistent connections).
 	Client *http.Client
@@ -125,6 +119,13 @@ func transportOffer(pref string) []string {
 // into successive posts instead of one unbounded frame.
 const maxResultsFlush = 256
 
+// resultHold bounds how long an executor sits on finished results while
+// its lease still has tasks to run. A lease that runs shorter than this
+// returns whole, on the next lease request; in a longer one each result
+// goes to the flusher before a task that would keep it waiting past the
+// bound begins, so long tasks still stream one by one.
+const resultHold = time.Millisecond
+
 // genResult is one completed execution tagged with the generation it was
 // leased under, queued for the result flusher.
 type genResult struct {
@@ -134,9 +135,11 @@ type genResult struct {
 
 // Worker is a running worker-node: registered with its coordinator,
 // heartbeating, and executing leased tasks on Capacity concurrent
-// executors. Completed tasks funnel through a single flusher that
-// coalesces them into batched result posts. Create one with StartWorker;
-// Stop leaves gracefully.
+// executors. An executor answers a lease as a unit: the results of the
+// lease it just ran ride its next lease request, one frame out and one
+// back per chunk. Only a lease that outlasts resultHold hands results to
+// the single flusher, which coalesces them into batched result posts.
+// Create one with StartWorker; Stop leaves gracefully.
 type Worker struct {
 	cfg    WorkerConfig
 	log    *slog.Logger
@@ -385,10 +388,18 @@ func (w *Worker) heartbeatLoop() {
 }
 
 // executorLoop leases and executes until stopped, reusing one task
-// scratch slice across leases and handing completions to the flusher.
+// scratch slice across leases. The results of the lease just run are held
+// and sent with the next lease request. A transport error keeps them for
+// the resend — the coordinator's dispatch-id dedupe makes that idempotent,
+// as it does postResults' retry — and ErrGone, a new generation or Stop
+// drops them: the coordinator has already failed that work over.
 func (w *Worker) executorLoop() {
 	defer w.wg.Done()
-	var scratch []WireTask
+	var (
+		scratch []WireTask
+		held    []WireResult // finished, not yet sent; leased under heldGen
+		heldGen int64
+	)
 	for {
 		select {
 		case <-w.stop:
@@ -396,19 +407,24 @@ func (w *Worker) executorLoop() {
 		default:
 		}
 		gen, tr := w.session()
+		if gen != heldGen {
+			held = held[:0]
+		}
 		var err error
 		leaseStart := time.Now()
 		scratch, err = tr.Lease(LeaseRequest{
-			ID:     w.cfg.ID,
-			Gen:    gen,
-			Max:    w.cfg.Batch,
-			WaitMS: w.cfg.LeaseWait.Milliseconds(),
+			ID:      w.cfg.ID,
+			Gen:     gen,
+			Max:     w.cfg.Batch,
+			WaitMS:  w.cfg.LeaseWait.Milliseconds(),
+			Results: held,
 		}, scratch[:0])
 		// The lease RTT includes the coordinator-side long-poll wait: this
 		// histogram is the worker's view of how long fetching work takes,
 		// not just the wire time.
 		w.hLeaseRTT.ObserveDuration(time.Since(leaseStart))
 		if errors.Is(err, ErrGone) {
+			held = held[:0]
 			w.reRegister(gen)
 			continue
 		}
@@ -416,14 +432,26 @@ func (w *Worker) executorLoop() {
 			w.sleepOrStop(200 * time.Millisecond)
 			continue
 		}
+		held, heldGen = held[:0], gen
 		if len(scratch) == 0 {
 			continue // long-poll timeout
 		}
 		w.mLeases.Inc()
+		var heldSince time.Duration // when the oldest held result's task began
 		for i := range scratch {
 			t := &scratch[i]
+			began := time.Since(w.start)
+			if len(held) > 0 && began-heldSince+w.estimate(t.Work) >= resultHold {
+				if !w.flush(gen, held) {
+					return
+				}
+				held = held[:0]
+			}
+			if len(held) == 0 {
+				heldSince = began
+			}
 			w.tr.Append(trace.Event{
-				At: time.Since(w.start), Kind: trace.KindDispatch,
+				At: began, Kind: trace.KindDispatch,
 				Node: w.cfg.ID, Task: t.Task,
 			})
 			d := ExecWork(t.Work)
@@ -438,34 +466,44 @@ func (w *Worker) executorLoop() {
 				At: time.Since(w.start), Kind: trace.KindComplete,
 				Node: w.cfg.ID, Task: t.Task, Dur: d,
 			})
-			select {
-			case w.results <- genResult{gen: gen, res: WireResult{Dispatch: t.Dispatch, Task: t.Task, Micros: d.Microseconds()}}:
-			case <-w.stop:
-				// The leave posted by Stop already failed these dispatches
-				// over; a late post would only be deduped.
-				return
-			}
+			held = append(held, WireResult{Dispatch: t.Dispatch, Task: t.Task, Micros: d.Microseconds()})
 		}
 	}
 }
 
-// flushLoop is the single result-posting path: it coalesces completions
-// from every executor into batched results posts. The loop is
-// self-clocking — an idle worker's first completion posts immediately,
-// and everything that completes during that post's round trip becomes the
-// next batch — so batching adds no latency when idle and grows with load,
-// replacing the old one-POST-per-task discipline whose round trips gated
-// throughput. An optional FlushInterval lingers before each post to
-// deepen batches at a bounded latency cost. Batches stay well under
-// LeaseTTL: a completion is never held longer than FlushInterval plus one
+// estimate is how long the healthy node expects work to take: its declared
+// sleep plus its spin at the benchmarked speed. A scripted degradation is
+// deliberately not in it — the node does not know it is failing.
+func (w *Worker) estimate(work Work) time.Duration {
+	return time.Duration(work.SleepUS)*time.Microsecond +
+		time.Duration(float64(work.Spin)/w.speed*float64(time.Second))
+}
+
+// flush hands results to the flusher, reporting false when the worker is
+// stopping instead: the leave posted by Stop already failed these
+// dispatches over, and a late post would only be deduped.
+func (w *Worker) flush(gen int64, results []WireResult) bool {
+	for _, res := range results {
+		select {
+		case w.results <- genResult{gen: gen, res: res}:
+		case <-w.stop:
+			return false
+		}
+	}
+	return true
+}
+
+// flushLoop is the posting path of leases that run long: it coalesces the
+// completions executors hand it into batched results posts. The loop is
+// self-clocking — the first completion posts immediately, and everything
+// handed over during that post's round trip becomes the next batch — so
+// batching adds no latency and grows with load. Batches stay well under
+// LeaseTTL: a completion is never held longer than resultHold plus one
 // post round trip.
 func (w *Worker) flushLoop() {
 	defer w.flushWG.Done()
 	batch := make([]WireResult, 0, maxResultsFlush)
 	for first := range w.results {
-		if w.cfg.FlushInterval > 0 {
-			w.sleepOrStop(w.cfg.FlushInterval)
-		}
 		gen := first.gen
 		batch = append(batch[:0], first.res)
 	drain:
@@ -520,7 +558,6 @@ func (w *Worker) postResults(gen int64, results []WireResult) {
 	}
 }
 
-// sleepOrStop pauses for d, reporting false when the worker is stopping.
 // degradePenalty returns the extra time a task of natural duration d must
 // take once the scripted DegradeAfter instant has passed (0 before it, or
 // when no degradation is configured).
@@ -534,6 +571,7 @@ func (w *Worker) degradePenalty(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (w.cfg.DegradeFactor - 1))
 }
 
+// sleepOrStop pauses for d, reporting false when the worker is stopping.
 func (w *Worker) sleepOrStop(d time.Duration) bool {
 	select {
 	case <-w.stop:

@@ -56,6 +56,7 @@ type Core struct {
 	pred     *predictor // nil unless the predictive policy is enabled
 	start    time.Duration
 	lastDone time.Duration
+	done     int // finished tasks, whether or not Rep.Results retains them
 }
 
 // NewCore builds the adaptive state for one run starting at time start.
@@ -274,14 +275,20 @@ func (co *Core) Fail(c rt.Ctx, res platform.Result, disposition string) {
 		co.pf.WorkerName(res.Worker), res.Task.ID, disposition))
 }
 
-// Record books one finished task: appended to Results, completion time
-// noted, OnResult fired. For multi-execution skeletons (pipelines) this is
-// called once per task, at exit.
+// Record books one finished task: completion time noted, OnResult fired,
+// and the result appended to Results — unless this is a live stream whose
+// consumer takes results through OnResult, where retaining every one as
+// well would grow without bound for as long as the job runs. For
+// multi-execution skeletons (pipelines) this is called once per task, at
+// exit.
 func (co *Core) Record(c rt.Ctx, res platform.Result) {
-	co.Rep.Results = append(co.Rep.Results, res)
+	co.done++
 	co.lastDone = c.Now()
 	if co.onResult != nil {
 		co.onResult(res)
+	}
+	if co.onResult == nil || co.mode == ModeStop {
+		co.Rep.Results = append(co.Rep.Results, res)
 	}
 }
 
@@ -494,7 +501,7 @@ func (co *Core) reweightByRecentMean(means map[int]time.Duration) Update {
 // Finish computes the makespan, snapshots the final membership, and
 // returns the completed report.
 func (co *Core) Finish() StreamReport {
-	if len(co.Rep.Results) > 0 {
+	if co.done > 0 {
 		co.Rep.Makespan = co.lastDone - co.start
 	}
 	co.Rep.MembershipVersion = co.version

@@ -76,7 +76,8 @@ type StreamOptions struct {
 	// Log receives dispatch/complete/threshold/recalibrate events.
 	Log *trace.Log
 	// OnResult is invoked once per finished task (for a pipeline: once per
-	// item leaving the last stage).
+	// item leaving the last stage). A streaming run with the hook set does
+	// not also retain the results in its report.
 	OnResult func(platform.Result)
 	// OnRecalibrate is consulted on every detector breach. Returning
 	// ok=true applies the update; ok=false falls back to the adapter's
@@ -152,7 +153,9 @@ type Update struct {
 // adapter fills the same fields, so the service layer can account for any
 // skeleton identically.
 type StreamReport struct {
-	// Results holds one entry per finished task, in completion order.
+	// Results holds one entry per finished task, in completion order. A
+	// streaming run (ModeRecalibrate) whose StreamOptions.OnResult is set
+	// delivers results through the hook only and leaves this empty.
 	Results []platform.Result
 	// Remaining are tasks the run could not finish (all workers dead, or a
 	// ModeStop breach with work left).

@@ -187,6 +187,7 @@ func TestStreamControlUpdateAppliesLive(t *testing.T) {
 	det := &monitor.Detector{Z: time.Hour, Rule: monitor.RuleMinOver}
 
 	var mu sync.Mutex
+	var got []platform.Result // a stream with a hook delivers through it alone
 	completed := 0
 	sent := false
 	tasks := sleepTasks(n, 100*time.Microsecond)
@@ -197,9 +198,10 @@ func TestStreamControlUpdateAppliesLive(t *testing.T) {
 			Window:   8,
 			Detector: det,
 			Control:  control,
-			OnResult: func(platform.Result) {
+			OnResult: func(r platform.Result) {
 				mu.Lock()
 				defer mu.Unlock()
+				got = append(got, r)
 				completed++
 				if completed == n/2 && !sent {
 					sent = true
@@ -211,12 +213,45 @@ func TestStreamControlUpdateAppliesLive(t *testing.T) {
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
-	assertExactlyOnce(t, rep.Results, n)
+	assertExactlyOnce(t, got, n)
 	if det.Z != 42*time.Millisecond {
 		t.Errorf("control update not applied: Z = %v", det.Z)
 	}
 	if rep.Recalibrations == 0 {
 		t.Error("control update not counted as a recalibration")
+	}
+}
+
+// TestStreamWithHookRetainsNoResults: a live job's stream has no end, so a
+// run whose consumer takes results through OnResult must not also keep
+// every one of them in its report. The makespan no longer comes from that
+// slice, so it must survive its absence.
+func TestStreamWithHookRetainsNoResults(t *testing.T) {
+	const n = 200_000
+	tasks := make([]platform.Task, n)
+	for i := range tasks {
+		tasks[i] = platform.Task{ID: i, Cost: 1, Fn: func() any { return nil }}
+	}
+	seen := make([]bool, n) // written by the farmer process only
+	calls, distinct := 0, 0
+	rep := localStream(t, 2, tasks, engine.StreamOptions{
+		Window: 64,
+		OnResult: func(r platform.Result) {
+			calls++
+			if !seen[r.Task.ID] {
+				seen[r.Task.ID] = true
+				distinct++
+			}
+		},
+	})
+	if calls != n || distinct != n || rep.Admitted != n {
+		t.Errorf("hook ran %d times over %d distinct tasks of %d admitted, want %d each", calls, distinct, rep.Admitted, n)
+	}
+	if len(rep.Results) != 0 || cap(rep.Results) != 0 {
+		t.Errorf("report retained %d results (cap %d) next to the hook", len(rep.Results), cap(rep.Results))
+	}
+	if rep.Makespan <= 0 {
+		t.Errorf("makespan = %v, want > 0", rep.Makespan)
 	}
 }
 
