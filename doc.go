@@ -37,9 +37,9 @@
 //     shares by inverse recent mean time.
 //   - skel/dmap: scatter waves with EWMA re-weighting between waves;
 //     breaches re-weight the block decomposition in place.
-//   - skel/pipeline: a stage graph over bounded buffers; breaches remap
-//     the bottleneck stage onto a spare worker, else swap it with the
-//     fastest stage's worker.
+//   - skel/pipeline: a stage graph over buffers bounded by the credit
+//     window alone; breaches remap the bottleneck stage onto a spare
+//     worker, else swap it with the fastest stage's worker.
 //   - skel/dc, skel/reduce, skel/compose map their levers (grain,
 //     combining-tree shape, pool sizing) onto the same contract and share
 //     the engine's failure/retire bookkeeping.

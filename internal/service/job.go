@@ -484,7 +484,7 @@ func (j *Job) Push(specs []TaskSpec) (int, error) {
 	if j.shedding {
 		j.shed++
 		j.mu.Unlock()
-		j.svc.reg.Counter("service_tasks_shed_total").Add(int64(len(specs)))
+		j.svc.cShed.Add(int64(len(specs)))
 		return 0, fmt.Errorf("service: job %q queue-depth forecast over the admission bound: %w", j.name, ErrOverloaded)
 	}
 	j.mu.Unlock()
@@ -503,7 +503,7 @@ func (j *Job) Push(specs []TaskSpec) (int, error) {
 	if state == JobAccepting {
 		accepted, pushErr = j.feed(specs)
 	}
-	j.svc.reg.Counter("service_tasks_submitted_total").Add(int64(accepted))
+	j.svc.cSubmitted.Add(int64(accepted))
 	return accepted, pushErr
 }
 
@@ -698,7 +698,7 @@ func (j *Job) onAllocDelta(added, removed []int) {
 // onResult records a completion and, during warm-up, accumulates times
 // toward the live threshold installation.
 func (j *Job) onResult(res platform.Result) {
-	j.svc.reg.Counter("service_tasks_completed_total").Inc()
+	j.svc.cCompleted.Inc()
 	j.svc.hTaskLatency.ObserveDuration(res.Time)
 	node := ""
 	if j.pool != nil {

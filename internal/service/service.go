@@ -203,10 +203,12 @@ type Service struct {
 	log   *slog.Logger
 	alloc *alloc.Allocator
 
-	// hTaskLatency is the task-latency distribution across every job —
-	// resolved once so onResult (the per-completion hot path) never takes
-	// the registry's name-lookup path.
-	hTaskLatency *metrics.Histogram
+	// The series touched per task — the task-latency distribution across
+	// every job, and the submitted/shed/completed totals — are resolved
+	// once so Push and onResult (the per-task hot paths) never take the
+	// registry's name-lookup path.
+	hTaskLatency                  *metrics.Histogram
+	cSubmitted, cShed, cCompleted *metrics.Counter
 
 	// wal holds every job's task pool and, when the service is durable, the
 	// journal behind it; closed signals shutdown to recovery waiters.
@@ -261,6 +263,9 @@ func Open(cfg Config) (*Service, error) {
 		pending: make(map[string]bool),
 	}
 	s.hTaskLatency = s.reg.Histogram("service_task_latency_seconds", metrics.DefDurationBuckets)
+	s.cSubmitted = s.reg.Counter("service_tasks_submitted_total")
+	s.cShed = s.reg.Counter("service_tasks_shed_total")
+	s.cCompleted = s.reg.Counter("service_tasks_completed_total")
 	w, err := openWAL(cfg.DataDir, walOptions{
 		maxBytes: cfg.MaxJournalBytes,
 		linger:   cfg.CommitLinger,

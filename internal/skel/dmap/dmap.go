@@ -229,9 +229,7 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 	if in != nil {
 		window = opts.Window
 	}
-	// Sized so neither the pump (at most window tasks ahead) nor a wave's
-	// block processes stall on the coordinator between two receives.
-	inbox := runtime.NewChan("dmap.inbox", window*2+len(workers)*2+8)
+	inbox := runtime.NewChan("dmap.inbox", engine.InboxCap(window, len(workers)))
 	var intake *engine.Intake
 	if in != nil {
 		intake = engine.NewIntake(runtime, c, "dmap.credits", window)

@@ -30,6 +30,13 @@ func NewIntake(runtime rt.Runtime, c rt.Ctx, name string, window int) *Intake {
 	return in
 }
 
+// InboxCap sizes a coordinator's multiplexed inbox so neither the pump (at
+// most window tasks ahead) nor the worker processes (one result per
+// admitted task, plus a request and an exit each) stall on the coordinator
+// between two receives: inside a skeleton loop the credit window is the
+// only bound on in-flight work.
+func InboxCap(window, workers int) int { return window*2 + workers*2 + 8 }
+
 // Admitted returns how many tasks the pump has forwarded so far. It is
 // exact once the run has drained.
 func (in *Intake) Admitted() int { return int(in.admitted.Load()) }

@@ -140,13 +140,13 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 
 	co := engine.NewCore(pf, workers, mode, c.Now(), opts)
 	runtime := pf.Runtime()
-	inbox := runtime.NewChan("farm.inbox", len(workers)*2)
+	window := opts.Window
+	if window <= 0 {
+		window = 2 * len(workers)
+	}
+	inbox := runtime.NewChan("farm.inbox", engine.InboxCap(window, len(workers)))
 	var intake *engine.Intake
 	if in != nil {
-		window := opts.Window
-		if window <= 0 {
-			window = 2 * len(workers)
-		}
 		intake = engine.NewIntake(runtime, c, "farm.credits", window)
 		intake.Pump(c, "farm.pump", in,
 			func(cc rt.Ctx, t platform.Task) { inbox.Send(cc, message{kind: msgTask, task: t}) },

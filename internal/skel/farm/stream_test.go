@@ -11,6 +11,7 @@ import (
 	"grasp/internal/monitor"
 	"grasp/internal/platform"
 	"grasp/internal/rt"
+	"grasp/internal/sched"
 	"grasp/internal/skel/engine"
 )
 
@@ -121,6 +122,84 @@ func TestStreamBackpressureBoundsInFlight(t *testing.T) {
 	}
 	if got := peak.Load(); got > window {
 		t.Errorf("observed %d concurrently executing tasks, window %d", got, window)
+	}
+}
+
+// countingChunk is sched.FixedChunk that also tallies what it handed out.
+// The farmer calls it and runs OnResult, so the tallies need no lock there.
+type countingChunk struct {
+	sched.FixedChunk
+	dispatched, long int // tasks handed out; chunks of more than one task
+}
+
+func (p *countingChunk) Chunk(remaining, workers int, weight float64) int {
+	n := p.FixedChunk.Chunk(remaining, workers, weight)
+	p.dispatched += n
+	if n > 1 {
+		p.long++
+	}
+	return n
+}
+
+// A slow consumer in the coordinator (in the service: the durable ack's
+// fsync inside OnResult) must not stall execution inside the window: while
+// OnResult blocks, every task already handed to a worker still runs, its
+// result waiting in the inbox.
+func TestStreamSlowConsumerDoesNotStallWorkers(t *testing.T) {
+	const window = 64
+	l := rt.NewLocal()
+	pf := platform.NewLocalPlatform(l, 2)
+	var calls atomic.Int64
+	gate := make(chan struct{})
+	tasks := make([]platform.Task, window)
+	for i := range tasks {
+		i := i
+		tasks[i] = platform.Task{ID: i, Cost: 1, Fn: func() any {
+			if i < 2 {
+				// Hold the workers until the whole window is admitted, so
+				// their next chunks are long ones.
+				<-gate
+			}
+			calls.Add(1)
+			return i
+		}}
+	}
+	in := l.NewChan("in", 1)
+	l.Go("producer", func(c rt.Ctx) {
+		for _, task := range tasks {
+			in.Send(c, task)
+		}
+		in.Close(c)
+		close(gate)
+	})
+	policy := &countingChunk{FixedChunk: sched.FixedChunk{K: 16}}
+	blocked := false
+	l.Go("root", func(c rt.Ctx) {
+		Stream(policy)(pf, c, in, engine.StreamOptions{Window: window, OnResult: func(platform.Result) {
+			if blocked || policy.long < 2 {
+				return
+			}
+			// Both workers hold a long chunk and the farmer is parked here,
+			// dispatching nothing more: the calls reach the dispatched count
+			// only if the workers run on without it.
+			blocked = true
+			deadline := time.Now().Add(2 * time.Second)
+			for calls.Load() < int64(policy.dispatched) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := calls.Load(); got != int64(policy.dispatched) {
+				t.Errorf("%d of %d dispatched tasks ran while the farmer was blocked in OnResult", got, policy.dispatched)
+			}
+		}})
+	})
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !blocked {
+		t.Fatal("OnResult never saw both workers on a long chunk")
+	}
+	if got := calls.Load(); got != window {
+		t.Errorf("%d tasks ran, want %d", got, window)
 	}
 }
 

@@ -13,13 +13,14 @@ import (
 
 // The streaming pipeline is the stage-graph skeleton under the engine's
 // shared adaptive contract: admitted tasks flow through S stages over
-// bounded buffers, every stage execution feeds the engine's detector and
-// per-worker recent times, and a breach recalibrates the stage→worker
-// mapping in place — the pipeline's structural instance of the paper's
-// feedback loop. The initial mapping is derived from the calibrated
-// weights (fittest workers first); recalibration moves the bottleneck
-// stage onto a spare worker when one exists and otherwise swaps it with
-// the fastest stage's worker.
+// buffers bounded by the credit window alone (each holds a whole window,
+// so a stage waits only for input, never for room downstream), every
+// stage execution feeds the engine's detector and per-worker recent
+// times, and a breach recalibrates the stage→worker mapping in place —
+// the pipeline's structural instance of the paper's feedback loop. The
+// initial mapping is derived from the calibrated weights (fittest workers
+// first); recalibration moves the bottleneck stage onto a spare worker
+// when one exists and otherwise swaps it with the fastest stage's worker.
 //
 // A monitoring coordinator owns the detector and the engine core; stage
 // processes report each execution as an event, so no adaptive state is
@@ -28,16 +29,14 @@ import (
 // any stranded stage immediately), workers leaving are dropped from the
 // spare pool and their stages remapped to live spares.
 
-// StreamParams are the pipeline's own knobs; everything adaptive comes
-// from engine.StreamOptions.
+// StreamParams are the pipeline's own knobs; everything adaptive — and the
+// one bound on items in flight, Window — comes from engine.StreamOptions.
 type StreamParams struct {
 	// Stages is the number of pipeline stages (minimum 1).
 	Stages int
 	// Apply derives the work stage si performs on a flowing task (default:
 	// run the task unchanged at every stage). It must preserve the task ID.
 	Apply func(stage int, t platform.Task) platform.Task
-	// BufSize is the inter-stage buffer capacity (default 1).
-	BufSize int
 }
 
 // pevent is the coordinator's inbox entry: one per stage execution, exit,
@@ -59,7 +58,9 @@ const (
 	pevStageDone
 )
 
-// Stream returns the pipeline's engine runner.
+// Stream returns the pipeline's engine runner. Items leave the last stage
+// in admission order, and a saturated stream holds exactly opts.Window of
+// them (default twice the worker count) in flight.
 func Stream(params StreamParams) engine.Runner {
 	return func(pf platform.Platform, c rt.Ctx, in rt.Chan, opts engine.StreamOptions) engine.StreamReport {
 		workers := opts.Workers
@@ -76,10 +77,6 @@ func Stream(params StreamParams) engine.Runner {
 		apply := params.Apply
 		if apply == nil {
 			apply = func(_ int, t platform.Task) platform.Task { return t }
-		}
-		bufSize := params.BufSize
-		if bufSize < 1 {
-			bufSize = 1
 		}
 		window := opts.Window
 		if window <= 0 {
@@ -152,9 +149,13 @@ func Stream(params StreamParams) engine.Runner {
 
 		runtime := pf.Runtime()
 		events := runtime.NewChan("pipe.stream.events", window*(stages+2)+8)
-		chans := make([]rt.Chan, stages+1)
+		// Every inter-stage buffer holds the whole window: at most window
+		// items hold credits, so a stage's Send never blocks and a stage
+		// stalls only on an empty input — the credit window is the one
+		// bound on items in flight.
+		chans := make([]rt.Chan, stages)
 		for i := range chans {
-			chans[i] = runtime.NewChan(fmt.Sprintf("pipe.stream.c%d", i), bufSize)
+			chans[i] = runtime.NewChan(fmt.Sprintf("pipe.stream.c%d", i), window)
 		}
 		intake := engine.NewIntake(runtime, c, "pipe.stream.credits", window)
 		intake.Pump(c, "pipe.stream.pump", in,
