@@ -39,10 +39,17 @@
 //     breaches re-weight the block decomposition in place.
 //   - skel/pipeline: a stage graph over buffers bounded by the credit
 //     window alone; breaches remap the bottleneck stage onto a spare
-//     worker, else swap it with the fastest stage's worker.
-//   - skel/dc, skel/reduce, skel/compose map their levers (grain,
-//     combining-tree shape, pool sizing) onto the same contract and share
-//     the engine's failure/retire bookkeeping.
+//     worker, else swap it with the fastest stage's worker. The batch
+//     pipeline.Run has no loop of its own: each stage is a farm.Stream
+//     over a pool of one (window 1, or MaxReplicas for a replicable
+//     stage), and remap / replicate / crash-replace are membership
+//     updates of that stage's farm.
+//   - skel/compose: the stage graph itself (RunFarms) — one farm.Stream
+//     per stage, window = pool size — plus demand-proportional pool
+//     sizing; compose.Run and pipeline.Run both run on it.
+//   - skel/dc, skel/reduce map their levers (grain, combining-tree shape)
+//     onto the same contract and share the engine's failure/retire
+//     bookkeeping.
 //
 // skel/adapt resolves skeleton names to runners for the service layer.
 //
@@ -157,7 +164,7 @@
 // completion time has already tripped the threshold. The predictive
 // policy (per-job `adapt: "predictive"`, daemon default via -adapt) acts
 // one step earlier. Inside the engine, every worker's normalised
-// completion times feed a monitor.Probe whose stats forecaster
+// completion times feed a stats.TrendWindow forecaster that
 // extrapolates the next completion; when a worker's forecast trend
 // crosses a configurable margin over the rest of the fleet's mean
 // (-predict-margin), the engine reweights the membership and re-derives Z

@@ -58,13 +58,6 @@ func New(slots []int) *Allocator {
 	return &Allocator{slots: sorted, jobs: make(map[string]*jobState)}
 }
 
-// Slots returns the partitioned worker indices.
-func (a *Allocator) Slots() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]int(nil), a.slots...)
-}
-
 // Join registers a job with the given share (non-positive defaults to 1)
 // and returns its initial allocation. Other jobs shrink to make room and
 // are notified of their removals before Join returns; the joining job's

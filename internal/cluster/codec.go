@@ -29,7 +29,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 )
 
 const (
@@ -65,25 +64,6 @@ var (
 	errBadFrame = errors.New("cluster: malformed binary frame")
 	errFrameCRC = errors.New("cluster: binary frame failed its CRC")
 )
-
-// frameBufPool recycles frame build/read buffers so the steady-state
-// encode/decode path allocates nothing.
-var frameBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// getFrameBuf leases a zero-length buffer from the pool.
-func getFrameBuf() *[]byte {
-	b := frameBufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// putFrameBuf returns a buffer to the pool.
-func putFrameBuf(b *[]byte) { frameBufPool.Put(b) }
 
 // beginFrame appends a frame header placeholder for the given message
 // type; finishFrame back-fills length and CRC once the payload is in.

@@ -375,24 +375,6 @@ func (g *Grid) RecvFrom(p *vsim.Proc, id NodeID, bytes float64) time.Duration {
 	return g.env.Now() - start
 }
 
-// TrueSpeedRank returns node IDs sorted by descending effective speed at
-// time t: the ground truth a calibration strategy tries to discover.
-func (g *Grid) TrueSpeedRank(t time.Duration) []NodeID {
-	ids := g.IDs()
-	// Insertion sort keeps this dependency-free and stable.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0; j-- {
-			a, b := g.Node(ids[j-1]), g.Node(ids[j])
-			if b.EffectiveSpeedAt(t) > a.EffectiveSpeedAt(t) {
-				ids[j-1], ids[j] = ids[j], ids[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	return ids
-}
-
 // HeterogeneousSpecs generates n node specs with log-normally distributed
 // base speeds of the given mean and coefficient of variation, deterministic
 // in seed. cv = 0 yields identical speeds.

@@ -291,13 +291,14 @@ func TestEffectiveSpeedAndRank(t *testing.T) {
 		{BaseSpeed: 200, Load: loadgen.NewConstant(0.9)},            // n2: 20
 		{BaseSpeed: 90, Load: loadgen.NewStep(time.Second, 0, 0.5)}, // n3: 90 then 45
 	}})
-	rank0 := g.TrueSpeedRank(0)
-	if fmt.Sprint(rank0) != "[n0 n3 n1 n2]" {
-		t.Errorf("rank at t=0: %v", rank0)
-	}
-	rank1 := g.TrueSpeedRank(2 * time.Second)
-	if fmt.Sprint(rank1) != "[n0 n1 n3 n2]" {
-		t.Errorf("rank at t=2s: %v", rank1)
+	// The ranking the calibration tries to discover is n0 n3 n1 n2 at t=0
+	// and n0 n1 n3 n2 once n3's load has stepped up.
+	for i, want := range [][2]float64{{100, 100}, {72, 72}, {20, 20}, {90, 45}} {
+		n := g.Node(NodeID(i))
+		at0, at2 := n.EffectiveSpeedAt(0), n.EffectiveSpeedAt(2*time.Second)
+		if math.Abs(at0-want[0]) > 1e-9 || math.Abs(at2-want[1]) > 1e-9 {
+			t.Errorf("n%d effective speed = %v then %v, want %v", i, at0, at2, want)
+		}
 	}
 }
 

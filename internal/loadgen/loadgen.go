@@ -14,7 +14,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -150,9 +149,6 @@ func (pw *Piecewise) NextChange(t time.Duration) (time.Duration, bool) {
 	return 0, false
 }
 
-// Segments returns a copy of the normalised segment list.
-func (pw *Piecewise) Segments() []Segment { return append([]Segment(nil), pw.segs...) }
-
 // SquareWave alternates between Low and High, spending HighFor at High then
 // LowFor at Low, starting at High from Phase onward (Low before Phase).
 type SquareWave struct {
@@ -201,27 +197,6 @@ func (w SquareWave) NextChange(t time.Duration) (time.Duration, bool) {
 		return base + w.HighFor, true
 	}
 	return base + period, true
-}
-
-// Sine approximates a sinusoidal load by sampling it into piecewise-constant
-// steps: load(t) = Mid + Amp·sin(2π·t/Period), quantised every Period/Steps.
-func Sine(mid, amp float64, period time.Duration, steps int, horizon time.Duration) *Piecewise {
-	if steps < 2 {
-		steps = 2
-	}
-	if period <= 0 {
-		period = time.Second
-	}
-	dt := period / time.Duration(steps)
-	if dt <= 0 {
-		dt = time.Nanosecond
-	}
-	var segs []Segment
-	for t := time.Duration(0); t <= horizon; t += dt {
-		phase := 2 * math.Pi * float64(t%period) / float64(period)
-		segs = append(segs, Segment{Start: t, Load: clamp(mid + amp*math.Sin(phase))})
-	}
-	return NewPiecewise(segs)
 }
 
 // RandomWalk generates a seeded random-walk trace: every interval the load
@@ -342,20 +317,4 @@ func (s Shift) NextChange(t time.Duration) (time.Duration, bool) {
 		return 0, false
 	}
 	return nc + s.Delay, true
-}
-
-// Describe renders a short human-readable summary of a trace for logs.
-func Describe(tr Trace) string {
-	switch v := tr.(type) {
-	case Constant:
-		return fmt.Sprintf("constant(%.2f)", v.Level)
-	case Step:
-		return fmt.Sprintf("step(%.2f→%.2f@%v)", v.Before, v.After, v.Time)
-	case SquareWave:
-		return fmt.Sprintf("square(%.2f/%.2f %v/%v)", v.Low, v.High, v.HighFor, v.LowFor)
-	case *Piecewise:
-		return fmt.Sprintf("piecewise(%d segs)", len(v.segs))
-	default:
-		return fmt.Sprintf("%T", tr)
-	}
 }

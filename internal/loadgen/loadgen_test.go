@@ -89,7 +89,7 @@ func TestPiecewiseNormalisation(t *testing.T) {
 		{Start: 0, Load: 0.3},                // later spec wins
 		{Start: 10 * time.Second, Load: 0.3}, // merges with previous value
 	})
-	segs := pw.Segments()
+	segs := pw.segs
 	if len(segs) != 2 {
 		t.Fatalf("normalised to %d segments: %v", len(segs), segs)
 	}
@@ -169,31 +169,6 @@ func TestSquareWaveDegenerate(t *testing.T) {
 	w := NewSquareWave(0.5, 0.5, time.Second, time.Second, 0)
 	if _, ok := w.NextChange(0); ok {
 		t.Error("equal low/high wave should never change")
-	}
-}
-
-func TestSine(t *testing.T) {
-	pw := Sine(0.5, 0.4, 10*time.Second, 20, 30*time.Second)
-	// Mean over a full period should be near mid.
-	var sum float64
-	n := 0
-	for ts := time.Duration(0); ts < 10*time.Second; ts += 100 * time.Millisecond {
-		sum += pw.At(ts)
-		n++
-	}
-	mean := sum / float64(n)
-	if mean < 0.4 || mean > 0.6 {
-		t.Errorf("sine mean = %v, want ≈0.5", mean)
-	}
-	// Peak should approach mid+amp.
-	var peak float64
-	for ts := time.Duration(0); ts < 10*time.Second; ts += 50 * time.Millisecond {
-		if v := pw.At(ts); v > peak {
-			peak = v
-		}
-	}
-	if peak < 0.8 {
-		t.Errorf("sine peak = %v, want ≥0.8", peak)
 	}
 }
 
@@ -334,17 +309,5 @@ func TestPropTraceContract(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	for _, tr := range []Trace{
-		NewConstant(0.5), NewStep(time.Second, 0, 0.5),
-		NewSquareWave(0, 0.5, time.Second, time.Second, 0), NewPiecewise(nil),
-		Scale{T: NewConstant(0.1), Factor: 1},
-	} {
-		if Describe(tr) == "" {
-			t.Errorf("empty description for %T", tr)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package monitor provides the resource-monitoring layer GRASP links
-// against: noisy sensors over ground-truth signals, probes that smooth
-// sensor streams with forecasters, and the threshold detector that drives
+// against: noisy sensors over ground-truth signals, a trend watch that
+// forecasts sensor streams, and the threshold detector that drives
 // Algorithm 2's recalibration trigger ("if min T > Z").
 //
 // The paper assumes an external monitoring library (in the style of the
@@ -14,8 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"time"
-
-	"grasp/internal/stats"
 )
 
 // Sensor reads one scalar metric of the platform (a load fraction, a
@@ -59,43 +57,6 @@ func (n *Noisy) Read() float64 {
 	}
 	return v
 }
-
-// Probe couples a sensor with a forecaster and a sliding window, giving the
-// calibration layer both an instantaneous reading and a smoothed estimate.
-type Probe struct {
-	Name   string
-	sensor Sensor
-	fc     stats.Forecaster
-	win    *stats.Window
-}
-
-// NewProbe builds a probe with the given smoothing forecaster and window
-// size.
-func NewProbe(name string, s Sensor, fc stats.Forecaster, window int) *Probe {
-	if fc == nil {
-		fc = stats.NewLastValue()
-	}
-	return &Probe{Name: name, sensor: s, fc: fc, win: stats.NewWindow(window)}
-}
-
-// Sample reads the sensor, feeds forecaster and window, and returns the raw
-// reading.
-func (p *Probe) Sample() float64 {
-	v := p.sensor.Read()
-	p.fc.Observe(v)
-	p.win.Push(v)
-	return v
-}
-
-// Forecast returns the smoothed estimate of the metric (NaN before any
-// sample).
-func (p *Probe) Forecast() float64 { return p.fc.Predict() }
-
-// Window returns the recent raw samples (oldest first).
-func (p *Probe) Window() []float64 { return p.win.Values() }
-
-// Mean returns the mean of the recent raw samples.
-func (p *Probe) Mean() float64 { return p.win.Mean() }
 
 // Rule selects which statistic of the observed task times is compared
 // against the threshold Z.

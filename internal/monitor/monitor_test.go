@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"grasp/internal/stats"
 )
 
 func TestFuncSensor(t *testing.T) {
@@ -62,38 +60,6 @@ func TestNoisyUnbiased(t *testing.T) {
 	}
 	if mean := sum / k; math.Abs(mean-0.5) > 0.01 {
 		t.Errorf("noisy mean = %v, want ≈0.5", mean)
-	}
-}
-
-func TestProbe(t *testing.T) {
-	i := 0
-	seq := []float64{1, 2, 3, 4}
-	s := FuncSensor(func() float64 { v := seq[i%len(seq)]; i++; return v })
-	p := NewProbe("load", s, stats.NewRunningMean(), 3)
-	if !math.IsNaN(p.Forecast()) {
-		t.Error("forecast before samples should be NaN")
-	}
-	for range seq {
-		p.Sample()
-	}
-	if got := p.Forecast(); got != 2.5 {
-		t.Errorf("forecast = %v, want 2.5", got)
-	}
-	// Window keeps last 3.
-	w := p.Window()
-	if len(w) != 3 || w[0] != 2 || w[2] != 4 {
-		t.Errorf("window = %v", w)
-	}
-	if got := p.Mean(); got != 3 {
-		t.Errorf("window mean = %v, want 3", got)
-	}
-}
-
-func TestProbeNilForecasterDefaults(t *testing.T) {
-	p := NewProbe("x", FuncSensor(func() float64 { return 1 }), nil, 2)
-	p.Sample()
-	if p.Forecast() != 1 {
-		t.Error("default forecaster should be persistence")
 	}
 }
 

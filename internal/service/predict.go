@@ -3,7 +3,7 @@ package service
 // The service half of the predictive policy. The engine (predict.go in
 // internal/skel/engine) forecasts per-worker completion times; this file
 // forecasts each predictive job's queue depth (submitted − completed)
-// through the same monitor.Probe + stats.TrendWindow machinery and drives
+// through the same stats.TrendWindow forecaster and drives
 // three actuators from it:
 //
 //   - share autoscale: a local job whose forecast outgrows its window has
@@ -24,7 +24,6 @@ import (
 	"math"
 	"time"
 
-	"grasp/internal/monitor"
 	"grasp/internal/stats"
 	"grasp/internal/trace"
 )
@@ -45,9 +44,7 @@ const (
 // state from the forecast. One goroutine per predictive job, started by
 // startRunner.
 func (s *Service) forecastLoop(j *Job) {
-	depth := func() float64 { return float64(j.Status().InFlight) }
-	probe := monitor.NewProbe("queue:"+j.name, monitor.FuncSensor(depth),
-		stats.NewTrendWindow(forecastWindow), forecastWindow)
+	depth := stats.NewTrendWindow(forecastWindow)
 	window := float64(j.spec.Window)
 	shedBound := s.cfg.ShedFactor * window
 	baseShare := j.spec.share()
@@ -64,8 +61,8 @@ func (s *Service) forecastLoop(j *Job) {
 			return
 		case <-ticker.C:
 		}
-		probe.Sample()
-		f := probe.Forecast()
+		depth.Observe(float64(j.Status().InFlight))
+		f := depth.Predict()
 		if math.IsNaN(f) {
 			continue
 		}

@@ -16,17 +16,22 @@
 // Items may leave a farmed stage out of order (that is the cost of farming
 // it); Report.Outputs preserves exit order and carries item IDs so callers
 // can reorder when the application needs it.
+//
+// The nesting is literal: RunFarms runs one farm.Stream per stage, so the
+// demand-driven pulls, the retry of a crashed member's item on a survivor
+// and the last-one-out close are the farm's, and the farm's credit Window
+// (the pool size) is what bounds the items inside a stage.
 package compose
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"grasp/internal/platform"
 	"grasp/internal/rt"
 	"grasp/internal/skel/engine"
+	"grasp/internal/skel/farm"
 	"grasp/internal/trace"
 )
 
@@ -75,8 +80,8 @@ type Report struct {
 	// Failures counts executions lost to worker crashes; the item is
 	// retried on another pool member when one survives.
 	Failures int
-	// DeadWorkers lists crashed pool members in detection order (the
-	// engine's shared retire bookkeeping).
+	// DeadWorkers lists crashed pool members stage by stage, in detection
+	// order within a stage.
 	DeadWorkers []int
 	// Lost counts items dropped because a stage's whole pool died.
 	Lost int
@@ -86,159 +91,100 @@ type Report struct {
 // through the farmed stages from within process c, blocking until the sink
 // has drained.
 func Run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Options) Report {
+	rep, _ := RunFarms(pf, c, stages, make([]engine.StreamOptions, len(stages)), nItems, opts)
+	return rep
+}
+
+// RunFarms is the stage graph every batch pipeline in the repo runs on: a
+// source process feeds stage 0, each stage is one farm.Stream in its own
+// process over the stage's input buffer, the sink runs in the caller.
+// farms[si] is what stage si's farm gets beyond its starting pool — Window,
+// Detector, OnRecalibrate, OnFailure — so a caller adapts a stage through
+// engine membership updates (pipeline.Run: a pool of one that grows or
+// moves); Run passes none. A stage's Window defaults to its pool size:
+// every member holds one item and nothing queues inside the stage, which
+// leaves BufSize the only buffering between stages. The stages' engine
+// reports are returned beside the Report summed from them.
+func RunFarms(pf platform.Platform, c rt.Ctx, stages []Stage, farms []engine.StreamOptions, nItems int, opts Options) (Report, []engine.StreamReport) {
 	rep := Report{ItemsByWorker: make(map[int]int)}
 	if len(stages) == 0 {
-		return rep
+		return rep, nil
 	}
 	for si, st := range stages {
 		if len(st.Pool) == 0 {
 			panic(fmt.Sprintf("compose: stage %d (%s) has an empty pool", si, st.Name))
 		}
 	}
-	bufSize := opts.BufSize
-	if bufSize < 1 {
-		bufSize = 1
-	}
-	runtime := pf.Runtime()
 	start := c.Now()
-	rep.ServiceByStage = make([]time.Duration, len(stages))
-	var mu sync.Mutex // guards rep and faults, written by stage workers
-	var faults engine.Faults
-
 	chans := make([]rt.Chan, len(stages)+1)
 	for i := range chans {
-		chans[i] = runtime.NewChan(fmt.Sprintf("pof.c%d", i), bufSize)
+		chans[i] = pf.Runtime().NewChan(fmt.Sprintf("pof.c%d", i), max(opts.BufSize, 1))
+	}
+	// taskFor is item id entering stage si with value val; past the last
+	// stage it is the bare item the sink receives.
+	taskFor := func(si, id int, val any) platform.Task {
+		t := platform.Task{ID: id, Data: val}
+		if si < len(stages) {
+			st := stages[si]
+			if st.Cost != nil {
+				t.Cost = st.Cost(id)
+			}
+			t.InBytes, t.OutBytes, t.Fn = st.InBytes, st.OutBytes, wrapFn(st.Fn, val)
+		}
+		return t
 	}
 
-	// Source.
 	c.Go("pof.source", func(cc rt.Ctx) {
 		for i := 0; i < nItems; i++ {
-			chans[0].Send(cc, item{id: i, val: i})
+			chans[0].Send(cc, taskFor(0, i, i))
 		}
 		chans[0].Close(cc)
 	})
 
-	// Per-stage farms: each pool member pulls from the stage input; the
-	// last member out closes the stage output. Dead pool members hand their
-	// in-flight item to the stage's shared retry slot.
-	type stageShared struct {
-		mu      sync.Mutex
-		active  int
-		dead    int
-		retries []item
-	}
-	shared := make([]*stageShared, len(stages))
-	var handles []rt.Handle
-	for si := range stages {
-		si := si
-		st := stages[si]
-		ss := &stageShared{active: len(st.Pool)}
-		shared[si] = ss
-		for _, w := range st.Pool {
-			w := w
-			h := c.Go(fmt.Sprintf("pof.s%d.%s", si, pf.WorkerName(w)), func(cc rt.Ctx) {
-				alive := true
-				for {
-					// Serve a crashed sibling's abandoned item first.
-					ss.mu.Lock()
-					var it item
-					haveRetry := false
-					if len(ss.retries) > 0 {
-						it = ss.retries[0]
-						ss.retries = ss.retries[1:]
-						haveRetry = true
-					}
-					ss.mu.Unlock()
-					if !haveRetry {
-						v, ok := chans[si].Recv(cc)
-						if !ok {
-							break
-						}
-						it = v.(item)
-					}
-					if !alive {
-						// This worker's node already crashed: pass the item
-						// back for a live sibling (or count it lost below).
-						ss.mu.Lock()
-						ss.retries = append(ss.retries, it)
-						ss.mu.Unlock()
-						break
-					}
-					cost := 0.0
-					if st.Cost != nil {
-						cost = st.Cost(it.id)
-					}
-					res := pf.Exec(cc, w, platform.Task{
-						ID: it.id, Cost: cost,
-						InBytes: st.InBytes, OutBytes: st.OutBytes,
-						Fn: wrapFn(st.Fn, it.val),
-					})
-					if res.Failed() {
-						mu.Lock()
-						faults.Failures++
-						faults.Retire(w)
-						mu.Unlock()
-						ss.mu.Lock()
-						ss.retries = append(ss.retries, it)
-						ss.dead++
-						ss.mu.Unlock()
-						alive = false
-						if opts.Log != nil {
-							opts.Log.Append(trace.Event{
-								At: cc.Now(), Kind: trace.KindNote,
-								Proc: st.Name, Node: pf.WorkerName(w),
-								Msg: fmt.Sprintf("stage %d pool member %s failed", si, pf.WorkerName(w)),
-							})
-						}
-						break
-					}
-					if st.Fn != nil {
-						it.val = res.Value
-					}
-					mu.Lock()
-					rep.ServiceByStage[si] += res.Time
-					rep.ItemsByWorker[w]++
-					mu.Unlock()
-					if opts.Log != nil {
-						opts.Log.Append(trace.Event{
-							At: cc.Now(), Kind: trace.KindComplete,
-							Proc: st.Name, Node: pf.WorkerName(res.Worker),
-							Task: it.id, Dur: res.Time,
-						})
-					}
-					chans[si+1].Send(cc, it)
-				}
-				// Leaving the pool: the last one out drains the retry slot
-				// and whatever the upstream still produces (counting the
-				// items as lost — nobody is left to run them), then closes
-				// the downstream channel. On a clean exit the input is
-				// already closed and drained, so the drain is a no-op.
-				ss.mu.Lock()
-				ss.active--
-				last := ss.active == 0
-				var lost int
-				if last {
-					lost = len(ss.retries)
-					ss.retries = nil
-				}
-				ss.mu.Unlock()
-				if last {
-					for {
-						if _, ok := chans[si].Recv(cc); !ok {
-							break
-						}
-						lost++
-					}
-					if lost > 0 {
-						mu.Lock()
-						rep.Lost += lost
-						mu.Unlock()
-					}
-					chans[si+1].Close(cc)
-				}
-			})
-			handles = append(handles, h)
+	reports := make([]engine.StreamReport, len(stages))
+	handles := make([]rt.Handle, len(stages))
+	for si, st := range stages {
+		o := farms[si]
+		o.Workers = st.Pool
+		if o.Window <= 0 {
+			o.Window = len(st.Pool)
 		}
+		// Items leave the stage through handoff, not through the farm's
+		// report: the hook only keeps the engine from retaining them.
+		o.OnResult = func(platform.Result) {}
+		// A stage worker hands each item it finished to the next stage
+		// itself, as that stage's task, before it asks its farmer for more:
+		// a full downstream buffer holds back that worker, not its pool.
+		spf := handoff{pf, func(cc rt.Ctx, res platform.Result) {
+			val := res.Task.Data
+			if st.Fn != nil {
+				val = res.Value
+			}
+			if opts.Log != nil {
+				opts.Log.Append(trace.Event{
+					At: cc.Now(), Kind: trace.KindComplete,
+					Proc: st.Name, Node: pf.WorkerName(res.Worker),
+					Task: res.Task.ID, Dur: res.Time,
+				})
+			}
+			chans[si+1].Send(cc, taskFor(si+1, res.Task.ID, val))
+		}}
+		handles[si] = c.Go(fmt.Sprintf("pof.s%d", si), func(cc rt.Ctx) {
+			fr := farm.Stream(nil)(spf, cc, chans[si], o)
+			// A pool that died whole returns the items it held as Remaining,
+			// and nobody is left to run what the upstream still produces:
+			// drain that too, as lost, so the upstream can finish. After a
+			// clean exit the input is already closed and empty.
+			for {
+				v, ok := chans[si].Recv(cc)
+				if !ok {
+					break
+				}
+				fr.Remaining = append(fr.Remaining, v.(platform.Task))
+			}
+			chans[si+1].Close(cc)
+			reports[si] = fr
+		})
 	}
 
 	// Sink (runs in the caller).
@@ -247,19 +193,41 @@ func Run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Option
 		if !ok {
 			break
 		}
-		it := v.(item)
-		rep.Items++
-		rep.Outputs = append(rep.Outputs, Output{ID: it.id, Value: it.val, At: c.Now() - start})
+		t := v.(platform.Task)
+		rep.Outputs = append(rep.Outputs, Output{ID: t.ID, Value: t.Data, At: c.Now() - start})
 	}
-	for _, h := range handles {
+	if rep.Items = len(rep.Outputs); rep.Items > 0 {
+		rep.Makespan = rep.Outputs[rep.Items-1].At
+	}
+	rep.ServiceByStage = make([]time.Duration, len(stages))
+	for si, h := range handles {
 		c.Join(h)
+		fr := reports[si]
+		for w, busy := range fr.BusyByWorker {
+			rep.ServiceByStage[si] += busy
+			rep.ItemsByWorker[w] += fr.TasksByWorker[w]
+		}
+		rep.Failures += fr.Failures
+		rep.DeadWorkers = append(rep.DeadWorkers, fr.DeadWorkers...)
+		rep.Lost += len(fr.Remaining)
 	}
-	rep.Failures = faults.Failures
-	rep.DeadWorkers = faults.Dead
-	if rep.Items > 0 {
-		rep.Makespan = rep.Outputs[len(rep.Outputs)-1].At
+	return rep, reports
+}
+
+// handoff is a platform whose every successful execution ends with then,
+// run by the executing worker's process. It is deliberately no Chunker: a
+// chunk is its tasks one by one, each handed on as it finishes.
+type handoff struct {
+	platform.Platform
+	then func(rt.Ctx, platform.Result)
+}
+
+func (h handoff) Exec(c rt.Ctx, i int, t platform.Task) platform.Result {
+	res := h.Platform.Exec(c, i, t)
+	if !res.Failed() {
+		h.then(c, res)
 	}
-	return rep
+	return res
 }
 
 // wrapFn binds a stage transform to the current value for platform.Exec.

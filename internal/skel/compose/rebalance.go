@@ -69,8 +69,7 @@ type balance struct {
 	live       int // live workers across all stages
 }
 
-// item is the unit flowing through the pipe (shared with compose.go's Run,
-// re-declared locally there; this is the adaptive path's copy).
+// item is the unit flowing through the adaptive pipe.
 type item struct {
 	id  int
 	val any
@@ -340,32 +339,27 @@ func (a *adaptiveRunner) recordMigration(cc rt.Ctx, worker, from, to int, why st
 // in-flight items) — the caller must finishStage.
 func (a *adaptiveRunner) take(cc rt.Ctx, si int) (it item, have, finishedNow bool) {
 	bal := a.bal
+	// The receive stays under bal.mu (it cannot block): were the item
+	// counted in flight only afterwards, a sibling could see the input
+	// closed and drained with nothing in flight and close the downstream
+	// channel this item is about to be pushed into.
 	bal.mu.Lock()
+	defer bal.mu.Unlock()
 	if len(bal.retries[si]) > 0 {
 		it = bal.retries[si][0]
 		bal.retries[si] = bal.retries[si][1:]
 		bal.inflight[si]++
-		bal.mu.Unlock()
 		return it, true, false
 	}
-	bal.mu.Unlock()
-
 	v, ok, done := a.chans[si].TryRecv(cc)
 	if done && ok {
-		bal.mu.Lock()
 		bal.inflight[si]++
-		bal.mu.Unlock()
 		return v.(item), true, false
 	}
-	if done && !ok {
-		// Closed and drained: finished only once retries and in-flight
-		// items have cleared too.
-		bal.mu.Lock()
-		fin := !bal.finished[si] && len(bal.retries[si]) == 0 && bal.inflight[si] == 0
-		bal.mu.Unlock()
-		return item{}, false, fin
-	}
-	return item{}, false, false
+	// Closed and drained: finished only once in-flight items have cleared
+	// too (no retry is queued, or it would have been taken above).
+	fin := done && !bal.finished[si] && bal.inflight[si] == 0
+	return item{}, false, fin
 }
 
 // finishStage marks si complete and closes its downstream channel once.

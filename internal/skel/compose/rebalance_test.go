@@ -260,3 +260,31 @@ func TestRebalanceDefaults(t *testing.T) {
 		t.Errorf("custom values clobbered: %+v", custom)
 	}
 }
+
+// TestAdaptiveReceiveAndCountAreAtomic: a pool member that has received the
+// stage's last item but not yet counted it in flight must not let a sibling
+// observe the stage finished and close the channel that item is about to be
+// pushed into. Many short runs on real goroutines with free stage work make
+// the window easy to hit: before the receive moved under the balance lock
+// this panicked with "send on closed channel".
+func TestAdaptiveReceiveAndCountAreAtomic(t *testing.T) {
+	id := func(v any) any { return v }
+	for run := 0; run < 400; run++ {
+		l := rt.NewLocal()
+		pf := platform.NewLocalPlatform(l, 6)
+		stages := []Stage{
+			{Name: "a", Pool: []int{0, 1, 2}, Fn: id},
+			{Name: "b", Pool: []int{3, 4, 5}, Fn: id},
+		}
+		var rep AdaptiveReport
+		l.Go("root", func(c rt.Ctx) {
+			rep = RunAdaptive(pf, c, stages, 6, Options{}, Rebalance{Poll: time.Microsecond})
+		})
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Items != 6 {
+			t.Fatalf("run %d: items = %d, want 6", run, rep.Items)
+		}
+	}
+}

@@ -48,6 +48,7 @@ type Core struct {
 	log           *trace.Log
 	onResult      func(platform.Result)
 	onRecalibrate func(Breach) (Update, bool)
+	onFailure     func(worker int) (Update, bool)
 	defaultRecal  func(Breach) (Update, bool)
 	onMembership  func(added []Member, removed []int)
 
@@ -89,6 +90,7 @@ func NewCore(pf platform.Platform, workers []int, mode Mode, start time.Duration
 		log:           opts.Log,
 		onResult:      opts.OnResult,
 		onRecalibrate: opts.OnRecalibrate,
+		onFailure:     opts.OnFailure,
 		pred:          pred,
 		start:         start,
 		recent:        make(map[int]*stats.Window, len(workers)),
@@ -108,10 +110,6 @@ func (co *Core) SetDefaultRecal(f func(Breach) (u Update, changed bool)) { co.de
 // Workers returns the current live membership in admission order. The
 // slice is a copy: membership can change under the caller's feet.
 func (co *Core) Workers() []int { return append([]int(nil), co.workers...) }
-
-// Version reports the membership version: 0 until the worker set first
-// changes, then bumped once per applied add, remove, or crash retire.
-func (co *Core) Version() int { return co.version }
 
 // SetOnMembership installs the adapter's membership hook, fired once per
 // applied Update that changed the worker set — with the workers actually
@@ -247,6 +245,7 @@ func (co *Core) Remove(c rt.Ctx, w int, note string) bool {
 // reporting whether this call was it. A retire is the remove path's
 // special case: the worker leaves the membership like a graceful Remove,
 // but it is additionally recorded dead and can never be re-added this run.
+// On first detection the OnFailure hook gets to replace it.
 func (co *Core) Retire(c rt.Ctx, w int, note string) bool {
 	if !co.faults.Retire(w) {
 		return false
@@ -260,6 +259,11 @@ func (co *Core) Retire(c rt.Ctx, w int, note string) bool {
 			At: c.Now(), Kind: trace.KindNote,
 			Node: co.pf.WorkerName(w), Msg: note,
 		})
+	}
+	if co.onFailure != nil {
+		if u, ok := co.onFailure(w); ok {
+			co.ApplyUpdate(c, u, false)
+		}
 	}
 	return true
 }

@@ -24,7 +24,7 @@
 //     propagates from the skeleton all the way to the producer;
 //   - failure/retire handling: Faults records executions lost to worker
 //     crashes and retires dead workers from every future dispatch
-//     decision;
+//     decision; the OnFailure hook may admit a replacement on the spot;
 //   - elastic membership: the worker set is a live, versioned view, not a
 //     start-time constant — control Updates carry Add/Remove deltas, the
 //     Core applies them mid-stream (a crash retire is the remove path's
@@ -83,9 +83,14 @@ type StreamOptions struct {
 	// ok=true applies the update; ok=false falls back to the adapter's
 	// structural default (or the built-in inverse-recent-mean reweight).
 	OnRecalibrate func(Breach) (Update, bool)
+	// OnFailure is consulted once per crashed worker, when its first lost
+	// execution retires it and before the lost work is re-queued. Returning
+	// ok=true applies the update — the lever for admitting a spare in the
+	// dead worker's place.
+	OnFailure func(worker int) (Update, bool)
 	// Predict, when non-nil, enables the predictive adaptation policy: the
-	// Core feeds each worker's normalised completion times through a
-	// monitor.Probe backed by a stats.TrendWindow forecaster and reweights
+	// Core feeds each worker's normalised completion times to a
+	// stats.TrendWindow forecaster and reweights
 	// the membership pre-breach when a worker's forecast trend crosses the
 	// margin. Nil keeps adaptation purely reactive (the paper's policy).
 	Predict *Predict

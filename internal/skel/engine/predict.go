@@ -4,8 +4,8 @@ package engine
 // after Algorithm 2's threshold trips, this file reweights the membership
 // as soon as a worker's *forecast* completion time crosses a margin over
 // the rest of the fleet. Each live worker's normalised completion times
-// feed a monitor.Probe backed by a stats.TrendWindow forecaster (a
-// least-squares line over the recent window, extrapolated one step), so a
+// feed a stats.TrendWindow forecaster (a least-squares line over the
+// recent window, extrapolated one step), so a
 // node that is degrading — climbing external load, thermal throttling, a
 // noisy neighbour — is demoted while the detector's statistic is still
 // under Z, and Z itself is re-derived from the forecast (with the margin
@@ -19,7 +19,6 @@ import (
 	"math"
 	"time"
 
-	"grasp/internal/monitor"
 	"grasp/internal/rt"
 	"grasp/internal/stats"
 	"grasp/internal/trace"
@@ -51,10 +50,9 @@ type Predict struct {
 // which keeps the cost on the Observe hot path to a single nil check.
 type predictor struct {
 	cfg        Predict
-	probes     map[int]*monitor.Probe
-	latest     map[int]float64 // per-worker last normalised time, read by the probe sensors
-	seen       map[int]int     // completions per worker
-	since      int             // completions since the last predictive reweight
+	probes     map[int]*stats.TrendWindow // per-worker normalised completion times
+	seen       map[int]int                // completions per worker
+	since      int                        // completions since the last predictive reweight
 	onForecast func(worker int, forecast time.Duration, triggered bool)
 }
 
@@ -78,8 +76,7 @@ func newPredictor(opts StreamOptions, workers int, recalWindow int) *predictor {
 	}
 	return &predictor{
 		cfg:        cfg,
-		probes:     make(map[int]*monitor.Probe, workers),
-		latest:     make(map[int]float64, workers),
+		probes:     make(map[int]*stats.TrendWindow, workers),
 		seen:       make(map[int]int, workers),
 		onForecast: opts.OnForecast,
 	}
@@ -115,16 +112,10 @@ func (co *Core) observeForecast(c rt.Ctx, w int, norm time.Duration, breached bo
 	p := co.pred
 	probe := p.probes[w]
 	if probe == nil {
-		// The sensor reads the worker's latest normalised time back out of
-		// the predictor, so Probe's sample/forecast/window plumbing serves
-		// a push-style series without change.
-		probe = monitor.NewProbe(co.pf.WorkerName(w),
-			monitor.FuncSensor(func() float64 { return p.latest[w] }),
-			stats.NewTrendWindow(p.cfg.Window), p.cfg.Window)
+		probe = stats.NewTrendWindow(p.cfg.Window)
 		p.probes[w] = probe
 	}
-	p.latest[w] = norm.Seconds()
-	probe.Sample()
+	probe.Observe(norm.Seconds())
 	p.seen[w]++
 	p.since++
 
@@ -139,7 +130,7 @@ func (co *Core) observeForecast(c rt.Ctx, w int, norm time.Duration, breached bo
 			if pv == nil || p.seen[v] < p.cfg.MinSamples || !co.Alive(v) {
 				continue
 			}
-			f := pv.Forecast()
+			f := pv.Predict()
 			if math.IsNaN(f) || f <= 0 || f <= pv.Mean() {
 				continue
 			}
@@ -154,7 +145,7 @@ func (co *Core) observeForecast(c rt.Ctx, w int, norm time.Duration, breached bo
 	}
 
 	if p.seen[w] >= p.cfg.MinSamples && co.Alive(w) {
-		if fw := probe.Forecast(); !math.IsNaN(fw) && fw > 0 {
+		if fw := probe.Predict(); !math.IsNaN(fw) && fw > 0 {
 			fdur := time.Duration(fw * float64(time.Second))
 			if p.seen[w] == p.cfg.MinSamples && co.log != nil {
 				if ref, ok := co.fleetRef(w); ok && ref > 0 {
@@ -211,7 +202,7 @@ func (co *Core) forecastReweight() Update {
 	est := make(map[int]time.Duration, len(co.workers))
 	for _, w := range co.workers {
 		if probe := co.pred.probes[w]; probe != nil && co.pred.seen[w] >= co.pred.cfg.MinSamples {
-			if f := probe.Forecast(); !math.IsNaN(f) && f > 0 {
+			if f := probe.Predict(); !math.IsNaN(f) && f > 0 {
 				est[w] = time.Duration(f * float64(time.Second))
 				continue
 			}

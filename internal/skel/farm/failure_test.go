@@ -9,6 +9,7 @@ import (
 	"grasp/internal/platform"
 	"grasp/internal/rt"
 	"grasp/internal/sched"
+	"grasp/internal/skel/engine"
 )
 
 func TestFarmSurvivesWorkerCrash(t *testing.T) {
@@ -215,5 +216,50 @@ func TestFarmCrashAfterQueueDrainedIsReExecuted(t *testing.T) {
 	if rep.Failures != 1 || rep.TasksByWorker[0] != 3 {
 		t.Errorf("failures = %d, tasks by worker = %v; want 1 failure and all 3 tasks on worker 0",
 			rep.Failures, rep.TasksByWorker)
+	}
+}
+
+func TestStreamOnFailureAdmitsAReplacement(t *testing.T) {
+	// The stream's only worker dies mid-stream. Without the hook the farm
+	// would end with the rest Remaining; with it the spare is admitted in
+	// the dead worker's place and every task still completes exactly once.
+	pf, sim := gridPF(t, []grid.NodeSpec{
+		{BaseSpeed: 10, FailAt: 1050 * time.Millisecond},
+		{BaseSpeed: 10}, // the spare
+	})
+	in := sim.NewChan("in", 2)
+	sim.Go("producer", func(c rt.Ctx) {
+		for _, task := range fixedTasks(30, 1) {
+			in.Send(c, task)
+		}
+		in.Close(c)
+	})
+	var rep engine.StreamReport
+	var asked []int
+	sim.Go("root", func(c rt.Ctx) {
+		rep = Stream(nil)(pf, c, in, engine.StreamOptions{
+			Workers: []int{0},
+			Window:  1,
+			OnFailure: func(worker int) (engine.Update, bool) {
+				asked = append(asked, worker)
+				return engine.Update{Add: []engine.Member{{Worker: 1}}}, true
+			},
+		})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	assertExactlyOnce(t, rep.Results, 30)
+	if len(rep.Remaining) != 0 || rep.Failures != 1 {
+		t.Errorf("remaining = %d, failures = %d; want 0 and 1", len(rep.Remaining), rep.Failures)
+	}
+	if len(asked) != 1 || asked[0] != 0 || len(rep.DeadWorkers) != 1 || rep.DeadWorkers[0] != 0 {
+		t.Errorf("hook asked about %v, DeadWorkers = %v; want [0] and [0]", asked, rep.DeadWorkers)
+	}
+	if rep.WorkersAdded != 1 || len(rep.FinalWorkers) != 1 || rep.FinalWorkers[0] != 1 {
+		t.Errorf("added = %d, final workers = %v; want the spare alone", rep.WorkersAdded, rep.FinalWorkers)
+	}
+	if rep.TasksByWorker[0]+rep.TasksByWorker[1] != 30 || rep.TasksByWorker[1] == 0 {
+		t.Errorf("tasks by worker = %v", rep.TasksByWorker)
 	}
 }

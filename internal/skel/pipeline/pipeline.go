@@ -16,6 +16,14 @@
 //
 // Worker crashes (grid.ErrNodeFailed) are survived by retiring the dead
 // worker and remapping; items are lost only when no spare remains.
+//
+// The batch Run has no stage loop of its own: a stage is a farm.Stream over
+// a pool of one, on the stage graph compose.RunFarms, so its detector,
+// membership and crash handling are engine.Core's. A stage farm's Window is
+// the most workers the stage may ever hold — 1, or MaxReplicas for a
+// Replicable stage, which may therefore admit that many items before it
+// has replicated. Stream is the served pipeline, one coordinator for all
+// stages.
 package pipeline
 
 import (
@@ -26,6 +34,8 @@ import (
 	"grasp/internal/monitor"
 	"grasp/internal/platform"
 	"grasp/internal/rt"
+	"grasp/internal/skel/compose"
+	"grasp/internal/skel/engine"
 	"grasp/internal/trace"
 )
 
@@ -126,18 +136,9 @@ func (m *mapping) workerOf(stage int) int {
 }
 
 // remap moves a stage to the next spare, returning the old and new workers.
-// The vacated worker returns to the spare pool (it may recover).
-func (m *mapping) remap(stage int) (from, to int, ok bool) {
-	return m.move(stage, true)
-}
-
-// remapRetire moves a stage to the next spare and retires the old worker:
-// it crashed and must never be reused.
-func (m *mapping) remapRetire(stage int) (from, to int, ok bool) {
-	return m.move(stage, false)
-}
-
-func (m *mapping) move(stage int, recycle bool) (from, to int, ok bool) {
+// The vacated worker returns to the spare pool when recycle is set (it may
+// recover); a crashed one must never be reused.
+func (m *mapping) remap(stage int, recycle bool) (from, to int, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.spares) == 0 {
@@ -165,300 +166,115 @@ func (m *mapping) takeSpare() (int, bool) {
 	return w, true
 }
 
-func (m *mapping) snapshot() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int(nil), m.stage...)
-}
-
-// item is the unit flowing through the pipe.
-type item struct {
-	id  int
-	val any
-}
-
-// stageState is the shared mutable state of one stage across its primary
-// and replicas.
-type stageState struct {
-	mu       sync.Mutex
-	workers  int // processes consuming the stage's input
-	replicas int // total workers ever granted to the stage (primary + added)
-}
-
 // Run pushes nItems items (IDs 0..nItems-1, initial value = their ID)
 // through the stages and blocks until the sink has drained.
 func Run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Options) Report {
-	if len(stages) == 0 {
-		return Report{}
-	}
-	m := &mapping{spares: append([]int(nil), opts.Spares...)}
-	if len(opts.Mapping) == 0 {
-		m.stage = make([]int, len(stages))
-		for i := range m.stage {
-			m.stage[i] = i % pf.Size()
-		}
-	} else {
-		if len(opts.Mapping) != len(stages) {
-			panic(fmt.Sprintf("pipeline: %d mappings for %d stages", len(opts.Mapping), len(stages)))
-		}
-		m.stage = append([]int(nil), opts.Mapping...)
-	}
-	bufSize := opts.BufSize
-	if bufSize < 1 {
-		bufSize = 1
-	}
-
-	runtime := pf.Runtime()
-	start := c.Now()
-	rep := Report{ServiceByStage: make([]time.Duration, len(stages))}
-	// repMu guards Report fields written by stage processes (needed only on
-	// the local runtime, harmless on the simulator).
-	var repMu sync.Mutex
-
-	chans := make([]rt.Chan, len(stages)+1)
-	for i := range chans {
-		chans[i] = runtime.NewChan(fmt.Sprintf("pipe.c%d", i), bufSize)
-	}
-
-	// Source.
-	c.Go("pipe.source", func(cc rt.Ctx) {
-		for i := 0; i < nItems; i++ {
-			chans[0].Send(cc, item{id: i, val: i})
-		}
-		chans[0].Close(cc)
-	})
-
-	run := &runner{
-		pf: pf, m: m, opts: opts, rep: &rep, repMu: &repMu,
-		chans: chans, stages: stages,
-	}
-
-	// Stages: one primary process each.
-	stageDone := make([]rt.Handle, len(stages))
-	for si := range stages {
-		si := si
-		run.state[si].workers = 1
-		run.state[si].replicas = 1
-		var det *monitor.Detector
-		if opts.DetectorFor != nil {
-			det = opts.DetectorFor(si)
-		}
-		stageDone[si] = c.Go(fmt.Sprintf("pipe.stage.%d", si), func(cc rt.Ctx) {
-			run.stageLoop(cc, si, det, -1)
-		})
-	}
-
-	// Sink (runs in the caller).
-	for {
-		v, ok := chans[len(stages)].Recv(c)
-		if !ok {
-			break
-		}
-		it := v.(item)
-		rep.Items++
-		rep.Outputs = append(rep.Outputs, it.val)
-		rep.ExitTimes = append(rep.ExitTimes, c.Now()-start)
-	}
-	for _, h := range stageDone {
-		c.Join(h)
-	}
-	if rep.Items > 0 {
-		rep.Makespan = rep.ExitTimes[len(rep.ExitTimes)-1]
-	}
-	rep.FinalMapping = m.snapshot()
+	rep, _ := run(pf, c, stages, nItems, opts)
 	return rep
 }
 
-// runner bundles the shared context of all stage processes.
-type runner struct {
-	pf     platform.Platform
-	m      *mapping
-	opts   Options
-	rep    *Report
-	repMu  *sync.Mutex
-	chans  []rt.Chan
-	stages []Stage
-	state  [64]stageState // indexed by stage; pipelines are short
-}
-
-// stageLoop is the body of a primary (fixedWorker < 0, remappable) or a
-// replica (fixedWorker ≥ 0) process of stage si. When the stage's input
-// closes, the last process of the stage closes the output.
-func (r *runner) stageLoop(cc rt.Ctx, si int, det *monitor.Detector, fixedWorker int) {
-	if si >= len(r.state) {
-		panic("pipeline: too many stages")
+// run is Run plus each stage farm's engine report. The stage graph is
+// compose.RunFarms; this is the policy it runs with. Stage si starts as a
+// pool of one (its mapped worker) and every lever is a membership update
+// of its farm: a breach replicates the stage when it allows it and the cap
+// leaves room (Add a spare), else remaps it (Add the spare, Remove the old
+// worker); a crashed primary is replaced by the next spare and retired
+// from the mapping, a crashed replica just replaced. One stage's hooks run
+// in that stage's farmer process, so only the mapping and the report's
+// history are shared between processes.
+func run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Options) (Report, []engine.StreamReport) {
+	if len(stages) == 0 {
+		return Report{}, nil
 	}
-	st := r.stages[si]
-	for {
-		v, ok := r.chans[si].Recv(cc)
-		if !ok {
-			r.leaveStage(cc, si)
-			return
+	m := &mapping{stage: append([]int(nil), opts.Mapping...), spares: append([]int(nil), opts.Spares...)}
+	if len(opts.Mapping) == 0 {
+		for i := range stages {
+			m.stage = append(m.stage, i%pf.Size())
 		}
-		it := v.(item)
-		cost := 0.0
-		if st.Cost != nil {
-			cost = st.Cost(it.id)
-		}
-		task := platform.Task{
-			ID:      it.id,
-			Cost:    cost,
-			InBytes: st.InBytes, OutBytes: st.OutBytes,
-			Fn: wrapFn(st.Fn, it.val),
-		}
-		var res platform.Result
-		lost := false
-		for {
-			w := fixedWorker
-			if w < 0 {
-				w = r.m.workerOf(si)
-			}
-			res = r.pf.Exec(cc, w, task)
-			if !res.Failed() {
-				break
-			}
-			r.repMu.Lock()
-			r.rep.Failures++
-			r.repMu.Unlock()
-			if fixedWorker >= 0 {
-				// A replica's worker crashed: the replica retires itself;
-				// its in-flight item is retried by... nobody — the item is
-				// lost unless we can grab a spare to finish it here.
-				if nw, got := r.m.takeSpare(); got {
-					fixedWorker = nw
-					r.logAdapt(cc, si, w, nw, "replica worker failed")
-					continue
-				}
-				lost = true
-				break
-			}
-			from, to, remapped := r.m.remapRetire(si)
-			if !remapped {
-				lost = true
-				break
-			}
-			if det != nil {
-				det.Reset()
-			}
-			r.recordRemap(cc, si, from, to, "worker failed")
-		}
-		if lost {
-			// The item is unrecoverable; keep draining so the pipe
-			// terminates cleanly.
-			r.repMu.Lock()
-			r.rep.Lost++
-			r.repMu.Unlock()
-			continue
-		}
-		if st.Fn != nil {
-			it.val = res.Value
-		}
-		r.repMu.Lock()
-		r.rep.ServiceByStage[si] += res.Time
-		r.repMu.Unlock()
-		if r.opts.Log != nil {
-			r.opts.Log.Append(trace.Event{
-				At: cc.Now(), Kind: trace.KindComplete,
-				Proc: st.Name, Node: r.pf.WorkerName(res.Worker), Task: it.id, Dur: res.Time,
+	} else if len(opts.Mapping) != len(stages) {
+		panic(fmt.Sprintf("pipeline: %d mappings for %d stages", len(opts.Mapping), len(stages)))
+	}
+
+	var rep Report
+	var mu sync.Mutex // guards rep.Remaps and rep.Replications on the local runtime
+	logAdapt := func(si, w int, format string, args ...any) {
+		if opts.Log != nil {
+			opts.Log.Append(trace.Event{
+				At: c.Now(), Kind: trace.KindAdapt,
+				Proc: stages[si].Name, Node: pf.WorkerName(w), Msg: fmt.Sprintf(format, args...),
 			})
 		}
-		if det != nil {
-			det.Observe(res.Time)
-			if breached, stat := det.Breached(); breached {
-				r.adapt(cc, si, det, stat)
-			}
-		}
-		r.chans[si+1].Send(cc, it)
 	}
-}
+	// remap moves stage si to the next spare, if there is one; the vacated
+	// worker returns to the spares unless it crashed.
+	remap := func(si int, crashed bool, why string) (engine.Update, bool) {
+		from, to, ok := m.remap(si, !crashed)
+		if !ok {
+			return engine.Update{}, false
+		}
+		mu.Lock()
+		rep.Remaps = append(rep.Remaps, Remap{At: c.Now(), Stage: si, FromWorker: from, ToWorker: to})
+		mu.Unlock()
+		logAdapt(si, to, "remap stage %d %s→%s (%s)", si, pf.WorkerName(from), pf.WorkerName(to), why)
+		u := engine.Update{Add: []engine.Member{{Worker: to}}, ResetDetector: true}
+		if !crashed {
+			u.Remove = []int{from}
+		}
+		return u, true
+	}
 
-// adapt applies the stage's adaptation policy on a threshold breach:
-// replicate when the stage allows it and the cap leaves room, else remap.
-func (r *runner) adapt(cc rt.Ctx, si int, det *monitor.Detector, stat time.Duration) {
-	st := r.stages[si]
-	if st.Replicable && r.opts.MaxReplicas > 1 {
-		r.state[si].mu.Lock()
-		canGrow := r.state[si].replicas < r.opts.MaxReplicas
-		r.state[si].mu.Unlock()
-		if canGrow {
-			if w, got := r.m.takeSpare(); got {
-				r.state[si].mu.Lock()
-				r.state[si].replicas++
-				r.state[si].workers++
-				r.state[si].mu.Unlock()
-				det.Reset()
-				r.repMu.Lock()
-				r.rep.Replications = append(r.rep.Replications, Replication{
-					At: cc.Now(), Stage: si, Worker: w,
-				})
-				r.repMu.Unlock()
-				if r.opts.Log != nil {
-					r.opts.Log.Append(trace.Event{
-						At: cc.Now(), Kind: trace.KindAdapt,
-						Proc: st.Name, Node: r.pf.WorkerName(w),
-						Msg: fmt.Sprintf("replicate stage %d onto %s (stat %v)",
-							si, r.pf.WorkerName(w), stat),
-					})
+	pools := make([]compose.Stage, len(stages))
+	farms := make([]engine.StreamOptions, len(stages))
+	for si, st := range stages {
+		pools[si] = compose.Stage{
+			Name: st.Name, Pool: []int{m.stage[si]},
+			Cost: st.Cost, InBytes: st.InBytes, OutBytes: st.OutBytes, Fn: st.Fn,
+		}
+		o := &farms[si]
+		o.Window = 1 // the most workers the stage may ever hold
+		if st.Replicable && opts.MaxReplicas > 1 {
+			o.Window = opts.MaxReplicas
+		}
+		if opts.DetectorFor != nil {
+			o.Detector = opts.DetectorFor(si)
+		}
+		granted := 1 // workers ever granted to the stage, primary included
+		o.OnRecalibrate = func(b engine.Breach) (engine.Update, bool) {
+			if granted < o.Window {
+				if w, ok := m.takeSpare(); ok {
+					granted++
+					mu.Lock()
+					rep.Replications = append(rep.Replications, Replication{At: c.Now(), Stage: si, Worker: w})
+					mu.Unlock()
+					logAdapt(si, w, "replicate stage %d onto %s (stat %v)", si, pf.WorkerName(w), b.Stat)
+					return engine.Update{Add: []engine.Member{{Worker: w}}}, true
 				}
-				cc.Go(fmt.Sprintf("pipe.stage.%d.rep%d", si, w), func(rc rt.Ctx) {
-					r.stageLoop(rc, si, nil, w)
-				})
-				return
 			}
+			u, _ := remap(si, false, fmt.Sprintf("stat %v", b.Stat))
+			return u, true // handled even with no spare left: nothing to reweight
+		}
+		o.OnFailure = func(dead int) (engine.Update, bool) {
+			if dead == m.workerOf(si) {
+				return remap(si, true, "worker failed")
+			}
+			w, ok := m.takeSpare()
+			if !ok {
+				return engine.Update{}, false
+			}
+			logAdapt(si, w, "replica of stage %d moved %s→%s (replica worker failed)",
+				si, pf.WorkerName(dead), pf.WorkerName(w))
+			return engine.Update{Add: []engine.Member{{Worker: w}}}, true
 		}
 	}
-	if from, to, remapped := r.m.remap(si); remapped {
-		det.Reset()
-		r.recordRemap(cc, si, from, to, fmt.Sprintf("stat %v", stat))
-	}
-}
+	flow, reports := compose.RunFarms(pf, c, pools, farms, nItems,
+		compose.Options{BufSize: opts.BufSize, Log: opts.Log})
 
-// leaveStage decrements the stage's worker count; the last worker out
-// closes the downstream channel.
-func (r *runner) leaveStage(cc rt.Ctx, si int) {
-	r.state[si].mu.Lock()
-	r.state[si].workers--
-	last := r.state[si].workers == 0
-	r.state[si].mu.Unlock()
-	if last {
-		r.chans[si+1].Close(cc)
+	rep.Makespan, rep.Items, rep.ServiceByStage = flow.Makespan, flow.Items, flow.ServiceByStage
+	rep.Failures, rep.Lost = flow.Failures, flow.Lost
+	for _, o := range flow.Outputs {
+		rep.Outputs = append(rep.Outputs, o.Value)
+		rep.ExitTimes = append(rep.ExitTimes, o.At)
 	}
-}
-
-// recordRemap appends a remap event to the report and the trace.
-func (r *runner) recordRemap(cc rt.Ctx, si, from, to int, why string) {
-	r.repMu.Lock()
-	r.rep.Remaps = append(r.rep.Remaps, Remap{
-		At: cc.Now(), Stage: si, FromWorker: from, ToWorker: to,
-	})
-	r.repMu.Unlock()
-	if r.opts.Log != nil {
-		r.opts.Log.Append(trace.Event{
-			At: cc.Now(), Kind: trace.KindAdapt,
-			Proc: r.stages[si].Name, Node: r.pf.WorkerName(to),
-			Msg: fmt.Sprintf("remap stage %d %s→%s (%s)",
-				si, r.pf.WorkerName(from), r.pf.WorkerName(to), why),
-		})
-	}
-}
-
-// logAdapt records a replica self-heal in the trace.
-func (r *runner) logAdapt(cc rt.Ctx, si, from, to int, why string) {
-	if r.opts.Log == nil {
-		return
-	}
-	r.opts.Log.Append(trace.Event{
-		At: cc.Now(), Kind: trace.KindAdapt,
-		Proc: r.stages[si].Name, Node: r.pf.WorkerName(to),
-		Msg: fmt.Sprintf("replica of stage %d moved %s→%s (%s)",
-			si, r.pf.WorkerName(from), r.pf.WorkerName(to), why),
-	})
-}
-
-// wrapFn binds a stage transform to the current value for platform.Exec.
-func wrapFn(fn func(any) any, v any) func() any {
-	if fn == nil {
-		return nil
-	}
-	return func() any { return fn(v) }
+	rep.FinalMapping = m.stage // every stage process has been joined
+	return rep, reports
 }

@@ -10,6 +10,8 @@ import (
 	"grasp/internal/monitor"
 	"grasp/internal/platform"
 	"grasp/internal/rt"
+	"grasp/internal/skel/compose"
+	"grasp/internal/skel/engine"
 	"grasp/internal/trace"
 	"grasp/internal/vsim"
 )
@@ -364,5 +366,89 @@ func TestPipelineBufferingImprovesJitterTolerance(t *testing.T) {
 	}
 	if deep := run(8); deep > run(1) {
 		t.Errorf("deep buffer (%v) should not be slower than shallow (%v)", deep, run(1))
+	}
+}
+
+func TestPipelineIsAPipeOfOneWorkerFarms(t *testing.T) {
+	// Run with mapping [0 1 2] and compose.Run with pools [[0] [1] [2]] are
+	// the same stage graph: on uneven nodes and uneven stage costs every
+	// item must leave both at the same instant.
+	specs := []grid.NodeSpec{{BaseSpeed: 10}, {BaseSpeed: 4}, {BaseSpeed: 25}}
+	costs := []func(int) float64{
+		func(i int) float64 { return 1 + float64(i%3) },
+		func(int) float64 { return 1 },
+		func(i int) float64 { return 4 - float64(i%4) },
+	}
+	const items = 40
+	var plain Report
+	pf, sim := gridPF(t, specs)
+	sim.Go("root", func(c rt.Ctx) {
+		stages := fixedStages(3, 0)
+		for si := range stages {
+			stages[si].Cost = costs[si]
+		}
+		plain = Run(pf, c, stages, items, Options{Mapping: []int{0, 1, 2}, BufSize: 2})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var farmed compose.Report
+	pf, sim = gridPF(t, specs)
+	sim.Go("root", func(c rt.Ctx) {
+		stages := make([]compose.Stage, 3)
+		for si := range stages {
+			stages[si] = compose.Stage{Name: fmt.Sprintf("s%d", si), Pool: []int{si}, Cost: costs[si]}
+		}
+		farmed = compose.Run(pf, c, stages, items, compose.Options{BufSize: 2})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if plain.Items != items || farmed.Items != items {
+		t.Fatalf("items = %d and %d, want %d", plain.Items, farmed.Items, items)
+	}
+	for i, o := range farmed.Outputs {
+		if o.ID != plain.Outputs[i].(int) || o.At != plain.ExitTimes[i] {
+			t.Fatalf("exit %d: pipeline item %v at %v, pipe-of-farms item %d at %v",
+				i, plain.Outputs[i], plain.ExitTimes[i], o.ID, o.At)
+		}
+	}
+}
+
+func TestPipelineRemapIsOneMembershipUpdate(t *testing.T) {
+	// The scenario of TestPipelineRemapsSlowStage, seen from the stage's
+	// farm: the breach remap is the engine update {Add spare, Remove old} —
+	// one worker in, one out, nobody dead — and Report.Remaps records it as
+	// it always did.
+	pf, sim := gridPF(t, []grid.NodeSpec{
+		{BaseSpeed: 10, Load: loadgen.NewStep(500*time.Millisecond, 0, 0.9)},
+		{BaseSpeed: 10},
+		{BaseSpeed: 10}, // spare
+	})
+	var rep Report
+	var farms []engine.StreamReport
+	sim.Go("root", func(c rt.Ctx) {
+		rep, farms = run(pf, c, fixedStages(2, 1), 30, Options{
+			Mapping:     []int{0, 1},
+			Spares:      []int{2},
+			DetectorFor: tightDetector(300 * time.Millisecond),
+		})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Remaps) != 1 || rep.Remaps[0].Stage != 0 || rep.Remaps[0].FromWorker != 0 || rep.Remaps[0].ToWorker != 2 {
+		t.Fatalf("remaps = %+v, want one: stage 0, worker 0 → 2", rep.Remaps)
+	}
+	if f := farms[0]; f.WorkersAdded != 1 || f.WorkersRemoved != 1 || len(f.DeadWorkers) != 0 ||
+		len(f.FinalWorkers) != 1 || f.FinalWorkers[0] != 2 {
+		t.Errorf("stage 0 farm: added %d, removed %d, dead %v, final %v; want 1, 1, none, [2]",
+			f.WorkersAdded, f.WorkersRemoved, f.DeadWorkers, f.FinalWorkers)
+	}
+	if f := farms[1]; f.WorkersAdded != 0 || f.WorkersRemoved != 0 {
+		t.Errorf("stage 1 farm changed membership: %+v", f)
+	}
+	if rep.Items != 30 || rep.Remaps[0].At <= 500*time.Millisecond {
+		t.Errorf("items = %d, remap at %v", rep.Items, rep.Remaps[0].At)
 	}
 }

@@ -2,113 +2,14 @@ package stats
 
 import "math"
 
-// Forecaster predicts the next value of a scalar time series from the values
-// observed so far. GRASP's monitoring layer uses forecasters in the style of
-// the Network Weather Service to smooth noisy load and bandwidth sensors
-// before the calibration's statistical adjustment.
-type Forecaster interface {
-	// Observe records the next sample of the series.
-	Observe(x float64)
-	// Predict returns the forecast for the next (unseen) sample.
-	// It returns NaN before any observation.
-	Predict() float64
-	// Reset discards all state.
-	Reset()
-}
-
-// LastValue forecasts the most recent observation (persistence model).
-type LastValue struct {
-	last float64
-	seen bool
-}
-
-// NewLastValue returns a persistence forecaster.
-func NewLastValue() *LastValue { return &LastValue{} }
-
-// Observe implements Forecaster.
-func (f *LastValue) Observe(x float64) { f.last, f.seen = x, true }
-
-// Predict implements Forecaster.
-func (f *LastValue) Predict() float64 {
-	if !f.seen {
-		return math.NaN()
-	}
-	return f.last
-}
-
-// Reset implements Forecaster.
-func (f *LastValue) Reset() { *f = LastValue{} }
-
-// RunningMean forecasts the mean of all observations so far.
-type RunningMean struct {
-	sum float64
-	n   int
-}
-
-// NewRunningMean returns a running-mean forecaster.
-func NewRunningMean() *RunningMean { return &RunningMean{} }
-
-// Observe implements Forecaster.
-func (f *RunningMean) Observe(x float64) { f.sum += x; f.n++ }
-
-// Predict implements Forecaster.
-func (f *RunningMean) Predict() float64 {
-	if f.n == 0 {
-		return math.NaN()
-	}
-	return f.sum / float64(f.n)
-}
-
-// Reset implements Forecaster.
-func (f *RunningMean) Reset() { *f = RunningMean{} }
-
-// EWMA forecasts with an exponentially weighted moving average
-// s ← α·x + (1−α)·s. Alpha in (0,1]; larger tracks faster.
-type EWMA struct {
-	Alpha float64
-	s     float64
-	seen  bool
-}
-
-// NewEWMA returns an EWMA forecaster with the given smoothing factor.
-// Alpha outside (0,1] is clamped into it.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 {
-		alpha = 0.01
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return &EWMA{Alpha: alpha}
-}
-
-// Observe implements Forecaster.
-func (f *EWMA) Observe(x float64) {
-	if !f.seen {
-		f.s, f.seen = x, true
-		return
-	}
-	f.s = f.Alpha*x + (1-f.Alpha)*f.s
-}
-
-// Predict implements Forecaster.
-func (f *EWMA) Predict() float64 {
-	if !f.seen {
-		return math.NaN()
-	}
-	return f.s
-}
-
-// Reset implements Forecaster.
-func (f *EWMA) Reset() { f.s, f.seen = 0, false }
-
-// TrendWindow forecasts by fitting a least-squares line to the last W
-// observations and extrapolating one step ahead. With fewer than two
-// observations it falls back to persistence.
+// TrendWindow is the forecaster of the monitoring layer, in the style of
+// the Network Weather Service: it predicts the next value of a scalar time
+// series by fitting a least-squares line to the last W observations and
+// extrapolating one step ahead. With fewer than two observations it falls
+// back to persistence.
 type TrendWindow struct {
 	W   int
-	buf []float64
-	t   int // index of the next observation
+	buf []float64 // oldest first
 }
 
 // NewTrendWindow returns a linear-trend forecaster over a window of w
@@ -120,16 +21,19 @@ func NewTrendWindow(w int) *TrendWindow {
 	return &TrendWindow{W: w}
 }
 
-// Observe implements Forecaster.
+// Observe records the next sample of the series.
 func (f *TrendWindow) Observe(x float64) {
 	f.buf = append(f.buf, x)
 	if len(f.buf) > f.W {
 		f.buf = f.buf[1:]
 	}
-	f.t++
 }
 
-// Predict implements Forecaster.
+// Mean returns the mean of the samples in the window (NaN when empty).
+func (f *TrendWindow) Mean() float64 { return Mean(f.buf) }
+
+// Predict returns the forecast for the next (unseen) sample, NaN before
+// any observation.
 func (f *TrendWindow) Predict() float64 {
 	n := len(f.buf)
 	switch n {
@@ -149,8 +53,8 @@ func (f *TrendWindow) Predict() float64 {
 	return fit.Predict(float64(n))
 }
 
-// Reset implements Forecaster.
-func (f *TrendWindow) Reset() { f.buf, f.t = nil, 0 }
+// Reset discards all samples.
+func (f *TrendWindow) Reset() { f.buf = nil }
 
 // Window is a fixed-capacity sliding window of float64 samples with O(1)
 // descriptive queries used by the monitoring layer.

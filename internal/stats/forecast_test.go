@@ -6,63 +6,6 @@ import (
 	"testing"
 )
 
-func TestLastValue(t *testing.T) {
-	f := NewLastValue()
-	if !math.IsNaN(f.Predict()) {
-		t.Error("empty LastValue should predict NaN")
-	}
-	f.Observe(3)
-	f.Observe(7)
-	if got := f.Predict(); got != 7 {
-		t.Errorf("Predict = %v, want 7", got)
-	}
-	f.Reset()
-	if !math.IsNaN(f.Predict()) {
-		t.Error("after Reset should predict NaN")
-	}
-}
-
-func TestRunningMean(t *testing.T) {
-	f := NewRunningMean()
-	if !math.IsNaN(f.Predict()) {
-		t.Error("empty RunningMean should predict NaN")
-	}
-	for _, x := range []float64{1, 2, 3, 4} {
-		f.Observe(x)
-	}
-	if got := f.Predict(); !almostEq(got, 2.5, 1e-12) {
-		t.Errorf("Predict = %v, want 2.5", got)
-	}
-}
-
-func TestEWMAConverges(t *testing.T) {
-	f := NewEWMA(0.5)
-	for i := 0; i < 100; i++ {
-		f.Observe(10)
-	}
-	if got := f.Predict(); !almostEq(got, 10, 1e-9) {
-		t.Errorf("EWMA on constant = %v, want 10", got)
-	}
-}
-
-func TestEWMATracksStep(t *testing.T) {
-	f := NewEWMA(0.5)
-	f.Observe(0)
-	f.Observe(10) // s = 5
-	if got := f.Predict(); !almostEq(got, 5, 1e-12) {
-		t.Errorf("EWMA after step = %v, want 5", got)
-	}
-}
-
-func TestEWMAClamping(t *testing.T) {
-	if f := NewEWMA(-1); f.Alpha <= 0 {
-		t.Errorf("alpha not clamped: %v", f.Alpha)
-	}
-	if f := NewEWMA(5); f.Alpha != 1 {
-		t.Errorf("alpha not clamped to 1: %v", f.Alpha)
-	}
-}
-
 func TestTrendWindowExtrapolates(t *testing.T) {
 	f := NewTrendWindow(5)
 	for i := 0; i < 5; i++ {
@@ -93,45 +36,38 @@ func TestTrendWindowSlides(t *testing.T) {
 	if got := f.Predict(); !almostEq(got, 4, 1e-9) {
 		t.Errorf("sliding trend = %v, want 4", got)
 	}
+	if got := f.Mean(); !almostEq(got, 2, 1e-12) {
+		t.Errorf("window mean = %v, want 2", got)
+	}
 }
 
 func TestForecastersOnNoisyConstant(t *testing.T) {
-	// All forecasters should land near the true mean of a noisy constant
-	// signal; EWMA and mean should beat persistence on average error.
+	// On a noisy constant signal the trend forecast should land near the
+	// true mean and beat persistence (predict the last value) on average
+	// error.
 	rng := rand.New(rand.NewSource(11))
-	signal := make([]float64, 400)
-	for i := range signal {
-		signal[i] = 5 + rng.NormFloat64()
-	}
-	type named struct {
-		name string
-		f    Forecaster
-	}
-	fs := []named{
-		{"last", NewLastValue()},
-		{"mean", NewRunningMean()},
-		{"ewma", NewEWMA(0.1)},
-		{"trend", NewTrendWindow(20)},
-	}
-	errs := make(map[string]float64)
-	for _, nf := range fs {
-		var sum float64
-		n := 0
-		for _, x := range signal {
-			p := nf.f.Predict()
-			if !math.IsNaN(p) {
-				sum += math.Abs(p - x)
-				n++
-			}
-			nf.f.Observe(x)
+	f := NewTrendWindow(20)
+	var trendErr, lastErr, last float64
+	n := 0
+	for i := 0; i < 400; i++ {
+		x := 5 + rng.NormFloat64()
+		if p := f.Predict(); !math.IsNaN(p) {
+			trendErr += math.Abs(p - x)
+			lastErr += math.Abs(last - x)
+			n++
 		}
-		errs[nf.name] = sum / float64(n)
+		f.Observe(x)
+		last = x
 	}
-	if errs["mean"] >= errs["last"] {
-		t.Errorf("running mean (%v) should beat persistence (%v) on noisy constant", errs["mean"], errs["last"])
+	if trendErr >= lastErr {
+		t.Errorf("trend (%v) should beat persistence (%v) on noisy constant", trendErr/float64(n), lastErr/float64(n))
 	}
-	if errs["ewma"] >= errs["last"] {
-		t.Errorf("EWMA (%v) should beat persistence (%v) on noisy constant", errs["ewma"], errs["last"])
+	if m := f.Mean(); math.Abs(m-5) > 1 {
+		t.Errorf("window mean = %v, want ≈5", m)
+	}
+	f.Reset()
+	if !math.IsNaN(f.Predict()) || !math.IsNaN(f.Mean()) {
+		t.Error("after Reset should predict and average NaN")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery GRASP's calibration and
 // monitoring layers rely on: descriptive statistics, percentiles,
 // covariance/correlation, ordinary-least-squares regression (univariate and
-// multivariate), and simple time-series forecasters (EWMA, linear trend).
+// multivariate), and a linear-trend time-series forecaster.
 //
 // Algorithm 1 of the paper ranks nodes either "based on the execution times
 // only" or "on statistical functions, such as univariate and multivariate

@@ -191,10 +191,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield reschedules the process behind every currently runnable process at
-// the same virtual time.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Join blocks until q has finished. Joining a done process returns
 // immediately. A process must not join itself.
 func (p *Proc) Join(q *Proc) {
