@@ -115,7 +115,7 @@ func main() {
 		transport     = flag.String("transport", "auto", "cluster: transport preference for register-time negotiation (auto, json, binary)")
 		adaptPolicy   = flag.String("adapt", "", "default adaptation policy for jobs that omit `adapt` (reactive, predictive)")
 		predictMargin = flag.Float64("predict-margin", 0, "predictive: demote a worker pre-breach when its forecast exceeds margin × fleet mean (0 = 1.5)")
-		shedFactor    = flag.Float64("shed-factor", 0, "predictive: shed pushes with 429 once the queue-depth forecast exceeds factor × window (0 = 2, negative = never shed)")
+		shedFactor    = flag.Float64("shed-factor", 0, "predictive: shed pushes with 429 once the queue-depth forecast — tasks in the window plus those waiting in blocked pushes — exceeds factor × window (0 = 2, negative = never shed)")
 		shedRetry     = flag.Duration("shed-retry-after", 0, "predictive: Retry-After hint on shed responses (0 = 1s)")
 		forecastEvery = flag.Duration("forecast-every", 0, "predictive: queue-depth forecast sampling interval (0 = 20ms)")
 		dataDir       = flag.String("data-dir", "", "durability: journal job state under this directory and recover it on restart (empty = in-memory only)")

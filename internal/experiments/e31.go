@@ -49,7 +49,12 @@ func E31SustainedOverload(seed int64) Result {
 		// Slow tasks and wide pacing: each batch takes far longer to drain
 		// than the gap to the next push, so the daemon is genuinely
 		// saturated — and the shed decision never races the arrival rate.
-		SleepUS:   20_000,
+		// The arithmetic: a push returns with window + 1 = 5 of its tasks
+		// still in the daemon (4 credits, one staged slot) and the next
+		// lands 25 ms later. At 20 ms a task four of the five finish inside
+		// that gap, the forecast falls under bound/2 = 2 and nothing is ever
+		// shed; at 40 ms all five are still there.
+		SleepUS:   40_000,
 		PollEvery: 100 * time.Millisecond, // sustained profile paces pushes PollEvery/4 apart
 		Window:    window,
 		Timeout:   modernTimeout,

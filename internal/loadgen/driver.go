@@ -161,9 +161,10 @@ type DriveSummary struct {
 	Errors  []string
 	// CommitBatches and CommitRecords are the daemon's group-commit
 	// totals (the service_commit_batch_size histogram's count and sum)
-	// sampled after the run when Durable was set. CommitRecords >
-	// CommitBatches means concurrent pushes provably coalesced under
-	// shared fsyncs.
+	// sampled after the run when Durable was set. Every batch carries at
+	// least one record, so CommitRecords ≥ CommitBatches; an excess means
+	// some commits shared an fsync in this run (whether any do depends on
+	// how they happened to overlap the disk, not only on the code).
 	CommitBatches int64
 	CommitRecords int64
 }

@@ -458,8 +458,10 @@ func lifecycle(done, closed, running bool) string {
 	return JobAccepting
 }
 
-// Push submits tasks to the job, blocking under backpressure (the
-// engine's in-flight window plus the input buffer are both bounded). It
+// Push submits tasks to the job, blocking under backpressure: the engine's
+// in-flight window is the only bound on admitted work, so once it is full
+// the rest of the batch waits here, in the blocked push, and is handed
+// over one task at a time (service_push_wait_seconds is that wait). It
 // returns how many tasks were accepted. A job whose run finishes while a
 // push is blocked — every cluster node died and the engine abandoned the
 // stream — unblocks with an error instead of hanging the submitter: the
@@ -501,7 +503,9 @@ func (j *Job) Push(specs []TaskSpec) (int, error) {
 	// delivers it with the rest of the backlog.
 	accepted, pushErr := len(specs), error(nil)
 	if state == JobAccepting {
+		start := time.Now()
 		accepted, pushErr = j.feed(specs)
+		j.svc.hPushWait.ObserveDuration(time.Since(start))
 	}
 	j.svc.cSubmitted.Add(int64(accepted))
 	return accepted, pushErr
@@ -512,9 +516,9 @@ func (j *Job) Push(specs []TaskSpec) (int, error) {
 // Callers hold sendMu (Push the read side, resume the write side).
 func (j *Job) feed(specs []TaskSpec) (int, error) {
 	// A finished job is checked for before every send, not only when the
-	// buffer is full: once a cluster job's runner abandons the stream (all
-	// nodes dead) nothing drains j.in, so a send into remaining buffer
-	// space would be reported accepted though it can only be lost. A send
+	// hand-off slot is taken: once a cluster job's runner abandons the
+	// stream (all nodes dead) nothing drains j.in, so a send into its free
+	// slot would be reported accepted though it can only be lost. A send
 	// that does block parks until the runner takes it or the job finishes.
 	// (A local job's workers cannot all die: its runner drains the input
 	// until close, and the done arm never fires mid-push.)

@@ -2,9 +2,11 @@ package service
 
 // The service half of the predictive policy. The engine (predict.go in
 // internal/skel/engine) forecasts per-worker completion times; this file
-// forecasts each predictive job's queue depth (submitted − completed)
-// through the same stats.TrendWindow forecaster and drives
-// three actuators from it:
+// forecasts each predictive job's queue depth (submitted − completed: the
+// at most window + 1 tasks the engine and its hand-off slot hold, plus
+// every task committed but not yet admitted, i.e. sitting in a blocked
+// push) through the same stats.TrendWindow forecaster and drives three
+// actuators from it:
 //
 //   - share autoscale: a local job whose forecast outgrows its window has
 //     its fair share boosted through alloc.SetShare (capped, with
@@ -14,10 +16,11 @@ package service
 //     extra worker nodes with the coordinator (SetWanted), surfaced on
 //     /api/v1/nodes and the cluster_nodes_wanted gauge for an external
 //     autoscaler to act on;
-//   - admission control: once the forecast exceeds ShedFactor × window,
-//     the job sheds pushes with ErrOverloaded (HTTP 429 + Retry-After)
-//     instead of letting backpressure stall the daemon, resuming at half
-//     the bound so admission does not flap.
+//   - admission control: once the forecast exceeds ShedFactor × window —
+//     with the default factor 2, a full window plus as much again waiting
+//     in blocked pushes — the job sheds pushes with ErrOverloaded (HTTP
+//     429 + Retry-After) instead of letting backpressure stall the daemon,
+//     resuming at half the bound so admission does not flap.
 
 import (
 	"fmt"

@@ -6,8 +6,10 @@
 // The service is skeleton-agnostic: a job declares its skeleton (farm,
 // pipeline, dmap) and the adapt registry resolves it to an engine.Runner;
 // from here on the service only ever touches the engine contract. Each job
-// is one runner fed through a bounded channel, so submission backpressure
-// propagates all the way to the caller. The service calibrates the
+// is one runner fed through a one-slot hand-off channel, so the engine's
+// in-flight window is the only bound on admitted work and submission
+// backpressure propagates all the way to the caller: what does not fit the
+// window waits in the blocked Push. The service calibrates the
 // platform once (Algorithm 1 over spin probes) and the one ranking's
 // dispatch weights feed every skeleton type — chunk shares for farms,
 // decomposition blocks for dmaps, stage mappings for pipelines. Per-job
@@ -130,7 +132,10 @@ type Config struct {
 	// ShedFactor arms admission control for predictive jobs: pushes are
 	// shed with ErrOverloaded (HTTP 429 + Retry-After) once the job's
 	// queue-depth forecast exceeds ShedFactor × its window, and resume at
-	// half that (hysteresis). Zero defaults to 2; negative disables
+	// half that (hysteresis). The forecast counts every committed task not
+	// yet completed; the daemon holds at most window + 1 of them, so the
+	// rest is load waiting outside the engine, in blocked pushes. Zero
+	// defaults to 2 (a further window waiting there); negative disables
 	// shedding.
 	ShedFactor float64
 	// ShedRetryAfter is the Retry-After hint returned with a 429 (default
@@ -203,11 +208,12 @@ type Service struct {
 	log   *slog.Logger
 	alloc *alloc.Allocator
 
-	// The series touched per task — the task-latency distribution across
-	// every job, and the submitted/shed/completed totals — are resolved
-	// once so Push and onResult (the per-task hot paths) never take the
+	// The series touched per task or per push — the task-latency
+	// distribution across every job, how long each Push spent handing its
+	// batch to the engine, and the submitted/shed/completed totals — are
+	// resolved once so Push and onResult (the hot paths) never take the
 	// registry's name-lookup path.
-	hTaskLatency                  *metrics.Histogram
+	hTaskLatency, hPushWait       *metrics.Histogram
 	cSubmitted, cShed, cCompleted *metrics.Counter
 
 	// wal holds every job's task pool and, when the service is durable, the
@@ -263,6 +269,7 @@ func Open(cfg Config) (*Service, error) {
 		pending: make(map[string]bool),
 	}
 	s.hTaskLatency = s.reg.Histogram("service_task_latency_seconds", metrics.DefDurationBuckets)
+	s.hPushWait = s.reg.Histogram("service_push_wait_seconds", metrics.DefDurationBuckets)
 	s.cSubmitted = s.reg.Counter("service_tasks_submitted_total")
 	s.cShed = s.reg.Counter("service_tasks_shed_total")
 	s.cCompleted = s.reg.Counter("service_tasks_completed_total")
@@ -668,7 +675,11 @@ func (s *Service) startRunner(j *Job, explicitWindow bool) error {
 		})
 	}
 	j.tr.Append(trace.Event{At: s.l.Now(), Kind: trace.KindPhaseEnd, Msg: "calibrate"})
-	j.in = s.l.NewChan("service.in."+name, j.spec.Window)
+	// One slot, not a window: the engine's credit window is the only bound
+	// between Push and the workers, and nothing buffered here could start
+	// any sooner. The slot lets a pusher stage its next task while the
+	// engine admits the previous one.
+	j.in = s.l.NewChan("service.in."+name, 1)
 	j.det = &monitor.Detector{
 		// Z starts disabled; the warm-up installs it via the control
 		// channel once the job's own task times are known. The rule's

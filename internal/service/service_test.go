@@ -135,9 +135,9 @@ func TestServiceThreeConcurrentStreamingJobs(t *testing.T) {
 }
 
 func TestServicePushBlocksUnderBackpressure(t *testing.T) {
-	// Window 2 and a 2-deep input buffer: pushing 20 tasks of ~1ms each on
-	// 2 workers cannot return before most of the work has been admitted,
-	// so Push must take at least a few task durations.
+	// Window 2 and a one-slot hand-off: pushing 20 tasks of ~1ms each on 2
+	// workers cannot return before all but 3 of them have been admitted, so
+	// Push must take at least a few task durations.
 	s := New(Config{Workers: 2, DefaultWindow: 2, WarmupTasks: 1000})
 	j, err := s.Submit("bp", JobSpec{Window: 2})
 	if err != nil {
@@ -153,12 +153,78 @@ func TestServicePushBlocksUnderBackpressure(t *testing.T) {
 	}
 	waitDone(t, j, 10*time.Second)
 	// 20 tasks × 1ms over 2 workers ≈ 10ms of work; with a window of 2 and
-	// a buffer of 2, Push can run ahead by at most ~4 tasks.
+	// one staged task, Push can run ahead of completion by at most 3 tasks.
 	if elapsed < 3*time.Millisecond {
 		t.Errorf("Push returned in %v: backpressure did not reach the submitter", elapsed)
 	}
 	if st := j.Status(); st.MaxInFlight > 2 {
 		t.Errorf("MaxInFlight = %d exceeds window 2", st.MaxInFlight)
+	}
+	// The wait is readable on the push side: one observation per Push.
+	if n, sum := s.hPushWait.Count(), s.hPushWait.Sum(); n != 1 || sum < 0.003 {
+		t.Errorf("service_push_wait_seconds: %d observations summing %.4fs, want 1 of at least 3ms", n, sum)
+	}
+}
+
+// TestJobWindowIsTheOnlyBound is the skeletons' window-bound property one
+// layer up: between Push and the workers nothing holds tasks but the
+// engine's credit window and the one-slot hand-off in front of it. A
+// closed-loop pusher of batch b saturating a window-w job never has more
+// than w + b + 2 tasks uncompleted — w admitted, one staged in j.in, one
+// between its credit release and onResult, and the batch whose push just
+// committed. Any deeper buffer in front of the window would show up here
+// as that many more (a window-deep one as 2w + b), hence w ≥ 8.
+func TestJobWindowIsTheOnlyBound(t *testing.T) {
+	const w, b, n = 8, 4, 160
+	specs := map[string]JobSpec{
+		"farm":     {Window: w},
+		"pipeline": {Window: w, Skeleton: "pipeline", Stages: []StageSpec{{Name: "a"}, {Name: "b", CostFactor: 2}, {Name: "c"}}},
+		"dmap":     {Window: w, Skeleton: "dmap"},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			s := New(Config{Workers: 2, WarmupTasks: 1000})
+			j, err := s.Submit("bound", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				for base := 0; base < n; base += b {
+					if _, err := j.Push(burst(base, b, 2000)); err != nil {
+						t.Errorf("push at %d: %v", base, err)
+						return
+					}
+				}
+				if err := j.CloseInput(); err != nil {
+					t.Errorf("close: %v", err)
+				}
+			}()
+			peak := 0
+			deadline := time.After(30 * time.Second)
+			for !j.finished() {
+				if in := j.Status().InFlight; in > peak {
+					peak = in
+				}
+				select {
+				case <-j.Done():
+				case <-deadline:
+					t.Fatalf("job did not finish (status %+v)", j.Status())
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
+			if peak > w+b+2 {
+				t.Errorf("peak InFlight = %d, want ≤ window + batch + 2 = %d: something besides the window is queueing tasks", peak, w+b+2)
+			}
+			if peak < w {
+				t.Errorf("peak InFlight = %d never reached the window %d: the job was not saturated", peak, w)
+			}
+			if st := j.Status(); st.MaxInFlight != w {
+				t.Errorf("MaxInFlight = %d, want the window %d", st.MaxInFlight, w)
+			}
+			results, _ := j.Results(0)
+			assertExactlyOnceIDs(t, results, n)
+			assertConserved(t, s)
+		})
 	}
 }
 

@@ -159,9 +159,11 @@ func TestScenarioE2EFlashCrowd(t *testing.T) {
 // before it is acknowledged, so admission control, exactly-once delivery
 // and durable ingest are exercised together through real processes. The
 // drive runs with Durable set, so the loadgen driver itself scrapes the
-// daemon's commit-batch histogram after the run — more records than
-// fsync batches proves concurrent pushes and acks coalesced under
-// shared fsyncs rather than each paying a serial fsync.
+// daemon's commit-batch histogram after the run. What only this test can
+// check is that a real journaling daemon counts its commits and serves the
+// histogram; whether two of them ever overlap one 0.2 ms fsync is the
+// disk's decision, and coalescing itself is proven on a gated store by
+// TestRecoveryGroupCommitCoalesces.
 func TestScenarioE2EDurableFlashCrowd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process scenario suite skipped in -short mode (CI runs it in its own job)")
@@ -204,8 +206,8 @@ func TestScenarioE2EDurableFlashCrowd(t *testing.T) {
 	if summary.CommitBatches == 0 {
 		t.Fatal("driver sampled no commit batches from a journaling daemon")
 	}
-	if summary.CommitRecords <= summary.CommitBatches {
-		t.Errorf("group commit never coalesced: %d records in %d fsync batches",
+	if summary.CommitRecords < summary.CommitBatches {
+		t.Errorf("commit histogram inconsistent: %d records in %d fsync batches",
 			summary.CommitRecords, summary.CommitBatches)
 	}
 	// The exposition must declare the batch-size histogram properly, not
