@@ -23,6 +23,7 @@ import (
 	"grasp/internal/platform"
 	"grasp/internal/rt"
 	"grasp/internal/sched"
+	"grasp/internal/skel/compose"
 	"grasp/internal/skel/dc"
 	"grasp/internal/skel/farm"
 	"grasp/internal/skel/pipeline"
@@ -210,20 +211,13 @@ func runDC(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, totalTasks in
 // runPoF drives the pipe-of-farms path: stage pools sized by calibrated
 // service demand, with worker migration when -adaptive is set.
 func runPoF(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nItems int, cost float64, adaptive bool) {
-	stages := make([]core.PipeOfFarmsStage, nStages)
+	stages := make([]compose.Stage, nStages)
 	for i := range stages {
-		i := i
-		stages[i] = core.PipeOfFarmsStage{
-			Name: fmt.Sprintf("stage%d", i),
-			// The last stage is 4× as demanding: the composition's raison
-			// d'être.
-			Cost: func(int) float64 {
-				if i == nStages-1 {
-					return 4 * cost
-				}
-				return cost
-			},
+		c := cost
+		if i == nStages-1 {
+			c *= 4 // the last stage is 4× as demanding: the composition's raison d'être
 		}
+		stages[i] = compose.Stage{Name: fmt.Sprintf("stage%d", i), Cost: func(int) float64 { return c }}
 	}
 	var rep core.PipeOfFarmsReport
 	sim.Go("root", func(c rt.Ctx) {
@@ -246,7 +240,7 @@ func runPoF(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nIt
 		mode = "migrating pools"
 	}
 	fmt.Printf("pipe-of-farms (%s): %d items in %v, %d migration(s)\n",
-		mode, rep.Pipe.Items, rep.Pipe.Makespan, len(rep.Migrations))
+		mode, rep.Pipe.Items, rep.Pipe.Makespan, len(rep.Pipe.Migrations))
 	for i, pool := range rep.Pools {
 		fmt.Printf("  stage %d pool: %d workers\n", i, len(pool))
 	}

@@ -46,7 +46,10 @@
 //     updates of that stage's farm.
 //   - skel/compose: the stage graph itself (RunFarms) — one farm.Stream
 //     per stage, window = pool size — plus demand-proportional pool
-//     sizing; compose.Run and pipeline.Run both run on it.
+//     sizing; compose.Run and pipeline.Run both run on it. With
+//     Options.Migrate a rebalancer beside the graph moves idle workers to
+//     the stage where items wait, as Update{Remove} on one stage's farm
+//     and Update{Add} on another's.
 //   - skel/dc, skel/reduce map their levers (grain, combining-tree shape)
 //     onto the same contract and share the engine's failure/retire
 //     bookkeeping.

@@ -1,9 +1,12 @@
 // Package calibrate implements Algorithm 1 of the paper: run a sample of
-// the program's functions over every allocated node concurrently, collect
-// the execution times at the root, optionally adjust them statistically
-// using processor-load and bandwidth observations, rank the nodes by
-// extrapolated performance, and select the fittest subset (the "Chosen"
-// table).
+// the program's functions on every allocated node concurrently, rank the
+// nodes by measured time (TimeOnly, all the daemon uses) or by
+// statistically adjusted time (Univariate, Multivariate, LoadScaled:
+// virtual-time exhibits until served work feeds calibration), and select
+// the fittest subset (the "Chosen" table).
+//
+// The statistical strategies have no caller outside E6 and
+// examples/paramsweep.
 //
 // Ranking strategies mirror the paper's two modes — "execution times only"
 // and "statistical functions, such as univariate and multivariate linear

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"grasp/internal/calibrate"
@@ -299,37 +300,28 @@ type PipeOfFarmsConfig struct {
 	ProbeCost float64
 	// BufSize is the inter-stage buffer depth (default 1).
 	BufSize int
-	// Migrate enables dynamic pool rebalancing (compose.RunAdaptive): pool
-	// members follow the pressure when the demand profile shifts at run
-	// time. Rebalance tunes it; the zero value uses the defaults.
-	Migrate   bool
-	Rebalance compose.Rebalance
+	// Migrate enables dynamic pool rebalancing (compose.Options.Migrate):
+	// pool members follow the pressure when the demand profile shifts at
+	// run time, as membership updates on the stages' farms. No tuning.
+	Migrate bool
 	// Log receives all trace events (optional).
 	Log *trace.Log
 }
 
-// PipeOfFarmsStage is a stage description before pool assignment: compose
-// stages minus the Pool, which RunPipeOfFarms derives from calibration.
-type PipeOfFarmsStage struct {
-	Name              string
-	Cost              func(item int) float64
-	InBytes, OutBytes float64
-	Fn                func(v any) any
-}
-
-// PipeOfFarmsReport wraps the composition outcome with its pool assignment.
+// PipeOfFarmsReport wraps the composition outcome (Pipe.Migrations is the
+// rebalancing history when Migrate was enabled) with its starting pool
+// assignment.
 type PipeOfFarmsReport struct {
 	Pipe  compose.Report
 	Pools [][]int
-	// Migrations holds the rebalancing history when Migrate was enabled.
-	Migrations []compose.Migration
 }
 
 // RunPipeOfFarms calibrates the platform and splits the ranked workers into
 // per-stage farm pools proportional to the stages' service demands (cost of
 // item 0), then runs the composed skeleton: the calibration phase performs
-// the composition's "correct selection of resources".
-func RunPipeOfFarms(pf platform.Platform, c rt.Ctx, stages []PipeOfFarmsStage, nItems int, cfg PipeOfFarmsConfig) (PipeOfFarmsReport, error) {
+// the composition's "correct selection of resources". The stages come
+// without pools; any they carry are replaced.
+func RunPipeOfFarms(pf platform.Platform, c rt.Ctx, stages []compose.Stage, nItems int, cfg PipeOfFarmsConfig) (PipeOfFarmsReport, error) {
 	if len(stages) == 0 || len(stages) > pf.Size() {
 		return PipeOfFarmsReport{}, fmt.Errorf("core: %d stages need at most %d nodes", len(stages), pf.Size())
 	}
@@ -358,30 +350,16 @@ func RunPipeOfFarms(pf platform.Platform, c rt.Ctx, stages []PipeOfFarmsStage, n
 		}
 	}
 	pools := compose.PoolsByDemand(out.Ranking.Order, demands)
-
-	full := make([]compose.Stage, len(stages))
-	for i, st := range stages {
-		full[i] = compose.Stage{
-			Name: st.Name, Pool: pools[i],
-			Cost: st.Cost, InBytes: st.InBytes, OutBytes: st.OutBytes,
-			Fn: st.Fn,
-		}
+	full := slices.Clone(stages)
+	for i := range full {
+		full[i].Pool = pools[i]
 	}
 	logPhase(cfg.Log, c, PhaseExecution, "")
-	out2 := PipeOfFarmsReport{Pools: pools}
-	if cfg.Migrate {
-		arep := compose.RunAdaptive(pf, c, full, nItems, compose.Options{
-			BufSize: cfg.BufSize,
-			Log:     cfg.Log,
-		}, cfg.Rebalance)
-		out2.Pipe = arep.Report
-		out2.Migrations = arep.Migrations
-	} else {
-		out2.Pipe = compose.Run(pf, c, full, nItems, compose.Options{
-			BufSize: cfg.BufSize,
-			Log:     cfg.Log,
-		})
-	}
+	pipe := compose.Run(pf, c, full, nItems, compose.Options{
+		BufSize: cfg.BufSize,
+		Migrate: cfg.Migrate,
+		Log:     cfg.Log,
+	})
 	endPhase(cfg.Log, c, PhaseExecution)
-	return out2, nil
+	return PipeOfFarmsReport{Pipe: pipe, Pools: pools}, nil
 }

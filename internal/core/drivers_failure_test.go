@@ -6,6 +6,7 @@ import (
 
 	"grasp/internal/grid"
 	"grasp/internal/rt"
+	"grasp/internal/skel/compose"
 	"grasp/internal/skel/reduce"
 )
 
@@ -115,7 +116,7 @@ func TestRunPipeOfFarmsSurvivesPoolMemberCrash(t *testing.T) {
 	specs := evenSpecs(6, 10)
 	specs[4].FailAt = 3 * time.Second
 	pf, sim := driverWorld(t, specs)
-	stages := []PipeOfFarmsStage{
+	stages := []compose.Stage{
 		{Name: "a", Cost: func(int) float64 { return 1 }},
 		{Name: "b", Cost: func(int) float64 { return 2 }},
 	}

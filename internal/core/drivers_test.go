@@ -10,6 +10,7 @@ import (
 	"grasp/internal/loadgen"
 	"grasp/internal/platform"
 	"grasp/internal/rt"
+	"grasp/internal/skel/compose"
 	"grasp/internal/skel/dc"
 	"grasp/internal/skel/reduce"
 	"grasp/internal/vsim"
@@ -343,7 +344,7 @@ func TestRunDCRecalibratesOnBreach(t *testing.T) {
 
 func TestRunPipeOfFarmsDeliversAndSizesPools(t *testing.T) {
 	pf, sim := driverWorld(t, evenSpecs(8, 10))
-	stages := []PipeOfFarmsStage{
+	stages := []compose.Stage{
 		{Name: "light", Cost: func(int) float64 { return 1 }},
 		{Name: "heavy", Cost: func(int) float64 { return 3 }},
 	}
@@ -369,7 +370,7 @@ func TestRunPipeOfFarmsDeliversAndSizesPools(t *testing.T) {
 
 func TestRunPipeOfFarmsRejectsTooManyStages(t *testing.T) {
 	pf, sim := driverWorld(t, evenSpecs(2, 10))
-	stages := make([]PipeOfFarmsStage, 3)
+	stages := make([]compose.Stage, 3)
 	var err error
 	sim.Go("root", func(c rt.Ctx) {
 		_, err = RunPipeOfFarms(pf, c, stages, 10, PipeOfFarmsConfig{})
@@ -385,7 +386,7 @@ func TestRunPipeOfFarmsRejectsTooManyStages(t *testing.T) {
 func TestRunPipeOfFarmsValuesOnLocal(t *testing.T) {
 	l := rt.NewLocal()
 	pf := platform.NewLocalPlatform(l, 4)
-	stages := []PipeOfFarmsStage{
+	stages := []compose.Stage{
 		{Name: "sq", Fn: func(v any) any { return v.(int) * v.(int) }},
 		{Name: "neg", Fn: func(v any) any { return -v.(int) }},
 	}

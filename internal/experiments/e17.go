@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"grasp/internal/grid"
 	"grasp/internal/report"
 	"grasp/internal/rt"
@@ -17,10 +15,10 @@ import (
 // the first half of the items, then stage B takes over the 6× — so pools
 // sized for the opening demand are exactly wrong for the second act.
 // Expected shape: with steady demand, migration matches the static pools
-// (nothing to fix, small polling slack tolerated); under the shift,
-// migration beats static demand-sized pools, workers demonstrably flow
-// from the cooling stage to the heating one, and items are neither lost
-// nor duplicated.
+// (nothing to fix: within 5 %); under the shift, migration takes well
+// under two thirds of what static demand-sized pools take, workers
+// demonstrably flow from the cooling stage to the heating one, and items
+// are neither lost nor duplicated.
 func E17Migration(seed int64) Result {
 	const (
 		nodes  = 8
@@ -33,7 +31,6 @@ func E17Migration(seed int64) Result {
 
 	table := report.NewTable("E17 — Pool migration under a mid-stream demand shift",
 		"workload", "variant", "makespan", "migrations", "items")
-	var checks []Check
 
 	specs := func() []grid.NodeSpec {
 		s := make([]grid.NodeSpec, nodes)
@@ -47,88 +44,68 @@ func E17Migration(seed int64) Result {
 		workers[i] = i
 	}
 
-	steady := func(stage int) func(int) float64 {
-		return func(int) float64 {
-			if stage == 0 {
-				return heavy
+	// demand: stage A is the heavy one for the first flipAt items, stage B
+	// after them.
+	demand := func(flipAt int) func(stage int) func(int) float64 {
+		return func(stage int) func(int) float64 {
+			return func(i int) float64 {
+				if (stage == 0) == (i < flipAt) {
+					return heavy
+				}
+				return light
 			}
-			return light
 		}
 	}
-	shifting := func(stage int) func(int) float64 {
-		return func(i int) float64 {
-			first := i < nItems/2
-			if (stage == 0) == first {
-				return heavy
-			}
-			return light
-		}
-	}
+	steady, shifting := demand(nItems), demand(nItems/2)
 
-	build := func(cost func(stage int) func(int) float64, pools [][]int) []compose.Stage {
-		return []compose.Stage{
+	run := func(cost func(stage int) func(int) float64, migrate bool) compose.Report {
+		w := newWorld(grid.Config{Nodes: specs()}, 0, seed)
+		// Pools sized for the opening demand (A heavy): 6:1 over 8 workers.
+		pools := compose.PoolsByDemand(workers, []float64{heavy, light})
+		stages := []compose.Stage{
 			{Name: "A", Pool: pools[0], Cost: cost(0)},
 			{Name: "B", Pool: pools[1], Cost: cost(1)},
 		}
-	}
-	// Pools sized for the opening demand (A heavy): 6:1 over 8 workers.
-	pools := func() [][]int { return compose.PoolsByDemand(workers, []float64{heavy, light}) }
-
-	runStatic := func(cost func(int) func(int) float64) (time.Duration, int) {
-		w := newWorld(grid.Config{Nodes: specs()}, 0, seed)
 		var rep compose.Report
 		w.run(func(c rt.Ctx) {
-			rep = compose.Run(w.pf, c, build(cost, pools()), nItems, compose.Options{BufSize: buf})
+			rep = compose.Run(w.pf, c, stages, nItems, compose.Options{BufSize: buf, Migrate: migrate})
 		})
-		return rep.Makespan, rep.Items
+		return rep
 	}
-	runAdaptive := func(cost func(int) func(int) float64) (time.Duration, int, []compose.Migration, map[int]bool) {
-		w := newWorld(grid.Config{Nodes: specs()}, 0, seed)
-		var rep compose.AdaptiveReport
-		w.run(func(c rt.Ctx) {
-			rep = compose.RunAdaptive(w.pf, c, build(cost, pools()), nItems,
-				compose.Options{BufSize: buf}, compose.Rebalance{Poll: 50 * time.Millisecond})
-		})
-		ids := make(map[int]bool, rep.Items)
-		for _, o := range rep.Outputs {
-			ids[o.ID] = true
-		}
-		return rep.Makespan, rep.Items, rep.Migrations, ids
+	steadyStatic, steadyAdaptive := run(steady, false), run(steady, true)
+	shiftStatic, shiftAdaptive := run(shifting, false), run(shifting, true)
+	shiftIDs := make(map[int]bool, shiftAdaptive.Items)
+	for _, o := range shiftAdaptive.Outputs {
+		shiftIDs[o.ID] = true
 	}
 
-	steadyStatic, steadyStaticItems := runStatic(steady)
-	steadyAdaptive, steadyAdaptiveItems, steadyMigs, _ := runAdaptive(steady)
-	shiftStatic, shiftStaticItems := runStatic(shifting)
-	shiftAdaptive, shiftAdaptiveItems, shiftMigs, shiftIDs := runAdaptive(shifting)
-
-	table.AddRow("steady", "static pools", secs(steadyStatic), "-", steadyStaticItems)
-	table.AddRow("steady", "migrating pools", secs(steadyAdaptive), len(steadyMigs), steadyAdaptiveItems)
-	table.AddRow("shifting", "static pools", secs(shiftStatic), "-", shiftStaticItems)
-	table.AddRow("shifting", "migrating pools", secs(shiftAdaptive), len(shiftMigs), shiftAdaptiveItems)
+	table.AddRow("steady", "static pools", secs(steadyStatic.Makespan), "-", steadyStatic.Items)
+	table.AddRow("steady", "migrating pools", secs(steadyAdaptive.Makespan), len(steadyAdaptive.Migrations), steadyAdaptive.Items)
+	table.AddRow("shifting", "static pools", secs(shiftStatic.Makespan), "-", shiftStatic.Items)
+	table.AddRow("shifting", "migrating pools", secs(shiftAdaptive.Makespan), len(shiftAdaptive.Migrations), shiftAdaptive.Items)
 	table.AddNote("stage costs flip 6:1 → 1:6 at the stream midpoint; pools sized 6:1 up front")
 
 	aToB := 0
-	for _, m := range shiftMigs {
+	for _, m := range shiftAdaptive.Migrations {
 		if m.From == 0 && m.To == 1 {
 			aToB++
 		}
 	}
-	allDelivered := len(shiftIDs) == nItems
 
-	checks = append(checks,
-		check("steady-static-delivers", steadyStaticItems == nItems, "%d items", steadyStaticItems),
-		check("steady-adaptive-delivers", steadyAdaptiveItems == nItems, "%d items", steadyAdaptiveItems),
-		check("shift-static-delivers", shiftStaticItems == nItems, "%d items", shiftStaticItems),
-		check("shift-adaptive-delivers", shiftAdaptiveItems == nItems, "%d items", shiftAdaptiveItems),
-		check("no-duplicates-under-migration", allDelivered,
+	checks := []Check{
+		check("steady-static-delivers", steadyStatic.Items == nItems, "%d items", steadyStatic.Items),
+		check("steady-adaptive-delivers", steadyAdaptive.Items == nItems, "%d items", steadyAdaptive.Items),
+		check("shift-static-delivers", shiftStatic.Items == nItems, "%d items", shiftStatic.Items),
+		check("shift-adaptive-delivers", shiftAdaptive.Items == nItems, "%d items", shiftAdaptive.Items),
+		check("no-duplicates-under-migration", len(shiftIDs) == nItems,
 			"%d distinct IDs of %d items", len(shiftIDs), nItems),
-		check("steady-parity", steadyAdaptive <= steadyStatic*5/4,
-			"migrating %v vs static %v with nothing to fix", steadyAdaptive, steadyStatic),
-		check("migration-wins-under-shift", shiftAdaptive < shiftStatic,
-			"migrating %v vs static %v under the demand flip", shiftAdaptive, shiftStatic),
+		check("steady-parity", steadyAdaptive.Makespan <= steadyStatic.Makespan*105/100,
+			"migrating %v vs static %v with nothing to fix", steadyAdaptive.Makespan, steadyStatic.Makespan),
+		check("migration-wins-under-shift", shiftAdaptive.Makespan < shiftStatic.Makespan*6/10,
+			"migrating %v vs static %v under the demand flip", shiftAdaptive.Makespan, shiftStatic.Makespan),
 		check("workers-flow-to-heat", aToB >= 1,
-			"%d migrations A→B after the flip (total %d)", aToB, len(shiftMigs)),
-	)
+			"%d migrations A→B after the flip (total %d)", aToB, len(shiftAdaptive.Migrations)),
+	}
 	return Result{ID: "E17", Title: "Pool migration under demand shift", Table: table, Checks: checks}
 }
 

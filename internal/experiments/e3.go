@@ -7,9 +7,9 @@ import (
 	"grasp/internal/core"
 	"grasp/internal/grid"
 	"grasp/internal/loadgen"
-	"grasp/internal/metrics"
 	"grasp/internal/report"
 	"grasp/internal/rt"
+	"grasp/internal/stats"
 )
 
 // E3FarmAdaptive reproduces the shape of ref [6]'s evaluation: a task farm
@@ -72,7 +72,7 @@ func E3FarmAdaptive(seed int64) Result {
 			}
 		})
 
-		ratio := metrics.Speedup(staticSpan, rep.Makespan)
+		ratio := stats.Speedup(staticSpan, rep.Makespan)
 		ratios = append(ratios, ratio)
 		table.AddRow(fmt.Sprintf("%.0f%%", level*100), secs(staticSpan), secs(rep.Makespan),
 			ratio, rep.Recalibrations)

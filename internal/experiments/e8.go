@@ -6,12 +6,12 @@ import (
 
 	"grasp/internal/calibrate"
 	"grasp/internal/grid"
-	"grasp/internal/metrics"
 	"grasp/internal/platform"
 	"grasp/internal/report"
 	"grasp/internal/rt"
 	"grasp/internal/sched"
 	"grasp/internal/skel/farm"
+	"grasp/internal/stats"
 )
 
 // E8Heterogeneity sweeps node-speed heterogeneity (CV of the base-speed
@@ -79,7 +79,7 @@ func E8Heterogeneity(seed int64) Result {
 			for i := 0; i < nodes; i++ {
 				busy = append(busy, r.BusyByWorker[i])
 			}
-			return metrics.Imbalance(busy)
+			return stats.Imbalance(busy)
 		}
 		table.AddRow(cv, secs(rrRep.Makespan), secs(wRep.Makespan), secs(dRep.Makespan),
 			imb(rrRep), imb(dRep))

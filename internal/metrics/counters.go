@@ -1,3 +1,7 @@
+// Package metrics is the operational Registry the daemons export:
+// counters, gauges, and fixed-bucket latency histograms with a
+// zero-allocation Observe path, rendered deterministically in Prometheus
+// text exposition format (RenderProm) — the one exposition.
 package metrics
 
 import (
@@ -6,8 +10,7 @@ import (
 )
 
 // Counter is a monotonically increasing operational counter, safe for
-// concurrent use. The service layer exports these alongside the analytical
-// measures above.
+// concurrent use.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"grasp/internal/stats"
 )
 
 // TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine pins what the shed
@@ -93,4 +95,36 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 			assertConserved(t, s)
 		})
 	}
+}
+
+// TestForecastColdStartDecidesNothing: the first samples of a job filling
+// its window — 0, then window + 1 tasks and a blocked quarter-window push —
+// put a trend line at twice the shed bound's distance; with fewer than
+// forecastWindow/2 samples the forecaster must not act on it. Once the
+// window has seen enough of a queue that really is growing, it sheds.
+func TestForecastColdStartDecidesNothing(t *testing.T) {
+	s := New(Config{Workers: 2, WarmupTasks: 2, ForecastEvery: time.Hour}) // the loop never samples: the test does
+	j, err := s.Submit("cold", JobSpec{Window: 8, Adapt: AdaptPredictive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	activations := s.reg.Counter("service_shed_activations_total")
+	depth := stats.NewTrendWindow(forecastWindow)
+	for _, inFlight := range []int{0, 12} {
+		s.forecastStep(j, depth, inFlight)
+		if st := j.Status(); st.Shedding || st.QueueForecast != 0 || activations.Value() != 0 {
+			t.Fatalf("after samples ending in %d: shedding=%v forecast=%v activations=%d; want no decision from %d samples",
+				inFlight, st.Shedding, st.QueueForecast, activations.Value(), depth.Len())
+		}
+	}
+	for _, inFlight := range []int{24, 36} {
+		s.forecastStep(j, depth, inFlight)
+	}
+	if st := j.Status(); !st.Shedding || activations.Value() != 1 {
+		t.Errorf("after 0, 12, 24, 36 against a bound of 16: shedding=%v activations=%d; want shed once", st.Shedding, activations.Value())
+	}
+	if err := j.CloseInput(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j, 10*time.Second)
 }

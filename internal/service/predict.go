@@ -48,9 +48,6 @@ const (
 // startRunner.
 func (s *Service) forecastLoop(j *Job) {
 	depth := stats.NewTrendWindow(forecastWindow)
-	window := float64(j.spec.Window)
-	shedBound := s.cfg.ShedFactor * window
-	baseShare := j.spec.share()
 	ticker := time.NewTicker(s.cfg.ForecastEvery)
 	defer ticker.Stop()
 	if j.pool != nil && s.cfg.Cluster != nil {
@@ -64,79 +61,87 @@ func (s *Service) forecastLoop(j *Job) {
 			return
 		case <-ticker.C:
 		}
-		depth.Observe(float64(j.Status().InFlight))
-		f := depth.Predict()
-		if math.IsNaN(f) {
-			continue
-		}
-		if f < 0 {
-			f = 0
-		}
+		s.forecastStep(j, depth, j.Status().InFlight)
+	}
+}
 
-		// Admission control with hysteresis: shed above the bound, resume
-		// below half of it.
+// forecastStep takes one queue-depth sample and acts on the forecast. A
+// trend line through the first samples of a job that is only filling its
+// window says nothing about load — [0, 12] extrapolates to 24 — so nothing
+// is decided until half the forecast window has been seen.
+func (s *Service) forecastStep(j *Job, depth *stats.TrendWindow, inFlight int) {
+	depth.Observe(float64(inFlight))
+	if depth.Len() < forecastWindow/2 {
+		return
+	}
+	f := math.Max(depth.Predict(), 0)
+	window := float64(j.spec.Window)
+	shedBound := s.cfg.ShedFactor * window
+	baseShare := j.spec.share()
+
+	// Admission control with hysteresis: shed above the bound, resume
+	// below half of it.
+	j.mu.Lock()
+	j.queueForecast = f
+	was := j.shedding
+	if shedBound > 0 {
+		if !was && f > shedBound {
+			j.shedding = true
+		} else if was && f < shedBound/2 {
+			j.shedding = false
+		}
+	}
+	shedding := j.shedding
+	j.mu.Unlock()
+	if shedding != was {
+		msg := "admission control: shedding (forecast over bound)"
+		if !shedding {
+			msg = "admission control: accepting (queue drained)"
+			s.reg.Counter("service_shed_recoveries_total").Inc()
+		} else {
+			s.reg.Counter("service_shed_activations_total").Inc()
+		}
+		j.tr.Append(trace.Event{At: s.l.Now(), Kind: trace.KindForecast, Value: f, Msg: msg})
+		s.log.Info("admission control state change",
+			"job", j.name, "shedding", shedding, "queue_forecast", f, "bound", shedBound)
+	}
+
+	// Share autoscale (local placement): boost toward forecast/window,
+	// capped; release back to the spec share when the queue calms. The
+	// 10% deadband keeps the allocator from rebalancing on noise.
+	boost := 1.0
+	if window > 0 && f > window {
+		boost = math.Min(f/window, maxShareBoost)
+	}
+	target := baseShare * boost
+	j.mu.Lock()
+	cur := j.effShare
+	j.mu.Unlock()
+	if target != cur && (boost == 1 || math.Abs(target-cur) > 0.1*cur) {
+		if j.pool == nil {
+			s.alloc.SetShare(j.name, target)
+		}
 		j.mu.Lock()
-		j.queueForecast = f
-		was := j.shedding
-		if shedBound > 0 {
-			if !was && f > shedBound {
-				j.shedding = true
-			} else if was && f < shedBound/2 {
-				j.shedding = false
-			}
-		}
-		shedding := j.shedding
+		j.effShare = target
 		j.mu.Unlock()
-		if shedding != was {
-			msg := "admission control: shedding (forecast over bound)"
-			if !shedding {
-				msg = "admission control: accepting (queue drained)"
-				s.reg.Counter("service_shed_recoveries_total").Inc()
-			} else {
-				s.reg.Counter("service_shed_activations_total").Inc()
-			}
-			j.tr.Append(trace.Event{At: s.l.Now(), Kind: trace.KindForecast, Value: f, Msg: msg})
-			s.log.Info("admission control state change",
-				"job", j.name, "shedding", shedding, "queue_forecast", f, "bound", shedBound)
-		}
+		j.tr.Append(trace.Event{
+			At: s.l.Now(), Kind: trace.KindForecast, Value: f,
+			Msg: fmt.Sprintf("share autoscaled to %.2f", target),
+		})
+		s.log.Info("share autoscaled",
+			"job", j.name, "share", target, "queue_forecast", f)
+	}
 
-		// Share autoscale (local placement): boost toward forecast/window,
-		// capped; release back to the spec share when the queue calms. The
-		// 10% deadband keeps the allocator from rebalancing on noise.
-		boost := 1.0
+	// Node demand (cluster placement): advisory scale-out request,
+	// cleared when the queue forecast fits the window again.
+	if j.pool != nil && s.cfg.Cluster != nil {
+		extra := 0
 		if window > 0 && f > window {
-			boost = math.Min(f/window, maxShareBoost)
-		}
-		target := baseShare * boost
-		j.mu.Lock()
-		cur := j.effShare
-		j.mu.Unlock()
-		if target != cur && (boost == 1 || math.Abs(target-cur) > 0.1*cur) {
-			if j.pool == nil {
-				s.alloc.SetShare(j.name, target)
+			extra = int(math.Ceil(f/window)) - 1
+			if extra > maxNodesWanted {
+				extra = maxNodesWanted
 			}
-			j.mu.Lock()
-			j.effShare = target
-			j.mu.Unlock()
-			j.tr.Append(trace.Event{
-				At: s.l.Now(), Kind: trace.KindForecast, Value: f,
-				Msg: fmt.Sprintf("share autoscaled to %.2f", target),
-			})
-			s.log.Info("share autoscaled",
-				"job", j.name, "share", target, "queue_forecast", f)
 		}
-
-		// Node demand (cluster placement): advisory scale-out request,
-		// cleared when the queue forecast fits the window again.
-		if j.pool != nil && s.cfg.Cluster != nil {
-			extra := 0
-			if window > 0 && f > window {
-				extra = int(math.Ceil(f/window)) - 1
-				if extra > maxNodesWanted {
-					extra = maxNodesWanted
-				}
-			}
-			s.cfg.Cluster.SetWanted(j.name, extra)
-		}
+		s.cfg.Cluster.SetWanted(j.name, extra)
 	}
 }

@@ -21,10 +21,20 @@
 // demand-driven pulls, the retry of a crashed member's item on a survivor
 // and the last-one-out close are the farm's, and the farm's credit Window
 // (the pool size) is what bounds the items inside a stage.
+//
+// Pools need not stay as sized. With Options.Migrate a rebalancer process
+// beside the stage graph moves workers between stages as membership on
+// that same graph — engine.Update{Remove} on one stage's farm, {Add} on
+// another's — "the ability to adapt all of these factors dynamically" for
+// the composition. It has no knob: a stage's pressure is the items waiting
+// at its door over its input buffer's capacity, and a worker is idle once
+// it has been parked, or held by a full buffer, for as long as its last
+// item took. A migrating stage's Window is every worker there is.
 package compose
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,6 +64,11 @@ type Stage struct {
 type Options struct {
 	// BufSize is the inter-stage buffer capacity (default 1).
 	BufSize int
+	// Migrate lets pool members follow the demand: an idle worker moves to
+	// the stage where items wait, a stage that has finished gives away its
+	// whole pool, a pool that died whole is rescued from the largest other
+	// one, and no stage gives away its last member (Report.Migrations).
+	Migrate bool
 	// Log receives trace events (optional).
 	Log *trace.Log
 }
@@ -85,6 +100,15 @@ type Report struct {
 	DeadWorkers []int
 	// Lost counts items dropped because a stage's whole pool died.
 	Lost int
+	// Migrations lists worker reassignments in event order (Options.Migrate).
+	Migrations []Migration
+}
+
+// Migration is one worker-reassignment event.
+type Migration struct {
+	At       time.Duration
+	Worker   int
+	From, To int // stage indices
 }
 
 // Run pushes nItems items (IDs 0..nItems−1, initial value = their ID)
@@ -103,8 +127,9 @@ func Run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Option
 // engine membership updates (pipeline.Run: a pool of one that grows or
 // moves); Run passes none. A stage's Window defaults to its pool size:
 // every member holds one item and nothing queues inside the stage, which
-// leaves BufSize the only buffering between stages. The stages' engine
-// reports are returned beside the Report summed from them.
+// leaves BufSize the only buffering between stages. With Options.Migrate
+// the stages' Control, OnFailure and Window are the rebalancer's. The
+// stages' engine reports are returned beside the Report summed from them.
 func RunFarms(pf platform.Platform, c rt.Ctx, stages []Stage, farms []engine.StreamOptions, nItems int, opts Options) (Report, []engine.StreamReport) {
 	rep := Report{ItemsByWorker: make(map[int]int)}
 	if len(stages) == 0 {
@@ -119,6 +144,19 @@ func RunFarms(pf platform.Platform, c rt.Ctx, stages []Stage, farms []engine.Str
 	chans := make([]rt.Chan, len(stages)+1)
 	for i := range chans {
 		chans[i] = pf.Runtime().NewChan(fmt.Sprintf("pof.c%d", i), max(opts.BufSize, 1))
+	}
+	var rb *rebalancer // nil: the pools stay as given
+	var rbDone rt.Handle
+	turn := make(map[int]rt.Chan)
+	if opts.Migrate {
+		rb = newRebalancer(pf, c, stages, nItems, chans[0].Cap(), opts.Log)
+		rbDone = c.Go("pof.rebalance", rb.run)
+		for _, st := range stages {
+			for _, w := range st.Pool {
+				turn[w] = pf.Runtime().NewChan(fmt.Sprintf("pof.turn%d", w), 1)
+				turn[w].Send(c, nil)
+			}
+		}
 	}
 	// taskFor is item id entering stage si with value val; past the last
 	// stage it is the bare item the sink receives.
@@ -149,28 +187,45 @@ func RunFarms(pf platform.Platform, c rt.Ctx, stages []Stage, farms []engine.Str
 		if o.Window <= 0 {
 			o.Window = len(st.Pool)
 		}
+		if rb != nil {
+			o.Window = len(turn) // every worker may end up in this pool
+			o.Control = rb.control[si]
+		}
 		// Items leave the stage through handoff, not through the farm's
 		// report: the hook only keeps the engine from retaining them.
 		o.OnResult = func(platform.Result) {}
 		// A stage worker hands each item it finished to the next stage
 		// itself, as that stage's task, before it asks its farmer for more:
 		// a full downstream buffer holds back that worker, not its pool.
-		spf := handoff{pf, func(cc rt.Ctx, res platform.Result) {
+		spf := handoff{pf, turn, rb, func(cc rt.Ctx, res platform.Result) {
+			done := cc.Now()
 			val := res.Task.Data
 			if st.Fn != nil {
 				val = res.Value
 			}
 			if opts.Log != nil {
 				opts.Log.Append(trace.Event{
-					At: cc.Now(), Kind: trace.KindComplete,
+					At: done, Kind: trace.KindComplete,
 					Proc: st.Name, Node: pf.WorkerName(res.Worker),
 					Task: res.Task.ID, Dur: res.Time,
 				})
 			}
 			chans[si+1].Send(cc, taskFor(si+1, res.Task.ID, val))
+			rb.tell(cc, handed{si, res.Worker, res.Time, done})
 		}}
 		handles[si] = c.Go(fmt.Sprintf("pof.s%d", si), func(cc rt.Ctx) {
+			if rb != nil {
+				// A pool that died whole is rescued from the largest other one.
+				rescue := pf.Runtime().NewChan(fmt.Sprintf("pof.rescue%d", si), 1)
+				o.OnFailure = func(dead int) (engine.Update, bool) {
+					rb.tell(cc, failed{si, dead, rescue})
+					v, _ := rescue.Recv(cc)
+					u := v.(engine.Update)
+					return u, len(u.Add) > 0
+				}
+			}
 			fr := farm.Stream(nil)(spf, cc, chans[si], o)
+			rb.tell(cc, returned{si})
 			// A pool that died whole returns the items it held as Remaining,
 			// and nobody is left to run what the upstream still produces:
 			// drain that too, as lost, so the upstream can finish. After a
@@ -208,8 +263,17 @@ func RunFarms(pf platform.Platform, c rt.Ctx, stages []Stage, farms []engine.Str
 			rep.ItemsByWorker[w] += fr.TasksByWorker[w]
 		}
 		rep.Failures += fr.Failures
-		rep.DeadWorkers = append(rep.DeadWorkers, fr.DeadWorkers...)
+		for _, w := range fr.DeadWorkers {
+			if !slices.Contains(rep.DeadWorkers, w) { // a migrant has two farms to crash in
+				rep.DeadWorkers = append(rep.DeadWorkers, w)
+			}
+		}
 		rep.Lost += len(fr.Remaining)
+	}
+	if rb != nil {
+		rb.events.Close(c) // every sender has been joined
+		c.Join(rbDone)
+		rep.Migrations = rb.moves
 	}
 	return rep, reports
 }
@@ -217,17 +281,38 @@ func RunFarms(pf platform.Platform, c rt.Ctx, stages []Stage, farms []engine.Str
 // handoff is a platform whose every successful execution ends with then,
 // run by the executing worker's process. It is deliberately no Chunker: a
 // chunk is its tasks one by one, each handed on as it finishes.
+//
+// When pools migrate a worker can be fed by two farms for a moment — the one
+// it left had already dispatched to it — so it takes its turn to execute:
+// no worker ever runs two stages' items at once.
 type handoff struct {
 	platform.Platform
+	turn map[int]rt.Chan // per worker, holding one token; empty: static pools
+	rb   *rebalancer
 	then func(rt.Ctx, platform.Result)
 }
 
 func (h handoff) Exec(c rt.Ctx, i int, t platform.Task) platform.Result {
+	turn := h.turn[i]
+	if turn != nil {
+		turn.Recv(c)
+		h.rb.tell(c, began{i})
+	}
 	res := h.Platform.Exec(c, i, t)
+	if turn != nil {
+		turn.Send(c, nil)
+	}
 	if !res.Failed() {
 		h.then(c, res)
 	}
 	return res
+}
+
+// tell queues one event for the rebalancer, if there is one.
+func (r *rebalancer) tell(c rt.Ctx, event any) {
+	if r != nil {
+		r.events.Send(c, event)
+	}
 }
 
 // wrapFn binds a stage transform to the current value for platform.Exec.

@@ -1,11 +1,16 @@
 package compose
 
 import (
+	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"grasp/internal/grid"
 	"grasp/internal/platform"
 	"grasp/internal/rt"
+	"grasp/internal/trace"
 )
 
 // costSwitch returns a per-item stage cost that flips from `before` to
@@ -26,9 +31,9 @@ func TestAdaptiveDeliversAllItems(t *testing.T) {
 		{Name: "a", Pool: []int{0, 1}, Cost: constCost(1)},
 		{Name: "b", Pool: []int{2, 3}, Cost: constCost(1)},
 	}
-	var rep AdaptiveReport
+	var rep Report
 	sim.Go("root", func(c rt.Ctx) {
-		rep = RunAdaptive(pf, c, stages, 50, Options{BufSize: 4}, Rebalance{})
+		rep = Run(pf, c, stages, 50, Options{BufSize: 4, Migrate: true})
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -44,14 +49,13 @@ func TestAdaptiveDeliversAllItems(t *testing.T) {
 		seen[o.ID] = true
 	}
 	if rep.Lost != 0 || rep.Failures != 0 {
-		t.Errorf("clean run: %+v", rep.Report)
+		t.Errorf("clean run: %+v", rep)
 	}
 }
 
 func TestAdaptiveMatchesStaticWhenBalanced(t *testing.T) {
-	// With well-sized pools and steady demand there is nothing to migrate;
-	// the adaptive run should neither migrate nor lose ground (small
-	// polling slack allowed).
+	// With well-sized pools and steady demand there is nothing to fix: the
+	// migrating run must not lose ground to the static one.
 	stages := func() []Stage {
 		return []Stage{
 			{Name: "a", Pool: []int{0, 1}, Cost: constCost(1)},
@@ -67,9 +71,9 @@ func TestAdaptiveMatchesStaticWhenBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	pfA, simA := gridPF(t, equalSpecs(4, 10))
-	var adaptive AdaptiveReport
+	var adaptive Report
 	simA.Go("root", func(c rt.Ctx) {
-		adaptive = RunAdaptive(pfA, c, stages(), 60, Options{BufSize: 4}, Rebalance{})
+		adaptive = Run(pfA, c, stages(), 60, Options{BufSize: 4, Migrate: true})
 	})
 	if err := simA.Run(); err != nil {
 		t.Fatal(err)
@@ -103,9 +107,9 @@ func TestAdaptiveMigratesUnderDemandShift(t *testing.T) {
 		t.Fatal(err)
 	}
 	pfA, simA := gridPF(t, equalSpecs(4, 10))
-	var adaptive AdaptiveReport
+	var adaptive Report
 	simA.Go("root", func(c rt.Ctx) {
-		adaptive = RunAdaptive(pfA, c, stages(), items, Options{BufSize: 4}, Rebalance{})
+		adaptive = Run(pfA, c, stages(), items, Options{BufSize: 4, Migrate: true})
 	})
 	if err := simA.Run(); err != nil {
 		t.Fatal(err)
@@ -140,9 +144,9 @@ func TestAdaptiveFinishedStageDonatesWorkers(t *testing.T) {
 		{Name: "a", Pool: []int{0, 1, 2}, Cost: constCost(1)},
 		{Name: "b", Pool: []int{3}, Cost: constCost(5)},
 	}
-	var rep AdaptiveReport
+	var rep Report
 	sim.Go("root", func(c rt.Ctx) {
-		rep = RunAdaptive(pf, c, stages, 40, Options{BufSize: 4}, Rebalance{})
+		rep = Run(pf, c, stages, 40, Options{BufSize: 4, Migrate: true})
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -173,9 +177,9 @@ func TestAdaptiveSurvivesPoolCrashByRescue(t *testing.T) {
 		{Name: "a", Pool: []int{0, 1}, Cost: constCost(0.5)},
 		{Name: "b", Pool: []int{2}, Cost: constCost(0.5)},
 	}
-	var rep AdaptiveReport
+	var rep Report
 	sim.Go("root", func(c rt.Ctx) {
-		rep = RunAdaptive(pf, c, stages, 100, Options{BufSize: 4}, Rebalance{})
+		rep = Run(pf, c, stages, 100, Options{BufSize: 4, Migrate: true})
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -211,9 +215,9 @@ func TestAdaptiveAllDeadTerminatesWithLoss(t *testing.T) {
 		{Name: "a", Pool: []int{0}, Cost: constCost(0.5)},
 		{Name: "b", Pool: []int{1}, Cost: constCost(0.5)},
 	}
-	var rep AdaptiveReport
+	var rep Report
 	sim.Go("root", func(c rt.Ctx) {
-		rep = RunAdaptive(pf, c, stages, 100, Options{BufSize: 4}, Rebalance{})
+		rep = Run(pf, c, stages, 100, Options{BufSize: 4, Migrate: true})
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -233,9 +237,9 @@ func TestAdaptiveValuesFlowOnLocal(t *testing.T) {
 		{Name: "double", Pool: []int{0, 1}, Fn: func(v any) any { return v.(int) * 2 }},
 		{Name: "inc", Pool: []int{2, 3}, Fn: func(v any) any { return v.(int) + 1 }},
 	}
-	var rep AdaptiveReport
+	var rep Report
 	l.Go("root", func(c rt.Ctx) {
-		rep = RunAdaptive(pf, c, stages, 20, Options{}, Rebalance{Poll: time.Millisecond})
+		rep = Run(pf, c, stages, 20, Options{Migrate: true})
 	})
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -250,23 +254,15 @@ func TestAdaptiveValuesFlowOnLocal(t *testing.T) {
 	}
 }
 
-func TestRebalanceDefaults(t *testing.T) {
-	rb := Rebalance{}.withDefaults()
-	if rb.Poll <= 0 || rb.IdlePolls <= 0 || rb.MinPressure <= 0 || rb.MinPressure > 1 {
-		t.Errorf("defaults not applied: %+v", rb)
-	}
-	custom := Rebalance{Poll: time.Second, IdlePolls: 9, MinPressure: 0.5}.withDefaults()
-	if custom.Poll != time.Second || custom.IdlePolls != 9 || custom.MinPressure != 0.5 {
-		t.Errorf("custom values clobbered: %+v", custom)
-	}
-}
-
-// TestAdaptiveReceiveAndCountAreAtomic: a pool member that has received the
-// stage's last item but not yet counted it in flight must not let a sibling
-// observe the stage finished and close the channel that item is about to be
-// pushed into. Many short runs on real goroutines with free stage work make
-// the window easy to hit: before the receive moved under the balance lock
-// this panicked with "send on closed channel".
+// TestAdaptiveReceiveAndCountAreAtomic: no stage may close its downstream
+// buffer while one of its items is between being received and being handed
+// on. A stage is a farm, so this is the farm's drain: its workers are
+// released — and only then does the farm return and the stage close
+// downstream — once the input has ended with nothing queued and executing ==
+// 0, and an item counts as executing from dispatch until its worker has
+// handed it on and reported. Many short runs on real goroutines with free
+// stage work make the window easy to hit: the hand-written loop this
+// replaced once panicked here with "send on closed channel".
 func TestAdaptiveReceiveAndCountAreAtomic(t *testing.T) {
 	id := func(v any) any { return v }
 	for run := 0; run < 400; run++ {
@@ -276,15 +272,140 @@ func TestAdaptiveReceiveAndCountAreAtomic(t *testing.T) {
 			{Name: "a", Pool: []int{0, 1, 2}, Fn: id},
 			{Name: "b", Pool: []int{3, 4, 5}, Fn: id},
 		}
-		var rep AdaptiveReport
+		var rep Report
 		l.Go("root", func(c rt.Ctx) {
-			rep = RunAdaptive(pf, c, stages, 6, Options{}, Rebalance{Poll: time.Microsecond})
+			rep = Run(pf, c, stages, 6, Options{Migrate: true})
 		})
 		if err := l.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Items != 6 {
 			t.Fatalf("run %d: items = %d, want 6", run, rep.Items)
+		}
+	}
+}
+
+// exclusive is a platform that counts the executions it sees overlap on one
+// worker. Within a stage a worker holds one item at a time, so an overlap is
+// a worker executing for two stages at once.
+type exclusive struct {
+	platform.Platform
+	active   []atomic.Int32
+	overlaps atomic.Int32
+}
+
+func (x *exclusive) Exec(c rt.Ctx, i int, t platform.Task) platform.Result {
+	if x.active[i].Add(1) > 1 {
+		x.overlaps.Add(1)
+	}
+	defer x.active[i].Add(-1)
+	return x.Platform.Exec(c, i, t)
+}
+
+// shiftRun is the demand-shift scenario on a fresh simulator: stage a heavy
+// for the first half of the items, stage b for the second, pools sized for
+// the first half.
+func shiftRun(t *testing.T, specs []grid.NodeSpec) (Report, *exclusive) {
+	t.Helper()
+	const items = 80
+	gpf, sim := gridPF(t, specs)
+	pf := &exclusive{Platform: gpf, active: make([]atomic.Int32, gpf.Size())}
+	stages := []Stage{
+		{Name: "a", Pool: []int{0, 1, 2}, Cost: costSwitch(6, 1, items/2)},
+		{Name: "b", Pool: []int{3}, Cost: costSwitch(1, 6, items/2)},
+	}
+	var rep Report
+	sim.Go("root", func(c rt.Ctx) {
+		rep = Run(pf, c, stages, items, Options{BufSize: 4, Migrate: true})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Items+rep.Lost != items {
+		t.Fatalf("items %d + lost %d != %d", rep.Items, rep.Lost, items)
+	}
+	return rep, pf
+}
+
+func TestAdaptiveMigrationsAreDeterministic(t *testing.T) {
+	first, _ := shiftRun(t, equalSpecs(4, 10))
+	again, _ := shiftRun(t, equalSpecs(4, 10))
+	if len(first.Migrations) == 0 {
+		t.Fatal("the scenario should migrate")
+	}
+	if !reflect.DeepEqual(first.Migrations, again.Migrations) {
+		t.Errorf("same platform, same items, different history:\n%+v\n%+v", first.Migrations, again.Migrations)
+	}
+}
+
+func TestAdaptiveWorkerNeverServesTwoStagesAtOnce(t *testing.T) {
+	// Under the shift workers move while their old farm may still hold an
+	// item for them; in the rescue a busy member of stage a is admitted to
+	// stage b on the spot.
+	rep, pf := shiftRun(t, equalSpecs(4, 10))
+	if n := pf.overlaps.Load(); n != 0 || len(rep.Migrations) == 0 {
+		t.Errorf("shift: %d overlapping executions over %d migrations", n, len(rep.Migrations))
+	}
+	specs := equalSpecs(4, 10)
+	specs[3].FailAt = time.Second
+	rep, pf = shiftRun(t, specs)
+	if n := pf.overlaps.Load(); n != 0 || len(rep.Migrations) == 0 || rep.Lost != 0 {
+		t.Errorf("rescue: %d overlapping executions over %d migrations, %d lost", n, len(rep.Migrations), rep.Lost)
+	}
+}
+
+func TestAdaptiveMigrantCrashIsRetriedInItsNewStage(t *testing.T) {
+	// Learn who moves to stage b and when, then replay the run with that
+	// worker crashing two item-lengths after it joined: the item it held is
+	// stage b's, and stage b's survivors finish it.
+	clean, _ := shiftRun(t, equalSpecs(4, 10))
+	i := slices.IndexFunc(clean.Migrations, func(m Migration) bool { return m.To == 1 })
+	if i < 0 {
+		t.Fatalf("nobody moved to stage b: %+v", clean.Migrations)
+	}
+	m := clean.Migrations[i]
+	specs := equalSpecs(4, 10)
+	specs[m.Worker].FailAt = m.At + 1200*time.Millisecond
+	rep, _ := shiftRun(t, specs)
+	if !slices.Contains(rep.Migrations, m) {
+		t.Fatalf("the replay diverged before %+v: %+v", m, rep.Migrations)
+	}
+	if rep.Failures != 1 || !slices.Equal(rep.DeadWorkers, []int{m.Worker}) {
+		t.Errorf("failures = %d, dead = %v; want one lost execution on worker %d", rep.Failures, rep.DeadWorkers, m.Worker)
+	}
+	if rep.Items != 80 || rep.Lost != 0 {
+		t.Errorf("items = %d, lost = %d; a survivor of stage b should have retried the item", rep.Items, rep.Lost)
+	}
+}
+
+func TestAdaptiveLastMemberNeverMigrates(t *testing.T) {
+	// Stage a's only worker spends its life blocked on stage b's full input:
+	// idle by every measure, and still not stage a's to give away.
+	pf, sim := gridPF(t, equalSpecs(3, 10))
+	stages := []Stage{
+		{Name: "a", Pool: []int{0}, Cost: constCost(1)},
+		{Name: "b", Pool: []int{1, 2}, Cost: constCost(8)},
+	}
+	log := trace.New()
+	var rep Report
+	sim.Go("root", func(c rt.Ctx) {
+		rep = Run(pf, c, stages, 40, Options{BufSize: 2, Migrate: true, Log: log})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Items != 40 {
+		t.Fatalf("items = %d", rep.Items)
+	}
+	var aDone time.Duration // when stage a handed on its last item
+	for _, e := range log.Filter(trace.KindComplete) {
+		if e.Proc == "a" {
+			aDone = e.At
+		}
+	}
+	for _, m := range rep.Migrations {
+		if m.From == 0 && m.At < aDone {
+			t.Errorf("stage a gave away its last member at %v, %v before it was done", m.At, aDone-m.At)
 		}
 	}
 }

@@ -29,6 +29,9 @@ func (f *TrendWindow) Observe(x float64) {
 	}
 }
 
+// Len returns how many samples the window holds, at most W.
+func (f *TrendWindow) Len() int { return len(f.buf) }
+
 // Mean returns the mean of the samples in the window (NaN when empty).
 func (f *TrendWindow) Mean() float64 { return Mean(f.buf) }
 

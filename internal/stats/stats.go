@@ -16,6 +16,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"time"
 )
 
 // Mean returns the arithmetic mean of xs, or NaN if xs is empty.
@@ -56,6 +57,29 @@ func CoefVar(xs []float64) float64 {
 		return math.NaN()
 	}
 	return StdDev(xs) / m
+}
+
+// Speedup returns sequential/parallel. NaN when parallel is non-positive.
+func Speedup(sequential, parallel time.Duration) float64 {
+	if parallel <= 0 {
+		return math.NaN()
+	}
+	return float64(sequential) / float64(parallel)
+}
+
+// Imbalance measures load imbalance as max/mean of per-node busy time minus
+// one: 0 means perfect balance, 1 means the busiest node did twice the mean.
+// NaN for empty input or zero mean.
+func Imbalance(busy []time.Duration) float64 {
+	xs := make([]float64, len(busy))
+	for i, d := range busy {
+		xs[i] = d.Seconds()
+	}
+	m := Mean(xs)
+	if m == 0 || math.IsNaN(m) {
+		return math.NaN()
+	}
+	return Max(xs)/m - 1
 }
 
 // Min returns the smallest element of xs, or NaN if xs is empty.

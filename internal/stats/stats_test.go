@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -271,4 +272,30 @@ func sanitize(raw []float64) []float64 {
 		out = append(out, x)
 	}
 	return out
+}
+
+func TestSpeedup(t *testing.T) {
+	if got := Speedup(10*time.Second, 2*time.Second); got != 5 {
+		t.Errorf("Speedup = %v", got)
+	}
+	if !math.IsNaN(Speedup(time.Second, 0)) {
+		t.Error("zero parallel time should be NaN")
+	}
+}
+
+func TestImbalance(t *testing.T) {
+	perfect := []time.Duration{time.Second, time.Second, time.Second}
+	if got := Imbalance(perfect); math.Abs(got) > 1e-9 {
+		t.Errorf("perfect balance = %v, want 0", got)
+	}
+	skewed := []time.Duration{2 * time.Second, time.Second, time.Second} // max 2, mean 4/3
+	if got := Imbalance(skewed); math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("Imbalance = %v, want 0.5", got)
+	}
+	if !math.IsNaN(Imbalance(nil)) {
+		t.Error("empty should be NaN")
+	}
+	if !math.IsNaN(Imbalance([]time.Duration{0, 0})) {
+		t.Error("all-zero should be NaN")
+	}
 }

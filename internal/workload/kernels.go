@@ -1,7 +1,5 @@
 package workload
 
-import "math"
-
 // Real compute kernels used by the examples on the local (goroutine)
 // runtime, where tasks burn actual CPU instead of virtual time.
 
@@ -29,51 +27,6 @@ func MandelbrotRow(row, width, height, maxIter int) []uint16 {
 		out[x] = uint16(it)
 	}
 	return out
-}
-
-// Convolve1D applies a dense kernel to a signal with zero padding,
-// returning a slice of len(signal). It is the workhorse stage of the image
-// pipeline example.
-func Convolve1D(signal, kernel []float64) []float64 {
-	out := make([]float64, len(signal))
-	if len(kernel) == 0 {
-		copy(out, signal)
-		return out
-	}
-	half := len(kernel) / 2
-	for i := range signal {
-		var acc float64
-		for k, w := range kernel {
-			j := i + k - half
-			if j >= 0 && j < len(signal) {
-				acc += signal[j] * w
-			}
-		}
-		out[i] = acc
-	}
-	return out
-}
-
-// GaussianKernel returns a normalised 1-D Gaussian kernel of the given
-// radius and sigma (2·radius+1 taps).
-func GaussianKernel(radius int, sigma float64) []float64 {
-	if radius < 0 {
-		radius = 0
-	}
-	if sigma <= 0 {
-		sigma = 1
-	}
-	k := make([]float64, 2*radius+1)
-	var sum float64
-	for i := range k {
-		d := float64(i - radius)
-		k[i] = math.Exp(-d * d / (2 * sigma * sigma))
-		sum += k[i]
-	}
-	for i := range k {
-		k[i] /= sum
-	}
-	return k
 }
 
 // Integrate numerically integrates f over [a, b] with n trapezoids — the

@@ -255,65 +255,6 @@ func TestMandelbrotCostVariance(t *testing.T) {
 	}
 }
 
-func TestConvolve1DIdentity(t *testing.T) {
-	sig := []float64{1, 2, 3, 4}
-	out := Convolve1D(sig, []float64{1})
-	for i := range sig {
-		if out[i] != sig[i] {
-			t.Fatalf("identity kernel changed signal: %v", out)
-		}
-	}
-}
-
-func TestConvolve1DEmptyKernel(t *testing.T) {
-	sig := []float64{1, 2}
-	out := Convolve1D(sig, nil)
-	if out[0] != 1 || out[1] != 2 {
-		t.Error("empty kernel should copy")
-	}
-}
-
-func TestConvolve1DBoxBlur(t *testing.T) {
-	sig := []float64{0, 0, 3, 0, 0}
-	out := Convolve1D(sig, []float64{1.0 / 3, 1.0 / 3, 1.0 / 3})
-	// The impulse spreads to neighbours.
-	if math.Abs(out[1]-1) > 1e-9 || math.Abs(out[2]-1) > 1e-9 || math.Abs(out[3]-1) > 1e-9 {
-		t.Errorf("box blur = %v", out)
-	}
-	if out[0] != 0 {
-		t.Errorf("zero padding violated: %v", out[0])
-	}
-}
-
-func TestGaussianKernel(t *testing.T) {
-	k := GaussianKernel(3, 1.5)
-	if len(k) != 7 {
-		t.Fatalf("len = %d", len(k))
-	}
-	var sum float64
-	for _, v := range k {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("kernel sum = %v, want 1", sum)
-	}
-	if k[3] <= k[0] {
-		t.Error("kernel should peak at centre")
-	}
-	// Symmetry.
-	for i := 0; i < 3; i++ {
-		if math.Abs(k[i]-k[6-i]) > 1e-12 {
-			t.Error("kernel asymmetric")
-		}
-	}
-}
-
-func TestGaussianKernelDegenerate(t *testing.T) {
-	if len(GaussianKernel(-1, 0)) != 1 {
-		t.Error("negative radius should clamp to single tap")
-	}
-}
-
 func TestIntegrate(t *testing.T) {
 	// ∫₀¹ x² dx = 1/3.
 	got := Integrate(func(x float64) float64 { return x * x }, 0, 1, 10000)
