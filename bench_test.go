@@ -66,15 +66,12 @@ func BenchmarkE17Migration(b *testing.B)      { benchExperiment(b, "E17") }
 func BenchmarkE18MultiSite(b *testing.B)      { benchExperiment(b, "E18") }
 func BenchmarkE19Proactive(b *testing.B)      { benchExperiment(b, "E19") }
 
-// E20–E25 execute on the modern stack (service layer, daemon HTTP API,
-// in-process cluster, elastic membership) in real time, so these track
-// the reproduction harness's own serving-path cost.
-func BenchmarkE20ServiceStream(b *testing.B)   { benchExperiment(b, "E20") }
+// E21–E23 execute on the modern stack (daemon HTTP API, in-process
+// cluster, elastic rejoin) in real time, so these track the reproduction
+// harness's own serving-path cost.
 func BenchmarkE21DaemonHTTP(b *testing.B)      { benchExperiment(b, "E21") }
 func BenchmarkE22ClusterNodeLoss(b *testing.B) { benchExperiment(b, "E22") }
 func BenchmarkE23Portability(b *testing.B)     { benchExperiment(b, "E23") }
-func BenchmarkE24FairShare(b *testing.B)       { benchExperiment(b, "E24") }
-func BenchmarkE25ClusterScaleOut(b *testing.B) { benchExperiment(b, "E25") }
 
 // BenchmarkVsimContextSwitch measures the kernel's run-to-block handoff:
 // two processes ping-pong over an unbuffered channel.

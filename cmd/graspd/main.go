@@ -114,13 +114,9 @@ func main() {
 		deadAfter     = flag.Duration("dead-after", 3*time.Second, "cluster: declare a silent worker node dead after this long")
 		transport     = flag.String("transport", "auto", "cluster: transport preference for register-time negotiation (auto, json, binary)")
 		adaptPolicy   = flag.String("adapt", "", "default adaptation policy for jobs that omit `adapt` (reactive, predictive)")
-		predictMargin = flag.Float64("predict-margin", 0, "predictive: demote a worker pre-breach when its forecast exceeds margin × fleet mean (0 = 1.5)")
 		shedFactor    = flag.Float64("shed-factor", 0, "predictive: shed pushes with 429 once the queue-depth forecast — tasks in the window plus those waiting in blocked pushes — exceeds factor × window (0 = 2, negative = never shed)")
-		shedRetry     = flag.Duration("shed-retry-after", 0, "predictive: Retry-After hint on shed responses (0 = 1s)")
 		forecastEvery = flag.Duration("forecast-every", 0, "predictive: queue-depth forecast sampling interval (0 = 20ms)")
 		dataDir       = flag.String("data-dir", "", "durability: journal job state under this directory and recover it on restart (empty = in-memory only)")
-		maxJournal    = flag.Int64("max-journal-bytes", 0, "durability: compact the journal into a snapshot past this size (0 = 8 MiB)")
-		commitLinger  = flag.Duration("commit-linger", 0, "durability: how long the group-commit leader lingers to let a batch fill before each fsync (0 = flush immediately)")
 		drive         = flag.String("drive", "", "drive mode: hammer the daemon at this base URL instead of serving")
 		jobs          = flag.Int("jobs", 3, "drive: concurrent jobs")
 		tasks         = flag.Int("tasks", 200, "drive: tasks per job")
@@ -199,13 +195,9 @@ func main() {
 		MaxResults:      *maxResults,
 		DefaultShare:    *defaultShare,
 		DefaultAdapt:    *adaptPolicy,
-		PredictMargin:   *predictMargin,
 		ShedFactor:      *shedFactor,
-		ShedRetryAfter:  *shedRetry,
 		ForecastEvery:   *forecastEvery,
 		DataDir:         *dataDir,
-		MaxJournalBytes: *maxJournal,
-		CommitLinger:    *commitLinger,
 		Logger:          logger.With("component", "service"),
 	}
 	var coord *cluster.Coordinator

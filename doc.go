@@ -156,9 +156,9 @@
 // listener accepts a single registration), resumes unfinished jobs at
 // their last durable cursor, re-delivers exactly the un-acked tasks, and
 // re-adopts surviving workers through the normal re-register path;
-// SIGTERM flushes a final compacting snapshot. E26 and the
+// SIGTERM flushes a final compacting snapshot. The
 // fault-injection recovery suite (TestRecovery*, FuzzJournalReplay,
-// TestClusterE2EDaemonRecovery) prove the exactly-once contract across
+// TestClusterE2EDaemonRecovery) proves the exactly-once contract across
 // SIGKILL. See README.md's Durability section.
 //
 // # Predictive adaptation and admission control
@@ -169,10 +169,10 @@
 // one step earlier. Inside the engine, every worker's normalised
 // completion times feed a stats.TrendWindow forecaster that
 // extrapolates the next completion; when a worker's forecast trend
-// crosses a configurable margin over the rest of the fleet's mean
-// (-predict-margin), the engine reweights the membership and re-derives Z
-// from the forecast before the detector trips, tagging the trace event
-// `predictive=true` and counting it separately (predictive_recals,
+// crosses 1.5× the rest of the fleet's mean, the engine reweights the
+// membership and re-derives Z from the forecast before the detector
+// trips, tagging the trace event `predictive=true` and counting it
+// separately (predictive_recals,
 // forecast values per worker in job status and `forecast` timeline
 // events). At the service layer a per-job forecast loop (-forecast-every)
 // extrapolates queue depth (submitted − completed): a predicted backlog
@@ -180,13 +180,13 @@
 // cluster job instead records advisory node demand with the coordinator,
 // surfaced on /api/v1/nodes for an external autoscaler — and, past
 // -shed-factor × window, admission control sheds further pushes with HTTP
-// 429 + Retry-After (-shed-retry-after) until the forecast falls back,
+// 429 + Retry-After until the forecast falls back,
 // shedding load instead of buffering it without bound. loadgen grows
 // adversarial arrival profiles (flash-crowd, sustained-overload, and
 // seeded slow-node degradation schedules for the simulator) whose byte
 // streams replay identically for a given seed; graspworker's
 // -degrade-after/-degrade-factor script a straggling node across real
-// process boundaries. E29–E31 and the scenario suite
+// process boundaries. E29, E30 and the scenario suite
 // (TestScenarioE2EFlashCrowd, TestScenarioE2ESlowNode) hold the policy to
 // its claims: strictly fewer breaches than reactive on the same
 // degradation, and overload answered with 429s while every admitted task

@@ -52,6 +52,7 @@ type Pool struct {
 
 	mu      sync.RWMutex
 	members []PoolMember
+	names   []string // WorkerName per slot, built once at Admit
 	stats   []*poolStats
 }
 
@@ -121,6 +122,11 @@ func (p *Pool) Admit(ni NodeInfo) []int {
 			ID: ni.ID, Gen: ni.Gen, SpeedOPS: ni.SpeedOPS,
 			Capacity: capacity, Slot: s,
 		})
+		name := ni.ID
+		if capacity > 1 {
+			name = fmt.Sprintf("%s#%d", ni.ID, s)
+		}
+		p.names = append(p.names, name)
 		p.stats = append(p.stats, &poolStats{})
 		added = append(added, len(p.members)-1)
 	}
@@ -175,11 +181,9 @@ func (p *Pool) member(i int) (PoolMember, *poolStats) {
 // WorkerName implements Platform: slots are named "<node>#<slot>" (bare
 // node id for single-slot nodes) so traces distinguish a node's lanes.
 func (p *Pool) WorkerName(i int) string {
-	m, _ := p.member(i)
-	if m.Capacity <= 1 {
-		return m.ID
-	}
-	return fmt.Sprintf("%s#%d", m.ID, m.Slot)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.names[i]
 }
 
 // NodeName returns the node id behind worker index i — the user-facing

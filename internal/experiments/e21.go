@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"time"
 
 	"grasp/internal/report"
 	"grasp/internal/service"
@@ -29,35 +25,8 @@ func E21DaemonHTTP(seed int64) Result {
 		batch   = 12
 		sleepUS = 300
 	)
-	s := service.New(service.Config{Workers: 4, WarmupTasks: 4})
-	srv := httptest.NewServer(service.NewHandler(s))
-	defer srv.Close()
-
-	post := func(path string, body any) (int, []byte) {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			panic(err)
-		}
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(raw))
-		if err != nil {
-			panic(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return resp.StatusCode, buf.Bytes()
-	}
-	get := func(path string, out any) int {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			panic(err)
-		}
-		defer resp.Body.Close()
-		if out != nil {
-			json.NewDecoder(resp.Body).Decode(out)
-		}
-		return resp.StatusCode
-	}
+	api, stop := serveAPI(service.New(service.Config{Workers: 4, WarmupTasks: 4}))
+	defer stop()
 
 	jobs := []struct {
 		name string
@@ -80,39 +49,33 @@ func E21DaemonHTTP(seed int64) Result {
 	}
 
 	for _, jb := range jobs {
-		code, _ := post("/api/v1/jobs", jb.spec)
+		code := api("POST", "/api/v1/jobs", jb.spec, nil)
 		created := code == http.StatusCreated
 
 		accepted := 0
 		for b := 0; b < perJob/batch; b++ {
 			specs := sleepSpecs(b*batch, batch, sleepUS)
-			code, body := post("/api/v1/jobs/"+jb.name+"/tasks", map[string]any{"tasks": specs})
 			var ack struct {
 				Accepted int `json:"accepted"`
 			}
-			json.Unmarshal(body, &ack)
-			if code == http.StatusAccepted {
+			if api("POST", "/api/v1/jobs/"+jb.name+"/tasks", map[string]any{"tasks": specs}, &ack) == http.StatusAccepted {
 				accepted += ack.Accepted
 			}
 		}
-		post("/api/v1/jobs/"+jb.name+"/close", nil)
+		api("POST", "/api/v1/jobs/"+jb.name+"/close", nil, nil)
 
 		// Poll status over the wire until the drain completes.
 		var st service.JobStatus
-		deadline := time.Now().Add(modernTimeout)
-		for {
-			get("/api/v1/jobs/"+jb.name, &st)
-			if st.State == service.JobDone || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		waitFor(func() bool {
+			api("GET", "/api/v1/jobs/"+jb.name, nil, &st)
+			return st.State == service.JobDone
+		})
 
 		// Drain the cursor, then re-poll from the end: a terminal cursor must
 		// return nothing new and stand still.
 		var page, tail resultsPage
-		get(fmt.Sprintf("/api/v1/jobs/%s/results?after=%d", jb.name, 0), &page)
-		get(fmt.Sprintf("/api/v1/jobs/%s/results?after=%d", jb.name, page.Next), &tail)
+		api("GET", fmt.Sprintf("/api/v1/jobs/%s/results?after=%d", jb.name, 0), nil, &page)
+		api("GET", fmt.Sprintf("/api/v1/jobs/%s/results?after=%d", jb.name, page.Next), nil, &tail)
 		once := exactlyOnce(page.Results, 0, perJob)
 		cursorStable := page.Next == perJob && len(tail.Results) == 0 &&
 			tail.Next == page.Next && tail.State == service.JobDone
@@ -131,9 +94,9 @@ func E21DaemonHTTP(seed int64) Result {
 	table.AddNote("same endpoints for every topology; served by service.NewHandler behind httptest")
 
 	// API contract: the machine-checkable error surface.
-	badCode, _ := post("/api/v1/jobs", map[string]any{"name": "bad", "skeleton": "quux"})
-	dupCode, _ := post("/api/v1/jobs", map[string]any{"name": "http-farm"})
-	missCode := get("/api/v1/jobs/no-such-job", nil)
+	badCode := api("POST", "/api/v1/jobs", map[string]any{"name": "bad", "skeleton": "quux"}, nil)
+	dupCode := api("POST", "/api/v1/jobs", map[string]any{"name": "http-farm"}, nil)
+	missCode := api("GET", "/api/v1/jobs/no-such-job", nil, nil)
 	checks = append(checks,
 		check("http-400-on-bad-skeleton", badCode == http.StatusBadRequest, "got %d", badCode),
 		check("http-409-on-duplicate-name", dupCode == http.StatusConflict, "got %d", dupCode),

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"grasp/internal/report"
 	"grasp/internal/service"
 )
@@ -49,11 +47,7 @@ func E22ClusterNodeLoss(seed int64) Result {
 		_, err := j.Push(sleepSpecs(0, phase1, sleepUS))
 		pushed <- err
 	}()
-	deadline := time.Now().Add(modernTimeout)
-	for j.Status().Completed < phase1/4 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	warmedUp := j.Status().Completed >= phase1/4
+	warmedUp := waitFor(func() bool { return j.Status().Completed >= phase1/4 })
 
 	// Kill one of the two nodes out from under the stream. Its in-flight
 	// work fails over immediately; the healthy process then re-registers
@@ -64,23 +58,20 @@ func E22ClusterNodeLoss(seed int64) Result {
 	// submission-time pool) entering the membership — the dead
 	// generation's slots leave it at the same time, so the membership
 	// *size* alone cannot distinguish a rejoin from nothing happening.
-	rejoined := false
-	for !rejoined && time.Now().Before(deadline) {
+	rejoined := waitFor(func() bool {
 		for _, w := range j.Status().AllocatedWorkers {
 			if w >= slotsAtSubmit {
-				rejoined = true
+				return true
 			}
 		}
-		if !rejoined {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+		return false
+	})
 
 	// Phase 2: traffic keeps arriving after the loss; the survivor and the
 	// rejoined incarnation carry it together.
 	_, push2Err := j.Push(sleepSpecs(phase1, phase2, sleepUS))
 	j.CloseInput()
-	drained := waitJob(j, modernTimeout)
+	drained := waitJob(j)
 
 	st := j.Status()
 	results, _ := j.Results(0)

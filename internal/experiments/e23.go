@@ -48,7 +48,7 @@ func E23Portability(seed int64) Result {
 	}
 	localJob.Push(sleepSpecs(0, nTasks, sleepUS))
 	localJob.CloseInput()
-	localDone := waitJob(localJob, modernTimeout)
+	localDone := waitJob(localJob)
 	localResults, _ := localJob.Results(0)
 	localOnce := exactlyOnce(localResults, 0, nTasks)
 	table.AddRow("local", "streaming service, goroutine runtime", 4,
@@ -66,7 +66,7 @@ func E23Portability(seed int64) Result {
 	}
 	clusterJob.Push(sleepSpecs(0, nTasks, sleepUS))
 	clusterJob.CloseInput()
-	clusterDone := waitJob(clusterJob, modernTimeout)
+	clusterDone := waitJob(clusterJob)
 	clusterResults, _ := clusterJob.Results(0)
 	clusterOnce := exactlyOnce(clusterResults, 0, nTasks)
 	table.AddRow("cluster", "2 worker nodes × capacity 2, HTTP protocol", "2×2",

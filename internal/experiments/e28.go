@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"time"
 
@@ -13,10 +11,12 @@ import (
 	"grasp/internal/trace"
 )
 
-// E28TimelineObservability replays E20's breach-recalibration scenario and
-// then reads it back the way an operator would: through the daemon's
-// per-job timeline endpoint. A farm job streams a fast warm-up body
-// followed by a sharp mid-stream slowdown; once it drains, the experiment
+// E28TimelineObservability runs the service layer's breach-recalibration
+// scenario (TestServiceThreeConcurrentStreamingJobs grades its delivery and
+// backpressure) and then reads it back the way an operator would: through
+// the daemon's per-job timeline endpoint. A farm job streams a fast warm-up
+// body — whose completions install the live threshold Z — followed by a
+// sharp mid-stream slowdown; once it drains, the experiment
 // GETs /api/v1/jobs/{name}/timeline and asserts the adaptation story is
 // reconstructible from the wire alone — the calibrate/warmup/stream phase
 // spans in order and closed, one dispatch and one complete event per
@@ -34,8 +34,9 @@ func E28TimelineObservability(seed int64) Result {
 		fastN  = 30
 		slowN  = 30
 		fastUS = 100
-		// As in E20: the slow phase must dwarf Z = factor × warm-up mean
-		// even under CI scheduler overhead, or the breach would flake.
+		// The slow phase must dwarf Z = factor × warm-up mean even when
+		// warm-up times are inflated by race-detector or CI scheduler
+		// overhead, or the breach would flake.
 		slowUS = 30_000
 	)
 	s := service.New(service.Config{
@@ -44,8 +45,8 @@ func E28TimelineObservability(seed int64) Result {
 		WarmupTasks:     4,
 		ThresholdFactor: 3,
 	})
-	srv := httptest.NewServer(service.NewHandler(s))
-	defer srv.Close()
+	api, stop := serveAPI(s)
+	defer stop()
 
 	j, err := s.Submit("observed", service.JobSpec{})
 	if err != nil {
@@ -54,7 +55,7 @@ func E28TimelineObservability(seed int64) Result {
 	j.Push(sleepSpecs(0, fastN, fastUS))
 	j.Push(sleepSpecs(fastN, slowN, slowUS))
 	j.CloseInput()
-	done := waitJob(j, modernTimeout)
+	done := waitJob(j)
 	st := j.Status()
 
 	// One GET reconstructs the whole run.
@@ -74,20 +75,7 @@ func E28TimelineObservability(seed int64) Result {
 			EndNS   int64  `json:"end_ns"`
 		} `json:"phases"`
 	}
-	getJSON := func(path string, out any) int {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			panic(err)
-		}
-		defer resp.Body.Close()
-		if out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				panic(err)
-			}
-		}
-		return resp.StatusCode
-	}
-	code := getJSON("/api/v1/jobs/observed/timeline", &tl)
+	code := api("GET", "/api/v1/jobs/observed/timeline", nil, &tl)
 
 	counts := make(map[trace.Kind]int)
 	// The engine also traces control-driven recalibrations (the warm-up
@@ -125,7 +113,7 @@ func E28TimelineObservability(seed int64) Result {
 		} `json:"events"`
 		Next int64 `json:"next"`
 	}
-	tailCode := getJSON(fmt.Sprintf("/api/v1/jobs/observed/timeline?after=%d", tl.Next), &tail)
+	tailCode := api("GET", fmt.Sprintf("/api/v1/jobs/observed/timeline?after=%d", tl.Next), nil, &tail)
 
 	table := report.NewTable("E28 — breach-recalibration read back through the timeline endpoint",
 		"observation", "status API", "timeline API", "agree")
@@ -143,6 +131,11 @@ func E28TimelineObservability(seed int64) Result {
 		}
 		return "0"
 	}
+	// The warm-up's threshold install reaches the engine as a control-driven
+	// recalibration (breach=false); status surfaces it as a non-zero Z.
+	installs := counts[trace.KindRecalibrate] - breachRecals
+	table.AddRow("warm-up threshold installed live", yesNo(st.ZMicros > 0), atLeastOne(installs),
+		yesNo((st.ZMicros > 0) == (installs >= 1)))
 	table.AddRow("breach recalibrations", atLeastOne(st.Recalibrations), atLeastOne(breachRecals),
 		yesNo(st.Recalibrations == breachRecals))
 	table.AddRow("threshold breaches", atLeastOne(st.Breaches), atLeastOne(counts[trace.KindThreshold]),
@@ -157,6 +150,8 @@ func E28TimelineObservability(seed int64) Result {
 			"done=%v HTTP %d state=%s", done, code, tl.State),
 		check("dispatch-complete-per-task", counts[trace.KindDispatch] == nTasks && counts[trace.KindComplete] == nTasks,
 			"dispatch=%d complete=%d of %d", counts[trace.KindDispatch], counts[trace.KindComplete], nTasks),
+		check("threshold-installed-live", st.ZMicros > 0,
+			"Z = %dµs from warm-up traffic", st.ZMicros),
 		check("breach-and-recalibration-traced",
 			counts[trace.KindThreshold] >= 1 && counts[trace.KindRecalibrate] >= 1,
 			"threshold=%d recalibrate=%d", counts[trace.KindThreshold], counts[trace.KindRecalibrate]),

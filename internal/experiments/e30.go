@@ -16,7 +16,7 @@ import (
 // allocator (pulling worker slots from a calm competing job), and surface
 // the whole episode through JobStatus — queue forecast, effective share,
 // per-worker forecast values — while admission control stays out of the
-// way (shedding is disabled here; E31 owns that half).
+// way (shedding is disabled here; TestScenarioE2EFlashCrowd owns that half).
 //
 // Expected shape: both jobs deliver every task exactly once, the crowd
 // job's effective share rises above its declared share during the burst,
@@ -93,8 +93,8 @@ func E30FlashCrowdAutoscale(seed int64) Result {
 	crowd.Push(sleepSpecs(trickleN, burstN, sleepUS))
 	crowd.CloseInput()
 
-	crowdDone := waitJob(crowd, modernTimeout)
-	steadyDone := waitJob(steady, modernTimeout)
+	crowdDone := waitJob(crowd)
+	steadyDone := waitJob(steady)
 	close(stop)
 	pollers.Wait()
 

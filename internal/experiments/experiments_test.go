@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -59,8 +62,58 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("E99"); ok {
 		t.Error("E99 should not exist")
 	}
-	if len(All()) != 31 {
-		t.Errorf("expected 31 experiments, have %d", len(All()))
+	if len(All()) != 25 {
+		t.Errorf("expected 25 experiments, have %d", len(All()))
+	}
+}
+
+// TestExhibitCitationsResolve: every E<n> the prose cites — README, the
+// root package doc, CI and the verify skill — is a registered runner, so
+// retiring an exhibit cannot leave a sentence pointing at nothing.
+func TestExhibitCitationsResolve(t *testing.T) {
+	cite := regexp.MustCompile(`\bE[0-9]+\b`)
+	for _, rel := range []string{"README.md", "doc.go", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(raw), "\n") {
+			for _, id := range cite.FindAllString(line, -1) {
+				if _, ok := ByID(id); !ok {
+					t.Errorf("%s:%d cites %s, which is not a registered experiment", rel, n+1, id)
+				}
+			}
+		}
+	}
+}
+
+// TestMovedChecksKeepTheirNames: a check whose exhibit was retired with no
+// test holding it lives on, under its name, in the exhibit named here —
+// dropping it from that exhibit fails this row.
+func TestMovedChecksKeepTheirNames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are long in -short mode")
+	}
+	moved := []struct{ check, from, to string }{
+		{"threshold-installed-live", "E20", "E28"},
+	}
+	for _, m := range moved {
+		r, ok := ByID(m.to)
+		if !ok {
+			t.Fatalf("%s (home of %s's %s) is not registered", m.to, m.from, m.check)
+		}
+		found := false
+		for _, c := range r.Run(42).Checks {
+			if c.Name == m.check {
+				found = true
+				if !c.Pass {
+					t.Errorf("%s: %s failed: %s", m.to, m.check, c.Detail)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s no longer carries %s, moved there from %s", m.to, m.check, m.from)
+		}
 	}
 }
 

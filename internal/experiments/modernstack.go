@@ -1,7 +1,7 @@
 package experiments
 
-// Shared plumbing for the modern-stack experiments (E20–E27): the ones
-// that execute on the layers built above the simulator — the streaming
+// Shared plumbing for the modern-stack experiments (E21–E23, E28, E30): the
+// ones that execute on the layers built above the simulator — the streaming
 // service, the daemon's HTTP API, and the in-process worker-node cluster.
 // Unlike the vsim experiments these run in real time, so their tables and
 // checks are stated over deterministic quantities only (task counts,
@@ -10,8 +10,13 @@ package experiments
 // runs.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"grasp/internal/cluster"
@@ -40,14 +45,62 @@ func sleepSpecs(base, n int, sleepUS int64) []service.TaskSpec {
 	return specs
 }
 
-// waitJob blocks until the job drains; false on timeout.
-func waitJob(j *service.Job, timeout time.Duration) bool {
+// waitJob blocks until the job drains; false after modernTimeout.
+func waitJob(j *service.Job) bool {
 	select {
 	case <-j.Done():
 		return true
-	case <-time.After(timeout):
+	case <-time.After(modernTimeout):
 		return false
 	}
+}
+
+// waitFor polls cond until it holds and reports whether it did within
+// modernTimeout — the one wall-clock poll loop of the modern-stack
+// experiments, for conditions (a status counter, a membership size) that
+// no channel announces.
+func waitFor(cond func() bool) bool {
+	deadline := time.Now().Add(modernTimeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
+}
+
+// serveAPI puts s behind the daemon's HTTP handler on an httptest listener
+// — exactly what graspd serves — and returns the one request helper the
+// wire-level experiments share: api sends body as JSON (nil: no body),
+// decodes the reply into out (nil: discard) and returns the status code.
+func serveAPI(s *service.Service) (api func(method, path string, body, out any) int, stop func()) {
+	srv := httptest.NewServer(service.NewHandler(s))
+	return func(method, path string, body, out any) int {
+		var rd io.Reader
+		if body != nil {
+			raw, err := json.Marshal(body)
+			if err != nil {
+				panic(err)
+			}
+			rd = bytes.NewReader(raw)
+		}
+		req, err := http.NewRequest(method, srv.URL+path, rd)
+		if err != nil {
+			panic(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			panic(err)
+		}
+		defer resp.Body.Close()
+		if out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				panic(err)
+			}
+		}
+		return resp.StatusCode
+	}, srv.Close
 }
 
 // exactlyOnce reports whether results hold exactly the IDs base..base+n-1,
@@ -72,26 +125,17 @@ func exactlyOnce(results []service.TaskResult, base, n int) bool {
 // fronting the lot — the smallest complete instance of the distributed
 // subsystem.
 type clusterStack struct {
-	Coord     *cluster.Coordinator
-	Svc       *service.Service
-	URL       string
-	transport string
-	srv       *cluster.Server
-	workers   []*cluster.Worker
+	Coord   *cluster.Coordinator
+	Svc     *service.Service
+	srv     *cluster.Server
+	workers []*cluster.Worker
 }
 
-// startClusterStack builds the coordinator, starts n workers with the
-// given per-node capacity, waits until all are live, and wires a service
-// over them. Workers negotiate their transport (auto: binary). Callers
-// must Close the stack.
+// startClusterStack builds the coordinator, starts n workers (node-a,
+// node-b, …) with the given per-node capacity, waits until all are live,
+// and wires a service over them. Workers negotiate their transport (auto:
+// binary). Callers must Close the stack.
 func startClusterStack(n, capacity int, svcCfg service.Config) (*clusterStack, error) {
-	return startClusterStackTransport(n, capacity, "", svcCfg)
-}
-
-// startClusterStackTransport is startClusterStack with every worker
-// pinned to one wire binding ("" for auto) — the lever E27 uses to put
-// the same workload on each transport and on a mixed fleet.
-func startClusterStackTransport(n, capacity int, transport string, svcCfg service.Config) (*clusterStack, error) {
 	coord := cluster.NewCoordinator(cluster.Config{
 		DeadAfter:    2 * time.Second,
 		MaxLeaseWait: 200 * time.Millisecond,
@@ -101,56 +145,30 @@ func startClusterStackTransport(n, capacity int, transport string, svcCfg servic
 		coord.Close()
 		return nil, err
 	}
-	srv := cluster.NewServer(coord)
-	go srv.Serve(ln)
-	cs := &clusterStack{
-		Coord:     coord,
-		URL:       "http://" + ln.Addr().String(),
-		transport: transport,
-		srv:       srv,
-	}
+	cs := &clusterStack{Coord: coord, srv: cluster.NewServer(coord)}
+	go cs.srv.Serve(ln)
 	for i := 0; i < n; i++ {
-		if err := cs.AddWorker(fmt.Sprintf("node-%c", 'a'+i), capacity); err != nil {
+		w, err := cluster.StartWorker(cluster.WorkerConfig{
+			Coordinator: "http://" + ln.Addr().String(),
+			ID:          fmt.Sprintf("node-%c", 'a'+i),
+			Capacity:    capacity,
+			BenchSpin:   10_000,
+			Heartbeat:   50 * time.Millisecond,
+			LeaseWait:   100 * time.Millisecond,
+		})
+		if err != nil {
 			cs.Close()
 			return nil, err
 		}
+		cs.workers = append(cs.workers, w)
 	}
-	deadline := time.Now().Add(modernTimeout)
-	for len(coord.Live()) < n {
-		if time.Now().After(deadline) {
-			cs.Close()
-			return nil, fmt.Errorf("only %d of %d nodes registered", len(coord.Live()), n)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !waitFor(func() bool { return len(coord.Live()) >= n }) {
+		cs.Close()
+		return nil, fmt.Errorf("only %d of %d nodes registered", len(coord.Live()), n)
 	}
 	svcCfg.Cluster = coord
 	cs.Svc = service.New(svcCfg)
 	return cs, nil
-}
-
-// AddWorker registers one more worker runtime mid-run — the scale-out
-// lever E25 exercises against a stream already in flight.
-func (cs *clusterStack) AddWorker(id string, capacity int) error {
-	return cs.AddWorkerTransport(id, capacity, cs.transport)
-}
-
-// AddWorkerTransport is AddWorker with an explicit wire binding, so a
-// mixed fleet can be assembled worker by worker.
-func (cs *clusterStack) AddWorkerTransport(id string, capacity int, transport string) error {
-	w, err := cluster.StartWorker(cluster.WorkerConfig{
-		Coordinator: cs.URL,
-		ID:          id,
-		Capacity:    capacity,
-		BenchSpin:   10_000,
-		Heartbeat:   50 * time.Millisecond,
-		LeaseWait:   100 * time.Millisecond,
-		Transport:   transport,
-	})
-	if err != nil {
-		return err
-	}
-	cs.workers = append(cs.workers, w)
-	return nil
 }
 
 // Close stops the workers, the dual-transport server, and the coordinator.

@@ -159,8 +159,8 @@ func (p *GridPlatform) BandwidthSensor(i int) monitor.Sensor {
 // LocalPlatform runs task closures on real goroutines: worker indices are
 // concurrency slots, not bound CPUs.
 type LocalPlatform struct {
-	l *rt.Local
-	n int
+	l     *rt.Local
+	names []string // "w<i>" per worker, built once: traces ask per dispatch and per completion
 }
 
 // NewLocalPlatform returns a local platform with n workers (minimum 1).
@@ -168,17 +168,21 @@ func NewLocalPlatform(l *rt.Local, n int) *LocalPlatform {
 	if n < 1 {
 		n = 1
 	}
-	return &LocalPlatform{l: l, n: n}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i)
+	}
+	return &LocalPlatform{l: l, names: names}
 }
 
 // Runtime implements Platform.
 func (p *LocalPlatform) Runtime() rt.Runtime { return p.l }
 
 // Size implements Platform.
-func (p *LocalPlatform) Size() int { return p.n }
+func (p *LocalPlatform) Size() int { return len(p.names) }
 
 // WorkerName implements Platform.
-func (p *LocalPlatform) WorkerName(i int) string { return fmt.Sprintf("w%d", i) }
+func (p *LocalPlatform) WorkerName(i int) string { return p.names[i] }
 
 // Exec implements Platform: it calls the task's closure and measures real
 // time. Tasks without a closure complete instantly with a nil value.

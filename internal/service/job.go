@@ -413,14 +413,16 @@ type Job struct {
 	// Membership: workerSet is the desired membership — the allocator's
 	// (or the cluster subscription's) view of this job's workers — and
 	// engineSet is the membership as of the last successfully flushed
-	// control update. A flush sends the diff between the two through
-	// non-blocking sends (from the delta source and again on every
-	// result), so the allocator is never blocked on a slow job and any
+	// control update. A flush sends the diff between the two through a
+	// non-blocking send — from the delta source and, while a send that
+	// found the control buffer full is outstanding (deltaPending), again on
+	// each result — so the allocator is never blocked on a slow job and any
 	// sequence of failed flushes still converges: the diff is recomputed
 	// from the authoritative sets each time, never maintained
 	// incrementally.
 	workerSet      map[int]bool
 	engineSet      map[int]bool
+	deltaPending   bool
 	memberWeights  map[int]float64 // initial weight per desired worker
 	pendingWeights map[int]float64 // full re-normalised map to install
 }
@@ -638,10 +640,11 @@ func (j *Job) applyDelta(added []engine.Member, removed []int, weights map[int]f
 // desired one: the Update carries the diff between workerSet and
 // engineSet, recomputed fresh each call so interleaved failed flushes can
 // never strand a stale delta. TrySend never blocks; on failure (control
-// buffer full) nothing changes and the next result's flush retries — the
-// coordinator drains control on every message, so a job with traffic
-// converges promptly.
+// buffer full) nothing changes but deltaPending, and the next result's
+// flush retries — the coordinator drains control on every message, so a
+// job with traffic converges promptly.
 func (j *Job) flushDeltaLocked() {
+	j.deltaPending = false
 	var u engine.Update
 	for w := range j.workerSet {
 		if !j.engineSet[w] {
@@ -660,6 +663,7 @@ func (j *Job) flushDeltaLocked() {
 	sort.Slice(u.Add, func(a, b int) bool { return u.Add[a].Worker < u.Add[b].Worker })
 	sort.Ints(u.Remove)
 	if !j.control.TrySend(nil, u) {
+		j.deltaPending = true
 		return
 	}
 	j.engineSet = make(map[int]bool, len(j.workerSet))
@@ -744,8 +748,10 @@ func (j *Job) onResult(res platform.Result) {
 			j.zMicros = install.Microseconds()
 		}
 	}
-	// Retry any membership delta an earlier full control buffer deferred.
-	j.flushDeltaLocked()
+	if j.deltaPending {
+		// Retry the membership delta a full control buffer deferred.
+		j.flushDeltaLocked()
+	}
 	if j.spec.predictive() && j.zInstalled {
 		// The detector belongs to the coordinator and onResult runs inside
 		// it, so reading the ratio here is the one safe place to surface

@@ -40,6 +40,8 @@ const (
 	maxShareBoost = 4
 	// maxNodesWanted caps one job's advisory node demand.
 	maxNodesWanted = 8
+	// shedRetryAfter is the Retry-After hint a shed push carries.
+	shedRetryAfter = time.Second
 )
 
 // forecastLoop samples a predictive job's queue depth until the job (or
@@ -67,14 +69,19 @@ func (s *Service) forecastLoop(j *Job) {
 
 // forecastStep takes one queue-depth sample and acts on the forecast. A
 // trend line through the first samples of a job that is only filling its
-// window says nothing about load — [0, 12] extrapolates to 24 — so nothing
-// is decided until half the forecast window has been seen.
+// window says nothing about load — [0, 12] extrapolates to 24, and the
+// leading 0 still tilts [0, 12, 12, 12] to 18 — so nothing is decided
+// until half the forecast window has been seen, and until the window is
+// full the queue is judged by its level, not its slope.
 func (s *Service) forecastStep(j *Job, depth *stats.TrendWindow, inFlight int) {
 	depth.Observe(float64(inFlight))
 	if depth.Len() < forecastWindow/2 {
 		return
 	}
-	f := math.Max(depth.Predict(), 0)
+	f := float64(inFlight)
+	if depth.Len() == forecastWindow {
+		f = math.Max(depth.Predict(), 0)
+	}
 	window := float64(j.spec.Window)
 	shedBound := s.cfg.ShedFactor * window
 	baseShare := j.spec.share()

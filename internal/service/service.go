@@ -105,15 +105,6 @@ type Config struct {
 	// result and re-delivering un-acked tasks exactly once. Empty: the
 	// service is purely in-memory (the pre-durability behaviour).
 	DataDir string
-	// MaxJournalBytes triggers snapshot compaction once the journal outgrows
-	// it (default 8MB).
-	MaxJournalBytes int64
-	// CommitLinger is how long the group-commit leader waits for more
-	// committers to join each batch before flushing (default 0 — flush
-	// immediately; a batch still coalesces everything that queued while the
-	// previous fsync was in flight). A small linger trades single-commit
-	// latency for fewer fsyncs under light concurrency.
-	CommitLinger time.Duration
 	// Logger receives job lifecycle events as structured records carrying
 	// per-job fields (default: discard).
 	Logger *slog.Logger
@@ -125,10 +116,6 @@ type Config struct {
 	// `adapt`: "reactive" (the default — the paper's breach-driven policy)
 	// or "predictive".
 	DefaultAdapt string
-	// PredictMargin is the predictive policy's engine trigger: a worker is
-	// demoted pre-breach when its forecast completion time exceeds margin ×
-	// the rest of the fleet's mean (default 1.5).
-	PredictMargin float64
 	// ShedFactor arms admission control for predictive jobs: pushes are
 	// shed with ErrOverloaded (HTTP 429 + Retry-After) once the job's
 	// queue-depth forecast exceeds ShedFactor × its window, and resume at
@@ -138,9 +125,6 @@ type Config struct {
 	// defaults to 2 (a further window waiting there); negative disables
 	// shedding.
 	ShedFactor float64
-	// ShedRetryAfter is the Retry-After hint returned with a 429 (default
-	// 1s).
-	ShedRetryAfter time.Duration
 	// ForecastEvery is the predictive queue-depth sampling interval
 	// (default 20ms).
 	ForecastEvery time.Duration
@@ -183,14 +167,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultAdapt == "" {
 		c.DefaultAdapt = AdaptReactive
 	}
-	if c.PredictMargin <= 1 {
-		c.PredictMargin = 1.5
-	}
 	if c.ShedFactor == 0 {
 		c.ShedFactor = 2
-	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = time.Second
 	}
 	if c.ForecastEvery <= 0 {
 		c.ForecastEvery = 20 * time.Millisecond
@@ -273,10 +251,7 @@ func Open(cfg Config) (*Service, error) {
 	s.cSubmitted = s.reg.Counter("service_tasks_submitted_total")
 	s.cShed = s.reg.Counter("service_tasks_shed_total")
 	s.cCompleted = s.reg.Counter("service_tasks_completed_total")
-	w, err := openWAL(cfg.DataDir, walOptions{
-		maxBytes: cfg.MaxJournalBytes,
-		linger:   cfg.CommitLinger,
-	})
+	w, err := openWAL(cfg.DataDir, walOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +353,7 @@ var (
 
 // RetryAfter is the hint returned alongside ErrOverloaded — how long a
 // shed caller should wait before retrying.
-func (s *Service) RetryAfter() time.Duration { return s.cfg.ShedRetryAfter }
+func (s *Service) RetryAfter() time.Duration { return shedRetryAfter }
 
 // Cluster returns the coordinator serving `placement: cluster` jobs (nil
 // when the daemon runs without one).
@@ -715,7 +690,7 @@ func (s *Service) startRunner(j *Job, explicitWindow bool) error {
 		Log:           j.tr,
 	}
 	if j.spec.predictive() {
-		opts.Predict = &engine.Predict{Margin: s.cfg.PredictMargin}
+		opts.Predict = &engine.Predict{} // the engine's default margin, 1.5 × the fleet mean
 		opts.OnForecast = j.onForecast
 		j.mu.Lock()
 		j.effShare = j.spec.share()

@@ -201,6 +201,13 @@ type walCommit struct {
 // with the shared result. A single uncontended commit degenerates to the
 // old serial path (a batch of one); under 16 concurrent pushers the disk
 // sees one fsync for the whole convoy.
+//
+// Lock order: a job's j.mu before w.mu, never the reverse. Job.Results and
+// Job.Status hold j.mu across wal.view (so the visibility watermark cannot
+// pass what they read), which takes w.mu. Nothing the flush leader calls
+// into a job — advancing a watermark from the leader, say — may therefore
+// run under w.mu: the leader only signals each commit's buffered done
+// channel, and the committer touches its job after commit has returned.
 type wal struct {
 	mu    sync.Mutex
 	idle  *sync.Cond // signalled when a flush round retires (flushing → false)
@@ -243,9 +250,6 @@ const (
 type walOptions struct {
 	// maxBytes triggers snapshot compaction once the journal outgrows it.
 	maxBytes int64
-	// linger is how long the leader waits — lock released, committers free
-	// to join — before carving each batch; zero flushes immediately.
-	linger time.Duration
 	// maxBatch caps records per flush. No service sets it: 1 reproduces the
 	// serial one-fsync-per-record discipline, the reference
 	// BenchmarkDurableIngest and the group-commit tests compare against.
@@ -257,9 +261,6 @@ type walOptions struct {
 func (o walOptions) withDefaults() walOptions {
 	if o.maxBytes <= 0 {
 		o.maxBytes = defaultMaxJournalBytes
-	}
-	if o.linger < 0 {
-		o.linger = 0
 	}
 	if o.maxBatch <= 0 {
 		o.maxBatch = defaultMaxBatch
@@ -375,8 +376,8 @@ func (w *wal) latched(rec walRecord) error {
 // apply it to the state in order, journal it through one write syscall
 // and one fsync, deliver the shared result to every member, repeat.
 // Called with w.mu held and returns with it held; the lock is released
-// around the linger window and the store I/O, with the flushing flag
-// keeping store access exclusive in between.
+// around the store I/O — which is when committers queue behind the leader
+// — with the flushing flag keeping store access exclusive in between.
 func (w *wal) flushLoop() {
 	w.flushing = true
 	for len(w.queue) > 0 {
@@ -388,13 +389,6 @@ func (w *wal) flushLoop() {
 			}
 			w.queue = nil
 			break
-		}
-		if w.opt.linger > 0 {
-			// Let the batch fill under light load; committers enqueue behind
-			// the leader while it sleeps with the lock released.
-			w.mu.Unlock()
-			time.Sleep(w.opt.linger)
-			w.mu.Lock()
 		}
 		batch := w.takeBatch()
 		// Application stays ordered with the journal: records are applied

@@ -263,12 +263,12 @@ func TestRecoveryReplayDeterminismConcurrent(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			// A small cap forces compactions mid-convoy; a tiny linger widens
-			// the batches.
-			w, err := openWAL(dir, walOptions{maxBytes: 4096, linger: 100 * time.Microsecond})
-			if err != nil {
-				t.Fatal(err)
-			}
+			// A small cap forces compactions mid-convoy. The first fsync is
+			// held until every other committer has queued behind it, so the
+			// second flush is provably a multi-record batch; later ones
+			// coalesce whatever queues during each fsync.
+			gs := &gatedStore{Store: walOverStore(t, dir), gate: make(chan struct{})}
+			w := newWAL(gs, walOptions{maxBytes: 4096})
 			spec := JobSpec{}.withDefaults(Config{}.withDefaults())
 			spec.MaxResults = 8
 			const committers = 8
@@ -303,6 +303,12 @@ func TestRecoveryReplayDeterminismConcurrent(t *testing.T) {
 					}
 				}()
 			}
+			waitUntil(t, 5*time.Second, "the convoy to queue behind the pinned leader", func() bool {
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				return len(w.queue) == committers-1
+			})
+			close(gs.gate)
 			wg.Wait()
 			if t.Failed() {
 				return
@@ -320,6 +326,56 @@ func TestRecoveryReplayDeterminismConcurrent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoveryRedeliversExactlyTheUnacked recovers from a crash image that
+// is written, not raced: five tasks accepted, two acknowledged, the
+// directory copied with the wal still open. Every accepted task is in the
+// recovered job's count (accepted ⇒ durable), exactly the three un-acked
+// ones are re-delivered — service_tasks_redelivered_total says so — and the
+// job drains with all five delivered once. TestRecoveryMidStreamCrash is
+// the same contract with the crash point left to the scheduler.
+func TestRecoveryRedeliversExactlyTheUnacked(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, walOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	spec := JobSpec{}.withDefaults(Config{}.withDefaults())
+	const accepted, acked = 5, 2
+	for _, rec := range []walRecord{
+		{Kind: walCreate, Job: "redo", Spec: &spec},
+		{Kind: walTasks, Job: "redo", Tasks: burst(0, accepted, 0)},
+		{Kind: walResults, Job: "redo", Results: []TaskResult{{ID: 0}, {ID: 1}}},
+	} {
+		if err := w.commit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := durableService(t, copyDir(t, dir))
+	defer s.Close()
+	j, ok := s.Job("redo")
+	if !ok {
+		t.Fatal("job lost across the crash")
+	}
+	if st := j.Status(); st.Submitted != accepted {
+		t.Errorf("recovered job reports %d submitted, want the %d accepted before the crash", st.Submitted, accepted)
+	}
+	if got := s.Metrics().Snapshot()["service_tasks_redelivered_total"]; got != accepted-acked {
+		t.Errorf("service_tasks_redelivered_total = %d, want the %d un-acked tasks", got, accepted-acked)
+	}
+	if err := j.CloseInput(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j, 10*time.Second)
+	results, _ := j.Results(0)
+	assertExactlyOnceIDs(t, results, accepted)
+	if st := j.Status(); st.Lost != 0 {
+		t.Errorf("recovered job lost %d tasks", st.Lost)
+	}
+	assertConserved(t, s)
 }
 
 // waitUntil polls cond until it holds or the deadline passes.

@@ -171,7 +171,7 @@ func TestScenarioE2EDurableFlashCrowd(t *testing.T) {
 	graspd, graspworker := buildE2EBinaries(t)
 	api, coordinator, _ := startScenarioDaemon(t, graspd,
 		"-window", "4", "-shed-factor", "1", "-dead-after", "2s",
-		"-data-dir", t.TempDir(), "-commit-linger", "200us")
+		"-data-dir", t.TempDir())
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
 
 	summary := loadgen.Driver{
