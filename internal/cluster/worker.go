@@ -193,17 +193,38 @@ func Spin(n int64) {
 	_ = x
 }
 
+// idleSleepers holds the stop-less sleepers ExecWork borrows, so a local
+// sleep task re-arms a timer instead of opening one. A sleeper the pool
+// drops at a GC is never closed: its timer's *os.File finalizer releases
+// it.
+var idleSleepers = sync.Pool{New: func() any { return new(sleeper) }}
+
 // ExecWork performs one wire task's computation and returns the measured
-// execution time.
+// execution time. On Linux its sleep wakes like I/O completing (see
+// sleeper): within tens of µs of the declared time, never before it.
 func ExecWork(w Work) time.Duration {
 	start := time.Now()
+	var s *sleeper // only sleep work borrows one: spin-only tasks skip the pool
 	if w.SleepUS > 0 {
-		time.Sleep(time.Duration(w.SleepUS) * time.Microsecond)
+		s = idleSleepers.Get().(*sleeper)
+	}
+	execWork(w, s)
+	if s != nil {
+		idleSleepers.Put(s)
+	}
+	return time.Since(start)
+}
+
+// execWork is ExecWork's computation, sleeping on s (which spin-only work
+// never touches); it reports false when s's stop cut the sleep short.
+func execWork(w Work, s *sleeper) bool {
+	if w.SleepUS > 0 && !s.sleep(time.Duration(w.SleepUS)*time.Microsecond) {
+		return false
 	}
 	if w.Spin > 0 {
 		Spin(w.Spin)
 	}
-	return time.Since(start)
+	return true
 }
 
 // StartWorker benchmarks, registers, and starts the heartbeat, executor,
@@ -362,7 +383,7 @@ func (w *Worker) reRegister(staleGen int64) {
 	}
 	if _, err := w.register(); err != nil {
 		w.log.Warn("re-register failed", "node", w.cfg.ID, "err", err)
-		w.sleepOrStop(500 * time.Millisecond)
+		sleepOrStop(500*time.Millisecond, w.stop)
 		return
 	}
 	w.log.Info("worker re-registered", "node", w.cfg.ID, "transport", w.TransportName())
@@ -388,18 +409,21 @@ func (w *Worker) heartbeatLoop() {
 }
 
 // executorLoop leases and executes until stopped, reusing one task
-// scratch slice across leases. The results of the lease just run are held
-// and sent with the next lease request. A transport error keeps them for
-// the resend — the coordinator's dispatch-id dedupe makes that idempotent,
-// as it does postResults' retry — and ErrGone, a new generation or Stop
-// drops them: the coordinator has already failed that work over.
+// scratch slice and one sleeper across leases. The results of the lease
+// just run are held and sent with the next lease request. A transport
+// error keeps them for the resend — the coordinator's dispatch-id dedupe
+// makes that idempotent, as it does postResults' retry — and ErrGone, a
+// new generation or Stop drops them: the coordinator has already failed
+// that work over.
 func (w *Worker) executorLoop() {
 	defer w.wg.Done()
 	var (
 		scratch []WireTask
 		held    []WireResult // finished, not yet sent; leased under heldGen
 		heldGen int64
+		timer   = sleeper{stop: w.stop}
 	)
+	defer timer.close()
 	for {
 		select {
 		case <-w.stop:
@@ -429,7 +453,7 @@ func (w *Worker) executorLoop() {
 			continue
 		}
 		if err != nil {
-			w.sleepOrStop(200 * time.Millisecond)
+			sleepOrStop(200*time.Millisecond, w.stop)
 			continue
 		}
 		held, heldGen = held[:0], gen
@@ -454,13 +478,16 @@ func (w *Worker) executorLoop() {
 				At: began, Kind: trace.KindDispatch,
 				Node: w.cfg.ID, Task: t.Task,
 			})
-			d := ExecWork(t.Work)
-			if extra := w.degradePenalty(d); extra > 0 {
-				if !w.sleepOrStop(extra) {
-					return
-				}
-				d += extra
+			// One clock over execution and penalty: the node reports what
+			// the task took, not what the penalty meant to add.
+			start := time.Now()
+			if !execWork(t.Work, &timer) {
+				return
 			}
+			if extra := w.degradePenalty(time.Since(start)); extra > 0 && !timer.sleep(extra) {
+				return
+			}
+			d := time.Since(start)
 			w.mExecuted.Inc()
 			w.tr.Append(trace.Event{
 				At: time.Since(w.start), Kind: trace.KindComplete,
@@ -552,7 +579,7 @@ func (w *Worker) postResults(gen int64, results []WireResult) {
 		if backoff > time.Second {
 			backoff = time.Second
 		}
-		if !w.sleepOrStop(backoff) {
+		if !sleepOrStop(backoff, w.stop) {
 			return
 		}
 	}
@@ -571,10 +598,12 @@ func (w *Worker) degradePenalty(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (w.cfg.DegradeFactor - 1))
 }
 
-// sleepOrStop pauses for d, reporting false when the worker is stopping.
-func (w *Worker) sleepOrStop(d time.Duration) bool {
+// sleepOrStop pauses for d on the runtime's timer, reporting false when
+// stop closes first (a nil stop never does). Backoffs use it directly —
+// they need no precision — and a sleeper falls back to it.
+func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 	select {
-	case <-w.stop:
+	case <-stop:
 		return false
 	case <-time.After(d):
 		return true

@@ -228,8 +228,10 @@ func (js JobSpec) share() float64 {
 }
 
 // TaskSpec is one unit of submitted work in wire form. SleepUS models
-// IO-bound work (the closure sleeps), Spin models CPU-bound work (a busy
-// loop); both may be combined. The closure returns the task ID.
+// IO-bound work (the closure sleeps, and on Linux wakes like I/O
+// completing: within tens of µs of the declared time, never before it),
+// Spin models CPU-bound work (a busy loop); both may be combined. The
+// closure returns the task ID.
 type TaskSpec struct {
 	ID      int     `json:"id"`
 	Cost    float64 `json:"cost,omitempty"`
