@@ -39,12 +39,15 @@ func sleepTasks(from, n int, sleepUS int64) []platform.Task {
 }
 
 // startWorkerWith runs an in-process worker with the given overrides on
-// top of the fast test defaults.
+// top of the fast test defaults (a 100 ms long-poll unless LeaseWait is
+// set).
 func startWorkerWith(t *testing.T, cfg WorkerConfig) *Worker {
 	t.Helper()
 	cfg.BenchSpin = 10_000
 	cfg.Heartbeat = 20 * time.Millisecond
-	cfg.LeaseWait = 100 * time.Millisecond
+	if cfg.LeaseWait == 0 {
+		cfg.LeaseWait = 100 * time.Millisecond
+	}
 	w, err := StartWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +156,10 @@ func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 	co := testCoordinator(t, time.Second)
 	srv := httptest.NewServer(co.Handler())
 	defer srv.Close()
-	startWorkerWith(t, WorkerConfig{Coordinator: srv.URL, ID: "w1", Capacity: 1})
-	startWorkerWith(t, WorkerConfig{Coordinator: srv.URL, ID: "w2", Capacity: 1})
+	workers := []*Worker{
+		startWorkerWith(t, WorkerConfig{Coordinator: srv.URL, ID: "w1", Capacity: 1}),
+		startWorkerWith(t, WorkerConfig{Coordinator: srv.URL, ID: "w2", Capacity: 1}),
+	}
 
 	const n = 160
 	l := rt.NewLocal()
@@ -176,6 +181,13 @@ func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 	frames := co.Metrics().Histogram("cluster_results_batch_size", metrics.BatchBuckets).Count()
 	if frames > leases+2 {
 		t.Errorf("cluster_results_batch_size_count = %d for %d leases of short tasks, want one results frame per lease", frames, leases)
+	}
+	// Tasks under resultHold never lease ahead: a short chunk answers as a
+	// unit.
+	for _, w := range workers {
+		if ahead := w.Metrics().Counter("worker_leases_ahead_total").Value(); ahead != 0 {
+			t.Errorf("%s: worker_leases_ahead_total = %d for chunks of empty tasks, want 0", w.ID(), ahead)
+		}
 	}
 }
 
@@ -211,6 +223,106 @@ func TestLongLeaseStreamsPerTask(t *testing.T) {
 	}
 }
 
+// TestLeaseAheadOverlapsTheRoundTrip: an executor whose last task of a
+// lease runs at least resultHold leases its next task as that one begins.
+// A one-slot, -batch 1 node given a chunk of three 20 ms tasks has leased
+// all three by the time the first outcome arrives: the second went out
+// while the first ran, and the third rode the lease that carried the
+// first's result. Without the lease ahead the third would still be queued.
+func TestLeaseAheadOverlapsTheRoundTrip(t *testing.T) {
+	co := testCoordinator(t, time.Second)
+	url := startTestServer(t, co)
+	startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "w1", Capacity: 1, Batch: 1})
+	live := co.Live()
+	ch, err := co.submit(live[0].ID, live[0].Gen, sleepTasks(0, 3, 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		out := <-ch.sink
+		if out.err != nil {
+			t.Fatalf("task %d: %v", out.idx, out.err)
+		}
+		if i > 0 {
+			continue
+		}
+		// The outcome is resolved under the coordinator lock that also
+		// leases the carrying request's next task, so this read sees both.
+		if ni := co.Nodes()[0]; ni.Queued != 0 || ni.InFlight != 2 {
+			t.Errorf("at the first outcome the node holds %d queued and %d in flight, want 0 and 2: the second task leased while the first ran", ni.Queued, ni.InFlight)
+		}
+	}
+}
+
+// TestLeaseAheadKeepsCapacityShares: a lease goes ahead only at the last
+// task of the lease in hand, so the executors of a node still split a
+// chunk by capacity share. Two executors given four 100 ms tasks take 2 + 1,
+// and the one running its last task leases the fourth ahead: two task
+// lengths. Leasing ahead at the lease's start would give the first
+// executor 2 + 1 and take three.
+func TestLeaseAheadKeepsCapacityShares(t *testing.T) {
+	co := testCoordinator(t, time.Second)
+	url := startTestServer(t, co)
+	w := startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "w1", Capacity: 2})
+	live := co.Live()
+	began := time.Now()
+	ch, err := co.submit(live[0].ID, live[0].Gen, sleepTasks(0, 4, 100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if out := <-ch.sink; out.err != nil {
+			t.Fatalf("task %d: %v", out.idx, out.err)
+		}
+	}
+	if took := time.Since(began); took >= 250*time.Millisecond {
+		t.Errorf("the chunk took %v, want two task lengths (< 250ms)", took)
+	}
+	if ahead := w.Metrics().Counter("worker_leases_ahead_total").Value(); ahead == 0 {
+		t.Errorf("worker_leases_ahead_total = 0: no lease went ahead of a 100 ms task")
+	}
+}
+
+// TestLeaseAheadStopsWithoutWaitingOutTheParkedLease: Stop does not wait
+// for a lease parked ahead of a running task, and drops it with the task:
+// the leave fails the task over, and it completes, once, on the other node.
+func TestLeaseAheadStopsWithoutWaitingOutTheParkedLease(t *testing.T) {
+	co := NewCoordinator(Config{DeadAfter: time.Second, SweepEvery: 250 * time.Millisecond, MaxLeaseWait: 10 * time.Second})
+	t.Cleanup(co.Close)
+	url := startTestServer(t, co)
+	startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})
+	victim := startWorkerWith(t, WorkerConfig{
+		Coordinator: url, ID: "b-victim", Capacity: 1, Batch: 1, LeaseWait: 10 * time.Second,
+	})
+	const n = 2
+	l := rt.NewLocal()
+	pool := NewPool(co, l, co.Live())
+	// One task per node at a time: the victim's lease ahead finds nothing
+	// queued and parks.
+	wait := startRun(l, func(c rt.Ctx) engine.StreamReport {
+		return farm.Run(pool, c, sleepTasks(0, n, 300_000), farm.Options{Workers: []int{0, 1}, Chunk: sched.FixedChunk{K: 1}})
+	})
+	for deadline := time.Now().Add(5 * time.Second); victim.Metrics().Counter("worker_leases_ahead_total").Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the victim never leased ahead of its 300 ms task")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // the lease reaches the coordinator and parks
+	began := time.Now()
+	victim.Stop()
+	if took := time.Since(began); took > 200*time.Millisecond {
+		t.Errorf("Stop took %v with a lease parked ahead, want < 200ms", took)
+	}
+	rep := wait()
+	assertExactIDs(t, rep, n)
+	for _, ni := range co.Nodes() {
+		if ni.ID == "b-victim" && (ni.Completed != 0 || ni.Failed != 1 || ni.Deduped != 0) {
+			t.Errorf("victim = %+v, want its one task failed over and nothing completed or posted late", ni)
+		}
+	}
+}
+
 // lossyLeases is an HTTP round tripper that loses the first lose lease
 // requests that carry results — the request never reaches the coordinator —
 // and counts them.
@@ -235,21 +347,31 @@ func (ll *lossyLeases) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestHeldResults pins what an executor does with the results it holds
-// when the lease request carrying them fails: it keeps them and resends,
-// and the work completes on this node; but a Stop in between drops them —
-// the leave fails the dispatches over, nothing is posted late, and every
-// task still completes exactly once, on the other node.
+// when the lease request carrying them fails — a lease answering the last
+// one, or, for tasks of 1 ms and more, the lease issued ahead of the
+// lease's last task: it keeps them and resends, and the work completes on
+// this node; but a Stop in between drops them — the leave fails the
+// dispatches over, nothing is posted late, and every task still completes
+// exactly once, on the other node.
 func TestHeldResults(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		lose int64
-		stop bool
+		name    string
+		lose    int64
+		stop    bool
+		sleepUS int64
 	}{
-		{"resent after a transport error", 1, false},
-		{"dropped on stop", math.MaxInt64, true},
+		{"resent after a transport error", 1, false, 0},
+		{"resent after a lost lease ahead", 1, false, 2_000},
+		{"dropped on stop", math.MaxInt64, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			co := testCoordinator(t, time.Second)
+			// A short TTL turns a dropped result into a prompt redelivery,
+			// which the test then refuses, instead of a 90 s stall.
+			co := NewCoordinator(Config{
+				DeadAfter: time.Second, SweepEvery: 250 * time.Millisecond,
+				MaxLeaseWait: 200 * time.Millisecond, LeaseTTL: 2 * time.Second,
+			})
+			t.Cleanup(co.Close)
 			url := startTestServer(t, co)
 			startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})
 			lossy := &lossyLeases{}
@@ -264,7 +386,7 @@ func TestHeldResults(t *testing.T) {
 			// The batch farm admits the whole population up front, so the
 			// victim's first chunk is a full pair.
 			wait := startRun(l, func(c rt.Ctx) engine.StreamReport {
-				return farm.Run(pool, c, sleepTasks(0, n, 0), farm.Options{Workers: []int{0, 1}, Chunk: sched.FixedChunk{K: 2}})
+				return farm.Run(pool, c, sleepTasks(0, n, tc.sleepUS), farm.Options{Workers: []int{0, 1}, Chunk: sched.FixedChunk{K: 2}})
 			})
 			wantFailed := int64(0)
 			if tc.stop {
@@ -289,6 +411,14 @@ func TestHeldResults(t *testing.T) {
 			}
 			if lost := lossy.lost.Load(); lost < 1 {
 				t.Errorf("no lease request carrying results was ever lost: the scenario did not run")
+			}
+			if expired := co.Metrics().Counter("cluster_leases_expired_total").Value(); expired != 0 {
+				t.Errorf("%d leases expired: a held result was lost, not resent", expired)
+			}
+			// With 2 ms tasks the first request to carry results is the
+			// lease ahead of the victim's second task: the one lost.
+			if ahead := victim.Metrics().Counter("worker_leases_ahead_total").Value(); (ahead > 0) != (tc.sleepUS > 0) {
+				t.Errorf("victim worker_leases_ahead_total = %d with %d µs tasks", ahead, tc.sleepUS)
 			}
 		})
 	}

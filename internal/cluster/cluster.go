@@ -45,8 +45,12 @@
 //     coordinator picks, so a fleet can mix transports mid-upgrade. On
 //     both, LeaseRequest.Results carries a lease's finished executions
 //     back with the request for the next one; a lease that outlasts the
-//     worker's resultHold streams them through its flusher's batched
-//     results posts instead, so long tasks still report one by one.
+//     worker's resultHold streams them instead, so long tasks still report
+//     one by one. When a lease's last task runs from 1 ms to 1 s, the
+//     worker leases ahead as that task begins, so the next task is on the
+//     node before this one ends, and the results held so far ride that
+//     request; otherwise they go through its flusher's batched results
+//     posts.
 //
 // The coordinator is transport-level only: it never decides which node
 // runs a task. Placement stays with the skeletons' adaptive dispatch
@@ -103,11 +107,12 @@ type Config struct {
 	// live node before the sweeper requeues it for redelivery — the guard
 	// against a lease response lost in transit, which would otherwise
 	// strand the dispatch forever (the node keeps heartbeating, so death
-	// never fires). It must exceed the longest legitimate execution
-	// (default 90s, above the service layer's 60s per-task sleep cap); a
-	// lease of several tasks runs in order on one executor, so the i-th
-	// task's TTL counts from i TTLs after the lease. A late result from the
-	// original delivery is deduplicated as usual.
+	// never fires). It must exceed the longest legitimate execution plus
+	// the under 1 s a task may wait on its node behind the task it was
+	// leased ahead of (default 90s, above the service layer's 60s per-task
+	// sleep cap); a lease of several tasks runs in order on one executor,
+	// so the i-th task's TTL counts from i TTLs after the lease. A late
+	// result from the original delivery is deduplicated as usual.
 	LeaseTTL time.Duration
 	// DeadRetention is how long dead/left registrations stay listed for
 	// inspection before being pruned, with their per-node metric series

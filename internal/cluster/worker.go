@@ -126,6 +126,26 @@ const maxResultsFlush = 256
 // bound begins, so long tasks still stream one by one.
 const resultHold = time.Millisecond
 
+// leaseAheadMax bounds the tasks an executor leases ahead of: from resultHold
+// up to it, the last task of a lease runs while the next lease makes its
+// round trip. Above it the round trip is under 0.02 % of the task, and
+// leasing ahead would only start the next task's LeaseTTL clock early.
+const leaseAheadMax = time.Second
+
+// aheadLease is the lease an executor issues ahead of its lease's last
+// task, handed between the executor and its leaser goroutine: the executor
+// fills the request half and signals issue; the leaser fills the response
+// half and signals done. Each side touches it only between those signals.
+type aheadLease struct {
+	gen     int64
+	tr      Transport
+	results []WireResult // the executor's held results, carried by the request
+	tasks   []WireTask
+	err     error
+	issue   chan struct{}
+	done    chan struct{} // buffered: the leaser never waits on a stopped executor
+}
+
 // genResult is one completed execution tagged with the generation it was
 // leased under, queued for the result flusher.
 type genResult struct {
@@ -135,11 +155,14 @@ type genResult struct {
 
 // Worker is a running worker-node: registered with its coordinator,
 // heartbeating, and executing leased tasks on Capacity concurrent
-// executors. An executor answers a lease as a unit: the results of the
-// lease it just ran ride its next lease request, one frame out and one
-// back per chunk. Only a lease that outlasts resultHold hands results to
-// the single flusher, which coalesces them into batched result posts.
-// Create one with StartWorker; Stop leaves gracefully.
+// executors. An executor answers a short lease as a unit: the results of
+// the lease it just ran ride its next lease request, one frame out and one
+// back per chunk. When a lease's last task runs from resultHold up to
+// leaseAheadMax, the next lease goes out as that task begins, so the next
+// task is on the node when this one ends. A lease that outlasts resultHold
+// otherwise hands results to the single flusher, which coalesces them into
+// batched result posts. Create one with StartWorker; Stop leaves
+// gracefully.
 type Worker struct {
 	cfg    WorkerConfig
 	log    *slog.Logger
@@ -149,13 +172,16 @@ type Worker struct {
 	bin    Transport // binary binding, created on first negotiation
 
 	// Observability: lease round-trip distribution (the worker-side view
-	// of dispatch latency — long-poll waits included) and a bounded trace
-	// of leased and executed tasks, stamped relative to start.
-	start     time.Time
-	hLeaseRTT *metrics.Histogram
-	tr        *trace.Log
-	mExecuted *metrics.Counter
-	mLeases   *metrics.Counter
+	// of dispatch latency — long-poll waits included), how long executors
+	// sat without a task on a lease that then delivered one, and a bounded
+	// trace of leased and executed tasks, stamped relative to start.
+	start        time.Time
+	hLeaseRTT    *metrics.Histogram
+	hExecWait    *metrics.Histogram
+	tr           *trace.Log
+	mExecuted    *metrics.Counter
+	mLeases      *metrics.Counter
+	mLeasesAhead *metrics.Counter
 
 	mu     sync.Mutex
 	gen    int64
@@ -164,7 +190,7 @@ type Worker struct {
 	results  chan genResult
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup // executors + heartbeat
+	wg       sync.WaitGroup // executors, their leasers + heartbeat
 	flushWG  sync.WaitGroup // result flusher
 }
 
@@ -245,8 +271,10 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		stop:    make(chan struct{}),
 	}
 	w.hLeaseRTT = cfg.Registry.Histogram("worker_lease_rtt_seconds", metrics.DefDurationBuckets)
+	w.hExecWait = cfg.Registry.Histogram("worker_executor_wait_seconds", metrics.DefDurationBuckets)
 	w.mExecuted = cfg.Registry.Counter("worker_tasks_executed_total")
 	w.mLeases = cfg.Registry.Counter("worker_leases_total")
+	w.mLeasesAhead = cfg.Registry.Counter("worker_leases_ahead_total")
 	var hb time.Duration
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -270,8 +298,10 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	w.wg.Add(1)
 	go w.heartbeatLoop()
 	for i := 0; i < cfg.Capacity; i++ {
-		w.wg.Add(1)
-		go w.executorLoop()
+		ahead := &aheadLease{issue: make(chan struct{}, 1), done: make(chan struct{}, 1)}
+		w.wg.Add(2)
+		go w.executorLoop(ahead)
+		go w.leaseLoop(ahead)
 	}
 	return w, nil
 }
@@ -408,20 +438,30 @@ func (w *Worker) heartbeatLoop() {
 	}
 }
 
-// executorLoop leases and executes until stopped, reusing one task
-// scratch slice and one sleeper across leases. The results of the lease
-// just run are held and sent with the next lease request. A transport
-// error keeps them for the resend — the coordinator's dispatch-id dedupe
+// executorLoop leases and executes until stopped, reusing two task scratch
+// slices, two result buffers and one sleeper across leases; the leases it
+// issues ahead go through its own leaseLoop, on ahead. The results of
+// the lease just run are held and sent with the next lease request. When
+// the last task of the lease in hand is expected to run from resultHold up
+// to leaseAheadMax, that request goes out as the task begins — an ordinary
+// lease, same Max, same capacity share — so the lease round trip overlaps
+// the task; leasing at the lease's start instead would take a second share
+// while the first is still queued behind it. If the ahead lease is still
+// parked when the task ends, the held results go to the flusher, as a long
+// lease's do, and the executor waits. A transport error keeps the results
+// a request carried for the resend — the coordinator's dispatch-id dedupe
 // makes that idempotent, as it does postResults' retry — and ErrGone, a
-// new generation or Stop drops them: the coordinator has already failed
-// that work over.
-func (w *Worker) executorLoop() {
+// new generation or Stop drops them, with any tasks leased ahead: the
+// coordinator has already failed that work over.
+func (w *Worker) executorLoop(ahead *aheadLease) {
 	defer w.wg.Done()
 	var (
-		scratch []WireTask
-		held    []WireResult // finished, not yet sent; leased under heldGen
-		heldGen int64
-		timer   = sleeper{stop: w.stop}
+		scratch   []WireTask   // the lease in hand
+		held      []WireResult // finished, not yet sent
+		heldSince time.Duration
+		gen       int64 // the lease in hand and the held results belong to gen
+		tr        Transport
+		timer     = sleeper{stop: w.stop}
 	)
 	defer timer.close()
 	for {
@@ -430,49 +470,50 @@ func (w *Worker) executorLoop() {
 			return
 		default:
 		}
-		gen, tr := w.session()
-		if gen != heldGen {
-			held = held[:0]
-		}
-		var err error
-		leaseStart := time.Now()
-		scratch, err = tr.Lease(LeaseRequest{
-			ID:      w.cfg.ID,
-			Gen:     gen,
-			Max:     w.cfg.Batch,
-			WaitMS:  w.cfg.LeaseWait.Milliseconds(),
-			Results: held,
-		}, scratch[:0])
-		// The lease RTT includes the coordinator-side long-poll wait: this
-		// histogram is the worker's view of how long fetching work takes,
-		// not just the wire time.
-		w.hLeaseRTT.ObserveDuration(time.Since(leaseStart))
-		if errors.Is(err, ErrGone) {
-			held = held[:0]
-			w.reRegister(gen)
-			continue
-		}
-		if err != nil {
-			sleepOrStop(200*time.Millisecond, w.stop)
-			continue
-		}
-		held, heldGen = held[:0], gen
 		if len(scratch) == 0 {
-			continue // long-poll timeout
+			g, t := w.session()
+			if g != gen {
+				held = held[:0]
+			}
+			gen, tr = g, t
+			waitStart := time.Now()
+			var err error
+			scratch, err = w.lease(tr, gen, held, scratch[:0])
+			if errors.Is(err, ErrGone) {
+				held = held[:0]
+				w.reRegister(gen)
+				continue
+			}
+			if err != nil {
+				sleepOrStop(200*time.Millisecond, w.stop)
+				continue
+			}
+			held = held[:0]
+			if len(scratch) == 0 {
+				continue // long-poll timeout
+			}
+			w.hExecWait.ObserveDuration(time.Since(waitStart))
 		}
 		w.mLeases.Inc()
-		var heldSince time.Duration // when the oldest held result's task began
+		leasedAhead := false
 		for i := range scratch {
 			t := &scratch[i]
 			began := time.Since(w.start)
-			if len(held) > 0 && began-heldSince+w.estimate(t.Work) >= resultHold {
+			est := w.estimate(t.Work)
+			if i == len(scratch)-1 && est >= resultHold && est < leaseAheadMax {
+				ahead.gen, ahead.tr = gen, tr
+				ahead.results, held = held, ahead.results[:0]
+				ahead.issue <- struct{}{}
+				w.mLeasesAhead.Inc()
+				leasedAhead = true
+			} else if len(held) > 0 && began-heldSince+est >= resultHold {
 				if !w.flush(gen, held) {
 					return
 				}
 				held = held[:0]
 			}
 			if len(held) == 0 {
-				heldSince = began
+				heldSince = began // when the oldest held result's task began
 			}
 			w.tr.Append(trace.Event{
 				At: began, Kind: trace.KindDispatch,
@@ -495,7 +536,79 @@ func (w *Worker) executorLoop() {
 			})
 			held = append(held, WireResult{Dispatch: t.Dispatch, Task: t.Task, Micros: d.Microseconds()})
 		}
+		if !leasedAhead {
+			scratch = scratch[:0]
+			continue
+		}
+		waitStart := time.Now()
+		select {
+		case <-ahead.done:
+		default:
+			if !w.flush(gen, held) {
+				return
+			}
+			held = held[:0]
+			select {
+			case <-ahead.done:
+			case <-w.stop:
+				return
+			}
+		}
+		current, _ := w.session()
+		switch {
+		case errors.Is(ahead.err, ErrGone):
+			held = held[:0]
+			w.reRegister(gen)
+			scratch = scratch[:0]
+		case ahead.err != nil:
+			// Undelivered: the carried results go back in front of the
+			// held ones, for the resend.
+			ahead.results, held = held[:0], append(ahead.results, held...)
+			sleepOrStop(200*time.Millisecond, w.stop)
+			scratch = scratch[:0]
+		case current != gen:
+			// Leased under a superseded registration: already failed over.
+			scratch = scratch[:0]
+		default:
+			scratch, ahead.tasks = ahead.tasks, scratch
+			if len(scratch) > 0 {
+				w.hExecWait.ObserveDuration(time.Since(waitStart))
+			}
+		}
 	}
+}
+
+// leaseLoop is one executor's leaser: it runs the leases the executor
+// issues ahead on a, one at a time, until the worker stops.
+func (w *Worker) leaseLoop(a *aheadLease) {
+	defer w.wg.Done()
+	for {
+		select {
+		case <-w.stop:
+			return
+		case <-a.issue:
+		}
+		a.tasks, a.err = w.lease(a.tr, a.gen, a.results, a.tasks[:0])
+		a.done <- struct{}{}
+	}
+}
+
+// lease sends one lease request carrying results under gen, appending the
+// leased batch onto scratch.
+func (w *Worker) lease(tr Transport, gen int64, results []WireResult, scratch []WireTask) ([]WireTask, error) {
+	start := time.Now()
+	tasks, err := tr.Lease(LeaseRequest{
+		ID:      w.cfg.ID,
+		Gen:     gen,
+		Max:     w.cfg.Batch,
+		WaitMS:  w.cfg.LeaseWait.Milliseconds(),
+		Results: results,
+	}, scratch)
+	// The lease RTT includes the coordinator-side long-poll wait: this
+	// histogram is the worker's view of how long fetching work takes,
+	// not just the wire time.
+	w.hLeaseRTT.ObserveDuration(time.Since(start))
+	return tasks, err
 }
 
 // estimate is how long the healthy node expects work to take: its declared
