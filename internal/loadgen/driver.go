@@ -37,7 +37,9 @@ type Driver struct {
 	SleepUS int64
 	// Window overrides the per-job in-flight window (0: server default).
 	Window int
-	// PollEvery is the result-poll interval (default 20ms).
+	// PollEvery paces the arrival profiles' pushes and 429 retries (default
+	// 20ms). Result polls do not sleep: a poll at the watermark waits in the
+	// daemon for the next result.
 	PollEvery time.Duration
 	// Timeout bounds the whole run (default 2 minutes).
 	Timeout time.Duration
@@ -375,7 +377,6 @@ func (d Driver) driveJob(name, skeleton string, salt int64, deadline time.Time, 
 			fail("timeout %s: %d/%d completed", name, out.Completed, out.Submitted)
 			return out
 		}
-		time.Sleep(d.PollEvery)
 	}
 
 	var status struct {

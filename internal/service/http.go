@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 )
 
 // maxBodyBytes bounds a request body; maxTasksPerPush bounds one batch;
@@ -21,6 +22,21 @@ const (
 	maxSleepUS      = 60_000_000
 	maxSpin         = 1_000_000_000
 )
+
+// resultsHold bounds how long a results poll at the watermark waits for
+// the next visible result or lifecycle move before it answers with an
+// empty page. Shorter costs an empty round trip per expiry; at 100 ms an
+// idle poller costs the daemon ten requests a second.
+const resultsHold = 100 * time.Millisecond
+
+// resultsPage is the GET .../results reply. Gap, when positive, is how many
+// results below the retention base the poller's cursor skipped unread.
+type resultsPage struct {
+	Results []TaskResult `json:"results"`
+	Next    int          `json:"next"`
+	State   string       `json:"state"`
+	Gap     int          `json:"gap,omitempty"`
+}
 
 // createRequest is the POST /api/v1/jobs wire form.
 type createRequest struct {
@@ -265,7 +281,7 @@ func NewHandler(s *Service) http.Handler {
 		// Same ordering rationale as the results endpoint: state is read
 		// before the events, so a "done" response cannot be missing the
 		// final completion events.
-		state := j.Status().State
+		state := j.state()
 		serveTimeline(w, r, j.Trace(), j.Name(), state)
 	})
 
@@ -295,17 +311,36 @@ func NewHandler(s *Service) http.Handler {
 			}
 			after = v
 		}
+		// A poll at the watermark waits for it: until the next result is
+		// visible (its ack durable), the lifecycle moves, the job finishes,
+		// the service closes, the client goes away or resultsHold passes.
+		// Then it answers exactly as a poll that found results at once.
+		if changed := j.waitPast(after); changed != nil {
+			hold := time.NewTimer(resultsHold)
+			select {
+			case <-changed:
+			case <-j.Done():
+			case <-s.closed:
+			case <-r.Context().Done():
+			case <-hold.C:
+			}
+			hold.Stop()
+		}
 		// State is read before results: a "done" here guarantees every
 		// result is already appended, so a poller that stops on done
 		// cannot miss the tail. The reverse order would race the final
 		// completions.
-		state := j.Status().State
+		state := j.state()
 		results, next := j.Results(after)
-		writeJSON(w, http.StatusOK, map[string]any{
-			"results": results,
-			"next":    next,
-			"state":   state,
-		})
+		page := resultsPage{Results: results, Next: next, State: state}
+		if page.Results == nil {
+			page.Results = []TaskResult{}
+		}
+		if gap := next - len(results) - after; gap > 0 {
+			page.Gap = gap
+			s.reg.Counter("service_results_unread_dropped_total").Add(int64(gap))
+		}
+		writeJSON(w, http.StatusOK, page)
 	})
 
 	return mux

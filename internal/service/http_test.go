@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"grasp/internal/cluster"
 )
 
 // testServer spins up the full handler stack over a small service.
@@ -94,7 +97,6 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("job never drained: state %s, %d results", poll.State, len(got))
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	var status JobStatus
@@ -109,6 +111,268 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	doJSON(t, "GET", base+"/api/v1/jobs", ``, http.StatusOK, &list)
 	if len(list.Jobs) != 1 || list.Jobs[0].Name != "alpha" {
 		t.Fatalf("list = %+v", list)
+	}
+}
+
+// polled is one results poll's reply and when its handler returned.
+type polled struct {
+	page     resultsPage
+	raw      string
+	returned time.Time
+}
+
+// pollAsync serves GET .../results?after= on h from its own goroutine, the
+// way a client's request sits in the handler, and delivers the reply.
+func pollAsync(t *testing.T, ctx context.Context, h http.Handler, job string, after int) <-chan polled {
+	t.Helper()
+	req := httptest.NewRequest("GET", fmt.Sprintf("/api/v1/jobs/%s/results?after=%d", job, after), nil).WithContext(ctx)
+	out := make(chan polled, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		p := polled{raw: rec.Body.String(), returned: time.Now()}
+		if rec.Code != http.StatusOK {
+			t.Errorf("results poll = %d: %s", rec.Code, p.raw)
+		} else if err := json.Unmarshal(rec.Body.Bytes(), &p.page); err != nil {
+			t.Errorf("decode %s: %v", p.raw, err)
+		}
+		out <- p
+	}()
+	return out
+}
+
+// parked reports whether a results poll waits at j's watermark.
+func parked(j *Job) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.changed != nil
+}
+
+// parkPoll starts a results poll on j at cursor after and returns once it
+// is parked. A channel left by an earlier poll that returned unwoken (hold
+// expired, client gone) is cleared first, so parked means this poll.
+func parkPoll(t *testing.T, ctx context.Context, h http.Handler, j *Job, after int) <-chan polled {
+	t.Helper()
+	j.mu.Lock()
+	j.wakeLocked()
+	j.mu.Unlock()
+	c := pollAsync(t, ctx, h, j.Name(), after)
+	waitUntil(t, 5*time.Second, "the poll to park", func() bool { return parked(j) })
+	return c
+}
+
+// awaitPoll receives a poll's reply, failing the test after d.
+func awaitPoll(t *testing.T, c <-chan polled, d time.Duration) polled {
+	t.Helper()
+	select {
+	case p := <-c:
+		return p
+	case <-time.After(d):
+		t.Fatalf("results poll still parked after %v", d)
+		return polled{}
+	}
+}
+
+// TestResultsPollWaitsForTheWatermark: a poll at the watermark parks, and
+// the task pushed after it parked comes back in that same reply, as soon
+// as its result is visible — not an empty page now and the result on the
+// next tick.
+func TestResultsPollWaitsForTheWatermark(t *testing.T) {
+	s := New(Config{Workers: 2, DefaultWindow: 4, WarmupTasks: 2})
+	t.Cleanup(func() { s.Close() })
+	j, err := s.Submit("wm", JobSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll := parkPoll(t, context.Background(), NewHandler(s), j, 0)
+	pushed := time.Now()
+	if _, err := j.Push(burst(7, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	p := awaitPoll(t, poll, 5*time.Second)
+	if len(p.page.Results) != 1 || p.page.Results[0].ID != 7 || p.page.Next != 1 || p.page.State != JobAccepting {
+		t.Fatalf("parked poll answered %s, want task 7 at next 1, accepting", p.raw)
+	}
+	if d := p.returned.Sub(pushed); d >= resultsHold/2 {
+		t.Errorf("result reached the parked poll %v after the push, want well under %v", d, resultsHold/2)
+	}
+}
+
+// TestResultsPollWakesOnLifecycle: a parked poll answers as soon as the
+// state it would report moves — draining on CloseInput, done when the job
+// finishes, accepting when a recovered job resumes.
+func TestResultsPollWakesOnLifecycle(t *testing.T) {
+	t.Run("close and finish", func(t *testing.T) {
+		s, ks := serviceOverStore(t)
+		h := NewHandler(s)
+		j, err := s.Submit("life", JobSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Push(burst(0, 1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, 10*time.Second, "the result to become visible", func() bool { return j.Status().Completed == 1 })
+		// Hold the done record in its fsync, so the job stays draining
+		// after the close until the test lets it finish.
+		release := ks.arm(t, walDone)
+
+		poll := parkPoll(t, context.Background(), h, j, 1)
+		closed := time.Now()
+		if err := j.CloseInput(); err != nil {
+			t.Fatal(err)
+		}
+		p := awaitPoll(t, poll, 5*time.Second)
+		if p.page.State != JobDraining || len(p.page.Results) != 0 || p.page.Next != 1 {
+			t.Errorf("poll parked across CloseInput answered %s, want draining with nothing new", p.raw)
+		}
+		if d := p.returned.Sub(closed); d >= resultsHold/2 {
+			t.Errorf("CloseInput woke the parked poll after %v, want well under %v", d, resultsHold/2)
+		}
+
+		waitUntil(t, 10*time.Second, "the done record's fsync to park", func() bool { return ks.parkedSyncs() == 1 })
+		poll = parkPoll(t, context.Background(), h, j, 1)
+		finished := time.Now()
+		release()
+		p = awaitPoll(t, poll, 5*time.Second)
+		if p.page.State != JobDone || len(p.page.Results) != 0 || p.page.Next != 1 {
+			t.Errorf("poll parked across the finish answered %s, want done with nothing new", p.raw)
+		}
+		if d := p.returned.Sub(finished); d >= resultsHold/2 {
+			t.Errorf("the finish woke the parked poll after %v, want well under %v", d, resultsHold/2)
+		}
+	})
+
+	t.Run("resume", func(t *testing.T) {
+		// A journaled cluster job with no node live at Open is recovering
+		// until a worker registers.
+		dir := t.TempDir()
+		cfg := Config{Workers: 2, WarmupTasks: 2}
+		spec := JobSpec{Placement: PlacementCluster}.withDefaults(cfg.withDefaults())
+		w, err := openWAL(dir, walOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.commit(walRecord{Kind: walCreate, Job: "rec", Spec: &spec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
+		t.Cleanup(coord.Close)
+		srv := httptest.NewServer(coord.Handler())
+		t.Cleanup(srv.Close)
+		cfg.DataDir, cfg.Cluster = dir, coord
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		j, ok := s.Job("rec")
+		if !ok {
+			t.Fatal("journaled job not recovered")
+		}
+		if st := j.state(); st != JobRecovering {
+			t.Fatalf("journaled cluster job with no live node is %s, want recovering", st)
+		}
+		// The channel a poll parks on, watched without the hold: the
+		// worker's registration may take longer than resultsHold.
+		changed := j.waitPast(0)
+		if changed == nil {
+			t.Fatal("a poll at the watermark of a recovering job does not park")
+		}
+		worker, err := cluster.StartWorker(cluster.WorkerConfig{
+			Coordinator: srv.URL, ID: "a", Capacity: 2, BenchSpin: 10_000,
+			Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(worker.Stop)
+		select {
+		case <-changed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("resume never woke the parked poll")
+		}
+		if st := j.state(); st != JobAccepting {
+			t.Errorf("woken poll reads %s, want accepting", st)
+		}
+	})
+}
+
+// TestResultsPollReleases: a parked poll never outlives its client or the
+// service, and with nothing to wait for it answers the empty page after
+// resultsHold.
+func TestResultsPollReleases(t *testing.T) {
+	s := New(Config{Workers: 2, DefaultWindow: 4, WarmupTasks: 2})
+	h := NewHandler(s)
+	j, err := s.Submit("idle", JobSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	p := awaitPoll(t, pollAsync(t, context.Background(), h, "idle", 0), 5*time.Second)
+	if d := p.returned.Sub(start); d < resultsHold {
+		t.Errorf("an idle job's poll answered after %v, before the %v hold", d, resultsHold)
+	}
+	if !strings.Contains(p.raw, `"results":[]`) || p.page.Next != 0 || p.page.State != JobAccepting {
+		t.Errorf("expired poll answered %s, want an empty page at next 0, accepting", p.raw)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	poll := parkPoll(t, ctx, h, j, 0)
+	gone := time.Now()
+	cancel()
+	if d := awaitPoll(t, poll, 5*time.Second).returned.Sub(gone); d >= 50*time.Millisecond {
+		t.Errorf("the handler outlived its client by %v", d)
+	}
+
+	poll = parkPoll(t, context.Background(), h, j, 0)
+	closing := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := awaitPoll(t, poll, 5*time.Second).returned.Sub(closing); d >= 50*time.Millisecond {
+		t.Errorf("the handler outlived Service.Close by %v", d)
+	}
+}
+
+// TestResultsPollReportsTheGap: a poller whose cursor fell below the
+// retention base is told how many results it skipped unread, and the
+// daemon counts them; a poller that kept up never sees the field.
+func TestResultsPollReportsTheGap(t *testing.T) {
+	srv, s := testServer(t)
+	doJSON(t, "POST", srv.URL+"/api/v1/jobs", `{"name":"gap","max_results":4}`, http.StatusCreated, nil)
+	j, _ := s.Job("gap")
+	if _, err := j.Push(burst(0, 20, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.CloseInput(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j, 10*time.Second)
+	base := s.wal.view(j.wj).ResultsBase
+	if base == 0 {
+		t.Fatal("20 results under max_results 4 trimmed nothing")
+	}
+
+	var page resultsPage
+	doJSON(t, "GET", srv.URL+"/api/v1/jobs/gap/results?after=0", ``, http.StatusOK, &page)
+	if page.Gap != base || page.Next != 20 || len(page.Results) != 20-base {
+		t.Errorf("stale cursor got gap %d, %d results, next %d; want gap %d, %d results, next 20",
+			page.Gap, len(page.Results), page.Next, base, 20-base)
+	}
+	if got := s.Metrics().Counter("service_results_unread_dropped_total").Value(); got != int64(base) {
+		t.Errorf("service_results_unread_dropped_total = %d, want %d", got, base)
+	}
+	h := NewHandler(s)
+	for _, after := range []int{base, 20} {
+		p := awaitPoll(t, pollAsync(t, context.Background(), h, "gap", after), 5*time.Second)
+		if strings.Contains(p.raw, `"gap"`) {
+			t.Errorf("caught-up cursor %d was sent a gap: %s", after, p.raw)
+		}
 	}
 }
 

@@ -391,7 +391,11 @@ type Job struct {
 	// completed is the visibility watermark: how many of wj's results
 	// pollers may see. It advances only after the ack's commit returns, so
 	// visible implies durable though the wal applies before it fsyncs.
-	completed      int
+	completed int
+	// changed releases the results polls parked at the watermark (waitPast):
+	// a waiter makes it, and the next watermark advance or lifecycle move
+	// closes it and clears it (wakeLocked). nil while no poll waits.
+	changed        chan struct{}
 	breaches       int
 	recalibrations int
 	zMicros        int64
@@ -460,6 +464,40 @@ func lifecycle(done, closed, running bool) string {
 		return JobRecovering
 	}
 	return JobAccepting
+}
+
+// state reads the job's lifecycle state alone — Status().State without the
+// rest of the snapshot — taking Status's locks in Status's order.
+func (j *Job) state() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	done := j.finished()
+	return lifecycle(done, j.svc.wal.view(j.wj).Closed, j.running)
+}
+
+// waitPast returns a channel that closes at the next change a results poll
+// at cursor after waits for: the watermark advances or the lifecycle moves
+// (Done closing is the caller's to watch). It returns nil when there is
+// nothing to wait for: results past after are visible, or the job is done.
+func (j *Job) waitPast(after int) <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if after < j.completed || j.finished() {
+		return nil
+	}
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	return j.changed
+}
+
+// wakeLocked releases the results polls parked in waitPast; with none
+// parked it is one nil check. Callers hold j.mu.
+func (j *Job) wakeLocked() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // Push submits tasks to the job, blocking under backpressure: the engine's
@@ -553,6 +591,9 @@ func (j *Job) CloseInput() error {
 	if err := w.commit(walRecord{Kind: walClose, Job: j.name}); err != nil {
 		return fmt.Errorf("service: job %q: journal: %w", j.name, err)
 	}
+	j.mu.Lock()
+	j.wakeLocked() // parked polls answer draining
+	j.mu.Unlock()
 	if state == JobAccepting {
 		j.in.Close(nil)
 	}
@@ -736,6 +777,7 @@ func (j *Job) onResult(res platform.Result) {
 	}
 	j.mu.Lock()
 	j.completed++
+	j.wakeLocked()
 	var install time.Duration
 	if !j.zInstalled {
 		j.warmTotal += res.Time
@@ -904,10 +946,13 @@ func (j *Job) Status() JobStatus {
 }
 
 // Results returns completed results from cursor after onward plus the
-// next cursor value, serving only below the visibility watermark. Cursors
-// predating the retention bound are advanced to the oldest retained
-// result, so a slow poller loses trimmed results but never stalls. The
-// returned slice aliases the retained results and must not be modified.
+// next cursor value, serving only below the visibility watermark. It never
+// waits; the results endpoint parks a poll at the watermark (waitPast)
+// before calling it. Cursors predating the retention bound are advanced to
+// the oldest retained result, so a slow poller loses trimmed results but
+// never stalls: next − len(results) − after is how many it lost, which the
+// endpoint reports as the page's gap. The returned slice aliases the
+// retained results and must not be modified.
 func (j *Job) Results(after int) ([]TaskResult, int) {
 	// j.mu is held across the view so the watermark cannot pass it; the trim
 	// keeps ≥ 1 result and at most one is invisible, so base ≤ completed.

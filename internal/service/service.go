@@ -782,6 +782,7 @@ func (s *Service) resume(j *Job) error {
 	pending, closed := s.wal.backlog(j.wj), s.wal.view(j.wj).Closed
 	j.mu.Lock()
 	j.running = true
+	j.wakeLocked() // parked polls answer accepting (or draining)
 	j.mu.Unlock()
 	if len(pending) > 0 {
 		// A feed error means the substrate died mid-redelivery; the

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"grasp/internal/cluster"
 	"grasp/internal/journal"
+	"grasp/internal/platform"
 )
 
 // Tests for what keeping a job's state in one place makes checkable: the
@@ -68,13 +70,18 @@ type kindStore struct {
 	gate   chan struct{}
 }
 
-// arm parks the next Sync covering a record of kind and returns its release.
-func (k *kindStore) arm(kind string) (release func()) {
+// arm parks the next Sync covering a record of kind and returns its
+// release, which is idempotent and also runs at cleanup: a test that fails
+// with the Sync parked must not hang the service's Close.
+func (k *kindStore) arm(t *testing.T, kind string) (release func()) {
 	gate := make(chan struct{})
 	k.mu.Lock()
 	k.kind, k.gate = []byte(`"kind":"`+kind+`"`), gate
 	k.mu.Unlock()
-	return func() { close(gate) }
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
 }
 
 func (k *kindStore) AppendBatch(p [][]byte) error {
@@ -121,18 +128,25 @@ func serviceOverStore(t *testing.T) (*Service, *kindStore) {
 
 // TestBlockedSyncVisibleImpliesDurable stops the wal inside the fsync that
 // covers a result: the result is applied to the state but must be absent
-// from Results and from Status().Completed until the Sync returns.
+// from Results, from Status().Completed and from a poll parked at the
+// watermark until the Sync returns; the Sync's return wakes that poll.
 func TestBlockedSyncVisibleImpliesDurable(t *testing.T) {
 	s, ks := serviceOverStore(t)
+	h := NewHandler(s)
 	j, err := s.Submit("watermark", JobSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := ks.arm(walResults)
+	release := ks.arm(t, walResults)
 	if _, err := j.Push(burst(0, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 10*time.Second, "the ack's fsync to park", func() bool { return ks.parkedSyncs() == 1 })
+	// A poll that parks with the ack in its fsync waits out its hold and
+	// answers nothing.
+	if p := awaitPoll(t, pollAsync(t, context.Background(), h, j.Name(), 0), 5*time.Second); len(p.page.Results) != 0 || p.page.Next != 0 {
+		t.Errorf("a poll parked across the held fsync answered %s before the ack was durable", p.raw)
+	}
 	if pool := s.wal.view(j.wj); pool.completed() != 1 {
 		t.Fatalf("state holds %d results with the ack parked in its fsync, want 1 (applied ahead of the flush)", pool.completed())
 	}
@@ -142,12 +156,48 @@ func TestBlockedSyncVisibleImpliesDurable(t *testing.T) {
 	if st := j.Status(); st.Completed != 0 || st.InFlight != 1 {
 		t.Errorf("status completed=%d in_flight=%d before the ack is durable, want 0/1", st.Completed, st.InFlight)
 	}
+	poll := parkPoll(t, context.Background(), h, j, 0)
 	release()
-	waitUntil(t, 10*time.Second, "the result to become visible", func() bool { return j.Status().Completed == 1 })
+	if p := awaitPoll(t, poll, 5*time.Second); len(p.page.Results) != 1 || p.page.Results[0].ID != 0 || p.page.Next != 1 {
+		t.Errorf("the parked poll answered %s after the fsync, want task 0 at next 1", p.raw)
+	}
+	if st := j.Status(); st.Completed != 1 {
+		t.Errorf("status completed=%d after the parked poll saw the result, want 1", st.Completed)
+	}
 	if results, next := j.Results(0); len(results) != 1 || next != 1 || results[0].ID != 0 {
 		t.Errorf("Results after the fsync = %+v, next %d", results, next)
 	}
 	assertConserved(t, s)
+}
+
+// TestResultWakeAllocatesNothingWithoutPollers: with no poll parked, what
+// onResult adds for the pollers is a nil check — a completion allocates
+// nothing it did not before (the results append amortises to 0).
+func TestResultWakeAllocatesNothingWithoutPollers(t *testing.T) {
+	s := New(Config{Workers: 2, WarmupTasks: 2})
+	t.Cleanup(func() { s.Close() })
+	j, err := s.Submit("nowake", JobSpec{MaxResults: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	complete := func() {
+		j.onResult(platform.Result{Task: platform.Task{ID: id}, Time: time.Microsecond})
+		id++
+	}
+	for range 2 * j.spec.WarmupTasks { // past the threshold install
+		complete()
+	}
+	if allocs := testing.AllocsPerRun(2000, complete); allocs != 0 {
+		t.Errorf("a completion with no poller parked allocates %.0f times, want 0", allocs)
+	}
+	changed := j.waitPast(id)
+	complete()
+	select {
+	case <-changed:
+	default:
+		t.Error("a completion did not wake the poll parked at its watermark")
+	}
 }
 
 // TestBlockedSyncRemoveDoesNotStallLookups parks a Remove inside its
@@ -168,7 +218,7 @@ func TestBlockedSyncRemoveDoesNotStallLookups(t *testing.T) {
 		}
 		waitDone(t, j, 10*time.Second)
 	}
-	release := ks.arm(walRemove)
+	release := ks.arm(t, walRemove)
 	removed := make(chan error, 1)
 	go func() { removed <- s.Remove("victim") }()
 	waitUntil(t, 10*time.Second, "the remove's fsync to park", func() bool { return ks.parkedSyncs() == 1 })
