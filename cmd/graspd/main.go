@@ -112,7 +112,6 @@ func main() {
 		defaultShare  = flag.Float64("default-share", 1, "fair-share weight for jobs that omit `share`")
 		clusterListen = flag.String("cluster-listen", "", "serve the worker-node protocol on this address (empty = cluster disabled)")
 		deadAfter     = flag.Duration("dead-after", 3*time.Second, "cluster: declare a silent worker node dead after this long")
-		transport     = flag.String("transport", "auto", "cluster: transport preference for register-time negotiation (auto, json, binary)")
 		adaptPolicy   = flag.String("adapt", "", "default adaptation policy for jobs that omit `adapt` (reactive, predictive)")
 		shedFactor    = flag.Float64("shed-factor", 0, "predictive: shed pushes with 429 once the queue-depth forecast — tasks in the window plus those waiting in blocked pushes — exceeds factor × window (0 = 2, negative = never shed)")
 		forecastEvery = flag.Duration("forecast-every", 0, "predictive: queue-depth forecast sampling interval (0 = 20ms)")
@@ -124,11 +123,8 @@ func main() {
 		sleepUS       = flag.Int64("sleep-us", 500, "drive: mean simulated task duration (µs)")
 		seed          = flag.Int64("seed", 1, "drive: jitter seed")
 		skeletons     = flag.String("skeletons", "farm", "drive: comma-separated skeletons cycled across jobs (farm,pipeline,dmap)")
-		stages        = flag.Int("stages", 3, "drive: stage count for pipeline jobs")
-		waveSize      = flag.Int("wave-size", 0, "drive: wave cap for dmap jobs (0 = server default)")
 		placement     = flag.String("placement", "", "drive: job placement (local, cluster)")
 		profile       = flag.String("profile", "", "drive: arrival profile (steady, flash-crowd, sustained-overload)")
-		driveDurable  = flag.Bool("durable", false, "drive: target daemon journals (-data-dir); verify group-commit batches formed and report them")
 		shares        = flag.String("shares", "", "drive: comma-separated fair-share weights cycled across jobs (e.g. 1,3)")
 		logFormat     = flag.String("log-format", "text", "log output format (text, json)")
 		logLevel      = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
@@ -151,29 +147,21 @@ func main() {
 			*profile = loadgen.ProfileSteady
 		}
 		summary := loadgen.Driver{
-			BaseURL:        *drive,
-			Jobs:           *jobs,
-			TasksPerJob:    *tasks,
-			Batch:          *batch,
-			SleepUS:        *sleepUS,
-			Window:         *window,
-			Seed:           *seed,
-			Skeletons:      strings.Split(*skeletons, ","),
-			PipelineStages: *stages,
-			WaveSize:       *waveSize,
-			Placement:      *placement,
-			Shares:         shareList,
-			Adapt:          *adaptPolicy,
-			Profile:        *profile,
-			Durable:        *driveDurable,
+			BaseURL:     *drive,
+			Jobs:        *jobs,
+			TasksPerJob: *tasks,
+			Batch:       *batch,
+			SleepUS:     *sleepUS,
+			Window:      *window,
+			Seed:        *seed,
+			Skeletons:   strings.Split(*skeletons, ","),
+			Placement:   *placement,
+			Shares:      shareList,
+			Adapt:       *adaptPolicy,
+			Profile:     *profile,
 		}.Run()
 		fmt.Printf("drove %d jobs, %d/%d tasks completed in %v (%d pushes shed)\n",
 			len(summary.Jobs), summary.Completed, summary.Tasks, summary.Elapsed.Round(time.Millisecond), summary.Shed)
-		if *driveDurable && summary.CommitBatches > 0 {
-			fmt.Printf("  group commit: %d records in %d fsync batches (%.2f records/fsync)\n",
-				summary.CommitRecords, summary.CommitBatches,
-				float64(summary.CommitRecords)/float64(summary.CommitBatches))
-		}
 		for _, j := range summary.Jobs {
 			fmt.Printf("  %-12s %-8s %5d/%5d tasks  breaches=%d recals=%d max_in_flight=%d dup=%d\n",
 				j.Name, j.Skeleton, j.Completed, j.Submitted, j.Breaches, j.Recalibrations, j.MaxInFlight, j.Duplicates)
@@ -204,7 +192,6 @@ func main() {
 	if *clusterListen != "" {
 		coord = cluster.NewCoordinator(cluster.Config{
 			DeadAfter: *deadAfter,
-			Transport: *transport,
 			Logger:    logger.With("component", "cluster"),
 		})
 		cfg.Cluster = coord
@@ -220,11 +207,12 @@ func main() {
 	}
 	if coord != nil {
 		// The cluster port speaks both bindings: the server sniffs each
-		// connection's first byte and routes HTTP (JSON) or binary frames.
+		// connection's first byte and routes HTTP (JSON) or binary frames,
+		// and each worker picks the binding it speaks at registration.
 		csrv := cluster.NewServer(coord)
 		go func() {
 			logger.Info("graspd cluster coordinator serving",
-				"addr", *clusterListen, "dead_after", *deadAfter, "transport", *transport)
+				"addr", *clusterListen, "dead_after", *deadAfter)
 			if err := csrv.ListenAndServe(*clusterListen); err != nil {
 				logger.Error("cluster listener failed", "err", err)
 				os.Exit(1)

@@ -127,10 +127,10 @@
 // CRC-checked binary frames over persistent connections (the fast path —
 // batched lease/results bodies decoded into reused buffers, zero
 // steady-state allocations per task). Workers offer what they speak at
-// register time and the coordinator picks, so mixed fleets — old JSON
-// workers next to new binary ones during a rolling upgrade — are a
-// supported state, not an error. cluster.Server sniffs each connection's
-// first byte to route it; both graspd and graspworker take -transport.
+// register time and the coordinator picks the first binding it serves, so
+// the binding is the worker's choice (graspworker -transport) and mixed
+// fleets — JSON workers next to binary ones — are a supported state, not
+// an error. cluster.Server sniffs each connection's first byte to route it.
 //
 // The daemon exposes node administration at /api/v1/nodes, per-node
 // execution tallies in cluster job statuses, and cluster gauges in

@@ -123,17 +123,6 @@ func (a *Allocator) Allocation(id string) []int {
 	return append([]int(nil), j.assigned...)
 }
 
-// Shares snapshots every live job's share.
-func (a *Allocator) Shares() map[string]float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]float64, len(a.jobs))
-	for id, j := range a.jobs {
-		out[id] = j.share
-	}
-	return out
-}
-
 // rebalanceLocked recomputes every job's target count, transfers the
 // minimum number of slots, and notifies every changed job except skip
 // (the joining job, whose initial set Join returns instead).

@@ -533,7 +533,7 @@ func TestEvictMidBlockDmapRequeuesTheWholeBlock(t *testing.T) {
 	// Four waves of 16 over two equally weighted slots: blocks of 8. The
 	// victim's lost block is re-queued at the head of the next wave.
 	wait := startRun(l, func(c rt.Ctx) engine.StreamReport {
-		return dmap.Run(pool, c, sleepTasks(0, n, 100), dmap.Options{Workers: []int{0, 1}, Waves: n / (2 * block)}).StreamReport
+		return dmap.Run(pool, c, sleepTasks(0, n, 100), dmap.Options{Workers: []int{0, 1}, Waves: n / (2 * block)})
 	})
 	evictHalfLeased(t, co, gen, block)
 	rep := wait()

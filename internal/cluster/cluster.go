@@ -101,8 +101,6 @@ type Config struct {
 	SweepEvery time.Duration
 	// MaxLeaseWait bounds a lease long-poll (default 5s).
 	MaxLeaseWait time.Duration
-	// MaxBatch bounds tasks handed out per lease (default 64).
-	MaxBatch int
 	// LeaseTTL bounds how long a leased execution may stay unresolved on a
 	// live node before the sweeper requeues it for redelivery — the guard
 	// against a lease response lost in transit, which would otherwise
@@ -120,21 +118,22 @@ type Config struct {
 	// churning fleet mints new ids forever; without pruning the registry
 	// grows without bound.
 	DeadRetention time.Duration
-	// Transport is the coordinator's transport preference for register-time
-	// negotiation: TransportJSON or TransportBinary pins the pick (when the
-	// worker offers it), TransportAuto or empty honours the worker's own
-	// preference order. Workers that offer nothing always get JSON.
-	Transport string
 	// Registry receives the cluster's operational metrics (default: a
 	// fresh registry).
 	Registry *metrics.Registry
 	// Logger receives membership and lifecycle events as structured
 	// records carrying node/gen/transport fields (default: discard).
 	Logger *slog.Logger
-	// TraceCap bounds the coordinator's dispatch trace ring (default
-	// 4096 events; the ring overwrites its oldest events once full).
-	TraceCap int
 }
+
+const (
+	// maxBatch bounds the tasks one lease hands out, whatever the worker
+	// asks for.
+	maxBatch = 64
+	// traceCap bounds the coordinator's dispatch trace ring; the ring
+	// overwrites its oldest events once full.
+	traceCap = 4096
+)
 
 func (c Config) withDefaults() Config {
 	if c.DeadAfter <= 0 {
@@ -145,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLeaseWait <= 0 {
 		c.MaxLeaseWait = 5 * time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 90 * time.Second
@@ -160,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 4096
 	}
 	return c
 }
@@ -339,7 +332,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		reg:      cfg.Registry,
 		log:      cfg.Logger,
 		start:    time.Now(),
-		tr:       trace.NewBounded(cfg.TraceCap),
+		tr:       trace.NewBounded(traceCap),
 		nodes:    make(map[string]*node),
 		watchers: make(map[int]func(NodeEvent)),
 		events:   make(chan NodeEvent, 1024),
@@ -474,9 +467,6 @@ func (co *Coordinator) Trace() *trace.Log { return co.tr }
 // now returns the coordinator-relative timestamp trace events carry.
 func (co *Coordinator) now() time.Duration { return time.Since(co.start) }
 
-// DeadAfter reports the configured silence bound.
-func (co *Coordinator) DeadAfter() time.Duration { return co.cfg.DeadAfter }
-
 // Close stops the death sweeper. Outstanding dispatches are failed so no
 // Pool call stays blocked forever.
 func (co *Coordinator) Close() {
@@ -541,43 +531,16 @@ func (co *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 }
 
 // pickTransport resolves register-time transport negotiation: the worker
-// offers the bindings it speaks in preference order, the coordinator picks
-// one. An empty offer is a worker that predates negotiation — it gets an
-// empty pick (JSON), never a binding it might not know. Binary is only
-// eligible when a dual-transport Server is actually accepting frames
-// (binaryServed); a coordinator mounted as a bare HTTP handler negotiates
-// JSON no matter what is offered or pinned. A pinned coordinator
-// preference (Config.Transport json/binary) wins when offered and served;
-// otherwise the worker's first recognised offer does. JSON is the
-// universal fallback: every worker bootstraps registration over it.
+// offers the bindings it speaks in preference order, and the coordinator
+// picks the first one it serves. Binary is served only when a
+// dual-transport Server is accepting frames (binaryServed); a coordinator
+// mounted as a bare HTTP handler serves JSON alone. JSON is the fallback
+// for an offer with nothing served in it: every worker bootstraps
+// registration over it.
 func (co *Coordinator) pickTransport(offers []string) string {
-	if len(offers) == 0 {
-		return ""
-	}
-	offered := func(name string) bool {
-		for _, o := range offers {
-			if o == name {
-				return true
-			}
-		}
-		return false
-	}
-	binaryOK := co.binaryServed.Load()
-	switch co.cfg.Transport {
-	case TransportJSON:
-		return TransportJSON
-	case TransportBinary:
-		if binaryOK && offered(TransportBinary) {
-			return TransportBinary
-		}
-	default: // auto/empty: the worker's preference order decides
-		for _, o := range offers {
-			if o == TransportJSON {
-				return o
-			}
-			if o == TransportBinary && binaryOK {
-				return o
-			}
+	for _, o := range offers {
+		if o == TransportJSON || o == TransportBinary && co.binaryServed.Load() {
+			return o
 		}
 	}
 	return TransportJSON
@@ -828,8 +791,8 @@ func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask
 		wait = co.cfg.MaxLeaseWait
 	}
 	maxTasks := req.Max
-	if maxTasks < 1 || maxTasks > co.cfg.MaxBatch {
-		maxTasks = co.cfg.MaxBatch
+	if maxTasks < 1 || maxTasks > maxBatch {
+		maxTasks = maxBatch
 	}
 	results := req.Results
 	var deadline *time.Timer

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -276,3 +277,39 @@ func TestEncodeWork(t *testing.T) {
 type carrier struct{}
 
 func (carrier) ClusterWork() Work { return Work{Spin: 11} }
+
+// TestLeaseCapsAtMaxBatch: a one-slot node's capacity share is everything
+// queued, yet one lease hands out at most 64 tasks (maxBatch), whether the
+// worker sets no cap (Max 0) or asks for more (Max 1000).
+func TestLeaseCapsAtMaxBatch(t *testing.T) {
+	for _, max := range []int{0, 1000} {
+		co := NewCoordinator(Config{DeadAfter: time.Hour, SweepEvery: time.Hour})
+		reg, err := co.Register(RegisterRequest{ID: "n", Capacity: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := make([]platform.Task, 200)
+		for i := range tasks {
+			tasks[i] = platform.Task{ID: i, Data: Work{Spin: 1}}
+		}
+		if _, err := co.submit("n", reg.Gen, tasks); err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int
+		for total := 0; total < len(tasks); {
+			got, err := co.LeaseAppend(LeaseRequest{ID: "n", Gen: reg.Gen, Max: max, WaitMS: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 {
+				t.Fatalf("Max %d: empty lease after %v with %d queued", max, sizes, len(tasks)-total)
+			}
+			sizes = append(sizes, len(got))
+			total += len(got)
+		}
+		if fmt.Sprint(sizes) != "[64 64 64 8]" {
+			t.Errorf("Max %d: lease sizes %v, want [64 64 64 8]", max, sizes)
+		}
+		co.Close()
+	}
+}

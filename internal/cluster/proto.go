@@ -28,10 +28,9 @@ type WorkCarrier interface {
 }
 
 // Transport names. Selection is negotiated at register time: the worker
-// offers the bindings it speaks, the coordinator picks one and echoes it
-// in the response. A peer that predates negotiation offers (or picks)
-// nothing and lands on JSON, so mixed fleets and rolling upgrades keep
-// working.
+// offers the bindings it speaks, most preferred first, and the coordinator
+// picks the first one it serves (JSON when none is) and echoes it in the
+// response. The binding is therefore the worker's choice.
 const (
 	// TransportJSON is the original binding: JSON request/response bodies
 	// over HTTP POST, one round trip per verb.
@@ -39,8 +38,8 @@ const (
 	// TransportBinary is the length-prefixed binary codec (see codec.go)
 	// over persistent connections multiplexed onto the same cluster port.
 	TransportBinary = "binary"
-	// TransportAuto is the configuration wildcard: offer (worker) or prefer
-	// (coordinator) the binary binding, fall back to JSON.
+	// TransportAuto is the worker's configuration wildcard: offer the
+	// binary binding first, fall back to JSON.
 	TransportAuto = "auto"
 )
 
@@ -54,8 +53,7 @@ type RegisterRequest struct {
 	// cluster job's initial dispatch weights.
 	SpeedOPS float64 `json:"speed_ops"`
 	// Transports is the worker's transport offer, most preferred first
-	// (absent from workers that predate negotiation, which is an offer of
-	// exactly the JSON binding).
+	// (an empty offer gets JSON).
 	Transports []string `json:"transports,omitempty"`
 }
 
@@ -66,8 +64,7 @@ type RegisterResponse struct {
 	// coordinator's dead-after bound).
 	HeartbeatMS int64 `json:"heartbeat_ms"`
 	// Transport is the binding the coordinator picked from the worker's
-	// offer; the worker speaks it for every subsequent verb. Empty (from a
-	// coordinator that predates negotiation) means JSON.
+	// offer; the worker speaks it for every subsequent verb.
 	Transport string `json:"transport,omitempty"`
 }
 

@@ -39,11 +39,11 @@ type Transport interface {
 }
 
 // NewTransport builds the named binding against a coordinator base URL
-// ("http://host:port"). TransportAuto is resolved by negotiation, not
-// here; callers pass the negotiated name.
+// ("http://host:port"). TransportAuto is a worker's offer, resolved when
+// the coordinator picks at registration, not here; callers pass the pick.
 func NewTransport(name, baseURL string, client *http.Client) (Transport, error) {
 	switch name {
-	case TransportJSON, "":
+	case TransportJSON:
 		return NewJSONTransport(baseURL, client), nil
 	case TransportBinary:
 		return NewBinaryTransport(baseURL)

@@ -169,32 +169,28 @@ func TestTransportContract(t *testing.T) {
 	}
 }
 
-// TestTransportNegotiation pins the pick matrix: worker offers ×
-// coordinator preference, including legacy peers on either side and a
-// coordinator mounted without the dual-transport server.
+// TestTransportNegotiation pins the pick: the worker's first offered
+// binding the coordinator serves, else JSON — including an empty offer and
+// a coordinator mounted without the dual-transport server.
 func TestTransportNegotiation(t *testing.T) {
 	cases := []struct {
-		pref   string
 		offers []string
 		served bool // a dual-transport Server fronts the coordinator
 		want   string
 	}{
-		{"", nil, true, ""}, // legacy worker: no offer, no echo
-		{"", []string{TransportBinary, TransportJSON}, true, TransportBinary},
-		{"", []string{TransportJSON, TransportBinary}, true, TransportJSON},
-		{"", []string{"quic", TransportJSON}, true, TransportJSON}, // unknown offers skipped
-		{"", []string{"quic"}, true, TransportJSON},
-		{TransportAuto, []string{TransportBinary, TransportJSON}, true, TransportBinary},
-		{TransportJSON, []string{TransportBinary, TransportJSON}, true, TransportJSON},
-		{TransportBinary, []string{TransportBinary, TransportJSON}, true, TransportBinary},
-		{TransportBinary, []string{TransportJSON}, true, TransportJSON}, // pinned but not offered
+		{nil, true, TransportJSON}, // an empty offer gets the fallback
+		{[]string{TransportBinary, TransportJSON}, true, TransportBinary},
+		{[]string{TransportJSON, TransportBinary}, true, TransportJSON},
+		{[]string{"quic", TransportJSON}, true, TransportJSON}, // unknown offers skipped
+		{[]string{"quic"}, true, TransportJSON},
+		{[]string{TransportBinary}, true, TransportBinary},
 		// Bare HTTP handler (no Server): binary must never be picked even
-		// when offered and pinned — nothing would answer the frames.
-		{"", []string{TransportBinary, TransportJSON}, false, TransportJSON},
-		{TransportBinary, []string{TransportBinary, TransportJSON}, false, TransportJSON},
+		// when offered — nothing would answer the frames.
+		{[]string{TransportBinary, TransportJSON}, false, TransportJSON},
+		{[]string{TransportBinary}, false, TransportJSON},
 	}
 	for i, c := range cases {
-		co := NewCoordinator(Config{Transport: c.pref})
+		co := NewCoordinator(Config{})
 		if c.served {
 			NewServer(co) // marks the binary binding live; no listener needed
 		}
@@ -205,7 +201,7 @@ func TestTransportNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if reg.Transport != c.want {
-			t.Errorf("pref=%q offers=%v served=%v: picked %q, want %q", c.pref, c.offers, c.served, reg.Transport, c.want)
+			t.Errorf("offers=%v served=%v: picked %q, want %q", c.offers, c.served, reg.Transport, c.want)
 		}
 		co.Close()
 	}

@@ -26,7 +26,8 @@ type WorkerConfig struct {
 	// Batch caps the tasks one lease pulls; each of the Capacity executors
 	// leases independently. The default 0 sets no worker-side cap: a lease
 	// then takes the node's capacity share of what the skeleton queued —
-	// a farm chunk, a dmap block — bounded by the coordinator's MaxBatch.
+	// a farm chunk, a dmap block — bounded by the coordinator's 64-task
+	// lease cap.
 	Batch int
 	// BenchSpin is the startup benchmark's iteration count; the measured
 	// speed registers as this node's calibration sample (default 2e6).
@@ -61,9 +62,10 @@ type WorkerConfig struct {
 	// (default 3 when DegradeAfter is set; values ≤ 1 disable the
 	// slowdown).
 	DegradeFactor float64
-	// TraceCap bounds the worker's execution trace ring (default 2048).
-	TraceCap int
 }
+
+// workerTraceCap bounds the worker's execution trace ring.
+const workerTraceCap = 2048
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.ID == "" {
@@ -93,9 +95,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 2048
 	}
 	if c.DegradeAfter > 0 && c.DegradeFactor <= 1 {
 		c.DegradeFactor = 3
@@ -266,7 +265,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		offers:  transportOffer(cfg.Transport),
 		boot:    NewJSONTransport(cfg.Coordinator, cfg.Client),
 		start:   time.Now(),
-		tr:      trace.NewBounded(cfg.TraceCap),
+		tr:      trace.NewBounded(workerTraceCap),
 		results: make(chan genResult, 4*maxResultsFlush),
 		stop:    make(chan struct{}),
 	}

@@ -65,7 +65,7 @@ func RunMap(pf platform.Platform, c rt.Ctx, tasks []platform.Task, cfg MapConfig
 				Workers: e.chosen, Weights: e.weights,
 				Waves: waves, Alpha: cfg.Alpha,
 				Detector: e.detector, NormCost: e.normCost, Log: cfg.Log,
-			}).StreamReport
+			})
 		},
 	}.run(pf, c, tasks)
 }

@@ -85,11 +85,6 @@ func (n *Node) LoadAt(t time.Duration) float64 {
 	return n.load.At(t)
 }
 
-// EffectiveSpeedAt returns ops/sec available to grid work at time t.
-func (n *Node) EffectiveSpeedAt(t time.Duration) float64 {
-	return n.BaseSpeed * (1 - n.LoadAt(t))
-}
-
 // BusyTime returns the cumulative virtual time this node spent computing.
 func (n *Node) BusyTime() time.Duration { return n.busy }
 
@@ -330,15 +325,6 @@ func (g *Grid) Node(id NodeID) *Node {
 
 // Nodes returns all nodes in ID order.
 func (g *Grid) Nodes() []*Node { return append([]*Node(nil), g.nodes...) }
-
-// IDs returns all node IDs in order.
-func (g *Grid) IDs() []NodeID {
-	ids := make([]NodeID, len(g.nodes))
-	for i := range ids {
-		ids[i] = NodeID(i)
-	}
-	return ids
-}
 
 // Link returns the master↔node link for the given node.
 func (g *Grid) Link(id NodeID) *Link {

@@ -300,9 +300,6 @@ func (s *Store) Sync() error { return s.log.Sync() }
 // trigger the owner checks after appends.
 func (s *Store) JournalSize() int64 { return s.log.Size() }
 
-// Epoch returns the current journal epoch (for tests and diagnostics).
-func (s *Store) Epoch() int64 { return s.epoch }
-
 // Rotate compacts: state becomes the new snapshot and appends move to a
 // fresh journal. The write order — snapshot tmp, fsync, rename, directory
 // fsync, then the new journal — means a crash at any step leaves either

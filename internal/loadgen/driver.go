@@ -7,14 +7,12 @@ package loadgen
 // targets.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -52,11 +50,6 @@ type Driver struct {
 	// {"farm", "pipeline", "dmap"} to exercise mixed-skeleton traffic
 	// against one daemon.
 	Skeletons []string
-	// PipelineStages is the stage count for pipeline jobs (default 3; the
-	// middle stage carries a 2× cost factor so it is the bottleneck).
-	PipelineStages int
-	// WaveSize caps dmap jobs' decomposition waves (0: server default).
-	WaveSize int
 	// Placement routes every job's execution: "" or "local" runs on the
 	// daemon's workers, "cluster" on its registered graspworker nodes —
 	// the knob for driving a whole cluster scenario.
@@ -75,13 +68,11 @@ type Driver struct {
 	// profile's batching, so the same Seed replays the same byte stream
 	// under every profile.
 	Profile string
-	// Durable marks the target daemon as journaling (graspd -data-dir):
-	// after the drive the driver samples the daemon's /metrics exposition
-	// and records the group-commit batch totals in the summary, failing
-	// the run if the daemon never journaled a batch — the knob for
-	// driving the durable ingest path under the adversarial profiles.
-	Durable bool
 }
+
+// pipelineStages is the stage count of a driven pipeline job; the middle
+// stage carries a 2× cost factor so it is the bottleneck.
+const pipelineStages = 3
 
 // Arrival profiles for Driver.Profile.
 const (
@@ -126,9 +117,6 @@ func (d Driver) withDefaults() Driver {
 	if len(d.Skeletons) == 0 {
 		d.Skeletons = []string{"farm"}
 	}
-	if d.PipelineStages <= 0 {
-		d.PipelineStages = 3
-	}
 	return d
 }
 
@@ -161,14 +149,6 @@ type DriveSummary struct {
 	Shed    int
 	Elapsed time.Duration
 	Errors  []string
-	// CommitBatches and CommitRecords are the daemon's group-commit
-	// totals (the service_commit_batch_size histogram's count and sum)
-	// sampled after the run when Durable was set. Every batch carries at
-	// least one record, so CommitRecords ≥ CommitBatches; an excess means
-	// some commits shared an fsync in this run (whether any do depends on
-	// how they happened to overlap the disk, not only on the code).
-	CommitBatches int64
-	CommitRecords int64
 }
 
 // OK reports whether every submitted task completed exactly once with no
@@ -224,50 +204,7 @@ func (d Driver) Run() DriveSummary {
 		summary.Shed += o.Shed
 	}
 	summary.Elapsed = time.Since(start)
-	if d.Durable {
-		batches, records, err := d.sampleCommitStats()
-		if err != nil {
-			fail("durable drive: %v", err)
-		} else if batches == 0 {
-			fail("durable drive: daemon journaled no commit batches (is -data-dir set?)")
-		}
-		summary.CommitBatches, summary.CommitRecords = batches, records
-	}
 	return summary
-}
-
-// sampleCommitStats scrapes the daemon's Prometheus exposition for the
-// service_commit_batch_size histogram: its count is how many fsync
-// batches the wal flushed, its sum how many records they carried.
-func (d Driver) sampleCommitStats() (batches, records int64, err error) {
-	resp, err := d.Client.Get(d.BaseURL + "/metrics")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("/metrics: HTTP %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, s := range []struct {
-			prefix string
-			into   *int64
-		}{
-			{"service_commit_batch_size_count ", &batches},
-			{"service_commit_batch_size_sum ", &records},
-		} {
-			if rest, ok := strings.CutPrefix(line, s.prefix); ok {
-				v, perr := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-				if perr != nil {
-					return 0, 0, fmt.Errorf("parsing %q: %w", line, perr)
-				}
-				*s.into = int64(v)
-			}
-		}
-	}
-	return batches, records, sc.Err()
 }
 
 // driveJob runs one job end to end.
@@ -295,10 +232,10 @@ func (d Driver) driveJob(name, skeleton string, salt int64, deadline time.Time, 
 		// The daemon's default; omit the field to exercise that path too.
 	case "pipeline":
 		create["skeleton"] = "pipeline"
-		stages := make([]map[string]any, d.PipelineStages)
+		stages := make([]map[string]any, pipelineStages)
 		for i := range stages {
 			factor := 1.0
-			if i == d.PipelineStages/2 {
+			if i == pipelineStages/2 {
 				factor = 2.0 // a structural bottleneck for the remapper
 			}
 			stages[i] = map[string]any{
@@ -309,9 +246,6 @@ func (d Driver) driveJob(name, skeleton string, salt int64, deadline time.Time, 
 		create["stages"] = stages
 	case "dmap":
 		create["skeleton"] = "dmap"
-		if d.WaveSize > 0 {
-			create["wave_size"] = d.WaveSize
-		}
 	default:
 		create["skeleton"] = skeleton // let the daemon validate
 	}

@@ -78,13 +78,6 @@ func (t *Table) Markdown(w io.Writer) error {
 	return err
 }
 
-// MarkdownString renders the table as markdown.
-func (t *Table) MarkdownString() string {
-	var b strings.Builder
-	_ = t.Markdown(&b)
-	return b.String()
-}
-
 // Doc assembles a markdown document as a flat sequence of blocks —
 // headings, paragraphs, tables, code fences, list items — with one blank
 // line between blocks and none between consecutive list items. It exists

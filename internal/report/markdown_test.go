@@ -62,7 +62,7 @@ func TestMarkdownTableAlignment(t *testing.T) {
 	tb := NewTable("", "name", "v")
 	tb.AddRow("short", 1)
 	tb.AddRow("a-much-longer-name", 123456)
-	lines := strings.Split(strings.TrimRight(tb.MarkdownString(), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(markdown(tb), "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("lines = %d: %q", len(lines), lines)
 	}
@@ -85,13 +85,13 @@ func TestMarkdownTableAlignment(t *testing.T) {
 func TestMarkdownEscapesPipes(t *testing.T) {
 	tb := NewTable("", "h")
 	tb.AddRow("a|b")
-	out := tb.MarkdownString()
+	out := markdown(tb)
 	if !strings.Contains(out, `a\|b`) {
 		t.Errorf("pipe not escaped: %q", out)
 	}
 	tb2 := NewTable("", "h")
 	tb2.AddRow("line\nbreak")
-	if out := tb2.MarkdownString(); !strings.Contains(out, "line break") {
+	if out := markdown(tb2); !strings.Contains(out, "line break") {
 		t.Errorf("newline not collapsed: %q", out)
 	}
 }
@@ -107,4 +107,11 @@ func TestDocCheckRendering(t *testing.T) {
 	if strings.Contains(out, "\n\n- [ ]") {
 		t.Errorf("blank line splits the checklist: %q", out)
 	}
+}
+
+// markdown renders t into a string.
+func markdown(t *Table) string {
+	var b strings.Builder
+	_ = t.Markdown(&b)
+	return b.String()
 }

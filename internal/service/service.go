@@ -83,9 +83,6 @@ type Config struct {
 	// WarmupTasks is how many completions a job observes before deriving
 	// its threshold (default 2× Workers).
 	WarmupTasks int
-	// ProbeSpin is the busy-loop iteration count of a calibration probe
-	// (default 50000).
-	ProbeSpin int
 	// MaxResults is the default per-job result-retention bound when a job
 	// does not set its own (default 100000, capped at 1000000). This is the
 	// knob that keeps a long-lived daemon's memory finite.
@@ -108,10 +105,6 @@ type Config struct {
 	// Logger receives job lifecycle events as structured records carrying
 	// per-job fields (default: discard).
 	Logger *slog.Logger
-	// TraceCap bounds each job's trace ring: the per-job timeline retains
-	// at most this many events, overwriting the oldest and counting the
-	// drops (default 4096).
-	TraceCap int
 	// DefaultAdapt selects the adaptation policy for jobs whose spec omits
 	// `adapt`: "reactive" (the default — the paper's breach-driven policy)
 	// or "predictive".
@@ -130,6 +123,15 @@ type Config struct {
 	ForecastEvery time.Duration
 }
 
+const (
+	// probeSpin is the busy-loop iteration count of a calibration probe.
+	probeSpin = 50000
+	// jobTraceCap bounds each job's trace ring: the per-job timeline
+	// retains at most this many events, overwriting the oldest and
+	// counting the drops.
+	jobTraceCap = 4096
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers < 2 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -146,9 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.WarmupTasks <= 0 {
 		c.WarmupTasks = 2 * c.Workers
 	}
-	if c.ProbeSpin <= 0 {
-		c.ProbeSpin = 50000
-	}
 	if c.MaxResults <= 0 {
 		c.MaxResults = 100_000
 	}
@@ -160,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 4096
 	}
 	if c.DefaultAdapt == "" {
 		c.DefaultAdapt = AdaptReactive
@@ -226,8 +222,9 @@ func New(cfg Config) *Service {
 // set: the journal under it is replayed, done jobs reappear with their
 // retained results (pollers' cursors stay valid across the restart),
 // unfinished jobs resume — local ones immediately, cluster ones as soon
-// as a worker node is live again — and every accepted-but-unacknowledged
-// task is re-delivered. With no DataDir, Open never fails.
+// as a worker node is live again (with no cfg.Cluster they stay
+// recovering, logged) — and every accepted-but-unacknowledged task is
+// re-delivered. With no DataDir, Open never fails.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	l := rt.NewLocal()
@@ -291,10 +288,6 @@ func (s *Service) Close() error {
 	return s.wal.close()
 }
 
-// Allocator exposes the fair-share allocator partitioning the local
-// worker slots (for tests and experiments).
-func (s *Service) Allocator() *alloc.Allocator { return s.alloc }
-
 // Metrics exposes the service's operational counters.
 func (s *Service) Metrics() *metrics.Registry { return s.reg }
 
@@ -308,7 +301,7 @@ func (s *Service) calibration() (calibrate.Ranking, error) {
 	first := false
 	s.calOnce.Do(func() {
 		first = true
-		spin := s.cfg.ProbeSpin
+		spin := probeSpin
 		probe := platform.Task{ID: -1, Cost: float64(spin), Fn: func() any {
 			cluster.Spin(int64(spin)) // the shared spin kernel: see cluster.Spin
 			return spin
@@ -506,7 +499,7 @@ func (s *Service) Submit(name string, spec JobSpec) (*Job, error) {
 		wj:      new(walJob),
 		running: true,
 		done:    make(chan struct{}),
-		tr:      trace.NewBounded(s.cfg.TraceCap),
+		tr:      trace.NewBounded(jobTraceCap),
 	}
 
 	// Reserve the name without publishing the job: a half-constructed Job
@@ -725,7 +718,7 @@ func (s *Service) recoverJob(name string, wj *walJob) {
 		// Everything replayed is on disk, so all of it is visible.
 		completed: pool.completed(),
 		done:      make(chan struct{}),
-		tr:        trace.NewBounded(s.cfg.TraceCap),
+		tr:        trace.NewBounded(jobTraceCap),
 	}
 	s.mu.Lock()
 	s.jobs[name] = j
@@ -739,10 +732,19 @@ func (s *Service) recoverJob(name string, wj *walJob) {
 		"job", name, "skeleton", j.spec.skeleton(), "placement", j.spec.placement(),
 		"submitted", pool.Submitted, "completed", j.completed)
 	if j.spec.placement() == PlacementCluster {
+		if s.cfg.Cluster == nil {
+			// Nothing can run it here; it stays journaled and accepting
+			// durable pushes until an Open with a coordinator resumes it.
+			s.log.Warn("cluster job stays recovering: no cluster coordinator (start graspd with -cluster-listen to resume it)",
+				"job", name)
+			return
+		}
 		go s.resumeWhenNodesLive(j)
 		return
 	}
-	s.resume(j)
+	if err := s.resume(j); err != nil {
+		s.log.Error("job resume failed", "job", name, "err", err)
+	}
 }
 
 // resumeWhenNodesLive parks a recovered cluster job until the worker
@@ -753,7 +755,12 @@ func (s *Service) recoverJob(name string, wj *walJob) {
 func (s *Service) resumeWhenNodesLive(j *Job) {
 	for {
 		if len(s.cfg.Cluster.Live()) > 0 {
-			if err := s.resume(j); !errors.Is(err, ErrNoCluster) {
+			err := s.resume(j)
+			if err == nil {
+				return
+			}
+			if !errors.Is(err, ErrNoCluster) {
+				s.log.Error("job resume failed", "job", j.name, "err", err)
 				return
 			}
 			// The node died again between the check and the platform
@@ -853,33 +860,5 @@ func (s *Service) Remove(name string) error {
 	s.reg.Delete("service_job_workers_" + metrics.LabelSafe(name))
 	s.reg.Counter("service_jobs_removed_total").Inc()
 	s.log.Info("job removed", "job", name)
-	return nil
-}
-
-// Drain closes every accepting job's input and waits (up to timeout) for
-// all jobs to finish. A zero timeout waits forever.
-func (s *Service) Drain(timeout time.Duration) error {
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.CloseInput() // idempotent; error only means already closed
-	}
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	for _, j := range jobs {
-		select {
-		case <-j.done:
-		case <-deadline:
-			return fmt.Errorf("service: drain timed out with job %q unfinished", j.name)
-		}
-	}
 	return nil
 }

@@ -259,29 +259,6 @@ func TestServicePushAfterCloseFails(t *testing.T) {
 	waitDone(t, j, 5*time.Second)
 }
 
-func TestServiceDrainClosesEverything(t *testing.T) {
-	s := New(Config{Workers: 2})
-	var jobs []*Job
-	for i := 0; i < 3; i++ {
-		j, err := s.Submit(fmt.Sprintf("d%d", i), JobSpec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.Push(burst(0, 10, 50)); err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	if err := s.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if st := j.Status(); st.State != JobDone || st.Completed != 10 {
-			t.Errorf("job %s after drain: %+v", j.Name(), st)
-		}
-	}
-}
-
 func TestServiceResultsCursor(t *testing.T) {
 	s := New(Config{Workers: 2})
 	j, err := s.Submit("cursor", JobSpec{})

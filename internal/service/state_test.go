@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -408,5 +410,91 @@ func TestWalStorelessCommitAllocatesNothing(t *testing.T) {
 	}
 	if err := w.commit(walRecord{Kind: walClose, Job: "mem"}); err != nil {
 		t.Errorf("commit after close on a store-less wal: %v (an in-memory service keeps serving)", err)
+	}
+}
+
+// TestRecoveryClusterJobWithoutCoordinator: a daemon restarted over a data
+// dir that holds an unfinished cluster job, but with no coordinator, keeps
+// the job recovering — listed, pollable, accepting durable pushes — and
+// logs why. A later Open with a coordinator resumes it, and every task
+// runs exactly once.
+func TestRecoveryClusterJobWithoutCoordinator(t *testing.T) {
+	fleet := func() *cluster.Coordinator {
+		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
+		t.Cleanup(coord.Close)
+		srv := httptest.NewServer(coord.Handler())
+		t.Cleanup(srv.Close)
+		worker, err := cluster.StartWorker(cluster.WorkerConfig{
+			Coordinator: srv.URL, ID: "a", Capacity: 2, BenchSpin: 10_000,
+			Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(worker.Stop)
+		return coord
+	}
+
+	dir := t.TempDir()
+	s, err := Open(Config{Workers: 2, WarmupTasks: 4, Cluster: fleet(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, err := s.Submit("orphan", JobSpec{Placement: PlacementCluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	if _, err := j.Push(burst(0, n, 100)); err != nil {
+		t.Fatal(err)
+	}
+	crash := copyDir(t, dir)
+
+	var logs bytes.Buffer
+	s2, err := Open(Config{Workers: 2, WarmupTasks: 4, DataDir: crash, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logs.String(), "no cluster coordinator") {
+		t.Errorf("Open did not log why the job stays recovering:\n%s", logs.String())
+	}
+	j2, ok := s2.Job("orphan")
+	if !ok {
+		t.Fatal("job lost across the restart")
+	}
+	if len(s2.Statuses()) != 1 {
+		t.Errorf("statuses = %+v, want the one recovering job", s2.Statuses())
+	}
+	if got, _ := j2.Results(0); len(got) != j2.Status().Completed {
+		t.Errorf("poll of a recovering job: %d results, %d completed", len(got), j2.Status().Completed)
+	}
+	if _, err := j2.Push(burst(n, 5, 100)); err != nil {
+		t.Fatalf("durable push to a recovering job: %v", err)
+	}
+	if st := j2.Status().State; st != JobRecovering {
+		t.Errorf("state with no coordinator = %s, want %s", st, JobRecovering)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := Open(Config{Workers: 2, WarmupTasks: 4, Cluster: fleet(), DataDir: crash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	j3, ok := s3.Job("orphan")
+	if !ok {
+		t.Fatal("job lost across the second restart")
+	}
+	if err := j3.CloseInput(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j3, 20*time.Second)
+	results, _ := j3.Results(0)
+	assertExactlyOnceIDs(t, results, n+5)
+	if st := j3.Status(); st.Lost != 0 {
+		t.Errorf("resumed job lost %d tasks", st.Lost)
 	}
 }

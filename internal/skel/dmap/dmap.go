@@ -70,22 +70,12 @@ type Options struct {
 	OnResult func(platform.Result)
 }
 
-// Report is the outcome of a map run: the engine's report — Remaining holds
-// the tail waves after a detector breach plus any tasks lost to crashes on
-// the final wave; Requests counts block dispatches, one per live worker
-// per wave, the deal skeleton's whole dispatch traffic — plus the wave
-// statistics.
-type Report struct {
-	engine.StreamReport
-	// WavesRun counts decomposition rounds actually executed.
-	WavesRun int
-	// WaveImbalance records, per executed wave, max/mean worker busy time
-	// minus one (0 = perfectly balanced).
-	WaveImbalance []float64
-	// FinalWeights are the decomposition weights after the last executed
-	// wave's re-weighting (nil when no wave ran).
-	FinalWeights map[int]float64
-}
+// Report is the outcome of a map run: the engine's skeleton-agnostic
+// report. Remaining holds the tail waves after a detector breach plus any
+// tasks lost to crashes on the final wave; Requests counts block
+// dispatches, one per live worker per wave, the deal skeleton's whole
+// dispatch traffic.
+type Report = engine.StreamReport
 
 // StreamParams are the streaming map's own knobs; everything adaptive
 // comes from engine.StreamOptions.
@@ -102,7 +92,6 @@ type StreamParams struct {
 type blockOutcome struct {
 	worker   int
 	busy     time.Duration
-	done     int
 	lost     []platform.Task // tasks not executed because the worker crashed
 	executed float64         // summed cost of completed tasks
 }
@@ -136,8 +125,7 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 	if waves < 1 {
 		waves = 1
 	}
-	var rep Report
-	rep.StreamReport = run(pf, c, nil, tasks, engine.ModeStop,
+	return run(pf, c, nil, tasks, engine.ModeStop,
 		func(buffered, wave int) int {
 			if wave >= waves {
 				return 0
@@ -145,11 +133,6 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 			return waveSize(buffered, waves-wave)
 		},
 		opts.Alpha,
-		func(outcomes []blockOutcome, weights map[int]float64) {
-			rep.WavesRun++
-			rep.WaveImbalance = append(rep.WaveImbalance, imbalance(outcomes))
-			rep.FinalWeights = weights
-		},
 		engine.StreamOptions{
 			Workers:  opts.Workers,
 			Weights:  opts.Weights,
@@ -158,7 +141,6 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 			Log:      opts.Log,
 			OnResult: opts.OnResult,
 		})
-	return rep
 }
 
 // RunStatic executes tasks as a single-wave map with the given weights: the
@@ -191,7 +173,7 @@ func Stream(params StreamParams) engine.Runner {
 		}
 		return run(pf, c, in, nil, engine.ModeRecalibrate,
 			func(buffered, _ int) int { return min(buffered, waveCap) },
-			params.Alpha, nil, opts)
+			params.Alpha, opts)
 	}
 }
 
@@ -203,13 +185,11 @@ func Stream(params StreamParams) engine.Runner {
 // sizes the next one (0: no further waves) and it is scattered over the
 // live membership by the engine's current weights. When a wave's last
 // block outcome is back, crashed blocks' lost tasks return to the head of
-// the buffer, the wave's observed throughput is blended into the weights,
-// and onWave (optional) sees the outcomes and the new weights. In ModeStop
-// a breach ends the run after the current wave; whatever is still buffered
-// is returned as Remaining.
+// the buffer and the wave's observed throughput is blended into the
+// weights. In ModeStop a breach ends the run after the current wave;
+// whatever is still buffered is returned as Remaining.
 func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mode engine.Mode,
 	take func(buffered, wave int) int, alpha float64,
-	onWave func(outcomes []blockOutcome, weights map[int]float64),
 	opts engine.StreamOptions) engine.StreamReport {
 	workers := opts.Workers
 	if len(workers) == 0 {
@@ -316,9 +296,6 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 				buffer = append(append([]platform.Task(nil), out.lost...), buffer...)
 			}
 			co.SetWeights(reweight(co.Weights(), outcomes, alpha))
-			if onWave != nil {
-				onWave(outcomes, co.Weights())
-			}
 			if mode == engine.ModeStop && co.Rep.Breached {
 				stopped = true
 				if opts.Log != nil {
@@ -383,7 +360,6 @@ func scatterWave(pf platform.Platform, c rt.Ctx, co *engine.Core, inbox rt.Chan,
 					out.lost = append(out.lost, res.Task)
 					return
 				}
-				out.done++
 				out.executed += res.Task.Cost
 				inbox.Send(cc, message{kind: msgResult, res: res})
 			})
@@ -418,25 +394,6 @@ func indexTasks(tasks []platform.Task, idxs []int) []platform.Task {
 		out[i] = tasks[ti]
 	}
 	return out
-}
-
-// imbalance computes max/mean busy − 1 over the wave's outcomes.
-func imbalance(outcomes []blockOutcome) float64 {
-	if len(outcomes) == 0 {
-		return 0
-	}
-	var sum, max time.Duration
-	for _, o := range outcomes {
-		sum += o.busy
-		if o.busy > max {
-			max = o.busy
-		}
-	}
-	mean := float64(sum) / float64(len(outcomes))
-	if mean <= 0 {
-		return 0
-	}
-	return float64(max)/mean - 1
 }
 
 // reweight blends one wave's throughput-derived shares into the full

@@ -63,8 +63,8 @@ func TestMapCompletesAllTasks(t *testing.T) {
 		}
 		seen[r.Task.ID] = true
 	}
-	if rep.WavesRun != 1 {
-		t.Errorf("WavesRun = %d, want 1", rep.WavesRun)
+	if rep.Requests != 4 {
+		t.Errorf("Requests = %d, want 4 (one wave: a block per worker)", rep.Requests)
 	}
 }
 
@@ -146,11 +146,12 @@ func TestMapWavesRebalanceWrongWeights(t *testing.T) {
 	specs := []grid.NodeSpec{{BaseSpeed: 40}, {BaseSpeed: 10}}
 	bad := map[int]float64{0: 1, 1: 4}
 
-	run := func(waves int) Report {
+	run := func(waves int) (Report, *trace.Log) {
 		pf, sim := gridPF(t, specs)
+		log := trace.New()
 		var rep Report
 		sim.Go("root", func(c rt.Ctx) {
-			rep = Run(pf, c, fixedTasks(200, 1), Options{Weights: bad, Waves: waves, Alpha: 0.8})
+			rep = Run(pf, c, fixedTasks(200, 1), Options{Weights: bad, Waves: waves, Alpha: 0.8, Log: log})
 		})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
@@ -158,29 +159,56 @@ func TestMapWavesRebalanceWrongWeights(t *testing.T) {
 		if len(rep.Results) != 200 {
 			t.Fatalf("incomplete: %d", len(rep.Results))
 		}
-		return rep
+		return rep, log
 	}
 
-	oneWave := run(1)
-	eightWaves := run(8)
+	oneWave, _ := run(1)
+	eightWaves, log := run(8)
 	if eightWaves.Makespan >= oneWave.Makespan {
 		t.Errorf("8 waves %v should beat 1 wave %v under inverted weights",
 			eightWaves.Makespan, oneWave.Makespan)
 	}
-	if eightWaves.WavesRun != 8 {
-		t.Errorf("WavesRun = %d, want 8", eightWaves.WavesRun)
+	if eightWaves.Requests != 16 {
+		t.Errorf("Requests = %d, want 16 (8 waves × 2 blocks)", eightWaves.Requests)
 	}
-	// The final decomposition should have shifted the weight majority to the
-	// fast worker.
-	if fw := eightWaves.FinalWeights; fw[0] <= fw[1] {
-		t.Errorf("final weights %v should favour the fast worker", fw)
+	// The decomposition drifts toward the fast worker: over the run it takes
+	// more tasks than the inverted weights gave it, and the last wave's
+	// scatter hands it the majority.
+	if eightWaves.TasksByWorker[0] <= oneWave.TasksByWorker[0] {
+		t.Errorf("fast worker ran %d tasks over 8 waves, %d in 1: no drift",
+			eightWaves.TasksByWorker[0], oneWave.TasksByWorker[0])
 	}
-	// Imbalance in the last wave should be far below the first.
-	first := eightWaves.WaveImbalance[0]
-	last := eightWaves.WaveImbalance[len(eightWaves.WaveImbalance)-1]
-	if last >= first {
-		t.Errorf("imbalance should fall: first %.3f last %.3f", first, last)
+	dispatches := log.Filter(trace.KindDispatch)
+	lastAt := dispatches[len(dispatches)-1].At
+	lastWave := map[string]int{}
+	for _, e := range dispatches {
+		if e.At == lastAt {
+			lastWave[e.Node]++
+		}
 	}
+	if lastWave["n0"] <= lastWave["n1"] {
+		t.Errorf("last wave scattered %v: should favour the fast worker n0", lastWave)
+	}
+	// Busy time evens out: the slow worker no longer dominates the run.
+	if imb, base := imbalance(eightWaves), imbalance(oneWave); imb >= base {
+		t.Errorf("busy imbalance should fall with waves: 8 waves %.3f, 1 wave %.3f", imb, base)
+	}
+}
+
+// imbalance is max/mean busy time − 1 over the workers that ran tasks
+// (0 = perfectly balanced).
+func imbalance(rep Report) float64 {
+	var sum, max time.Duration
+	for _, b := range rep.BusyByWorker {
+		sum += b
+		if b > max {
+			max = b
+		}
+	}
+	if sum <= 0 {
+		return 0
+	}
+	return float64(max)/(float64(sum)/float64(len(rep.BusyByWorker))) - 1
 }
 
 func TestMapDetectorStopsAfterWave(t *testing.T) {
@@ -210,8 +238,8 @@ func TestMapDetectorStopsAfterWave(t *testing.T) {
 	if len(rep.Results)+len(rep.Remaining) != 400 {
 		t.Errorf("results %d + remaining %d != 400", len(rep.Results), len(rep.Remaining))
 	}
-	if rep.WavesRun >= 10 {
-		t.Errorf("WavesRun = %d, should stop early", rep.WavesRun)
+	if rep.Requests >= 2*10 {
+		t.Errorf("Requests = %d scatters: the map should stop before its 10th wave", rep.Requests)
 	}
 }
 
@@ -303,7 +331,7 @@ func TestMapEmptyTasks(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 0 || len(rep.Remaining) != 0 || rep.WavesRun != 0 {
+	if len(rep.Results) != 0 || len(rep.Remaining) != 0 || rep.Requests != 0 {
 		t.Errorf("empty input: %+v", rep)
 	}
 }

@@ -107,10 +107,6 @@ func NewCore(pf platform.Platform, workers []int, mode Mode, start time.Duration
 // reweights workers by inverse recent mean time.
 func (co *Core) SetDefaultRecal(f func(Breach) (u Update, changed bool)) { co.defaultRecal = f }
 
-// Workers returns the current live membership in admission order. The
-// slice is a copy: membership can change under the caller's feet.
-func (co *Core) Workers() []int { return append([]int(nil), co.workers...) }
-
 // SetOnMembership installs the adapter's membership hook, fired once per
 // applied Update that changed the worker set — with the workers actually
 // admitted and removed — so the adapter can adjust its dispatch topology

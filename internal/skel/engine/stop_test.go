@@ -52,7 +52,7 @@ func TestBatchStopConservesTasks(t *testing.T) {
 		}
 	}
 	dmapRun := func(pf platform.Platform, c rt.Ctx, tasks []platform.Task, det *monitor.Detector, log *trace.Log) engine.StreamReport {
-		return dmap.Run(pf, c, tasks, dmap.Options{Waves: 4, Detector: det, Log: log}).StreamReport
+		return dmap.Run(pf, c, tasks, dmap.Options{Waves: 4, Detector: det, Log: log})
 	}
 	cases := []struct {
 		name     string

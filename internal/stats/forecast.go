@@ -65,7 +65,6 @@ type Window struct {
 	cap  int
 	buf  []float64
 	next int
-	full bool
 }
 
 // NewWindow returns a sliding window holding the most recent n samples
@@ -81,9 +80,6 @@ func NewWindow(n int) *Window {
 func (w *Window) Push(x float64) {
 	if len(w.buf) < w.cap {
 		w.buf = append(w.buf, x)
-		if len(w.buf) == w.cap {
-			w.full = true
-		}
 		return
 	}
 	w.buf[w.next] = x
@@ -93,25 +89,5 @@ func (w *Window) Push(x float64) {
 // Len returns the number of samples currently held.
 func (w *Window) Len() int { return len(w.buf) }
 
-// Full reports whether the window has reached capacity at least once.
-func (w *Window) Full() bool { return w.full }
-
-// Values returns the samples in insertion order (oldest first).
-func (w *Window) Values() []float64 {
-	if len(w.buf) < w.cap {
-		return append([]float64(nil), w.buf...)
-	}
-	out := make([]float64, 0, w.cap)
-	out = append(out, w.buf[w.next:]...)
-	out = append(out, w.buf[:w.next]...)
-	return out
-}
-
 // Mean returns the mean of the window contents (NaN when empty).
 func (w *Window) Mean() float64 { return Mean(w.buf) }
-
-// Min returns the minimum of the window contents (NaN when empty).
-func (w *Window) Min() float64 { return Min(w.buf) }
-
-// Max returns the maximum of the window contents (NaN when empty).
-func (w *Window) Max() float64 { return Max(w.buf) }

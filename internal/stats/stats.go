@@ -49,16 +49,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// CoefVar returns the coefficient of variation (stddev/mean) of xs.
-// It returns NaN if the mean is zero or the sample is degenerate.
-func CoefVar(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 || math.IsNaN(m) {
-		return math.NaN()
-	}
-	return StdDev(xs) / m
-}
-
 // Speedup returns sequential/parallel. NaN when parallel is non-positive.
 func Speedup(sequential, parallel time.Duration) float64 {
 	if parallel <= 0 {
@@ -140,9 +130,6 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Covariance returns the unbiased sample covariance of paired samples xs, ys.
 // It returns NaN if the lengths differ or fewer than two pairs are given.

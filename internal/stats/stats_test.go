@@ -61,16 +61,6 @@ func TestStdDevConstantSeries(t *testing.T) {
 	}
 }
 
-func TestCoefVar(t *testing.T) {
-	xs := []float64{10, 10, 10}
-	if got := CoefVar(xs); got != 0 {
-		t.Errorf("CoefVar constant = %v, want 0", got)
-	}
-	if !math.IsNaN(CoefVar([]float64{-1, 1})) { // mean zero
-		t.Error("CoefVar with zero mean should be NaN")
-	}
-}
-
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if got := Min(xs); got != -1 {
@@ -127,10 +117,10 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 }
 
 func TestMedianOddEven(t *testing.T) {
-	if got := Median([]float64{9, 1, 5}); got != 5 {
+	if got := Percentile([]float64{9, 1, 5}, 50); got != 5 {
 		t.Errorf("odd median = %v", got)
 	}
-	if got := Median([]float64{1, 2, 3, 4}); !almostEq(got, 2.5, 1e-12) {
+	if got := Percentile([]float64{1, 2, 3, 4}, 50); !almostEq(got, 2.5, 1e-12) {
 		t.Errorf("even median = %v", got)
 	}
 }

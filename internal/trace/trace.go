@@ -1,7 +1,7 @@
 // Package trace records structured execution events: phase transitions,
 // task dispatches and completions, calibrations, and adaptations. The
 // experiment harness reduces these logs into the tables and series the
-// paper's methodology figure implies, and the CSV/JSON exporters make runs
+// paper's methodology figure implies, and the CSV exporter makes runs
 // inspectable offline.
 //
 // Logs come in two flavours. New returns an unbounded log — right for a
@@ -17,7 +17,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -204,13 +203,6 @@ func (l *Log) CountByKind() map[Kind]int {
 	return counts
 }
 
-// Completions returns the completion events sorted by time.
-func (l *Log) Completions() []Event {
-	evs := l.Filter(KindComplete)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return evs
-}
-
 // WriteCSV renders the log as CSV with a header row.
 func (l *Log) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -234,12 +226,6 @@ func (l *Log) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON renders the log as a JSON array of events.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(l.Events())
 }
 
 // Last returns the newest retained event, if any — the cheap way to learn

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -57,16 +56,6 @@ func TestCountByKind(t *testing.T) {
 	}
 }
 
-func TestCompletionsSorted(t *testing.T) {
-	l := New()
-	l.Append(Event{At: 5 * time.Second, Kind: KindComplete, Task: 2})
-	l.Append(Event{At: 1 * time.Second, Kind: KindComplete, Task: 1})
-	cs := l.Completions()
-	if cs[0].Task != 1 || cs[1].Task != 2 {
-		t.Errorf("completions not sorted: %v", cs)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLog().WriteCSV(&buf); err != nil {
@@ -81,24 +70,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "calibrate") {
 		t.Errorf("row = %q", lines[2])
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	l := sampleLog()
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back []Event
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != l.Len() {
-		t.Errorf("round trip lost events: %d vs %d", len(back), l.Len())
-	}
-	if back[1].Kind != KindCalibrate || back[1].Node != "n0" {
-		t.Errorf("event mangled: %+v", back[1])
 	}
 }
 

@@ -42,9 +42,6 @@ func NewChan[T any](e *Env, name string, capacity int) *Chan[T] {
 	return &Chan[T]{env: e, name: name, cap: capacity}
 }
 
-// Name returns the channel's diagnostic name.
-func (c *Chan[T]) Name() string { return c.name }
-
 // Cap returns the buffer capacity.
 func (c *Chan[T]) Cap() int { return c.cap }
 
@@ -176,6 +173,3 @@ func (c *Chan[T]) Close(p *Proc) {
 	}
 	c.sendq = nil
 }
-
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }

@@ -120,9 +120,6 @@ func TestCloseWakesReceivers(t *testing.T) {
 	if oks[0] || oks[1] {
 		t.Errorf("oks = %v, want both false", oks)
 	}
-	if !ch.Closed() {
-		t.Error("Closed() = false")
-	}
 }
 
 func TestRecvDrainsBufferAfterClose(t *testing.T) {
@@ -297,8 +294,8 @@ func TestParkedSenderRefillsBuffer(t *testing.T) {
 func TestChanAccessors(t *testing.T) {
 	e := New()
 	ch := NewChan[int](e, "mych", 3)
-	if ch.Name() != "mych" || ch.Cap() != 3 || ch.Len() != 0 {
-		t.Errorf("accessors wrong: %q %d %d", ch.Name(), ch.Cap(), ch.Len())
+	if ch.Cap() != 3 || ch.Len() != 0 {
+		t.Errorf("accessors wrong: %d %d", ch.Cap(), ch.Len())
 	}
 	e.Go("p", func(p *Proc) {
 		ch.Send(p, 1)

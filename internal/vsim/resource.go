@@ -20,18 +20,6 @@ func NewResource(e *Env, name string, capacity int) *Resource {
 	return &Resource{env: e, name: name, capacity: capacity}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the total number of concurrent holders allowed.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Waiting returns the number of processes queued for the resource.
-func (r *Resource) Waiting() int { return len(r.waitq) }
-
 // Acquire obtains one unit, blocking p FIFO behind earlier waiters when the
 // resource is saturated.
 func (r *Resource) Acquire(p *Proc) {
@@ -45,16 +33,6 @@ func (r *Resource) Acquire(p *Proc) {
 	p.blockReason = "acquire " + r.name
 	p.park()
 	// The releaser transferred the unit to us; inUse already accounts for it.
-}
-
-// TryAcquire obtains one unit without blocking, reporting success.
-func (r *Resource) TryAcquire(p *Proc) bool {
-	p.checkCurrent("Resource.TryAcquire")
-	if r.inUse < r.capacity && len(r.waitq) == 0 {
-		r.inUse++
-		return true
-	}
-	return false
 }
 
 // Release returns one unit. If waiters are queued, the unit is handed to the
@@ -73,49 +51,4 @@ func (r *Resource) Release(p *Proc) {
 		return
 	}
 	r.inUse--
-}
-
-// WaitGroup counts outstanding work items across processes, with Wait
-// blocking until the count reaches zero. Semantics follow sync.WaitGroup,
-// adapted to virtual time.
-type WaitGroup struct {
-	env     *Env
-	count   int
-	waiters []*Proc
-}
-
-// NewWaitGroup creates an empty wait group.
-func NewWaitGroup(e *Env) *WaitGroup { return &WaitGroup{env: e} }
-
-// Add adjusts the counter by delta. A negative resulting counter panics.
-// Reaching zero wakes all waiters.
-func (w *WaitGroup) Add(delta int) {
-	w.count += delta
-	if w.count < 0 {
-		panic("vsim: negative WaitGroup counter")
-	}
-	if w.count == 0 {
-		for _, p := range w.waiters {
-			w.env.enqueue(p)
-		}
-		w.waiters = nil
-	}
-}
-
-// Done decrements the counter by one.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Count returns the current counter value.
-func (w *WaitGroup) Count() int { return w.count }
-
-// Wait blocks p until the counter is zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	p.checkCurrent("WaitGroup.Wait")
-	if w.count == 0 {
-		return
-	}
-	w.waiters = append(w.waiters, p)
-	p.state = StateBlocked
-	p.blockReason = "waitgroup"
-	p.park()
 }

@@ -52,69 +52,23 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestResourceAccessors(t *testing.T) {
+func TestResourceCapacityClampsToOne(t *testing.T) {
 	e := New()
-	r := NewResource(e, "res", 2)
-	if r.Name() != "res" || r.Capacity() != 2 {
-		t.Error("accessors")
+	r := NewResource(e, "min", 0)
+	var finish []time.Duration
+	for i := 0; i < 2; i++ {
+		e.Go(fmt.Sprintf("u%d", i), func(p *Proc) {
+			r.Acquire(p)
+			p.Sleep(time.Second)
+			r.Release(p)
+			finish = append(finish, e.Now())
+		})
 	}
-	e.Go("a", func(p *Proc) {
-		r.Acquire(p)
-		if r.InUse() != 1 {
-			t.Errorf("InUse = %d", r.InUse())
-		}
-		r.Release(p)
-		if r.InUse() != 0 {
-			t.Errorf("InUse after release = %d", r.InUse())
-		}
-	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if NewResource(e, "min", 0).Capacity() != 1 {
-		t.Error("capacity not clamped to 1")
-	}
-}
-
-func TestResourceWaitingCount(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 1)
-	var observed int
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(5 * time.Second)
-		r.Release(p)
-	})
-	e.Go("w1", func(p *Proc) { r.Acquire(p); r.Release(p) })
-	e.Go("w2", func(p *Proc) { r.Acquire(p); r.Release(p) })
-	e.Go("obs", func(p *Proc) {
-		p.Sleep(time.Second)
-		observed = r.Waiting()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if observed != 2 {
-		t.Errorf("Waiting = %d, want 2", observed)
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 1)
-	var results []bool
-	e.Go("p", func(p *Proc) {
-		results = append(results, r.TryAcquire(p)) // true
-		results = append(results, r.TryAcquire(p)) // false: saturated
-		r.Release(p)
-		results = append(results, r.TryAcquire(p)) // true again
-		r.Release(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(results) != "[true false true]" {
-		t.Errorf("results = %v", results)
+	if fmt.Sprint(finish) != "[1s 2s]" {
+		t.Errorf("finish = %v, want [1s 2s]: capacity 0 should clamp to one holder", finish)
 	}
 }
 
@@ -133,76 +87,5 @@ func TestReleaseIdlePanics(t *testing.T) {
 	_ = e.Run()
 	if !panicked {
 		t.Error("release of idle resource should panic")
-	}
-}
-
-func TestWaitGroupBasic(t *testing.T) {
-	e := New()
-	wg := NewWaitGroup(e)
-	var doneAt time.Duration
-	wg.Add(3)
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i) * time.Second
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = e.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 3*time.Second {
-		t.Errorf("waiter woke at %v, want 3s", doneAt)
-	}
-}
-
-func TestWaitGroupZeroCountNoBlock(t *testing.T) {
-	e := New()
-	wg := NewWaitGroup(e)
-	ran := false
-	e.Go("p", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Error("Wait on zero counter should not block")
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	e := New()
-	wg := NewWaitGroup(e)
-	panicked := false
-	e.Go("p", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		wg.Done()
-	})
-	_ = e.Run()
-	if !panicked {
-		t.Error("negative counter should panic")
-	}
-}
-
-func TestWaitGroupCount(t *testing.T) {
-	e := New()
-	wg := NewWaitGroup(e)
-	wg.Add(2)
-	if wg.Count() != 2 {
-		t.Errorf("Count = %d", wg.Count())
-	}
-	wg.Done()
-	if wg.Count() != 1 {
-		t.Errorf("Count = %d", wg.Count())
 	}
 }

@@ -111,12 +111,6 @@ type Proc struct {
 // Name returns the process name given at Go.
 func (p *Proc) Name() string { return p.name }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// State returns the process's current lifecycle state.
-func (p *Proc) State() State { return p.state }
-
 // Go creates a process running fn and schedules it. It may be called before
 // Run or from within another process. The process starts when the scheduler
 // first picks it.
@@ -287,6 +281,3 @@ func (e *Env) step(p *Proc) {
 	<-e.yield
 	e.current = nil
 }
-
-// LiveProcs returns the number of processes that have not finished.
-func (e *Env) LiveProcs() int { return len(e.procs) }

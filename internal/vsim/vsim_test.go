@@ -241,27 +241,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestStateTransitions(t *testing.T) {
-	e := New()
-	var st State
-	w := e.Go("w", func(p *Proc) { p.Sleep(time.Second) })
-	e.Go("observer", func(p *Proc) {
-		st = w.State()
-	})
-	if w.State() != StateRunnable {
-		t.Errorf("initial state %v, want runnable", w.State())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st != StateSleeping {
-		t.Errorf("observed %v, want sleeping", st)
-	}
-	if w.State() != StateDone {
-		t.Errorf("final state %v, want done", w.State())
-	}
-}
-
 func TestStateString(t *testing.T) {
 	names := map[State]string{
 		StateNew: "new", StateRunnable: "runnable", StateRunning: "running",
@@ -304,21 +283,6 @@ func TestJoinSelfPanics(t *testing.T) {
 	_ = e.Run()
 	if !panicked {
 		t.Error("self-join should panic")
-	}
-}
-
-func TestLiveProcs(t *testing.T) {
-	e := New()
-	e.Go("a", func(p *Proc) { p.Sleep(time.Second) })
-	e.Go("b", func(p *Proc) { p.Sleep(2 * time.Second) })
-	if e.LiveProcs() != 2 {
-		t.Errorf("live = %d", e.LiveProcs())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.LiveProcs() != 0 {
-		t.Errorf("live after run = %d", e.LiveProcs())
 	}
 }
 

@@ -6,19 +6,20 @@ import (
 	"grasp/internal/workload"
 )
 
-// ExampleGenerate draws a reproducible heavy-tailed cost population — the
+// ExampleSpec_Build draws a reproducible heavy-tailed cost population — the
 // irregular workloads that stress granularity policies (E10, E16).
-func ExampleGenerate() {
-	costs := workload.Generate(workload.Pareto{Xm: 1, Alpha: 2}, 7, 5)
-	for i, c := range costs {
+func ExampleSpec_Build() {
+	spec := workload.Spec{N: 5, Cost: workload.Pareto{Xm: 1, Alpha: 2}, Seed: 7}
+	items := spec.Build()
+	for i, it := range items {
 		if i > 0 {
 			fmt.Print(" ")
 		}
-		fmt.Printf("%.2f", c)
+		fmt.Printf("%.2f", it.Cost)
 	}
 	fmt.Println()
-	again := workload.Generate(workload.Pareto{Xm: 1, Alpha: 2}, 7, 5)
-	fmt.Println("deterministic:", costs[0] == again[0])
+	again := spec.Build()
+	fmt.Println("deterministic:", items[0] == again[0])
 	// Output:
 	// 1.04 2.08 2.04 1.05 1.20
 	// deterministic: true

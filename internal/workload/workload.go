@@ -131,16 +131,6 @@ func (b Bimodal) String() string {
 	return fmt.Sprintf("bimodal(%g,%g,p=%g)", b.Light, b.Heavy, b.PHeavy)
 }
 
-// Generate draws n samples deterministically from the seed.
-func Generate(d Dist, seed int64, n int) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
-}
-
 // Spec describes a task population for the simulated platforms: per-task
 // compute cost (operations) and payload sizes (bytes).
 type Spec struct {
@@ -172,13 +162,4 @@ func (s Spec) Build() []Item {
 		}
 	}
 	return items
-}
-
-// TotalCost sums the cost of all items.
-func TotalCost(items []Item) float64 {
-	var sum float64
-	for _, it := range items {
-		sum += it.Cost
-	}
-	return sum
 }

@@ -133,14 +133,14 @@ func TestBimodal(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(Uniform{1, 2}, 42, 100)
-	b := Generate(Uniform{1, 2}, 42, 100)
+	gen := func(seed int64) []Item { return Spec{N: 100, Cost: Uniform{1, 2}, Seed: seed}.Build() }
+	a, b := gen(42), gen(42)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed diverged")
 		}
 	}
-	c := Generate(Uniform{1, 2}, 43, 100)
+	c := gen(43)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -169,9 +169,6 @@ func TestSpecBuild(t *testing.T) {
 		if it.Cost != 10 || it.InBytes != 100 || it.OutBytes != 20 {
 			t.Fatalf("item = %+v", it)
 		}
-	}
-	if TotalCost(items) != 500 {
-		t.Errorf("TotalCost = %v", TotalCost(items))
 	}
 }
 
