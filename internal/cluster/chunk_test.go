@@ -8,6 +8,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -121,34 +122,54 @@ func TestLeaseTakesCapacityShare(t *testing.T) {
 	}
 }
 
-// TestLeaseTTLCountsFromEachTasksTurn: the second task of a lease waits
-// for the first on its executor, so one TTL after the lease only the first
-// can be overdue — the second is not redelivered while it may still be
-// legitimately waiting its turn.
-func TestLeaseTTLCountsFromEachTasksTurn(t *testing.T) {
-	co := NewCoordinator(Config{
-		DeadAfter:    time.Hour,
-		SweepEvery:   10 * time.Millisecond,
-		LeaseTTL:     300 * time.Millisecond,
-		MaxLeaseWait: time.Second,
-	})
-	t.Cleanup(co.Close)
-	reg, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
-	if _, err := co.submit("n1", reg.Gen, sleepTasks(0, 2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	first, err := co.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, WaitMS: 10})
-	if err != nil || len(first.Tasks) != 2 {
-		t.Fatalf("first lease = %+v, err %v; want both tasks", first, err)
-	}
-	// The results never arrive. The long poll returns as soon as the
-	// sweeper requeues anything.
-	again, err := co.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, WaitMS: 900})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Tasks) != 1 || again.Tasks[0].Dispatch != first.Tasks[0].Dispatch {
-		t.Fatalf("redelivered %+v one TTL after the lease, want only its first task %+v", again.Tasks, first.Tasks[0])
+// TestLeaseStopsAtResultHold: a lease holds at most resultHold of work
+// estimated from the node's benchmark, and its first task always goes. A
+// one-slot node at 1e9 ops/s leases twenty 300 µs tasks — declared sleep or
+// spin — three at a time, twenty zero-work tasks in one lease, and tasks
+// longer than the bound one by one.
+func TestLeaseStopsAtResultHold(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		work     Work
+		perLease int
+	}{
+		{"300 µs sleeps", Work{SleepUS: 300}, 3},
+		{"300 µs spins", Work{Spin: 300_000}, 3},
+		{"zero work", Work{}, 20},
+		{"2 ms sleeps", Work{SleepUS: 2000}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co := testCoordinator(t, time.Hour)
+			reg, err := co.Register(RegisterRequest{ID: "n1", Capacity: 1, SpeedOPS: 1e9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := make([]platform.Task, 20)
+			for i := range tasks {
+				tasks[i] = platform.Task{ID: i, Data: tc.work}
+			}
+			if _, err := co.submit("n1", reg.Gen, tasks); err != nil {
+				t.Fatal(err)
+			}
+			var got, want []int
+			for left := len(tasks); left > 0; left -= tc.perLease {
+				want = append(want, min(left, tc.perLease))
+			}
+			for total := 0; total < len(tasks); {
+				lease, err := co.Lease(LeaseRequest{ID: "n1", Gen: reg.Gen, WaitMS: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(lease.Tasks) == 0 {
+					t.Fatalf("empty lease after %v with %d queued", got, len(tasks)-total)
+				}
+				got = append(got, len(lease.Tasks))
+				total += len(lease.Tasks)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("lease sizes %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -176,10 +197,9 @@ func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 		t.Errorf("cluster_leases_total = %d for %d tasks in chunks of 8, want <= %d", leases, n, n/4)
 	}
 	// And it comes back in one frame: the chunk's results ride the request
-	// for the next one (+2: a scheduling stall over resultHold mid-lease
-	// streams that lease's results instead).
+	// for the next one.
 	frames := co.Metrics().Histogram("cluster_results_batch_size", metrics.BatchBuckets).Count()
-	if frames > leases+2 {
+	if frames > leases {
 		t.Errorf("cluster_results_batch_size_count = %d for %d leases of short tasks, want one results frame per lease", frames, leases)
 	}
 	// Tasks under resultHold never lease ahead: a short chunk answers as a
@@ -191,10 +211,12 @@ func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 	}
 }
 
-// TestLongLeaseStreamsPerTask: a lease is answered as a unit only while it
-// is short. The first outcome of a lease of four 10 ms tasks reaches the
-// submitter while the lease is still running — before its third task even
-// starts — not with the next lease request 40 ms on.
+// TestLongLeaseStreamsPerTask: a lease holds one task when that task is
+// longer than resultHold, so a chunk of four 10 ms tasks goes out in four
+// one-task leases, at least three of them issued ahead as the task before
+// began. Each result rides the lease issued as the next task begins, so
+// the first outcome reaches the submitter before the third task starts,
+// not with the whole chunk 40 ms on.
 func TestLongLeaseStreamsPerTask(t *testing.T) {
 	co := testCoordinator(t, time.Second)
 	url := startTestServer(t, co)
@@ -213,8 +235,11 @@ func TestLongLeaseStreamsPerTask(t *testing.T) {
 			first = time.Now()
 		}
 	}
-	if leases := co.Metrics().Counter("cluster_leases_total").Value(); leases != 1 {
-		t.Fatalf("the chunk went out in %d leases, want 1", leases)
+	if leases := co.Metrics().Counter("cluster_leases_total").Value(); leases != 4 {
+		t.Fatalf("the chunk went out in %d leases, want 4", leases)
+	}
+	if ahead := w.Metrics().Counter("worker_leases_ahead_total").Value(); ahead < 3 {
+		t.Errorf("worker_leases_ahead_total = %d, want >= 3: each task after the first is leased as its predecessor begins", ahead)
 	}
 	for _, ev := range w.Trace().Filter(trace.KindDispatch) {
 		if third := w.start.Add(ev.At); ev.Task == 2 && !first.Before(third) {
@@ -254,12 +279,10 @@ func TestLeaseAheadOverlapsTheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLeaseAheadKeepsCapacityShares: a lease goes ahead only at the last
-// task of the lease in hand, so the executors of a node still split a
-// chunk by capacity share. Two executors given four 100 ms tasks take 2 + 1,
-// and the one running its last task leases the fourth ahead: two task
-// lengths. Leasing ahead at the lease's start would give the first
-// executor 2 + 1 and take three.
+// TestLeaseAheadKeepsCapacityShares: a lease ahead is an ordinary lease, so
+// the executors of a node still split a chunk. Two executors given four
+// 100 ms tasks lease one each — a lease holds one task that long — and each
+// leases its next as its first begins: two task lengths, not three.
 func TestLeaseAheadKeepsCapacityShares(t *testing.T) {
 	co := testCoordinator(t, time.Second)
 	url := startTestServer(t, co)
@@ -390,7 +413,9 @@ func TestHeldResults(t *testing.T) {
 			})
 			wantFailed := int64(0)
 			if tc.stop {
-				for lossy.lost.Load() == 0 {
+				// Bounded: a run that ends before the victim is dealt a chunk
+				// leaves it nothing to lose, and the checks below say so.
+				for deadline := time.Now().Add(5 * time.Second); lossy.lost.Load() == 0 && time.Now().Before(deadline); {
 					time.Sleep(time.Millisecond)
 				}
 				victim.Stop()

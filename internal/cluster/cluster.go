@@ -12,16 +12,18 @@
 //   - a Pool projects a snapshot of live nodes as a platform.Platform, so
 //     remote nodes appear to skel/engine exactly like grid workers. A farm
 //     chunk or dmap block is queued on its node as one dispatch group (a
-//     lone Exec is the group of one) that a worker drains in one lease
-//     frame and answers in its next lease request, so the granularity
+//     lone Exec is the group of one) that a worker drains in lease frames
+//     and answers in its next lease request, so the granularity
 //     Algorithm 1 calibrates is what amortises the wire — one round trip
-//     per chunk; outcomes are emitted one by one, and the Result.Time the
-//     job's Detector monitors (Algorithm 2) is the node-measured execution
-//     time plus a per-task share of queueing and wire time — the node's
-//     speed, not the task's place in its chunk (see Pool);
+//     per chunk of short tasks; outcomes are emitted one by one, and the
+//     Result.Time the job's Detector monitors (Algorithm 2) is the
+//     node-measured execution time plus a per-task share of queueing and
+//     wire time — the node's speed, not the task's place in its chunk
+//     (see Pool);
 //   - a lease takes the node's capacity share of what is queued, so the
-//     executors of one node split a chunk; the worker's -batch flag only
-//     caps that;
+//     executors of one node split a chunk, and stops at resultHold (1 ms)
+//     of work estimated from the node's register-time benchmark — its
+//     first task always goes; the worker's -batch flag only caps that;
 //   - missed heartbeats retire nodes: every queued or in-flight dispatch of
 //     a dead node fails with ErrNodeLost, which surfaces through the
 //     engine's Faults path — the skeleton re-queues the task onto a live
@@ -44,13 +46,13 @@
 //     task. Workers offer their bindings at register time and the
 //     coordinator picks, so a fleet can mix transports mid-upgrade. On
 //     both, LeaseRequest.Results carries a lease's finished executions
-//     back with the request for the next one; a lease that outlasts the
-//     worker's resultHold streams them instead, so long tasks still report
-//     one by one. When a lease's last task runs from 1 ms to 1 s, the
-//     worker leases ahead as that task begins, so the next task is on the
-//     node before this one ends, and the results held so far ride that
-//     request; otherwise they go through its flusher's batched results
-//     posts.
+//     back with the request for the next one; since a lease holds at most
+//     about a millisecond of work or one task, long tasks still report one
+//     by one. When a lease's last task runs from 1 ms to 1 s, the worker
+//     leases ahead as that task begins, so the next task is on the node
+//     before this one ends, and the results held so far ride that request;
+//     if it is still parked when the task ends, the executor posts them
+//     itself.
 //
 // The coordinator is transport-level only: it never decides which node
 // runs a task. Placement stays with the skeletons' adaptive dispatch
@@ -108,8 +110,8 @@ type Config struct {
 	// never fires). It must exceed the longest legitimate execution plus
 	// the under 1 s a task may wait on its node behind the task it was
 	// leased ahead of (default 90s, above the service layer's 60s per-task
-	// sleep cap); a lease of several tasks runs in order on one executor,
-	// so the i-th task's TTL counts from i TTLs after the lease. A late
+	// sleep cap). A lease holds at most resultHold of estimated work past
+	// its first task, so every task's TTL counts from its lease. A late
 	// result from the original delivery is deduplicated as usual.
 	LeaseTTL time.Duration
 	// DeadRetention is how long dead/left registrations stay listed for
@@ -130,10 +132,32 @@ const (
 	// maxBatch bounds the tasks one lease hands out, whatever the worker
 	// asks for.
 	maxBatch = 64
+	// maxCapacity bounds a node's registered concurrency. A Pool allocates
+	// an execution slot per unit, so an unbounded capacity would let one
+	// registration exhaust the daemon's memory at the next cluster job.
+	maxCapacity = 1024
 	// traceCap bounds the coordinator's dispatch trace ring; the ring
 	// overwrites its oldest events once full.
 	traceCap = 4096
+	// resultHold bounds the estimated work one lease holds: LeaseAppend
+	// stops before the task that would take a lease past it, though the
+	// first task always goes. A lease is then a run of short tasks that
+	// ends within about a millisecond, or one task, so the results an
+	// executor holds always leave on its own next request.
+	resultHold = time.Millisecond
 )
+
+// estimate is how long work should take on a node of the given benchmarked
+// speed: its declared sleep plus its spin at that speed. Spin counts as
+// nothing on a node registered without a benchmark. A scripted degradation
+// is deliberately not in it — the node does not know it is failing.
+func estimate(work Work, speed float64) time.Duration {
+	d := time.Duration(work.SleepUS) * time.Microsecond
+	if speed > 0 {
+		d += time.Duration(float64(work.Spin) / speed * float64(time.Second))
+	}
+	return d
+}
 
 func (c Config) withDefaults() Config {
 	if c.DeadAfter <= 0 {
@@ -175,9 +199,8 @@ type dispatch struct {
 	work Work
 	idx  int
 	sink chan<- dispatchOutcome // its chunk's sink; resolved exactly once
-	// leasedAt is when the dispatch's turn on its executor began at the
-	// latest; the sweeper requeues it LeaseTTL later in case the lease
-	// response never arrived.
+	// leasedAt is when the dispatch was leased; the sweeper requeues it
+	// LeaseTTL later in case the lease response never arrived.
 	leasedAt time.Time
 }
 
@@ -489,10 +512,10 @@ func (co *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	if req.ID == "" {
 		return RegisterResponse{}, fmt.Errorf("cluster: register with empty node id")
 	}
-	capacity := req.Capacity
-	if capacity < 1 {
-		capacity = 1
+	if req.Capacity > maxCapacity {
+		return RegisterResponse{}, fmt.Errorf("cluster: register %s: capacity %d exceeds the %d limit", req.ID, req.Capacity, maxCapacity)
 	}
+	capacity := max(req.Capacity, 1)
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if old, ok := co.nodes[req.ID]; ok && old.state == StateLive {
@@ -818,12 +841,17 @@ func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask
 		}
 		// A lease takes the node's capacity share of what is queued, not
 		// all of it — guided self-scheduling at node level — so one executor
-		// never runs a whole chunk serially while its siblings idle.
+		// never runs a whole chunk serially while its siblings idle. It
+		// stops before the task that would take its estimated work past
+		// resultHold, so the executor's results go home on its next request.
 		take := min(maxTasks, (len(n.queue)+n.capacity-1)/n.capacity)
+		var work time.Duration
 		for i, d := range n.queue[:take] {
-			// An executor runs its lease in order, so the i-th task's turn
-			// may legitimately begin up to i TTLs from now.
-			d.leasedAt = now.Add(time.Duration(i) * co.cfg.LeaseTTL)
+			if work += estimate(d.work, n.speed); i > 0 && work > resultHold {
+				take = i
+				break
+			}
+			d.leasedAt = now
 			n.inflight[d.id] = d
 			buf = append(buf, WireTask{Dispatch: d.id, Task: d.task, Work: d.work})
 		}

@@ -21,8 +21,8 @@ import (
 //
 // The unit of dispatch is the chunk (platform.Chunker): ExecChunk queues
 // a whole farm chunk or dmap block on the slot's node in one step, so a
-// worker process drains it in one lease frame and answers in as few
-// results posts as its flusher needs — the skeleton's granularity is what
+// worker process drains it in leases of up to a millisecond of work and
+// answers each in its next request — the skeleton's granularity is what
 // amortises the wire. Each outcome is emitted as it arrives, so
 // visibility, admission credits and the detector stay per-task. Exec is
 // the chunk of one. A node that dies (or is already gone) fails every

@@ -22,8 +22,8 @@ import (
 )
 
 // Transport is one client-side binding of the coordinator protocol. A
-// Transport is safe for concurrent use by a worker's executors,
-// heartbeat, and result flusher. Lease takes a scratch slice the decoded
+// Transport is safe for concurrent use by a worker's executors, their
+// leasers, and its heartbeat. Lease takes a scratch slice the decoded
 // batch is appended onto (pass a reused buffer's [:0] to keep the
 // steady-state dispatch path allocation-free; nil is fine too); the
 // results its request carries are encoded before it returns and never
@@ -72,7 +72,7 @@ func NewJSONTransport(baseURL string, client *http.Client) Transport {
 
 // DefaultWorkerClient returns the HTTP client the worker runtime uses for
 // the JSON binding: keep-alives on and an idle pool deep enough that
-// every executor, the heartbeat loop, and the result flusher hold a
+// every executor, its leaser, and the heartbeat loop hold a
 // persistent connection instead of paying per-request TCP (and ephemeral
 // port) setup. The lease long-poll bounds response latency, so the
 // overall timeout stays generous.

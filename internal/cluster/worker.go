@@ -27,7 +27,7 @@ type WorkerConfig struct {
 	// leases independently. The default 0 sets no worker-side cap: a lease
 	// then takes the node's capacity share of what the skeleton queued —
 	// a farm chunk, a dmap block — bounded by the coordinator's 64-task
-	// lease cap.
+	// lease cap and its millisecond of estimated work.
 	Batch int
 	// BenchSpin is the startup benchmark's iteration count; the measured
 	// speed registers as this node's calibration sample (default 2e6).
@@ -114,17 +114,6 @@ func transportOffer(pref string) []string {
 	return []string{TransportBinary, TransportJSON}
 }
 
-// maxResultsFlush caps one results frame; a flood of completions splits
-// into successive posts instead of one unbounded frame.
-const maxResultsFlush = 256
-
-// resultHold bounds how long an executor sits on finished results while
-// its lease still has tasks to run. A lease that runs shorter than this
-// returns whole, on the next lease request; in a longer one each result
-// goes to the flusher before a task that would keep it waiting past the
-// bound begins, so long tasks still stream one by one.
-const resultHold = time.Millisecond
-
 // leaseAheadMax bounds the tasks an executor leases ahead of: from resultHold
 // up to it, the last task of a lease runs while the next lease makes its
 // round trip. Above it the round trip is under 0.02 % of the task, and
@@ -145,23 +134,15 @@ type aheadLease struct {
 	done    chan struct{} // buffered: the leaser never waits on a stopped executor
 }
 
-// genResult is one completed execution tagged with the generation it was
-// leased under, queued for the result flusher.
-type genResult struct {
-	gen int64
-	res WireResult
-}
-
 // Worker is a running worker-node: registered with its coordinator,
 // heartbeating, and executing leased tasks on Capacity concurrent
-// executors. An executor answers a short lease as a unit: the results of
-// the lease it just ran ride its next lease request, one frame out and one
-// back per chunk. When a lease's last task runs from resultHold up to
+// executors. An executor answers a lease as a unit: the results of the
+// lease it just ran ride its next lease request, one frame out and one
+// back per lease — and a lease is a millisecond of work or one task, so
+// none waits long. When a lease's last task runs from resultHold up to
 // leaseAheadMax, the next lease goes out as that task begins, so the next
-// task is on the node when this one ends. A lease that outlasts resultHold
-// otherwise hands results to the single flusher, which coalesces them into
-// batched result posts. Create one with StartWorker; Stop leaves
-// gracefully.
+// task is on the node when this one ends. Create one with StartWorker;
+// Stop leaves gracefully.
 type Worker struct {
 	cfg    WorkerConfig
 	log    *slog.Logger
@@ -186,11 +167,9 @@ type Worker struct {
 	gen    int64
 	active Transport // the negotiated binding for lease/results/heartbeat
 
-	results  chan genResult
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup // executors, their leasers + heartbeat
-	flushWG  sync.WaitGroup // result flusher
 }
 
 // Benchmark measures this process's spin speed in iterations/second — the
@@ -252,22 +231,21 @@ func execWork(w Work, s *sleeper) bool {
 	return true
 }
 
-// StartWorker benchmarks, registers, and starts the heartbeat, executor,
-// and result-flusher loops. It returns once registration succeeds; a
-// coordinator that is not up yet is retried for a few seconds so worker
-// and coordinator processes can start in any order.
+// StartWorker benchmarks, registers, and starts the heartbeat and executor
+// loops. It returns once registration succeeds; a coordinator that is not
+// up yet is retried for a few seconds so worker and coordinator processes
+// can start in any order.
 func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	cfg = cfg.withDefaults()
 	w := &Worker{
-		cfg:     cfg,
-		log:     cfg.Logger,
-		speed:   Benchmark(cfg.BenchSpin),
-		offers:  transportOffer(cfg.Transport),
-		boot:    NewJSONTransport(cfg.Coordinator, cfg.Client),
-		start:   time.Now(),
-		tr:      trace.NewBounded(workerTraceCap),
-		results: make(chan genResult, 4*maxResultsFlush),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		log:    cfg.Logger,
+		speed:  Benchmark(cfg.BenchSpin),
+		offers: transportOffer(cfg.Transport),
+		boot:   NewJSONTransport(cfg.Coordinator, cfg.Client),
+		start:  time.Now(),
+		tr:     trace.NewBounded(workerTraceCap),
+		stop:   make(chan struct{}),
 	}
 	w.hLeaseRTT = cfg.Registry.Histogram("worker_lease_rtt_seconds", metrics.DefDurationBuckets)
 	w.hExecWait = cfg.Registry.Histogram("worker_executor_wait_seconds", metrics.DefDurationBuckets)
@@ -292,8 +270,6 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	w.log.Info("worker registered",
 		"node", cfg.ID, "coordinator", cfg.Coordinator, "speed_ops", w.speed,
 		"capacity", cfg.Capacity, "transport", w.TransportName())
-	w.flushWG.Add(1)
-	go w.flushLoop()
 	w.wg.Add(1)
 	go w.heartbeatLoop()
 	for i := 0; i < cfg.Capacity; i++ {
@@ -337,8 +313,6 @@ func (w *Worker) Stop() {
 		gen, tr := w.session()
 		tr.Leave(LeaveRequest{ID: w.cfg.ID, Gen: gen})
 		w.wg.Wait()
-		close(w.results)
-		w.flushWG.Wait()
 		w.boot.Close()
 		if w.bin != nil {
 			w.bin.Close()
@@ -439,28 +413,28 @@ func (w *Worker) heartbeatLoop() {
 
 // executorLoop leases and executes until stopped, reusing two task scratch
 // slices, two result buffers and one sleeper across leases; the leases it
-// issues ahead go through its own leaseLoop, on ahead. The results of
-// the lease just run are held and sent with the next lease request. When
-// the last task of the lease in hand is expected to run from resultHold up
-// to leaseAheadMax, that request goes out as the task begins — an ordinary
-// lease, same Max, same capacity share — so the lease round trip overlaps
-// the task; leasing at the lease's start instead would take a second share
-// while the first is still queued behind it. If the ahead lease is still
-// parked when the task ends, the held results go to the flusher, as a long
-// lease's do, and the executor waits. A transport error keeps the results
-// a request carried for the resend — the coordinator's dispatch-id dedupe
-// makes that idempotent, as it does postResults' retry — and ErrGone, a
-// new generation or Stop drops them, with any tasks leased ahead: the
-// coordinator has already failed that work over.
+// issues ahead go through its own leaseLoop, on ahead. The coordinator
+// sizes a lease to at most resultHold of estimated work, or one task, so
+// the results of the lease just run are held and sent with the next lease
+// request. When the last task of the lease in hand is expected to run from
+// resultHold up to leaseAheadMax, that request goes out as the task begins
+// — an ordinary lease, same Max, same capacity share — so the lease round
+// trip overlaps the task; leasing at the lease's start instead would take
+// a second share while the first is still queued behind it. If the ahead
+// lease is still parked when the task ends, the executor, idle anyway,
+// posts the held results itself and then waits. A transport error keeps
+// the results a request carried for the resend — the coordinator's
+// dispatch-id dedupe makes that idempotent, as it does post's retry — and
+// ErrGone, a new generation or Stop drops them, with any tasks leased
+// ahead: the coordinator has already failed that work over.
 func (w *Worker) executorLoop(ahead *aheadLease) {
 	defer w.wg.Done()
 	var (
-		scratch   []WireTask   // the lease in hand
-		held      []WireResult // finished, not yet sent
-		heldSince time.Duration
-		gen       int64 // the lease in hand and the held results belong to gen
-		tr        Transport
-		timer     = sleeper{stop: w.stop}
+		scratch []WireTask   // the lease in hand
+		held    []WireResult // finished, not yet sent
+		gen     int64        // the lease in hand and the held results belong to gen
+		tr      Transport
+		timer   = sleeper{stop: w.stop}
 	)
 	defer timer.close()
 	for {
@@ -497,25 +471,15 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 		leasedAhead := false
 		for i := range scratch {
 			t := &scratch[i]
-			began := time.Since(w.start)
-			est := w.estimate(t.Work)
-			if i == len(scratch)-1 && est >= resultHold && est < leaseAheadMax {
+			if est := estimate(t.Work, w.speed); i == len(scratch)-1 && est >= resultHold && est < leaseAheadMax {
 				ahead.gen, ahead.tr = gen, tr
 				ahead.results, held = held, ahead.results[:0]
 				ahead.issue <- struct{}{}
 				w.mLeasesAhead.Inc()
 				leasedAhead = true
-			} else if len(held) > 0 && began-heldSince+est >= resultHold {
-				if !w.flush(gen, held) {
-					return
-				}
-				held = held[:0]
-			}
-			if len(held) == 0 {
-				heldSince = began // when the oldest held result's task began
 			}
 			w.tr.Append(trace.Event{
-				At: began, Kind: trace.KindDispatch,
+				At: time.Since(w.start), Kind: trace.KindDispatch,
 				Node: w.cfg.ID, Task: t.Task,
 			})
 			// One clock over execution and penalty: the node reports what
@@ -543,9 +507,7 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 		select {
 		case <-ahead.done:
 		default:
-			if !w.flush(gen, held) {
-				return
-			}
+			w.post(tr, gen, held)
 			held = held[:0]
 			select {
 			case <-ahead.done:
@@ -610,76 +572,14 @@ func (w *Worker) lease(tr Transport, gen int64, results []WireResult, scratch []
 	return tasks, err
 }
 
-// estimate is how long the healthy node expects work to take: its declared
-// sleep plus its spin at the benchmarked speed. A scripted degradation is
-// deliberately not in it — the node does not know it is failing.
-func (w *Worker) estimate(work Work) time.Duration {
-	return time.Duration(work.SleepUS)*time.Microsecond +
-		time.Duration(float64(work.Spin)/w.speed*float64(time.Second))
-}
-
-// flush hands results to the flusher, reporting false when the worker is
-// stopping instead: the leave posted by Stop already failed these
-// dispatches over, and a late post would only be deduped.
-func (w *Worker) flush(gen int64, results []WireResult) bool {
-	for _, res := range results {
-		select {
-		case w.results <- genResult{gen: gen, res: res}:
-		case <-w.stop:
-			return false
-		}
-	}
-	return true
-}
-
-// flushLoop is the posting path of leases that run long: it coalesces the
-// completions executors hand it into batched results posts. The loop is
-// self-clocking — the first completion posts immediately, and everything
-// handed over during that post's round trip becomes the next batch — so
-// batching adds no latency and grows with load. Batches stay well under
-// LeaseTTL: a completion is never held longer than resultHold plus one
-// post round trip.
-func (w *Worker) flushLoop() {
-	defer w.flushWG.Done()
-	batch := make([]WireResult, 0, maxResultsFlush)
-	for first := range w.results {
-		gen := first.gen
-		batch = append(batch[:0], first.res)
-	drain:
-		for len(batch) < maxResultsFlush {
-			select {
-			case gr, ok := <-w.results:
-				if !ok {
-					break drain
-				}
-				if gr.gen != gen {
-					// Generation boundary: flush what we have, then start the
-					// new registration's batch.
-					w.postResults(gen, batch)
-					gen = gr.gen
-					batch = batch[:0]
-				}
-				batch = append(batch, gr.res)
-			default:
-				break drain
-			}
-		}
-		w.postResults(gen, batch)
-	}
-}
-
-// postResults delivers a result batch, retrying transport errors for as
-// long as the worker is alive. Giving up earlier would strand the
-// dispatches in flight on a node the coordinator still believes live —
+// post delivers results held under gen through tr, retrying transport
+// errors for as long as the worker is alive. Giving up earlier would strand
+// the dispatches in flight on a node the coordinator still believes live —
 // redelivery only triggers on node death, and a blip shorter than the
-// dead-after bound never kills the node. On ErrGone the batch is
-// abandoned: the coordinator has already reassigned the work, and posting
-// under a new generation would only be deduped anyway.
-func (w *Worker) postResults(gen int64, results []WireResult) {
-	if len(results) == 0 {
-		return
-	}
-	_, tr := w.session()
+// dead-after bound never kills the node. On ErrGone or Stop the results
+// are abandoned: the coordinator has already reassigned the work, and
+// posting under a new generation would only be deduped anyway.
+func (w *Worker) post(tr Transport, gen int64, results []WireResult) {
 	for attempt := 0; ; attempt++ {
 		err := tr.Results(ResultsRequest{ID: w.cfg.ID, Gen: gen, Results: results})
 		if err == nil || errors.Is(err, ErrGone) {

@@ -14,11 +14,13 @@ import (
 )
 
 // maxBodyBytes bounds a request body; maxTasksPerPush bounds one batch;
-// maxSleepUS and maxSpin bound one task's simulated work so a single
-// request cannot wedge the shared platform's workers.
+// maxWindow bounds a job's in-flight window, which sizes its runner's
+// buffers; maxSleepUS and maxSpin bound one task's simulated work so a
+// single request cannot wedge the shared platform's workers.
 const (
 	maxBodyBytes    = 8 << 20
 	maxTasksPerPush = 100000
+	maxWindow       = 65536
 	maxSleepUS      = 60_000_000
 	maxSpin         = 1_000_000_000
 )

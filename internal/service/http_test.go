@@ -538,6 +538,7 @@ func TestHTTPRejectsInvalidJobSpec(t *testing.T) {
 		body string
 	}{
 		{"negative window", `{"name":"bad","window":-1}`},
+		{"oversized window", `{"name":"bad","window":4000000000}`},
 		{"negative warmup", `{"name":"bad","warmup":-2}`},
 		{"negative max_results", `{"name":"bad","max_results":-5}`},
 		{"negative threshold", `{"name":"bad","threshold_factor":-0.5}`},

@@ -133,8 +133,8 @@ func (js JobSpec) withDefaults(cfg Config) JobSpec {
 // cross-skeleton parameter mixups are client bugs the HTTP layer reports
 // as 400, never silently substituted with defaults.
 func (js JobSpec) Validate() error {
-	if js.Window < 0 {
-		return fmt.Errorf("window must be non-negative, got %d", js.Window)
+	if js.Window < 0 || js.Window > maxWindow {
+		return fmt.Errorf("window must be in [0, %d], got %d", maxWindow, js.Window)
 	}
 	if js.WarmupTasks < 0 {
 		return fmt.Errorf("warmup must be non-negative, got %d", js.WarmupTasks)

@@ -600,8 +600,9 @@ func (s *Service) startRunner(j *Job, explicitWindow bool) error {
 		// The service default window is sized to the local worker slots; a
 		// cluster usually has far more execution slots than that, so an
 		// unspecified window grows to cover them — never shrinking below the
-		// local default, which still bounds tiny clusters sensibly.
-		if w := 2 * pool.TotalCapacity(); !explicitWindow && w > j.spec.Window {
+		// local default, which still bounds tiny clusters sensibly, nor
+		// growing past the window a spec may ask for.
+		if w := min(2*pool.TotalCapacity(), maxWindow); !explicitWindow && w > j.spec.Window {
 			j.spec.Window = w
 		}
 		j.mu.Lock()
