@@ -1,13 +1,13 @@
 package main
 
 // The -write-docs mode makes the reproduction report a build artifact:
-// it runs every experiment on its declared substrate and regenerates
+// it runs every experiment on the virtual-time simulator and regenerates
 // EXPERIMENTS.md (every table plus its pass/fail shape checks) and
 // DESIGN.md (the system inventory assembled from per-package doc comments
 // plus the experiment index). The output is deterministic — no clocks, no
-// map iteration, vsim experiments seeded, modern-stack tables stated over
-// shape values only — so repeated runs are byte-identical and CI can fail
-// on drift with a plain `git diff --exit-code`.
+// map iteration, every experiment seeded — so repeated runs are
+// byte-identical and CI can fail on drift with a plain `git diff
+// --exit-code`.
 
 import (
 	"fmt"
@@ -25,13 +25,6 @@ import (
 // generatedMarker is the first line of both documents after the title —
 // the machine-recognisable "do not edit" stamp.
 const generatedMarker = "<!-- Code generated by `go run ./cmd/graspbench -write-docs`. DO NOT EDIT. -->"
-
-// placementBlurb names each substrate for the generated documents.
-var placementBlurb = map[experiments.Placement]string{
-	experiments.PlaceVSim:    "virtual-time grid simulator (deterministic, seeded)",
-	experiments.PlaceLocal:   "streaming service layer on the real goroutine runtime",
-	experiments.PlaceCluster: "in-process worker-node cluster over the real HTTP protocol",
-}
 
 // findRoot walks up from the working directory to the module root (the
 // directory holding go.mod), where the generated documents live.
@@ -60,7 +53,7 @@ func writeDocs(root string, seed int64, quiet bool) (failures int, err error) {
 	results := make([]experiments.Result, len(runners))
 	for i, r := range runners {
 		if !quiet {
-			fmt.Printf("running %-4s [%s] %s\n", r.ID, r.Placement, r.Title)
+			fmt.Printf("running %-4s %s\n", r.ID, r.Title)
 		}
 		results[i] = r.Run(seed)
 		failures += len(results[i].FailedChecks())
@@ -84,38 +77,35 @@ func writeDocs(root string, seed int64, quiet bool) (failures int, err error) {
 
 // renderExperiments builds EXPERIMENTS.md: an index table plus one section
 // per experiment with its rendered table and shape-check outcomes. Check
-// details are deliberately omitted — the modern-stack details carry
-// wall-clock numbers; run `graspbench -experiment <ID>` to see them.
+// details are deliberately omitted — they belong on the terminal; run
+// `graspbench -experiment <ID>` to see them.
 func renderExperiments(runners []experiments.Runner, results []experiments.Result, seed int64) string {
 	d := report.NewDoc()
 	d.Heading(1, "EXPERIMENTS — the generated reproduction report")
 	d.Raw(generatedMarker)
-	d.Para("Every experiment below executed on its declared substrate when this file "+
-		"was generated (seed %d): `vsim` experiments run the deterministic virtual-time "+
-		"grid simulator, `local` experiments run the streaming service layer (and the "+
-		"daemon's HTTP API) on the real goroutine runtime, and `cluster` experiments run "+
-		"an in-process worker-node cluster speaking the real coordinator protocol. "+
-		"Each section shows the experiment's rendered table and its machine-checkable "+
-		"shape assertions; check details (which may carry run-specific timings) are "+
-		"printed by `go run ./cmd/graspbench -experiment <ID>`. Regenerate this file "+
-		"with `go run ./cmd/graspbench -write-docs` (or `go generate .`); CI fails "+
-		"when it drifts from the code.", seed)
+	d.Para("Every experiment below executed on the deterministic virtual-time grid "+
+		"simulator when this file was generated (seed %d). Each section shows the "+
+		"experiment's rendered table and its machine-checkable shape assertions; check "+
+		"details are printed by `go run ./cmd/graspbench -experiment <ID>`. The served "+
+		"stack's claims (HTTP API, cluster failover and rejoin, timeline, share "+
+		"autoscaling) are asserted by the service, cluster and end-to-end test suites. "+
+		"Regenerate this file with `go run ./cmd/graspbench -write-docs` (or `go "+
+		"generate .`); CI fails when it drifts from the code.", seed)
 
 	d.Heading(2, "Index")
-	idx := report.NewTable("", "ID", "placement", "checks", "status", "title")
+	idx := report.NewTable("", "ID", "checks", "status", "title")
 	for i, r := range runners {
 		status := "pass"
 		if !results[i].Passed() {
 			status = "FAIL"
 		}
-		idx.AddRow(r.ID, string(r.Placement), len(results[i].Checks), status, r.Title)
+		idx.AddRow(r.ID, len(results[i].Checks), status, r.Title)
 	}
 	d.Table(idx)
 
 	for i, r := range runners {
 		res := results[i]
 		d.Heading(2, "%s — %s", r.ID, r.Title)
-		d.Para("*Placement: %s — %s.*", r.Placement, placementBlurb[r.Placement])
 		d.Table(res.Table)
 		for _, c := range res.Checks {
 			d.Check(c.Name, c.Pass)
@@ -289,21 +279,17 @@ func renderDesign(runners []experiments.Runner, inv []pkgDoc) string {
 	d.Heading(2, "3. Experiment index")
 	d.Para("One row per reproduction exhibit; tables, shape checks, and current " +
 		"pass/fail state are generated into [EXPERIMENTS.md](EXPERIMENTS.md).")
-	t := report.NewTable("", "ID", "placement", "title")
+	t := report.NewTable("", "ID", "title")
 	for _, r := range runners {
-		t.AddRow(r.ID, string(r.Placement), r.Title)
+		t.AddRow(r.ID, r.Title)
 	}
 	d.Table(t)
-	d.Para("Placements: `vsim` — %s; `local` — %s; `cluster` — %s.",
-		placementBlurb[experiments.PlaceVSim],
-		placementBlurb[experiments.PlaceLocal],
-		placementBlurb[experiments.PlaceCluster])
 
 	d.Heading(2, "4. Regeneration and drift")
 	d.Code("sh", "go run ./cmd/graspbench -write-docs   # or: go generate .\n"+
 		"git diff --exit-code EXPERIMENTS.md DESIGN.md")
-	d.Para("The `docs` CI job runs exactly that: experiments execute on their real " +
-		"substrates, the documents are rewritten, and any byte of drift fails the " +
+	d.Para("The `docs` CI job runs exactly that: experiments execute in virtual " +
+		"time, the documents are rewritten, and any byte of drift fails the " +
 		"build. `go test .` additionally checks every relative markdown link in the " +
 		"repo resolves.")
 	return d.String()

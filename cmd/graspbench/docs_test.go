@@ -67,8 +67,8 @@ func stubMatrix() ([]experiments.Runner, []experiments.Result) {
 	tb := report.NewTable("T", "k", "v")
 	tb.AddRow("a", 1)
 	runners := []experiments.Runner{
-		{ID: "E1", Title: "First", Placement: experiments.PlaceVSim},
-		{ID: "E2", Title: "Second", Placement: experiments.PlaceCluster},
+		{ID: "E1", Title: "First"},
+		{ID: "E2", Title: "Second"},
 	}
 	results := []experiments.Result{
 		{ID: "E1", Title: "First", Table: tb, Checks: []experiments.Check{{Name: "good", Pass: true}}},
@@ -120,7 +120,7 @@ func TestRenderDesignShape(t *testing.T) {
 		"`examples/demo`",
 		"Package grasp is the root.",
 		"## 3. Experiment index",
-		"| E2  | cluster",
+		"| E2  | Second",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("DESIGN.md missing %q", want)

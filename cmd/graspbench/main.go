@@ -10,7 +10,7 @@
 //	graspbench                 run every experiment
 //	graspbench -experiment E3  run one experiment
 //	graspbench -seed 7         change the stochastic seed
-//	graspbench -list           list experiment IDs, placements, and titles
+//	graspbench -list           list experiment IDs and titles
 //	graspbench -write-docs     run the E-matrix and regenerate
 //	                           EXPERIMENTS.md and DESIGN.md in the module
 //	                           root (deterministic; wired to `go generate .`
@@ -60,7 +60,7 @@ func main() {
 
 	if *list {
 		for _, r := range experiments.All() {
-			fmt.Printf("%-4s %-8s %s\n", r.ID, r.Placement, r.Title)
+			fmt.Printf("%-4s %s\n", r.ID, r.Title)
 		}
 		return
 	}

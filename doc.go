@@ -186,11 +186,12 @@
 // seeded slow-node degradation schedules for the simulator) whose byte
 // streams replay identically for a given seed; graspworker's
 // -degrade-after/-degrade-factor script a straggling node across real
-// process boundaries. E29, E30 and the scenario suite
-// (TestScenarioE2EFlashCrowd, TestScenarioE2ESlowNode) hold the policy to
-// its claims: strictly fewer breaches than reactive on the same
-// degradation, and overload answered with 429s while every admitted task
-// still completes exactly once. See README.md's "Overload & admission
+// process boundaries. E29, TestForecastAutoscalesTheShare and the
+// scenario suite (TestScenarioE2EFlashCrowd, TestScenarioE2ESlowNode) hold
+// the policy to its claims: strictly fewer breaches than reactive on the
+// same degradation, a forecast over the window lifting the job's share,
+// and overload answered with 429s while every admitted task still
+// completes exactly once. See README.md's "Overload & admission
 // control" section.
 //
 // # Observability layer
@@ -210,8 +211,10 @@
 // instrumentation is budgeted, not just present: histogram Observe and
 // the trace ring's Append are zero-allocation, and CI's ladder ratio gate
 // fails if one observation plus two appends cost a task more than 5% of
-// its binary-wire time in the same bench/ladder run. E28
-// reconstructs a breach-recalibration from the timeline endpoint alone.
+// its binary-wire time in the same bench/ladder run. TestHTTPTimeline
+// reads a job's phases and per-task events back from the endpoint alone,
+// and TestServiceThreeConcurrentStreamingJobs checks each job's breaches
+// and recalibrations in its trace against its status.
 // See README.md's Observability section.
 package grasp
 

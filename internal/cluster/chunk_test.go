@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -347,10 +349,14 @@ func TestLeaseAheadStopsWithoutWaitingOutTheParkedLease(t *testing.T) {
 }
 
 // lossyLeases is an HTTP round tripper that loses the first lose lease
-// requests that carry results — the request never reaches the coordinator —
-// and counts them.
+// requests that carry results — the request never reaches the coordinator.
+// The first loss closes first and records in held how many results that
+// request carried.
 type lossyLeases struct {
-	lose, lost atomic.Int64
+	lose  atomic.Int64
+	once  sync.Once
+	first chan struct{}
+	held  int // read after first is closed
 }
 
 func (ll *lossyLeases) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -361,7 +367,13 @@ func (ll *lossyLeases) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		if bytes.Contains(body, []byte(`"results"`)) && ll.lose.Add(-1) >= 0 {
-			ll.lost.Add(1)
+			ll.once.Do(func() {
+				var lr LeaseRequest
+				if err := json.Unmarshal(body, &lr); err == nil {
+					ll.held = len(lr.Results)
+				}
+				close(ll.first)
+			})
 			return nil, errors.New("lossy: lease request dropped")
 		}
 		req.Body = io.NopCloser(bytes.NewReader(body))
@@ -397,7 +409,7 @@ func TestHeldResults(t *testing.T) {
 			t.Cleanup(co.Close)
 			url := startTestServer(t, co)
 			startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})
-			lossy := &lossyLeases{}
+			lossy := &lossyLeases{first: make(chan struct{})}
 			lossy.lose.Store(tc.lose)
 			victim := startWorkerWith(t, WorkerConfig{
 				Coordinator: url, ID: "b-victim", Capacity: 1,
@@ -406,25 +418,30 @@ func TestHeldResults(t *testing.T) {
 			const n = 40
 			l := rt.NewLocal()
 			pool := NewPool(co, l, co.Live())
-			// The batch farm admits the whole population up front, so the
-			// victim's first chunk is a full pair.
-			wait := startRun(l, func(c rt.Ctx) engine.StreamReport {
-				return farm.Run(pool, c, sleepTasks(0, n, tc.sleepUS), farm.Options{Workers: []int{0, 1}, Chunk: sched.FixedChunk{K: 2}})
-			})
+			// The farm starts on the victim's slot alone, so the victim is
+			// dealt every chunk until it holds results a lost request
+			// carried; only then does a-live join. The window admits the
+			// whole population, so after the first chunk every chunk is a
+			// pair — two 2 ms tasks are two one-task leases, the second
+			// leased ahead carrying the first's result.
+			control := l.NewChan("test.control", 1)
+			wait := startFarm(pool, l, 2, sleepTasks(0, n, tc.sleepUS),
+				engine.StreamOptions{Workers: []int{1}, Window: n, Control: control})
+			select {
+			case <-lossy.first:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the victim never sent a lease request carrying results")
+			}
+			control.TrySend(nil, engine.Update{Add: []engine.Member{{Worker: 0}}})
 			wantFailed := int64(0)
 			if tc.stop {
-				// Bounded: a run that ends before the victim is dealt a chunk
-				// leaves it nothing to lose, and the checks below say so.
-				for deadline := time.Now().Add(5 * time.Second); lossy.lost.Load() == 0 && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
 				victim.Stop()
-				wantFailed = 2
+				wantFailed = int64(lossy.held)
 			}
 			rep := wait()
 			assertExactIDs(t, rep, n)
-			if int64(rep.Failures) != wantFailed {
-				t.Errorf("failures = %d, want %d", rep.Failures, wantFailed)
+			if int64(rep.Failures) != wantFailed || (tc.stop && wantFailed == 0) {
+				t.Errorf("failures = %d, want the %d results the lost request carried", rep.Failures, wantFailed)
 			}
 			for _, ni := range co.Nodes() {
 				if ni.ID != "b-victim" {
@@ -434,14 +451,11 @@ func TestHeldResults(t *testing.T) {
 					t.Errorf("victim = %+v, want %d failed over, no late or duplicate post, completions only without the stop", ni, wantFailed)
 				}
 			}
-			if lost := lossy.lost.Load(); lost < 1 {
-				t.Errorf("no lease request carrying results was ever lost: the scenario did not run")
-			}
 			if expired := co.Metrics().Counter("cluster_leases_expired_total").Value(); expired != 0 {
 				t.Errorf("%d leases expired: a held result was lost, not resent", expired)
 			}
-			// With 2 ms tasks the first request to carry results is the
-			// lease ahead of the victim's second task: the one lost.
+			// With 2 ms tasks the first request to carry results is a lease
+			// ahead: the one lost.
 			if ahead := victim.Metrics().Counter("worker_leases_ahead_total").Value(); (ahead > 0) != (tc.sleepUS > 0) {
 				t.Errorf("victim worker_leases_ahead_total = %d with %d µs tasks", ahead, tc.sleepUS)
 			}

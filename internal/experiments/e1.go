@@ -97,6 +97,5 @@ func countSpans(log *trace.Log, name string) int {
 	return n
 }
 
-// runnerE1 registers E1 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE1 = Runner{ID: "E1", Title: "GRASP lifecycle (Fig. 1)", Placement: PlaceVSim, Run: E1Lifecycle}
+// runnerE1 registers E1 in the experiment index.
+var runnerE1 = Runner{ID: "E1", Title: "GRASP lifecycle (Fig. 1)", Run: E1Lifecycle}

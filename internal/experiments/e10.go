@@ -109,6 +109,5 @@ func E10Ablation(seed int64) Result {
 	return Result{ID: "E10", Title: "Chunk-policy ablation", Table: table, Checks: checks}
 }
 
-// runnerE10 registers E10 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE10 = Runner{ID: "E10", Title: "Ablation: chunk policy × workload", Placement: PlaceVSim, Run: E10Ablation}
+// runnerE10 registers E10 in the experiment index.
+var runnerE10 = Runner{ID: "E10", Title: "Ablation: chunk policy × workload", Run: E10Ablation}

@@ -92,6 +92,5 @@ func E11ThresholdRule(seed int64) Result {
 	return Result{ID: "E11", Title: "Threshold rule ablation", Table: table, Checks: checks}
 }
 
-// runnerE11 registers E11 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE11 = Runner{ID: "E11", Title: "Ablation: threshold rule (min/mean/max over Z)", Placement: PlaceVSim, Run: E11ThresholdRule}
+// runnerE11 registers E11 in the experiment index.
+var runnerE11 = Runner{ID: "E11", Title: "Ablation: threshold rule (min/mean/max over Z)", Run: E11ThresholdRule}

@@ -115,6 +115,5 @@ func crashValues(m map[int]time.Duration) string {
 	return fmt.Sprintf("%d nodes, t∈[5s,15s]", len(m))
 }
 
-// runnerE12 registers E12 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE12 = Runner{ID: "E12", Title: "Fault tolerance under node crashes", Placement: PlaceVSim, Run: E12FaultTolerance}
+// runnerE12 registers E12 in the experiment index.
+var runnerE12 = Runner{ID: "E12", Title: "Fault tolerance under node crashes", Run: E12FaultTolerance}

@@ -143,6 +143,5 @@ func E13Map(seed int64) Result {
 	return Result{ID: "E13", Title: "Data-parallel map skeleton", Table: table, Checks: checks}
 }
 
-// runnerE13 registers E13 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE13 = Runner{ID: "E13", Title: "Data-parallel map: decomposition, waves, dispatch traffic", Placement: PlaceVSim, Run: E13Map}
+// runnerE13 registers E13 in the experiment index.
+var runnerE13 = Runner{ID: "E13", Title: "Data-parallel map: decomposition, waves, dispatch traffic", Run: E13Map}

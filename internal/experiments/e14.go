@@ -99,6 +99,5 @@ func E14Reduce(seed int64) Result {
 	return Result{ID: "E14", Title: "Reduction topologies", Table: table, Checks: checks}
 }
 
-// runnerE14 registers E14 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE14 = Runner{ID: "E14", Title: "Reduction topologies on a heterogeneous grid", Placement: PlaceVSim, Run: E14Reduce}
+// runnerE14 registers E14 in the experiment index.
+var runnerE14 = Runner{ID: "E14", Title: "Reduction topologies on a heterogeneous grid", Run: E14Reduce}

@@ -127,6 +127,5 @@ func poolSizes(pools [][]int) string {
 	return out
 }
 
-// runnerE15 registers E15 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE15 = Runner{ID: "E15", Title: "Skeleton nesting: pipe-of-farms vs plain pipeline", Placement: PlaceVSim, Run: E15Compose}
+// runnerE15 registers E15 in the experiment index.
+var runnerE15 = Runner{ID: "E15", Title: "Skeleton nesting: pipe-of-farms vs plain pipeline", Run: E15Compose}

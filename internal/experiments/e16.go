@@ -81,6 +81,5 @@ func E16DivideConquer(seed int64) Result {
 	return Result{ID: "E16", Title: "D&C grain sweep", Table: table, Checks: checks}
 }
 
-// runnerE16 registers E16 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE16 = Runner{ID: "E16", Title: "Divide-and-conquer grain sweep", Placement: PlaceVSim, Run: E16DivideConquer}
+// runnerE16 registers E16 in the experiment index.
+var runnerE16 = Runner{ID: "E16", Title: "Divide-and-conquer grain sweep", Run: E16DivideConquer}

@@ -109,6 +109,5 @@ func E17Migration(seed int64) Result {
 	return Result{ID: "E17", Title: "Pool migration under demand shift", Table: table, Checks: checks}
 }
 
-// runnerE17 registers E17 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE17 = Runner{ID: "E17", Title: "Pool migration under a mid-stream demand shift", Placement: PlaceVSim, Run: E17Migration}
+// runnerE17 registers E17 in the experiment index.
+var runnerE17 = Runner{ID: "E17", Title: "Pool migration under a mid-stream demand shift", Run: E17Migration}

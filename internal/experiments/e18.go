@@ -150,6 +150,5 @@ func E18MultiSite(seed int64) Result {
 	return Result{ID: "E18", Title: "Multi-site co-allocation", Table: table, Checks: checks}
 }
 
-// runnerE18 registers E18 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE18 = Runner{ID: "E18", Title: "Multi-site co-allocation by communication/computation ratio", Placement: PlaceVSim, Run: E18MultiSite}
+// runnerE18 registers E18 in the experiment index.
+var runnerE18 = Runner{ID: "E18", Title: "Multi-site co-allocation by communication/computation ratio", Run: E18MultiSite}

@@ -134,6 +134,5 @@ func E19Proactive(seed int64) Result {
 	return Result{ID: "E19", Title: "Reactive vs proactive adaptation", Table: table, Checks: checks}
 }
 
-// runnerE19 registers E19 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE19 = Runner{ID: "E19", Title: "Reactive vs proactive adaptation under a load ramp", Placement: PlaceVSim, Run: E19Proactive}
+// runnerE19 registers E19 in the experiment index.
+var runnerE19 = Runner{ID: "E19", Title: "Reactive vs proactive adaptation under a load ramp", Run: E19Proactive}

@@ -96,6 +96,5 @@ func rowID(kind string, p int, cv float64) string {
 	return fmt.Sprintf("%s@P%d/cv%.2f", kind, p, cv)
 }
 
-// runnerE2 registers E2 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE2 = Runner{ID: "E2", Title: "Calibration ranking quality (Alg. 1)", Placement: PlaceVSim, Run: E2Calibration}
+// runnerE2 registers E2 in the experiment index.
+var runnerE2 = Runner{ID: "E2", Title: "Calibration ranking quality (Alg. 1)", Run: E2Calibration}

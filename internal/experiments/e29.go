@@ -136,6 +136,5 @@ func E29PredictiveAdaptation(seed int64) Result {
 	return Result{ID: "E29", Title: "Predictive adaptation under slow-node degradation", Table: table, Checks: checks}
 }
 
-// runnerE29 registers E29 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE29 = Runner{ID: "E29", Title: "Predictive vs reactive adaptation under slow-node degradation", Placement: PlaceVSim, Run: E29PredictiveAdaptation}
+// runnerE29 registers E29 in the experiment index.
+var runnerE29 = Runner{ID: "E29", Title: "Predictive vs reactive adaptation under slow-node degradation", Run: E29PredictiveAdaptation}

@@ -106,6 +106,5 @@ func E3FarmAdaptive(seed int64) Result {
 	return Result{ID: "E3", Title: "Adaptive vs static farm", Table: table, Checks: checks}
 }
 
-// runnerE3 registers E3 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE3 = Runner{ID: "E3", Title: "Adaptive vs static task farm under pressure (ref [6] shape)", Placement: PlaceVSim, Run: E3FarmAdaptive}
+// runnerE3 registers E3 in the experiment index.
+var runnerE3 = Runner{ID: "E3", Title: "Adaptive vs static task farm under pressure (ref [6] shape)", Run: E3FarmAdaptive}

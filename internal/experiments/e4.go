@@ -93,6 +93,5 @@ func E4PipeAdaptive(seed int64) Result {
 	return Result{ID: "E4", Title: "Adaptive vs static pipeline", Table: table, Checks: checks}
 }
 
-// runnerE4 registers E4 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE4 = Runner{ID: "E4", Title: "Adaptive vs static pipeline (ref [7] shape)", Placement: PlaceVSim, Run: E4PipeAdaptive}
+// runnerE4 registers E4 in the experiment index.
+var runnerE4 = Runner{ID: "E4", Title: "Adaptive vs static pipeline (ref [7] shape)", Run: E4PipeAdaptive}

@@ -154,6 +154,5 @@ func (o overlay) NextChange(t time.Duration) (time.Duration, bool) {
 	return 0, false
 }
 
-// runnerE5 registers E5 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE5 = Runner{ID: "E5", Title: "Threshold Z sensitivity (Alg. 2)", Placement: PlaceVSim, Run: E5Threshold}
+// runnerE5 registers E5 in the experiment index.
+var runnerE5 = Runner{ID: "E5", Title: "Threshold Z sensitivity (Alg. 2)", Run: E5Threshold}

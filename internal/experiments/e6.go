@@ -101,6 +101,5 @@ func E6Ranking(seed int64) Result {
 	return Result{ID: "E6", Title: "Ranking strategies under noise", Table: table, Checks: checks}
 }
 
-// runnerE6 registers E6 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE6 = Runner{ID: "E6", Title: "Statistical vs time-only calibration (Alg. 1)", Placement: PlaceVSim, Run: E6Ranking}
+// runnerE6 registers E6 in the experiment index.
+var runnerE6 = Runner{ID: "E6", Title: "Statistical vs time-only calibration (Alg. 1)", Run: E6Ranking}

@@ -99,6 +99,5 @@ func E7Scalability(seed int64) Result {
 	return Result{ID: "E7", Title: "Scalability", Table: table, Checks: checks}
 }
 
-// runnerE7 registers E7 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE7 = Runner{ID: "E7", Title: "Scalability with node count", Placement: PlaceVSim, Run: E7Scalability}
+// runnerE7 registers E7 in the experiment index.
+var runnerE7 = Runner{ID: "E7", Title: "Scalability with node count", Run: E7Scalability}

@@ -117,6 +117,5 @@ func E8Heterogeneity(seed int64) Result {
 	return Result{ID: "E8", Title: "Heterogeneity and dispatch", Table: table, Checks: checks}
 }
 
-// runnerE8 registers E8 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE8 = Runner{ID: "E8", Title: "Heterogeneity and dispatch policy", Placement: PlaceVSim, Run: E8Heterogeneity}
+// runnerE8 registers E8 in the experiment index.
+var runnerE8 = Runner{ID: "E8", Title: "Heterogeneity and dispatch policy", Run: E8Heterogeneity}

@@ -95,6 +95,5 @@ func E9CalibCost(seed int64) Result {
 	return Result{ID: "E9", Title: "Calibration amortisation", Table: table, Checks: checks}
 }
 
-// runnerE9 registers E9 in the experiment index with its execution
-// placement — the substrate seam every experiment declares.
-var runnerE9 = Runner{ID: "E9", Title: "Calibration cost amortisation", Placement: PlaceVSim, Run: E9CalibCost}
+// runnerE9 registers E9 in the experiment index.
+var runnerE9 = Runner{ID: "E9", Title: "Calibration cost amortisation", Run: E9CalibCost}

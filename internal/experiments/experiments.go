@@ -13,22 +13,17 @@
 // trade stability against responsiveness, and calibration overhead
 // amortises.
 //
-// Every experiment declares a Placement — the execution substrate it
-// drives. E1–E19 and E29 run on the deterministic virtual-time grid
-// simulator and reproduce the paper's claim (calibrate, run the skeleton,
-// detect, recalibrate) byte-identically per seed. E21–E23, E28 and E30 run
-// the modern stack itself on the wall clock, and each holds a claim no
-// test states: three skeletons over the daemon's HTTP API (E21), an
-// evicted node rejoining the job it was dropped from (E22), one workload
-// on three substrates (E23, the bridge from the simulator to the daemon),
-// a breach-recalibration reconstructed from the timeline endpoint alone
-// (E28), and a flash crowd whose queue-depth forecast autoscales the
-// job's fair share (E30). E29 grades reactive vs predictive policies on
-// an identical seeded slow-node degradation.
+// Every experiment runs on the deterministic virtual-time grid simulator
+// (internal/vsim + internal/grid): stochastic inputs are seeded, time is
+// virtual, and every run with the same seed is byte-identical. E1–E19
+// reproduce the paper's claim (calibrate, run the skeleton, detect,
+// recalibrate); E29 grades reactive vs predictive policies on an
+// identical seeded slow-node degradation.
 //
 // A claim has one home: what the service, cluster and multi-process e2e
-// suites assert is not re-told here as a wall-clock exhibit. IDs are never
-// reused, so the index has gaps where such exhibits were retired.
+// suites assert on the wall clock is not re-told here as an exhibit. IDs
+// are never reused, so the index has gaps where such exhibits were
+// retired.
 package experiments
 
 import (
@@ -78,36 +73,12 @@ func check(name string, pass bool, detailFormat string, args ...any) Check {
 	return Check{Name: name, Pass: pass, Detail: fmt.Sprintf(detailFormat, args...)}
 }
 
-// Placement names the execution substrate an experiment drives.
-type Placement string
-
-// The three substrates an experiment can execute on.
-const (
-	// PlaceVSim is the deterministic virtual-time grid simulator
-	// (internal/vsim + internal/grid): stochastic inputs are seeded, time is
-	// virtual, and every run with the same seed is byte-identical.
-	PlaceVSim Placement = "vsim"
-	// PlaceLocal is the real goroutine runtime behind internal/service: the
-	// streaming multi-job layer (and, for E21, the daemon's HTTP API over
-	// it) running on actual wall-clock time.
-	PlaceLocal Placement = "local"
-	// PlaceCluster is an in-process cluster.Pool: a coordinator plus worker
-	// runtimes speaking the real HTTP worker-node protocol inside one
-	// process, behind the same service layer.
-	PlaceCluster Placement = "cluster"
-)
-
 // Runner is a named experiment entry point. Seed varies the stochastic
-// inputs; for the vsim placement every run with the same seed is
-// identical, while local/cluster runs assert shapes that hold on any
-// healthy machine.
+// inputs; every run with the same seed is identical.
 type Runner struct {
 	ID    string
 	Title string
-	// Placement is the execution substrate the experiment drives; the
-	// generated report groups and labels experiments by it.
-	Placement Placement
-	Run       func(seed int64) Result
+	Run   func(seed int64) Result
 }
 
 // All returns every experiment in index order. Each runnerEN value lives
@@ -118,8 +89,7 @@ func All() []Runner {
 		runnerE1, runnerE2, runnerE3, runnerE4, runnerE5, runnerE6,
 		runnerE7, runnerE8, runnerE9, runnerE10, runnerE11, runnerE12,
 		runnerE13, runnerE14, runnerE15, runnerE16, runnerE17, runnerE18,
-		runnerE19, runnerE21, runnerE22, runnerE23, runnerE28, runnerE29,
-		runnerE30,
+		runnerE19, runnerE29,
 	}
 }
 

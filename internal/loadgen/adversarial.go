@@ -1,6 +1,6 @@
 package loadgen
 
-// Adversarial load scenarios for the overload experiments (E29, E30) and the
+// Adversarial load scenarios for the overload experiment (E29) and the
 // scenario end-to-end suite: seeded generators for the two failure shapes
 // the predictive policy is built to survive — a node that slowly degrades
 // under rising external contention, and demand that arrives faster than the

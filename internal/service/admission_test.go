@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,6 +90,9 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 			if st.Completed != st.Submitted || st.Submitted == 0 {
 				t.Errorf("completed %d of %d submitted", st.Completed, st.Submitted)
 			}
+			if len(st.ForecastMicros) == 0 {
+				t.Error("a second of predictive traffic surfaced no per-worker forecast in the status")
+			}
 			assertConserved(t, s)
 		})
 	}
@@ -162,6 +166,69 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 			}
 			waitDone(t, j, 10*time.Second)
 		})
+	}
+}
+
+// TestForecastAutoscalesTheShare drives the share autoscaler with a
+// synthetic flash crowd: a local predictive job beside a calm competitor,
+// shedding off. A queue forecast of five windows lifts the job's
+// effective share above its declared one and pulls a worker slot from the
+// competitor, traced as one "share autoscaled" forecast event; the job
+// never sheds; a calm series gives the slot back.
+func TestForecastAutoscalesTheShare(t *testing.T) {
+	const window = 8
+	s := New(Config{Workers: 4, WarmupTasks: 2, ShedFactor: -1, ForecastEvery: time.Hour}) // the loop never samples: the test does
+	steady, err := s.Submit("steady", JobSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crowd, err := s.Submit("crowd", JobSpec{Window: window, Adapt: AdaptPredictive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := crowd.Status()
+	if before.EffectiveShare != 1 || before.Workers != 2 {
+		t.Fatalf("before the crowd: share %.2f on %d workers, want 1 on 2", before.EffectiveShare, before.Workers)
+	}
+	depth := stats.NewTrendWindow(forecastWindow)
+	for i := 0; i < forecastWindow/2; i++ {
+		s.forecastStep(crowd, depth, 5*window)
+	}
+	st := crowd.Status()
+	if st.QueueForecast <= window || st.EffectiveShare <= st.Share || st.Workers <= before.Workers {
+		t.Errorf("after the burst: forecast %.1f, share %.2f (declared %.2f) on %d workers; want a forecast over %d lifting both",
+			st.QueueForecast, st.EffectiveShare, st.Share, st.Workers, window)
+	}
+	autoscaled := 0
+	for _, e := range crowd.Trace().Filter(trace.KindForecast) {
+		if strings.HasPrefix(e.Msg, "share autoscaled") {
+			autoscaled++
+		}
+	}
+	if autoscaled != 1 {
+		t.Errorf("%d share-autoscaled forecast events after the burst, want 1", autoscaled)
+	}
+	if _, err := crowd.Push(burst(0, 2*window, 0)); err != nil {
+		t.Errorf("push during the burst: %v", err)
+	}
+	for i := 0; i < forecastWindow; i++ {
+		s.forecastStep(crowd, depth, 0)
+	}
+	st = crowd.Status()
+	if st.EffectiveShare != st.Share || st.Workers != before.Workers {
+		t.Errorf("after the calm: share %.2f on %d workers, want the declared %.2f on %d", st.EffectiveShare, st.Workers, st.Share, before.Workers)
+	}
+	if st.Shedding || st.Shed != 0 {
+		t.Errorf("shedding=%v shed=%d with shedding off", st.Shedding, st.Shed)
+	}
+	for _, j := range []*Job{crowd, steady} {
+		if err := j.CloseInput(); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j, 10*time.Second)
+	}
+	if st := crowd.Status(); st.Completed != 2*window {
+		t.Errorf("crowd completed %d of %d", st.Completed, 2*window)
 	}
 }
 

@@ -1,8 +1,15 @@
 package service_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -330,6 +337,151 @@ func TestNodeJoinsRunningClusterJob(t *testing.T) {
 	}
 	if rep := j.Report(); rep.WorkersAdded < 2 {
 		t.Errorf("engine admitted %d workers, want the joiner's 2 slots", rep.WorkersAdded)
+	}
+}
+
+// heldLease is a node's HTTP transport that holds the first lease response
+// carrying tasks until the test releases it: while it is held, those tasks
+// are leased to the node and cannot have run.
+type heldLease struct {
+	taken   atomic.Bool
+	leased  chan struct{} // closed once the held response arrived
+	release chan struct{} // closed by the test
+}
+
+func (h *heldLease) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !strings.HasSuffix(req.URL.Path, "/lease") {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	var lr cluster.LeaseResponse
+	if json.Unmarshal(body, &lr) == nil && len(lr.Tasks) > 0 && h.taken.CompareAndSwap(false, true) {
+		close(h.leased)
+		<-h.release
+	}
+	return resp, nil
+}
+
+// TestEvictedNodeRejoinsRunningJob: a cluster job on two real workers loses
+// one, healthy, to an eviction while a lease of its tasks is in flight. The
+// leased work fails over to the survivor; the evicted process, told its
+// generation is gone, re-registers, and its fresh slots join the running
+// job and execute tasks. Across the loss and the rejoin every task is
+// delivered exactly once and nothing is lost.
+func TestEvictedNodeRejoinsRunningJob(t *testing.T) {
+	const phase, sleepUS = 40, 5_000
+	s, coord, url := startClusterDaemonURL(t, 1)
+	held := &heldLease{leased: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(held.release) })
+	defer release()
+	b, err := cluster.StartWorker(cluster.WorkerConfig{
+		Coordinator: url, ID: "b", Capacity: 2, BenchSpin: 10_000,
+		Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+		Transport: cluster.TransportJSON, Client: &http.Client{Transport: held},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Stop)
+
+	j, err := s.Submit("rejoin", service.JobSpec{Placement: service.PlacementCluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slotsAtSubmit := j.Status().Workers
+	var genAtSubmit int64
+	for _, ni := range coord.Live() {
+		if ni.ID == "b" {
+			genAtSubmit = ni.Gen
+		}
+	}
+	if slotsAtSubmit != 4 || genAtSubmit == 0 {
+		t.Fatalf("at submit: %d slots, b at gen %d; want 4 slots on two live nodes", slotsAtSubmit, genAtSubmit)
+	}
+	rejoined := make(chan struct{})
+	var once sync.Once
+	cancel := coord.Subscribe(func(ev cluster.NodeEvent) {
+		if ev.Kind == cluster.EventUp && ev.Node.ID == "b" && ev.Node.Gen > genAtSubmit {
+			once.Do(func() { close(rejoined) })
+		}
+	})
+	defer cancel()
+
+	specs := func(base int) []service.TaskSpec {
+		out := make([]service.TaskSpec, phase)
+		for i := range out {
+			out[i] = service.TaskSpec{ID: base + i, SleepUS: sleepUS}
+		}
+		return out
+	}
+	pushed := make(chan error, 1)
+	go func() {
+		_, err := j.Push(specs(0))
+		pushed <- err
+	}()
+	await := func(c <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-c:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("timed out waiting for %s (status %+v)", what, j.Status())
+		}
+	}
+	await(held.leased, "a lease of tasks on b")
+	if err := coord.Evict("b"); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	await(rejoined, "b to re-register")
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Push(specs(phase)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.CloseInput(); err != nil {
+		t.Fatal(err)
+	}
+	await(j.Done(), "the job to drain")
+
+	st, rep := j.Status(), j.Report()
+	if st.Completed != 2*phase || st.Failures < 1 || st.Lost != 0 {
+		t.Errorf("completed=%d failures=%d lost=%d, want %d completed, the held lease failed over, none lost",
+			st.Completed, st.Failures, st.Lost, 2*phase)
+	}
+	if rep.WorkersAdded < 2 {
+		t.Errorf("engine admitted %d workers, want b's 2 fresh slots", rep.WorkersAdded)
+	}
+	fresh := 0
+	for w, n := range rep.TasksByWorker {
+		if w >= slotsAtSubmit {
+			fresh += n
+		}
+	}
+	if fresh == 0 {
+		t.Errorf("no executions on slots admitted after the eviction: %v", rep.TasksByWorker)
+	}
+	for _, nc := range st.Nodes {
+		if nc.Node == "a" && nc.Completed == 0 {
+			t.Errorf("the survivor completed nothing: %+v", st.Nodes)
+		}
+	}
+	results, _ := j.Results(0)
+	seen := make(map[int]bool, len(results))
+	for _, r := range results {
+		if seen[r.ID] || r.ID < 0 || r.ID >= 2*phase {
+			t.Fatalf("task %d delivered twice or out of range", r.ID)
+		}
+		seen[r.ID] = true
+	}
+	if len(seen) != 2*phase {
+		t.Errorf("%d distinct results, want %d", len(seen), 2*phase)
 	}
 }
 

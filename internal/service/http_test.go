@@ -98,6 +98,14 @@ func TestHTTPJobLifecycle(t *testing.T) {
 			t.Fatalf("job never drained: state %s, %d results", poll.State, len(got))
 		}
 	}
+	// The terminal cursor stands still: a poll from it returns nothing, the
+	// same next, and state done.
+	var tail resultsPage
+	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/jobs/alpha/results?after=%d", base, cursor), ``, http.StatusOK, &tail)
+	if len(tail.Results) != 0 || tail.Next != cursor || cursor != 5 || tail.State != JobDone {
+		t.Fatalf("poll from the terminal cursor %d = %d results, next %d, state %s; want 0, %d, %s",
+			cursor, len(tail.Results), tail.Next, tail.State, cursor, JobDone)
+	}
 
 	var status JobStatus
 	doJSON(t, "GET", base+"/api/v1/jobs/alpha", ``, http.StatusOK, &status)

@@ -2,9 +2,12 @@ package service
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"grasp/internal/trace"
 )
 
 // burst builds n task specs with IDs base..base+n-1 sleeping sleepUS each.
@@ -96,6 +99,26 @@ func TestServiceThreeConcurrentStreamingJobs(t *testing.T) {
 		}
 		if st.Breaches == 0 || st.Recalibrations == 0 {
 			t.Errorf("job %d: breaches=%d recalibrations=%d, want both > 0 (mid-stream adaptation)", k, st.Breaches, st.Recalibrations)
+		}
+		// The trace tells the same story as the status: one threshold event
+		// per breach, one breach-driven recalibration per counted one, and
+		// the warm-up's live threshold install as a control-driven
+		// (breach=false) recalibration.
+		thresholds := len(j.Trace().Filter(trace.KindThreshold))
+		var breachRecals, installs int
+		for _, e := range j.Trace().Filter(trace.KindRecalibrate) {
+			if strings.Contains(e.Msg, "breach=true") {
+				breachRecals++
+			} else {
+				installs++
+			}
+		}
+		if thresholds != st.Breaches || breachRecals != st.Recalibrations {
+			t.Errorf("job %d: trace has %d threshold and %d breach=true recalibrate events, status %d breaches and %d recalibrations",
+				k, thresholds, breachRecals, st.Breaches, st.Recalibrations)
+		}
+		if st.ZMicros <= 0 || installs == 0 {
+			t.Errorf("job %d: Z = %dµs with %d breach=false recalibrations, want the warm-up threshold installed live", k, st.ZMicros, installs)
 		}
 		// Exactly-once per job, and strictly this job's ID range: isolation.
 		results, _ := j.Results(0)

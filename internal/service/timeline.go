@@ -55,7 +55,8 @@ const defaultBucketMS = 100
 
 // buildTimeline reduces a trace log into the wire response: the events at
 // sequence numbers ≥ after (clamped by the ring's retention), the phase
-// spans, and completion throughput over the log's whole retained horizon.
+// spans, and completion throughput from the oldest retained event to the
+// newest, in at most trace.MaxBuckets buckets however old the log is.
 func buildTimeline(log *trace.Log, after int64, bucket time.Duration) timelineResponse {
 	events, next := log.Since(after)
 	resp := timelineResponse{

@@ -80,19 +80,23 @@ func TestHTTPTimeline(t *testing.T) {
 	if kinds[trace.KindCalibrate] == 0 {
 		t.Fatalf("no calibrate events: %v", kinds)
 	}
-	// Phase brackets: calibrate and warmup closed, stream closed by finish.
-	phases := make(map[string]int64)
+	// Phase brackets: calibrate and warmup closed, stream closed by finish;
+	// calibrate ends before the stream starts, and warmup lies inside it.
+	start, end := make(map[string]int64), make(map[string]int64)
 	for _, ph := range tl.Phases {
-		phases[ph.Name] = ph.EndNS
+		start[ph.Name], end[ph.Name] = ph.StartNS, ph.EndNS
 	}
 	for _, name := range []string{"calibrate", "warmup", "stream"} {
-		end, ok := phases[name]
+		e, ok := end[name]
 		if !ok {
 			t.Fatalf("phase %q missing (have %v)", name, tl.Phases)
 		}
-		if end < 0 {
+		if e < 0 {
 			t.Fatalf("phase %q never closed", name)
 		}
+	}
+	if end["calibrate"] > start["stream"] || start["warmup"] < start["stream"] || end["warmup"] > end["stream"] {
+		t.Fatalf("phases out of order: %+v", tl.Phases)
 	}
 	// Throughput buckets account for every completion.
 	sum := 0
@@ -130,6 +134,39 @@ func TestHTTPTimeline(t *testing.T) {
 	doJSON(t, "GET", base+"/api/v1/jobs/ghost/timeline", ``, http.StatusNotFound, nil)
 	// Cluster disabled in this service → its timeline is a 404.
 	doJSON(t, "GET", base+"/api/v1/cluster/timeline", ``, http.StatusNotFound, nil)
+}
+
+// TestTimelineThroughputIsBounded: a log an hour old read with 1 ms
+// buckets answers a series over its retained events alone, in at most
+// trace.MaxBuckets buckets, and still counts every completion — not one
+// bucket per millisecond since the daemon started.
+func TestTimelineThroughputIsBounded(t *testing.T) {
+	cases := []struct {
+		name string
+		at   []time.Duration
+	}{
+		{"two events an hour in", []time.Duration{time.Hour, time.Hour + time.Millisecond}},
+		{"events across the hour", []time.Duration{time.Millisecond, 30 * time.Minute, time.Hour}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			log := trace.NewBounded(16)
+			for i, at := range tc.at {
+				log.Append(trace.Event{At: at, Kind: trace.KindComplete, Task: i})
+			}
+			resp := buildTimeline(log, 0, time.Millisecond)
+			if n := len(resp.Throughput); n == 0 || n > trace.MaxBuckets {
+				t.Fatalf("%d throughput buckets, want 1..%d", n, trace.MaxBuckets)
+			}
+			sum := 0
+			for _, b := range resp.Throughput {
+				sum += b.Completions
+			}
+			if sum != len(tc.at) {
+				t.Fatalf("throughput sums to %d completions, want %d", sum, len(tc.at))
+			}
+		})
+	}
 }
 
 func TestHTTPTimelineCSV(t *testing.T) {

@@ -249,23 +249,37 @@ type Bucket struct {
 	Completions int
 }
 
+// MaxBuckets bounds a Throughput series: past it, the bucket widens.
+const MaxBuckets = 10_000
+
 // Throughput reduces completion events into fixed-width buckets covering
-// [0, horizon). A non-positive width yields a single bucket.
+// the retained events: from the bucket of the oldest one through the
+// bucket holding horizon. A series that would need more than MaxBuckets
+// widens its buckets to a multiple of width instead, so a log's age never
+// sizes the result. A non-positive width yields a single bucket; an empty
+// log yields nil.
 func (l *Log) Throughput(width, horizon time.Duration) []Bucket {
+	events := l.Events()
 	if width <= 0 {
 		width = horizon
 	}
-	if width <= 0 {
+	if width <= 0 || len(events) == 0 {
 		return nil
 	}
-	n := int(horizon/width) + 1
-	buckets := make([]Bucket, n)
-	for i := range buckets {
-		buckets[i].Start = time.Duration(i) * width
+	start := events[0].At / width * width
+	horizon = max(horizon, start)
+	if n := (horizon-start)/width + 1; n > MaxBuckets {
+		width *= (n + MaxBuckets - 1) / MaxBuckets
 	}
-	for _, e := range l.Filter(KindComplete) {
-		idx := int(e.At / width)
-		if idx >= 0 && idx < n {
+	buckets := make([]Bucket, (horizon-start)/width+1)
+	for i := range buckets {
+		buckets[i].Start = start + time.Duration(i)*width
+	}
+	for _, e := range events {
+		if e.Kind != KindComplete {
+			continue
+		}
+		if idx := int((e.At - start) / width); idx >= 0 && idx < len(buckets) {
 			buckets[idx].Completions++
 		}
 	}

@@ -109,6 +109,45 @@ func TestThroughputDegenerate(t *testing.T) {
 	}
 }
 
+// TestThroughputCoversOnlyTheRetainedEvents: the series starts at the
+// oldest retained event's bucket, not at time zero, and a span too long
+// for MaxBuckets widens its buckets instead of growing the series.
+func TestThroughputCoversOnlyTheRetainedEvents(t *testing.T) {
+	cases := []struct {
+		name      string
+		at        []time.Duration
+		wantWidth time.Duration
+	}{
+		{"an hour in", []time.Duration{time.Hour, time.Hour + 3*time.Millisecond}, time.Millisecond},
+		{"an hour wide", []time.Duration{time.Millisecond, 30 * time.Minute, time.Hour}, 360 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := New()
+			for i, at := range tc.at {
+				l.Append(Event{At: at, Kind: KindComplete, Task: i})
+			}
+			b := l.Throughput(time.Millisecond, tc.at[len(tc.at)-1])
+			if len(b) == 0 || len(b) > MaxBuckets {
+				t.Fatalf("%d buckets, want 1..%d", len(b), MaxBuckets)
+			}
+			if first := tc.at[0]; b[0].Start > first || first-b[0].Start >= tc.wantWidth {
+				t.Errorf("series starts at %v, want the bucket of the first event at %v", b[0].Start, first)
+			}
+			total := 0
+			for i, bk := range b {
+				if i > 0 && bk.Start-b[i-1].Start != tc.wantWidth {
+					t.Fatalf("bucket %d is %v wide, want %v", i-1, bk.Start-b[i-1].Start, tc.wantWidth)
+				}
+				total += bk.Completions
+			}
+			if total != len(tc.at) {
+				t.Errorf("buckets count %d completions, want %d", total, len(tc.at))
+			}
+		})
+	}
+}
+
 func TestPhases(t *testing.T) {
 	spans := sampleLog().Phases()
 	if len(spans) != 2 {
