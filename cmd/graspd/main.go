@@ -18,35 +18,21 @@
 //
 //	graspd -addr :8080 -cluster-listen :8090
 //
-// Hammer a running daemon with mixed-skeleton traffic:
-//
-//	graspd -drive http://localhost:8080 -jobs 6 -tasks 500 -skeletons farm,pipeline,dmap
-//
-// Replay an adversarial arrival profile against a predictive daemon
-// (shed pushes are retried after the advertised Retry-After; the same
-// -seed replays the same byte stream under any profile):
-//
-//	graspd -drive http://localhost:8080 -adapt predictive -profile flash-crowd -seed 7
-//
 // See the README for the full JSON API, the cluster quickstart, and a curl
 // walkthrough.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"grasp/internal/cluster"
-	"grasp/internal/loadgen"
 	"grasp/internal/olog"
 	"grasp/internal/service"
 )
@@ -85,22 +71,6 @@ func shutdownOnSignal(sigc <-chan os.Signal, s *service.Service, exit func(int))
 	exit(0)
 }
 
-// parseShares parses the -shares list ("1,3" → {1, 3}).
-func parseShares(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-shares: %q is not a positive number", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
@@ -116,16 +86,6 @@ func main() {
 		shedFactor    = flag.Float64("shed-factor", 0, "predictive: shed pushes with 429 once the queue-depth forecast — tasks in the window plus those waiting in blocked pushes — exceeds factor × window (0 = 2, negative = never shed)")
 		forecastEvery = flag.Duration("forecast-every", 0, "predictive: queue-depth forecast sampling interval (0 = 20ms)")
 		dataDir       = flag.String("data-dir", "", "durability: journal job state under this directory and recover it on restart (empty = in-memory only)")
-		drive         = flag.String("drive", "", "drive mode: hammer the daemon at this base URL instead of serving")
-		jobs          = flag.Int("jobs", 3, "drive: concurrent jobs")
-		tasks         = flag.Int("tasks", 200, "drive: tasks per job")
-		batch         = flag.Int("batch", 20, "drive: tasks per POST")
-		sleepUS       = flag.Int64("sleep-us", 500, "drive: mean simulated task duration (µs)")
-		seed          = flag.Int64("seed", 1, "drive: jitter seed")
-		skeletons     = flag.String("skeletons", "farm", "drive: comma-separated skeletons cycled across jobs (farm,pipeline,dmap)")
-		placement     = flag.String("placement", "", "drive: job placement (local, cluster)")
-		profile       = flag.String("profile", "", "drive: arrival profile (steady, flash-crowd, sustained-overload)")
-		shares        = flag.String("shares", "", "drive: comma-separated fair-share weights cycled across jobs (e.g. 1,3)")
 		logFormat     = flag.String("log-format", "text", "log output format (text, json)")
 		logLevel      = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 		debugAddr     = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -137,43 +97,6 @@ func main() {
 		log.Fatal(lerr)
 	}
 	slog.SetDefault(logger)
-
-	if *drive != "" {
-		shareList, err := parseShares(*shares)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *profile == "steady" {
-			*profile = loadgen.ProfileSteady
-		}
-		summary := loadgen.Driver{
-			BaseURL:     *drive,
-			Jobs:        *jobs,
-			TasksPerJob: *tasks,
-			Batch:       *batch,
-			SleepUS:     *sleepUS,
-			Window:      *window,
-			Seed:        *seed,
-			Skeletons:   strings.Split(*skeletons, ","),
-			Placement:   *placement,
-			Shares:      shareList,
-			Adapt:       *adaptPolicy,
-			Profile:     *profile,
-		}.Run()
-		fmt.Printf("drove %d jobs, %d/%d tasks completed in %v (%d pushes shed)\n",
-			len(summary.Jobs), summary.Completed, summary.Tasks, summary.Elapsed.Round(time.Millisecond), summary.Shed)
-		for _, j := range summary.Jobs {
-			fmt.Printf("  %-12s %-8s %5d/%5d tasks  breaches=%d recals=%d max_in_flight=%d dup=%d\n",
-				j.Name, j.Skeleton, j.Completed, j.Submitted, j.Breaches, j.Recalibrations, j.MaxInFlight, j.Duplicates)
-		}
-		for _, e := range summary.Errors {
-			fmt.Fprintf(os.Stderr, "error: %s\n", e)
-		}
-		if !summary.OK() {
-			os.Exit(1)
-		}
-		return
-	}
 
 	cfg := service.Config{
 		Workers:         *workers,

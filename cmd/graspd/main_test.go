@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,70 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"grasp/internal/cluster"
-	"grasp/internal/loadgen"
 	"grasp/internal/service"
 )
-
-// TestDaemonEndToEnd drives the daemon's real handler stack with the
-// loadgen driver: one graspd instance, several concurrent streaming jobs,
-// slow tail traffic to force a mid-stream breach, and an exactly-once
-// check on every result.
-func TestDaemonEndToEnd(t *testing.T) {
-	h, s := newDaemon(service.Config{Workers: 4, DefaultWindow: 6, WarmupTasks: 4, ThresholdFactor: 3})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	summary := loadgen.Driver{
-		BaseURL:     srv.URL,
-		Jobs:        3,
-		TasksPerJob: 60,
-		Batch:       10,
-		SleepUS:     300,
-		Window:      6,
-		PollEvery:   2 * time.Millisecond,
-		Timeout:     60 * time.Second,
-		Seed:        42,
-	}.Run()
-
-	if !summary.OK() {
-		t.Fatalf("load run failed: %+v", summary)
-	}
-	if summary.Tasks != 180 || summary.Completed != 180 {
-		t.Fatalf("completed %d of %d tasks", summary.Completed, summary.Tasks)
-	}
-	for _, j := range summary.Jobs {
-		if j.MaxInFlight == 0 || j.MaxInFlight > 6 {
-			t.Errorf("job %s max_in_flight = %d, want in (0, 6]: window not enforced", j.Name, j.MaxInFlight)
-		}
-		if j.Duplicates != 0 {
-			t.Errorf("job %s saw %d duplicate results", j.Name, j.Duplicates)
-		}
-	}
-
-	// The daemon calibrated once and reused the ranking for later jobs.
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricsBody := string(raw)
-	for _, want := range []string{
-		"service_calibrations_total 1",
-		"service_calibration_reuse_total 2",
-		"service_jobs_total 3",
-		"service_tasks_completed_total 180",
-	} {
-		if !strings.Contains(metricsBody, want) {
-			t.Errorf("metrics missing %q:\n%s", want, metricsBody)
-		}
-	}
-	_ = s
-}
 
 // TestDaemonBreachUnderSlowdown submits fast warm-up traffic then a slow
 // tail directly through the HTTP API and verifies the detector breached
@@ -154,71 +91,6 @@ func TestDaemonBreachUnderSlowdown(t *testing.T) {
 // writeTask appends one task JSON object.
 func writeTask(b *strings.Builder, id int, sleepUS int) {
 	fmt.Fprintf(b, `{"id":%d,"sleep_us":%d}`, id, sleepUS)
-}
-
-// TestDaemonMixedSkeletonTraffic drives one daemon with concurrent jobs of
-// all three skeleton types: the same cursor endpoints serve every
-// topology, exactly once, under one shared calibration.
-func TestDaemonMixedSkeletonTraffic(t *testing.T) {
-	h, _ := newDaemon(service.Config{Workers: 4, DefaultWindow: 6, WarmupTasks: 4, ThresholdFactor: 3})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	summary := loadgen.Driver{
-		BaseURL:     srv.URL,
-		Jobs:        3,
-		TasksPerJob: 40,
-		Batch:       10,
-		SleepUS:     300,
-		Window:      6,
-		PollEvery:   2 * time.Millisecond,
-		Timeout:     60 * time.Second,
-		Seed:        7,
-		Skeletons:   []string{"farm", "pipeline", "dmap"},
-	}.Run()
-
-	if !summary.OK() {
-		t.Fatalf("mixed-skeleton load run failed: %+v", summary)
-	}
-	wantSkel := map[string]bool{"farm": false, "pipeline": false, "dmap": false}
-	for _, j := range summary.Jobs {
-		if j.Completed != j.Submitted || j.Duplicates != 0 {
-			t.Errorf("job %s (%s): %d/%d completed, %d dups",
-				j.Name, j.Skeleton, j.Completed, j.Submitted, j.Duplicates)
-		}
-		wantSkel[j.Skeleton] = true
-	}
-	for sk, seen := range wantSkel {
-		if !seen {
-			t.Errorf("no job ran the %s skeleton", sk)
-		}
-	}
-
-	// The job listing reports each job's declared skeleton.
-	resp, err := http.Get(srv.URL + "/api/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing struct {
-		Jobs []struct {
-			Name     string `json:"name"`
-			Skeleton string `json:"skeleton"`
-		} `json:"jobs"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&listing)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, j := range listing.Jobs {
-		got[j.Skeleton] = true
-	}
-	for _, sk := range []string{"farm", "pipeline", "dmap"} {
-		if !got[sk] {
-			t.Errorf("job listing missing a %s job: %+v", sk, listing.Jobs)
-		}
-	}
 }
 
 // TestDaemonBreachEverySkeleton repeats the slowdown scenario for each
@@ -335,85 +207,6 @@ func TestDaemonBreachEverySkeleton(t *testing.T) {
 				t.Errorf("max_in_flight = %d exceeds window 5", st.MaxInFlight)
 			}
 		})
-	}
-}
-
-// TestDriveClusterScenario points the loadgen driver at a daemon whose
-// jobs are placed on the cluster: every skeleton streams through two
-// in-process worker nodes speaking the real HTTP protocol, and the
-// exactly-once check holds across the process-shaped substrate.
-func TestDriveClusterScenario(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{
-		DeadAfter:    time.Second,
-		MaxLeaseWait: 200 * time.Millisecond,
-	})
-	defer coord.Close()
-	csrv := httptest.NewServer(coord.Handler())
-	defer csrv.Close()
-	for i := 0; i < 2; i++ {
-		w, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: csrv.URL,
-			ID:          fmt.Sprintf("drive-n%d", i),
-			Capacity:    2,
-			BenchSpin:   10_000,
-			Heartbeat:   100 * time.Millisecond,
-			LeaseWait:   100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Stop()
-	}
-
-	h, _ := newDaemon(service.Config{Workers: 2, WarmupTasks: 4, Cluster: coord})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	summary := loadgen.Driver{
-		BaseURL:     srv.URL,
-		Jobs:        3,
-		TasksPerJob: 30,
-		Batch:       10,
-		SleepUS:     300,
-		PollEvery:   2 * time.Millisecond,
-		Timeout:     60 * time.Second,
-		Seed:        7,
-		Placement:   "cluster",
-		Skeletons:   []string{"farm", "pipeline", "dmap"},
-	}.Run()
-	if !summary.OK() {
-		t.Fatalf("cluster drive failed: %+v", summary)
-	}
-	if summary.Completed != 90 {
-		t.Fatalf("completed %d of 90", summary.Completed)
-	}
-
-	// Every job's tasks really executed on the worker nodes.
-	resp, err := http.Get(srv.URL + "/api/v1/nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var nodes struct {
-		Nodes []struct {
-			ID        string `json:"id"`
-			Completed int64  `json:"completed"`
-		} `json:"nodes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, n := range nodes.Nodes {
-		if n.Completed == 0 {
-			t.Errorf("node %s executed nothing", n.ID)
-		}
-		total += n.Completed
-	}
-	// Pipelines execute each task once per stage, so the node-side total is
-	// at least the 90 task completions.
-	if total < 90 {
-		t.Errorf("node-side executions = %d, want >= 90", total)
 	}
 }
 

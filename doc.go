@@ -81,10 +81,8 @@
 //     weights from the cached calibration ranking.
 //   - cmd/graspd serves that service over a JSON HTTP API (submit jobs
 //     with a skeleton field, stream tasks, poll results through the same
-//     cursor endpoints for every topology, /metrics), and its -drive mode
-//     uses loadgen.Driver to hammer a running daemon with concurrent
-//     mixed-skeleton jobs, verifying exactly-once completion. See
-//     README.md for the API and a curl walkthrough.
+//     cursor endpoints for every topology, /metrics). See README.md for
+//     the API and a curl walkthrough; bench/ drives it under load.
 //
 // # Cluster layer
 //
@@ -182,11 +180,9 @@
 // -shed-factor × window, admission control sheds further pushes with HTTP
 // 429 + Retry-After until the forecast falls back,
 // shedding load instead of buffering it without bound. loadgen grows
-// adversarial arrival profiles (flash-crowd, sustained-overload, and
-// seeded slow-node degradation schedules for the simulator) whose byte
-// streams replay identically for a given seed; graspworker's
-// -degrade-after/-degrade-factor script a straggling node across real
-// process boundaries. E29, TestForecastAutoscalesTheShare and the
+// seeded slow-node degradation schedules for the simulator, and
+// graspworker's -degrade-after/-degrade-factor script a straggling node
+// across real process boundaries. E29, TestForecastAutoscalesTheShare and the
 // scenario suite (TestScenarioE2EFlashCrowd, TestScenarioE2ESlowNode) hold
 // the policy to its claims: strictly fewer breaches than reactive on the
 // same degradation, a forecast over the window lifting the job's share,

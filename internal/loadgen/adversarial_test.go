@@ -1,11 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
@@ -61,144 +56,5 @@ func TestDegradationScheduleDeterministicWithOneVictim(t *testing.T) {
 	}
 	if sameAsOther {
 		t.Error("seeds 7 and 8 produced identical schedules")
-	}
-}
-
-// planCovers asserts a push plan covers [0, n) in order with no overlap,
-// and that its first step never pauses.
-func planCovers(t *testing.T, steps []pushStep, n int, profile string) {
-	t.Helper()
-	if len(steps) == 0 {
-		t.Fatalf("%s: empty plan for %d tasks", profile, n)
-	}
-	if steps[0].pause != 0 {
-		t.Errorf("%s: first push pauses %v, want an immediate start", profile, steps[0].pause)
-	}
-	next := 0
-	for _, s := range steps {
-		if s.from != next || s.to <= s.from {
-			t.Fatalf("%s: step [%d,%d) after cursor %d — gap, overlap, or empty", profile, s.from, s.to, next)
-		}
-		next = s.to
-	}
-	if next != n {
-		t.Errorf("%s: plan ends at %d, want %d", profile, next, n)
-	}
-}
-
-func TestPlanPushesCoversEveryProfile(t *testing.T) {
-	for _, profile := range []string{ProfileSteady, ProfileFlashCrowd, ProfileSustainedOverload} {
-		d := Driver{TasksPerJob: 103, Batch: 10, PollEvery: time.Millisecond, Profile: profile}
-		planCovers(t, d.planPushes(), 103, profile)
-	}
-	// Degenerate sizes must not wedge the planner.
-	for _, n := range []int{1, 4, 10} {
-		d := Driver{TasksPerJob: n, Batch: 10, PollEvery: time.Millisecond, Profile: ProfileFlashCrowd}
-		planCovers(t, d.planPushes(), n, fmt.Sprintf("flash-crowd/n=%d", n))
-	}
-}
-
-// captureServer is a minimal daemon stub: it admits everything, records
-// every pushed task spec in arrival order, and reports each job done once
-// closed.
-func captureServer(t *testing.T) (*httptest.Server, func() []string) {
-	t.Helper()
-	var (
-		mu     sync.Mutex
-		pushed []string
-		closed = map[string]bool{}
-		count  = map[string]int{}
-	)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusCreated)
-	})
-	mux.HandleFunc("/api/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Tasks []struct {
-				ID      int   `json:"id"`
-				SleepUS int64 `json:"sleep_us"`
-			} `json:"tasks"`
-		}
-		switch {
-		case r.Method == http.MethodPost && len(r.URL.Path) > 6 && r.URL.Path[len(r.URL.Path)-6:] == "/tasks":
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				t.Errorf("bad task push: %v", err)
-			}
-			mu.Lock()
-			for _, ts := range body.Tasks {
-				pushed = append(pushed, fmt.Sprintf("%d:%d", ts.ID, ts.SleepUS))
-			}
-			count[r.URL.Path] += len(body.Tasks)
-			mu.Unlock()
-			w.WriteHeader(http.StatusAccepted)
-		case r.Method == http.MethodPost: // close
-			mu.Lock()
-			closed[r.URL.Path] = true
-			mu.Unlock()
-		case r.URL.Query().Get("after") != "":
-			name := r.URL.Path[len("/api/v1/jobs/") : len(r.URL.Path)-len("/results")]
-			mu.Lock()
-			n := count["/api/v1/jobs/"+name+"/tasks"]
-			mu.Unlock()
-			results := make([]map[string]any, n)
-			for i := range results {
-				results[i] = map[string]any{"id": i}
-			}
-			json.NewEncoder(w).Encode(map[string]any{"results": results, "next": n, "state": "done"})
-		default: // status
-			json.NewEncoder(w).Encode(map[string]any{})
-		}
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv, func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), pushed...)
-	}
-}
-
-// TestSeedReplaysByteIdenticallyUnderEveryProfile pins the determinism
-// contract adversarial replays depend on: for one Seed, the sequence of
-// (id, sleep_us) task specs on the wire is identical no matter how the
-// profile batches or paces the pushes — and a different Seed changes it.
-func TestSeedReplaysByteIdenticallyUnderEveryProfile(t *testing.T) {
-	run := func(seed int64, profile string) []string {
-		srv, pushedSpecs := captureServer(t)
-		summary := Driver{
-			BaseURL:     srv.URL,
-			Jobs:        1,
-			TasksPerJob: 37,
-			Batch:       5,
-			SleepUS:     1000,
-			PollEvery:   time.Millisecond,
-			Timeout:     10 * time.Second,
-			Seed:        seed,
-			Profile:     profile,
-		}.Run()
-		if len(summary.Errors) > 0 {
-			t.Fatalf("drive errors under %q: %v", profile, summary.Errors)
-		}
-		return pushedSpecs()
-	}
-
-	baseline := run(7, ProfileSteady)
-	if len(baseline) != 37 {
-		t.Fatalf("steady pushed %d specs, want 37", len(baseline))
-	}
-	for _, profile := range []string{ProfileFlashCrowd, ProfileSustainedOverload} {
-		got := run(7, profile)
-		if len(got) != len(baseline) {
-			t.Fatalf("%s pushed %d specs, steady pushed %d", profile, len(got), len(baseline))
-		}
-		for i := range got {
-			if got[i] != baseline[i] {
-				t.Fatalf("%s diverges from steady at spec %d: %s vs %s", profile, i, got[i], baseline[i])
-			}
-		}
-	}
-	if reseeded := run(8, ProfileSteady); fmt.Sprint(reseeded) == fmt.Sprint(baseline) {
-		t.Error("seeds 7 and 8 produced identical task streams")
 	}
 }

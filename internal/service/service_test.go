@@ -264,6 +264,37 @@ func TestServiceDuplicateJobName(t *testing.T) {
 	}
 }
 
+// TestOpenHoldsDefaultsToTheSpecBounds: the daemon-wide defaults fill
+// every spec that omits a field, so a default no spec could carry — an
+// unknown policy, a window past the bound the HTTP API answers with a 400
+// — fails Open instead of reaching every such job unchecked.
+func TestOpenHoldsDefaultsToTheSpecBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // "" = Open succeeds
+	}{
+		{"unknown adapt", Config{Workers: 2, DefaultAdapt: "predicitve"}, `unknown adapt policy "predicitve"`},
+		{"oversized window", Config{Workers: 2, DefaultWindow: maxWindow + 1}, fmt.Sprintf("window must be in [0, %d], got %d", maxWindow, maxWindow+1)},
+		{"window at the bound", Config{Workers: 2, DefaultWindow: maxWindow, DefaultAdapt: AdaptPredictive}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(tc.cfg)
+			if err == nil {
+				s.Close()
+			}
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Open rejected valid defaults: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("Open accepted defaults no job spec may carry: %+v", tc.cfg)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("Open error %q does not name the bound %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestServicePushAfterCloseFails(t *testing.T) {
 	s := New(Config{Workers: 2})
 	j, err := s.Submit("closed", JobSpec{})

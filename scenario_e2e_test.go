@@ -1,34 +1,36 @@
-// Adversarial end-to-end scenarios against a real graspd + graspworker
-// topology: a flash crowd that must be shed gracefully (HTTP 429 +
+// End-to-end scenarios driven through the daemon's HTTP API with the
+// streaming client in drive_e2e_test.go. In-process, against the real
+// handler stack: concurrent jobs sharing one calibration, mixed-skeleton
+// traffic, and every skeleton placed on a cluster of in-process worker
+// nodes. Across real graspd + graspworker processes, the adversarial
+// ones: a flash crowd that must be shed gracefully (HTTP 429 +
 // Retry-After, every admitted task exactly once, no stalls), the same
 // flash crowd against a journaling daemon whose group-commit wal must
-// provably coalesce the concurrent pushes, and a scripted slow-node
-// degradation that the predictive policy must observe through
-// completion times alone, surfacing per-worker forecasts in the job
-// status. These are the overload counterparts of cluster_e2e_test.go's
-// fault-injection scenarios, and they reuse its process harness.
+// count its commit batches, and a scripted slow-node degradation that the
+// predictive policy must observe through completion times alone,
+// surfacing per-worker forecasts in the job status. These are the
+// overload counterparts of cluster_e2e_test.go's fault-injection
+// scenarios, and they reuse its process harness.
 package grasp_test
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"grasp/internal/loadgen"
+	"grasp/internal/cluster"
+	"grasp/internal/service"
 )
 
 // scenarioStatus is the slice of job status this suite asserts on.
 type scenarioStatus struct {
-	State          string        `json:"state"`
 	Adapt          string        `json:"adapt"`
-	Shed           int           `json:"shed"`
-	DetectorRatio  float64       `json:"detector_ratio"`
 	ForecastMicros map[int]int64 `json:"forecast_micros"`
-	QueueForecast  float64       `json:"queue_forecast"`
-	EffectiveShare float64       `json:"effective_share"`
 	Nodes          []struct {
 		Node      string `json:"node"`
 		Completed int64  `json:"completed"`
@@ -94,7 +96,7 @@ func startScenarioWorkers(t *testing.T, graspworker, coordinator, api string, n 
 // TestScenarioE2EFlashCrowd hammers a predictive daemon with the
 // flash-crowd arrival profile through real processes and sockets: a
 // trickle saturates the tight admission bound, then the burst lands on a
-// daemon that is already shedding. The driver honours every Retry-After,
+// daemon that is already shedding. The client honours every Retry-After,
 // so graceful shedding must coexist with exactly-once delivery of the
 // whole stream — and the daemon's shed accounting must agree with the
 // client's.
@@ -109,51 +111,31 @@ func TestScenarioE2EFlashCrowd(t *testing.T) {
 		"-window", "4", "-shed-factor", "1", "-dead-after", "2s")
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
 
-	summary := loadgen.Driver{
-		BaseURL:     api,
-		Jobs:        1,
-		TasksPerJob: 100,
-		Batch:       10,
-		SleepUS:     20_000,
-		PollEvery:   10 * time.Millisecond, // trickle pacing; results poll
-		Window:      4,
-		Timeout:     90 * time.Second,
-		Seed:        7,
-		JobPrefix:   "flash",
-		Placement:   "cluster",
-		Adapt:       "predictive",
-		Profile:     loadgen.ProfileFlashCrowd,
-	}.Run()
-
-	if !summary.OK() {
-		t.Errorf("flash-crowd drive not clean: %d/%d tasks, errors %v",
-			summary.Completed, summary.Tasks, summary.Errors)
-	}
-	out := summary.Jobs[0]
-	if summary.Shed == 0 {
+	out := driveAll(t, 90*time.Second, drive{
+		api: api, name: "flash-0", create: flashCreate,
+		tasks: 100, batch: 10, sleepUS: 20_000, trickle: 10 * time.Millisecond,
+	})[0]
+	if out.shed == 0 {
 		t.Error("flash crowd was never shed: want at least one 429'd push")
 	}
-	if out.RetryAfter < time.Second {
-		t.Errorf("largest Retry-After = %v, want >= 1s", out.RetryAfter)
+	if out.retryAfter < time.Second {
+		t.Errorf("largest Retry-After = %v, want >= 1s", out.retryAfter)
 	}
-	if out.Duplicates != 0 {
-		t.Errorf("flash job saw %d duplicate results, want 0", out.Duplicates)
+	if out.status.Shed != out.shed {
+		t.Errorf("daemon counted %d shed pushes, client counted %d", out.status.Shed, out.shed)
 	}
-
-	var st scenarioStatus
-	if code, err := httpJSON(t, "GET", api+"/api/v1/jobs/flash-0", nil, &st); err != nil || code != http.StatusOK {
-		t.Fatalf("status: HTTP %d err %v", code, err)
+	if out.status.Adapt != "predictive" {
+		t.Errorf("adapt = %q, want predictive", out.status.Adapt)
 	}
-	if st.Shed != summary.Shed {
-		t.Errorf("daemon counted %d shed pushes, client counted %d", st.Shed, summary.Shed)
-	}
-	if st.Adapt != "predictive" {
-		t.Errorf("adapt = %q, want predictive", st.Adapt)
-	}
-	if st.State != "done" {
-		t.Errorf("job state = %q after a clean drive, want done", st.State)
+	if out.status.State != "done" {
+		t.Errorf("job state = %q after a clean drive, want done", out.status.State)
 	}
 }
+
+// flashCreate is the flash-crowd job: predictive, on the cluster, with a
+// window of 4 that the daemon's -shed-factor 1 turns into the admission
+// bound.
+var flashCreate = map[string]any{"window": 4, "placement": "cluster", "adapt": "predictive"}
 
 // TestScenarioE2EDurableFlashCrowd re-runs the flash crowd against a
 // journaling daemon: every admitted push crosses the group-commit wal
@@ -174,33 +156,12 @@ func TestScenarioE2EDurableFlashCrowd(t *testing.T) {
 		"-data-dir", t.TempDir())
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
 
-	summary := loadgen.Driver{
-		BaseURL:     api,
-		Jobs:        2,
-		TasksPerJob: 60,
-		Batch:       6,
-		SleepUS:     20_000,
-		PollEvery:   10 * time.Millisecond,
-		Window:      4,
-		Timeout:     90 * time.Second,
-		Seed:        11,
-		JobPrefix:   "dflash",
-		Placement:   "cluster",
-		Adapt:       "predictive",
-		Profile:     loadgen.ProfileFlashCrowd,
-	}.Run()
-
-	if !summary.OK() {
-		t.Errorf("durable flash-crowd drive not clean: %d/%d tasks, errors %v",
-			summary.Completed, summary.Tasks, summary.Errors)
-	}
-	if summary.Shed == 0 {
+	crowd := drive{create: flashCreate, api: api, tasks: 60, batch: 6, sleepUS: 20_000, trickle: 10 * time.Millisecond}
+	a, b := crowd, crowd
+	a.name, b.name = "dflash-0", "dflash-1"
+	outs := driveAll(t, 90*time.Second, a, b)
+	if outs[0].shed+outs[1].shed == 0 {
 		t.Error("durable flash crowd was never shed: want at least one 429'd push")
-	}
-	for _, out := range summary.Jobs {
-		if out.Duplicates != 0 {
-			t.Errorf("job %s saw %d duplicate results, want 0", out.Name, out.Duplicates)
-		}
 	}
 	code, body := httpBody(t, api+"/metrics")
 	if code != http.StatusOK {
@@ -295,5 +256,132 @@ func TestScenarioE2ESlowNode(t *testing.T) {
 		if n.Completed == 0 {
 			t.Errorf("node %s executed nothing; job did not span both processes", n.Node)
 		}
+	}
+}
+
+// daemonServer serves a fresh service's handler stack in-process.
+func daemonServer(t *testing.T, cfg service.Config) string {
+	t.Helper()
+	srv := httptest.NewServer(service.NewHandler(service.New(cfg)))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// skeletonCreates declares one job of each skeleton. The farm omits the
+// field to exercise the default; the pipeline's middle stage costs twice
+// the others, a structural bottleneck for the remapper.
+var skeletonCreates = []map[string]any{
+	{},
+	{"skeleton": "pipeline", "stages": []map[string]any{{"name": "s0"}, {"name": "s1", "cost_factor": 2}, {"name": "s2"}}},
+	{"skeleton": "dmap"},
+}
+
+// loadDrives is one job "load-k" per create body, each merged over base,
+// of tasks 300 µs tasks pushed ten at a time.
+func loadDrives(api string, tasks int, base map[string]any, creates ...map[string]any) []drive {
+	drives := make([]drive, len(creates))
+	for k, c := range creates {
+		create := maps.Clone(base)
+		maps.Copy(create, c)
+		drives[k] = drive{api: api, name: fmt.Sprintf("load-%d", k), create: create, tasks: tasks, batch: 10, sleepUS: 300}
+	}
+	return drives
+}
+
+// TestDaemonEndToEnd drives the daemon's real handler stack with several
+// concurrent streaming jobs: exactly once on every result, the window
+// enforced, and one calibration shared by every job.
+func TestDaemonEndToEnd(t *testing.T) {
+	api := daemonServer(t, service.Config{Workers: 4, DefaultWindow: 6, WarmupTasks: 4, ThresholdFactor: 3})
+	for k, out := range driveAll(t, 60*time.Second, loadDrives(api, 60, map[string]any{"window": 6}, nil, nil, nil)...) {
+		if mif := out.status.MaxInFlight; mif == 0 || mif > 6 {
+			t.Errorf("job load-%d max_in_flight = %d, want in (0, 6]: window not enforced", k, mif)
+		}
+	}
+
+	// The daemon calibrated once and reused the ranking for later jobs.
+	_, metricsBody := httpBody(t, api+"/metrics")
+	for _, want := range []string{
+		"service_calibrations_total 1",
+		"service_calibration_reuse_total 2",
+		"service_jobs_total 3",
+		"service_tasks_completed_total 180",
+	} {
+		if !strings.Contains(metricsBody, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metricsBody)
+		}
+	}
+}
+
+// TestDaemonMixedSkeletonTraffic drives one daemon with concurrent jobs of
+// all three skeleton types: the same cursor endpoints serve every
+// topology, exactly once, under one shared calibration.
+func TestDaemonMixedSkeletonTraffic(t *testing.T) {
+	api := daemonServer(t, service.Config{Workers: 4, DefaultWindow: 6, WarmupTasks: 4, ThresholdFactor: 3})
+	driveAll(t, 60*time.Second, loadDrives(api, 40, map[string]any{"window": 6}, skeletonCreates...)...)
+
+	// The job listing reports each job's declared skeleton.
+	var listing struct {
+		Jobs []struct {
+			Name     string `json:"name"`
+			Skeleton string `json:"skeleton"`
+		} `json:"jobs"`
+	}
+	if code, err := httpJSON(t, "GET", api+"/api/v1/jobs", nil, &listing); err != nil || code != http.StatusOK {
+		t.Fatalf("job listing: HTTP %d err %v", code, err)
+	}
+	got := map[string]int{}
+	for _, j := range listing.Jobs {
+		got[j.Skeleton]++
+	}
+	for _, sk := range []string{"farm", "pipeline", "dmap"} {
+		if got[sk] != 1 {
+			t.Errorf("job listing has %d %s jobs, want 1: %+v", got[sk], sk, listing.Jobs)
+		}
+	}
+}
+
+// TestDriveClusterScenario drives a daemon whose jobs are placed on the
+// cluster: every skeleton streams through two in-process worker nodes
+// speaking the real protocol, and the exactly-once check holds across the
+// process-shaped substrate.
+func TestDriveClusterScenario(t *testing.T) {
+	coord := cluster.NewCoordinator(cluster.Config{
+		DeadAfter:    time.Second,
+		MaxLeaseWait: 200 * time.Millisecond,
+	})
+	defer coord.Close()
+	csrv := httptest.NewServer(coord.Handler())
+	defer csrv.Close()
+	for i := 0; i < 2; i++ {
+		w, err := cluster.StartWorker(cluster.WorkerConfig{
+			Coordinator: csrv.URL,
+			ID:          fmt.Sprintf("drive-n%d", i),
+			Capacity:    2,
+			BenchSpin:   10_000,
+			Heartbeat:   100 * time.Millisecond,
+			LeaseWait:   100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Stop()
+	}
+
+	api := daemonServer(t, service.Config{Workers: 2, WarmupTasks: 4, Cluster: coord})
+	driveAll(t, 60*time.Second, loadDrives(api, 30, map[string]any{"placement": "cluster"}, skeletonCreates...)...)
+
+	// Every job's tasks really executed on the worker nodes. Pipelines
+	// execute each task once per stage, so the node-side total is at least
+	// the 90 task completions.
+	var total int64
+	for _, n := range pollNodes(t, api) {
+		if n.Completed == 0 {
+			t.Errorf("node %s executed nothing", n.ID)
+		}
+		total += n.Completed
+	}
+	if total < 90 {
+		t.Errorf("node-side executions = %d, want >= 90", total)
 	}
 }
