@@ -37,17 +37,10 @@ import (
 	"grasp/internal/service"
 )
 
-// newDaemon wires the service and its handler stack; tests drive exactly
-// this function through httptest.
-func newDaemon(cfg service.Config) (http.Handler, *service.Service) {
-	s := service.New(cfg)
-	return service.NewHandler(s), s
-}
-
-// openDaemon is newDaemon for durable configurations: with a DataDir set
-// it replays the journal (recovering jobs and the cluster registry)
-// before any handler exists, so no request can observe pre-recovery
-// state.
+// openDaemon wires the service and its handler stack; tests drive exactly
+// this function through httptest. With a DataDir set it replays the
+// journal (recovering jobs and the cluster registry) before any handler
+// exists, so no request can observe pre-recovery state.
 func openDaemon(cfg service.Config) (http.Handler, *service.Service, error) {
 	s, err := service.Open(cfg)
 	if err != nil {

@@ -18,7 +18,10 @@ import (
 // tail directly through the HTTP API and verifies the detector breached
 // and recalibrated mid-stream without losing tasks.
 func TestDaemonBreachUnderSlowdown(t *testing.T) {
-	h, _ := newDaemon(service.Config{Workers: 3, DefaultWindow: 5, WarmupTasks: 3, ThresholdFactor: 3})
+	h, _, err := openDaemon(service.Config{Workers: 3, DefaultWindow: 5, WarmupTasks: 3, ThresholdFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -108,7 +111,10 @@ func TestDaemonBreachEverySkeleton(t *testing.T) {
 		sk, createTmpl := sk, createTmpl
 		t.Run(sk, func(t *testing.T) {
 			t.Parallel()
-			h, _ := newDaemon(service.Config{Workers: 3, DefaultWindow: 5, WarmupTasks: 3, ThresholdFactor: 3})
+			h, _, err := openDaemon(service.Config{Workers: 3, DefaultWindow: 5, WarmupTasks: 3, ThresholdFactor: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
 			srv := httptest.NewServer(h)
 			defer srv.Close()
 

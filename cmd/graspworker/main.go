@@ -37,7 +37,7 @@ func main() {
 		benchSpin   = flag.Int64("bench-spin", 2_000_000, "startup benchmark iterations (calibration sample)")
 		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval (0 = coordinator-advertised)")
 		leaseWait   = flag.Duration("lease-wait", 2*time.Second, "lease long-poll bound")
-		transport   = flag.String("transport", "auto", "wire binding to offer at registration (auto, json, binary)")
+		transport   = flag.String("transport", cluster.TransportBinary, "wire binding for the worker's whole session (binary, json)")
 		degradeAt   = flag.Duration("degrade-after", 0, "script a slow-node failure: stretch every execution after this long (0 = healthy forever)")
 		degradeBy   = flag.Float64("degrade-factor", 0, "post-degradation execution-time multiplier (0 = 3 when -degrade-after is set)")
 		logFormat   = flag.String("log-format", "text", "log output format (text, json)")

@@ -120,15 +120,14 @@
 //     register-time benchmark sample becoming its initial dispatch weight
 //     — and starts executing their tasks without any restart.
 //
-// The wire itself has two bindings served on one port: JSON over HTTP
-// (the universal bootstrap, always available) and length-prefixed
-// CRC-checked binary frames over persistent connections (the fast path —
-// batched lease/results bodies decoded into reused buffers, zero
-// steady-state allocations per task). Workers offer what they speak at
-// register time and the coordinator picks the first binding it serves, so
-// the binding is the worker's choice (graspworker -transport) and mixed
-// fleets — JSON workers next to binary ones — are a supported state, not
-// an error. cluster.Server sniffs each connection's first byte to route it.
+// The wire itself has two bindings served on one port: length-prefixed
+// CRC-checked binary frames over persistent connections (the default and
+// the fast path — batched lease/results bodies decoded into reused
+// buffers, zero steady-state allocations per task) and JSON over HTTP.
+// Each worker speaks the one binding it was started with (graspworker
+// -transport) for its whole session, so mixed fleets — JSON workers next
+// to binary ones — are a supported state, not an error. cluster.Server
+// sniffs each connection's first byte to route it.
 //
 // The daemon exposes node administration at /api/v1/nodes, per-node
 // execution tallies in cluster job statuses, and cluster gauges in

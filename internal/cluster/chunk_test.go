@@ -13,7 +13,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -177,11 +176,10 @@ func TestLeaseStopsAtResultHold(t *testing.T) {
 
 func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 	co := testCoordinator(t, time.Second)
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
+	url := startTestServer(t, co)
 	workers := []*Worker{
-		startWorkerWith(t, WorkerConfig{Coordinator: srv.URL, ID: "w1", Capacity: 1}),
-		startWorkerWith(t, WorkerConfig{Coordinator: srv.URL, ID: "w2", Capacity: 1}),
+		startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "w1", Capacity: 1}),
+		startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "w2", Capacity: 1}),
 	}
 
 	const n = 160
@@ -217,24 +215,21 @@ func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 // longer than resultHold, so a chunk of four 10 ms tasks goes out in four
 // one-task leases, at least three of them issued ahead as the task before
 // began. Each result rides the lease issued as the next task begins, so
-// the first outcome reaches the submitter before the third task starts,
+// the first outcome reaches the coordinator before the third task starts,
 // not with the whole chunk 40 ms on.
 func TestLongLeaseStreamsPerTask(t *testing.T) {
 	co := testCoordinator(t, time.Second)
 	url := startTestServer(t, co)
 	w := startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "w1", Capacity: 1})
 	live := co.Live()
+	submitted := co.now()
 	ch, err := co.submit(live[0].ID, live[0].Gen, sleepTasks(0, 4, 10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first time.Time
 	for i := 0; i < 4; i++ {
 		if out := <-ch.sink; out.err != nil {
 			t.Fatalf("task %d: %v", out.idx, out.err)
-		}
-		if i == 0 {
-			first = time.Now()
 		}
 	}
 	if leases := co.Metrics().Counter("cluster_leases_total").Value(); leases != 4 {
@@ -243,10 +238,18 @@ func TestLongLeaseStreamsPerTask(t *testing.T) {
 	if ahead := w.Metrics().Counter("worker_leases_ahead_total").Value(); ahead < 3 {
 		t.Errorf("worker_leases_ahead_total = %d, want >= 3: each task after the first is leased as its predecessor begins", ahead)
 	}
-	for _, ev := range w.Trace().Filter(trace.KindDispatch) {
-		if third := w.start.Add(ev.At); ev.Task == 2 && !first.Before(third) {
-			t.Errorf("first outcome surfaced %v after the lease's third task started; long tasks must stream one by one", first.Sub(third))
-		}
+	// The coordinator stamps each result as it arrives, with what the task
+	// took. The node runs the chunk in order on one executor, so the third
+	// task starts no sooner than the first two have run after submission.
+	done := make(map[int]trace.Event)
+	for _, ev := range co.Trace().Filter(trace.KindComplete) {
+		done[ev.Task] = ev
+	}
+	if len(done) != 4 {
+		t.Fatalf("the coordinator traced %d completions, want 4", len(done))
+	}
+	if third := submitted + done[0].Dur + done[1].Dur; done[0].At >= third {
+		t.Errorf("first outcome reached the coordinator %v after the lease's third task could start; long tasks must stream one by one", done[0].At-third)
 	}
 }
 
@@ -470,9 +473,8 @@ func TestHeldResults(t *testing.T) {
 func victimCluster(t *testing.T) (co *Coordinator, pool *Pool, l *rt.Local, victimGen int64) {
 	t.Helper()
 	co = testCoordinator(t, time.Hour) // eviction is explicit
-	srv := httptest.NewServer(co.Handler())
-	t.Cleanup(srv.Close)
-	startWorkerWith(t, WorkerConfig{Coordinator: srv.URL, ID: "a-live", Capacity: 1})
+	url := startTestServer(t, co)
+	startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})
 	reg, err := co.Register(RegisterRequest{ID: "b-victim", Capacity: 2, SpeedOPS: 1e6})
 	if err != nil {
 		t.Fatal(err)
@@ -657,12 +659,11 @@ func TestChunkObservationsAreFlatNotARamp(t *testing.T) {
 
 func TestDegradedNodeRaisesChunkObservations(t *testing.T) {
 	co := testCoordinator(t, time.Second)
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
+	url := startTestServer(t, co)
 	const degradeAfter = 400 * time.Millisecond
 	began := time.Now()
 	startWorkerWith(t, WorkerConfig{
-		Coordinator: srv.URL, ID: "n1", Capacity: 1,
+		Coordinator: url, ID: "n1", Capacity: 1,
 		DegradeAfter: degradeAfter, DegradeFactor: 4,
 	})
 	l := rt.NewLocal()

@@ -38,14 +38,13 @@
 //     for jobs submitted before it existed, making join symmetric with
 //     the node-loss path;
 //   - the wire has two bindings behind one Transport interface, served on
-//     one port by Server (first-byte sniffing): JSON over HTTP — the
-//     universal bootstrap every worker registers through — and
-//     length-prefixed CRC-checked binary frames over persistent
-//     connections, whose batched lease/results bodies decode into reused
-//     buffers so the steady-state dispatch path allocates nothing per
-//     task. Workers offer their bindings at register time and the
-//     coordinator picks, so a fleet can mix transports mid-upgrade. On
-//     both, LeaseRequest.Results carries a lease's finished executions
+//     one port by Server (first-byte sniffing): length-prefixed
+//     CRC-checked binary frames over persistent connections, whose
+//     batched lease/results bodies decode into reused buffers so the
+//     steady-state dispatch path allocates nothing per task, and JSON over
+//     HTTP. Each worker speaks the one binding it was started with, from
+//     register to leave, and a fleet may mix bindings. On both,
+//     LeaseRequest.Results carries a lease's finished executions
 //     back with the request for the next one; since a lease holds at most
 //     about a millisecond of work or one task, long tasks still report one
 //     by one. When a lease's last task runs from 1 ms to 1 s, the worker
@@ -338,11 +337,6 @@ type Coordinator struct {
 	wantedMu sync.Mutex
 	wanted   map[string]int
 
-	// binaryServed is set by NewServer: the binary binding exists only on
-	// the dual-transport listener, so negotiation must never pick it when
-	// the coordinator is mounted as a bare HTTP handler.
-	binaryServed atomic.Bool
-
 	stop     chan struct{}
 	stopOnce sync.Once
 }
@@ -544,29 +538,10 @@ func (co *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	co.mRegisters.Inc()
 	co.mNodesLive.Set(co.liveCountLocked())
 	co.log.Info("cluster node registered",
-		"node", n.id, "gen", n.gen, "capacity", n.capacity, "speed_ops", n.speed)
+		"node", n.id, "gen", n.gen, "capacity", n.capacity, "speed_ops", n.speed,
+		"transport", req.Transports)
 	co.emit(NodeEvent{Kind: EventUp, Node: n.infoLocked(now)})
-	return RegisterResponse{
-		Gen:         n.gen,
-		HeartbeatMS: (co.cfg.DeadAfter / 3).Milliseconds(),
-		Transport:   co.pickTransport(req.Transports),
-	}, nil
-}
-
-// pickTransport resolves register-time transport negotiation: the worker
-// offers the bindings it speaks in preference order, and the coordinator
-// picks the first one it serves. Binary is served only when a
-// dual-transport Server is accepting frames (binaryServed); a coordinator
-// mounted as a bare HTTP handler serves JSON alone. JSON is the fallback
-// for an offer with nothing served in it: every worker bootstraps
-// registration over it.
-func (co *Coordinator) pickTransport(offers []string) string {
-	for _, o := range offers {
-		if o == TransportJSON || o == TransportBinary && co.binaryServed.Load() {
-			return o
-		}
-	}
-	return TransportJSON
+	return RegisterResponse{Gen: n.gen, HeartbeatMS: (co.cfg.DeadAfter / 3).Milliseconds()}, nil
 }
 
 // nodeMetricsLocked resolves a node id's per-node metric handles once, at

@@ -276,15 +276,13 @@ func decodeRegisterRequest(payload []byte, req *RegisterRequest) error {
 
 func appendRegisterResponse(dst []byte, resp RegisterResponse) []byte {
 	dst = appendI64(dst, resp.Gen)
-	dst = appendI64(dst, resp.HeartbeatMS)
-	return appendStr(dst, resp.Transport)
+	return appendI64(dst, resp.HeartbeatMS)
 }
 
 func decodeRegisterResponse(payload []byte, resp *RegisterResponse) error {
 	r := byteReader{b: payload}
 	resp.Gen = r.i64()
 	resp.HeartbeatMS = r.i64()
-	resp.Transport = r.str(resp.Transport)
 	if !r.done() {
 		return errDecode
 	}

@@ -38,7 +38,7 @@ func TestCodecRegisterRoundTrip(t *testing.T) {
 		t.Fatalf("register round trip: got %+v, want %+v", out, in)
 	}
 
-	respIn := RegisterResponse{Gen: 42, HeartbeatMS: 1000, Transport: TransportBinary}
+	respIn := RegisterResponse{Gen: 42, HeartbeatMS: 1000}
 	payload = frameRoundTrip(t, msgRegisterResp, func(dst []byte) []byte {
 		return appendRegisterResponse(dst, respIn)
 	})

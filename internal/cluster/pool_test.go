@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -44,10 +43,9 @@ func runFarmOverPool(t *testing.T, co *Coordinator, n int, sleepUS int64) (engin
 
 func TestFarmStreamsAcrossTwoWorkerProcessesOverHTTP(t *testing.T) {
 	co := testCoordinator(t, time.Second)
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	startTestWorker(t, srv.URL, "w1")
-	startTestWorker(t, srv.URL, "w2")
+	url := startTestServer(t, co)
+	startTestWorker(t, url, "w1")
+	startTestWorker(t, url, "w2")
 
 	rep, pool := runFarmOverPool(t, co, 40, 500)
 	if len(rep.Results) != 40 {
@@ -71,9 +69,8 @@ func TestFarmStreamsAcrossTwoWorkerProcessesOverHTTP(t *testing.T) {
 
 func TestNodeDeathMidStreamReassignsWithoutLossOrDuplicates(t *testing.T) {
 	co := testCoordinator(t, 300*time.Millisecond)
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	startTestWorker(t, srv.URL, "live")
+	url := startTestServer(t, co)
+	startTestWorker(t, url, "live")
 	// The ghost registers like a real node but never leases or heartbeats:
 	// a worker that crashed right after joining. Tasks the farm queues on
 	// it must fail over to the live node via the engine's Faults path.
@@ -109,9 +106,8 @@ func TestNodeDeathMidStreamReassignsWithoutLossOrDuplicates(t *testing.T) {
 
 func TestPoolExecRoundTripFeedsTime(t *testing.T) {
 	co := testCoordinator(t, time.Second)
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	startTestWorker(t, srv.URL, "w1")
+	url := startTestServer(t, co)
+	startTestWorker(t, url, "w1")
 
 	l := rt.NewLocal()
 	pool := NewPool(co, l, co.Live())
@@ -142,9 +138,8 @@ func TestPoolExecRoundTripFeedsTime(t *testing.T) {
 
 func TestWorkerStopDoesNotResurrectTheNode(t *testing.T) {
 	co := testCoordinator(t, time.Hour)
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	w := startTestWorker(t, srv.URL, "w1")
+	url := startTestServer(t, co)
+	w := startTestWorker(t, url, "w1")
 	w.Stop()
 	// The Leave races executors parked in long-poll leases: they observe
 	// ErrGone and must NOT re-register a live ghost on their way out.

@@ -1,14 +1,16 @@
 package cluster
 
-// Wire types for the coordinator/worker HTTP protocol served under
-// /cluster/v1/. The protocol is deliberately small: a worker registers
+// Wire types for the coordinator/worker protocol: the JSON binding serves
+// them under /cluster/v1/, the binary binding frames them (codec.go). The
+// protocol is deliberately small: a worker registers
 // (announcing its identity, capacity, and benchmark-derived speed), pulls
 // task batches with long-poll leases — each request carrying the previous
 // lease's results — posts result batches when a lease runs long, and
-// heartbeats between leases. Every worker-originated request carries the (id, gen)
-// pair the coordinator issued at registration; a stale generation gets
-// HTTP 410 so zombies re-register instead of corrupting a newer
-// incarnation's bookkeeping.
+// heartbeats between leases, all over the one binding it was started with.
+// Every worker-originated request carries the (id, gen) pair the
+// coordinator issued at registration; a stale generation gets HTTP 410 (a
+// 410 error frame on the binary binding) so zombies re-register instead of
+// corrupting a newer incarnation's bookkeeping.
 
 // Work is the wire form of one task's computation: sleep models IO-bound
 // work, spin models CPU-bound work (both may be combined), and Cost is the
@@ -27,10 +29,9 @@ type WorkCarrier interface {
 	ClusterWork() Work
 }
 
-// Transport names. Selection is negotiated at register time: the worker
-// offers the bindings it speaks, most preferred first, and the coordinator
-// picks the first one it serves (JSON when none is) and echoes it in the
-// response. The binding is therefore the worker's choice.
+// Transport names. The binding is the worker's choice, made when it
+// starts (WorkerConfig.Transport) and kept for its whole life; the
+// coordinator serves both on one port, so a fleet may mix them.
 const (
 	// TransportJSON is the original binding: JSON request/response bodies
 	// over HTTP POST, one round trip per verb.
@@ -38,9 +39,6 @@ const (
 	// TransportBinary is the length-prefixed binary codec (see codec.go)
 	// over persistent connections multiplexed onto the same cluster port.
 	TransportBinary = "binary"
-	// TransportAuto is the worker's configuration wildcard: offer the
-	// binary binding first, fall back to JSON.
-	TransportAuto = "auto"
 )
 
 // RegisterRequest announces a worker to the coordinator.
@@ -52,8 +50,9 @@ type RegisterRequest struct {
 	// iterations/second — the register-time calibration sample that feeds a
 	// cluster job's initial dispatch weights.
 	SpeedOPS float64 `json:"speed_ops"`
-	// Transports is the worker's transport offer, most preferred first
-	// (an empty offer gets JSON).
+	// Transports names the binding the request came over; the coordinator
+	// only logs it. It goes once the benchmark ladder stops setting it
+	// (ROADMAP item 2(a)).
 	Transports []string `json:"transports,omitempty"`
 }
 
@@ -63,9 +62,6 @@ type RegisterResponse struct {
 	// HeartbeatMS advises the worker how often to heartbeat (a third of the
 	// coordinator's dead-after bound).
 	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// Transport is the binding the coordinator picked from the worker's
-	// offer; the worker speaks it for every subsequent verb.
-	Transport string `json:"transport,omitempty"`
 }
 
 // LeaseRequest pulls up to Max queued tasks, long-polling up to WaitMS

@@ -41,11 +41,8 @@ type Server struct {
 	closed bool
 }
 
-// NewServer builds a dual-transport server for co. It marks the
-// coordinator binary-capable: negotiation only hands out the binary
-// binding when a Server is the thing accepting connections.
+// NewServer builds a dual-transport server for co.
 func NewServer(co *Coordinator) *Server {
-	co.binaryServed.Store(true)
 	return &Server{
 		co:    co,
 		http:  &http.Server{Handler: co.Handler()},

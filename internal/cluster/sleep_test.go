@@ -7,8 +7,6 @@ package cluster
 import (
 	"testing"
 	"time"
-
-	"grasp/internal/trace"
 )
 
 // TestDegradePenaltyStopsPromptly: a worker degraded ×4 that is sleeping
@@ -34,7 +32,7 @@ func TestDegradePenaltyStopsPromptly(t *testing.T) {
 			if _, err := co.submit(live[0].ID, live[0].Gen, sleepTasks(0, 1, tc.sleepUS)); err != nil {
 				t.Fatal(err)
 			}
-			for len(w.Trace().Filter(trace.KindDispatch)) == 0 {
+			for co.Nodes()[0].InFlight == 0 { // leased: the worker runs it on arrival
 				time.Sleep(time.Millisecond)
 			}
 			time.Sleep(20 * time.Millisecond) // past the 2 ms task, into its penalty

@@ -2,11 +2,12 @@ package cluster
 
 // Transport abstracts the coordinator/worker wire so the worker runtime —
 // and any future client of the protocol — is written once against the
-// five verbs and bound to a concrete encoding at register time. Two
-// bindings exist: the original JSON-over-HTTP one (NewJSONTransport) and
-// the length-prefixed binary codec over persistent connections
-// (NewBinaryTransport). Both speak to the same coordinator port: the
-// server sniffs the first byte of each connection (see server.go).
+// five verbs. A worker builds one binding when it starts and speaks it
+// for its whole life, registration included. Two bindings exist: the
+// original JSON-over-HTTP one (NewJSONTransport) and the length-prefixed
+// binary codec over persistent connections (NewBinaryTransport). Both
+// speak to the same coordinator port — the server sniffs the first byte
+// of each connection (see server.go) — so a fleet may mix them.
 
 import (
 	"bytes"
@@ -39,8 +40,7 @@ type Transport interface {
 }
 
 // NewTransport builds the named binding against a coordinator base URL
-// ("http://host:port"). TransportAuto is a worker's offer, resolved when
-// the coordinator picks at registration, not here; callers pass the pick.
+// ("http://host:port").
 func NewTransport(name, baseURL string, client *http.Client) (Transport, error) {
 	switch name {
 	case TransportJSON:
@@ -276,9 +276,15 @@ func (t *binaryTransport) exchange(deadline time.Duration, encode func([]byte) [
 // rtt is the deadline slack added to a verb's intrinsic wait.
 const rtt = 10 * time.Second
 
+// registerRTT bounds a register exchange. A coordinator answers it at once
+// (it never long-polls), and a worker's first register is how it finds out
+// that the port it was given speaks no frames: an HTTP server, say, that
+// waits for a request line the frame never ends.
+const registerRTT = 2 * time.Second
+
 func (t *binaryTransport) Register(req RegisterRequest) (RegisterResponse, error) {
 	var resp RegisterResponse
-	err := t.exchange(rtt, func(dst []byte) []byte {
+	err := t.exchange(registerRTT, func(dst []byte) []byte {
 		return appendRegisterRequest(beginFrame(dst, msgRegister), req)
 	}, func(typ byte, payload []byte) error {
 		if typ != msgRegisterResp {

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -58,7 +61,12 @@ func TestRegisterRejectsOversizedCapacity(t *testing.T) {
 func TestTransportContract(t *testing.T) {
 	for _, name := range []string{TransportJSON, TransportBinary} {
 		t.Run(name, func(t *testing.T) {
-			co := testCoordinator(t, time.Second)
+			var logs logBuffer
+			co := NewCoordinator(Config{
+				DeadAfter: time.Second, SweepEvery: time.Second / 4, MaxLeaseWait: 200 * time.Millisecond,
+				Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+			})
+			t.Cleanup(co.Close)
 			url := startTestServer(t, co)
 			tr, err := NewTransport(name, url, nil)
 			if err != nil {
@@ -69,7 +77,8 @@ func TestTransportContract(t *testing.T) {
 				t.Fatalf("transport name = %q, want %q", tr.Name(), name)
 			}
 
-			// Register issues a generation and echoes a pick from the offer.
+			// Register issues a generation, and the coordinator's
+			// registration log line names the binding the worker speaks.
 			reg, err := tr.Register(RegisterRequest{
 				ID: "n1", Capacity: 2, SpeedOPS: 1e6,
 				Transports: []string{name},
@@ -80,8 +89,8 @@ func TestTransportContract(t *testing.T) {
 			if reg.Gen == 0 || reg.HeartbeatMS <= 0 {
 				t.Fatalf("register response %+v", reg)
 			}
-			if reg.Transport != name {
-				t.Fatalf("negotiated transport = %q, want %q", reg.Transport, name)
+			if want := "transport=[" + name + "]"; !strings.Contains(logs.String(), want) {
+				t.Fatalf("registration log lacks %q:\n%s", want, logs.String())
 			}
 
 			// Heartbeat under the live gen succeeds; a stale gen is 410.
@@ -198,51 +207,63 @@ func TestTransportContract(t *testing.T) {
 	}
 }
 
-// TestTransportNegotiation pins the pick: the worker's first offered
-// binding the coordinator serves, else JSON — including an empty offer and
-// a coordinator mounted without the dual-transport server.
-func TestTransportNegotiation(t *testing.T) {
-	cases := []struct {
-		offers []string
-		served bool // a dual-transport Server fronts the coordinator
-		want   string
-	}{
-		{nil, true, TransportJSON}, // an empty offer gets the fallback
-		{[]string{TransportBinary, TransportJSON}, true, TransportBinary},
-		{[]string{TransportJSON, TransportBinary}, true, TransportJSON},
-		{[]string{"quic", TransportJSON}, true, TransportJSON}, // unknown offers skipped
-		{[]string{"quic"}, true, TransportJSON},
-		{[]string{TransportBinary}, true, TransportBinary},
-		// Bare HTTP handler (no Server): binary must never be picked even
-		// when offered — nothing would answer the frames.
-		{[]string{TransportBinary, TransportJSON}, false, TransportJSON},
-		{[]string{TransportBinary}, false, TransportJSON},
-	}
-	for i, c := range cases {
-		co := NewCoordinator(Config{})
-		if c.served {
-			NewServer(co) // marks the binary binding live; no listener needed
-		}
-		reg, err := co.Register(RegisterRequest{
-			ID: fmt.Sprintf("n%d", i), Capacity: 1, Transports: c.offers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reg.Transport != c.want {
-			t.Errorf("offers=%v served=%v: picked %q, want %q", c.offers, c.served, reg.Transport, c.want)
-		}
-		co.Close()
-	}
+// firstBytes wraps a listener and records the first byte each accepted
+// connection sends: frameMagic for a binary connection, a method letter
+// for HTTP.
+type firstBytes struct {
+	net.Listener
+	mu    sync.Mutex
+	bytes []byte
 }
 
-// TestWorkerNegotiatesBinary runs the real worker runtime against the
-// sniffing server and checks it lands on the binary binding end to end.
-func TestWorkerNegotiatesBinary(t *testing.T) {
+func (l *firstBytes) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &firstByteConn{Conn: c, l: l}, nil
+}
+
+func (l *firstBytes) seen() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]byte(nil), l.bytes...)
+}
+
+type firstByteConn struct {
+	net.Conn
+	l    *firstBytes
+	once sync.Once
+}
+
+func (c *firstByteConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.once.Do(func() {
+			c.l.mu.Lock()
+			c.l.bytes = append(c.l.bytes, p[0])
+			c.l.mu.Unlock()
+		})
+	}
+	return n, err
+}
+
+// TestWorkerSpeaksBinaryByDefault runs the real worker runtime, with no
+// binding configured, against the sniffing server: its whole session —
+// register, leases carrying results, heartbeats and leave — reaches the
+// coordinator over binary frames, and not one connection opens as HTTP.
+func TestWorkerSpeaksBinaryByDefault(t *testing.T) {
 	co := testCoordinator(t, time.Second)
-	url := startTestServer(t, co)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &firstBytes{Listener: inner}
+	srv := NewServer(co)
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
 	w, err := StartWorker(WorkerConfig{
-		Coordinator: url, ID: "wb", Capacity: 2, BenchSpin: 10_000,
+		Coordinator: "http://" + inner.Addr().String(), ID: "wb", Capacity: 2, BenchSpin: 10_000,
 		Heartbeat: 20 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -250,17 +271,70 @@ func TestWorkerNegotiatesBinary(t *testing.T) {
 	}
 	t.Cleanup(w.Stop)
 	if got := w.TransportName(); got != TransportBinary {
-		t.Fatalf("auto worker negotiated %q, want binary", got)
+		t.Fatalf("a worker with no binding configured speaks %q, want binary", got)
 	}
 	rep, _ := runFarmOverPool(t, co, 60, 200)
 	if len(rep.Results) != 60 {
 		t.Fatalf("completed %d/60 tasks over binary transport", len(rep.Results))
 	}
+	for deadline := time.Now().Add(5 * time.Second); co.Metrics().Counter("cluster_heartbeats_total").Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat reached the coordinator")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	w.Stop()
+	if nodes := co.Nodes(); len(nodes) != 1 || nodes[0].State != StateLeft {
+		t.Fatalf("after Stop the node is %+v, want one node that left", nodes)
+	}
+	seen := ln.seen()
+	if len(seen) == 0 {
+		t.Fatal("the listener accepted no connection")
+	}
+	for i, b := range seen {
+		if b != frameMagic {
+			t.Errorf("connection %d of %d opened with %q, not a binary frame", i+1, len(seen), b)
+		}
+	}
+}
+
+// TestStartWorkerFailsOnASilentPort: a binary worker pointed at a port that
+// accepts connections but never answers a frame — a plain HTTP server,
+// say, or a wedged process — gives up on registration and StartWorker
+// returns an error within 10 s, instead of waiting out a verb deadline
+// per attempt.
+func TestStartWorkerFailsOnASilentPort(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { c.Close() })
+			go io.Copy(io.Discard, c) // reads every frame, answers none
+		}
+	}()
+	began := time.Now()
+	w, err := StartWorker(WorkerConfig{Coordinator: "http://" + ln.Addr().String(), ID: "lost", BenchSpin: 10_000})
+	took := time.Since(began)
+	if err == nil {
+		w.Stop()
+		t.Fatal("StartWorker registered with a port that answers nothing")
+	}
+	if took > 10*time.Second {
+		t.Errorf("StartWorker took %v to give up on a silent port, want < 10s", took)
+	}
 }
 
 // TestMixedTransportFleet streams one farm across a JSON worker and a
-// binary worker simultaneously — the rolling-upgrade scenario negotiation
-// exists for — and requires exactly-once completion plus work on both.
+// binary worker simultaneously — a fleet that mixes bindings, as during a
+// rolling upgrade — and requires exactly-once completion plus work on both.
 func TestMixedTransportFleet(t *testing.T) {
 	co := testCoordinator(t, time.Second)
 	url := startTestServer(t, co)
@@ -278,7 +352,7 @@ func TestMixedTransportFleet(t *testing.T) {
 		}
 		t.Cleanup(w.Stop)
 		if got := w.TransportName(); got != wc.transport {
-			t.Fatalf("%s negotiated %q, want %q", wc.id, got, wc.transport)
+			t.Fatalf("%s speaks %q, want %q", wc.id, got, wc.transport)
 		}
 	}
 	const n = 120
@@ -344,4 +418,22 @@ func TestWorkerBatchesResults(t *testing.T) {
 	if posts > leases {
 		t.Errorf("results posts = %d for %d leases of near-instant tasks; a lease is not answered as a unit", posts, leases)
 	}
+}
+
+// logBuffer is a log sink safe to read while the coordinator writes it.
+type logBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }

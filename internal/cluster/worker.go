@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"grasp/internal/metrics"
-	"grasp/internal/trace"
 )
 
 // WorkerConfig parameterises a worker-node runtime.
@@ -36,11 +36,10 @@ type WorkerConfig struct {
 	Heartbeat time.Duration
 	// LeaseWait is the long-poll bound requested per lease (default 2s).
 	LeaseWait time.Duration
-	// Transport selects the wire binding to offer at registration:
-	// TransportJSON, TransportBinary, or TransportAuto (default auto —
-	// offer binary first, fall back to JSON). The coordinator picks from
-	// the offer; registration itself always bootstraps over JSON, so a
-	// worker preferring binary still joins a JSON-only coordinator.
+	// Transport is the wire binding the worker speaks for its whole life,
+	// registration included: TransportBinary (the default) or
+	// TransportJSON. The coordinator's Server answers both on one port, so
+	// a fleet may mix them.
 	Transport string
 	// Client is the HTTP client for the JSON binding (default:
 	// DefaultWorkerClient, tuned for persistent connections).
@@ -64,9 +63,6 @@ type WorkerConfig struct {
 	DegradeFactor float64
 }
 
-// workerTraceCap bounds the worker's execution trace ring.
-const workerTraceCap = 2048
-
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.ID == "" {
 		host, _ := os.Hostname()
@@ -74,6 +70,9 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 			host = "node"
 		}
 		c.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	if c.Transport == "" {
+		c.Transport = TransportBinary
 	}
 	if c.Capacity < 1 {
 		c.Capacity = 2
@@ -102,18 +101,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	return c
 }
 
-// transportOffer maps the configured preference onto the register-time
-// offer list, most preferred first.
-func transportOffer(pref string) []string {
-	switch pref {
-	case TransportJSON:
-		return []string{TransportJSON}
-	case TransportBinary:
-		return []string{TransportBinary}
-	}
-	return []string{TransportBinary, TransportJSON}
-}
-
 // leaseAheadMax bounds the tasks an executor leases ahead of: from resultHold
 // up to it, the last task of a lease runs while the next lease makes its
 // round trip. Above it the round trip is under 0.02 % of the task, and
@@ -126,7 +113,6 @@ const leaseAheadMax = time.Second
 // half and signals done. Each side touches it only between those signals.
 type aheadLease struct {
 	gen     int64
-	tr      Transport
 	results []WireResult // the executor's held results, carried by the request
 	tasks   []WireTask
 	err     error
@@ -144,28 +130,21 @@ type aheadLease struct {
 // task is on the node when this one ends. Create one with StartWorker;
 // Stop leaves gracefully.
 type Worker struct {
-	cfg    WorkerConfig
-	log    *slog.Logger
-	speed  float64
-	offers []string
-	boot   Transport // JSON binding; registration always bootstraps here
-	bin    Transport // binary binding, created on first negotiation
+	cfg   WorkerConfig
+	log   *slog.Logger
+	speed float64
+	tr    Transport    // the one binding every verb goes over
+	start time.Time    // DegradeAfter counts from here
+	gen   atomic.Int64 // the registration's generation, renewed by reRegister
 
 	// Observability: lease round-trip distribution (the worker-side view
-	// of dispatch latency — long-poll waits included), how long executors
-	// sat without a task on a lease that then delivered one, and a bounded
-	// trace of leased and executed tasks, stamped relative to start.
-	start        time.Time
+	// of dispatch latency — long-poll waits included) and how long
+	// executors sat without a task on a lease that then delivered one.
 	hLeaseRTT    *metrics.Histogram
 	hExecWait    *metrics.Histogram
-	tr           *trace.Log
 	mExecuted    *metrics.Counter
 	mLeases      *metrics.Counter
 	mLeasesAhead *metrics.Counter
-
-	mu     sync.Mutex
-	gen    int64
-	active Transport // the negotiated binding for lease/results/heartbeat
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -231,21 +210,29 @@ func execWork(w Work, s *sleeper) bool {
 	return true
 }
 
+// registerWindow is how long StartWorker retries registration, so worker
+// and coordinator processes can start in any order. Each attempt is
+// bounded too (a binary register waits registerRTT), so a port that
+// accepts connections but is no coordinator fails StartWorker within a
+// few seconds.
+const registerWindow = 5 * time.Second
+
 // StartWorker benchmarks, registers, and starts the heartbeat and executor
 // loops. It returns once registration succeeds; a coordinator that is not
-// up yet is retried for a few seconds so worker and coordinator processes
-// can start in any order.
+// up yet is retried for registerWindow.
 func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	cfg = cfg.withDefaults()
+	tr, err := NewTransport(cfg.Transport, cfg.Coordinator, cfg.Client)
+	if err != nil {
+		return nil, err
+	}
 	w := &Worker{
-		cfg:    cfg,
-		log:    cfg.Logger,
-		speed:  Benchmark(cfg.BenchSpin),
-		offers: transportOffer(cfg.Transport),
-		boot:   NewJSONTransport(cfg.Coordinator, cfg.Client),
-		start:  time.Now(),
-		tr:     trace.NewBounded(workerTraceCap),
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		log:   cfg.Logger,
+		speed: Benchmark(cfg.BenchSpin),
+		tr:    tr,
+		start: time.Now(),
+		stop:  make(chan struct{}),
 	}
 	w.hLeaseRTT = cfg.Registry.Histogram("worker_lease_rtt_seconds", metrics.DefDurationBuckets)
 	w.hExecWait = cfg.Registry.Histogram("worker_executor_wait_seconds", metrics.DefDurationBuckets)
@@ -253,13 +240,13 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	w.mLeases = cfg.Registry.Counter("worker_leases_total")
 	w.mLeasesAhead = cfg.Registry.Counter("worker_leases_ahead_total")
 	var hb time.Duration
-	var err error
-	for attempt := 0; ; attempt++ {
+	for giveUp := time.Now().Add(registerWindow); ; {
 		hb, err = w.register()
 		if err == nil {
 			break
 		}
-		if attempt >= 20 {
+		if time.Now().After(giveUp) {
+			tr.Close()
 			return nil, err
 		}
 		time.Sleep(250 * time.Millisecond)
@@ -269,7 +256,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	w.log.Info("worker registered",
 		"node", cfg.ID, "coordinator", cfg.Coordinator, "speed_ops", w.speed,
-		"capacity", cfg.Capacity, "transport", w.TransportName())
+		"capacity", cfg.Capacity, "transport", tr.Name())
 	w.wg.Add(1)
 	go w.heartbeatLoop()
 	for i := 0; i < cfg.Capacity; i++ {
@@ -288,19 +275,11 @@ func (w *Worker) ID() string { return w.cfg.ID }
 // round-trip histogram.
 func (w *Worker) Metrics() *metrics.Registry { return w.cfg.Registry }
 
-// Trace exposes the worker's bounded execution trace: a dispatch event
-// per task leased, a complete event per task executed.
-func (w *Worker) Trace() *trace.Log { return w.tr }
-
 // SpeedOPS returns the benchmark-derived speed reported at registration.
 func (w *Worker) SpeedOPS() float64 { return w.speed }
 
-// TransportName reports the currently negotiated wire binding.
-func (w *Worker) TransportName() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.active.Name()
-}
+// TransportName reports the wire binding the worker speaks.
+func (w *Worker) TransportName() string { return w.tr.Name() }
 
 // Stop leaves the cluster gracefully (outstanding work fails over
 // immediately rather than waiting for the dead-after bound) and waits for
@@ -310,56 +289,25 @@ func (w *Worker) Stop() {
 	// blocks until the first finishes instead of double-closing channels.
 	w.stopOnce.Do(func() {
 		close(w.stop)
-		gen, tr := w.session()
-		tr.Leave(LeaveRequest{ID: w.cfg.ID, Gen: gen})
+		w.tr.Leave(LeaveRequest{ID: w.cfg.ID, Gen: w.gen.Load()})
 		w.wg.Wait()
-		w.boot.Close()
-		if w.bin != nil {
-			w.bin.Close()
-		}
+		w.tr.Close()
 	})
 }
 
-// session reads the current generation and its negotiated transport
-// together, so a verb never pairs a fresh gen with a stale binding.
-func (w *Worker) session() (int64, Transport) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.gen, w.active
-}
-
-// register (re-)registers over the JSON bootstrap binding, installs the
-// fresh generation, and binds the coordinator's transport pick. It
-// returns the coordinator-advertised heartbeat interval.
+// register (re-)registers, installs the fresh generation, and returns the
+// coordinator-advertised heartbeat interval.
 func (w *Worker) register() (time.Duration, error) {
-	resp, err := w.boot.Register(RegisterRequest{
+	resp, err := w.tr.Register(RegisterRequest{
 		ID:         w.cfg.ID,
 		Capacity:   w.cfg.Capacity,
 		SpeedOPS:   w.speed,
-		Transports: w.offers,
+		Transports: []string{w.tr.Name()},
 	})
 	if err != nil {
 		return 0, fmt.Errorf("cluster: register %s with %s: %w", w.cfg.ID, w.cfg.Coordinator, err)
 	}
-	active := w.boot
-	if resp.Transport == TransportBinary {
-		if w.bin == nil {
-			bin, berr := NewBinaryTransport(w.cfg.Coordinator)
-			if berr != nil {
-				w.log.Warn("binary transport unavailable; staying on json",
-					"node", w.cfg.ID, "err", berr)
-			} else {
-				w.bin = bin
-			}
-		}
-		if w.bin != nil {
-			active = w.bin
-		}
-	}
-	w.mu.Lock()
-	w.gen = resp.Gen
-	w.active = active
-	w.mu.Unlock()
+	w.gen.Store(resp.Gen)
 	hb := time.Duration(resp.HeartbeatMS) * time.Millisecond
 	if hb <= 0 {
 		hb = time.Second
@@ -378,10 +326,7 @@ func (w *Worker) reRegister(staleGen int64) {
 		return
 	default:
 	}
-	w.mu.Lock()
-	current := w.gen
-	w.mu.Unlock()
-	if current != staleGen {
+	if w.gen.Load() != staleGen {
 		return // someone else already re-registered
 	}
 	if _, err := w.register(); err != nil {
@@ -389,7 +334,7 @@ func (w *Worker) reRegister(staleGen int64) {
 		sleepOrStop(500*time.Millisecond, w.stop)
 		return
 	}
-	w.log.Info("worker re-registered", "node", w.cfg.ID, "transport", w.TransportName())
+	w.log.Info("worker re-registered", "node", w.cfg.ID, "gen", w.gen.Load())
 }
 
 // heartbeatLoop keeps the registration alive.
@@ -403,8 +348,8 @@ func (w *Worker) heartbeatLoop() {
 			return
 		case <-t.C:
 		}
-		gen, tr := w.session()
-		err := tr.Heartbeat(HeartbeatRequest{ID: w.cfg.ID, Gen: gen})
+		gen := w.gen.Load()
+		err := w.tr.Heartbeat(HeartbeatRequest{ID: w.cfg.ID, Gen: gen})
 		if errors.Is(err, ErrGone) {
 			w.reRegister(gen)
 		}
@@ -433,7 +378,6 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 		scratch []WireTask   // the lease in hand
 		held    []WireResult // finished, not yet sent
 		gen     int64        // the lease in hand and the held results belong to gen
-		tr      Transport
 		timer   = sleeper{stop: w.stop}
 	)
 	defer timer.close()
@@ -444,14 +388,13 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 		default:
 		}
 		if len(scratch) == 0 {
-			g, t := w.session()
-			if g != gen {
+			if g := w.gen.Load(); g != gen {
 				held = held[:0]
+				gen = g
 			}
-			gen, tr = g, t
 			waitStart := time.Now()
 			var err error
-			scratch, err = w.lease(tr, gen, held, scratch[:0])
+			scratch, err = w.lease(gen, held, scratch[:0])
 			if errors.Is(err, ErrGone) {
 				held = held[:0]
 				w.reRegister(gen)
@@ -472,16 +415,12 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 		for i := range scratch {
 			t := &scratch[i]
 			if est := estimate(t.Work, w.speed); i == len(scratch)-1 && est >= resultHold && est < leaseAheadMax {
-				ahead.gen, ahead.tr = gen, tr
+				ahead.gen = gen
 				ahead.results, held = held, ahead.results[:0]
 				ahead.issue <- struct{}{}
 				w.mLeasesAhead.Inc()
 				leasedAhead = true
 			}
-			w.tr.Append(trace.Event{
-				At: time.Since(w.start), Kind: trace.KindDispatch,
-				Node: w.cfg.ID, Task: t.Task,
-			})
 			// One clock over execution and penalty: the node reports what
 			// the task took, not what the penalty meant to add.
 			start := time.Now()
@@ -493,10 +432,6 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 			}
 			d := time.Since(start)
 			w.mExecuted.Inc()
-			w.tr.Append(trace.Event{
-				At: time.Since(w.start), Kind: trace.KindComplete,
-				Node: w.cfg.ID, Task: t.Task, Dur: d,
-			})
 			held = append(held, WireResult{Dispatch: t.Dispatch, Task: t.Task, Micros: d.Microseconds()})
 		}
 		if !leasedAhead {
@@ -507,7 +442,7 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 		select {
 		case <-ahead.done:
 		default:
-			w.post(tr, gen, held)
+			w.post(gen, held)
 			held = held[:0]
 			select {
 			case <-ahead.done:
@@ -515,7 +450,6 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 				return
 			}
 		}
-		current, _ := w.session()
 		switch {
 		case errors.Is(ahead.err, ErrGone):
 			held = held[:0]
@@ -527,7 +461,7 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 			ahead.results, held = held[:0], append(ahead.results, held...)
 			sleepOrStop(200*time.Millisecond, w.stop)
 			scratch = scratch[:0]
-		case current != gen:
+		case w.gen.Load() != gen:
 			// Leased under a superseded registration: already failed over.
 			scratch = scratch[:0]
 		default:
@@ -549,16 +483,16 @@ func (w *Worker) leaseLoop(a *aheadLease) {
 			return
 		case <-a.issue:
 		}
-		a.tasks, a.err = w.lease(a.tr, a.gen, a.results, a.tasks[:0])
+		a.tasks, a.err = w.lease(a.gen, a.results, a.tasks[:0])
 		a.done <- struct{}{}
 	}
 }
 
 // lease sends one lease request carrying results under gen, appending the
 // leased batch onto scratch.
-func (w *Worker) lease(tr Transport, gen int64, results []WireResult, scratch []WireTask) ([]WireTask, error) {
+func (w *Worker) lease(gen int64, results []WireResult, scratch []WireTask) ([]WireTask, error) {
 	start := time.Now()
-	tasks, err := tr.Lease(LeaseRequest{
+	tasks, err := w.tr.Lease(LeaseRequest{
 		ID:      w.cfg.ID,
 		Gen:     gen,
 		Max:     w.cfg.Batch,
@@ -572,16 +506,16 @@ func (w *Worker) lease(tr Transport, gen int64, results []WireResult, scratch []
 	return tasks, err
 }
 
-// post delivers results held under gen through tr, retrying transport
+// post delivers results held under gen, retrying transport
 // errors for as long as the worker is alive. Giving up earlier would strand
 // the dispatches in flight on a node the coordinator still believes live —
 // redelivery only triggers on node death, and a blip shorter than the
 // dead-after bound never kills the node. On ErrGone or Stop the results
 // are abandoned: the coordinator has already reassigned the work, and
 // posting under a new generation would only be deduped anyway.
-func (w *Worker) post(tr Transport, gen int64, results []WireResult) {
+func (w *Worker) post(gen int64, results []WireResult) {
 	for attempt := 0; ; attempt++ {
-		err := tr.Results(ResultsRequest{ID: w.cfg.ID, Gen: gen, Results: results})
+		err := w.tr.Results(ResultsRequest{ID: w.cfg.ID, Gen: gen, Results: results})
 		if err == nil || errors.Is(err, ErrGone) {
 			return
 		}

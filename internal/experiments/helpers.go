@@ -9,6 +9,7 @@ import (
 	"grasp/internal/platform"
 	"grasp/internal/rt"
 	"grasp/internal/sched"
+	"grasp/internal/skel/farm"
 	"grasp/internal/vsim"
 )
 
@@ -76,26 +77,8 @@ func staticFarmBaseline(pf platform.Platform, c rt.Ctx, tasks []platform.Task, k
 		chosen = out.Ranking.Select(k)
 		rest = tasks[pf.Size():]
 	}
-	runPartitioned(pf, c, rest, chosen, sched.Blocks(len(rest), len(chosen)))
+	farm.RunStatic(pf, c, rest, sched.Blocks(len(rest), len(chosen)), chosen, nil)
 	return c.Now() - start
-}
-
-// runPartitioned executes a fixed task partition over the chosen workers.
-func runPartitioned(pf platform.Platform, c rt.Ctx, tasks []platform.Task, chosen []int, part sched.Partition) {
-	done := pf.Runtime().NewChan("static.done", len(chosen))
-	for i, w := range chosen {
-		w := w
-		idxs := part[i]
-		c.Go(fmt.Sprintf("static.%d", w), func(cc rt.Ctx) {
-			for _, ti := range idxs {
-				pf.Exec(cc, w, tasks[ti])
-			}
-			done.Send(cc, w)
-		})
-	}
-	for range chosen {
-		done.Recv(c)
-	}
 }
 
 // allOf lists every worker index of a platform.

@@ -1,10 +1,9 @@
 package loadgen
 
-// Adversarial load scenarios for the overload experiment (E29) and the
-// scenario end-to-end suite: seeded generators for the two failure shapes
-// the predictive policy is built to survive — a node that slowly degrades
-// under rising external contention, and demand that arrives faster than the
-// configured capacity.
+// Adversarial background load for the slow-node-degradation exhibit (E29):
+// a seeded generator for the failure shape the predictive policy is built
+// to catch — a node that slowly degrades under rising external contention
+// — and the linear ramp it is made of.
 
 import (
 	"math/rand"

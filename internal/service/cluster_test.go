@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,17 +33,23 @@ func startClusterDaemonURL(t *testing.T, n int) (*service.Service, *cluster.Coor
 		MaxLeaseWait: 200 * time.Millisecond,
 	})
 	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(coord.Handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := cluster.NewServer(coord)
+	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
+	url := "http://" + ln.Addr().String()
 	for i := 0; i < n; i++ {
-		startClusterWorker(t, srv.URL, string(rune('a'+i)))
+		startClusterWorker(t, url, string(rune('a'+i)))
 	}
 	s := service.New(service.Config{
 		Workers:     2,
 		WarmupTasks: 4,
 		Cluster:     coord,
 	})
-	return s, coord, srv.URL
+	return s, coord, url
 }
 
 // startClusterWorker registers one in-process worker runtime.

@@ -269,8 +269,7 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 		}
 		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
 		t.Cleanup(coord.Close)
-		srv := httptest.NewServer(coord.Handler())
-		t.Cleanup(srv.Close)
+		url := serveCluster(t, coord)
 		cfg.DataDir, cfg.Cluster = dir, coord
 		s, err := Open(cfg)
 		if err != nil {
@@ -291,7 +290,7 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 			t.Fatal("a poll at the watermark of a recovering job does not park")
 		}
 		worker, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: srv.URL, ID: "a", Capacity: 2, BenchSpin: 10_000,
+			Coordinator: url, ID: "a", Capacity: 2, BenchSpin: 10_000,
 			Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
 		})
 		if err != nil {

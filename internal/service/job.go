@@ -21,6 +21,14 @@ import (
 const (
 	maxStages     = 8
 	maxCostFactor = 8
+	// maxShare keeps the allocator's share sum finite: past it, two shares
+	// (or one the predictive policy boosts) add up to +Inf and the split
+	// stops owning every slot.
+	maxShare = 1e6
+	// maxThresholdFactor keeps Z = factor × warm-up mean inside a
+	// time.Duration for any mean under 100 days, so a larger factor never
+	// installs a smaller Z.
+	maxThresholdFactor = 1e3
 )
 
 // Placements a job may declare. Per the paper's portability claim the
@@ -62,13 +70,13 @@ type JobSpec struct {
 	// concurrent job with share 1, every slot is always owned by some job
 	// (shares are relative, not caps), and the split rebalances live as
 	// jobs come and go. Omitted: the daemon's default (1, or
-	// -default-share). Explicit non-positive values are rejected.
+	// -default-share). Values outside (0, 1e6] are rejected.
 	Share *float64 `json:"share,omitempty"`
 	// Window is the job's bounded in-flight window (default the service's
 	// DefaultWindow).
 	Window int `json:"window,omitempty"`
 	// ThresholdFactor sets Z = factor × warm-up mean (default the
-	// service's).
+	// service's; at most 1000).
 	ThresholdFactor float64 `json:"threshold_factor,omitempty"`
 	// WarmupTasks is how many completions seed the threshold (default the
 	// service's).
@@ -142,11 +150,11 @@ func (js JobSpec) Validate() error {
 	if js.MaxResults < 0 {
 		return fmt.Errorf("max_results must be non-negative, got %d", js.MaxResults)
 	}
-	if js.ThresholdFactor < 0 {
-		return fmt.Errorf("threshold_factor must be non-negative, got %g", js.ThresholdFactor)
+	if !(js.ThresholdFactor >= 0 && js.ThresholdFactor <= maxThresholdFactor) {
+		return fmt.Errorf("threshold_factor must be in [0, %g], got %g", maxThresholdFactor, js.ThresholdFactor)
 	}
-	if js.Share != nil && *js.Share <= 0 {
-		return fmt.Errorf("share must be positive, got %g", *js.Share)
+	if js.Share != nil && !(*js.Share > 0 && *js.Share <= maxShare) {
+		return fmt.Errorf("share must be in (0, %g], got %g", maxShare, *js.Share)
 	}
 	if !adapt.Known(js.Skeleton) {
 		return fmt.Errorf("unknown skeleton %q (have %v)", js.Skeleton, adapt.Names())

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"grasp/internal/journal"
 )
 
 // The fault-injection recovery suite for the durable control plane. All
@@ -358,7 +360,7 @@ func TestRecoveryReplayDeterminism(t *testing.T) {
 					case 0:
 						rec = walRecord{Kind: walClose, Job: name}
 					case 1:
-						rec = walRecord{Kind: walDone, Job: name, Lost: rng.Intn(3)}
+						rec = walRecord{Kind: walDone, Job: name}
 					case 2:
 						rec = walRecord{Kind: walRemove, Job: name}
 					}
@@ -381,6 +383,49 @@ func TestRecoveryReplayDeterminism(t *testing.T) {
 				t.Fatalf("replayed state diverges from live mirror:\nlive:     %s\nreplayed: %s", live, got)
 			}
 		})
+	}
+}
+
+// TestRecoveryReplaysALostCountFromAnOlderBuild: earlier builds journaled
+// a "lost" count on the done record. Replay derives the count from the
+// job's own tallies and ignores the field, so such a journal still opens,
+// and to the state the live service reported.
+func TestRecoveryReplaysALostCountFromAnOlderBuild(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := journal.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{}.withDefaults(Config{}.withDefaults())
+	for _, rec := range []walRecord{
+		{Kind: walCreate, Job: "old", Spec: &spec},
+		{Kind: walTasks, Job: "old", Tasks: burst(0, 3, 0)},
+		{Kind: walResults, Job: "old", Results: []TaskResult{{ID: 0, Micros: 5}}},
+	} {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Append(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Append([]byte(`{"kind":"done","job":"old","lost":7}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	w, err := openWAL(dir, walOptions{})
+	if err != nil {
+		t.Fatalf("a journal carrying a lost count does not replay: %v", err)
+	}
+	defer w.close()
+	wj := w.state.Jobs["old"]
+	if wj == nil || !wj.Done || wj.Submitted != 3 || wj.completed() != 1 || wj.Lost != 2 || len(wj.Pending) != 0 {
+		t.Fatalf("replayed job = %+v, want done with 3 submitted, 1 completed, 2 lost and none pending", wj)
 	}
 }
 

@@ -224,9 +224,9 @@ func New(cfg Config) *Service {
 // unfinished jobs resume — local ones immediately, cluster ones as soon
 // as a worker node is live again (with no cfg.Cluster they stay
 // recovering, logged) — and every accepted-but-unacknowledged task is
-// re-delivered. Open fails when a default (DefaultWindow, DefaultAdapt) is
-// outside the bounds JobSpec.Validate holds a spec to; with valid defaults
-// and no DataDir, Open never fails.
+// re-delivered. Open fails when a default (DefaultWindow, DefaultAdapt,
+// ThresholdFactor, DefaultShare) is outside the bounds JobSpec.Validate
+// holds a spec to; with valid defaults and no DataDir, Open never fails.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	// The daemon-wide defaults fill every spec that omits a field, so they

@@ -277,6 +277,9 @@ func TestOpenHoldsDefaultsToTheSpecBounds(t *testing.T) {
 		{"unknown adapt", Config{Workers: 2, DefaultAdapt: "predicitve"}, `unknown adapt policy "predicitve"`},
 		{"oversized window", Config{Workers: 2, DefaultWindow: maxWindow + 1}, fmt.Sprintf("window must be in [0, %d], got %d", maxWindow, maxWindow+1)},
 		{"window at the bound", Config{Workers: 2, DefaultWindow: maxWindow, DefaultAdapt: AdaptPredictive}, ""},
+		{"oversized default share", Config{Workers: 2, DefaultShare: 1e308}, "share must be in (0, 1e+06], got 1e+308"},
+		{"oversized threshold", Config{Workers: 2, ThresholdFactor: 1e300}, "threshold_factor must be in [0, 1000], got 1e+300"},
+		{"share and threshold at their bounds", Config{Workers: 2, DefaultShare: maxShare, ThresholdFactor: maxThresholdFactor}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Open(tc.cfg)
@@ -292,6 +295,62 @@ func TestOpenHoldsDefaultsToTheSpecBounds(t *testing.T) {
 				t.Fatalf("Open error %q does not name the bound %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestShareIsBounded: the allocator splits slots by share over the sum of
+// the shares, and two shares of 1e308 sum to +Inf — that split left six
+// of eight slots owned by no job. A share past maxShare is refused, and
+// two jobs at the bound still split every slot between them.
+func TestShareIsBounded(t *testing.T) {
+	s := New(Config{Workers: 8})
+	defer s.Close()
+	huge := 1e308
+	if _, err := s.Submit("huge", JobSpec{Share: &huge}); err == nil || !strings.Contains(err.Error(), "share must be in") {
+		t.Fatalf("share %g: err = %v, want the share bound", huge, err)
+	}
+	top := float64(maxShare)
+	var jobs []*Job
+	for _, name := range []string{"a", "b"} {
+		j, err := s.Submit(name, JobSpec{Share: &top})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.CloseInput()
+		jobs = append(jobs, j)
+	}
+	if owned := jobs[0].Status().Workers + jobs[1].Status().Workers; owned != 8 {
+		t.Fatalf("two jobs at share %g own %d of 8 slots, want all 8", top, owned)
+	}
+}
+
+// TestThresholdNeverFallsAsTheFactorRises: Z = factor × warm-up mean, and a
+// factor so large that the product overflowed installed Z = 1 µs — the
+// most sensitive detector, not the least. A factor past maxThresholdFactor
+// is refused, and over the accepted range a larger factor installs a
+// larger Z.
+func TestThresholdNeverFallsAsTheFactorRises(t *testing.T) {
+	s := New(Config{Workers: 2, WarmupTasks: 8})
+	defer s.Close()
+	if _, err := s.Submit("huge", JobSpec{ThresholdFactor: 1e300}); err == nil || !strings.Contains(err.Error(), "threshold_factor must be in") {
+		t.Fatalf("threshold_factor 1e300: err = %v, want the factor bound", err)
+	}
+	var last int64
+	for _, factor := range []float64{4, maxThresholdFactor} {
+		j, err := s.Submit(fmt.Sprintf("z%g", factor), JobSpec{ThresholdFactor: factor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Push(burst(0, 8, 200)); err != nil {
+			t.Fatal(err)
+		}
+		j.CloseInput()
+		waitDone(t, j, 10*time.Second)
+		z := j.Status().ZMicros
+		if z <= last {
+			t.Errorf("factor %g installed z_micros %d, not above the smaller factor's %d", factor, z, last)
+		}
+		last = z
 	}
 }
 

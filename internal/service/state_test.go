@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
-	"net/http/httptest"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +14,20 @@ import (
 	"grasp/internal/journal"
 	"grasp/internal/platform"
 )
+
+// serveCluster serves coord's dual-transport listener on a loopback port,
+// as graspd does, and returns its base URL.
+func serveCluster(t *testing.T, coord *cluster.Coordinator) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := cluster.NewServer(coord)
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
+	return "http://" + ln.Addr().String()
+}
 
 // Tests for what keeping a job's state in one place makes checkable: the
 // conservation law over the one struct, visible ⇒ durable under the
@@ -266,10 +280,8 @@ func TestBlockedSyncRemoveDoesNotStallLookups(t *testing.T) {
 func TestRecoveryPushCutShortByNodeLoss(t *testing.T) {
 	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
 	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(coord.Handler())
-	t.Cleanup(srv.Close)
 	worker, err := cluster.StartWorker(cluster.WorkerConfig{
-		Coordinator: srv.URL, ID: "a", Capacity: 2, BenchSpin: 10_000,
+		Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2, BenchSpin: 10_000,
 		Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -422,10 +434,8 @@ func TestRecoveryClusterJobWithoutCoordinator(t *testing.T) {
 	fleet := func() *cluster.Coordinator {
 		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
 		t.Cleanup(coord.Close)
-		srv := httptest.NewServer(coord.Handler())
-		t.Cleanup(srv.Close)
 		worker, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: srv.URL, ID: "a", Capacity: 2, BenchSpin: 10_000,
+			Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2, BenchSpin: 10_000,
 			Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
 		})
 		if err != nil {

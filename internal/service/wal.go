@@ -52,13 +52,11 @@ const (
 
 // walRecord is one journaled mutation.
 type walRecord struct {
-	Kind    string       `json:"kind"`
-	Job     string       `json:"job,omitempty"`
-	Spec    *JobSpec     `json:"spec,omitempty"`
-	Tasks   []TaskSpec   `json:"tasks,omitempty"`
-	Results []TaskResult `json:"results,omitempty"`
-	// Lost: journaled by earlier builds; apply derives the count instead.
-	Lost    int                    `json:"lost,omitempty"`
+	Kind    string                 `json:"kind"`
+	Job     string                 `json:"job,omitempty"`
+	Spec    *JobSpec               `json:"spec,omitempty"`
+	Tasks   []TaskSpec             `json:"tasks,omitempty"`
+	Results []TaskResult           `json:"results,omitempty"`
 	Cluster *cluster.RegistryState `json:"cluster,omitempty"`
 
 	// adopt, set on a live create, is the walJob the submitting Job already

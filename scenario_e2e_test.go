@@ -16,6 +16,7 @@ package grasp_test
 import (
 	"fmt"
 	"maps"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -351,11 +352,16 @@ func TestDriveClusterScenario(t *testing.T) {
 		MaxLeaseWait: 200 * time.Millisecond,
 	})
 	defer coord.Close()
-	csrv := httptest.NewServer(coord.Handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	csrv := cluster.NewServer(coord)
+	go csrv.Serve(ln)
 	defer csrv.Close()
 	for i := 0; i < 2; i++ {
 		w, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: csrv.URL,
+			Coordinator: "http://" + ln.Addr().String(),
 			ID:          fmt.Sprintf("drive-n%d", i),
 			Capacity:    2,
 			BenchSpin:   10_000,
