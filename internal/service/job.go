@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -387,18 +386,17 @@ type Job struct {
 	sendMu sync.RWMutex
 
 	// wj is the job's task pool (see wal.go), guarded by the wal's lock:
-	// written only by committing records, read through wal.view. ack is
-	// onResult's scratch record (acks are serial; commit does not keep it).
-	wj  *walJob
-	ack [1]TaskResult
+	// written only by applying records, read through wal.view.
+	wj *walJob
 
 	mu sync.Mutex
 	// running reports an attached runner (false for a recovered job until
 	// resume); the rest of the lifecycle is wj.Closed and the done channel.
 	running bool
 	// completed is the visibility watermark: how many of wj's results
-	// pollers may see. It advances only after the ack's commit returns, so
-	// visible implies durable though the wal applies before it fsyncs.
+	// pollers may see. On a durable service the wal's flusher advances it
+	// (published) once an ack is fsynced, so visible implies durable though
+	// the wal applies before it fsyncs.
 	completed int
 	// changed releases the results polls parked at the watermark (waitPast):
 	// a waiter makes it, and the next watermark advance or lifecycle move
@@ -512,12 +510,13 @@ func (j *Job) wakeLocked() {
 // in-flight window is the only bound on admitted work, so once it is full
 // the rest of the batch waits here, in the blocked push, and is handed
 // over one task at a time (service_push_wait_seconds is that wait). It
-// returns how many tasks were accepted. A job whose run finishes while a
-// push is blocked — every cluster node died and the engine abandoned the
-// stream — unblocks with an error instead of hanging the submitter: the
-// runner no longer drains the input, so a plain channel send would never
-// return. The batch stays in the submitted count (it was committed); the
-// part that never ran is counted lost when the job ends.
+// returns how many tasks were accepted, once their record is durable. A
+// job whose run finishes while a push is blocked — every cluster node died
+// and the engine abandoned the stream — unblocks with an error instead of
+// hanging the submitter: the runner no longer drains the input, so a plain
+// channel send would never return. The batch stays in the submitted count
+// (it was journaled); the part that never ran is counted lost when the job
+// ends.
 func (j *Job) Push(specs []TaskSpec) (int, error) {
 	j.sendMu.RLock()
 	defer j.sendMu.RUnlock()
@@ -540,22 +539,28 @@ func (j *Job) Push(specs []TaskSpec) (int, error) {
 		return 0, fmt.Errorf("service: job %q queue-depth forecast over the admission bound: %w", j.name, ErrOverloaded)
 	}
 	j.mu.Unlock()
-	// Commit the batch before a single task becomes observable: when a
-	// durable service says "accepted", the tasks survive a crash. Recovery
-	// re-delivers exactly the journaled-but-unacknowledged remainder. The
-	// whole HTTP batch is one walTasks record, and concurrent pushers'
-	// records group-commit under a single fsync, so durable ingest scales
-	// with pusher concurrency instead of the disk's serial fsync rate.
-	if err := w.commit(walRecord{Kind: walTasks, Job: j.name, Tasks: specs}); err != nil {
+	// Queue the batch's one record first — its journal position, and so its
+	// apply order, precedes every ack of these tasks — then feed the engine
+	// while it syncs, and answer once it is durable: "accepted" means the
+	// tasks survive a crash, and recovery re-delivers exactly the un-acked
+	// remainder. A batch whose fsync fails gets the journal error (409) and
+	// latches the wal, though its tasks may run: they stay counted.
+	synced, err := w.begin(walRecord{Kind: walTasks, Job: j.name, Tasks: specs, fed: state == JobAccepting})
+	if err != nil {
 		return 0, fmt.Errorf("service: job %q: journal: %w", j.name, err)
 	}
-	// With no runner to feed yet the batch waits in the pending set: resume
-	// delivers it with the rest of the backlog.
-	accepted, pushErr := len(specs), error(nil)
+	accepted, pushErr := 0, error(nil)
 	if state == JobAccepting {
 		start := time.Now()
 		accepted, pushErr = j.feed(specs)
 		j.svc.hPushWait.ObserveDuration(time.Since(start))
+	}
+	if err := <-synced; err != nil {
+		pushErr = fmt.Errorf("service: job %q: journal: %w", j.name, err)
+	} else if state != JobAccepting {
+		// With no runner to feed yet the batch waits in the pending set:
+		// resume delivers it with the rest of the backlog.
+		accepted = len(specs)
 	}
 	j.svc.cSubmitted.Add(int64(accepted))
 	return accepted, pushErr
@@ -769,23 +774,27 @@ func (j *Job) onResult(res platform.Result) {
 		Micros: res.Time.Microseconds(),
 		Node:   node,
 	}
-	// The acknowledgement is committed before the watermark moves past the
-	// result: once a client's cursor is beyond it, no crash can make the
-	// service deliver that task again — the replayed pending set no longer
-	// contains it. Each job's coordinator commits its acks serially, but
-	// acks from different jobs — and acks racing pushes — coalesce through
-	// the wal's group commit, so a busy daemon pays one fsync for a convoy of
-	// acknowledgements. A latched journal error does not suppress
-	// publication (the wal still applies the ack; new accepts fail loudly
-	// instead); a wal already shut down applied nothing, and the next Open
-	// re-delivers the task, so publishing it here would deliver it twice.
-	j.ack[0] = tr
-	if err := j.svc.wal.commit(walRecord{Kind: walResults, Job: j.name, Results: j.ack[:]}); errors.Is(err, errWALClosed) {
+	// A durable ack is queued — in a record of its own, since the flusher
+	// applies it later — and the coordinator moves on; the flusher publishes
+	// it once durable, so once a client's cursor is beyond a result no crash
+	// can re-deliver that task. Acks queued behind an fsync share the next
+	// one. A latched journal error does not suppress publication; a wal
+	// already shut down refuses the ack unapplied and the next Open
+	// re-delivers the task, so publishing it would deliver it twice. In
+	// memory the ack applies inline and publishes under the one j.mu hold
+	// below.
+	w := j.svc.wal
+	durable := w.store != nil
+	if !durable {
+		w.ackInline(j.wj, tr)
+	} else if w.enqueue(walRecord{Kind: walResults, Job: j.name, Results: []TaskResult{tr}}, j.published) != nil {
 		return
 	}
 	j.mu.Lock()
-	j.completed++
-	j.wakeLocked()
+	if !durable {
+		j.completed++
+		j.wakeLocked()
+	}
 	var install time.Duration
 	if !j.zInstalled {
 		j.warmTotal += res.Time
@@ -829,6 +838,16 @@ func (j *Job) onResult(res platform.Result) {
 	}
 }
 
+// published makes one durable ack visible: the wal's flusher calls it in
+// queue order once the ack's batch is fsynced — or has failed, since a
+// latched journal error does not suppress publication.
+func (j *Job) published(error) {
+	j.mu.Lock()
+	j.completed++
+	j.wakeLocked()
+	j.mu.Unlock()
+}
+
 // onForecast records the engine's per-worker completion-time forecasts
 // (predictive policy only). It runs in the skeleton's coordinator, once
 // per completion after a worker's forecaster warms; triggered marks the
@@ -867,8 +886,10 @@ func (j *Job) onRecalibrate(engine.Breach) (engine.Update, bool) {
 // Remaining, tasks buffered in the input, a push cut short by the last
 // node's death) becomes the lost count — and only after its commit returns
 // is Done closed, so observing done means done is on disk, lost count
-// included. A crash before the record lands replays the job as an
-// unfinished stream, which re-runs this same path and converges.
+// included. The wal delivers outcomes in queue order, so by then every
+// earlier ack is published too: a job that reads done serves every result.
+// A crash before the record lands replays the job as an unfinished
+// stream, which re-runs this same path and converges.
 func (j *Job) finish(rep engine.StreamReport) {
 	j.mu.Lock()
 	j.rep = rep
@@ -962,8 +983,9 @@ func (j *Job) Status() JobStatus {
 // endpoint reports as the page's gap. The returned slice aliases the
 // retained results and must not be modified.
 func (j *Job) Results(after int) ([]TaskResult, int) {
-	// j.mu is held across the view so the watermark cannot pass it; the trim
-	// keeps ≥ 1 result and at most one is invisible, so base ≤ completed.
+	// j.mu is held across the view so the watermark cannot pass it. Acks not
+	// yet durable may have trimmed past it (base > next): nothing is served
+	// until it catches up, and the gap counts what was trimmed unseen.
 	j.mu.Lock()
 	next := j.completed
 	pool := j.svc.wal.view(j.wj)

@@ -31,16 +31,18 @@
 //
 // A job's task pool — submitted count, pending tasks, retained results,
 // lost count, closed/done flags — lives in one place, the service's wal
-// (wal.go), and changes only through committed records; the Job keeps a
-// visibility watermark over it, advanced after each ack's commit returns.
+// (wal.go), and changes only through records applied by the wal; the Job
+// keeps a visibility watermark over it, advanced once each ack is durable.
 // With a DataDir the wal has a store behind it and the service is
 // crash-recoverable: every externally visible mutation is journaled and
 // fsynced before its effects are observable, and a restart replays the
-// records through the function that applied them live. Concurrent commits
-// group into bounded batches (one write syscall, one fsync each), so
-// durable ingest scales with request concurrency; a nil commit means the
-// record is fsynced, and storage errors latch the wal fail-stop. Without a
-// DataDir the same wal has no store and a commit only applies.
+// records through the function that applied them live. One flusher per
+// wal groups queued records into bounded batches (one write syscall, one
+// fsync each), so durable ingest scales with request concurrency and
+// neither a push's dispatch nor a job's coordinator waits on the disk; a
+// nil commit means the record is fsynced, and storage errors latch the wal
+// fail-stop. Without a DataDir the same wal has no store and a record only
+// applies.
 //
 // The service runs only on the real runtime (rt.Local): it exists to serve
 // actual traffic, while the simulator remains the domain of the experiment
@@ -287,8 +289,9 @@ func Open(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Close flushes the durable layer — a final snapshot folding the journal
-// away, fsynced — and stops background recovery. It does not wait for
+// Close flushes the durable layer — the records already queued, acks
+// included, then a final snapshot folding the journal away, fsynced — and
+// stops background recovery. It does not wait for
 // running jobs; their un-acked tasks are in the journal and resume on the
 // next Open. This is the graceful-shutdown path graspd takes on SIGTERM.
 func (s *Service) Close() error {

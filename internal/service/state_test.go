@@ -84,6 +84,7 @@ type kindStore struct {
 	hit    bool   // the batch being flushed holds such a record
 	parked int    // Syncs parked so far
 	gate   chan struct{}
+	fail   bool // the parked Sync fails with errDiskGone on release
 }
 
 // arm parks the next Sync covering a record of kind and returns its
@@ -100,6 +101,15 @@ func (k *kindStore) arm(t *testing.T, kind string) (release func()) {
 	return release
 }
 
+// armFailure is arm whose release fails the parked Sync with errDiskGone
+// instead of syncing it: the disk dies under that batch.
+func (k *kindStore) armFailure(t *testing.T, kind string) (release func()) {
+	k.mu.Lock()
+	k.fail = true
+	k.mu.Unlock()
+	return k.arm(t, kind)
+}
+
 func (k *kindStore) AppendBatch(p [][]byte) error {
 	k.mu.Lock()
 	for _, raw := range p {
@@ -113,7 +123,7 @@ func (k *kindStore) AppendBatch(p [][]byte) error {
 
 func (k *kindStore) Sync() error {
 	k.mu.Lock()
-	hit, gate := k.hit, k.gate
+	hit, gate, fail := k.hit, k.gate, k.hit && k.fail
 	if hit {
 		k.hit, k.kind = false, nil
 		k.parked++
@@ -121,6 +131,9 @@ func (k *kindStore) Sync() error {
 	k.mu.Unlock()
 	if hit {
 		<-gate
+	}
+	if fail {
+		return errDiskGone
 	}
 	return k.Store.Sync()
 }
@@ -154,9 +167,13 @@ func TestBlockedSyncVisibleImpliesDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := ks.arm(t, walResults)
-	if _, err := j.Push(burst(0, 1, 0)); err != nil {
-		t.Fatal(err)
-	}
+	// The push answers once its record is durable, and the ack may share
+	// the parked fsync with it: push from the side.
+	pushed := make(chan error, 1)
+	go func() {
+		_, err := j.Push(burst(0, 1, 0))
+		pushed <- err
+	}()
 	waitUntil(t, 10*time.Second, "the ack's fsync to park", func() bool { return ks.parkedSyncs() == 1 })
 	// A poll that parks with the ack in its fsync waits out its hold and
 	// answers nothing.
@@ -182,6 +199,9 @@ func TestBlockedSyncVisibleImpliesDurable(t *testing.T) {
 	}
 	if results, next := j.Results(0); len(results) != 1 || next != 1 || results[0].ID != 0 {
 		t.Errorf("Results after the fsync = %+v, next %d", results, next)
+	}
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
 	}
 	assertConserved(t, s)
 }

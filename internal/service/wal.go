@@ -19,25 +19,25 @@ import (
 // The service's write-ahead log — and the one place a job's task pool
 // lives: the walJob in wal.state is the only holder of a job's submitted
 // count, pending tasks, retained results, lost count and closed/done
-// flags. It changes only through commit, which applies the record — with
-// the function replay uses, so a restart rebuilds exactly the state
-// pollers were reading and compaction's snapshot is that state marshalled
-// — and, on a durable service, journals and fsyncs it before returning:
+// flags. It changes only through enqueued records, applied with the
+// function replay uses — so a restart rebuilds exactly the state pollers
+// were reading and compaction's snapshot is that state marshalled — and,
+// on a durable service, journaled and fsynced by the wal's flusher.
+// Nothing on the dispatch path waits for the fsync:
 //
 //   - Submit commits the create record before the job is published;
-//   - Push commits the accepted batch before a single task reaches the
-//     engine (so "accepted" implies "survives a crash");
-//   - onResult commits the ack before it advances the job's visibility
-//     watermark (Job.completed): apply runs ahead of the fsync, but pollers
-//     read only below the watermark, so visible still implies durable — a
-//     cursor advanced past a result never sees that task re-delivered.
+//   - Push queues the accepted batch, feeds the engine while it syncs, and
+//     answers once it is durable (so "accepted" implies "survives a crash");
+//   - onResult queues the ack and returns; the flusher advances the job's
+//     visibility watermark (Job.completed) once the ack is durable. Apply
+//     runs ahead of the fsync, but pollers read only below the watermark,
+//     so visible still implies durable — a cursor advanced past a result
+//     never sees that task re-delivered.
 //
 // A service opened without a DataDir gets the same wal with no store:
-// commit is lock, apply, unlock — nothing is marshalled, queued or synced,
-// and Pending is not tracked because nothing can be re-delivered. With a
-// store, concurrent committers coalesce into batches journaled through one
-// write syscall and one fsync, so durable ingest throughput scales with
-// concurrency instead of being capped at the disk's serial fsync rate.
+// enqueue is lock, apply, unlock — nothing is marshalled, queued or
+// synced, no goroutine runs, and Pending is not tracked because nothing
+// can be re-delivered.
 
 // walRecord kinds.
 const (
@@ -62,6 +62,11 @@ type walRecord struct {
 	// adopt, set on a live create, is the walJob the submitting Job already
 	// holds; apply installs it instead of allocating one.
 	adopt *walJob
+	// fed, set on a live push's batch, marks tasks that reach the engine
+	// while the record syncs: like an ack, the record still applies if the
+	// wal latches before its batch is carved, so every task that runs is
+	// counted submitted.
+	fed bool
 }
 
 // walJob is one job's state: the defaulted spec, lifecycle flags, the
@@ -178,45 +183,46 @@ type walStore interface {
 	Close() error
 }
 
-// walCommit is one record enqueued for the flush leader: the decoded
-// record (applied to the state in queue order), its marshalled bytes,
-// and the channel the leader delivers the batch's shared result on.
+// walCommit is one record queued for the flusher: the decoded record
+// (applied to the state when its batch is carved), its marshalled bytes,
+// and then, which receives the batch's outcome.
 type walCommit struct {
 	rec  walRecord
 	raw  []byte
-	done chan error
+	then func(error)
 }
 
 // wal owns the state and, on a durable service, the store behind it. All
 // methods are safe for concurrent use; a storage error latches (fail-stop
-// durability): every later commit reports it and appends nothing, so the
-// daemon can degrade loudly instead of silently diverging from its
-// journal.
+// durability): no further byte reaches the store and every later request
+// is refused, so the daemon degrades loudly instead of silently diverging
+// from its journal. Acks and fed pushes still apply (latchedApplies):
+// tasks a push fed before its batch failed may still run and publish,
+// counted and visible though never durable.
 //
-// Commits are group-committed: concurrent committers enqueue, the first
-// to find no leader becomes one and drains the queue in bounded batches —
-// one write syscall and one fsync per batch — then wakes every member
-// with the shared result. A single uncontended commit degenerates to the
-// old serial path (a batch of one); under 16 concurrent pushers the disk
-// sees one fsync for the whole convoy.
+// Records are group-committed by one flusher goroutine per durable wal,
+// in bounded batches — one write syscall and one fsync each. Whatever
+// queued while an fsync was in flight is the next batch: a lone
+// committer's batch is its one record, concurrent pushers share an fsync,
+// and a job's acks coalesce with no timer.
 //
 // Lock order: a job's j.mu before w.mu, never the reverse. Job.Results and
 // Job.Status hold j.mu across wal.view (so the visibility watermark cannot
-// pass what they read), which takes w.mu. Nothing the flush leader calls
-// into a job — advancing a watermark from the leader, say — may therefore
-// run under w.mu: the leader only signals each commit's buffered done
-// channel, and the committer touches its job after commit has returned.
+// pass what they read), which takes w.mu. The flusher therefore delivers
+// outcomes — which take j.mu to advance a watermark — with w.mu released,
+// strictly in queue order: a done record's waiter runs only after every
+// earlier ack's completion, so a status that says done serves every result.
 type wal struct {
 	mu    sync.Mutex
-	idle  *sync.Cond // signalled when a flush round retires (flushing → false)
-	store walStore   // nil: an in-memory service; commit only applies
+	wake  *sync.Cond // signalled when the queue grows or the wal closes
+	store walStore   // nil: an in-memory service; enqueue only applies
 	state walState
 
-	// queue and flushing are the group-commit core. Committers append to
-	// queue under mu; flushing marks a live leader, which also guarantees
-	// exclusive store access while the lock is released around I/O.
-	queue    []*walCommit
-	flushing bool
+	// queue is the group-commit core: records wait here, in journal order,
+	// for the flusher; flushed closes when the flusher has drained it and
+	// exited (close waits for it).
+	queue   []*walCommit
+	flushed chan struct{}
 
 	opt walOptions // defaults resolved
 
@@ -277,7 +283,11 @@ func newWAL(store walStore, opt walOptions) *wal {
 		state: walState{volatile: store == nil},
 		opt:   opt.withDefaults(),
 	}
-	w.idle = sync.NewCond(&w.mu)
+	w.wake = sync.NewCond(&w.mu)
+	if store != nil {
+		w.flushed = make(chan struct{})
+		go w.flush()
+	}
 	return w
 }
 
@@ -291,9 +301,9 @@ func openWAL(dir string, opt walOptions) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := newWAL(store, opt)
+	var st walState
 	if rec.Snapshot != nil {
-		if err := json.Unmarshal(rec.Snapshot, &w.state); err != nil {
+		if err := json.Unmarshal(rec.Snapshot, &st); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("service: wal snapshot: %w", err)
 		}
@@ -306,21 +316,24 @@ func openWAL(dir string, opt walOptions) (*wal, error) {
 			store.Close()
 			return nil, fmt.Errorf("service: wal record: %w", err)
 		}
-		w.state.apply(r)
+		st.apply(r)
 	}
+	w := newWAL(store, opt)
+	w.state = st // the flusher reads the state only once a record is queued
 	return w, nil
 }
 
 // errWALClosed: the service has shut down; nothing was applied or journaled.
 var errWALClosed = errors.New("service: wal is closed")
 
-// commit applies rec to the state and makes it durable — journaled and
-// fsynced before commit returns nil (without a store it only applies).
-// Concurrent commits coalesce: this caller either joins the current
-// leader's queue and sleeps until its batch's single fsync completes, or
-// becomes the leader itself. Oversized journals compact inline (by the
-// leader).
-func (w *wal) commit(rec walRecord) error {
+// enqueue hands rec to the wal without waiting for the disk. With no
+// store, rec applies before enqueue returns and then is never called. With
+// one, rec's place in the queue fixes its journal position and apply
+// order; the flusher applies it when it carves rec's batch, journals and
+// fsyncs the batch, and calls then with the outcome: nil once rec is
+// durable. An error means rec was refused unapplied and then will not be
+// called: the wal is closed, or latched and rec is not an ack.
+func (w *wal) enqueue(rec walRecord, then func(error)) error {
 	if w.store == nil {
 		w.mu.Lock()
 		w.state.apply(rec)
@@ -330,90 +343,105 @@ func (w *wal) commit(rec walRecord) error {
 	// Marshal outside the mutex: a slow marshal of a large task batch must
 	// never extend the critical section or stall another committer's batch.
 	raw, merr := json.Marshal(rec)
-
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return errWALClosed
 	}
-	if w.err != nil {
-		err := w.latched(rec)
-		w.mu.Unlock()
-		return err
-	}
-	if merr != nil {
+	if w.err == nil && merr != nil {
 		// A record that cannot marshal can never reach the journal: latch,
 		// exactly as a storage error would.
 		w.err = merr
-		w.mu.Unlock()
-		return merr
 	}
-	c := &walCommit{rec: rec, raw: raw, done: make(chan error, 1)}
-	w.queue = append(w.queue, c)
-	if !w.flushing {
-		// No leader in flight: this committer leads until the queue drains
-		// (its own batch is delivered by the time flushLoop returns).
-		w.flushLoop()
+	if w.err != nil && rec.Kind != walResults && rec.Kind != walDone {
+		return w.err
 	}
-	w.mu.Unlock()
-	return <-c.done
+	w.queue = append(w.queue, &walCommit{rec: rec, raw: raw, then: then})
+	w.wake.Signal()
+	return nil
 }
 
-// latched answers a record reaching a wal whose journal has failed:
-// requests (create, tasks, close, remove) are refused unapplied; acks of
-// accepted work (results, done) still apply, so publication is not
-// suppressed. Called with w.mu held.
-func (w *wal) latched(rec walRecord) error {
-	if rec.Kind == walResults || rec.Kind == walDone {
-		w.state.apply(rec)
+// applied is the outcome of a record applied in memory: closed, it reads
+// nil at once.
+var applied = func() chan error { c := make(chan error); close(c); return c }()
+
+// begin is enqueue with the outcome delivered on the returned channel
+// (applied, in memory): Push feeds its batch before the receive.
+func (w *wal) begin(rec walRecord) (<-chan error, error) {
+	if w.store == nil {
+		return applied, w.enqueue(rec, nil)
 	}
-	return w.err
+	synced := make(chan error, 1)
+	return synced, w.enqueue(rec, func(err error) { synced <- err })
 }
 
-// flushLoop drains the queue as the flush leader: carve a bounded batch,
-// apply it to the state in order, journal it through one write syscall
-// and one fsync, deliver the shared result to every member, repeat.
-// Called with w.mu held and returns with it held; the lock is released
-// around the store I/O — which is when committers queue behind the leader
-// — with the flushing flag keeping store access exclusive in between.
-func (w *wal) flushLoop() {
-	w.flushing = true
-	for len(w.queue) > 0 {
-		if w.err != nil {
-			// Fail-stop: the error latched mid-drain, so everyone still
-			// queued gets it without touching the store.
-			for _, c := range w.queue {
-				c.done <- w.latched(c.rec)
-			}
-			w.queue = nil
-			break
+// commit is enqueue plus the wait: once it returns nil, rec has applied
+// and, on a durable wal, is fsynced. Its caller has acted on nothing yet,
+// so a latch that overtakes rec in the queue refuses it — unless it is a
+// done record, which settles work already accepted.
+func (w *wal) commit(rec walRecord) error {
+	synced, err := w.begin(rec)
+	if err != nil {
+		return err
+	}
+	return <-synced
+}
+
+// latchedApplies reports whether a record carved after the wal latched
+// still applies: acks of accepted work (results, done), so publication is
+// not suppressed, and a push's batch whose tasks are being fed.
+func latchedApplies(rec walRecord) bool {
+	return rec.Kind == walResults || rec.Kind == walDone || rec.fed
+}
+
+// flush is a durable wal's flusher goroutine: it carves a bounded batch,
+// applies it in queue order, journals it (one write, one fsync), delivers
+// every outcome in queue order with w.mu released, and repeats — until the
+// wal is closed and the queue drained. Only the flusher mutates the state,
+// so a rotation can marshal it unlocked.
+func (w *wal) flush() {
+	defer close(w.flushed)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		for len(w.queue) == 0 && !w.closed {
+			w.wake.Wait()
+		}
+		if len(w.queue) == 0 {
+			return
 		}
 		batch := w.takeBatch()
 		// Application stays ordered with the journal: records are applied
 		// under the lock, in queue order, before their bytes are written —
-		// the exact order replay will see.
+		// the exact order replay will see. Past a latch nothing is written,
+		// and only what was already under way applies.
+		err := w.err
 		for _, c := range batch {
-			w.state.apply(c.rec)
-		}
-		w.mu.Unlock()
-		err := w.flushBatch(batch)
-		w.mu.Lock()
-		if err == nil && w.store.JournalSize() > w.opt.maxBytes {
-			err = w.rotateAsLeader()
-		}
-		if err != nil {
-			w.err = err
-			if w.log != nil {
-				w.log.Error("wal commit failed; latching fail-stop",
-					"err", err, "records", len(batch), "batched", len(batch) > 1)
+			if err == nil || latchedApplies(c.rec) {
+				w.state.apply(c.rec)
 			}
 		}
-		for _, c := range batch {
-			c.done <- err
+		if err == nil {
+			w.mu.Unlock()
+			err = w.flushBatch(batch)
+			w.mu.Lock()
+			if err == nil && w.store.JournalSize() > w.opt.maxBytes {
+				err = w.rotate()
+			}
+			if err != nil {
+				w.err = err
+				if w.log != nil {
+					w.log.Error("wal commit failed; latching fail-stop",
+						"err", err, "records", len(batch), "batched", len(batch) > 1)
+				}
+			}
 		}
+		w.mu.Unlock()
+		for _, c := range batch {
+			c.then(err)
+		}
+		w.mu.Lock()
 	}
-	w.flushing = false
-	w.idle.Broadcast()
 }
 
 // takeBatch carves the next flush batch off the queue, bounded by record
@@ -434,9 +462,9 @@ func (w *wal) takeBatch() []*walCommit {
 }
 
 // flushBatch journals one group: a single buffered write syscall, then a
-// single fsync covering every record in the batch. Called by the leader
-// with w.mu released; the flushing flag guarantees exclusive store
-// access.
+// single fsync covering every record in the batch. Called by the flusher
+// with w.mu released; it is the only goroutine touching the store until
+// close.
 func (w *wal) flushBatch(batch []*walCommit) error {
 	raws := make([][]byte, len(batch))
 	for i, c := range batch {
@@ -459,12 +487,12 @@ func (w *wal) flushBatch(batch []*walCommit) error {
 	return err
 }
 
-// rotateAsLeader folds the state into a fresh snapshot. Called with w.mu
-// held, by the flush leader or by close; the snapshot marshal and the
-// store I/O run with the lock released — safe because only the leader
-// mutates the state while flushing is set (concurrent readers take the
-// lock and only read), and close waits for the flush round to retire.
-func (w *wal) rotateAsLeader() error {
+// rotate folds the state into a fresh snapshot. Called with w.mu held, by
+// the flusher or by close once the flusher has exited; the marshal and the
+// store I/O run with the lock released — safe because only the flusher
+// mutates the state. Records still queued are not in the snapshot: they
+// are journaled after it, so replay applies them exactly once.
+func (w *wal) rotate() error {
 	w.mu.Unlock()
 	snap, err := json.Marshal(w.state)
 	if err == nil {
@@ -474,29 +502,39 @@ func (w *wal) rotateAsLeader() error {
 	return err
 }
 
-// close waits for any in-flight flush round to retire, takes a final
-// snapshot (compacting the journal away), and releases the store — the
+// close refuses further records, waits for the flusher to drain what is
+// queued (their outcomes delivered) and exit, takes a final snapshot
+// (compacting the journal away), and releases the store — the
 // graceful-shutdown flush. Safe to call more than once; a wal with no
 // store has nothing to flush and keeps serving.
 func (w *wal) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.flushing {
-		w.idle.Wait()
-	}
 	if w.closed || w.store == nil {
 		return nil
 	}
 	w.closed = true
+	w.wake.Signal()
+	w.mu.Unlock()
+	<-w.flushed
+	w.mu.Lock()
 	var err error
 	if w.err == nil {
-		// closed is set and no flush is in flight, so the state is frozen.
-		err = w.rotateAsLeader()
+		// closed is set and the flusher has exited, so the state is frozen.
+		err = w.rotate()
 	}
 	if cerr := w.store.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// ackInline is onResult's in-memory ack: unlike an enqueued record, it
+// allocates nothing.
+func (w *wal) ackInline(wj *walJob, r TaskResult) {
+	w.mu.Lock()
+	wj.ack(r)
+	w.mu.Unlock()
 }
 
 // view returns a copy of one job's state taken under the lock — O(1), as

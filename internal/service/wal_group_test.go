@@ -39,7 +39,7 @@ func (f *failingStore) Sync() error {
 
 // gatedStore wraps a real journal.Store, counts batches and records, and
 // blocks its first Sync until the test releases the gate — pinning the
-// flush leader mid-fsync so a convoy of followers provably queues behind
+// flusher mid-fsync so a convoy of followers provably queues behind
 // one flush round.
 type gatedStore struct {
 	*journal.Store
@@ -81,7 +81,7 @@ func walOverStore(t *testing.T, dir string) *journal.Store {
 	return store
 }
 
-// TestRecoveryGroupCommitCoalesces pins the flush leader inside its fsync
+// TestRecoveryGroupCommitCoalesces pins the flusher inside its fsync
 // and piles 31 followers behind it: the whole convoy must drain in
 // exactly one more flush — 32 records, 2 batches, 2 fsyncs — and a
 // replay over the same directory must agree with the live mirror record
@@ -100,9 +100,9 @@ func TestRecoveryGroupCommitCoalesces(t *testing.T) {
 		defer wg.Done()
 		errs[0] = w.commit(walRecord{Kind: walCreate, Job: "g", Spec: &JobSpec{}})
 	}()
-	// The leader is mid-fsync once the gated Sync has been entered; every
+	// The flusher is mid-fsync once the gated Sync has been entered; every
 	// commit from here on must join the queue rather than reach the store.
-	waitUntil(t, 5*time.Second, "leader pinned in fsync", func() bool {
+	waitUntil(t, 5*time.Second, "flusher pinned in fsync", func() bool {
 		gs.mu.Lock()
 		defer gs.mu.Unlock()
 		return gs.syncs == 1
@@ -134,7 +134,7 @@ func TestRecoveryGroupCommitCoalesces(t *testing.T) {
 		t.Fatalf("store absorbed %d records, want %d", records, followers+1)
 	}
 	if syncs != 2 {
-		t.Fatalf("convoy took %d fsyncs, want exactly 2 (leader + one group)", syncs)
+		t.Fatalf("convoy took %d fsyncs, want exactly 2 (the first record + one group)", syncs)
 	}
 
 	live := w.mirror()
@@ -255,7 +255,7 @@ func TestRecoveryLatchedErrorConcurrent(t *testing.T) {
 // TestRecoveryReplayDeterminismConcurrent is the replay-determinism
 // property under the group path: many goroutines commit interleaved
 // random schedules concurrently, so records coalesce into multi-record
-// batches in nondeterministic orders — yet whatever order the leader
+// batches in nondeterministic orders — yet whatever order the flusher
 // journals must be exactly the order the mirror applied, and a fresh wal
 // over the same directory must reconstruct a byte-identical state.
 func TestRecoveryReplayDeterminismConcurrent(t *testing.T) {
@@ -263,14 +263,22 @@ func TestRecoveryReplayDeterminismConcurrent(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			// A small cap forces compactions mid-convoy. The first fsync is
-			// held until every other committer has queued behind it, so the
-			// second flush is provably a multi-record batch; later ones
-			// coalesce whatever queues during each fsync.
+			// A small cap forces compactions mid-convoy. The first fsync,
+			// covering a lone record, is held until every committer has
+			// queued behind it, so the second flush is provably a
+			// multi-record batch; later ones coalesce whatever queues during
+			// each fsync.
 			gs := &gatedStore{Store: walOverStore(t, dir), gate: make(chan struct{})}
 			w := newWAL(gs, walOptions{maxBytes: 4096})
 			spec := JobSpec{}.withDefaults(Config{}.withDefaults())
 			spec.MaxResults = 8
+			pinned := make(chan error, 1)
+			go func() { pinned <- w.commit(walRecord{Kind: walCreate, Job: "pin", Spec: &spec}) }()
+			waitUntil(t, 5*time.Second, "the flusher pinned in its first fsync", func() bool {
+				gs.mu.Lock()
+				defer gs.mu.Unlock()
+				return gs.syncs == 1
+			})
 			const committers = 8
 			var wg sync.WaitGroup
 			for g := 0; g < committers; g++ {
@@ -303,13 +311,16 @@ func TestRecoveryReplayDeterminismConcurrent(t *testing.T) {
 					}
 				}()
 			}
-			waitUntil(t, 5*time.Second, "the convoy to queue behind the pinned leader", func() bool {
+			waitUntil(t, 5*time.Second, "the convoy to queue behind the pinned flush", func() bool {
 				w.mu.Lock()
 				defer w.mu.Unlock()
-				return len(w.queue) == committers-1
+				return len(w.queue) == committers
 			})
 			close(gs.gate)
 			wg.Wait()
+			if err := <-pinned; err != nil {
+				t.Fatal(err)
+			}
 			if t.Failed() {
 				return
 			}
