@@ -120,10 +120,11 @@
 //     register-time benchmark sample becoming its initial dispatch weight
 //     — and starts executing their tasks without any restart.
 //
-// The wire itself has two bindings served on one port: length-prefixed
-// CRC-checked binary frames over persistent connections (the default and
-// the fast path — batched lease/results bodies decoded into reused
-// buffers, zero steady-state allocations per task) and JSON over HTTP.
+// The wire itself has two bindings served on one port: binary messages,
+// each framed as one internal/journal record (length-prefixed,
+// CRC-checked), over persistent connections (the default and the fast
+// path — batched lease/results bodies decoded into reused buffers, zero
+// steady-state allocations per task) and JSON over HTTP.
 // Each worker speaks the one binding it was started with (graspworker
 // -transport) for its whole session, so mixed fleets — JSON workers next
 // to binary ones — are a supported state, not an error. cluster.Server

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"grasp/internal/journal"
 	"grasp/internal/platform"
 )
 
@@ -33,7 +34,7 @@ func BenchmarkCodecLeaseEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = finishFrame(appendLeaseResponse(beginFrame(buf[:0], msgLeaseResp), tasks))
+		buf = journal.FinishFrame(appendLeaseResponse(beginMsg(buf[:0], msgLeaseResp), tasks))
 	}
 	if len(buf) == 0 {
 		b.Fatal("no frame")
@@ -41,12 +42,13 @@ func BenchmarkCodecLeaseEncode(b *testing.B) {
 }
 
 func BenchmarkCodecLeaseDecode(b *testing.B) {
-	frame := finishFrame(appendLeaseResponse(beginFrame(nil, msgLeaseResp), benchTasks(64)))
+	frame := journal.FinishFrame(appendLeaseResponse(beginMsg(nil, msgLeaseResp), benchTasks(64)))
 	scratch := make([]WireTask, 0, 64)
+	var fr frameReader
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, payload, err := decodeFrame(frame)
+		_, payload, err := fr.read(frame)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,18 +74,19 @@ func BenchmarkCodecLeaseWithResultsEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = finishFrame(appendLeaseRequest(beginFrame(buf[:0], msgLease), req))
+		buf = journal.FinishFrame(appendLeaseRequest(beginMsg(buf[:0], msgLease), req))
 	}
 }
 
 func BenchmarkCodecLeaseWithResultsDecode(b *testing.B) {
 	in := LeaseRequest{ID: "bench-node", Gen: 1, Max: 64, WaitMS: 2000, Results: benchResults(64)}
-	frame := finishFrame(appendLeaseRequest(beginFrame(nil, msgLease), in))
+	frame := journal.FinishFrame(appendLeaseRequest(beginMsg(nil, msgLease), in))
 	out := LeaseRequest{Results: make([]WireResult, 0, 64)}
+	var fr frameReader
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, payload, err := decodeFrame(frame)
+		_, payload, err := fr.read(frame)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,19 +102,20 @@ func BenchmarkCodecResultsEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = finishFrame(appendResultsRequest(beginFrame(buf[:0], msgResults), req))
+		buf = journal.FinishFrame(appendResultsRequest(beginMsg(buf[:0], msgResults), req))
 	}
 }
 
 func BenchmarkCodecResultsDecode(b *testing.B) {
 	in := ResultsRequest{ID: "bench-node", Gen: 1, Results: benchResults(64)}
-	frame := finishFrame(appendResultsRequest(beginFrame(nil, msgResults), in))
+	frame := journal.FinishFrame(appendResultsRequest(beginMsg(nil, msgResults), in))
 	var out ResultsRequest
 	out.Results = make([]WireResult, 0, 64)
+	var fr frameReader
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, payload, err := decodeFrame(frame)
+		_, payload, err := fr.read(frame)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -515,10 +515,12 @@ func (co *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	if old, ok := co.nodes[req.ID]; ok && old.state == StateLive {
 		co.expireLocked(old, StateDead, "superseded by re-registration")
 	}
-	co.reserveGenLocked()
+	co.reserveLocked(co.nextGen, &co.genCeiling, genBlock)
 	co.nextGen++
 	now := time.Now()
-	mInflight, mCompleted := co.nodeMetricsLocked(req.ID)
+	// Per-node metric handles are resolved once, here; a re-registration
+	// lands on the same series as the id's previous incarnation.
+	safe := metrics.LabelSafe(req.ID)
 	n := &node{
 		id:         req.ID,
 		gen:        co.nextGen,
@@ -530,11 +532,10 @@ func (co *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 		inflight:   make(map[int64]*dispatch),
 		wake:       make(chan struct{}, 1),
 		gone:       make(chan struct{}),
-		mInflight:  mInflight,
-		mCompleted: mCompleted,
+		mInflight:  co.reg.Gauge("cluster_node_inflight_" + safe),
+		mCompleted: co.reg.Counter("cluster_node_" + safe + "_completed_total"),
 	}
 	co.nodes[req.ID] = n
-	co.persistLocked()
 	co.mRegisters.Inc()
 	co.mNodesLive.Set(co.liveCountLocked())
 	co.log.Info("cluster node registered",
@@ -542,15 +543,6 @@ func (co *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 		"transport", req.Transports)
 	co.emit(NodeEvent{Kind: EventUp, Node: n.infoLocked(now)})
 	return RegisterResponse{Gen: n.gen, HeartbeatMS: (co.cfg.DeadAfter / 3).Milliseconds()}, nil
-}
-
-// nodeMetricsLocked resolves a node id's per-node metric handles once, at
-// entry creation — a Register re-registration or a durable Restore lands
-// on the same underlying series as the id's previous incarnation.
-func (co *Coordinator) nodeMetricsLocked(id string) (*metrics.Gauge, *metrics.Counter) {
-	safe := metrics.LabelSafe(id)
-	return co.reg.Gauge("cluster_node_inflight_" + safe),
-		co.reg.Counter("cluster_node_" + safe + "_completed_total")
 }
 
 // lookupLocked resolves an (id, gen) pair to its live node.
@@ -619,7 +611,6 @@ func (co *Coordinator) expireLocked(n *node, state, cause string) {
 	}
 	n.failed += int64(lost)
 	close(n.gone)
-	co.persistLocked()
 	co.mDeaths.Inc()
 	co.mTasksFailed.Add(int64(lost))
 	co.mNodesLive.Set(co.liveCountLocked())
@@ -746,7 +737,7 @@ func (co *Coordinator) submit(id string, gen int64, tasks []platform.Task) (*chu
 		return nil, err
 	}
 	for _, d := range ch.ds {
-		co.reserveDispatchLocked()
+		co.reserveLocked(co.nextDispatch, &co.dispatchCeiling, dispatchBlock)
 		co.nextDispatch++
 		d.id = co.nextDispatch
 	}

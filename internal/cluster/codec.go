@@ -1,10 +1,10 @@
 package cluster
 
-// The binary wire codec: the length-prefixed framing the binary transport
-// speaks on the cluster port. It reuses the framing idiom of
-// internal/journal — a magic byte, an explicit payload length, and a
-// CRC32 over the payload — so a frame torn by a dying connection is
-// detected, never misparsed. On top of the frame sits a fixed
+// The binary wire codec: the messages the binary transport speaks on the
+// cluster port, each framed as one internal/journal record — a magic
+// byte, an explicit payload length, and a CRC32 over the payload — so a
+// frame torn by a dying connection is refused by the checks that refuse a
+// torn journal tail, never misparsed. Inside the frame sits a fixed
 // little-endian message encoding with no reflection, no maps, and no
 // intermediate buffers: every encode appends into a caller-supplied (or
 // pooled) []byte and every decode reads straight out of the frame, which
@@ -13,37 +13,31 @@ package cluster
 //
 // A frame is
 //
-//	magic(1)=0xB5 | version(1) | type(1) | length(4, LE) | crc32(4, LE, IEEE over payload) | payload
+//	magic(1)=0xA7 | length(4, LE) | crc32(4, LE, IEEE over payload) | version(1) | type(1) | message
 //
-// The magic deliberately sits outside ASCII: the first byte of an HTTP
-// request is always a method letter, so one listener can serve both
-// bindings by sniffing a single byte (see server.go). Requests and
-// responses use the same framing; the message type tags the payload
-// layout. Strings are u16-length-prefixed UTF-8; integers are fixed-width
-// little-endian; floats are IEEE 754 bits.
+// where the payload — everything the CRC covers — opens with the wire
+// version and the message type. The magic lies outside ASCII: the first
+// byte of an HTTP request is always a method letter, so one listener can
+// serve both bindings by its first byte (see server.go). Requests and
+// responses use the same framing; the message type tags the layout.
+// Strings are u16-length-prefixed UTF-8; integers are fixed-width
+// little-endian; floats are IEEE 754 bits. A peer still framing as
+// earlier releases did (0xB5 | version | type | length | crc32) is
+// refused: workers and coordinator upgrade together.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+
+	"grasp/internal/journal"
 )
 
-const (
-	// frameMagic leads every binary frame. It must never be a byte that can
-	// begin an HTTP request line, or the protocol sniffer would misroute.
-	frameMagic = 0xB5
-	// frameVersion is the codec revision; a peer speaking a different
-	// version is rejected at the frame layer.
-	frameVersion = 1
-	// frameHeaderSize is magic + version + type + length + crc.
-	frameHeaderSize = 11
-	// maxFramePayload bounds one frame's payload, mirroring the JSON
-	// binding's request-body cap.
-	maxFramePayload = maxClusterBody
-)
+// wireVersion is the message layout's revision; a peer speaking another
+// is refused.
+const wireVersion = 2
 
 // Binary message types. Requests mirror the five protocol verbs; a
 // response is ok/err or a verb-specific payload.
@@ -59,82 +53,30 @@ const (
 	msgError
 )
 
-// Frame-layer errors.
-var (
-	errBadFrame = errors.New("cluster: malformed binary frame")
-	errFrameCRC = errors.New("cluster: binary frame failed its CRC")
-)
+// errWire reports a frame this wire cannot read: a torn or corrupt frame,
+// another wire revision, or a peer speaking something else altogether.
+var errWire = errors.New("cluster: not a frame of this wire (upgrade workers and coordinator together)")
 
-// beginFrame appends a frame header placeholder for the given message
-// type; finishFrame back-fills length and CRC once the payload is in.
-func beginFrame(dst []byte, typ byte) []byte {
-	return append(dst, frameMagic, frameVersion, typ,
-		0, 0, 0, 0, // length
-		0, 0, 0, 0) // crc
+// beginMsg opens a frame for one message of type typ on dst; append the
+// message, then journal.FinishFrame seals it.
+func beginMsg(dst []byte, typ byte) []byte {
+	return append(journal.BeginFrame(dst), wireVersion, typ)
 }
 
-// finishFrame back-fills the header of the frame that starts at the
-// beginning of buf (one frame per buffer).
-func finishFrame(buf []byte) []byte {
-	payload := buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(buf[3:7], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[7:11], crc32.ChecksumIEEE(payload))
-	return buf
-}
-
-// readFrame reads one whole frame from r into buf (which is grown as
-// needed and returned), verifying magic, version, bound, and CRC. It
-// returns the message type and the payload view into buf.
-func readFrame(r io.Reader, buf []byte) (typ byte, payload, out []byte, err error) {
-	buf = grow(buf, frameHeaderSize)
-	if _, err = io.ReadFull(r, buf[:frameHeaderSize]); err != nil {
-		return 0, nil, buf, err
+// readMsg reads one frame, bounded like a JSON request body, from r into
+// buf (grown as needed and returned as out) and opens its message: the
+// type, and the body as a view into out.
+func readMsg(r io.Reader, buf []byte) (typ byte, body, out []byte, err error) {
+	payload, out, err := journal.ReadFrame(r, buf, maxClusterBody)
+	switch {
+	case errors.Is(err, journal.ErrCorrupt):
+		return 0, nil, out, fmt.Errorf("%w: %v", errWire, err)
+	case err != nil:
+		return 0, nil, out, err
+	case len(payload) < 2 || payload[0] != wireVersion:
+		return 0, nil, out, errWire
 	}
-	if buf[0] != frameMagic || buf[1] != frameVersion {
-		return 0, nil, buf, errBadFrame
-	}
-	typ = buf[2]
-	n := binary.LittleEndian.Uint32(buf[3:7])
-	if n > maxFramePayload {
-		return 0, nil, buf, errBadFrame
-	}
-	crc := binary.LittleEndian.Uint32(buf[7:11])
-	buf = grow(buf, frameHeaderSize+int(n))
-	payload = buf[frameHeaderSize : frameHeaderSize+int(n)]
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, err
-	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return 0, nil, buf, errFrameCRC
-	}
-	return typ, payload, buf, nil
-}
-
-// grow ensures cap(buf) >= n without shrinking, reusing the backing array
-// whenever possible.
-func grow(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		return make([]byte, n, n+n/2)
-	}
-	return buf[:n]
-}
-
-// decodeFrame parses one whole frame out of data (for the fuzzer and for
-// callers holding a complete frame in memory). It enforces exactly the
-// same checks as readFrame.
-func decodeFrame(data []byte) (typ byte, payload []byte, err error) {
-	if len(data) < frameHeaderSize || data[0] != frameMagic || data[1] != frameVersion {
-		return 0, nil, errBadFrame
-	}
-	n := binary.LittleEndian.Uint32(data[3:7])
-	if n > maxFramePayload || int(n) != len(data)-frameHeaderSize {
-		return 0, nil, errBadFrame
-	}
-	payload = data[frameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[7:11]) {
-		return 0, nil, errFrameCRC
-	}
-	return data[2], payload, nil
+	return payload[1], payload[2:], out, nil
 }
 
 // --- primitive append helpers ---
@@ -343,7 +285,7 @@ func appendLeaseResponse(dst []byte, tasks []WireTask) []byte {
 func decodeLeaseResponse(payload []byte, buf []WireTask) ([]WireTask, error) {
 	r := byteReader{b: payload}
 	n := int(r.u32())
-	if n < 0 || n > maxFramePayload/leaseTaskWireSize {
+	if n < 0 || n > maxClusterBody/leaseTaskWireSize {
 		return buf, errDecode
 	}
 	for i := 0; i < n; i++ {
@@ -467,7 +409,7 @@ func wireError(code uint16, msg string) error {
 // deterministic functions of the inputs; the transport-comparison
 // experiment tables them against the JSON encodings of the same batches.
 func EncodedFrameSizes(tasks []WireTask, res ResultsRequest) (leaseBytes, resultsBytes int) {
-	leaseBytes = len(finishFrame(appendLeaseResponse(beginFrame(nil, msgLeaseResp), tasks)))
-	resultsBytes = len(finishFrame(appendResultsRequest(beginFrame(nil, msgResults), res)))
+	leaseBytes = len(appendLeaseResponse(beginMsg(nil, msgLeaseResp), tasks))
+	resultsBytes = len(appendResultsRequest(beginMsg(nil, msgResults), res))
 	return leaseBytes, resultsBytes
 }

@@ -2,19 +2,45 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"grasp/internal/journal"
 )
 
+// frameReader reads frames held in memory the way a connection reads
+// them off the wire, reusing its reader and buffer across calls.
+type frameReader struct {
+	r   bytes.Reader
+	buf []byte
+}
+
+func (fr *frameReader) read(frame []byte) (typ byte, body []byte, err error) {
+	fr.r.Reset(frame)
+	typ, body, fr.buf, err = readMsg(&fr.r, fr.buf[:0])
+	return typ, body, err
+}
+
+// decodeMsg reads one message out of a frame held in memory.
+func decodeMsg(frame []byte) (typ byte, body []byte, err error) {
+	return new(frameReader).read(frame)
+}
+
 // frameRoundTrip encodes one message into a finished frame and decodes it
-// back through decodeFrame, failing on any frame-layer mismatch.
+// back through decodeMsg, failing on any frame-layer mismatch.
 func frameRoundTrip(t *testing.T, typ byte, encode func([]byte) []byte) []byte {
 	t.Helper()
-	frame := finishFrame(encode(beginFrame(nil, typ)))
-	gotTyp, payload, err := decodeFrame(frame)
+	frame := journal.FinishFrame(encode(beginMsg(nil, typ)))
+	gotTyp, payload, err := decodeMsg(frame)
 	if err != nil {
-		t.Fatalf("decodeFrame: %v", err)
+		t.Fatalf("decodeMsg: %v", err)
 	}
 	if gotTyp != typ {
 		t.Fatalf("frame type = %d, want %d", gotTyp, typ)
@@ -155,8 +181,8 @@ func TestCodecIDGenAndErrorRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameMatchesDecodeFrame(t *testing.T) {
-	frame := finishFrame(appendIDGen(beginFrame(nil, msgLeave), "n", 1))
-	typ, payload, _, err := readFrame(bytes.NewReader(frame), nil)
+	frame := journal.FinishFrame(appendIDGen(beginMsg(nil, msgLeave), "n", 1))
+	typ, payload, _, err := readMsg(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,33 +192,89 @@ func TestReadFrameMatchesDecodeFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	if typ != msgLeave || id != "n" || gen != 1 {
-		t.Fatalf("readFrame: typ=%d id=%q gen=%d", typ, id, gen)
+		t.Fatalf("readMsg: typ=%d id=%q gen=%d", typ, id, gen)
 	}
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
-	frame := finishFrame(appendIDGen(beginFrame(nil, msgHeartbeat), "node", 5))
+	frame := journal.FinishFrame(appendIDGen(beginMsg(nil, msgHeartbeat), "node", 5))
 
 	bad := append([]byte(nil), frame...)
 	bad[0] = 'G' // not a frame
-	if _, _, err := decodeFrame(bad); err == nil {
-		t.Error("bad magic accepted")
+	if _, _, err := decodeMsg(bad); !errors.Is(err, errWire) {
+		t.Errorf("bad magic err = %v, want errWire", err)
 	}
 
-	bad = append([]byte(nil), frame...)
-	bad[1] = frameVersion + 1
-	if _, _, err := decodeFrame(bad); err == nil {
-		t.Error("bad version accepted")
+	// Another wire revision, in an otherwise valid frame.
+	bad = journal.FinishFrame(appendIDGen(append(journal.BeginFrame(nil), wireVersion+1, msgHeartbeat), "node", 5))
+	if _, _, err := decodeMsg(bad); !errors.Is(err, errWire) {
+		t.Errorf("bad version err = %v, want errWire", err)
 	}
 
-	bad = append([]byte(nil), frame...)
-	bad[len(bad)-1] ^= 0xFF // flip a payload bit: CRC must catch it
-	if _, _, err := decodeFrame(bad); err != errFrameCRC {
-		t.Errorf("corrupted payload err = %v, want errFrameCRC", err)
+	// The CRC covers the version and type bytes as well as the message.
+	for _, i := range []int{9, 10, len(frame) - 1} {
+		bad = append([]byte(nil), frame...)
+		bad[i] ^= 0xFF
+		if _, _, err := decodeMsg(bad); !errors.Is(err, errWire) {
+			t.Errorf("byte %d flipped: err = %v, want errWire", i, err)
+		}
 	}
 
-	if _, _, err := decodeFrame(frame[:frameHeaderSize-1]); err == nil {
+	if _, _, err := decodeMsg(frame[:8]); err == nil {
 		t.Error("truncated header accepted")
+	}
+}
+
+// TestEncodedFrameSizesUnchanged: a frame is 11 bytes around its message
+// (the journal's 9-byte header, then version and type), so the sizes the
+// benchmark tables stay 135 and 79 bytes for this batch.
+func TestEncodedFrameSizesUnchanged(t *testing.T) {
+	lb, rb := EncodedFrameSizes(make([]WireTask, 3), ResultsRequest{ID: "node-a", Gen: 1, Results: make([]WireResult, 2)})
+	if lb != 11+4+3*leaseTaskWireSize || rb != 11+8+8+4+2*resultWireSize {
+		t.Fatalf("EncodedFrameSizes = %d, %d; want 135, 79 as before", lb, rb)
+	}
+}
+
+// retiredFrame lays out one message the way the wire framed it before it
+// reused the journal's frame: 0xB5 | version 1 | type | length | crc32 |
+// message.
+func retiredFrame(typ byte, msg []byte) []byte {
+	frame := []byte{0xB5, 1, typ}
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(msg)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(msg))
+	return append(frame, msg...)
+}
+
+// TestRetiredFrameIsRefused: a frame in the wire's earlier layout is
+// refused by name, in memory and by a serving coordinator, which answers
+// with one error frame telling the peer to upgrade and hangs up.
+func TestRetiredFrameIsRefused(t *testing.T) {
+	old := retiredFrame(msgHeartbeat, appendIDGen(nil, "node", 5))
+	if _, _, err := decodeMsg(old); !errors.Is(err, errWire) {
+		t.Fatalf("decodeMsg(retired frame) err = %v, want errWire", err)
+	}
+
+	co := testCoordinator(t, time.Second)
+	addr := startTestServer(t, co)
+	c, err := net.Dial("tcp", strings.TrimPrefix(addr, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, _, err := readMsg(c, nil)
+	if err != nil || typ != msgError {
+		t.Fatalf("reply: type %d, err %v; want an error frame", typ, err)
+	}
+	code, msg, err := decodeError(body)
+	if err != nil || code != 400 || !strings.Contains(msg, "upgrade workers and coordinator together") || !strings.Contains(msg, "0xB5") {
+		t.Fatalf("reply: %d %q (%v), want 400 naming the lead byte and the upgrade", code, msg, err)
+	}
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("connection still open after the refusal: %v", err)
 	}
 }
 
@@ -234,9 +316,10 @@ func TestCodecHotPathAllocations(t *testing.T) {
 	}
 	buf := make([]byte, 0, 8192)
 	scratch := make([]WireTask, 0, 64)
+	fr := &frameReader{buf: make([]byte, 0, 8192)}
 	if n := testing.AllocsPerRun(200, func() {
-		buf = finishFrame(appendLeaseResponse(beginFrame(buf[:0], msgLeaseResp), tasks))
-		_, payload, err := decodeFrame(buf)
+		buf = journal.FinishFrame(appendLeaseResponse(beginMsg(buf[:0], msgLeaseResp), tasks))
+		_, payload, err := fr.read(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,8 +339,8 @@ func TestCodecHotPathAllocations(t *testing.T) {
 	var out ResultsRequest
 	out.Results = make([]WireResult, 0, 64)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = finishFrame(appendResultsRequest(beginFrame(buf[:0], msgResults), req))
-		_, payload, err := decodeFrame(buf)
+		buf = journal.FinishFrame(appendResultsRequest(beginMsg(buf[:0], msgResults), req))
+		_, payload, err := fr.read(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,24 +352,29 @@ func TestCodecHotPathAllocations(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode asserts the frame decoder and every message decoder
-// degrade to errors — never panics or hangs — on arbitrary input.
+// FuzzFrameDecode asserts the frame reader — the journal's, under the
+// wire's version and type, as a connection runs it — and every message
+// decoder degrade to errors, never panics or hangs, on arbitrary input.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add(finishFrame(appendRegisterRequest(beginFrame(nil, msgRegister),
+	f.Add(journal.FinishFrame(appendRegisterRequest(beginMsg(nil, msgRegister),
 		RegisterRequest{ID: "n", Capacity: 2, SpeedOPS: 1e6, Transports: []string{"binary", "json"}})))
-	f.Add(finishFrame(appendLeaseResponse(beginFrame(nil, msgLeaseResp),
+	f.Add(journal.FinishFrame(appendLeaseResponse(beginMsg(nil, msgLeaseResp),
 		[]WireTask{{Dispatch: 1, Task: 1, Work: Work{Spin: 5}}})))
-	f.Add(finishFrame(appendResultsRequest(beginFrame(nil, msgResults),
+	f.Add(journal.FinishFrame(appendResultsRequest(beginMsg(nil, msgResults),
 		ResultsRequest{ID: "n", Gen: 1, Results: []WireResult{{Dispatch: 1, Task: 1, Micros: 9}}})))
-	f.Add(finishFrame(appendLeaseRequest(beginFrame(nil, msgLease),
+	f.Add(journal.FinishFrame(appendLeaseRequest(beginMsg(nil, msgLease),
 		LeaseRequest{ID: "n", Gen: 1, Max: 8, WaitMS: 100, Results: []WireResult{{Dispatch: 1, Task: 1, Micros: 9}}})))
-	f.Add(finishFrame(appendError(beginFrame(nil, msgError), 410, "gone")))
-	f.Add([]byte{frameMagic, frameVersion, msgOK, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(journal.FinishFrame(appendError(beginMsg(nil, msgError), 410, "gone")))
+	f.Add(journal.FinishFrame(beginMsg(nil, msgOK)))
 	f.Add([]byte("GET /cluster/v1/nodes HTTP/1.1"))
+	f.Add(retiredFrame(msgOK, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := decodeFrame(data)
+		typ, payload, err := decodeMsg(data)
 		if err != nil {
 			return
+		}
+		if n := 11 + len(payload); n > len(data) || !bytes.Equal(data[11:n], payload) {
+			t.Fatalf("a frame of %d bytes yielded a %d-byte message", len(data), len(payload))
 		}
 		// A structurally valid frame: every decoder must stay in bounds.
 		switch typ {

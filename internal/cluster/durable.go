@@ -1,7 +1,5 @@
 package cluster
 
-import "time"
-
 // The coordinator's durable slice is deliberately small. Queued and
 // in-flight dispatches die with the process — the service layer re-pushes
 // every un-acked task from its own journal, and redelivery mints fresh
@@ -25,29 +23,22 @@ const (
 	dispatchBlock = 4096
 )
 
-// NodeSeed is one live registration's durable summary.
-type NodeSeed struct {
-	ID       string  `json:"id"`
-	Gen      int64   `json:"gen"`
-	Capacity int     `json:"capacity"`
-	SpeedOPS float64 `json:"speed_ops,omitempty"`
-}
-
-// RegistryState is the coordinator state a daemon journals: the id
-// ceilings plus the live registrations at persist time (restored as
-// expired entries a surviving worker supersedes by re-registering).
+// RegistryState is the coordinator state a daemon journals: the two id
+// ceilings, and nothing else. Registrations are not journaled: a worker
+// that outlived the daemon gets ErrGone on its next call to the restarted
+// one — no registration matches its (id, gen) — and re-registers under a
+// generation above the restored ceiling.
 type RegistryState struct {
-	NextGen      int64      `json:"next_gen"`
-	NextDispatch int64      `json:"next_dispatch"`
-	Nodes        []NodeSeed `json:"nodes,omitempty"`
+	NextGen      int64 `json:"next_gen"`
+	NextDispatch int64 `json:"next_dispatch"`
 }
 
 // SetPersist installs the durability sink: fn is called, under the
-// registry lock, with the coordinator's durable state whenever it changes
-// (ceiling reservations, membership changes). The sink must journal the
-// state durably before returning — the ceiling guarantee depends on the
-// persist completing before ids under it are handed out. Installing the
-// sink immediately persists the current state.
+// registry lock, with the coordinator's durable state whenever a ceiling
+// moves — once per block of ids, not per registration or death. The sink
+// must journal the state durably before returning — the ceiling guarantee
+// depends on the persist completing before ids under it are handed out.
+// Installing the sink immediately persists the current state.
 func (co *Coordinator) SetPersist(fn func(RegistryState)) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -55,83 +46,32 @@ func (co *Coordinator) SetPersist(fn func(RegistryState)) {
 	co.persistLocked()
 }
 
-// Restore seeds the coordinator from journaled state. Counters become
-// floors (never moving backwards), and each persisted registration is
-// recreated as a dead entry: its worker — if it survived the daemon — is
-// getting ErrGone on its next heartbeat or lease right now and will
-// re-register, superseding the entry with a fresh generation above the
-// restored ceiling. Call it before serving any cluster traffic.
+// Restore seeds the coordinator's ceilings from journaled state. They
+// become floors, never moving a counter backwards. Call it before serving
+// any cluster traffic.
 func (co *Coordinator) Restore(st RegistryState) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if st.NextGen > co.nextGen {
-		co.nextGen = st.NextGen
-	}
-	if co.nextGen > co.genCeiling {
-		co.genCeiling = co.nextGen
-	}
-	if st.NextDispatch > co.nextDispatch {
-		co.nextDispatch = st.NextDispatch
-	}
-	if co.nextDispatch > co.dispatchCeiling {
-		co.dispatchCeiling = co.nextDispatch
-	}
-	now := time.Now()
-	for _, seed := range st.Nodes {
-		if _, ok := co.nodes[seed.ID]; ok {
-			continue
-		}
-		gone := make(chan struct{})
-		close(gone) // nothing may ever wait on a restored corpse
-		mInflight, mCompleted := co.nodeMetricsLocked(seed.ID)
-		co.nodes[seed.ID] = &node{
-			id:         seed.ID,
-			gen:        seed.Gen,
-			capacity:   seed.Capacity,
-			speed:      seed.SpeedOPS,
-			state:      StateDead,
-			registered: now,
-			lastSeen:   now, // retention countdown restarts at recovery
-			inflight:   make(map[int64]*dispatch),
-			wake:       make(chan struct{}, 1),
-			gone:       gone,
-			mInflight:  mInflight,
-			mCompleted: mCompleted,
-		}
-	}
+	co.nextGen = max(co.nextGen, st.NextGen)
+	co.genCeiling = max(co.genCeiling, co.nextGen)
+	co.nextDispatch = max(co.nextDispatch, st.NextDispatch)
+	co.dispatchCeiling = max(co.dispatchCeiling, co.nextDispatch)
 	co.reg.Counter("cluster_registry_restores_total").Inc()
 }
 
 // persistLocked pushes the durable state to the sink (no-op without one).
 func (co *Coordinator) persistLocked() {
-	if co.persist == nil {
-		return
-	}
-	st := RegistryState{NextGen: co.genCeiling, NextDispatch: co.dispatchCeiling}
-	for _, n := range co.nodes {
-		if n.state == StateLive {
-			st.Nodes = append(st.Nodes, NodeSeed{
-				ID: n.id, Gen: n.gen, Capacity: n.capacity, SpeedOPS: n.speed,
-			})
-		}
-	}
-	co.persist(st)
-}
-
-// reserveGenLocked guarantees the next gen to be handed out sits under a
-// persisted ceiling, reserving (and journaling) a fresh block when the
-// current one is exhausted.
-func (co *Coordinator) reserveGenLocked() {
-	if co.persist != nil && co.nextGen+1 > co.genCeiling {
-		co.genCeiling = co.nextGen + genBlock
-		co.persistLocked()
+	if co.persist != nil {
+		co.persist(RegistryState{NextGen: co.genCeiling, NextDispatch: co.dispatchCeiling})
 	}
 }
 
-// reserveDispatchLocked is reserveGenLocked for dispatch ids.
-func (co *Coordinator) reserveDispatchLocked() {
-	if co.persist != nil && co.nextDispatch+1 > co.dispatchCeiling {
-		co.dispatchCeiling = co.nextDispatch + dispatchBlock
+// reserveLocked guarantees the id after next (a gen or a dispatch id)
+// sits under its persisted ceiling, reserving (and journaling) a fresh
+// block when the current one is exhausted.
+func (co *Coordinator) reserveLocked(next int64, ceiling *int64, block int64) {
+	if co.persist != nil && next+1 > *ceiling {
+		*ceiling = next + block
 		co.persistLocked()
 	}
 }

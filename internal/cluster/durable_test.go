@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +59,52 @@ func TestRestoreKeepsGenerationsMonotonic(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("re-registration did not supersede the restored seed: %+v", co2.Nodes())
+	}
+}
+
+// TestMembershipIsNotJournaled: registrations and deaths move no ceiling,
+// so they persist nothing. Three registrations and three evictions reach
+// the sink twice — once when it is installed, once for the first block of
+// generations — and what reaches it is the two ceilings alone.
+func TestMembershipIsNotJournaled(t *testing.T) {
+	co := testCoordinator(t, time.Second)
+	var mu sync.Mutex
+	var persisted []RegistryState
+	co.SetPersist(func(st RegistryState) {
+		mu.Lock()
+		persisted = append(persisted, st)
+		mu.Unlock()
+	})
+	for _, id := range []string{"a", "b", "c"} {
+		if _, err := co.Register(RegisterRequest{ID: id, Capacity: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		if err := co.Evict(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(persisted) != 2 {
+		t.Fatalf("3 registrations and 3 evictions persisted %d times, want 2: %+v", len(persisted), persisted)
+	}
+	if last := persisted[1]; last.NextGen != genBlock {
+		t.Errorf("persisted generation ceiling %d, want one block (%d)", last.NextGen, genBlock)
+	}
+	for _, st := range persisted {
+		raw, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if len(fields) != 2 {
+			t.Errorf("persisted state %s carries more than the two ceilings", raw)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package cluster
 
 // Server binds a Coordinator to one listener speaking both transports.
-// The first byte of every accepted connection decides its binding: binary
-// frames open with frameMagic (0xB5, outside ASCII), an HTTP request line
-// opens with a method letter, so one cluster port serves JSON workers,
-// binary workers, and mixed fleets mid-upgrade without a second listener
-// or any out-of-band configuration.
+// The first byte of every accepted connection decides its binding: a
+// binary frame opens with the journal's magic (0xA7), outside ASCII, an
+// HTTP request line opens with a method letter, so one cluster port
+// serves JSON workers and binary workers without a second listener or
+// any out-of-band configuration.
 //
 // A binary connection is a synchronous frame loop — read one request
 // frame, run the verb against the coordinator, write one response frame —
@@ -17,10 +17,13 @@ package cluster
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"sync"
 	"time"
+
+	"grasp/internal/journal"
 )
 
 // binaryIdleTimeout bounds how long a binary connection may sit between
@@ -165,7 +168,7 @@ func (s *Server) route(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	if first[0] == frameMagic {
+	if first[0] >= 0x80 { // no HTTP request line opens outside ASCII
 		defer s.untrack(conn)
 		defer conn.Close()
 		s.serveBinary(conn, br)
@@ -178,82 +181,69 @@ func (s *Server) route(conn net.Conn) {
 }
 
 // serveBinary runs one connection's frame loop with per-connection
-// scratch reused across frames.
+// scratch reused across frames. A verb that fails is answered with an
+// error frame; a frame this wire cannot read is answered with one, and
+// the connection closes.
 func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	bw := bufio.NewWriter(conn)
 	var (
-		frame   []byte
-		out     []byte
-		lease   LeaseRequest
-		results ResultsRequest
-		tasks   []WireTask
+		frame, out []byte
+		lease      LeaseRequest
+		results    ResultsRequest
+		tasks      []WireTask
 	)
 	for {
 		conn.SetReadDeadline(time.Now().Add(binaryIdleTimeout))
-		typ, payload, buf, err := readFrame(br, frame[:0])
+		typ, payload, buf, err := readMsg(br, frame[:0])
 		frame = buf
-		if err != nil {
+		refused := errors.Is(err, errWire)
+		if err != nil && !refused {
 			return
 		}
+		if refused { // an earlier release cannot read the error frame, so log it too
+			s.co.log.Warn("binary frame refused", "remote", conn.RemoteAddr().String(), "err", err)
+		}
 		out = out[:0]
-		switch typ {
-		case msgRegister:
+		switch {
+		case refused:
+		case typ == msgRegister:
 			var req RegisterRequest
-			if err := decodeRegisterRequest(payload, &req); err != nil {
-				out = appendError(beginFrame(out, msgError), 400, err.Error())
-				break
+			var resp RegisterResponse
+			if err = decodeRegisterRequest(payload, &req); err == nil {
+				resp, err = s.co.Register(req)
 			}
-			resp, err := s.co.Register(req)
-			if err != nil {
-				out = appendError(beginFrame(out, msgError), 400, err.Error())
-				break
+			out = appendRegisterResponse(beginMsg(out, msgRegisterResp), resp)
+		case typ == msgLease:
+			tasks = tasks[:0]
+			if err = decodeLeaseRequest(payload, &lease); err == nil {
+				tasks, err = s.co.LeaseAppend(lease, tasks)
 			}
-			out = appendRegisterResponse(beginFrame(out, msgRegisterResp), resp)
-		case msgLease:
-			if err := decodeLeaseRequest(payload, &lease); err != nil {
-				out = appendError(beginFrame(out, msgError), 400, err.Error())
-				break
+			out = appendLeaseResponse(beginMsg(out, msgLeaseResp), tasks)
+		case typ == msgResults:
+			if err = decodeResultsRequest(payload, &results); err == nil {
+				err = s.co.Results(results)
 			}
-			var err error
-			tasks, err = s.co.LeaseAppend(lease, tasks[:0])
-			if err != nil {
-				out = appendError(beginFrame(out, msgError), uint16(statusFor(err)), err.Error())
-				break
-			}
-			out = appendLeaseResponse(beginFrame(out, msgLeaseResp), tasks)
-		case msgResults:
-			if err := decodeResultsRequest(payload, &results); err != nil {
-				out = appendError(beginFrame(out, msgError), 400, err.Error())
-				break
-			}
-			if err := s.co.Results(results); err != nil {
-				out = appendError(beginFrame(out, msgError), uint16(statusFor(err)), err.Error())
-				break
-			}
-			out = beginFrame(out, msgOK)
-		case msgHeartbeat, msgLeave:
+			out = beginMsg(out, msgOK)
+		case typ == msgHeartbeat || typ == msgLeave:
 			var id string
 			var gen int64
-			if err := decodeIDGen(payload, &id, &gen); err != nil {
-				out = appendError(beginFrame(out, msgError), 400, err.Error())
-				break
-			}
-			var err error
-			if typ == msgHeartbeat {
+			switch err = decodeIDGen(payload, &id, &gen); {
+			case err != nil:
+			case typ == msgHeartbeat:
 				err = s.co.Heartbeat(HeartbeatRequest{ID: id, Gen: gen})
-			} else {
+			default:
 				err = s.co.Leave(LeaveRequest{ID: id, Gen: gen})
 			}
-			if err != nil {
-				out = appendError(beginFrame(out, msgError), uint16(statusFor(err)), err.Error())
-				break
-			}
-			out = beginFrame(out, msgOK)
+			out = beginMsg(out, msgOK)
 		default:
-			out = appendError(beginFrame(out, msgError), 400, "unknown message type")
+			err = fmt.Errorf("cluster: unknown message type %d", typ)
+		}
+		if err != nil {
+			out = appendError(beginMsg(out[:0], msgError), uint16(statusFor(err)), err.Error())
 		}
 		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := bw.Write(finishFrame(out)); err != nil {
+		if _, err := bw.Write(journal.FinishFrame(out)); err != nil || refused {
+			bw.Flush()
 			return
 		}
 		if err := bw.Flush(); err != nil {

@@ -20,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"grasp/internal/journal"
 )
 
 // Transport is one client-side binding of the coordinator protocol. A
@@ -240,7 +242,7 @@ func (t *binaryTransport) exchange(deadline time.Duration, encode func([]byte) [
 	if err != nil {
 		return err
 	}
-	bc.buf = finishFrame(encode(bc.buf[:0]))
+	bc.buf = journal.FinishFrame(encode(bc.buf[:0]))
 	if deadline > 0 {
 		bc.c.SetDeadline(time.Now().Add(deadline))
 	} else {
@@ -250,7 +252,7 @@ func (t *binaryTransport) exchange(deadline time.Duration, encode func([]byte) [
 		bc.c.Close()
 		return err
 	}
-	typ, payload, buf, err := readFrame(bc.c, bc.buf[:0])
+	typ, payload, buf, err := readMsg(bc.c, bc.buf[:0])
 	bc.buf = buf
 	if err != nil {
 		bc.c.Close()
@@ -285,10 +287,10 @@ const registerRTT = 2 * time.Second
 func (t *binaryTransport) Register(req RegisterRequest) (RegisterResponse, error) {
 	var resp RegisterResponse
 	err := t.exchange(registerRTT, func(dst []byte) []byte {
-		return appendRegisterRequest(beginFrame(dst, msgRegister), req)
+		return appendRegisterRequest(beginMsg(dst, msgRegister), req)
 	}, func(typ byte, payload []byte) error {
 		if typ != msgRegisterResp {
-			return errBadFrame
+			return errDecode
 		}
 		return decodeRegisterResponse(payload, &resp)
 	})
@@ -299,10 +301,10 @@ func (t *binaryTransport) Lease(req LeaseRequest, scratch []WireTask) ([]WireTas
 	wait := time.Duration(req.WaitMS) * time.Millisecond
 	out := scratch
 	err := t.exchange(wait+rtt, func(dst []byte) []byte {
-		return appendLeaseRequest(beginFrame(dst, msgLease), req)
+		return appendLeaseRequest(beginMsg(dst, msgLease), req)
 	}, func(typ byte, payload []byte) error {
 		if typ != msgLeaseResp {
-			return errBadFrame
+			return errDecode
 		}
 		var derr error
 		out, derr = decodeLeaseResponse(payload, out)
@@ -313,26 +315,26 @@ func (t *binaryTransport) Lease(req LeaseRequest, scratch []WireTask) ([]WireTas
 
 func (t *binaryTransport) Results(req ResultsRequest) error {
 	return t.exchange(rtt, func(dst []byte) []byte {
-		return appendResultsRequest(beginFrame(dst, msgResults), req)
+		return appendResultsRequest(beginMsg(dst, msgResults), req)
 	}, expectOK)
 }
 
 func (t *binaryTransport) Heartbeat(req HeartbeatRequest) error {
 	return t.exchange(rtt, func(dst []byte) []byte {
-		return appendIDGen(beginFrame(dst, msgHeartbeat), req.ID, req.Gen)
+		return appendIDGen(beginMsg(dst, msgHeartbeat), req.ID, req.Gen)
 	}, expectOK)
 }
 
 func (t *binaryTransport) Leave(req LeaveRequest) error {
 	return t.exchange(rtt, func(dst []byte) []byte {
-		return appendIDGen(beginFrame(dst, msgLeave), req.ID, req.Gen)
+		return appendIDGen(beginMsg(dst, msgLeave), req.ID, req.Gen)
 	}, expectOK)
 }
 
 // expectOK accepts the empty OK response.
 func expectOK(typ byte, _ []byte) error {
 	if typ != msgOK {
-		return errBadFrame
+		return errDecode
 	}
 	return nil
 }

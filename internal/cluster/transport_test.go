@@ -208,8 +208,8 @@ func TestTransportContract(t *testing.T) {
 }
 
 // firstBytes wraps a listener and records the first byte each accepted
-// connection sends: frameMagic for a binary connection, a method letter
-// for HTTP.
+// connection sends: the journal frame's magic (0xA7) for a binary
+// connection, a method letter for HTTP.
 type firstBytes struct {
 	net.Listener
 	mu    sync.Mutex
@@ -292,7 +292,7 @@ func TestWorkerSpeaksBinaryByDefault(t *testing.T) {
 		t.Fatal("the listener accepted no connection")
 	}
 	for i, b := range seen {
-		if b != frameMagic {
+		if b != 0xA7 {
 			t.Errorf("connection %d of %d opened with %q, not a binary frame", i+1, len(seen), b)
 		}
 	}
@@ -436,4 +436,31 @@ func (l *logBuffer) String() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.b.String()
+}
+
+// TestReRegisterOncePerStaleGeneration: every loop of a worker that draws
+// ErrGone for the same generation at the same moment — as they do when a
+// restarted coordinator answers their first calls — re-registers the node
+// once between them, not once each, which would supersede the node's own
+// fresh registration.
+func TestReRegisterOncePerStaleGeneration(t *testing.T) {
+	co := testCoordinator(t, time.Second)
+	w := startWorkerWith(t, WorkerConfig{Coordinator: startTestServer(t, co), ID: "w", Capacity: 1})
+	registers := co.Metrics().Counter("cluster_registers_total")
+	before, stale := registers.Value(), w.gen.Load()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			w.reRegister(stale)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := registers.Value() - before; got != 1 {
+		t.Fatalf("8 loops holding generation %d re-registered %d times, want once", stale, got)
+	}
 }

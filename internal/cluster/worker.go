@@ -136,6 +136,7 @@ type Worker struct {
 	tr    Transport    // the one binding every verb goes over
 	start time.Time    // DegradeAfter counts from here
 	gen   atomic.Int64 // the registration's generation, renewed by reRegister
+	reg   sync.Mutex   // held from reRegister's generation check through its register
 
 	// Observability: lease round-trip distribution (the worker-side view
 	// of dispatch latency — long-poll waits included) and how long
@@ -317,19 +318,26 @@ func (w *Worker) register() (time.Duration, error) {
 
 // reRegister refreshes a superseded registration, but only once per stale
 // generation — concurrent executors and the heartbeat loop all observing
-// ErrGone must not stampede. A stopping worker never re-registers: its
-// loops observe ErrGone from their own Leave, and re-admitting the node
-// would leave a live ghost with no executors behind it.
+// ErrGone must not stampede: after a coordinator restart their backoffs
+// end together, and a generation checked outside w.reg would let each of
+// them register, the node superseding itself. A stopping worker never
+// re-registers: its loops observe ErrGone from their own Leave, and
+// re-admitting the node would leave a live ghost with no executors
+// behind it.
 func (w *Worker) reRegister(staleGen int64) {
 	select {
 	case <-w.stop:
 		return
 	default:
 	}
+	w.reg.Lock()
 	if w.gen.Load() != staleGen {
+		w.reg.Unlock()
 		return // someone else already re-registered
 	}
-	if _, err := w.register(); err != nil {
+	_, err := w.register()
+	w.reg.Unlock()
+	if err != nil {
 		w.log.Warn("re-register failed", "node", w.cfg.ID, "err", err)
 		sleepOrStop(500*time.Millisecond, w.stop)
 		return
@@ -422,12 +430,17 @@ func (w *Worker) executorLoop(ahead *aheadLease) {
 				leasedAhead = true
 			}
 			// One clock over execution and penalty: the node reports what
-			// the task took, not what the penalty meant to add.
+			// the task took. Sleep-only work sleeps both as one timer, as a
+			// second wake would add its own scheduling delay under load.
 			start := time.Now()
-			if !execWork(t.Work, &timer) {
+			work, factor := t.Work, w.degradeFactor()
+			if factor > 1 && work.Spin == 0 {
+				work.SleepUS, factor = int64(float64(work.SleepUS)*factor), 1
+			}
+			if !execWork(work, &timer) {
 				return
 			}
-			if extra := w.degradePenalty(time.Since(start)); extra > 0 && !timer.sleep(extra) {
+			if factor > 1 && !timer.sleep(time.Duration(float64(time.Since(start))*(factor-1))) {
 				return
 			}
 			d := time.Since(start)
@@ -531,17 +544,14 @@ func (w *Worker) post(gen int64, results []WireResult) {
 	}
 }
 
-// degradePenalty returns the extra time a task of natural duration d must
-// take once the scripted DegradeAfter instant has passed (0 before it, or
-// when no degradation is configured).
-func (w *Worker) degradePenalty(d time.Duration) time.Duration {
-	if w.cfg.DegradeAfter <= 0 || w.cfg.DegradeFactor <= 1 {
-		return 0
+// degradeFactor returns what a task's natural duration is multiplied by:
+// DegradeFactor once the scripted DegradeAfter instant has passed, 1
+// before it or when no degradation is configured.
+func (w *Worker) degradeFactor() float64 {
+	if w.cfg.DegradeAfter <= 0 || w.cfg.DegradeFactor <= 1 || time.Since(w.start) < w.cfg.DegradeAfter {
+		return 1
 	}
-	if time.Since(w.start) < w.cfg.DegradeAfter {
-		return 0
-	}
-	return time.Duration(float64(d) * (w.cfg.DegradeFactor - 1))
+	return w.cfg.DegradeFactor
 }
 
 // sleepOrStop pauses for d on the runtime's timer, reporting false when

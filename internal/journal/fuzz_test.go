@@ -11,7 +11,8 @@ import (
 // for any input: the valid prefix never exceeds the data, re-encoding
 // the decoded records reproduces the prefix byte-for-byte (so truncating
 // to it and replaying again is lossless), and decoding the prefix is
-// idempotent.
+// idempotent. A fourth ties the scanner to the stream reader the wire
+// uses: ReadFrame returns the same records, one at a time, and then fails.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeRecord(nil))
@@ -43,6 +44,20 @@ func FuzzJournalReplay(f *testing.F) {
 		for i := range records {
 			if !bytes.Equal(again[i], records[i]) {
 				t.Fatalf("record %d differs on second decode", i)
+			}
+		}
+		r := bytes.NewReader(data)
+		var buf []byte
+		for i := range records {
+			payload, out, err := ReadFrame(r, buf, MaxRecord)
+			if err != nil || !bytes.Equal(payload, records[i]) {
+				t.Fatalf("ReadFrame %d: %v, payload differs from DecodeAll's", i, err)
+			}
+			buf = out
+		}
+		if valid < len(data) {
+			if _, _, err := ReadFrame(r, buf, MaxRecord); err == nil {
+				t.Fatalf("ReadFrame accepted the frame DecodeAll stopped at (offset %d)", valid)
 			}
 		}
 	})

@@ -20,6 +20,10 @@
 // standard torn-tail rule, under which an append interrupted by power
 // loss or SIGKILL costs at most the records that were never fsynced.
 //
+// The cluster's binary wire frames its messages the same way (BeginFrame,
+// FinishFrame, ReadFrame), into and out of reused buffers, so a frame
+// torn by a dying connection fails the checks a torn journal tail does.
+//
 // The Store composes a Log with an atomically replaced snapshot: journal
 // files are named by epoch (journal-N), the snapshot records which epoch
 // it covers, and compaction writes the new snapshot (tmp + rename +
@@ -31,18 +35,21 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 const (
 	// recordMagic leads every frame; a scan landing on anything else is at
-	// a torn or corrupt tail.
+	// a torn or corrupt tail. It lies outside ASCII, so a listener can tell
+	// a frame from an HTTP request line by its first byte.
 	recordMagic = 0xA7
 	// headerSize is magic + length + crc.
 	headerSize = 9
@@ -52,18 +59,68 @@ const (
 	MaxRecord = 16 << 20
 )
 
+// ErrCorrupt reports a frame that is not whole and valid: a wrong lead
+// byte, a length past the bound or a failed CRC.
+var ErrCorrupt = errors.New("journal: corrupt frame")
+
 // EncodeRecord frames one payload for appending to a journal.
 func EncodeRecord(payload []byte) []byte {
-	return appendRecord(make([]byte, 0, headerSize+len(payload)), payload)
+	return FinishFrame(append(BeginFrame(make([]byte, 0, headerSize+len(payload))), payload...))
 }
 
-// appendRecord appends one frame to dst and returns the extended slice.
-func appendRecord(dst, payload []byte) []byte {
-	var hdr [headerSize]byte
-	hdr[0] = recordMagic
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	return append(append(dst, hdr[:]...), payload...)
+// BeginFrame appends a header placeholder to dst; append the payload
+// after it, then FinishFrame fills the header in.
+func BeginFrame(dst []byte) []byte {
+	return append(dst, recordMagic, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// FinishFrame fills in the header of frame, which starts with
+// BeginFrame's placeholder and ends with the payload, and returns frame.
+func FinishFrame(frame []byte) []byte {
+	payload := frame[headerSize:]
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[5:9], crc32.ChecksumIEEE(payload))
+	return frame
+}
+
+// payloadLen checks a frame header and returns the length it declares.
+func payloadLen(hdr []byte, limit int) (int, error) {
+	if hdr[0] != recordMagic {
+		return 0, fmt.Errorf("%w: lead byte 0x%02X, want 0x%02X", ErrCorrupt, hdr[0], recordMagic)
+	}
+	n := binary.LittleEndian.Uint32(hdr[1:5])
+	if n > uint32(limit) {
+		return 0, fmt.Errorf("%w: %d-byte payload exceeds the %d cap", ErrCorrupt, n, limit)
+	}
+	return int(n), nil
+}
+
+// crcOK reports whether a whole frame's payload matches its header's CRC.
+func crcOK(frame []byte) bool {
+	return crc32.ChecksumIEEE(frame[headerSize:]) == binary.LittleEndian.Uint32(frame[5:9])
+}
+
+// ReadFrame reads one whole frame with a payload of at most limit bytes
+// from r into buf's backing array, growing it when it must, and returns
+// the payload with the buffer it now lives in. A frame that fails a check
+// returns an error wrapping ErrCorrupt; a short read, the reader's error.
+func ReadFrame(r io.Reader, buf []byte, limit int) (payload, out []byte, err error) {
+	buf = slices.Grow(buf[:0], headerSize)[:headerSize]
+	if _, err = io.ReadFull(r, buf); err != nil {
+		return nil, buf, err
+	}
+	n, err := payloadLen(buf, limit)
+	if err != nil {
+		return nil, buf, err
+	}
+	buf = slices.Grow(buf, n)[:headerSize+n]
+	if _, err = io.ReadFull(r, buf[headerSize:]); err != nil {
+		return nil, buf, err
+	}
+	if !crcOK(buf) {
+		return nil, buf, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	}
+	return buf[headerSize:], buf, nil
 }
 
 // DecodeAll scans data and returns every fully valid record in order plus
@@ -72,21 +129,14 @@ func appendRecord(dst, payload []byte) []byte {
 // past MaxRecord, or does not start with the magic byte: on a journal
 // file those are all the torn-tail condition, and replay keeps the prefix.
 func DecodeAll(data []byte) (records [][]byte, valid int) {
-	for valid < len(data) {
+	for len(data)-valid >= headerSize {
 		rest := data[valid:]
-		if len(rest) < headerSize || rest[0] != recordMagic {
-			return records, valid
+		n, err := payloadLen(rest, MaxRecord)
+		if err != nil || n > len(rest)-headerSize || !crcOK(rest[:headerSize+n]) {
+			break
 		}
-		n := binary.LittleEndian.Uint32(rest[1:5])
-		if n > MaxRecord || int(n) > len(rest)-headerSize {
-			return records, valid
-		}
-		payload := rest[headerSize : headerSize+int(n)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[5:9]) {
-			return records, valid
-		}
-		records = append(records, append([]byte(nil), payload...))
-		valid += headerSize + int(n)
+		records = append(records, append([]byte(nil), rest[headerSize:headerSize+n]...))
+		valid += headerSize + n
 	}
 	return records, valid
 }
@@ -131,25 +181,11 @@ func OpenLog(path string) (l *Log, records [][]byte, dropped int64, err error) {
 	return &Log{f: f, size: int64(valid)}, records, dropped, nil
 }
 
-// Append writes one framed record. It does not sync; call Sync to make
-// the appended records durable.
-func (l *Log) Append(payload []byte) error {
-	if len(payload) > MaxRecord {
-		return fmt.Errorf("journal: record of %d bytes exceeds the %d cap", len(payload), MaxRecord)
-	}
-	frame := EncodeRecord(payload)
-	if _, err := l.f.Write(frame); err != nil {
-		return err
-	}
-	l.size += int64(len(frame))
-	return nil
-}
-
 // AppendBatch writes the payloads as consecutive frames through a single
-// write syscall — the group-commit fast path. Each payload is framed
-// exactly as Append would frame it, so the on-disk bytes are
-// indistinguishable from the same records appended one at a time; only
-// the syscall count changes. Like Append it does not sync, and a crash
+// write syscall — the log's one append path; a lone record is a batch of
+// one. The bytes are the records' frames concatenated, so a batch is
+// indistinguishable on disk from the same records appended one batch at a
+// time; only the syscall count changes. It does not sync, and a crash
 // before Sync is subject to the ordinary torn-tail rule: recovery keeps
 // whole-frame prefixes, so a batch cut mid-frame loses that frame and
 // everything after it, never a suffix-less middle.
@@ -166,7 +202,9 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 	}
 	buf := make([]byte, 0, total)
 	for _, p := range payloads {
-		buf = appendRecord(buf, p)
+		start := len(buf)
+		buf = append(BeginFrame(buf), p...)
+		FinishFrame(buf[start:])
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		return err
@@ -203,11 +241,13 @@ type Recovered struct {
 }
 
 // Store is a snapshot plus its epoch's journal in one directory. Create
-// or recover one with OpenStore; the owner serialises all calls.
+// or recover one with OpenStore; the owner serialises all calls. Its Log
+// is the current epoch's journal; Close does not snapshot, so a final
+// compaction is a Rotate first (the graceful-shutdown path).
 type Store struct {
 	dir   string
 	epoch int64
-	log   *Log
+	*Log
 }
 
 const (
@@ -253,7 +293,7 @@ func OpenStore(dir string) (*Store, Recovered, error) {
 	}
 	rec.Records = records
 	rec.Dropped = dropped
-	s := &Store{dir: dir, epoch: epoch, log: log}
+	s := &Store{dir: dir, epoch: epoch, Log: log}
 	if err := s.removeStray(); err != nil {
 		log.Close()
 		return nil, Recovered{}, err
@@ -286,20 +326,6 @@ func (s *Store) removeStray() error {
 	return nil
 }
 
-// Append journals one record (no sync; call Sync).
-func (s *Store) Append(payload []byte) error { return s.log.Append(payload) }
-
-// AppendBatch journals a group of records through one write syscall (no
-// sync; call Sync once for the whole batch — the group-commit discipline).
-func (s *Store) AppendBatch(payloads [][]byte) error { return s.log.AppendBatch(payloads) }
-
-// Sync makes appended records durable.
-func (s *Store) Sync() error { return s.log.Sync() }
-
-// JournalSize returns the current journal's length — the compaction
-// trigger the owner checks after appends.
-func (s *Store) JournalSize() int64 { return s.log.Size() }
-
 // Rotate compacts: state becomes the new snapshot and appends move to a
 // fresh journal. The write order — snapshot tmp, fsync, rename, directory
 // fsync, then the new journal — means a crash at any step leaves either
@@ -331,9 +357,9 @@ func (s *Store) Rotate(state []byte) error {
 		log.Close()
 		return fmt.Errorf("journal: new epoch %d journal is not empty", next)
 	}
-	old := s.log
+	old := s.Log
 	oldPath := journalPath(s.dir, s.epoch)
-	s.log = log
+	s.Log = log
 	s.epoch = next
 	old.Close()
 	if err := os.Remove(oldPath); err != nil && !os.IsNotExist(err) {
@@ -341,10 +367,6 @@ func (s *Store) Rotate(state []byte) error {
 	}
 	return syncDir(s.dir)
 }
-
-// Close closes the store's journal. It does not snapshot; owners wanting
-// a final compaction call Rotate first (the graceful-shutdown path).
-func (s *Store) Close() error { return s.log.Close() }
 
 // writeFileSync writes data to path and fsyncs it.
 func writeFileSync(path string, data []byte) error {

@@ -3,7 +3,9 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,6 +46,71 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParentLayoutJournalReplays pins the on-disk bytes: a journal
+// written by earlier releases — the frame below, laid out by hand as
+// magic 0xA7, length 5, CRC-32 of "hello", payload — is what EncodeRecord
+// still writes, and it replays.
+func TestParentLayoutJournalReplays(t *testing.T) {
+	golden := []byte{0xA7, 5, 0, 0, 0, 0x86, 0xA6, 0x10, 0x36, 'h', 'e', 'l', 'l', 'o'}
+	if got := EncodeRecord([]byte("hello")); !bytes.Equal(got, golden) {
+		t.Fatalf("EncodeRecord = % x, want % x", got, golden)
+	}
+	path := filepath.Join(t.TempDir(), "journal-0")
+	if err := os.WriteFile(path, append(golden, golden...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, dropped, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(recs) != 2 || string(recs[0]) != "hello" || string(recs[1]) != "hello" || dropped != 0 {
+		t.Fatalf("replayed %q with %d bytes dropped, want two \"hello\" and none", recs, dropped)
+	}
+}
+
+// TestReadFrame: frames read one at a time from a stream through one
+// reused buffer (grown from nothing, keeping the header it already read)
+// come back whole, and a corrupt frame wraps ErrCorrupt.
+func TestReadFrame(t *testing.T) {
+	want := payloads(12)
+	var stream []byte
+	for _, p := range want {
+		stream = append(stream, EncodeRecord(p)...)
+	}
+	r := bytes.NewReader(stream)
+	var buf []byte
+	for i, p := range want {
+		payload, out, err := ReadFrame(r, buf, MaxRecord)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(payload, p) {
+			t.Fatalf("frame %d: payload %v, want %v", i, payload, p)
+		}
+		buf = out
+	}
+	if _, _, err := ReadFrame(r, buf, MaxRecord); err != io.EOF {
+		t.Fatalf("read past the last frame: %v, want io.EOF", err)
+	}
+
+	frame := EncodeRecord([]byte("payload"))
+	for name, mutate := range map[string]func([]byte){
+		"magic":  func(f []byte) { f[0] = 'G' },
+		"length": func(f []byte) { f[1] = 0xFF },
+		"crc":    func(f []byte) { f[len(f)-1] ^= 0xFF },
+	} {
+		bad := append([]byte(nil), frame...)
+		mutate(bad)
+		if _, _, err := ReadFrame(bytes.NewReader(bad), nil, 64); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadFrame err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-1]), nil, 64); err != io.ErrUnexpectedEOF {
+		t.Errorf("short frame: ReadFrame err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
 // TestTornTailEveryCut truncates a multi-record stream at every possible
 // byte offset: the decode must always recover exactly the records whose
 // frames fit entirely within the cut.
@@ -76,9 +143,9 @@ func TestTornTailEveryCut(t *testing.T) {
 	}
 }
 
-// TestAppendBatchMatchesAppend proves the batch path is a pure syscall
-// optimisation: the same payloads written through AppendBatch and through
-// per-record Append must produce byte-identical files and identical Size
+// TestAppendBatchMatchesAppend proves batching is a pure syscall
+// optimisation: the same payloads written one record per AppendBatch and
+// in grouped batches must produce byte-identical files and identical Size
 // accounting.
 func TestAppendBatchMatchesAppend(t *testing.T) {
 	dir := t.TempDir()
@@ -90,7 +157,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range recs {
-		if err := l1.Append(p); err != nil {
+		if err := l1.AppendBatch([][]byte{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +233,7 @@ func TestAppendBatchTornTailEveryCut(t *testing.T) {
 	// Two synced records, then one batch of six that never gets its Sync.
 	pre := [][]byte{[]byte("synced-1"), []byte("synced-2")}
 	for _, p := range pre {
-		if err := l.Append(p); err != nil {
+		if err := l.AppendBatch([][]byte{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +342,7 @@ func TestOpenLogTruncatesTornTail(t *testing.T) {
 		t.Fatalf("fresh log: %d records, %d dropped", len(rec), dropped)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte(fmt.Sprintf("rec-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +374,7 @@ func TestOpenLogTruncatesTornTail(t *testing.T) {
 	}
 	// The file must now end at the valid prefix and accept new appends
 	// cleanly (no garbage between old and new records).
-	if err := l2.Append([]byte("after-recovery")); err != nil {
+	if err := l2.AppendBatch([][]byte{[]byte("after-recovery")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Sync(); err != nil {
@@ -337,7 +404,7 @@ func TestStoreFreshAndReplay(t *testing.T) {
 		t.Fatalf("fresh store replayed %+v", rec)
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
+		if err := s.AppendBatch([][]byte{[]byte(fmt.Sprintf("r%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,16 +431,16 @@ func TestStoreRotate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Append([]byte("pre-1"))
-	s.Append([]byte("pre-2"))
+	s.AppendBatch([][]byte{[]byte("pre-1")})
+	s.AppendBatch([][]byte{[]byte("pre-2")})
 	s.Sync()
 	if err := s.Rotate([]byte(`{"compacted":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	if s.JournalSize() != 0 {
-		t.Fatalf("new journal size = %d, want 0", s.JournalSize())
+	if s.Size() != 0 {
+		t.Fatalf("new journal size = %d, want 0", s.Size())
 	}
-	s.Append([]byte("post-1"))
+	s.AppendBatch([][]byte{[]byte("post-1")})
 	s.Sync()
 	s.Close()
 
@@ -415,7 +482,7 @@ func TestStoreCrashWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Append([]byte("a"))
+		s.AppendBatch([][]byte{[]byte("a")})
 		s.Sync()
 		s.Close()
 		if err := os.WriteFile(filepath.Join(dir, "snapshot.tmp"), []byte("half-written"), 0o644); err != nil {
@@ -442,7 +509,7 @@ func TestStoreCrashWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Append([]byte("pre"))
+		s.AppendBatch([][]byte{[]byte("pre")})
 		s.Sync()
 		s.Close()
 		// The snapshot write from Rotate, without the journal switch.
@@ -516,7 +583,7 @@ func TestStoreAppendRotateReopenProperty(t *testing.T) {
 				case 0, 1, 2: // append (synced, so the model includes it)
 					p := fmt.Sprintf("p%d", next)
 					next++
-					if err := s.Append([]byte(p)); err != nil {
+					if err := s.AppendBatch([][]byte{[]byte(p)}); err != nil {
 						t.Fatal(err)
 					}
 					if err := s.Sync(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"grasp/internal/cluster"
 	"grasp/internal/journal"
 )
 
@@ -111,7 +112,7 @@ func TestRecoveryGracefulShutdownAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size := w2.store.JournalSize(); size != 0 {
+	if size := w2.store.Size(); size != 0 {
 		t.Errorf("journal holds %d bytes after graceful shutdown, want a compacted 0", size)
 	}
 	w2.close()
@@ -406,11 +407,11 @@ func TestRecoveryReplaysALostCountFromAnOlderBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Append(raw); err != nil {
+		if err := store.AppendBatch([][]byte{raw}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := store.Append([]byte(`{"kind":"done","job":"old","lost":7}`)); err != nil {
+	if err := store.AppendBatch([][]byte{[]byte(`{"kind":"done","job":"old","lost":7}`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Sync(); err != nil {
@@ -424,8 +425,83 @@ func TestRecoveryReplaysALostCountFromAnOlderBuild(t *testing.T) {
 	}
 	defer w.close()
 	wj := w.state.Jobs["old"]
-	if wj == nil || !wj.Done || wj.Submitted != 3 || wj.completed() != 1 || wj.Lost != 2 || len(wj.Pending) != 0 {
+	if wj == nil || !wj.Done || wj.Submitted != 3 || wj.completed() != 1 || wj.Lost != 2 || len(wj.Pending.tasks()) != 0 {
 		t.Fatalf("replayed job = %+v, want done with 3 submitted, 1 completed, 2 lost and none pending", wj)
+	}
+}
+
+// TestRecoveryReplaysAFleetRecordFromAnOlderBuild: earlier builds
+// journaled the coordinator's live registrations beside its ceilings. The
+// record below is such a build's journal byte for byte — magic 0xA7,
+// length, CRC-32, payload — and it still replays: the ceilings restore,
+// the node list is ignored.
+func TestRecoveryReplaysAFleetRecordFromAnOlderBuild(t *testing.T) {
+	payload := `{"kind":"cluster","cluster":{"next_gen":64,"next_dispatch":4096,"nodes":[{"id":"w","gen":3,"capacity":2}]}}`
+	frame := append([]byte{0xA7, 0x6B, 0, 0, 0, 0x9C, 0xA4, 0xDB, 0xB3}, payload...)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal-0"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWAL(dir, walOptions{})
+	if err != nil {
+		t.Fatalf("a journal carrying a fleet record does not replay: %v", err)
+	}
+	defer w.close()
+	if st := w.clusterState(); st == nil || *st != (cluster.RegistryState{NextGen: 64, NextDispatch: 4096}) {
+		t.Fatalf("replayed coordinator state = %+v, want the two ceilings 64 and 4096", st)
+	}
+}
+
+// TestRecoveryResumesClusterJobOnNodeUp: a durable service reopened with
+// no live node keeps its cluster job recovering, and the node-up event of
+// the first registration resumes it — seen by a results poll parked on
+// the job, which the resume wakes.
+func TestRecoveryResumesClusterJobOnNodeUp(t *testing.T) {
+	dir := t.TempDir()
+	co := cluster.NewCoordinator(cluster.Config{})
+	if _, err := co.Register(cluster.RegisterRequest{ID: "w", Capacity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Workers: 2, WarmupTasks: 2, DataDir: dir, Cluster: co})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit("cj", JobSpec{Placement: PlacementCluster}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	co.Close()
+
+	co2 := cluster.NewCoordinator(cluster.Config{})
+	t.Cleanup(co2.Close)
+	s2, err := Open(Config{Workers: 2, WarmupTasks: 2, DataDir: dir, Cluster: co2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2.Close() })
+	j, ok := s2.Job("cj")
+	if !ok {
+		t.Fatal("the cluster job did not recover")
+	}
+	if st := j.state(); st != JobRecovering {
+		t.Fatalf("with no live node the job is %q, want %q", st, JobRecovering)
+	}
+	parked := j.waitPast(0)
+	if parked == nil {
+		t.Fatal("a results poll on the recovering job does not park")
+	}
+	if _, err := co2.Register(cluster.RegisterRequest{ID: "w", Capacity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a node came up and the parked poll was never woken")
+	}
+	if st := j.state(); st != JobAccepting {
+		t.Fatalf("after the node came up the job is %q, want %q", st, JobAccepting)
 	}
 }
 
@@ -487,7 +563,7 @@ func TestRecoveryWalStateJSONStable(t *testing.T) {
 			Spec:        JobSpec{}.withDefaults(Config{}.withDefaults()),
 			Closed:      true,
 			Submitted:   3,
-			Pending:     []TaskSpec{{ID: 2, Cost: 1}},
+			Pending:     newPending([]TaskSpec{{ID: 2, Cost: 1}}),
 			Results:     []TaskResult{{ID: 0, Worker: 1, Micros: 42}},
 			ResultsBase: 1,
 		},

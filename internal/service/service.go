@@ -762,9 +762,20 @@ func (s *Service) recoverJob(name string, wj *walJob) {
 // resumeWhenNodesLive parks a recovered cluster job until the worker
 // fleet re-registers (the workers survived the daemon; their next
 // heartbeat gets ErrGone and they re-register through the normal path),
-// then resumes it. Service shutdown abandons the wait — the job stays
-// journaled for the next Open.
+// then resumes it, woken by node-up events: it subscribes before its
+// first look, and its watcher only signals, never blocking the event
+// dispatcher. Shutdown abandons the wait; the job stays journaled.
 func (s *Service) resumeWhenNodesLive(j *Job) {
+	up := make(chan struct{}, 1)
+	cancel := s.cfg.Cluster.Subscribe(func(ev cluster.NodeEvent) {
+		if ev.Kind == cluster.EventUp {
+			select {
+			case up <- struct{}{}:
+			default:
+			}
+		}
+	})
+	defer cancel()
 	for {
 		if len(s.cfg.Cluster.Live()) > 0 {
 			err := s.resume(j)
@@ -781,7 +792,7 @@ func (s *Service) resumeWhenNodesLive(j *Job) {
 		select {
 		case <-s.closed:
 			return
-		case <-time.After(50 * time.Millisecond):
+		case <-up:
 		}
 	}
 }

@@ -49,7 +49,7 @@ func assertConserved(t *testing.T, s *Service) {
 	for _, j := range jobs {
 		s.wal.mu.Lock()
 		wj := *j.wj
-		pending := len(wj.Pending)
+		pending := len(wj.Pending.tasks())
 		s.wal.mu.Unlock()
 		settled := wj.completed() + wj.Lost
 		switch {
@@ -369,7 +369,7 @@ func TestRecoveryPushCutShortByNodeLoss(t *testing.T) {
 func TestWalAckDeepBacklog(t *testing.T) {
 	const depth = 10_000
 	w := newWAL(nil, walOptions{})
-	wj := &walJob{Spec: JobSpec{MaxResults: 1 << 20}, Submitted: depth, Pending: burst(0, depth, 0)}
+	wj := &walJob{Spec: JobSpec{MaxResults: 1 << 20}, Submitted: depth, Pending: newPending(burst(0, depth, 0))}
 
 	snap := w.backlog(wj)
 	// Front, back and middle of the set.
@@ -385,11 +385,11 @@ func TestWalAckDeepBacklog(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("ack over a %d-deep backlog allocates %.0f times per call, want 0", depth, allocs)
 	}
-	if got := wj.completed() + len(wj.Pending); got != depth {
+	if got := wj.completed() + len(wj.Pending.tasks()); got != depth {
 		t.Errorf("completed + pending = %d after the acks, want %d", got, depth)
 	}
-	seen := make(map[int]bool, len(wj.Pending))
-	for _, ts := range wj.Pending {
+	seen := make(map[int]bool, len(wj.Pending.tasks()))
+	for _, ts := range wj.Pending.tasks() {
 		seen[ts.ID] = true
 	}
 	for _, r := range wj.Results {
@@ -431,8 +431,8 @@ func TestWalStorelessCommitAllocatesNothing(t *testing.T) {
 		t.Errorf("store-less commit allocates %.0f times per 16-task batch, want 0 beyond the amortised results append", allocs)
 	}
 	wj := w.state.Jobs["mem"]
-	if len(wj.Pending) != 0 || len(w.queue) != 0 {
-		t.Errorf("store-less wal tracked %d pending tasks and queued %d commits, want neither", len(wj.Pending), len(w.queue))
+	if len(wj.Pending.tasks()) != 0 || len(w.queue) != 0 {
+		t.Errorf("store-less wal tracked %d pending tasks and queued %d commits, want neither", len(wj.Pending.tasks()), len(w.queue))
 	}
 	if wj.Submitted != wj.completed() || wj.Submitted == 0 {
 		t.Errorf("submitted %d, completed %d", wj.Submitted, wj.completed())

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -71,22 +70,109 @@ type walRecord struct {
 
 // walJob is one job's state: the defaulted spec, lifecycle flags, the
 // accepted-but-unacknowledged tasks (Pending — exactly what recovery must
-// re-deliver) and the acknowledged results under the retention bound,
-// guarded by the owning wal's lock. Submitted == ResultsBase +
-// len(Results) + len(Pending) + Lost (once done, if Pending is not kept).
+// re-deliver; nil when none, so snapshots omit it) and the acknowledged
+// results under the retention bound, guarded by the owning wal's lock.
+// Submitted == ResultsBase + len(Results) + len(Pending.tasks()) + Lost
+// (once done, if Pending is not kept).
 type walJob struct {
-	Spec        JobSpec      `json:"spec"`
-	Closed      bool         `json:"closed,omitempty"`
-	Done        bool         `json:"done,omitempty"`
-	Lost        int          `json:"lost,omitempty"`
-	Submitted   int          `json:"submitted,omitempty"`
-	Pending     []TaskSpec   `json:"pending,omitempty"`
-	Results     []TaskResult `json:"results,omitempty"`
-	ResultsBase int          `json:"results_base,omitempty"`
+	Spec        JobSpec       `json:"spec"`
+	Closed      bool          `json:"closed,omitempty"`
+	Done        bool          `json:"done,omitempty"`
+	Lost        int           `json:"lost,omitempty"`
+	Submitted   int           `json:"submitted,omitempty"`
+	Pending     *pendingTasks `json:"pending,omitempty"`
+	Results     []TaskResult  `json:"results,omitempty"`
+	ResultsBase int           `json:"results_base,omitempty"`
 }
 
 // completed counts the acknowledged results, retained or trimmed.
 func (wj *walJob) completed() int { return wj.ResultsBase + len(wj.Results) }
+
+// pendingTasks is a job's un-acked tasks in accept order (resume's
+// order), indexed so an ack retires its task in O(1) amortised: the slot
+// is marked, and the slots compact once fewer than half are live. Ids may
+// repeat; an ack retires its id's first pending occurrence, so each id's
+// slots are chained. It serialises as the list of pending tasks.
+type pendingTasks struct {
+	slots []pendingSlot
+	ids   map[int][2]int // id → its first and last pending slot
+	live  int
+}
+
+type pendingSlot struct {
+	task  TaskSpec
+	next  int // the id's next pending slot, or -1
+	acked bool
+}
+
+// push appends one task; the zero value is an empty set.
+func (p *pendingTasks) push(ts TaskSpec) {
+	if p.ids == nil {
+		p.ids = make(map[int][2]int)
+	}
+	i := len(p.slots)
+	p.slots = append(p.slots, pendingSlot{task: ts, next: -1})
+	run, ok := p.ids[ts.ID]
+	if ok {
+		p.slots[run[1]].next = i
+	} else {
+		run[0] = i
+	}
+	p.ids[ts.ID] = [2]int{run[0], i}
+	p.live++
+}
+
+// retire removes id's first pending occurrence, if any, and returns how
+// many tasks are left.
+func (p *pendingTasks) retire(id int) int {
+	run, ok := p.ids[id]
+	if !ok {
+		return p.live
+	}
+	s := &p.slots[run[0]]
+	s.acked, p.live = true, p.live-1
+	if s.next < 0 {
+		delete(p.ids, id)
+	} else {
+		p.ids[id] = [2]int{s.next, run[1]}
+	}
+	if 2*p.live < len(p.slots) { // compact in place: no slot moves up
+		old := p.slots
+		p.slots, p.live = old[:0], 0
+		clear(p.ids)
+		for _, s := range old {
+			if !s.acked {
+				p.push(s.task)
+			}
+		}
+	}
+	return p.live
+}
+
+// tasks copies the pending tasks out in accept order; a nil set has none.
+func (p *pendingTasks) tasks() []TaskSpec {
+	if p == nil || p.live == 0 {
+		return nil
+	}
+	out := make([]TaskSpec, 0, p.live)
+	for _, s := range p.slots {
+		if !s.acked {
+			out = append(out, s.task)
+		}
+	}
+	return out
+}
+
+func (p *pendingTasks) MarshalJSON() ([]byte, error) { return json.Marshal(p.tasks()) }
+
+func (p *pendingTasks) UnmarshalJSON(raw []byte) error {
+	var tasks []TaskSpec
+	err := json.Unmarshal(raw, &tasks)
+	for _, ts := range tasks {
+		p.push(ts)
+	}
+	return err
+}
 
 // walState is the full state — the snapshot payload.
 type walState struct {
@@ -123,8 +209,13 @@ func (st *walState) apply(rec walRecord) {
 			switch {
 			case wj.Done: // a push racing the last node's death: counted, never run
 				wj.Lost += len(rec.Tasks)
-			case !st.volatile:
-				wj.Pending = append(wj.Pending, rec.Tasks...)
+			case !st.volatile && len(rec.Tasks) > 0:
+				if wj.Pending == nil {
+					wj.Pending = new(pendingTasks)
+				}
+				for _, ts := range rec.Tasks {
+					wj.Pending.push(ts)
+				}
 			}
 		}
 	case walResults:
@@ -157,11 +248,8 @@ func (st *walState) apply(rec walRecord) {
 // back to MaxResults once the overshoot reaches a quarter of it (slack, so
 // the copy amortises; it reallocates, so a poller's sub-slice stays put).
 func (wj *walJob) ack(r TaskResult) {
-	for i := range wj.Pending {
-		if wj.Pending[i].ID == r.ID {
-			wj.Pending = slices.Delete(wj.Pending, i, i+1) // in place: resume copies
-			break
-		}
+	if wj.Pending != nil && wj.Pending.retire(r.ID) == 0 {
+		wj.Pending = nil
 	}
 	wj.Results = append(wj.Results, r)
 	if slack := wj.Spec.MaxResults / 4; len(wj.Results) > wj.Spec.MaxResults+max(slack, 1) {
@@ -178,7 +266,7 @@ func (wj *walJob) ack(r TaskResult) {
 type walStore interface {
 	AppendBatch(payloads [][]byte) error
 	Sync() error
-	JournalSize() int64
+	Size() int64
 	Rotate(state []byte) error
 	Close() error
 }
@@ -425,7 +513,7 @@ func (w *wal) flush() {
 			w.mu.Unlock()
 			err = w.flushBatch(batch)
 			w.mu.Lock()
-			if err == nil && w.store.JournalSize() > w.opt.maxBytes {
+			if err == nil && w.store.Size() > w.opt.maxBytes {
 				err = w.rotate()
 			}
 			if err != nil {
@@ -552,7 +640,7 @@ func (w *wal) view(wj *walJob) walJob {
 func (w *wal) backlog(wj *walJob) []TaskSpec {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return append([]TaskSpec(nil), wj.Pending...)
+	return wj.Pending.tasks()
 }
 
 // jobs lists the replayed jobs in name order, for deterministic recovery.
