@@ -249,7 +249,7 @@ func clusterE2EMultiProcess(t *testing.T, graspd, graspworker, transport string)
 		"-addr", fmt.Sprintf("127.0.0.1:%d", apiPort),
 		"-cluster-listen", fmt.Sprintf("127.0.0.1:%d", clusterPort),
 		"-dead-after", "700ms",
-		"-workers", "2", "-warmup", "4")
+		"-workers", "2")
 	defer func() {
 		if t.Failed() {
 			t.Logf("graspd output:\n%s", daemon.out.String())
@@ -418,7 +418,7 @@ func clusterE2EDaemonRecovery(t *testing.T, graspd, graspworker, transport strin
 		"-addr", fmt.Sprintf("127.0.0.1:%d", apiPort),
 		"-cluster-listen", fmt.Sprintf("127.0.0.1:%d", clusterPort),
 		"-dead-after", "700ms",
-		"-workers", "2", "-warmup", "4",
+		"-workers", "2",
 		"-data-dir", dataDir,
 	}
 	daemon := startProc(t, graspd, daemonArgs...)

@@ -10,7 +10,10 @@
 //
 // Serve:
 //
-//	graspd -addr :8080 -workers 8 -window 16
+//	graspd -addr :8080 -workers 8
+//
+// Every per-job parameter — window, warm-up, threshold factor, result
+// retention, share, adaptation policy — is set in the job's create body.
 //
 // Serve with the distributed worker-node subsystem enabled (graspworker
 // processes register on the cluster listener; jobs created with
@@ -67,15 +70,9 @@ func shutdownOnSignal(sigc <-chan os.Signal, s *service.Service, exit func(int))
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		workers       = flag.Int("workers", 0, "platform worker slots (0 = GOMAXPROCS)")
-		window        = flag.Int("window", 0, "default per-job in-flight window (0 = 2×workers)")
-		warmup        = flag.Int("warmup", 0, "completions before a job's threshold is set (0 = 2×workers)")
-		factor        = flag.Float64("threshold", 4, "Z = factor × warm-up mean task time")
-		maxResults    = flag.Int("max-results", 0, "default per-job result-retention bound (0 = 100000)")
-		defaultShare  = flag.Float64("default-share", 1, "fair-share weight for jobs that omit `share`")
+		workers       = flag.Int("workers", 0, "platform worker slots (0 = GOMAXPROCS; at least 2)")
 		clusterListen = flag.String("cluster-listen", "", "serve the worker-node protocol on this address (empty = cluster disabled)")
 		deadAfter     = flag.Duration("dead-after", 3*time.Second, "cluster: declare a silent worker node dead after this long")
-		adaptPolicy   = flag.String("adapt", "", "default adaptation policy for jobs that omit `adapt` (reactive, predictive)")
 		shedFactor    = flag.Float64("shed-factor", 0, "predictive: shed pushes with 429 once the queue-depth forecast — tasks in the window plus those waiting in blocked pushes — exceeds factor × window (0 = 2, negative = never shed)")
 		forecastEvery = flag.Duration("forecast-every", 0, "predictive: queue-depth forecast sampling interval (0 = 20ms)")
 		dataDir       = flag.String("data-dir", "", "durability: journal job state under this directory and recover it on restart (empty = in-memory only)")
@@ -92,17 +89,11 @@ func main() {
 	slog.SetDefault(logger)
 
 	cfg := service.Config{
-		Workers:         *workers,
-		DefaultWindow:   *window,
-		WarmupTasks:     *warmup,
-		ThresholdFactor: *factor,
-		MaxResults:      *maxResults,
-		DefaultShare:    *defaultShare,
-		DefaultAdapt:    *adaptPolicy,
-		ShedFactor:      *shedFactor,
-		ForecastEvery:   *forecastEvery,
-		DataDir:         *dataDir,
-		Logger:          logger.With("component", "service"),
+		Workers:       *workers,
+		ShedFactor:    *shedFactor,
+		ForecastEvery: *forecastEvery,
+		DataDir:       *dataDir,
+		Logger:        logger.With("component", "service"),
 	}
 	var coord *cluster.Coordinator
 	if *clusterListen != "" {

@@ -18,7 +18,7 @@ import (
 // tail directly through the HTTP API and verifies the detector breached
 // and recalibrated mid-stream without losing tasks.
 func TestDaemonBreachUnderSlowdown(t *testing.T) {
-	h, _, err := openDaemon(service.Config{Workers: 3, DefaultWindow: 5, WarmupTasks: 3, ThresholdFactor: 3})
+	h, _, err := openDaemon(service.Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestDaemonBreachUnderSlowdown(t *testing.T) {
 			t.Fatalf("POST %s = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
-	post("/api/v1/jobs", `{"name":"slowdown","window":5}`, http.StatusCreated)
+	post("/api/v1/jobs", `{"name":"slowdown","window":5,"warmup":3,"threshold_factor":3}`, http.StatusCreated)
 	var fast, slow strings.Builder
 	fast.WriteString(`[`)
 	slow.WriteString(`[`)
@@ -103,15 +103,15 @@ func writeTask(b *strings.Builder, id int, sleepUS int) {
 // outside.
 func TestDaemonBreachEverySkeleton(t *testing.T) {
 	creates := map[string]string{
-		"farm":     `{"name":"%s","window":5}`,
-		"pipeline": `{"name":"%s","window":5,"skeleton":"pipeline","stages":[{"name":"a"},{"name":"b"},{"name":"c"}]}`,
-		"dmap":     `{"name":"%s","window":5,"skeleton":"dmap","wave_size":4}`,
+		"farm":     `{"name":"%s","window":5,"warmup":3,"threshold_factor":3}`,
+		"pipeline": `{"name":"%s","window":5,"warmup":3,"threshold_factor":3,"skeleton":"pipeline","stages":[{"name":"a"},{"name":"b"},{"name":"c"}]}`,
+		"dmap":     `{"name":"%s","window":5,"warmup":3,"threshold_factor":3,"skeleton":"dmap","wave_size":4}`,
 	}
 	for sk, createTmpl := range creates {
 		sk, createTmpl := sk, createTmpl
 		t.Run(sk, func(t *testing.T) {
 			t.Parallel()
-			h, _, err := openDaemon(service.Config{Workers: 3, DefaultWindow: 5, WarmupTasks: 3, ThresholdFactor: 3})
+			h, _, err := openDaemon(service.Config{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,14 +276,14 @@ func taskBatch(from, n, sleepUS int) string {
 // once across the two processes.
 func TestDaemonDataDirRecovery(t *testing.T) {
 	dir := t.TempDir()
-	cfg := service.Config{Workers: 2, WarmupTasks: 2, DataDir: dir}
+	cfg := service.Config{Workers: 2, DataDir: dir}
 	h, s, err := openDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(h)
 
-	postJSON(t, srv.URL, "/api/v1/jobs", `{"name":"durable","window":4}`, http.StatusCreated)
+	postJSON(t, srv.URL, "/api/v1/jobs", `{"name":"durable","window":4,"warmup":2}`, http.StatusCreated)
 	postJSON(t, srv.URL, "/api/v1/jobs/durable/tasks", taskBatch(0, 30, 1500), http.StatusAccepted)
 
 	// Drain part of the stream so the cursor has advanced past durable
@@ -353,7 +353,7 @@ func TestDaemonDataDirRecovery(t *testing.T) {
 // same directory must see the finished job with its results intact.
 func TestDaemonGracefulShutdownSignal(t *testing.T) {
 	dir := t.TempDir()
-	cfg := service.Config{Workers: 2, WarmupTasks: 2, DataDir: dir}
+	cfg := service.Config{Workers: 2, DataDir: dir}
 	h, s, err := openDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func TestDaemonGracefulShutdownSignal(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	postJSON(t, srv.URL, "/api/v1/jobs", `{"name":"flush","window":4}`, http.StatusCreated)
+	postJSON(t, srv.URL, "/api/v1/jobs", `{"name":"flush","window":4,"warmup":2}`, http.StatusCreated)
 	postJSON(t, srv.URL, "/api/v1/jobs/flush/tasks", taskBatch(0, 12, 200), http.StatusAccepted)
 	postJSON(t, srv.URL, "/api/v1/jobs/flush/close", ``, http.StatusOK)
 	deadline := time.Now().Add(30 * time.Second)

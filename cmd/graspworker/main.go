@@ -39,7 +39,7 @@ func main() {
 		leaseWait   = flag.Duration("lease-wait", 2*time.Second, "lease long-poll bound")
 		transport   = flag.String("transport", cluster.TransportBinary, "wire binding for the worker's whole session (binary, json)")
 		degradeAt   = flag.Duration("degrade-after", 0, "script a slow-node failure: stretch every execution after this long (0 = healthy forever)")
-		degradeBy   = flag.Float64("degrade-factor", 0, "post-degradation execution-time multiplier (0 = 3 when -degrade-after is set)")
+		degradeBy   = flag.Float64("degrade-factor", 0, "post-degradation execution-time multiplier (0 = 3 when -degrade-after is set; any other value ≤ 1 = no slowdown)")
 		logFormat   = flag.String("log-format", "text", "log output format (text, json)")
 		logLevel    = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (empty = disabled)")

@@ -163,8 +163,7 @@
 //
 // The paper's detector is reactive: Algorithm 2 recalibrates only after a
 // completion time has already tripped the threshold. The predictive
-// policy (per-job `adapt: "predictive"`, daemon default via -adapt) acts
-// one step earlier. Inside the engine, every worker's normalised
+// policy (a job's `adapt: "predictive"`) acts one step earlier. Inside the engine, every worker's normalised
 // completion times feed a stats.TrendWindow forecaster that
 // extrapolates the next completion; when a worker's forecast trend
 // crosses 1.5× the rest of the fleet's mean, the engine reweights the

@@ -5,6 +5,8 @@ package cluster
 // need the timerfd, are in sleep_linux_test.go.
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,5 +44,26 @@ func TestDegradePenaltyStopsPromptly(t *testing.T) {
 				t.Errorf("Stop took %v with a sleeping task, want < 200ms", took)
 			}
 		})
+	}
+}
+
+// TestDegradeFactorAtOrBelowOneIsNoSlowdown: only an unset factor defaults
+// to 3; any other factor ≤ 1 means the node never slows down, and a factor
+// that is not finite is refused before the worker registers.
+func TestDegradeFactorAtOrBelowOneIsNoSlowdown(t *testing.T) {
+	for _, tc := range []struct{ factor, want float64 }{
+		{0, 3}, {1, 1}, {0.5, 1}, {-2, 1}, {4, 4},
+	} {
+		cfg := WorkerConfig{DegradeAfter: time.Nanosecond, DegradeFactor: tc.factor}.withDefaults()
+		w := &Worker{cfg: cfg, start: time.Now().Add(-time.Second)}
+		if got := w.degradeFactor(); got != tc.want {
+			t.Errorf("-degrade-factor %g: a degraded task is stretched ×%g, want ×%g", tc.factor, got, tc.want)
+		}
+	}
+	for _, factor := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := StartWorker(WorkerConfig{Coordinator: "http://127.0.0.1:1", DegradeAfter: time.Second, DegradeFactor: factor})
+		if err == nil || !strings.Contains(err.Error(), "degrade factor must be finite") {
+			t.Errorf("-degrade-factor %g: StartWorker error %v, want a refusal of the factor", factor, err)
+		}
 	}
 }

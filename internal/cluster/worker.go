@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -58,8 +59,8 @@ type WorkerConfig struct {
 	// layer must catch from completion times alone.
 	DegradeAfter time.Duration
 	// DegradeFactor is the post-degradation execution-time multiplier
-	// (default 3 when DegradeAfter is set; values ≤ 1 disable the
-	// slowdown).
+	// (0 = 3 when DegradeAfter is set; any other value ≤ 1 disables the
+	// slowdown). StartWorker refuses a NaN or infinite factor.
 	DegradeFactor float64
 }
 
@@ -95,7 +96,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
 	}
-	if c.DegradeAfter > 0 && c.DegradeFactor <= 1 {
+	if c.DegradeAfter > 0 && c.DegradeFactor == 0 {
 		c.DegradeFactor = 3
 	}
 	return c
@@ -222,6 +223,9 @@ const registerWindow = 5 * time.Second
 // loops. It returns once registration succeeds; a coordinator that is not
 // up yet is retried for registerWindow.
 func StartWorker(cfg WorkerConfig) (*Worker, error) {
+	if math.IsNaN(cfg.DegradeFactor) || math.IsInf(cfg.DegradeFactor, 0) {
+		return nil, fmt.Errorf("cluster: degrade factor must be finite, got %g", cfg.DegradeFactor)
+	}
 	cfg = cfg.withDefaults()
 	tr, err := NewTransport(cfg.Transport, cfg.Coordinator, cfg.Client)
 	if err != nil {

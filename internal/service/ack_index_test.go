@@ -130,7 +130,7 @@ func TestWalAckMatchesLinearReference(t *testing.T) {
 func BenchmarkWALAck(b *testing.B) {
 	for _, depth := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
-			spec := JobSpec{}.withDefaults(Config{}.withDefaults())
+			spec := defaultSpec()
 			st := walState{}
 			st.apply(walRecord{Kind: walCreate, Job: "j", Spec: &spec})
 			st.apply(walRecord{Kind: walTasks, Job: "j", Tasks: burst(0, depth, 0)})
@@ -143,6 +143,50 @@ func BenchmarkWALAck(b *testing.B) {
 				one[0] = TaskSpec{ID: depth + i, Cost: 1}
 				st.apply(walRecord{Kind: walTasks, Job: "j", Tasks: one})
 			}
+		})
+	}
+}
+
+// nullStore is a walStore with no disk behind it, so a benchmark over it
+// prices the wal's own work; it keeps the size of the last snapshot.
+type nullStore struct{ snapshotBytes int }
+
+func (n *nullStore) AppendBatch([][]byte) error { return nil }
+func (n *nullStore) Sync() error                { return nil }
+func (n *nullStore) Size() int64                { return 0 }
+func (n *nullStore) Rotate(state []byte) error  { n.snapshotBytes = len(state); return nil }
+func (n *nullStore) Close() error               { return nil }
+
+// BenchmarkWALRotate prices one snapshot of a wal whose one job holds a
+// deep pending backlog: the marshal every record queued behind a rotation
+// waits for. The store writes nothing, so the figure is not the disk's.
+func BenchmarkWALRotate(b *testing.B) {
+	for _, depth := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
+			ns := &nullStore{}
+			w := newWAL(ns, walOptions{})
+			defer w.close()
+			spec := defaultSpec()
+			for _, rec := range []walRecord{
+				{Kind: walCreate, Job: "j", Spec: &spec},
+				{Kind: walTasks, Job: "j", Tasks: burst(0, depth, 0)},
+			} {
+				if err := w.commit(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.mu.Lock()
+				err := w.rotate()
+				w.mu.Unlock()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ns.snapshotBytes), "snapshot-B")
 		})
 	}
 }

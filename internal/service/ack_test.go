@@ -29,7 +29,7 @@ import (
 func TestAsyncAckDoneServesEveryResult(t *testing.T) {
 	s, ks := serviceOverStore(t)
 	h := NewHandler(s)
-	j, err := s.Submit("alldone", JobSpec{Window: 8})
+	j, err := s.Submit("alldone", JobSpec{Window: 8, WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAsyncAckDoneServesEveryResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := ks.arm(t, walCreate)
-	go s.Submit("other", JobSpec{})
+	go s.Submit("other", JobSpec{WarmupTasks: 2})
 	waitUntil(t, 10*time.Second, "the done record to queue behind the held fsync", func() bool {
 		s.wal.mu.Lock()
 		defer s.wal.mu.Unlock()
@@ -91,7 +91,7 @@ func TestAsyncAckDoneServesEveryResult(t *testing.T) {
 func TestAsyncAckJournalFailureMidPush(t *testing.T) {
 	s, ks := serviceOverStore(t)
 	h := NewHandler(s)
-	j, err := s.Submit("latched", JobSpec{Window: 2})
+	j, err := s.Submit("latched", JobSpec{Window: 2, WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +158,13 @@ func TestAsyncAckJournalFailureMidPush(t *testing.T) {
 func TestAsyncAckOwnsItsRecord(t *testing.T) {
 	dir := t.TempDir()
 	ks := &kindStore{Store: walOverStore(t, dir)}
-	s := New(Config{Workers: 4, WarmupTasks: 2})
+	s := New(Config{Workers: 4})
 	s.wal = newWAL(ks, walOptions{})
 
 	const jobs, perJob = 3, 100
 	js := make([]*Job, jobs)
 	for i := range js {
-		j, err := s.Submit(fmt.Sprintf("own-%d", i), JobSpec{Window: 16})
+		j, err := s.Submit(fmt.Sprintf("own-%d", i), JobSpec{Window: 16, WarmupTasks: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,8 +39,8 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Workers: 2, WarmupTasks: 2, ForecastEvery: time.Millisecond})
-			j, err := s.Submit("adm", JobSpec{Window: window, Adapt: AdaptPredictive})
+			s := New(Config{Workers: 2, ForecastEvery: time.Millisecond})
+			j, err := s.Submit("adm", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,8 +104,8 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 // forecastWindow/2 samples the forecaster must not act on it. Once the
 // window has seen enough of a queue that really is growing, it sheds.
 func TestForecastColdStartDecidesNothing(t *testing.T) {
-	s := New(Config{Workers: 2, WarmupTasks: 2, ForecastEvery: time.Hour}) // the loop never samples: the test does
-	j, err := s.Submit("cold", JobSpec{Window: 8, Adapt: AdaptPredictive})
+	s := New(Config{Workers: 2, ForecastEvery: time.Hour}) // the loop never samples: the test does
+	j, err := s.Submit("cold", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,8 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Workers: 2, WarmupTasks: 2, ShedFactor: 2, ForecastEvery: time.Hour}) // the loop never samples: the test does
-			j, err := s.Submit("young", JobSpec{Window: 8, Adapt: AdaptPredictive})
+			s := New(Config{Workers: 2, ShedFactor: 2, ForecastEvery: time.Hour}) // the loop never samples: the test does
+			j, err := s.Submit("young", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,12 +177,12 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 // never sheds; a calm series gives the slot back.
 func TestForecastAutoscalesTheShare(t *testing.T) {
 	const window = 8
-	s := New(Config{Workers: 4, WarmupTasks: 2, ShedFactor: -1, ForecastEvery: time.Hour}) // the loop never samples: the test does
-	steady, err := s.Submit("steady", JobSpec{})
+	s := New(Config{Workers: 4, ShedFactor: -1, ForecastEvery: time.Hour}) // the loop never samples: the test does
+	steady, err := s.Submit("steady", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	crowd, err := s.Submit("crowd", JobSpec{Window: window, Adapt: AdaptPredictive})
+	crowd, err := s.Submit("crowd", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,8 @@ func TestForecastAutoscalesTheShare(t *testing.T) {
 // the engine removes three workers, and the flag clears so later results
 // walk no sets.
 func TestDeferredMembershipDeltaLandsOnTheNextResult(t *testing.T) {
-	s := New(Config{Workers: 4, WarmupTasks: 1000})
-	light, err := s.Submit("light", JobSpec{})
+	s := New(Config{Workers: 4})
+	light, err := s.Submit("light", JobSpec{WarmupTasks: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDeferredMembershipDeltaLandsOnTheNextResult(t *testing.T) {
 	for light.control.TrySend(nil, struct{}{}) { // not an engine.Update: drained and ignored
 	}
 	three := 3.0
-	heavy, err := s.Submit("heavy", JobSpec{Share: &three})
+	heavy, err := s.Submit("heavy", JobSpec{Share: &three, WarmupTasks: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,8 @@ func startClusterDaemonURL(t *testing.T, n int) (*service.Service, *cluster.Coor
 		startClusterWorker(t, url, string(rune('a'+i)))
 	}
 	s := service.New(service.Config{
-		Workers:     2,
-		WarmupTasks: 4,
-		Cluster:     coord,
+		Workers: 2,
+		Cluster: coord,
 	})
 	return s, coord, url
 }

@@ -17,7 +17,7 @@ import (
 // testServer spins up the full handler stack over a small service.
 func testServer(t *testing.T) (*httptest.Server, *Service) {
 	t.Helper()
-	s := New(Config{Workers: 2, DefaultWindow: 4, WarmupTasks: 2})
+	s := New(Config{Workers: 2})
 	srv := httptest.NewServer(NewHandler(s))
 	t.Cleanup(srv.Close)
 	return srv, s
@@ -52,7 +52,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	base := srv.URL
 
 	var created JobStatus
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"alpha","window":4}`, http.StatusCreated, &created)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"alpha","window":4,"warmup":2}`, http.StatusCreated, &created)
 	if created.Name != "alpha" || created.State != JobAccepting || created.Window != 4 {
 		t.Fatalf("created = %+v", created)
 	}
@@ -186,9 +186,9 @@ func awaitPoll(t *testing.T, c <-chan polled, d time.Duration) polled {
 // as its result is visible — not an empty page now and the result on the
 // next tick.
 func TestResultsPollWaitsForTheWatermark(t *testing.T) {
-	s := New(Config{Workers: 2, DefaultWindow: 4, WarmupTasks: 2})
+	s := New(Config{Workers: 2})
 	t.Cleanup(func() { s.Close() })
-	j, err := s.Submit("wm", JobSpec{})
+	j, err := s.Submit("wm", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 	t.Run("close and finish", func(t *testing.T) {
 		s, ks := serviceOverStore(t)
 		h := NewHandler(s)
-		j, err := s.Submit("life", JobSpec{})
+		j, err := s.Submit("life", JobSpec{WarmupTasks: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +255,8 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 		// A journaled cluster job with no node live at Open is recovering
 		// until a worker registers.
 		dir := t.TempDir()
-		cfg := Config{Workers: 2, WarmupTasks: 2}
-		spec := JobSpec{Placement: PlacementCluster}.withDefaults(cfg.withDefaults())
+		cfg := Config{Workers: 2}
+		spec := JobSpec{Placement: PlacementCluster, Window: 4, WarmupTasks: 2}.withDefaults(cfg.Workers)
 		w, err := openWAL(dir, walOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -312,9 +312,9 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 // service, and with nothing to wait for it answers the empty page after
 // resultsHold.
 func TestResultsPollReleases(t *testing.T) {
-	s := New(Config{Workers: 2, DefaultWindow: 4, WarmupTasks: 2})
+	s := New(Config{Workers: 2})
 	h := NewHandler(s)
-	j, err := s.Submit("idle", JobSpec{})
+	j, err := s.Submit("idle", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestResultsPollReleases(t *testing.T) {
 // daemon counts them; a poller that kept up never sees the field.
 func TestResultsPollReportsTheGap(t *testing.T) {
 	srv, s := testServer(t)
-	doJSON(t, "POST", srv.URL+"/api/v1/jobs", `{"name":"gap","max_results":4}`, http.StatusCreated, nil)
+	doJSON(t, "POST", srv.URL+"/api/v1/jobs", `{"name":"gap","max_results":4,"warmup":2}`, http.StatusCreated, nil)
 	j, _ := s.Job("gap")
 	if _, err := j.Push(burst(0, 20, 0)); err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestHTTPErrors(t *testing.T) {
 	doJSON(t, "POST", base+"/api/v1/jobs", `{not json`, http.StatusBadRequest, nil)
 	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":""}`, http.StatusBadRequest, nil)
 
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"e"}`, http.StatusCreated, nil)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"e","warmup":2}`, http.StatusCreated, nil)
 	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"e"}`, http.StatusConflict, nil)
 	doJSON(t, "POST", base+"/api/v1/jobs/e/tasks", `[]`, http.StatusBadRequest, nil)
 	doJSON(t, "POST", base+"/api/v1/jobs/e/tasks", `{"tasks":[{"id":-1}]}`, http.StatusBadRequest, nil)
@@ -409,7 +409,7 @@ func TestHTTPRemoveJob(t *testing.T) {
 	srv, s := testServer(t)
 	base := srv.URL
 
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"rm"}`, http.StatusCreated, nil)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"rm","warmup":2}`, http.StatusCreated, nil)
 	doJSON(t, "POST", base+"/api/v1/jobs/rm/tasks", `[{"id":1}]`, http.StatusAccepted, nil)
 
 	// A job still accepting (or draining) cannot be removed.
@@ -422,7 +422,7 @@ func TestHTTPRemoveJob(t *testing.T) {
 	doJSON(t, "GET", base+"/api/v1/jobs/rm", ``, http.StatusNotFound, nil)
 	doJSON(t, "DELETE", base+"/api/v1/jobs/rm", ``, http.StatusNotFound, nil)
 	// The name is free again after removal.
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"rm"}`, http.StatusCreated, nil)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"rm","warmup":2}`, http.StatusCreated, nil)
 }
 
 func TestHTTPHealthAndMetrics(t *testing.T) {
@@ -436,7 +436,7 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		t.Fatalf("health = %+v", health)
 	}
 
-	doJSON(t, "POST", srv.URL+"/api/v1/jobs", `{"name":"m"}`, http.StatusCreated, nil)
+	doJSON(t, "POST", srv.URL+"/api/v1/jobs", `{"name":"m","warmup":2}`, http.StatusCreated, nil)
 	doJSON(t, "POST", srv.URL+"/api/v1/jobs/m/tasks", `[{"id":1}]`, http.StatusAccepted, nil)
 	doJSON(t, "POST", srv.URL+"/api/v1/jobs/m/close", ``, http.StatusOK, nil)
 	j, _ := s.Job("m")
@@ -503,7 +503,7 @@ func TestHTTPOversizedBodyRejected413(t *testing.T) {
 	srv, _ := testServer(t)
 	base := srv.URL
 
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"big"}`, http.StatusCreated, nil)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"big","warmup":2}`, http.StatusCreated, nil)
 
 	// Anything past maxBodyBytes must be cut off at the transport — the
 	// decoder never sees it, so even well-formed JSON draws 413.
@@ -527,7 +527,7 @@ func TestHTTPShareInSpec(t *testing.T) {
 	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"z","share":0}`, http.StatusBadRequest, nil)
 	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"z","share":-2}`, http.StatusBadRequest, nil)
 	var created JobStatus
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"z","share":2.5}`, http.StatusCreated, &created)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"z","share":2.5,"warmup":2}`, http.StatusCreated, &created)
 	if created.Share != 2.5 {
 		t.Fatalf("created share = %g, want 2.5", created.Share)
 	}
@@ -546,6 +546,8 @@ func TestHTTPRejectsInvalidJobSpec(t *testing.T) {
 	}{
 		{"negative window", `{"name":"bad","window":-1}`},
 		{"oversized window", `{"name":"bad","window":4000000000}`},
+		{"window past the bound", `{"name":"bad","window":65537}`},
+		{"unknown adapt", `{"name":"bad","adapt":"predicitve"}`},
 		{"negative warmup", `{"name":"bad","warmup":-2}`},
 		{"negative max_results", `{"name":"bad","max_results":-5}`},
 		{"negative threshold", `{"name":"bad","threshold_factor":-0.5}`},
@@ -563,5 +565,5 @@ func TestHTTPRejectsInvalidJobSpec(t *testing.T) {
 		})
 	}
 	// The rejected name stays free: a valid spec under it must succeed.
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"bad","window":4}`, http.StatusCreated, nil)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"bad","window":4,"warmup":2}`, http.StatusCreated, nil)
 }

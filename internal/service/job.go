@@ -68,17 +68,17 @@ type JobSpec struct {
 	// worker slots: a job with share 3 holds ~3× the workers of a
 	// concurrent job with share 1, every slot is always owned by some job
 	// (shares are relative, not caps), and the split rebalances live as
-	// jobs come and go. Omitted: the daemon's default (1, or
-	// -default-share). Values outside (0, 1e6] are rejected.
+	// jobs come and go. Omitted: 1. Values outside (0, 1e6] are rejected.
 	Share *float64 `json:"share,omitempty"`
-	// Window is the job's bounded in-flight window (default the service's
-	// DefaultWindow).
+	// Window is the job's bounded in-flight window (default 2 × the
+	// daemon's worker slots; a cluster job's default grows to 2 × the
+	// pool's slots, at most 65,536).
 	Window int `json:"window,omitempty"`
-	// ThresholdFactor sets Z = factor × warm-up mean (default the
-	// service's; at most 1000).
+	// ThresholdFactor sets Z = factor × warm-up mean (default 4; at most
+	// 1000).
 	ThresholdFactor float64 `json:"threshold_factor,omitempty"`
-	// WarmupTasks is how many completions seed the threshold (default the
-	// service's).
+	// WarmupTasks is how many completions seed the threshold (default 2 ×
+	// the daemon's worker slots).
 	WarmupTasks int `json:"warmup,omitempty"`
 	// MaxResults bounds how many completed results the job retains for
 	// polling; older results are discarded and the results cursor advances
@@ -96,7 +96,7 @@ type JobSpec struct {
 	// Adapt selects the adaptation policy: "reactive" (the default — the
 	// paper's breach-driven recalibration only) or "predictive" (forecast
 	// worker trends and the queue depth, reweight pre-breach, autoscale the
-	// share, and shed overload with 429s). Omitted: the daemon's default.
+	// share, and shed overload with 429s). Omitted: reactive.
 	Adapt string `json:"adapt,omitempty"`
 }
 
@@ -110,28 +110,26 @@ type StageSpec struct {
 	CostFactor float64 `json:"cost_factor,omitempty"`
 }
 
-func (js JobSpec) withDefaults(cfg Config) JobSpec {
+// withDefaults fills every value a spec omitted but its window, which
+// startRunner resolves once the placement is known. Only the warm-up
+// depends on the daemon: workers is its worker slot count.
+func (js JobSpec) withDefaults(workers int) JobSpec {
 	if js.Share == nil {
-		share := cfg.DefaultShare
+		share := 1.0
 		js.Share = &share
 	}
-	if js.Window <= 0 {
-		js.Window = cfg.DefaultWindow
-	}
 	if js.ThresholdFactor <= 0 {
-		js.ThresholdFactor = cfg.ThresholdFactor
+		js.ThresholdFactor = 4
 	}
 	if js.WarmupTasks <= 0 {
-		js.WarmupTasks = cfg.WarmupTasks
+		js.WarmupTasks = 2 * workers
 	}
 	if js.MaxResults <= 0 {
-		js.MaxResults = cfg.MaxResults
+		js.MaxResults = 100_000
 	}
-	if js.MaxResults > 1_000_000 {
-		js.MaxResults = 1_000_000
-	}
+	js.MaxResults = min(js.MaxResults, 1_000_000)
 	if js.Adapt == "" {
-		js.Adapt = cfg.DefaultAdapt
+		js.Adapt = AdaptReactive
 	}
 	return js
 }

@@ -56,11 +56,18 @@ func copyDir(t *testing.T, src string) string {
 // durableService opens a small durable service over dir.
 func durableService(t *testing.T, dir string) *Service {
 	t.Helper()
-	s, err := Open(Config{Workers: 2, WarmupTasks: 2, DataDir: dir})
+	s, err := Open(Config{Workers: 2, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// defaultSpec is the spec a local job that sets nothing resolves to on a
+// service of default size.
+func defaultSpec() JobSpec {
+	workers := Config{}.withDefaults().Workers
+	return JobSpec{Window: 2 * workers}.withDefaults(workers)
 }
 
 // assertExactlyOnceIDs checks results cover ids 0..n-1 exactly once.
@@ -87,7 +94,7 @@ func assertExactlyOnceIDs(t *testing.T, results []TaskResult, n int) {
 func TestRecoveryGracefulShutdownAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := durableService(t, dir)
-	j, err := s.Submit("graceful", JobSpec{})
+	j, err := s.Submit("graceful", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +173,7 @@ func TestRecoveryMidStreamCrash(t *testing.T) {
 	dir := t.TempDir()
 	s := durableService(t, dir)
 	defer s.Close()
-	j, err := s.Submit("crashy", JobSpec{})
+	j, err := s.Submit("crashy", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +222,7 @@ func TestRecoveryCursorStability(t *testing.T) {
 	dir := t.TempDir()
 	s := durableService(t, dir)
 	defer s.Close()
-	j, err := s.Submit("cursor", JobSpec{})
+	j, err := s.Submit("cursor", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +269,7 @@ func TestRecoveryClosedJobDrains(t *testing.T) {
 	dir := t.TempDir()
 	s := durableService(t, dir)
 	defer s.Close()
-	j, err := s.Submit("closed", JobSpec{})
+	j, err := s.Submit("closed", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +302,7 @@ func TestRecoveryClosedJobDrains(t *testing.T) {
 func TestRecoveryRemovedJobStaysRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s := durableService(t, dir)
-	j, err := s.Submit("removed", JobSpec{})
+	j, err := s.Submit("removed", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +342,7 @@ func TestRecoveryReplayDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec := JobSpec{}.withDefaults(Config{}.withDefaults())
+			spec := defaultSpec()
 			spec.MaxResults = 8 // tiny retention so trims replay too
 			jobs := []string{"a", "b", "c"}
 			nextID := 0
@@ -397,7 +404,7 @@ func TestRecoveryReplaysALostCountFromAnOlderBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{}.withDefaults(Config{}.withDefaults())
+	spec := defaultSpec()
 	for _, rec := range []walRecord{
 		{Kind: walCreate, Job: "old", Spec: &spec},
 		{Kind: walTasks, Job: "old", Tasks: burst(0, 3, 0)},
@@ -462,11 +469,11 @@ func TestRecoveryResumesClusterJobOnNodeUp(t *testing.T) {
 	if _, err := co.Register(cluster.RegisterRequest{ID: "w", Capacity: 1}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Config{Workers: 2, WarmupTasks: 2, DataDir: dir, Cluster: co})
+	s, err := Open(Config{Workers: 2, DataDir: dir, Cluster: co})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit("cj", JobSpec{Placement: PlacementCluster}); err != nil {
+	if _, err := s.Submit("cj", JobSpec{Placement: PlacementCluster, WarmupTasks: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -476,7 +483,7 @@ func TestRecoveryResumesClusterJobOnNodeUp(t *testing.T) {
 
 	co2 := cluster.NewCoordinator(cluster.Config{})
 	t.Cleanup(co2.Close)
-	s2, err := Open(Config{Workers: 2, WarmupTasks: 2, DataDir: dir, Cluster: co2})
+	s2, err := Open(Config{Workers: 2, DataDir: dir, Cluster: co2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +518,7 @@ func TestRecoveryResumesClusterJobOnNodeUp(t *testing.T) {
 func TestRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := durableService(t, dir)
-	j, err := s.Submit("torn", JobSpec{})
+	j, err := s.Submit("torn", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +567,7 @@ func TestRecoveryTornTail(t *testing.T) {
 func TestRecoveryWalStateJSONStable(t *testing.T) {
 	st := walState{Jobs: map[string]*walJob{
 		"j": {
-			Spec:        JobSpec{}.withDefaults(Config{}.withDefaults()),
+			Spec:        defaultSpec(),
 			Closed:      true,
 			Submitted:   3,
 			Pending:     newPending([]TaskSpec{{ID: 2, Cost: 1}}),

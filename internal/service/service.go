@@ -73,27 +73,10 @@ import (
 
 // Config parameterises a Service.
 type Config struct {
-	// Workers is the number of platform worker slots (default GOMAXPROCS,
-	// minimum 2 so adaptation has somewhere to shift work).
+	// Workers is the number of platform worker slots (0 = GOMAXPROCS; at
+	// least 2 so adaptation has somewhere to shift work). Open refuses a
+	// negative count.
 	Workers int
-	// DefaultWindow is the per-job in-flight window when a job does not set
-	// its own (default 2× Workers).
-	DefaultWindow int
-	// ThresholdFactor sets each job's Z = factor × warm-up mean task time
-	// (default 4, the core layer's default).
-	ThresholdFactor float64
-	// WarmupTasks is how many completions a job observes before deriving
-	// its threshold (default 2× Workers).
-	WarmupTasks int
-	// MaxResults is the default per-job result-retention bound when a job
-	// does not set its own (default 100000, capped at 1000000). This is the
-	// knob that keeps a long-lived daemon's memory finite.
-	MaxResults int
-	// DefaultShare is the fair-share weight a job gets when its spec omits
-	// `share` (default 1). Shares partition the local worker slots among
-	// concurrent jobs: a job with share 3 holds ~3× the workers of a
-	// share-1 job, and the split rebalances live as jobs come and go.
-	DefaultShare float64
 	// Cluster, when non-nil, lets jobs declare `placement: cluster`: their
 	// tasks execute on remote graspworker processes registered with this
 	// coordinator instead of the local platform.
@@ -107,10 +90,6 @@ type Config struct {
 	// Logger receives job lifecycle events as structured records carrying
 	// per-job fields (default: discard).
 	Logger *slog.Logger
-	// DefaultAdapt selects the adaptation policy for jobs whose spec omits
-	// `adapt`: "reactive" (the default — the paper's breach-driven policy)
-	// or "predictive".
-	DefaultAdapt string
 	// ShedFactor arms admission control for predictive jobs: pushes are
 	// shed with ErrOverloaded (HTTP 429 + Retry-After) once the job's
 	// queue-depth forecast exceeds ShedFactor × its window, and resume at
@@ -135,35 +114,12 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Workers < 2 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers < 2 {
-			c.Workers = 2
-		}
 	}
-	if c.DefaultWindow <= 0 {
-		c.DefaultWindow = 2 * c.Workers
-	}
-	if c.ThresholdFactor <= 0 {
-		c.ThresholdFactor = 4
-	}
-	if c.WarmupTasks <= 0 {
-		c.WarmupTasks = 2 * c.Workers
-	}
-	if c.MaxResults <= 0 {
-		c.MaxResults = 100_000
-	}
-	if c.MaxResults > 1_000_000 {
-		c.MaxResults = 1_000_000
-	}
-	if c.DefaultShare <= 0 {
-		c.DefaultShare = 1
-	}
+	c.Workers = max(c.Workers, 2)
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.DefaultAdapt == "" {
-		c.DefaultAdapt = AdaptReactive
 	}
 	if c.ShedFactor == 0 {
 		c.ShedFactor = 2
@@ -226,17 +182,13 @@ func New(cfg Config) *Service {
 // unfinished jobs resume — local ones immediately, cluster ones as soon
 // as a worker node is live again (with no cfg.Cluster they stay
 // recovering, logged) — and every accepted-but-unacknowledged task is
-// re-delivered. Open fails when a default (DefaultWindow, DefaultAdapt,
-// ThresholdFactor, DefaultShare) is outside the bounds JobSpec.Validate
-// holds a spec to; with valid defaults and no DataDir, Open never fails.
+// re-delivered. Open fails on a negative worker count; with a valid
+// count and no DataDir, Open never fails.
 func Open(cfg Config) (*Service, error) {
-	cfg = cfg.withDefaults()
-	// The daemon-wide defaults fill every spec that omits a field, so they
-	// are held to the bounds a spec is: a default window past maxWindow or
-	// an unknown default policy would reach every such job unchecked.
-	if err := (JobSpec{}).withDefaults(cfg).Validate(); err != nil {
-		return nil, fmt.Errorf("service: default job spec: %v", err)
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("service: workers must be non-negative, got %d", cfg.Workers)
 	}
+	cfg = cfg.withDefaults()
 	l := rt.NewLocal()
 	slots := make([]int, cfg.Workers)
 	for i := range slots {
@@ -498,8 +450,7 @@ func (s *Service) Submit(name string, spec JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("service: job %q: %v: %w", name, err, ErrInvalid)
 	}
-	explicitWindow := spec.Window > 0
-	spec = spec.withDefaults(s.cfg)
+	spec = spec.withDefaults(s.cfg.Workers)
 
 	j := &Job{
 		name: name,
@@ -530,7 +481,7 @@ func (s *Service) Submit(name string, spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 	}()
 
-	if err := s.startRunner(j, explicitWindow); err != nil {
+	if err := s.startRunner(j); err != nil {
 		return nil, fmt.Errorf("service: job %q: %w", name, err)
 	}
 
@@ -558,10 +509,10 @@ func (s *Service) Submit(name string, spec JobSpec) (*Job, error) {
 
 // startRunner takes a constructed (but unpublished) Job through placement
 // resolution and launches its engine runner — the part of submission
-// shared by Submit and crash recovery. explicitWindow marks the window as
-// caller-chosen (recovered specs always are: they were defaulted before
-// journaling), suppressing the cluster auto-expansion.
-func (s *Service) startRunner(j *Job, explicitWindow bool) error {
+// shared by Submit and crash recovery. A spec that leaves the window 0 gets
+// its default here, where the placement is known; a recovered spec carries
+// the window it was journaled with.
+func (s *Service) startRunner(j *Job) error {
 	name := j.name
 
 	// Resolve the declared skeleton to its engine runner. The Weighted
@@ -608,14 +559,6 @@ func (s *Service) startRunner(j *Job, explicitWindow bool) error {
 			return err
 		}
 		pf = pool
-		// The service default window is sized to the local worker slots; a
-		// cluster usually has far more execution slots than that, so an
-		// unspecified window grows to cover them — never shrinking below the
-		// local default, which still bounds tiny clusters sensibly, nor
-		// growing past the window a spec may ask for.
-		if w := min(2*pool.TotalCapacity(), maxWindow); !explicitWindow && w > j.spec.Window {
-			j.spec.Window = w
-		}
 		j.mu.Lock()
 		for _, w := range workers {
 			j.workerSet[w] = true
@@ -644,6 +587,17 @@ func (s *Service) startRunner(j *Job, explicitWindow bool) error {
 		weights = s.ranking.Weights(workers)
 	}
 	j.pf, j.pool = pf, pool
+	if j.spec.Window == 0 {
+		// The default window is sized to the local worker slots; a cluster
+		// usually has far more execution slots than that, so a cluster job's
+		// default grows to cover them — never shrinking below the local
+		// default, which still bounds tiny clusters sensibly, nor growing
+		// past the window a spec may ask for.
+		j.spec.Window = 2 * s.cfg.Workers
+		if pool != nil {
+			j.spec.Window = max(j.spec.Window, min(2*pool.TotalCapacity(), maxWindow))
+		}
+	}
 	for _, w := range workers {
 		node := ""
 		if pool != nil {
@@ -804,7 +758,7 @@ func (s *Service) resumeWhenNodesLive(j *Job) {
 // or arrives after the flip through the normal live path — never both,
 // never neither.
 func (s *Service) resume(j *Job) error {
-	if err := s.startRunner(j, true); err != nil {
+	if err := s.startRunner(j); err != nil {
 		return err
 	}
 	j.sendMu.Lock()

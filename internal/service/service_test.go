@@ -45,12 +45,12 @@ func TestServiceThreeConcurrentStreamingJobs(t *testing.T) {
 		slowUS  = 30000
 		batches = 6
 	)
-	s := New(Config{Workers: 4, DefaultWindow: window, WarmupTasks: 4, ThresholdFactor: 3})
+	s := New(Config{Workers: 4})
 
 	var wg sync.WaitGroup
 	handles := make([]*Job, jobs)
 	for k := 0; k < jobs; k++ {
-		j, err := s.Submit(fmt.Sprintf("job-%d", k), JobSpec{})
+		j, err := s.Submit(fmt.Sprintf("job-%d", k), JobSpec{Window: window, WarmupTasks: 4, ThresholdFactor: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +161,8 @@ func TestServicePushBlocksUnderBackpressure(t *testing.T) {
 	// Window 2 and a one-slot hand-off: pushing 20 tasks of ~1ms each on 2
 	// workers cannot return before all but 3 of them have been admitted, so
 	// Push must take at least a few task durations.
-	s := New(Config{Workers: 2, DefaultWindow: 2, WarmupTasks: 1000})
-	j, err := s.Submit("bp", JobSpec{Window: 2})
+	s := New(Config{Workers: 2})
+	j, err := s.Submit("bp", JobSpec{Window: 2, WarmupTasks: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +200,13 @@ func TestServicePushBlocksUnderBackpressure(t *testing.T) {
 func TestJobWindowIsTheOnlyBound(t *testing.T) {
 	const w, b, n = 8, 4, 160
 	specs := map[string]JobSpec{
-		"farm":     {Window: w},
-		"pipeline": {Window: w, Skeleton: "pipeline", Stages: []StageSpec{{Name: "a"}, {Name: "b", CostFactor: 2}, {Name: "c"}}},
-		"dmap":     {Window: w, Skeleton: "dmap"},
+		"farm":     {Window: w, WarmupTasks: 1000},
+		"pipeline": {Window: w, WarmupTasks: 1000, Skeleton: "pipeline", Stages: []StageSpec{{Name: "a"}, {Name: "b", CostFactor: 2}, {Name: "c"}}},
+		"dmap":     {Window: w, WarmupTasks: 1000, Skeleton: "dmap"},
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			s := New(Config{Workers: 2, WarmupTasks: 1000})
+			s := New(Config{Workers: 2})
 			j, err := s.Submit("bound", spec)
 			if err != nil {
 				t.Fatal(err)
@@ -264,40 +264,6 @@ func TestServiceDuplicateJobName(t *testing.T) {
 	}
 }
 
-// TestOpenHoldsDefaultsToTheSpecBounds: the daemon-wide defaults fill
-// every spec that omits a field, so a default no spec could carry — an
-// unknown policy, a window past the bound the HTTP API answers with a 400
-// — fails Open instead of reaching every such job unchecked.
-func TestOpenHoldsDefaultsToTheSpecBounds(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want string // "" = Open succeeds
-	}{
-		{"unknown adapt", Config{Workers: 2, DefaultAdapt: "predicitve"}, `unknown adapt policy "predicitve"`},
-		{"oversized window", Config{Workers: 2, DefaultWindow: maxWindow + 1}, fmt.Sprintf("window must be in [0, %d], got %d", maxWindow, maxWindow+1)},
-		{"window at the bound", Config{Workers: 2, DefaultWindow: maxWindow, DefaultAdapt: AdaptPredictive}, ""},
-		{"oversized default share", Config{Workers: 2, DefaultShare: 1e308}, "share must be in (0, 1e+06], got 1e+308"},
-		{"oversized threshold", Config{Workers: 2, ThresholdFactor: 1e300}, "threshold_factor must be in [0, 1000], got 1e+300"},
-		{"share and threshold at their bounds", Config{Workers: 2, DefaultShare: maxShare, ThresholdFactor: maxThresholdFactor}, ""},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := Open(tc.cfg)
-			if err == nil {
-				s.Close()
-			}
-			switch {
-			case tc.want == "" && err != nil:
-				t.Fatalf("Open rejected valid defaults: %v", err)
-			case tc.want != "" && err == nil:
-				t.Fatalf("Open accepted defaults no job spec may carry: %+v", tc.cfg)
-			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
-				t.Fatalf("Open error %q does not name the bound %q", err, tc.want)
-			}
-		})
-	}
-}
-
 // TestShareIsBounded: the allocator splits slots by share over the sum of
 // the shares, and two shares of 1e308 sum to +Inf — that split left six
 // of eight slots owned by no job. A share past maxShare is refused, and
@@ -330,14 +296,14 @@ func TestShareIsBounded(t *testing.T) {
 // is refused, and over the accepted range a larger factor installs a
 // larger Z.
 func TestThresholdNeverFallsAsTheFactorRises(t *testing.T) {
-	s := New(Config{Workers: 2, WarmupTasks: 8})
+	s := New(Config{Workers: 2})
 	defer s.Close()
 	if _, err := s.Submit("huge", JobSpec{ThresholdFactor: 1e300}); err == nil || !strings.Contains(err.Error(), "threshold_factor must be in") {
 		t.Fatalf("threshold_factor 1e300: err = %v, want the factor bound", err)
 	}
 	var last int64
 	for _, factor := range []float64{4, maxThresholdFactor} {
-		j, err := s.Submit(fmt.Sprintf("z%g", factor), JobSpec{ThresholdFactor: factor})
+		j, err := s.Submit(fmt.Sprintf("z%g", factor), JobSpec{ThresholdFactor: factor, WarmupTasks: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,11 +410,11 @@ func TestServiceMixedSkeletonJobs(t *testing.T) {
 	// the skeleton-agnostic layer must stream every topology through the
 	// same Push/Results surface, exactly once, off one shared calibration.
 	const perJob = 30
-	s := New(Config{Workers: 4, DefaultWindow: 6, WarmupTasks: 1000})
+	s := New(Config{Workers: 4})
 	specs := map[string]JobSpec{
-		"farm": {},
-		"pipe": {Skeleton: "pipeline", Stages: []StageSpec{{Name: "a"}, {Name: "b", CostFactor: 2}, {Name: "c"}}},
-		"deal": {Skeleton: "dmap", WaveSize: 4},
+		"farm": {Window: 6, WarmupTasks: 1000},
+		"pipe": {Window: 6, WarmupTasks: 1000, Skeleton: "pipeline", Stages: []StageSpec{{Name: "a"}, {Name: "b", CostFactor: 2}, {Name: "c"}}},
+		"deal": {Window: 6, WarmupTasks: 1000, Skeleton: "dmap", WaveSize: 4},
 	}
 	handles := make(map[string]*Job, len(specs))
 	base := 0

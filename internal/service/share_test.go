@@ -39,9 +39,9 @@ func waitDone(t *testing.T, j *service.Job) {
 // competitor's finish hands its workers back.
 func TestFairShareRebalancesLiveJobs(t *testing.T) {
 	const workers = 8
-	s := service.New(service.Config{Workers: workers, WarmupTasks: 2})
+	s := service.New(service.Config{Workers: workers})
 
-	light, err := s.Submit("light", service.JobSpec{Share: share(1)})
+	light, err := s.Submit("light", service.JobSpec{Share: share(1), WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFairShareRebalancesLiveJobs(t *testing.T) {
 	}
 	pushSleep(t, light, 0, 20, 500)
 
-	heavy, err := s.Submit("heavy", service.JobSpec{Share: share(3)})
+	heavy, err := s.Submit("heavy", service.JobSpec{Share: share(3), WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +129,9 @@ func TestFairShareRebalancesLiveJobs(t *testing.T) {
 }
 
 // TestShareValidation checks the spec-level contract: explicit
-// non-positive shares are rejected, omitted shares default.
+// non-positive shares are rejected, omitted shares default to 1.
 func TestShareValidation(t *testing.T) {
-	s := service.New(service.Config{Workers: 2, DefaultShare: 2.5})
+	s := service.New(service.Config{Workers: 2})
 	if _, err := s.Submit("bad", service.JobSpec{Share: share(0)}); err == nil {
 		t.Error("share 0 accepted, want rejection")
 	}
@@ -142,8 +142,8 @@ func TestShareValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Status().Share; got != 2.5 {
-		t.Errorf("defaulted share = %g, want the config default 2.5", got)
+	if got := j.Status().Share; got != 1 {
+		t.Errorf("defaulted share = %g, want 1", got)
 	}
 	j.CloseInput()
 	waitDone(t, j)

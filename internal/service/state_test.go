@@ -149,7 +149,7 @@ func (k *kindStore) parkedSyncs() int {
 func serviceOverStore(t *testing.T) (*Service, *kindStore) {
 	t.Helper()
 	ks := &kindStore{Store: walOverStore(t, t.TempDir())}
-	s := New(Config{Workers: 2, WarmupTasks: 2})
+	s := New(Config{Workers: 2})
 	s.wal = newWAL(ks, walOptions{})
 	t.Cleanup(func() { s.Close() })
 	return s, ks
@@ -162,7 +162,7 @@ func serviceOverStore(t *testing.T) (*Service, *kindStore) {
 func TestBlockedSyncVisibleImpliesDurable(t *testing.T) {
 	s, ks := serviceOverStore(t)
 	h := NewHandler(s)
-	j, err := s.Submit("watermark", JobSpec{})
+	j, err := s.Submit("watermark", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +210,9 @@ func TestBlockedSyncVisibleImpliesDurable(t *testing.T) {
 // onResult adds for the pollers is a nil check — a completion allocates
 // nothing it did not before (the results append amortises to 0).
 func TestResultWakeAllocatesNothingWithoutPollers(t *testing.T) {
-	s := New(Config{Workers: 2, WarmupTasks: 2})
+	s := New(Config{Workers: 2})
 	t.Cleanup(func() { s.Close() })
-	j, err := s.Submit("nowake", JobSpec{MaxResults: 1 << 20})
+	j, err := s.Submit("nowake", JobSpec{MaxResults: 1 << 20, WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestResultWakeAllocatesNothingWithoutPollers(t *testing.T) {
 func TestBlockedSyncRemoveDoesNotStallLookups(t *testing.T) {
 	s, ks := serviceOverStore(t)
 	for _, name := range []string{"victim", "other"} {
-		j, err := s.Submit(name, JobSpec{})
+		j, err := s.Submit(name, JobSpec{WarmupTasks: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestRecoveryPushCutShortByNodeLoss(t *testing.T) {
 	t.Cleanup(worker.Stop)
 
 	dir := t.TempDir()
-	s, err := Open(Config{Workers: 2, WarmupTasks: 4, Cluster: coord, DataDir: dir})
+	s, err := Open(Config{Workers: 2, Cluster: coord, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestRecoveryPushCutShortByNodeLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Config{Workers: 2, WarmupTasks: 4, DataDir: dir})
+	s2, err := Open(Config{Workers: 2, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestRecoveryClusterJobWithoutCoordinator(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s, err := Open(Config{Workers: 2, WarmupTasks: 4, Cluster: fleet(), DataDir: dir})
+	s, err := Open(Config{Workers: 2, Cluster: fleet(), DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestRecoveryClusterJobWithoutCoordinator(t *testing.T) {
 	crash := copyDir(t, dir)
 
 	var logs bytes.Buffer
-	s2, err := Open(Config{Workers: 2, WarmupTasks: 4, DataDir: crash, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	s2, err := Open(Config{Workers: 2, DataDir: crash, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestRecoveryClusterJobWithoutCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s3, err := Open(Config{Workers: 2, WarmupTasks: 4, Cluster: fleet(), DataDir: crash})
+	s3, err := Open(Config{Workers: 2, Cluster: fleet(), DataDir: crash})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type timelineWire struct {
 // returns once it is done — the setup every timeline assertion needs.
 func runTimelineJob(t *testing.T, base string, s *Service, name string) {
 	t.Helper()
-	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"`+name+`","window":4}`, http.StatusCreated, nil)
+	doJSON(t, "POST", base+"/api/v1/jobs", `{"name":"`+name+`","window":4,"warmup":2}`, http.StatusCreated, nil)
 	doJSON(t, "POST", base+"/api/v1/jobs/"+name+"/tasks",
 		`[{"id":1,"sleep_us":100},{"id":2,"sleep_us":100},{"id":3,"sleep_us":100},{"id":4,"sleep_us":100}]`,
 		http.StatusAccepted, nil)
@@ -197,7 +197,7 @@ func TestHTTPTimelineCSV(t *testing.T) {
 // text, declares the histogram families, and the task-latency histogram
 // holds every completion.
 func TestHTTPMetricsProm(t *testing.T) {
-	s, err := Open(Config{Workers: 2, DefaultWindow: 4, WarmupTasks: 2, DataDir: t.TempDir()})
+	s, err := Open(Config{Workers: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,7 +270,7 @@ func TestRecoveryReplayDeterminismConcurrent(t *testing.T) {
 			// each fsync.
 			gs := &gatedStore{Store: walOverStore(t, dir), gate: make(chan struct{})}
 			w := newWAL(gs, walOptions{maxBytes: 4096})
-			spec := JobSpec{}.withDefaults(Config{}.withDefaults())
+			spec := defaultSpec()
 			spec.MaxResults = 8
 			pinned := make(chan error, 1)
 			go func() { pinned <- w.commit(walRecord{Kind: walCreate, Job: "pin", Spec: &spec}) }()
@@ -353,7 +353,7 @@ func TestRecoveryRedeliversExactlyTheUnacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.close()
-	spec := JobSpec{}.withDefaults(Config{}.withDefaults())
+	spec := defaultSpec()
 	const accepted, acked = 5, 2
 	for _, rec := range []walRecord{
 		{Kind: walCreate, Job: "redo", Spec: &spec},

@@ -64,7 +64,7 @@ func TestObservabilityE2E(t *testing.T) {
 		"-addr", fmt.Sprintf("127.0.0.1:%d", apiPort),
 		"-cluster-listen", fmt.Sprintf("127.0.0.1:%d", clusterPort),
 		"-dead-after", "700ms",
-		"-workers", "2", "-warmup", "4",
+		"-workers", "2",
 		"-data-dir", dataDir,
 		"-debug-addr", fmt.Sprintf("127.0.0.1:%d", debugPort),
 		"-log-format", "json",

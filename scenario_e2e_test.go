@@ -38,8 +38,8 @@ type scenarioStatus struct {
 	} `json:"nodes"`
 }
 
-// startScenarioDaemon boots a graspd with the predictive policy armed and
-// waits for it to come healthy, returning the API base URL and the
+// startScenarioDaemon boots a graspd that samples the predictive policy's
+// queue-depth forecast every millisecond and waits for it to come healthy, returning the API base URL and the
 // coordinator URL for workers.
 func startScenarioDaemon(t *testing.T, graspd string, extra ...string) (api, coordinator string, daemon *e2eProc) {
 	t.Helper()
@@ -49,8 +49,7 @@ func startScenarioDaemon(t *testing.T, graspd string, extra ...string) (api, coo
 	args := append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", apiPort),
 		"-cluster-listen", fmt.Sprintf("127.0.0.1:%d", clusterPort),
-		"-workers", "2", "-warmup", "4",
-		"-adapt", "predictive",
+		"-workers", "2",
 		"-forecast-every", "1ms",
 	}, extra...)
 	daemon = startProc(t, graspd, args...)
@@ -109,7 +108,7 @@ func TestScenarioE2EFlashCrowd(t *testing.T) {
 	// Tight bound (1 × a window of 4) and slow tasks: the trickle alone
 	// overruns admission, so shedding is engaged well before the burst.
 	api, coordinator, _ := startScenarioDaemon(t, graspd,
-		"-window", "4", "-shed-factor", "1", "-dead-after", "2s")
+		"-shed-factor", "1", "-dead-after", "2s")
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
 
 	out := driveAll(t, 90*time.Second, drive{
@@ -153,7 +152,7 @@ func TestScenarioE2EDurableFlashCrowd(t *testing.T) {
 	}
 	graspd, graspworker := buildE2EBinaries(t)
 	api, coordinator, _ := startScenarioDaemon(t, graspd,
-		"-window", "4", "-shed-factor", "1", "-dead-after", "2s",
+		"-shed-factor", "1", "-dead-after", "2s",
 		"-data-dir", t.TempDir())
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
 
@@ -293,8 +292,8 @@ func loadDrives(api string, tasks int, base map[string]any, creates ...map[strin
 // concurrent streaming jobs: exactly once on every result, the window
 // enforced, and one calibration shared by every job.
 func TestDaemonEndToEnd(t *testing.T) {
-	api := daemonServer(t, service.Config{Workers: 4, DefaultWindow: 6, WarmupTasks: 4, ThresholdFactor: 3})
-	for k, out := range driveAll(t, 60*time.Second, loadDrives(api, 60, map[string]any{"window": 6}, nil, nil, nil)...) {
+	api := daemonServer(t, service.Config{Workers: 4})
+	for k, out := range driveAll(t, 60*time.Second, loadDrives(api, 60, map[string]any{"window": 6, "warmup": 4, "threshold_factor": 3}, nil, nil, nil)...) {
 		if mif := out.status.MaxInFlight; mif == 0 || mif > 6 {
 			t.Errorf("job load-%d max_in_flight = %d, want in (0, 6]: window not enforced", k, mif)
 		}
@@ -318,8 +317,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 // all three skeleton types: the same cursor endpoints serve every
 // topology, exactly once, under one shared calibration.
 func TestDaemonMixedSkeletonTraffic(t *testing.T) {
-	api := daemonServer(t, service.Config{Workers: 4, DefaultWindow: 6, WarmupTasks: 4, ThresholdFactor: 3})
-	driveAll(t, 60*time.Second, loadDrives(api, 40, map[string]any{"window": 6}, skeletonCreates...)...)
+	api := daemonServer(t, service.Config{Workers: 4})
+	driveAll(t, 60*time.Second, loadDrives(api, 40, map[string]any{"window": 6, "warmup": 4, "threshold_factor": 3}, skeletonCreates...)...)
 
 	// The job listing reports each job's declared skeleton.
 	var listing struct {
@@ -374,7 +373,7 @@ func TestDriveClusterScenario(t *testing.T) {
 		defer w.Stop()
 	}
 
-	api := daemonServer(t, service.Config{Workers: 2, WarmupTasks: 4, Cluster: coord})
+	api := daemonServer(t, service.Config{Workers: 2, Cluster: coord})
 	driveAll(t, 60*time.Second, loadDrives(api, 30, map[string]any{"placement": "cluster"}, skeletonCreates...)...)
 
 	// Every job's tasks really executed on the worker nodes. Pipelines
