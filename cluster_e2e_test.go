@@ -264,9 +264,7 @@ func clusterE2EMultiProcess(t *testing.T, graspd, graspworker, transport string)
 	worker := func(id string) *e2eProc {
 		return startProc(t, graspworker,
 			"-coordinator", coordinator, "-id", id,
-			"-capacity", "2", "-heartbeat", "100ms",
-			"-bench-spin", "100000", "-lease-wait", "200ms",
-			"-transport", transport)
+			"-capacity", "2", "-transport", transport)
 	}
 	worker("e2e-w1")
 	w2 := worker("e2e-w2")
@@ -436,9 +434,7 @@ func clusterE2EDaemonRecovery(t *testing.T, graspd, graspworker, transport strin
 	for _, id := range []string{"rec-w1", "rec-w2"} {
 		startProc(t, graspworker,
 			"-coordinator", coordinator, "-id", id,
-			"-capacity", "2", "-heartbeat", "100ms",
-			"-bench-spin", "100000", "-lease-wait", "200ms",
-			"-transport", transport)
+			"-capacity", "2", "-transport", transport)
 	}
 	waitFor(t, 15*time.Second, "both workers live", func() bool {
 		live := 0

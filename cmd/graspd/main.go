@@ -13,13 +13,17 @@
 //	graspd -addr :8080 -workers 8
 //
 // Every per-job parameter — window, warm-up, threshold factor, result
-// retention, share, adaptation policy — is set in the job's create body.
+// retention, share, adaptation policy, admission factor — is set in the
+// job's create body.
 //
 // Serve with the distributed worker-node subsystem enabled (graspworker
 // processes register on the cluster listener; jobs created with
 // `"placement": "cluster"` execute on them):
 //
 //	graspd -addr :8080 -cluster-listen :8090
+//
+// A silent node is declared dead after -dead-after (default 3s, at least
+// 3ms); workers heartbeat at the third of it the coordinator advertises.
 //
 // See the README for the full JSON API, the cluster quickstart, and a curl
 // walkthrough.
@@ -72,9 +76,7 @@ func main() {
 		addr          = flag.String("addr", ":8080", "listen address")
 		workers       = flag.Int("workers", 0, "platform worker slots (0 = GOMAXPROCS; at least 2)")
 		clusterListen = flag.String("cluster-listen", "", "serve the worker-node protocol on this address (empty = cluster disabled)")
-		deadAfter     = flag.Duration("dead-after", 3*time.Second, "cluster: declare a silent worker node dead after this long")
-		shedFactor    = flag.Float64("shed-factor", 0, "predictive: shed pushes with 429 once the queue-depth forecast — tasks in the window plus those waiting in blocked pushes — exceeds factor × window (0 = 2, negative = never shed)")
-		forecastEvery = flag.Duration("forecast-every", 0, "predictive: queue-depth forecast sampling interval (0 = 20ms)")
+		deadAfter     = flag.Duration("dead-after", 3*time.Second, "cluster: declare a silent worker node dead after this long (at least 3ms; workers heartbeat at a third of it)")
 		dataDir       = flag.String("data-dir", "", "durability: journal job state under this directory and recover it on restart (empty = in-memory only)")
 		logFormat     = flag.String("log-format", "text", "log output format (text, json)")
 		logLevel      = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
@@ -87,13 +89,17 @@ func main() {
 		log.Fatal(lerr)
 	}
 	slog.SetDefault(logger)
+	// A coordinator advertises a heartbeat of DeadAfter/3 in whole
+	// milliseconds; below 3ms that rounds to none.
+	if *deadAfter < 3*time.Millisecond {
+		logger.Error("graspd: -dead-after must be at least 3ms", "dead_after", deadAfter.String())
+		os.Exit(2)
+	}
 
 	cfg := service.Config{
-		Workers:       *workers,
-		ShedFactor:    *shedFactor,
-		ForecastEvery: *forecastEvery,
-		DataDir:       *dataDir,
-		Logger:        logger.With("component", "service"),
+		Workers: *workers,
+		DataDir: *dataDir,
+		Logger:  logger.With("component", "service"),
 	}
 	var coord *cluster.Coordinator
 	if *clusterListen != "" {

@@ -31,30 +31,34 @@ import (
 	"grasp/internal/vsim"
 )
 
+// The fixed grid and workload behind the flags.
+const (
+	seed            = 42               // grid and platform seed
+	speedCV         = 0.3              // node speed heterogeneity
+	cost            = 100.0            // operations per task or stage-item
+	loadedNodes     = 4                // nodes that come under -pressure,
+	pressAt         = 10 * time.Second // from this instant
+	thresholdFactor = 3.0              // Z = factor × calibrated mean
+)
+
 func main() {
 	var (
 		skeleton = flag.String("skeleton", "farm", "farm, pipe, map, dc, or pof (pipe-of-farms)")
 		waves    = flag.Int("waves", 8, "map: decomposition waves per round")
 		grain    = flag.Int("grain", 4, "dc: division depth (2^grain leaves)")
 		nodes    = flag.Int("nodes", 16, "grid size")
-		cv       = flag.Float64("cv", 0.3, "node speed heterogeneity (CV)")
 		nTasks   = flag.Int("tasks", 400, "farm: number of tasks")
 		nStages  = flag.Int("stages", 6, "pipe: number of stages")
 		nItems   = flag.Int("items", 100, "pipe: number of items")
-		cost     = flag.Float64("cost", 100, "operations per task/stage-item")
 		pressure = flag.Float64("pressure", 0.9, "external load applied mid-run")
-		pressAt  = flag.Duration("press-at", 10*time.Second, "when pressure starts")
-		loaded   = flag.Int("loaded", 4, "number of nodes that come under pressure")
 		adaptive = flag.Bool("adaptive", true, "enable GRASP adaptation")
-		factor   = flag.Float64("threshold", 3, "threshold factor (Z = factor × calibrated mean)")
-		seed     = flag.Int64("seed", 42, "seed")
 		dumpCSV  = flag.String("trace-csv", "", "write the event trace as CSV to this file")
 	)
 	flag.Parse()
 
-	specs := grid.HeterogeneousSpecs(*seed, *nodes, 100, *cv)
-	for i := 0; i < *loaded && i < len(specs); i++ {
-		specs[i].Load = loadgen.NewStep(*pressAt, 0, *pressure)
+	specs := grid.HeterogeneousSpecs(seed, *nodes, 100, speedCV)
+	for i := 0; i < loadedNodes && i < len(specs); i++ {
+		specs[i].Load = loadgen.NewStep(pressAt, 0, *pressure)
 	}
 	env := vsim.New()
 	sim := rt.NewSim(env)
@@ -63,20 +67,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "grasprun: %v\n", err)
 		os.Exit(2)
 	}
-	pf := platform.NewGridPlatform(sim, g, 0.02, *seed)
+	pf := platform.NewGridPlatform(sim, g, 0.02, seed)
 	log := trace.New()
 
 	switch *skeleton {
 	case "farm":
-		runFarm(pf, sim, log, *nTasks, *cost, *adaptive, *factor)
+		runFarm(pf, sim, log, *nTasks, *adaptive)
 	case "pipe":
-		runPipe(pf, sim, log, *nStages, *nItems, *cost, *adaptive, *factor)
+		runPipe(pf, sim, log, *nStages, *nItems, *adaptive)
 	case "map":
-		runMap(pf, sim, log, *nTasks, *cost, *adaptive, *factor, *waves)
+		runMap(pf, sim, log, *nTasks, *adaptive, *waves)
 	case "dc":
-		runDC(pf, sim, log, *nTasks, *cost, *grain)
+		runDC(pf, sim, log, *nTasks, *grain)
 	case "pof":
-		runPoF(pf, sim, log, *nStages, *nItems, *cost, *adaptive)
+		runPoF(pf, sim, log, *nStages, *nItems, *adaptive)
 	default:
 		fmt.Fprintf(os.Stderr, "grasprun: unknown skeleton %q\n", *skeleton)
 		os.Exit(2)
@@ -97,8 +101,16 @@ func main() {
 	}
 }
 
+// finish runs the simulation to its end, exiting on a simulator error.
+func finish(sim *rt.Sim) {
+	if err := sim.Run(); err != nil {
+		fmt.Fprintf(os.Stderr, "grasprun: %v\n", err)
+		os.Exit(1)
+	}
+}
+
 // runFarm drives the task-farm path.
-func runFarm(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, cost float64, adaptive bool, factor float64) {
+func runFarm(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, adaptive bool) {
 	tasks := make([]platform.Task, n)
 	for i := range tasks {
 		tasks[i] = platform.Task{ID: i, Cost: cost}
@@ -109,7 +121,7 @@ func runFarm(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, cost
 		if adaptive {
 			var err error
 			rep, err = core.RunFarm(pf, c, tasks, core.Config{
-				ThresholdFactor: factor,
+				ThresholdFactor: thresholdFactor,
 				UseWeights:      true,
 				Chunk:           sched.Guided{F: 2},
 				Log:             log,
@@ -121,10 +133,7 @@ func runFarm(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, cost
 			frep = farm.RunStatic(pf, c, tasks, sched.Blocks(n, pf.Size()), nil, log)
 		}
 	})
-	if err := sim.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "grasprun: %v\n", err)
-		os.Exit(1)
-	}
+	finish(sim)
 	if adaptive {
 		fmt.Printf("farm (adaptive): %d tasks in %v, %d recalibration(s), %d calibration sample(s)\n",
 			len(rep.Results), rep.Makespan, rep.Recalibrations, rep.CalibrationTasks)
@@ -139,12 +148,12 @@ func runFarm(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, cost
 
 // runMap drives the data-parallel map path: calibrated block decomposition
 // with wave re-weighting (adaptive) or a single static deal.
-func runMap(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, cost float64, adaptive bool, factor float64, waves int) {
+func runMap(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, adaptive bool, waves int) {
 	tasks := make([]platform.Task, n)
 	for i := range tasks {
 		tasks[i] = platform.Task{ID: i, Cost: cost}
 	}
-	cfg := core.MapConfig{ThresholdFactor: factor, Waves: waves, Log: log}
+	cfg := core.MapConfig{ThresholdFactor: thresholdFactor, Waves: waves, Log: log}
 	if !adaptive {
 		cfg.ThresholdFactor = 1e9
 		cfg.Waves = 1
@@ -157,10 +166,7 @@ func runMap(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, cost 
 			panic(err)
 		}
 	})
-	if err := sim.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "grasprun: %v\n", err)
-		os.Exit(1)
-	}
+	finish(sim)
 	mode := "static deal"
 	if adaptive {
 		mode = fmt.Sprintf("adaptive, %d waves", waves)
@@ -175,7 +181,7 @@ func runMap(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, n int, cost 
 
 // runDC drives the divide-and-conquer path: a binary cost tree divided to
 // the grain depth, leaves and merges farmed over the calibrated workers.
-func runDC(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, totalTasks int, cost float64, grain int) {
+func runDC(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, totalTasks, grain int) {
 	totalWork := float64(totalTasks) * cost
 	op := dc.Op{
 		Divide: func(p any) []any {
@@ -198,10 +204,7 @@ func runDC(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, totalTasks in
 			panic(err)
 		}
 	})
-	if err := sim.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "grasprun: %v\n", err)
-		os.Exit(1)
-	}
+	finish(sim)
 	fmt.Printf("dc: depth %d, %d leaves, %d combines in %v (%d recalibration(s))\n",
 		rep.DC.Depth, rep.DC.Leaves, rep.DC.Combines, rep.Makespan, rep.Recalibrations)
 	fmt.Printf("  leaf farm span %v, %d farmer round-trips, chosen=%d nodes\n",
@@ -210,7 +213,7 @@ func runDC(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, totalTasks in
 
 // runPoF drives the pipe-of-farms path: stage pools sized by calibrated
 // service demand, with worker migration when -adaptive is set.
-func runPoF(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nItems int, cost float64, adaptive bool) {
+func runPoF(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nItems int, adaptive bool) {
 	stages := make([]compose.Stage, nStages)
 	for i := range stages {
 		c := cost
@@ -231,10 +234,7 @@ func runPoF(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nIt
 			panic(err)
 		}
 	})
-	if err := sim.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "grasprun: %v\n", err)
-		os.Exit(1)
-	}
+	finish(sim)
 	mode := "static pools"
 	if adaptive {
 		mode = "migrating pools"
@@ -247,7 +247,7 @@ func runPoF(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nIt
 }
 
 // runPipe drives the pipeline path.
-func runPipe(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nItems int, cost float64, adaptive bool, factor float64) {
+func runPipe(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nItems int, adaptive bool) {
 	stages := make([]pipeline.Stage, nStages)
 	for i := range stages {
 		stages[i] = pipeline.Stage{
@@ -261,7 +261,7 @@ func runPipe(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nI
 		if adaptive {
 			var err error
 			rep, err = core.RunPipeline(pf, c, stages, nItems, core.PipelineConfig{
-				ThresholdFactor: factor,
+				ThresholdFactor: thresholdFactor,
 				Log:             log,
 			})
 			if err != nil {
@@ -276,10 +276,7 @@ func runPipe(pf *platform.GridPlatform, sim *rt.Sim, log *trace.Log, nStages, nI
 			prep = pipeline.Run(pf, c, stages, nItems, pipeline.Options{Mapping: mapping, Log: log})
 		}
 	})
-	if err := sim.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "grasprun: %v\n", err)
-		os.Exit(1)
-	}
+	finish(sim)
 	mode := "static"
 	if adaptive {
 		mode = "adaptive"

@@ -7,6 +7,12 @@
 //
 //	graspworker -coordinator http://head:8090 -capacity 4
 //
+// Its timings come from the coordinator or are constants: it heartbeats
+// at the interval the register reply advertises (a third of graspd's
+// -dead-after), parks each lease request for at most 2 s (less if the
+// coordinator bounds it lower), and times its startup benchmark over
+// 2,000,000 spin iterations.
+//
 // Lifecycle events log through slog (-log-format json|text, -log-level),
 // and -debug-addr mounts net/http/pprof plus the worker's /metrics
 // (lease round-trip histogram included) on a side listener.
@@ -21,7 +27,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"grasp/internal/cluster"
 	"grasp/internal/metrics"
@@ -34,9 +39,6 @@ func main() {
 		id          = flag.String("id", "", "node id (default <hostname>-<pid>)")
 		capacity    = flag.Int("capacity", 2, "concurrent task executions")
 		batch       = flag.Int("batch", 0, "cap on tasks pulled per lease (0 = no worker-side cap: leases are chunk-sized, bounded by the coordinator)")
-		benchSpin   = flag.Int64("bench-spin", 2_000_000, "startup benchmark iterations (calibration sample)")
-		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval (0 = coordinator-advertised)")
-		leaseWait   = flag.Duration("lease-wait", 2*time.Second, "lease long-poll bound")
 		transport   = flag.String("transport", cluster.TransportBinary, "wire binding for the worker's whole session (binary, json)")
 		degradeAt   = flag.Duration("degrade-after", 0, "script a slow-node failure: stretch every execution after this long (0 = healthy forever)")
 		degradeBy   = flag.Float64("degrade-factor", 0, "post-degradation execution-time multiplier (0 = 3 when -degrade-after is set; any other value ≤ 1 = no slowdown)")
@@ -57,9 +59,6 @@ func main() {
 		ID:            *id,
 		Capacity:      *capacity,
 		Batch:         *batch,
-		BenchSpin:     *benchSpin,
-		Heartbeat:     *heartbeat,
-		LeaseWait:     *leaseWait,
 		Transport:     *transport,
 		DegradeAfter:  *degradeAt,
 		DegradeFactor: *degradeBy,

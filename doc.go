@@ -171,13 +171,14 @@
 // trips, tagging the trace event `predictive=true` and counting it
 // separately (predictive_recals,
 // forecast values per worker in job status and `forecast` timeline
-// events). At the service layer a per-job forecast loop (-forecast-every)
-// extrapolates queue depth (submitted − completed): a predicted backlog
-// autoscales the job's effective fair share through the allocator — a
-// cluster job instead records advisory node demand with the coordinator,
-// surfaced on /api/v1/nodes for an external autoscaler — and, past
-// -shed-factor × window, admission control sheds further pushes with HTTP
-// 429 + Retry-After until the forecast falls back,
+// events). At the service layer a per-job forecast loop, sampling every
+// 20 ms, extrapolates queue depth (submitted − completed): a predicted
+// backlog autoscales the job's effective fair share through the allocator
+// — a cluster job instead records advisory node demand with the
+// coordinator, surfaced on /api/v1/nodes for an external autoscaler — and,
+// past the spec's shed_factor × window (default 2), admission control
+// sheds further pushes with HTTP 429 + Retry-After until the forecast
+// falls back,
 // shedding load instead of buffering it without bound. loadgen grows
 // seeded slow-node degradation schedules for the simulator, and
 // graspworker's -degrade-after/-degrade-factor script a straggling node

@@ -40,16 +40,10 @@ func sleepTasks(from, n int, sleepUS int64) []platform.Task {
 	return tasks
 }
 
-// startWorkerWith runs an in-process worker with the given overrides on
-// top of the fast test defaults (a 100 ms long-poll unless LeaseWait is
-// set).
+// startWorkerWith runs an in-process worker with the given config,
+// stopped when the test ends.
 func startWorkerWith(t *testing.T, cfg WorkerConfig) *Worker {
 	t.Helper()
-	cfg.BenchSpin = 10_000
-	cfg.Heartbeat = 20 * time.Millisecond
-	if cfg.LeaseWait == 0 {
-		cfg.LeaseWait = 100 * time.Millisecond
-	}
 	w, err := StartWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +314,7 @@ func TestLeaseAheadStopsWithoutWaitingOutTheParkedLease(t *testing.T) {
 	url := startTestServer(t, co)
 	startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})
 	victim := startWorkerWith(t, WorkerConfig{
-		Coordinator: url, ID: "b-victim", Capacity: 1, Batch: 1, LeaseWait: 10 * time.Second,
+		Coordinator: url, ID: "b-victim", Capacity: 1, Batch: 1,
 	})
 	const n = 2
 	l := rt.NewLocal()

@@ -263,8 +263,7 @@ func TestWorkerSpeaksBinaryByDefault(t *testing.T) {
 	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
 	w, err := StartWorker(WorkerConfig{
-		Coordinator: "http://" + inner.Addr().String(), ID: "wb", Capacity: 2, BenchSpin: 10_000,
-		Heartbeat: 20 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+		Coordinator: "http://" + inner.Addr().String(), ID: "wb", Capacity: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +320,7 @@ func TestStartWorkerFailsOnASilentPort(t *testing.T) {
 		}
 	}()
 	began := time.Now()
-	w, err := StartWorker(WorkerConfig{Coordinator: "http://" + ln.Addr().String(), ID: "lost", BenchSpin: 10_000})
+	w, err := StartWorker(WorkerConfig{Coordinator: "http://" + ln.Addr().String(), ID: "lost"})
 	took := time.Since(began)
 	if err == nil {
 		w.Stop()
@@ -343,9 +342,7 @@ func TestMixedTransportFleet(t *testing.T) {
 		{"w-binary", TransportBinary},
 	} {
 		w, err := StartWorker(WorkerConfig{
-			Coordinator: url, ID: wc.id, Capacity: 2, BenchSpin: 10_000,
-			Heartbeat: 20 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
-			Transport: wc.transport,
+			Coordinator: url, ID: wc.id, Capacity: 2, Transport: wc.transport,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -381,9 +378,7 @@ func TestWorkerBatchesResults(t *testing.T) {
 	co := testCoordinator(t, time.Second)
 	url := startTestServer(t, co)
 	w, err := StartWorker(WorkerConfig{
-		Coordinator: url, ID: "wf", Capacity: 2, Batch: 8, BenchSpin: 10_000,
-		Heartbeat: 20 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
-		Transport: TransportJSON,
+		Coordinator: url, ID: "wf", Capacity: 2, Batch: 8, Transport: TransportJSON,
 	})
 	if err != nil {
 		t.Fatal(err)

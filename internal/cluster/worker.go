@@ -30,13 +30,6 @@ type WorkerConfig struct {
 	// a farm chunk, a dmap block — bounded by the coordinator's 64-task
 	// lease cap and its millisecond of estimated work.
 	Batch int
-	// BenchSpin is the startup benchmark's iteration count; the measured
-	// speed registers as this node's calibration sample (default 2e6).
-	BenchSpin int64
-	// Heartbeat overrides the coordinator-advertised heartbeat interval.
-	Heartbeat time.Duration
-	// LeaseWait is the long-poll bound requested per lease (default 2s).
-	LeaseWait time.Duration
 	// Transport is the wire binding the worker speaks for its whole life,
 	// registration included: TransportBinary (the default) or
 	// TransportJSON. The coordinator's Server answers both on one port, so
@@ -81,12 +74,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.Batch < 0 {
 		c.Batch = 0
 	}
-	if c.BenchSpin <= 0 {
-		c.BenchSpin = 2_000_000
-	}
-	if c.LeaseWait <= 0 {
-		c.LeaseWait = 2 * time.Second
-	}
 	if c.Client == nil {
 		c.Client = DefaultWorkerClient()
 	}
@@ -101,6 +88,16 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	return c
 }
+
+const (
+	// benchSpin is the startup benchmark's iteration count: about 1.4 ms
+	// of spinning on a current core.
+	benchSpin = 2_000_000
+	// leaseWait is the long-poll bound a worker requests per lease; the
+	// coordinator clamps it to its MaxLeaseWait. It is never 0: a binary
+	// lease's deadline is its wait plus a round trip.
+	leaseWait = 2 * time.Second
+)
 
 // leaseAheadMax bounds the tasks an executor leases ahead of: from resultHold
 // up to it, the last task of a lease runs while the next lease makes its
@@ -153,17 +150,13 @@ type Worker struct {
 	wg       sync.WaitGroup // executors, their leasers + heartbeat
 }
 
-// Benchmark measures this process's spin speed in iterations/second — the
-// register-time calibration sample Algorithm 1's ranking step turns into a
-// cluster job's initial dispatch weights.
-func Benchmark(spin int64) float64 {
+// benchmark measures this process's spin speed in iterations/second over
+// benchSpin iterations — the register-time calibration sample Algorithm
+// 1's ranking step turns into a cluster job's initial dispatch weights.
+func benchmark() float64 {
 	start := time.Now()
-	Spin(spin)
-	secs := time.Since(start).Seconds()
-	if secs <= 0 {
-		return float64(spin) * 1e9
-	}
-	return float64(spin) / secs
+	Spin(benchSpin)
+	return benchSpin / time.Since(start).Seconds()
 }
 
 // Spin busy-loops n iterations. It is THE spin kernel: the worker
@@ -234,7 +227,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		cfg:   cfg,
 		log:   cfg.Logger,
-		speed: Benchmark(cfg.BenchSpin),
+		speed: benchmark(),
 		tr:    tr,
 		start: time.Now(),
 		stop:  make(chan struct{}),
@@ -256,14 +249,11 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
-	if cfg.Heartbeat <= 0 {
-		w.cfg.Heartbeat = hb
-	}
 	w.log.Info("worker registered",
 		"node", cfg.ID, "coordinator", cfg.Coordinator, "speed_ops", w.speed,
 		"capacity", cfg.Capacity, "transport", tr.Name())
 	w.wg.Add(1)
-	go w.heartbeatLoop()
+	go w.heartbeatLoop(hb)
 	for i := 0; i < cfg.Capacity; i++ {
 		ahead := &aheadLease{issue: make(chan struct{}, 1), done: make(chan struct{}, 1)}
 		w.wg.Add(2)
@@ -349,10 +339,10 @@ func (w *Worker) reRegister(staleGen int64) {
 	w.log.Info("worker re-registered", "node", w.cfg.ID, "gen", w.gen.Load())
 }
 
-// heartbeatLoop keeps the registration alive.
-func (w *Worker) heartbeatLoop() {
+// heartbeatLoop keeps the registration alive, beating every interval.
+func (w *Worker) heartbeatLoop(interval time.Duration) {
 	defer w.wg.Done()
-	t := time.NewTicker(w.cfg.Heartbeat)
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
@@ -513,7 +503,7 @@ func (w *Worker) lease(gen int64, results []WireResult, scratch []WireTask) ([]W
 		ID:      w.cfg.ID,
 		Gen:     gen,
 		Max:     w.cfg.Batch,
-		WaitMS:  w.cfg.LeaseWait.Milliseconds(),
+		WaitMS:  leaseWait.Milliseconds(),
 		Results: results,
 	}, scratch)
 	// The lease RTT includes the coordinator-side long-poll wait: this

@@ -13,7 +13,7 @@ import (
 )
 
 // TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine pins what the shed
-// bound measures at the default ShedFactor (2 × window). A job's queue
+// bound measures at the default shed_factor (2 × window). A job's queue
 // depth is window + 1 tasks held by the daemon plus whatever sits in
 // blocked pushes, so one well-behaved closed-loop client — a quarter
 // window per push, the next push only after the last returned — never
@@ -39,7 +39,7 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Workers: 2, ForecastEvery: time.Millisecond})
+			s := New(Config{Workers: 2})
 			j, err := s.Submit("adm", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
 			if err != nil {
 				t.Fatal(err)
@@ -104,7 +104,8 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 // forecastWindow/2 samples the forecaster must not act on it. Once the
 // window has seen enough of a queue that really is growing, it sheds.
 func TestForecastColdStartDecidesNothing(t *testing.T) {
-	s := New(Config{Workers: 2, ForecastEvery: time.Hour}) // the loop never samples: the test does
+	s := New(Config{Workers: 2})
+	s.forecastByHand = true // the loop never samples: the test does
 	j, err := s.Submit("cold", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +148,9 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Workers: 2, ShedFactor: 2, ForecastEvery: time.Hour}) // the loop never samples: the test does
-			j, err := s.Submit("young", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive})
+			s := New(Config{Workers: 2})
+			s.forecastByHand = true // the loop never samples: the test does
+			j, err := s.Submit("young", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive, ShedFactor: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,12 +179,13 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 // never sheds; a calm series gives the slot back.
 func TestForecastAutoscalesTheShare(t *testing.T) {
 	const window = 8
-	s := New(Config{Workers: 4, ShedFactor: -1, ForecastEvery: time.Hour}) // the loop never samples: the test does
+	s := New(Config{Workers: 4})
+	s.forecastByHand = true // the loop never samples: the test does
 	steady, err := s.Submit("steady", JobSpec{WarmupTasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	crowd, err := s.Submit("crowd", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
+	crowd, err := s.Submit("crowd", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive, ShedFactor: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

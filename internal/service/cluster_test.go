@@ -58,9 +58,6 @@ func startClusterWorker(t *testing.T, url, id string) *cluster.Worker {
 		Coordinator: url,
 		ID:          id,
 		Capacity:    2,
-		BenchSpin:   10_000,
-		Heartbeat:   50 * time.Millisecond,
-		LeaseWait:   100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,8 +383,7 @@ func TestEvictedNodeRejoinsRunningJob(t *testing.T) {
 	release := sync.OnceFunc(func() { close(held.release) })
 	defer release()
 	b, err := cluster.StartWorker(cluster.WorkerConfig{
-		Coordinator: url, ID: "b", Capacity: 2, BenchSpin: 10_000,
-		Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+		Coordinator: url, ID: "b", Capacity: 2,
 		Transport: cluster.TransportJSON, Client: &http.Client{Transport: held},
 	})
 	if err != nil {

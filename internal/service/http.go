@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -247,11 +246,7 @@ func NewHandler(s *Service) http.Handler {
 		n, err := j.Push(specs)
 		if err != nil {
 			if errors.Is(err, ErrOverloaded) {
-				secs := int(math.Ceil(s.RetryAfter().Seconds()))
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
+				w.Header().Set("Retry-After", strconv.Itoa(int(shedRetryAfter/time.Second)))
 				writeError(w, http.StatusTooManyRequests, err)
 				return
 			}

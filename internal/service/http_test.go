@@ -290,8 +290,7 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 			t.Fatal("a poll at the watermark of a recovering job does not park")
 		}
 		worker, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: url, ID: "a", Capacity: 2, BenchSpin: 10_000,
-			Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+			Coordinator: url, ID: "a", Capacity: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -558,6 +557,8 @@ func TestHTTPRejectsInvalidJobSpec(t *testing.T) {
 		{"farm with stages", `{"name":"bad","stages":[{},{}]}`},
 		{"dmap with negative wave", `{"name":"bad","skeleton":"dmap","wave_size":-3}`},
 		{"dmap with bad alpha", `{"name":"bad","skeleton":"dmap","alpha":1.5}`},
+		{"shed_factor on a reactive farm", `{"name":"bad","adapt":"reactive","shed_factor":1}`},
+		{"shed_factor with no adapt", `{"name":"bad","shed_factor":-1}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,10 +16,10 @@ package service
 //     extra worker nodes with the coordinator (SetWanted), surfaced on
 //     /api/v1/nodes and the cluster_nodes_wanted gauge for an external
 //     autoscaler to act on;
-//   - admission control: once the forecast exceeds ShedFactor × window —
-//     with the default factor 2, a full window plus as much again waiting
-//     in blocked pushes — the job sheds pushes with ErrOverloaded (HTTP
-//     429 + Retry-After) instead of letting backpressure stall the daemon,
+//   - admission control: once the forecast exceeds shed_factor × window —
+//     with the default 2, a full window plus as much again waiting in
+//     blocked pushes — the job sheds pushes with ErrOverloaded (HTTP 429 +
+//     Retry-After) instead of letting backpressure stall the daemon,
 //     resuming at half the bound so admission does not flap.
 
 import (
@@ -40,7 +40,9 @@ const (
 	maxShareBoost = 4
 	// maxNodesWanted caps one job's advisory node demand.
 	maxNodesWanted = 8
-	// shedRetryAfter is the Retry-After hint a shed push carries.
+	// forecastEvery is the queue-depth sampling interval.
+	forecastEvery = 20 * time.Millisecond
+	// shedRetryAfter is a shed push's Retry-After hint, whole seconds.
 	shedRetryAfter = time.Second
 )
 
@@ -50,7 +52,7 @@ const (
 // startRunner.
 func (s *Service) forecastLoop(j *Job) {
 	depth := stats.NewTrendWindow(forecastWindow)
-	ticker := time.NewTicker(s.cfg.ForecastEvery)
+	ticker := time.NewTicker(forecastEvery)
 	defer ticker.Stop()
 	if j.pool != nil && s.cfg.Cluster != nil {
 		defer s.cfg.Cluster.SetWanted(j.name, 0)
@@ -83,7 +85,7 @@ func (s *Service) forecastStep(j *Job, depth *stats.TrendWindow, inFlight int) {
 		f = math.Max(depth.Predict(), 0)
 	}
 	window := float64(j.spec.Window)
-	shedBound := s.cfg.ShedFactor * window
+	shedBound := j.spec.shedFactor() * window
 	baseShare := j.spec.share()
 
 	// Admission control with hysteresis: shed above the bound, resume

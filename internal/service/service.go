@@ -90,18 +90,6 @@ type Config struct {
 	// Logger receives job lifecycle events as structured records carrying
 	// per-job fields (default: discard).
 	Logger *slog.Logger
-	// ShedFactor arms admission control for predictive jobs: pushes are
-	// shed with ErrOverloaded (HTTP 429 + Retry-After) once the job's
-	// queue-depth forecast exceeds ShedFactor × its window, and resume at
-	// half that (hysteresis). The forecast counts every committed task not
-	// yet completed; the daemon holds at most window + 1 of them, so the
-	// rest is load waiting outside the engine, in blocked pushes. Zero
-	// defaults to 2 (a further window waiting there); negative disables
-	// shedding.
-	ShedFactor float64
-	// ForecastEvery is the predictive queue-depth sampling interval
-	// (default 20ms).
-	ForecastEvery time.Duration
 }
 
 const (
@@ -120,12 +108,6 @@ func (c Config) withDefaults() Config {
 	c.Workers = max(c.Workers, 2)
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.ShedFactor == 0 {
-		c.ShedFactor = 2
-	}
-	if c.ForecastEvery <= 0 {
-		c.ForecastEvery = 20 * time.Millisecond
 	}
 	return c
 }
@@ -161,6 +143,10 @@ type Service struct {
 	calOnce sync.Once
 	ranking calibrate.Ranking
 	calErr  error
+
+	// forecastByHand keeps predictive jobs' forecast loops from starting,
+	// so a test can drive forecastStep sample by sample.
+	forecastByHand bool
 }
 
 // New builds a service over a fresh local runtime and platform. The
@@ -306,10 +292,6 @@ var (
 	// a Retry-After hint; retry after the queue drains.
 	ErrOverloaded = errors.New("job overloaded")
 )
-
-// RetryAfter is the hint returned alongside ErrOverloaded — how long a
-// shed caller should wait before retrying.
-func (s *Service) RetryAfter() time.Duration { return shedRetryAfter }
 
 // Cluster returns the coordinator serving `placement: cluster` jobs (nil
 // when the daemon runs without one).
@@ -654,7 +636,9 @@ func (s *Service) startRunner(j *Job) error {
 		j.mu.Lock()
 		j.effShare = j.spec.share()
 		j.mu.Unlock()
-		go s.forecastLoop(j)
+		if !s.forecastByHand {
+			go s.forecastLoop(j)
+		}
 	}
 	j.tr.Append(trace.Event{At: s.l.Now(), Kind: trace.KindPhaseStart, Msg: "stream"})
 	j.tr.Append(trace.Event{At: s.l.Now(), Kind: trace.KindPhaseStart, Msg: "warmup"})

@@ -301,8 +301,7 @@ func TestRecoveryPushCutShortByNodeLoss(t *testing.T) {
 	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
 	t.Cleanup(coord.Close)
 	worker, err := cluster.StartWorker(cluster.WorkerConfig{
-		Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2, BenchSpin: 10_000,
-		Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+		Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,8 +454,7 @@ func TestRecoveryClusterJobWithoutCoordinator(t *testing.T) {
 		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
 		t.Cleanup(coord.Close)
 		worker, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2, BenchSpin: 10_000,
-			Heartbeat: 50 * time.Millisecond, LeaseWait: 100 * time.Millisecond,
+			Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -83,8 +83,7 @@ func TestObservabilityE2E(t *testing.T) {
 	worker := startProc(t, graspworker,
 		"-coordinator", fmt.Sprintf("http://127.0.0.1:%d", clusterPort),
 		"-id", "obs-w1",
-		"-capacity", "2", "-heartbeat", "100ms",
-		"-bench-spin", "100000", "-lease-wait", "200ms",
+		"-capacity", "2",
 		"-debug-addr", fmt.Sprintf("127.0.0.1:%d", wDebugPort),
 		"-log-format", "json")
 	defer func() {

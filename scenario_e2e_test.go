@@ -38,9 +38,8 @@ type scenarioStatus struct {
 	} `json:"nodes"`
 }
 
-// startScenarioDaemon boots a graspd that samples the predictive policy's
-// queue-depth forecast every millisecond and waits for it to come healthy, returning the API base URL and the
-// coordinator URL for workers.
+// startScenarioDaemon boots a graspd and waits for it to come healthy,
+// returning the API base URL and the coordinator URL for workers.
 func startScenarioDaemon(t *testing.T, graspd string, extra ...string) (api, coordinator string, daemon *e2eProc) {
 	t.Helper()
 	apiPort, clusterPort := freePort(t), freePort(t)
@@ -50,7 +49,6 @@ func startScenarioDaemon(t *testing.T, graspd string, extra ...string) (api, coo
 		"-addr", fmt.Sprintf("127.0.0.1:%d", apiPort),
 		"-cluster-listen", fmt.Sprintf("127.0.0.1:%d", clusterPort),
 		"-workers", "2",
-		"-forecast-every", "1ms",
 	}, extra...)
 	daemon = startProc(t, graspd, args...)
 	t.Cleanup(func() {
@@ -74,8 +72,7 @@ func startScenarioWorkers(t *testing.T, graspworker, coordinator, api string, n 
 		id := fmt.Sprintf("scn-w%d", i+1)
 		args := []string{
 			"-coordinator", coordinator, "-id", id,
-			"-capacity", "2", "-heartbeat", "100ms",
-			"-bench-spin", "100000", "-lease-wait", "200ms",
+			"-capacity", "2",
 		}
 		if extraFor != nil {
 			args = append(args, extraFor(id)...)
@@ -107,8 +104,7 @@ func TestScenarioE2EFlashCrowd(t *testing.T) {
 	graspd, graspworker := buildE2EBinaries(t)
 	// Tight bound (1 × a window of 4) and slow tasks: the trickle alone
 	// overruns admission, so shedding is engaged well before the burst.
-	api, coordinator, _ := startScenarioDaemon(t, graspd,
-		"-shed-factor", "1", "-dead-after", "2s")
+	api, coordinator, _ := startScenarioDaemon(t, graspd, "-dead-after", "2s")
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
 
 	out := driveAll(t, 90*time.Second, drive{
@@ -133,9 +129,8 @@ func TestScenarioE2EFlashCrowd(t *testing.T) {
 }
 
 // flashCreate is the flash-crowd job: predictive, on the cluster, with a
-// window of 4 that the daemon's -shed-factor 1 turns into the admission
-// bound.
-var flashCreate = map[string]any{"window": 4, "placement": "cluster", "adapt": "predictive"}
+// window of 4 that its shed_factor of 1 turns into the admission bound.
+var flashCreate = map[string]any{"window": 4, "placement": "cluster", "adapt": "predictive", "shed_factor": 1}
 
 // TestScenarioE2EDurableFlashCrowd re-runs the flash crowd against a
 // journaling daemon: every admitted push crosses the group-commit wal
@@ -152,8 +147,7 @@ func TestScenarioE2EDurableFlashCrowd(t *testing.T) {
 	}
 	graspd, graspworker := buildE2EBinaries(t)
 	api, coordinator, _ := startScenarioDaemon(t, graspd,
-		"-shed-factor", "1", "-dead-after", "2s",
-		"-data-dir", t.TempDir())
+		"-dead-after", "2s", "-data-dir", t.TempDir())
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
 
 	crowd := drive{create: flashCreate, api: api, tasks: 60, batch: 6, sleepUS: 20_000, trickle: 10 * time.Millisecond}
@@ -209,9 +203,7 @@ func TestScenarioE2ESlowNode(t *testing.T) {
 		t.Skip("multi-process scenario suite skipped in -short mode (CI runs it in its own job)")
 	}
 	graspd, graspworker := buildE2EBinaries(t)
-	// Shedding off: this scenario isolates the slow-node half.
-	api, coordinator, _ := startScenarioDaemon(t, graspd,
-		"-shed-factor", "-1", "-dead-after", "2s")
+	api, coordinator, _ := startScenarioDaemon(t, graspd, "-dead-after", "2s")
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, func(id string) []string {
 		if id == "scn-w2" {
 			return []string{"-degrade-after", "200ms", "-degrade-factor", "6"}
@@ -220,7 +212,8 @@ func TestScenarioE2ESlowNode(t *testing.T) {
 	})
 
 	code, err := httpJSON(t, "POST", api+"/api/v1/jobs", map[string]any{
-		"name": "slow", "placement": "cluster", "adapt": "predictive",
+		// Shedding off: this scenario isolates the slow-node half.
+		"name": "slow", "placement": "cluster", "adapt": "predictive", "shed_factor": -1,
 	}, nil)
 	if err != nil || code != http.StatusCreated {
 		t.Fatalf("create slow: HTTP %d err %v", code, err)
@@ -363,9 +356,6 @@ func TestDriveClusterScenario(t *testing.T) {
 			Coordinator: "http://" + ln.Addr().String(),
 			ID:          fmt.Sprintf("drive-n%d", i),
 			Capacity:    2,
-			BenchSpin:   10_000,
-			Heartbeat:   100 * time.Millisecond,
-			LeaseWait:   100 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
