@@ -13,8 +13,7 @@
 //	graspd -addr :8080 -workers 8
 //
 // Every per-job parameter — window, warm-up, threshold factor, result
-// retention, share, adaptation policy, admission factor — is set in the
-// job's create body.
+// retention, share, adaptation policy — is set in the job's create body.
 //
 // Serve with the distributed worker-node subsystem enabled (graspworker
 // processes register on the cluster listener; jobs created with
@@ -31,6 +30,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -71,6 +71,16 @@ func shutdownOnSignal(sigc <-chan os.Signal, s *service.Service, exit func(int))
 	exit(0)
 }
 
+// checkDeadAfter refuses a -dead-after under 3ms: a coordinator
+// advertises a heartbeat of a third of it in whole milliseconds, which
+// below 3ms rounds to none.
+func checkDeadAfter(d time.Duration) error {
+	if d < 3*time.Millisecond {
+		return fmt.Errorf("-dead-after must be at least 3ms, got %v", d)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
@@ -89,12 +99,6 @@ func main() {
 		log.Fatal(lerr)
 	}
 	slog.SetDefault(logger)
-	// A coordinator advertises a heartbeat of DeadAfter/3 in whole
-	// milliseconds; below 3ms that rounds to none.
-	if *deadAfter < 3*time.Millisecond {
-		logger.Error("graspd: -dead-after must be at least 3ms", "dead_after", deadAfter.String())
-		os.Exit(2)
-	}
 
 	cfg := service.Config{
 		Workers: *workers,
@@ -103,6 +107,10 @@ func main() {
 	}
 	var coord *cluster.Coordinator
 	if *clusterListen != "" {
+		if err := checkDeadAfter(*deadAfter); err != nil {
+			logger.Error("graspd: "+err.Error(), "dead_after", deadAfter.String())
+			os.Exit(2)
+		}
 		coord = cluster.NewCoordinator(cluster.Config{
 			DeadAfter: *deadAfter,
 			Logger:    logger.With("component", "cluster"),

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -433,54 +432,35 @@ func buildGraspd(t *testing.T) string {
 // in whole milliseconds, so below 3ms workers are told to beat never and
 // fall back to once a second while the sweep declares every node dead;
 // below 4ns the sweep's ticker panics at startup, and a negative value
-// would silently mean 3s. graspd refuses each such -dead-after, exiting
-// non-zero with an error that names the value, and serves at 3ms.
+// would silently mean 3s. graspd refuses each such -dead-after with an
+// error that names the value, and exits non-zero.
 func TestDeadAfterFloor(t *testing.T) {
-	bin := buildGraspd(t)
-	start := func(extra ...string) (*exec.Cmd, *bufio.Scanner) {
-		args := append([]string{"-addr", "127.0.0.1:0", "-cluster-listen", "127.0.0.1:0"}, extra...)
-		cmd := exec.Command(bin, args...)
-		stderr, err := cmd.StderrPipe()
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		d    time.Duration
+		want bool
+	}{
+		{3 * time.Millisecond, true},
+		{3 * time.Second, true},
+		{2999 * time.Microsecond, false},
+		{time.Millisecond, false},
+		{2 * time.Nanosecond, false},
+		{0, false},
+		{-time.Second, false},
+	} {
+		err := checkDeadAfter(tc.d)
+		switch {
+		case (err == nil) != tc.want:
+			t.Errorf("checkDeadAfter(%v) = %v, want accepted %v", tc.d, err, tc.want)
+		case err != nil && !(strings.Contains(err.Error(), "-dead-after") && strings.Contains(err.Error(), tc.d.String())):
+			t.Errorf("checkDeadAfter(%v) = %q, want an error naming the flag and the value", tc.d, err)
 		}
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		// A daemon that neither refuses nor serves is killed, ending its log.
-		hang := time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() })
-		t.Cleanup(func() { hang.Stop(); cmd.Process.Kill(); cmd.Wait() })
-		return cmd, bufio.NewScanner(stderr)
 	}
-	// serves reads the daemon's log until it exits or starts serving.
-	serves := func(sc *bufio.Scanner) (log string, serving bool) {
-		var b strings.Builder
-		for sc.Scan() {
-			b.WriteString(sc.Text() + "\n")
-			if strings.Contains(sc.Text(), "graspd serving") {
-				return b.String(), true
-			}
-		}
-		return b.String(), false
-	}
-	for _, v := range []string{"2.999ms", "1ms", "2ns", "0s", "-1s"} {
-		t.Run(v, func(t *testing.T) {
-			cmd, sc := start("-dead-after", v)
-			log, serving := serves(sc)
-			if serving {
-				t.Fatalf("graspd -dead-after %s started serving, want a refusal:\n%s", v, log)
-			}
-			err := cmd.Wait()
-			if code := cmd.ProcessState.ExitCode(); code <= 0 {
-				t.Errorf("graspd -dead-after %s exited %d (%v), want a non-zero status", v, code, err)
-			}
-			if !strings.Contains(log, "-dead-after") || !strings.Contains(log, "dead_after="+v) {
-				t.Errorf("graspd -dead-after %s said %q, want an error naming the flag and the value", v, log)
-			}
-		})
-	}
-	_, sc := start("-dead-after", "3ms")
-	if log, serving := serves(sc); !serving {
-		t.Errorf("graspd -dead-after 3ms did not start serving:\n%s", log)
+
+	cmd := exec.Command(buildGraspd(t), "-addr", "127.0.0.1:0", "-cluster-listen", "127.0.0.1:0", "-dead-after", "1ms")
+	hang := time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() }) // a daemon that serves instead
+	defer hang.Stop()
+	out, err := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code <= 0 || !strings.Contains(string(out), "dead_after=1ms") {
+		t.Errorf("graspd -dead-after 1ms exited %d (%v), want a non-zero status and an error naming the value:\n%s", code, err, out)
 	}
 }

@@ -176,7 +176,7 @@
 // backlog autoscales the job's effective fair share through the allocator
 // — a cluster job instead records advisory node demand with the
 // coordinator, surfaced on /api/v1/nodes for an external autoscaler — and,
-// past the spec's shed_factor × window (default 2), admission control
+// past twice the job's window, admission control
 // sheds further pushes with HTTP 429 + Retry-After until the forecast
 // falls back,
 // shedding load instead of buffering it without bound. loadgen grows

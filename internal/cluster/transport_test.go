@@ -459,3 +459,45 @@ func TestReRegisterOncePerStaleGeneration(t *testing.T) {
 		t.Fatalf("8 loops holding generation %d re-registered %d times, want once", stale, got)
 	}
 }
+
+// TestReRegisterTakesTheNewHeartbeat: a worker beats at the interval its
+// latest register reply advertised, not its first. A coordinator restarted
+// on the same address with a tenth of the dead-after advertises a tenth of
+// the interval; a worker still beating at the old one would be declared
+// dead while its leases park for their 2 s, then re-register, over and
+// over.
+func TestReRegisterTakesTheNewHeartbeat(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := NewServer(testCoordinator(t, 3*time.Second)) // advertises 1 s
+	go first.Serve(ln)
+	w := startWorkerWith(t, WorkerConfig{Coordinator: "http://" + ln.Addr().String(), ID: "w", Capacity: 1})
+	first.Close()
+
+	// Advertises 100 ms, and lets a lease park for the worker's full 2 s.
+	co := NewCoordinator(Config{DeadAfter: 300 * time.Millisecond})
+	t.Cleanup(co.Close)
+	ln, err = net.Listen("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := NewServer(co)
+	go restarted.Serve(ln)
+	t.Cleanup(restarted.Close)
+
+	registers := co.Metrics().Counter("cluster_registers_total")
+	for deadline := time.Now().Add(5 * time.Second); registers.Value() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never re-registered with the restarted coordinator")
+		}
+	}
+	time.Sleep(1500 * time.Millisecond) // five dead-afters
+	if n := registers.Value(); n != 1 {
+		t.Errorf("the worker registered %d times with the restarted coordinator in 1.5 s, want once", n)
+	}
+	if nodes := co.Nodes(); len(nodes) != 1 || nodes[0].State != StateLive || nodes[0].Gen != w.gen.Load() {
+		t.Errorf("nodes %+v, want w live at generation %d", nodes, w.gen.Load())
+	}
+}

@@ -136,6 +136,11 @@ type Worker struct {
 	gen   atomic.Int64 // the registration's generation, renewed by reRegister
 	reg   sync.Mutex   // held from reRegister's generation check through its register
 
+	// heartbeat carries each register reply's interval to heartbeatLoop,
+	// so a coordinator restarted with another dead-after sets the beat of
+	// every worker that re-registers with it.
+	heartbeat chan time.Duration
+
 	// Observability: lease round-trip distribution (the worker-side view
 	// of dispatch latency — long-poll waits included) and how long
 	// executors sat without a task on a lease that then delivered one.
@@ -225,21 +230,21 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	w := &Worker{
-		cfg:   cfg,
-		log:   cfg.Logger,
-		speed: benchmark(),
-		tr:    tr,
-		start: time.Now(),
-		stop:  make(chan struct{}),
+		cfg:       cfg,
+		log:       cfg.Logger,
+		speed:     benchmark(),
+		tr:        tr,
+		start:     time.Now(),
+		stop:      make(chan struct{}),
+		heartbeat: make(chan time.Duration, 1),
 	}
 	w.hLeaseRTT = cfg.Registry.Histogram("worker_lease_rtt_seconds", metrics.DefDurationBuckets)
 	w.hExecWait = cfg.Registry.Histogram("worker_executor_wait_seconds", metrics.DefDurationBuckets)
 	w.mExecuted = cfg.Registry.Counter("worker_tasks_executed_total")
 	w.mLeases = cfg.Registry.Counter("worker_leases_total")
 	w.mLeasesAhead = cfg.Registry.Counter("worker_leases_ahead_total")
-	var hb time.Duration
 	for giveUp := time.Now().Add(registerWindow); ; {
-		hb, err = w.register()
+		err = w.register()
 		if err == nil {
 			break
 		}
@@ -253,7 +258,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		"node", cfg.ID, "coordinator", cfg.Coordinator, "speed_ops", w.speed,
 		"capacity", cfg.Capacity, "transport", tr.Name())
 	w.wg.Add(1)
-	go w.heartbeatLoop(hb)
+	go w.heartbeatLoop()
 	for i := 0; i < cfg.Capacity; i++ {
 		ahead := &aheadLease{issue: make(chan struct{}, 1), done: make(chan struct{}, 1)}
 		w.wg.Add(2)
@@ -290,9 +295,9 @@ func (w *Worker) Stop() {
 	})
 }
 
-// register (re-)registers, installs the fresh generation, and returns the
+// register (re-)registers and installs the fresh generation and the
 // coordinator-advertised heartbeat interval.
-func (w *Worker) register() (time.Duration, error) {
+func (w *Worker) register() error {
 	resp, err := w.tr.Register(RegisterRequest{
 		ID:         w.cfg.ID,
 		Capacity:   w.cfg.Capacity,
@@ -300,14 +305,19 @@ func (w *Worker) register() (time.Duration, error) {
 		Transports: []string{w.tr.Name()},
 	})
 	if err != nil {
-		return 0, fmt.Errorf("cluster: register %s with %s: %w", w.cfg.ID, w.cfg.Coordinator, err)
+		return fmt.Errorf("cluster: register %s with %s: %w", w.cfg.ID, w.cfg.Coordinator, err)
 	}
 	w.gen.Store(resp.Gen)
 	hb := time.Duration(resp.HeartbeatMS) * time.Millisecond
 	if hb <= 0 {
 		hb = time.Second
 	}
-	return hb, nil
+	select {
+	case <-w.heartbeat: // unread by the loop: hb replaces it
+	default:
+	}
+	w.heartbeat <- hb // never blocks: no two registers overlap
+	return nil
 }
 
 // reRegister refreshes a superseded registration, but only once per stale
@@ -329,7 +339,7 @@ func (w *Worker) reRegister(staleGen int64) {
 		w.reg.Unlock()
 		return // someone else already re-registered
 	}
-	_, err := w.register()
+	err := w.register()
 	w.reg.Unlock()
 	if err != nil {
 		w.log.Warn("re-register failed", "node", w.cfg.ID, "err", err)
@@ -339,15 +349,19 @@ func (w *Worker) reRegister(staleGen int64) {
 	w.log.Info("worker re-registered", "node", w.cfg.ID, "gen", w.gen.Load())
 }
 
-// heartbeatLoop keeps the registration alive, beating every interval.
-func (w *Worker) heartbeatLoop(interval time.Duration) {
+// heartbeatLoop keeps the registration alive, beating at the interval
+// the latest register reply advertised.
+func (w *Worker) heartbeatLoop() {
 	defer w.wg.Done()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(<-w.heartbeat)
 	defer t.Stop()
 	for {
 		select {
 		case <-w.stop:
 			return
+		case every := <-w.heartbeat:
+			t.Reset(every)
+			continue
 		case <-t.C:
 		}
 		gen := w.gen.Load()

@@ -13,7 +13,7 @@ import (
 )
 
 // TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine pins what the shed
-// bound measures at the default shed_factor (2 × window). A job's queue
+// bound measures at shedFactor (2 × window). A job's queue
 // depth is window + 1 tasks held by the daemon plus whatever sits in
 // blocked pushes, so one well-behaved closed-loop client — a quarter
 // window per push, the next push only after the last returned — never
@@ -40,10 +40,14 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{Workers: 2})
+			s.forecastByHand = true
 			j, err := s.Submit("adm", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A sample every millisecond, not every forecastEvery: a
+			// thousand chances a second to shed the lone client.
+			go s.forecastLoop(j, time.Millisecond)
 			var (
 				wg              sync.WaitGroup
 				nextID          atomic.Int64
@@ -150,7 +154,7 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{Workers: 2})
 			s.forecastByHand = true // the loop never samples: the test does
-			j, err := s.Submit("young", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive, ShedFactor: 2})
+			j, err := s.Submit("young", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,11 +176,12 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 }
 
 // TestForecastAutoscalesTheShare drives the share autoscaler with a
-// synthetic flash crowd: a local predictive job beside a calm competitor,
-// shedding off. A queue forecast of five windows lifts the job's
-// effective share above its declared one and pulls a worker slot from the
-// competitor, traced as one "share autoscaled" forecast event; the job
-// never sheds; a calm series gives the slot back.
+// synthetic flash crowd: a local predictive job beside a calm competitor.
+// A queue forecast of just under two windows, the most the shed bound
+// admits, lifts the job's effective share above its declared one and
+// pulls a worker slot from the competitor, traced as one "share
+// autoscaled" forecast event; the job never sheds; a calm series gives
+// the slot back.
 func TestForecastAutoscalesTheShare(t *testing.T) {
 	const window = 8
 	s := New(Config{Workers: 4})
@@ -185,7 +190,7 @@ func TestForecastAutoscalesTheShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crowd, err := s.Submit("crowd", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive, ShedFactor: -1})
+	crowd, err := s.Submit("crowd", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +200,7 @@ func TestForecastAutoscalesTheShare(t *testing.T) {
 	}
 	depth := stats.NewTrendWindow(forecastWindow)
 	for i := 0; i < forecastWindow/2; i++ {
-		s.forecastStep(crowd, depth, 5*window)
+		s.forecastStep(crowd, depth, shedFactor*window-1)
 	}
 	st := crowd.Status()
 	if st.QueueForecast <= window || st.EffectiveShare <= st.Share || st.Workers <= before.Workers {
@@ -222,7 +227,7 @@ func TestForecastAutoscalesTheShare(t *testing.T) {
 		t.Errorf("after the calm: share %.2f on %d workers, want the declared %.2f on %d", st.EffectiveShare, st.Workers, st.Share, before.Workers)
 	}
 	if st.Shedding || st.Shed != 0 {
-		t.Errorf("shedding=%v shed=%d with shedding off", st.Shedding, st.Shed)
+		t.Errorf("shedding=%v shed=%d under the shed bound", st.Shedding, st.Shed)
 	}
 	for _, j := range []*Job{crowd, steady} {
 		if err := j.CloseInput(); err != nil {

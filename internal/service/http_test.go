@@ -557,8 +557,6 @@ func TestHTTPRejectsInvalidJobSpec(t *testing.T) {
 		{"farm with stages", `{"name":"bad","stages":[{},{}]}`},
 		{"dmap with negative wave", `{"name":"bad","skeleton":"dmap","wave_size":-3}`},
 		{"dmap with bad alpha", `{"name":"bad","skeleton":"dmap","alpha":1.5}`},
-		{"shed_factor on a reactive farm", `{"name":"bad","adapt":"reactive","shed_factor":1}`},
-		{"shed_factor with no adapt", `{"name":"bad","shed_factor":-1}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

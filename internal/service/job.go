@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -99,13 +98,6 @@ type JobSpec struct {
 	// worker trends and the queue depth, reweight pre-breach, autoscale the
 	// share, and shed overload with 429s). Omitted: reactive.
 	Adapt string `json:"adapt,omitempty"`
-	// ShedFactor arms admission control (predictive only): once the
-	// queue-depth forecast, every committed task not yet completed,
-	// exceeds ShedFactor × the window, pushes are shed with ErrOverloaded
-	// (HTTP 429 + Retry-After) until it falls below half that. The daemon
-	// holds window + 1 of them, so the default 2 sheds about a window
-	// waiting in blocked pushes. Omitted or 0: 2; negative: never shed.
-	ShedFactor float64 `json:"shed_factor,omitempty"`
 }
 
 // StageSpec describes one stage of a pipeline job: each submitted task
@@ -138,9 +130,6 @@ func (js JobSpec) withDefaults(workers int) JobSpec {
 	js.MaxResults = min(js.MaxResults, 1_000_000)
 	if js.Adapt == "" {
 		js.Adapt = AdaptReactive
-	}
-	if js.predictive() {
-		js.ShedFactor = js.shedFactor()
 	}
 	return js
 }
@@ -176,9 +165,6 @@ func (js JobSpec) Validate() error {
 	case "", AdaptReactive, AdaptPredictive:
 	default:
 		return fmt.Errorf("unknown adapt policy %q (have reactive, predictive)", js.Adapt)
-	}
-	if js.ShedFactor != 0 && (!js.predictive() || math.IsNaN(js.ShedFactor) || math.IsInf(js.ShedFactor, 0)) {
-		return fmt.Errorf("shed_factor must be finite and applies to predictive jobs only, got %g on a %s job", js.ShedFactor, js.adapt())
 	}
 	switch js.Skeleton {
 	case adapt.Pipeline:
@@ -244,15 +230,6 @@ func (js JobSpec) share() float64 {
 		return 1
 	}
 	return *js.Share
-}
-
-// shedFactor returns the resolved admission factor: a spec journaled
-// before the field existed replays with 0.
-func (js JobSpec) shedFactor() float64 {
-	if js.ShedFactor == 0 {
-		return 2
-	}
-	return js.ShedFactor
 }
 
 // TaskSpec is one unit of submitted work in wire form. SleepUS models

@@ -16,11 +16,11 @@ package service
 //     extra worker nodes with the coordinator (SetWanted), surfaced on
 //     /api/v1/nodes and the cluster_nodes_wanted gauge for an external
 //     autoscaler to act on;
-//   - admission control: once the forecast exceeds shed_factor × window —
-//     with the default 2, a full window plus as much again waiting in
-//     blocked pushes — the job sheds pushes with ErrOverloaded (HTTP 429 +
-//     Retry-After) instead of letting backpressure stall the daemon,
-//     resuming at half the bound so admission does not flap.
+//   - admission control: once the forecast exceeds shedFactor × window —
+//     a full window plus as much again waiting in blocked pushes — the job
+//     sheds pushes with ErrOverloaded (HTTP 429 + Retry-After) instead of
+//     letting backpressure stall the daemon, resuming at half the bound so
+//     admission does not flap.
 
 import (
 	"fmt"
@@ -42,17 +42,20 @@ const (
 	maxNodesWanted = 8
 	// forecastEvery is the queue-depth sampling interval.
 	forecastEvery = 20 * time.Millisecond
+	// shedFactor × the window is the admission bound on the queue-depth
+	// forecast: about a window waiting in blocked pushes.
+	shedFactor = 2
 	// shedRetryAfter is a shed push's Retry-After hint, whole seconds.
 	shedRetryAfter = time.Second
 )
 
-// forecastLoop samples a predictive job's queue depth until the job (or
-// the service) is done, adjusting share/node demand and the admission
-// state from the forecast. One goroutine per predictive job, started by
-// startRunner.
-func (s *Service) forecastLoop(j *Job) {
+// forecastLoop samples a predictive job's queue depth every interval
+// until the job (or the service) is done, adjusting share/node demand and
+// the admission state from the forecast. One goroutine per predictive job,
+// started by startRunner at forecastEvery.
+func (s *Service) forecastLoop(j *Job, every time.Duration) {
 	depth := stats.NewTrendWindow(forecastWindow)
-	ticker := time.NewTicker(forecastEvery)
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	if j.pool != nil && s.cfg.Cluster != nil {
 		defer s.cfg.Cluster.SetWanted(j.name, 0)
@@ -85,7 +88,7 @@ func (s *Service) forecastStep(j *Job, depth *stats.TrendWindow, inFlight int) {
 		f = math.Max(depth.Predict(), 0)
 	}
 	window := float64(j.spec.Window)
-	shedBound := j.spec.shedFactor() * window
+	shedBound := shedFactor * window
 	baseShare := j.spec.share()
 
 	// Admission control with hysteresis: shed above the bound, resume
@@ -93,12 +96,10 @@ func (s *Service) forecastStep(j *Job, depth *stats.TrendWindow, inFlight int) {
 	j.mu.Lock()
 	j.queueForecast = f
 	was := j.shedding
-	if shedBound > 0 {
-		if !was && f > shedBound {
-			j.shedding = true
-		} else if was && f < shedBound/2 {
-			j.shedding = false
-		}
+	if !was && f > shedBound {
+		j.shedding = true
+	} else if was && f < shedBound/2 {
+		j.shedding = false
 	}
 	shedding := j.shedding
 	j.mu.Unlock()

@@ -437,52 +437,6 @@ func TestRecoveryReplaysALostCountFromAnOlderBuild(t *testing.T) {
 	}
 }
 
-// TestRecoveryReplaysASpecWithoutShedFactor: earlier builds took the
-// admission factor from the daemon, so a predictive job's journaled spec
-// has no shed_factor and replays with 0. It must still shed at the
-// default 2 × window, never turn shedding off: a backlog of 40 slow tasks
-// on a window of 4 is a forecast five times the bound, and the resumed
-// job sheds while it drains.
-func TestRecoveryReplaysASpecWithoutShedFactor(t *testing.T) {
-	dir := t.TempDir()
-	store, _, err := journal.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, err := json.Marshal(walRecord{Kind: walTasks, Job: "old", Tasks: burst(0, 40, 50_000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	create := []byte(`{"kind":"create","job":"old","spec":{"share":1,"window":4,"threshold_factor":4,"warmup":4,"max_results":100000,"adapt":"predictive"}}`)
-	if err := store.AppendBatch([][]byte{create, tasks}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
-
-	s := durableService(t, dir)
-	defer s.Close()
-	j, ok := s.Job("old")
-	if !ok {
-		t.Fatal("journaled job not recovered")
-	}
-	if j.spec.ShedFactor != 0 || j.spec.shedFactor() != 2 {
-		t.Errorf("replayed shed_factor %g resolves to %g, want 0 resolving to 2", j.spec.ShedFactor, j.spec.shedFactor())
-	}
-	if err := j.CloseInput(); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j, 20*time.Second)
-	if n := s.reg.Counter("service_shed_activations_total").Value(); n != 1 {
-		t.Errorf("admission control engaged %d times while 40 tasks drained through a window of 4, want once", n)
-	}
-	if st := j.Status(); st.Completed != 40 || st.Lost != 0 {
-		t.Errorf("completed %d and lost %d of 40", st.Completed, st.Lost)
-	}
-}
-
 // TestRecoveryReplaysAFleetRecordFromAnOlderBuild: earlier builds
 // journaled the coordinator's live registrations beside its ceilings. The
 // record below is such a build's journal byte for byte — magic 0xA7,

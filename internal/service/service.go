@@ -145,7 +145,8 @@ type Service struct {
 	calErr  error
 
 	// forecastByHand keeps predictive jobs' forecast loops from starting,
-	// so a test can drive forecastStep sample by sample.
+	// so a test can drive forecastStep sample by sample, or run the loop
+	// at its own interval.
 	forecastByHand bool
 }
 
@@ -637,7 +638,7 @@ func (s *Service) startRunner(j *Job) error {
 		j.effShare = j.spec.share()
 		j.mu.Unlock()
 		if !s.forecastByHand {
-			go s.forecastLoop(j)
+			go s.forecastLoop(j, forecastEvery)
 		}
 	}
 	j.tr.Append(trace.Event{At: s.l.Now(), Kind: trace.KindPhaseStart, Msg: "stream"})

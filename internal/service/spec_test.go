@@ -5,9 +5,7 @@ package service
 // cluster job, its pool.
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -47,18 +45,15 @@ func TestSpecDefaultsResolve(t *testing.T) {
 		window     int
 		maxResults int
 		adapt      string
-		shedFactor float64 // as resolved: 0 on a reactive job
 	}{
-		{"local-farm", `"skeleton":"farm","window":64,"max_results":20000`, 64, 20000, AdaptReactive, 0},
-		{"local-pipeline", `"skeleton":"pipeline","window":64,"max_results":20000,` + stages, 64, 20000, AdaptReactive, 0},
-		{"local-dmap", `"skeleton":"dmap","window":64,"max_results":20000`, 64, 20000, AdaptReactive, 0},
-		{"cluster-farm", `"skeleton":"farm","window":64,"max_results":20000,"placement":"cluster"`, 64, 20000, AdaptReactive, 0},
-		{"cluster-degrade", `"skeleton":"farm","window":32,"max_results":20000,"placement":"cluster","adapt":"reactive"`, 32, 20000, AdaptReactive, 0},
-		{"local-no-window", `"adapt":"predictive","max_results":5000000`, 4, 1_000_000, AdaptPredictive, 2},
-		{"cluster-no-window", `"placement":"cluster"`, 32, 100_000, AdaptReactive, 0},
-		{"window-at-the-bound", `"window":65536,"adapt":"predictive"`, maxWindow, 100_000, AdaptPredictive, 2},
-		{"predictive-shed-default", `"adapt":"predictive","shed_factor":0`, 4, 100_000, AdaptPredictive, 2},
-		{"predictive-never-shed", `"adapt":"predictive","shed_factor":-1`, 4, 100_000, AdaptPredictive, -1},
+		{"local-farm", `"skeleton":"farm","window":64,"max_results":20000`, 64, 20000, AdaptReactive},
+		{"local-pipeline", `"skeleton":"pipeline","window":64,"max_results":20000,` + stages, 64, 20000, AdaptReactive},
+		{"local-dmap", `"skeleton":"dmap","window":64,"max_results":20000`, 64, 20000, AdaptReactive},
+		{"cluster-farm", `"skeleton":"farm","window":64,"max_results":20000,"placement":"cluster"`, 64, 20000, AdaptReactive},
+		{"cluster-degrade", `"skeleton":"farm","window":32,"max_results":20000,"placement":"cluster","adapt":"reactive"`, 32, 20000, AdaptReactive},
+		{"local-no-window", `"adapt":"predictive","max_results":5000000`, 4, 1_000_000, AdaptPredictive},
+		{"cluster-no-window", `"placement":"cluster"`, 32, 100_000, AdaptReactive},
+		{"window-at-the-bound", `"window":65536,"adapt":"predictive"`, maxWindow, 100_000, AdaptPredictive},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			doJSON(t, "POST", srv.URL+"/api/v1/jobs", fmt.Sprintf(`{"name":%q,%s}`, tc.name, tc.body), http.StatusCreated, nil)
@@ -69,27 +64,15 @@ func TestSpecDefaultsResolve(t *testing.T) {
 			defer j.CloseInput()
 			got := j.spec
 			if got.Window != tc.window || got.MaxResults != tc.maxResults || got.Adapt != tc.adapt ||
-				got.WarmupTasks != 4 || got.ThresholdFactor != 4 || got.share() != 1 || got.ShedFactor != tc.shedFactor {
-				t.Errorf("resolved window %d, max_results %d, adapt %s, warmup %d, threshold_factor %g, share %g, shed_factor %g; want %d, %d, %s, 4, 4, 1, %g",
-					got.Window, got.MaxResults, got.Adapt, got.WarmupTasks, got.ThresholdFactor, got.share(), got.ShedFactor,
-					tc.window, tc.maxResults, tc.adapt, tc.shedFactor)
+				got.WarmupTasks != 4 || got.ThresholdFactor != 4 || got.share() != 1 {
+				t.Errorf("resolved window %d, max_results %d, adapt %s, warmup %d, threshold_factor %g, share %g; want %d, %d, %s, 4, 4, 1",
+					got.Window, got.MaxResults, got.Adapt, got.WarmupTasks, got.ThresholdFactor, got.share(),
+					tc.window, tc.maxResults, tc.adapt)
 			}
 			if st := j.Status(); st.Window != tc.window {
 				t.Errorf("status window %d, want %d", st.Window, tc.window)
 			}
 		})
-	}
-}
-
-// TestSpecRefusesANonFiniteShedFactor: JSON cannot carry NaN or ±Inf, but
-// a Go caller can, and Submit refuses them as invalid.
-func TestSpecRefusesANonFiniteShedFactor(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer s.Close()
-	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := s.Submit("inf", JobSpec{Adapt: AdaptPredictive, ShedFactor: f}); !errors.Is(err, ErrInvalid) {
-			t.Errorf("shed_factor %g: err = %v, want ErrInvalid", f, err)
-		}
 	}
 }
 

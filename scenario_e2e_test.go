@@ -102,7 +102,7 @@ func TestScenarioE2EFlashCrowd(t *testing.T) {
 		t.Skip("multi-process scenario suite skipped in -short mode (CI runs it in its own job)")
 	}
 	graspd, graspworker := buildE2EBinaries(t)
-	// Tight bound (1 × a window of 4) and slow tasks: the trickle alone
+	// Tight bound (2 × a window of 2) and slow tasks: the trickle alone
 	// overruns admission, so shedding is engaged well before the burst.
 	api, coordinator, _ := startScenarioDaemon(t, graspd, "-dead-after", "2s")
 	startScenarioWorkers(t, graspworker, coordinator, api, 2, nil)
@@ -129,8 +129,11 @@ func TestScenarioE2EFlashCrowd(t *testing.T) {
 }
 
 // flashCreate is the flash-crowd job: predictive, on the cluster, with a
-// window of 4 that its shed_factor of 1 turns into the admission bound.
-var flashCreate = map[string]any{"window": 4, "placement": "cluster", "adapt": "predictive", "shed_factor": 1}
+// window of 2 and so an admission bound of 4. A bound of 8, on a window of
+// 4, can let the burst in unshed: the forecast of a queue draining out of
+// a blocked push falls under the resume level of 4 before the push
+// returns, and the next push lands on an accepting job.
+var flashCreate = map[string]any{"window": 2, "placement": "cluster", "adapt": "predictive"}
 
 // TestScenarioE2EDurableFlashCrowd re-runs the flash crowd against a
 // journaling daemon: every admitted push crosses the group-commit wal
@@ -212,15 +215,22 @@ func TestScenarioE2ESlowNode(t *testing.T) {
 	})
 
 	code, err := httpJSON(t, "POST", api+"/api/v1/jobs", map[string]any{
-		// Shedding off: this scenario isolates the slow-node half.
-		"name": "slow", "placement": "cluster", "adapt": "predictive", "shed_factor": -1,
+		"name": "slow", "placement": "cluster", "adapt": "predictive",
 	}, nil)
 	if err != nil || code != http.StatusCreated {
 		t.Fatalf("create slow: HTTP %d err %v", code, err)
 	}
 	// Two waves straddling the degrade instant: the first runs on a healthy
-	// fleet, the second lands after scn-w2 started straggling.
-	pushTasks(t, api, "slow", 0, 30, 20_000)
+	// fleet, the second lands after scn-w2 started straggling. This
+	// scenario isolates the slow-node half: a wave stays under the shed
+	// bound, 2 × the cluster job's default window of 32, and a push that
+	// is shed anyway is re-offered after its Retry-After.
+	waves := drive{api: api, name: "slow", sleepUS: 20_000}
+	var pushed driven
+	pushDeadline := time.Now().Add(60 * time.Second)
+	if err := waves.push(0, 30, pushDeadline, &pushed); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, 30*time.Second, "first wave past the degrade instant", func() bool {
 		var st scenarioStatus
 		httpJSON(t, "GET", api+"/api/v1/jobs/slow", nil, &st)
@@ -231,7 +241,9 @@ func TestScenarioE2ESlowNode(t *testing.T) {
 		return completed >= 15
 	})
 	time.Sleep(300 * time.Millisecond) // firmly past -degrade-after
-	pushTasks(t, api, "slow", 30, 30, 20_000)
+	if err := waves.push(30, 60, pushDeadline, &pushed); err != nil {
+		t.Fatal(err)
+	}
 	seen := drainJob(t, api, "slow", 60*time.Second)
 	assertExactlyOnce(t, "slow", seen, 60)
 
