@@ -30,7 +30,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -71,16 +70,6 @@ func shutdownOnSignal(sigc <-chan os.Signal, s *service.Service, exit func(int))
 	exit(0)
 }
 
-// checkDeadAfter refuses a -dead-after under 3ms: a coordinator
-// advertises a heartbeat of a third of it in whole milliseconds, which
-// below 3ms rounds to none.
-func checkDeadAfter(d time.Duration) error {
-	if d < 3*time.Millisecond {
-		return fmt.Errorf("-dead-after must be at least 3ms, got %v", d)
-	}
-	return nil
-}
-
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
@@ -107,8 +96,8 @@ func main() {
 	}
 	var coord *cluster.Coordinator
 	if *clusterListen != "" {
-		if err := checkDeadAfter(*deadAfter); err != nil {
-			logger.Error("graspd: "+err.Error(), "dead_after", deadAfter.String())
+		if err := cluster.CheckDeadAfter(*deadAfter); err != nil {
+			logger.Error("graspd: -dead-after refused", "err", err, "dead_after", deadAfter.String())
 			os.Exit(2)
 		}
 		coord = cluster.NewCoordinator(cluster.Config{

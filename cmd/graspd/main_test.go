@@ -108,7 +108,7 @@ func TestDaemonBreachEverySkeleton(t *testing.T) {
 	creates := map[string]string{
 		"farm":     `{"name":"%s","window":5,"warmup":3,"threshold_factor":3}`,
 		"pipeline": `{"name":"%s","window":5,"warmup":3,"threshold_factor":3,"skeleton":"pipeline","stages":[{"name":"a"},{"name":"b"},{"name":"c"}]}`,
-		"dmap":     `{"name":"%s","window":5,"warmup":3,"threshold_factor":3,"skeleton":"dmap","wave_size":4}`,
+		"dmap":     `{"name":"%s","window":5,"warmup":3,"threshold_factor":3,"skeleton":"dmap"}`,
 	}
 	for sk, createTmpl := range creates {
 		sk, createTmpl := sk, createTmpl
@@ -428,34 +428,10 @@ func buildGraspd(t *testing.T) string {
 	return bin
 }
 
-// TestDeadAfterFloor: a coordinator advertises a heartbeat of DeadAfter/3
-// in whole milliseconds, so below 3ms workers are told to beat never and
-// fall back to once a second while the sweep declares every node dead;
-// below 4ns the sweep's ticker panics at startup, and a negative value
-// would silently mean 3s. graspd refuses each such -dead-after with an
-// error that names the value, and exits non-zero.
+// TestDeadAfterFloor: graspd passes -dead-after to cluster.CheckDeadAfter
+// (whose table test is cluster's TestDeadAfterFloor) before it builds a
+// coordinator, and exits non-zero with an error that names the value.
 func TestDeadAfterFloor(t *testing.T) {
-	for _, tc := range []struct {
-		d    time.Duration
-		want bool
-	}{
-		{3 * time.Millisecond, true},
-		{3 * time.Second, true},
-		{2999 * time.Microsecond, false},
-		{time.Millisecond, false},
-		{2 * time.Nanosecond, false},
-		{0, false},
-		{-time.Second, false},
-	} {
-		err := checkDeadAfter(tc.d)
-		switch {
-		case (err == nil) != tc.want:
-			t.Errorf("checkDeadAfter(%v) = %v, want accepted %v", tc.d, err, tc.want)
-		case err != nil && !(strings.Contains(err.Error(), "-dead-after") && strings.Contains(err.Error(), tc.d.String())):
-			t.Errorf("checkDeadAfter(%v) = %q, want an error naming the flag and the value", tc.d, err)
-		}
-	}
-
 	cmd := exec.Command(buildGraspd(t), "-addr", "127.0.0.1:0", "-cluster-listen", "127.0.0.1:0", "-dead-after", "1ms")
 	hang := time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() }) // a daemon that serves instead
 	defer hang.Stop()

@@ -7,7 +7,9 @@
 //
 //	gridsim -nodes 8 -cv 0.5 -trace walk -horizon 60s -step 10s
 //
-// Trace kinds: idle, constant, step, square, walk, onoff, spikes.
+// Trace kinds: idle, constant, step, square, walk, onoff, spikes. The
+// grid's mean base speed (100 ops/s), its load level (0.5) and its seed
+// (42) are fixed, so a run is reproducible from its five flags.
 package main
 
 import (
@@ -21,22 +23,26 @@ import (
 	"grasp/internal/report"
 )
 
+// The grid parameters the package comment calls fixed.
+const (
+	meanSpeed = 100
+	level     = 0.5
+	seed      = 42
+)
+
 func main() {
 	var (
 		nodes   = flag.Int("nodes", 8, "number of nodes")
-		mean    = flag.Float64("speed", 100, "mean base speed (ops/s)")
 		cv      = flag.Float64("cv", 0.5, "coefficient of variation of base speeds")
 		kind    = flag.String("trace", "walk", "load trace kind: idle|constant|step|square|walk|onoff|spikes")
-		level   = flag.Float64("level", 0.5, "load level parameter for the trace")
 		horizon = flag.Duration("horizon", 60*time.Second, "sampling horizon")
 		step    = flag.Duration("step", 10*time.Second, "sampling step")
-		seed    = flag.Int64("seed", 42, "seed")
 	)
 	flag.Parse()
 
-	specs := grid.HeterogeneousSpecs(*seed, *nodes, *mean, *cv)
+	specs := grid.HeterogeneousSpecs(seed, *nodes, meanSpeed, *cv)
 	for i := range specs {
-		tr, err := makeTrace(*kind, *level, *seed+int64(i), *horizon)
+		tr, err := makeTrace(*kind, level, seed+int64(i), *horizon)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
 			os.Exit(2)

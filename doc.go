@@ -41,9 +41,8 @@
 //     window alone; breaches remap the bottleneck stage onto a spare
 //     worker, else swap it with the fastest stage's worker. The batch
 //     pipeline.Run has no loop of its own: each stage is a farm.Stream
-//     over a pool of one (window 1, or MaxReplicas for a replicable
-//     stage), and remap / replicate / crash-replace are membership
-//     updates of that stage's farm.
+//     over a pool of one (window 1), and remap / crash-replace are
+//     membership updates of that stage's farm.
 //   - skel/compose: the stage graph itself (RunFarms) — one farm.Stream
 //     per stage, window = pool size — plus demand-proportional pool
 //     sizing; compose.Run and pipeline.Run both run on it. With

@@ -156,10 +156,7 @@ func BenchmarkCodecJSONLeaseRoundTrip(b *testing.B) {
 func BenchmarkDispatchSteadyState(b *testing.B) {
 	for _, k := range []int{1, 16} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			co := NewCoordinator(Config{
-				DeadAfter:  time.Hour, // no death sweeps mid-benchmark
-				SweepEvery: time.Hour,
-			})
+			co := NewCoordinator(Config{DeadAfter: time.Hour}) // no death sweeps mid-benchmark
 			defer co.Close()
 			// Capacity 1: one lease takes the whole queued chunk.
 			reg, err := co.Register(RegisterRequest{ID: "bench-node", Capacity: 1})

@@ -309,7 +309,7 @@ func TestLeaseAheadKeepsCapacityShares(t *testing.T) {
 // for a lease parked ahead of a running task, and drops it with the task:
 // the leave fails the task over, and it completes, once, on the other node.
 func TestLeaseAheadStopsWithoutWaitingOutTheParkedLease(t *testing.T) {
-	co := NewCoordinator(Config{DeadAfter: time.Second, SweepEvery: 250 * time.Millisecond, MaxLeaseWait: 10 * time.Second})
+	co := NewCoordinator(Config{DeadAfter: time.Second})
 	t.Cleanup(co.Close)
 	url := startTestServer(t, co)
 	startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})
@@ -399,10 +399,7 @@ func TestHeldResults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// A short TTL turns a dropped result into a prompt redelivery,
 			// which the test then refuses, instead of a 90 s stall.
-			co := NewCoordinator(Config{
-				DeadAfter: time.Second, SweepEvery: 250 * time.Millisecond,
-				MaxLeaseWait: 200 * time.Millisecond, LeaseTTL: 2 * time.Second,
-			})
+			co := NewCoordinator(Config{DeadAfter: time.Second, leaseTTL: 2 * time.Second})
 			t.Cleanup(co.Close)
 			url := startTestServer(t, co)
 			startWorkerWith(t, WorkerConfig{Coordinator: url, ID: "a-live", Capacity: 1})

@@ -96,35 +96,31 @@ const (
 type Config struct {
 	// DeadAfter is how long a node may stay silent (no lease, result, or
 	// heartbeat traffic) before it is declared dead and its outstanding
-	// work reassigned (default 3s).
+	// work reassigned (default 3s; at least 3ms, see CheckDeadAfter). The
+	// other timings follow from it: the death sweep runs every quarter of
+	// it, and dead or departed registrations stay listed for 20 × it.
 	DeadAfter time.Duration
-	// SweepEvery is the death-sweep period (default DeadAfter/4).
-	SweepEvery time.Duration
-	// MaxLeaseWait bounds a lease long-poll (default 5s).
-	MaxLeaseWait time.Duration
-	// LeaseTTL bounds how long a leased execution may stay unresolved on a
-	// live node before the sweeper requeues it for redelivery — the guard
-	// against a lease response lost in transit, which would otherwise
-	// strand the dispatch forever (the node keeps heartbeating, so death
-	// never fires). It must exceed the longest legitimate execution plus
-	// the under 1 s a task may wait on its node behind the task it was
-	// leased ahead of (default 90s, above the service layer's 60s per-task
-	// sleep cap). A lease holds at most resultHold of estimated work past
-	// its first task, so every task's TTL counts from its lease. A late
-	// result from the original delivery is deduplicated as usual.
-	LeaseTTL time.Duration
-	// DeadRetention is how long dead/left registrations stay listed for
-	// inspection before being pruned, with their per-node metric series
-	// (default 20×DeadAfter). Worker ids default to <host>-<pid>, so a
-	// churning fleet mints new ids forever; without pruning the registry
-	// grows without bound.
-	DeadRetention time.Duration
 	// Registry receives the cluster's operational metrics (default: a
 	// fresh registry).
 	Registry *metrics.Registry
 	// Logger receives membership and lifecycle events as structured
 	// records carrying node/gen/transport fields (default: discard).
 	Logger *slog.Logger
+
+	// leaseTTL replaces the leaseTTL constant when set, so a test can see
+	// a lease expire in milliseconds.
+	leaseTTL time.Duration
+}
+
+// CheckDeadAfter refuses a DeadAfter under 3ms. A coordinator advertises a
+// heartbeat of a third of it in whole milliseconds, which below 3ms rounds
+// to none: workers would fall back to beating once a second while the
+// sweep declared every node dead.
+func CheckDeadAfter(d time.Duration) error {
+	if d < 3*time.Millisecond {
+		return fmt.Errorf("cluster: dead-after must be at least 3ms, got %v", d)
+	}
+	return nil
 }
 
 const (
@@ -138,6 +134,19 @@ const (
 	// traceCap bounds the coordinator's dispatch trace ring; the ring
 	// overwrites its oldest events once full.
 	traceCap = 4096
+	// maxLeaseWait bounds a lease long-poll.
+	maxLeaseWait = 5 * time.Second
+	// leaseTTL bounds how long a leased execution may stay unresolved on a
+	// live node before the sweeper requeues it for redelivery — the guard
+	// against a lease response lost in transit, which would otherwise
+	// strand the dispatch forever (the node keeps heartbeating, so death
+	// never fires). It must exceed the longest legitimate execution plus
+	// the under 1 s a task may wait on its node behind the task it was
+	// leased ahead of: 90s is above the service layer's 60s per-task sleep
+	// cap. A lease holds at most resultHold of estimated work past its
+	// first task, so every task's TTL counts from its lease. A late result
+	// from the original delivery is deduplicated as usual.
+	leaseTTL = 90 * time.Second
 	// resultHold bounds the estimated work one lease holds: LeaseAppend
 	// stops before the task that would take a lease past it, though the
 	// first task always goes. A lease is then a run of short tasks that
@@ -159,20 +168,11 @@ func estimate(work Work, speed float64) time.Duration {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DeadAfter <= 0 {
+	if c.DeadAfter == 0 {
 		c.DeadAfter = 3 * time.Second
 	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.DeadAfter / 4
-	}
-	if c.MaxLeaseWait <= 0 {
-		c.MaxLeaseWait = 5 * time.Second
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 90 * time.Second
-	}
-	if c.DeadRetention <= 0 {
-		c.DeadRetention = 20 * c.DeadAfter
+	if c.leaseTTL <= 0 {
+		c.leaseTTL = leaseTTL
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -199,7 +199,7 @@ type dispatch struct {
 	idx  int
 	sink chan<- dispatchOutcome // its chunk's sink; resolved exactly once
 	// leasedAt is when the dispatch was leased; the sweeper requeues it
-	// LeaseTTL later in case the lease response never arrived.
+	// leaseTTL later in case the lease response never arrived.
 	leasedAt time.Time
 }
 
@@ -341,9 +341,14 @@ type Coordinator struct {
 	stopOnce sync.Once
 }
 
-// NewCoordinator builds a coordinator and starts its death sweeper.
+// NewCoordinator builds a coordinator and starts its death sweeper. It
+// panics with CheckDeadAfter's error on a DeadAfter the check refuses; a
+// zero DeadAfter means the 3s default.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
+	if err := CheckDeadAfter(cfg.DeadAfter); err != nil {
+		panic(err)
+	}
 	co := &Coordinator{
 		cfg:      cfg,
 		reg:      cfg.Registry,
@@ -636,7 +641,7 @@ func (co *Coordinator) liveCountLocked() int64 {
 // requeued for redelivery, and long-expired registrations are pruned
 // along with their per-node metric series.
 func (co *Coordinator) sweep() {
-	t := time.NewTicker(co.cfg.SweepEvery)
+	t := time.NewTicker(co.cfg.DeadAfter / 4)
 	defer t.Stop()
 	for {
 		select {
@@ -652,7 +657,7 @@ func (co *Coordinator) sweep() {
 				co.expireLocked(n, StateDead, "missed heartbeats")
 			case n.state == StateLive:
 				co.requeueExpiredLeasesLocked(n, now)
-			case now.Sub(n.lastSeen) > co.cfg.DeadRetention:
+			case now.Sub(n.lastSeen) > 20*co.cfg.DeadAfter:
 				co.pruneLocked(id)
 			}
 		}
@@ -688,7 +693,7 @@ func (co *Coordinator) pruneLocked(id string) {
 func (co *Coordinator) requeueExpiredLeasesLocked(n *node, now time.Time) {
 	requeued := 0
 	for id, d := range n.inflight {
-		if now.Sub(d.leasedAt) > co.cfg.LeaseTTL {
+		if now.Sub(d.leasedAt) > co.cfg.leaseTTL {
 			delete(n.inflight, id)
 			n.queue = append(n.queue, d)
 			requeued++
@@ -699,7 +704,7 @@ func (co *Coordinator) requeueExpiredLeasesLocked(n *node, now time.Time) {
 	}
 	co.mLeasesExpired.Add(int64(requeued))
 	co.log.Warn("cluster leases expired; requeued for redelivery",
-		"node", n.id, "count", requeued, "ttl", co.cfg.LeaseTTL)
+		"node", n.id, "count", requeued, "ttl", co.cfg.leaseTTL)
 	select {
 	case n.wake <- struct{}{}:
 	default:
@@ -758,7 +763,7 @@ func (co *Coordinator) submit(id string, gen int64, tasks []platform.Task) (*chu
 }
 
 // Lease hands out up to req.Max queued executions, long-polling up to
-// req.WaitMS (bounded by MaxLeaseWait) while the queue is empty.
+// req.WaitMS (bounded by maxLeaseWait) while the queue is empty.
 func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	tasks, err := co.LeaseAppend(req, nil)
 	return LeaseResponse{Tasks: tasks}, err
@@ -776,8 +781,8 @@ func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 func (co *Coordinator) LeaseAppend(req LeaseRequest, buf []WireTask) ([]WireTask, error) {
 	begin := time.Now()
 	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait <= 0 || wait > co.cfg.MaxLeaseWait {
-		wait = co.cfg.MaxLeaseWait
+	if wait <= 0 || wait > maxLeaseWait {
+		wait = maxLeaseWait
 	}
 	maxTasks := req.Max
 	if maxTasks < 1 || maxTasks > maxBatch {

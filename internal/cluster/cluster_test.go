@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,11 +23,7 @@ func submitOne(co *Coordinator, id string, gen int64, task int, w Work) (<-chan 
 // testCoordinator builds a coordinator with fast death detection for tests.
 func testCoordinator(t *testing.T, deadAfter time.Duration) *Coordinator {
 	t.Helper()
-	co := NewCoordinator(Config{
-		DeadAfter:    deadAfter,
-		SweepEvery:   deadAfter / 4,
-		MaxLeaseWait: 200 * time.Millisecond,
-	})
+	co := NewCoordinator(Config{DeadAfter: deadAfter})
 	t.Cleanup(co.Close)
 	return co
 }
@@ -184,10 +181,8 @@ func TestGracefulLeaveFailsOverImmediately(t *testing.T) {
 
 func TestExpiredLeaseIsRedeliveredOnLiveNode(t *testing.T) {
 	co := NewCoordinator(Config{
-		DeadAfter:    10 * time.Second, // heartbeats keep the node live
-		SweepEvery:   20 * time.Millisecond,
-		LeaseTTL:     80 * time.Millisecond,
-		MaxLeaseWait: 200 * time.Millisecond,
+		DeadAfter: time.Second, // heartbeats keep the node live; sweeps every 250ms
+		leaseTTL:  80 * time.Millisecond,
 	})
 	t.Cleanup(co.Close)
 	reg, _ := co.Register(RegisterRequest{ID: "n1", Capacity: 1})
@@ -238,11 +233,9 @@ func TestExpiredLeaseIsRedeliveredOnLiveNode(t *testing.T) {
 }
 
 func TestDeadRegistrationsArePruned(t *testing.T) {
-	co := NewCoordinator(Config{
-		DeadAfter:     40 * time.Millisecond,
-		SweepEvery:    15 * time.Millisecond,
-		DeadRetention: 120 * time.Millisecond,
-	})
+	// Sweeps every 10ms, declares the node dead after 40ms of silence and
+	// prunes it 800ms after that.
+	co := NewCoordinator(Config{DeadAfter: 40 * time.Millisecond})
 	t.Cleanup(co.Close)
 	co.Register(RegisterRequest{ID: "churn-1", Capacity: 1})
 	// Let it die and then outlive the retention.
@@ -283,7 +276,7 @@ func (carrier) ClusterWork() Work { return Work{Spin: 11} }
 // worker sets no cap (Max 0) or asks for more (Max 1000).
 func TestLeaseCapsAtMaxBatch(t *testing.T) {
 	for _, max := range []int{0, 1000} {
-		co := NewCoordinator(Config{DeadAfter: time.Hour, SweepEvery: time.Hour})
+		co := NewCoordinator(Config{DeadAfter: time.Hour})
 		reg, err := co.Register(RegisterRequest{ID: "n", Capacity: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -311,5 +304,51 @@ func TestLeaseCapsAtMaxBatch(t *testing.T) {
 			t.Errorf("Max %d: lease sizes %v, want [64 64 64 8]", max, sizes)
 		}
 		co.Close()
+	}
+}
+
+// TestDeadAfterFloor: a coordinator advertises a heartbeat of DeadAfter/3
+// in whole milliseconds, so below 3ms workers are told to beat never and
+// fall back to once a second while the sweep declares every node dead, and
+// below 4ns the sweep's ticker panics. CheckDeadAfter refuses each such
+// value, and a negative one, with an error that names it; NewCoordinator
+// panics with that error rather than start a sweep that would, and reads
+// a zero DeadAfter as the 3s default.
+func TestDeadAfterFloor(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want bool
+	}{
+		{3 * time.Millisecond, true},
+		{3 * time.Second, true},
+		{2999 * time.Microsecond, false},
+		{time.Millisecond, false},
+		{2 * time.Nanosecond, false},
+		{0, false},
+		{-time.Second, false},
+	} {
+		err := CheckDeadAfter(tc.d)
+		switch {
+		case (err == nil) != tc.want:
+			t.Errorf("CheckDeadAfter(%v) = %v, want accepted %v", tc.d, err, tc.want)
+		case err != nil && !strings.Contains(err.Error(), tc.d.String()):
+			t.Errorf("CheckDeadAfter(%v) = %q, want an error naming the value", tc.d, err)
+		}
+	}
+
+	func() {
+		want := CheckDeadAfter(2 * time.Nanosecond)
+		defer func() {
+			if r := recover(); r == nil || fmt.Sprint(r) != want.Error() {
+				t.Errorf("NewCoordinator(DeadAfter 2ns) panicked with %v, want %q", r, want)
+			}
+		}()
+		NewCoordinator(Config{DeadAfter: 2 * time.Nanosecond}).Close()
+	}()
+
+	co := NewCoordinator(Config{})
+	defer co.Close()
+	if co.cfg.DeadAfter != 3*time.Second {
+		t.Errorf("Config{} resolves DeadAfter to %v, want 3s", co.cfg.DeadAfter)
 	}
 }

@@ -185,12 +185,9 @@ func TestRestoreIsAFloorNotAReset(t *testing.T) {
 // interleave constantly; under -race this doubles as a data-race probe,
 // and the final check asserts no pruned node's series leaked back.
 func TestRecoveryPruneMetricsRace(t *testing.T) {
-	co := NewCoordinator(Config{
-		DeadAfter:     30 * time.Millisecond,
-		SweepEvery:    5 * time.Millisecond,
-		MaxLeaseWait:  50 * time.Millisecond,
-		DeadRetention: 10 * time.Millisecond,
-	})
+	// The floor: sweeps every 750µs, death after 3ms of silence, pruning
+	// 60ms after that.
+	co := NewCoordinator(Config{DeadAfter: 3 * time.Millisecond})
 	t.Cleanup(co.Close)
 
 	stop := make(chan struct{})

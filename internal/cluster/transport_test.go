@@ -63,8 +63,8 @@ func TestTransportContract(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var logs logBuffer
 			co := NewCoordinator(Config{
-				DeadAfter: time.Second, SweepEvery: time.Second / 4, MaxLeaseWait: 200 * time.Millisecond,
-				Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+				DeadAfter: time.Second,
+				Logger:    slog.New(slog.NewTextHandler(&logs, nil)),
 			})
 			t.Cleanup(co.Close)
 			url := startTestServer(t, co)

@@ -94,7 +94,7 @@ const (
 	// of spinning on a current core.
 	benchSpin = 2_000_000
 	// leaseWait is the long-poll bound a worker requests per lease; the
-	// coordinator clamps it to its MaxLeaseWait. It is never 0: a binary
+	// coordinator clamps it to its maxLeaseWait. It is never 0: a binary
 	// lease's deadline is its wait plus a round trip.
 	leaseWait = 2 * time.Second
 )
@@ -102,7 +102,7 @@ const (
 // leaseAheadMax bounds the tasks an executor leases ahead of: from resultHold
 // up to it, the last task of a lease runs while the next lease makes its
 // round trip. Above it the round trip is under 0.02 % of the task, and
-// leasing ahead would only start the next task's LeaseTTL clock early.
+// leasing ahead would only start the next task's leaseTTL clock early.
 const leaseAheadMax = time.Second
 
 // aheadLease is the lease an executor issues ahead of its lease's last

@@ -418,10 +418,6 @@ type PipelineConfig struct {
 	ThresholdFactor float64
 	// BufSize is the inter-stage buffer depth (default 1).
 	BufSize int
-	// MaxReplicas caps how many workers a Replicable stage may grow to on
-	// persistent threshold breaches (≤1 keeps remapping as the only lever;
-	// see pipeline.Options.MaxReplicas).
-	MaxReplicas int
 	// Log receives trace events (optional).
 	Log *trace.Log
 }
@@ -471,8 +467,7 @@ func RunPipeline(pf platform.Platform, c rt.Ctx, stages []pipeline.Stage, nItems
 	// cost alone would only catch node degradation; the mean-cost bound
 	// additionally surfaces *structural* bottlenecks — a stage far above
 	// the pipe's mean service time throttles throughput no matter how
-	// healthy its node is — which is what replication (MaxReplicas) and
-	// remapping resolve.
+	// healthy its node is — which remapping onto a faster node relieves.
 	stageCost := func(stage int) float64 {
 		if stages[stage].Cost != nil {
 			if sc := stages[stage].Cost(0); sc > 0 {
@@ -509,7 +504,6 @@ func RunPipeline(pf platform.Platform, c rt.Ctx, stages []pipeline.Stage, nItems
 		Spares:      append([]int(nil), spares...),
 		DetectorFor: detFor,
 		BufSize:     cfg.BufSize,
-		MaxReplicas: cfg.MaxReplicas,
 		Log:         cfg.Log,
 	})
 	endPhase(cfg.Log, c, PhaseExecution)

@@ -175,6 +175,50 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 	}
 }
 
+// TestForecastResumesOnTheMeasuredDepth: a queue that rose past the shed
+// bound (2 × 4) and then drains at a steady two tasks a sample is
+// forecast a step ahead of itself — at a measured depth of 5, a window
+// plus one, the fitted line says 3.5, under half the bound. Admission
+// must stay shut until the measured depth itself is under half the bound,
+// or the next blocked push lands on a job that is still full.
+func TestForecastResumesOnTheMeasuredDepth(t *testing.T) {
+	const window = 4
+	half := float64(shedFactor*window) / 2
+	s := New(Config{Workers: 2})
+	s.forecastByHand = true // the loop never samples: the test does
+	j, err := s.Submit("drain", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoveries := s.reg.Counter("service_shed_recoveries_total")
+	depth := stats.NewTrendWindow(forecastWindow)
+	undershot := false
+	for _, inFlight := range []int{5, 9, 13, 17, 17, 15, 13, 11, 9, 7, 5, 3} {
+		s.forecastStep(j, depth, inFlight)
+		st := j.Status()
+		if inFlight == 17 && !st.Shedding {
+			t.Fatalf("at a measured depth of 17 against a bound of %d: not shedding", shedFactor*window)
+		}
+		if float64(inFlight) >= half && st.QueueForecast < half {
+			undershot = true
+		}
+		if float64(inFlight) >= half && recoveries.Value() != 0 {
+			t.Fatalf("admission resumed at a measured depth of %d (forecast %.2f): want it shut until the depth is under %g",
+				inFlight, st.QueueForecast, half)
+		}
+	}
+	if !undershot {
+		t.Fatal("no drain sample forecast under half the bound while the measured depth was above it: the case is not exercised")
+	}
+	if st := j.Status(); st.Shedding || recoveries.Value() != 1 {
+		t.Errorf("at a measured depth of 3: shedding=%v recoveries=%d; want admission resumed once", st.Shedding, recoveries.Value())
+	}
+	if err := j.CloseInput(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j, 10*time.Second)
+}
+
 // TestForecastAutoscalesTheShare drives the share autoscaler with a
 // synthetic flash crowd: a local predictive job beside a calm competitor.
 // A queue forecast of just under two windows, the most the shed bound

@@ -28,10 +28,7 @@ func startClusterDaemon(t *testing.T, n int) (*service.Service, *cluster.Coordin
 // tests can register workers mid-stream.
 func startClusterDaemonURL(t *testing.T, n int) (*service.Service, *cluster.Coordinator, string) {
 	t.Helper()
-	coord := cluster.NewCoordinator(cluster.Config{
-		DeadAfter:    500 * time.Millisecond,
-		MaxLeaseWait: 200 * time.Millisecond,
-	})
+	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond})
 	t.Cleanup(coord.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -267,7 +267,7 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 		if err := w.close(); err != nil {
 			t.Fatal(err)
 		}
-		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
+		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond})
 		t.Cleanup(coord.Close)
 		url := serveCluster(t, coord)
 		cfg.DataDir, cfg.Cluster = dir, coord
@@ -555,8 +555,10 @@ func TestHTTPRejectsInvalidJobSpec(t *testing.T) {
 		{"pipeline with one stage", `{"name":"bad","skeleton":"pipeline","stages":[{}]}`},
 		{"pipeline with oversized factor", `{"name":"bad","skeleton":"pipeline","stages":[{"cost_factor":99},{}]}`},
 		{"farm with stages", `{"name":"bad","stages":[{},{}]}`},
-		{"dmap with negative wave", `{"name":"bad","skeleton":"dmap","wave_size":-3}`},
-		{"dmap with bad alpha", `{"name":"bad","skeleton":"dmap","alpha":1.5}`},
+		// Fields earlier releases accepted are unknown now, and the create
+		// body is decoded strictly.
+		{"dmap naming wave_size", `{"name":"bad","skeleton":"dmap","wave_size":16}`},
+		{"dmap naming alpha", `{"name":"bad","skeleton":"dmap","alpha":0.5}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

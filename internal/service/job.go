@@ -87,12 +87,6 @@ type JobSpec struct {
 	MaxResults int `json:"max_results,omitempty"`
 	// Stages describes a pipeline job's stages (pipeline only, 2..8).
 	Stages []StageSpec `json:"stages,omitempty"`
-	// WaveSize caps a dmap job's decomposition wave (dmap only; default
-	// the window).
-	WaveSize int `json:"wave_size,omitempty"`
-	// Alpha is a dmap job's EWMA re-weighting factor in (0, 1] (dmap
-	// only; default 0.5).
-	Alpha float64 `json:"alpha,omitempty"`
 	// Adapt selects the adaptation policy: "reactive" (the default — the
 	// paper's breach-driven recalibration only) or "predictive" (forecast
 	// worker trends and the queue depth, reweight pre-breach, autoscale the
@@ -176,22 +170,9 @@ func (js JobSpec) Validate() error {
 				return fmt.Errorf("stage %d: cost_factor must be in [0, %d], got %g", i, maxCostFactor, st.CostFactor)
 			}
 		}
-		if js.WaveSize != 0 || js.Alpha != 0 {
-			return fmt.Errorf("wave_size/alpha apply to dmap jobs only")
-		}
-	case adapt.DMap:
+	default: // farm, dmap
 		if len(js.Stages) != 0 {
 			return fmt.Errorf("stages apply to pipeline jobs only")
-		}
-		if js.WaveSize < 0 {
-			return fmt.Errorf("wave_size must be non-negative, got %d", js.WaveSize)
-		}
-		if js.Alpha < 0 || js.Alpha > 1 {
-			return fmt.Errorf("alpha must be in [0, 1], got %g", js.Alpha)
-		}
-	default: // farm
-		if len(js.Stages) != 0 || js.WaveSize != 0 || js.Alpha != 0 {
-			return fmt.Errorf("stages/wave_size/alpha apply to pipeline/dmap jobs only")
 		}
 	}
 	return nil

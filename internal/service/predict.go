@@ -19,8 +19,10 @@ package service
 //   - admission control: once the forecast exceeds shedFactor × window —
 //     a full window plus as much again waiting in blocked pushes — the job
 //     sheds pushes with ErrOverloaded (HTTP 429 + Retry-After) instead of
-//     letting backpressure stall the daemon, resuming at half the bound so
-//     admission does not flap.
+//     letting backpressure stall the daemon, resuming once the measured
+//     depth is under half the bound so admission does not flap. The
+//     resume reads the measurement, not the forecast: a line fitted
+//     through a steadily draining queue undershoots it.
 
 import (
 	"fmt"
@@ -91,14 +93,14 @@ func (s *Service) forecastStep(j *Job, depth *stats.TrendWindow, inFlight int) {
 	shedBound := shedFactor * window
 	baseShare := j.spec.share()
 
-	// Admission control with hysteresis: shed above the bound, resume
-	// below half of it.
+	// Admission control with hysteresis: shed when the forecast is above
+	// the bound, resume when the measured depth is below half of it.
 	j.mu.Lock()
 	j.queueForecast = f
 	was := j.shedding
 	if !was && f > shedBound {
 		j.shedding = true
-	} else if was && f < shedBound/2 {
+	} else if was && float64(inFlight) < shedBound/2 {
 		j.shedding = false
 	}
 	shedding := j.shedding

@@ -437,6 +437,60 @@ func TestRecoveryReplaysALostCountFromAnOlderBuild(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplaysDMapWaveFieldsFromAnOlderBuild: earlier builds let a
+// dmap job set its wave size and alpha, and journaled both in its create
+// record. Replay ignores the two unknown fields, so such a journal still
+// opens: the job resumes with its pending tasks, takes more, and finishes
+// every task exactly once.
+func TestRecoveryReplaysDMapWaveFieldsFromAnOlderBuild(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := journal.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := defaultSpec()
+	spec.Skeleton = "dmap"
+	create, err := json.Marshal(walRecord{Kind: walCreate, Job: "deal", Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	create = bytes.Replace(create, []byte(`"spec":{`), []byte(`"spec":{"wave_size":16,"alpha":0.7,`), 1)
+	if !bytes.Contains(create, []byte(`"wave_size":16`)) {
+		t.Fatalf("create record %s does not carry the old fields", create)
+	}
+	tasks, err := json.Marshal(walRecord{Kind: walTasks, Job: "deal", Tasks: burst(0, 20, 100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendBatch([][]byte{create, tasks}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	s := durableService(t, dir)
+	defer s.Close()
+	j, ok := s.Job("deal")
+	if !ok {
+		t.Fatal("a journal whose create record carries the old dmap fields does not replay its job")
+	}
+	if st := j.Status(); st.Skeleton != "dmap" || st.Submitted != 20 {
+		t.Fatalf("replayed job: skeleton %q with %d submitted, want dmap with 20", st.Skeleton, st.Submitted)
+	}
+	if _, err := j.Push(burst(20, 10, 100)); err != nil {
+		t.Fatalf("push after recovery: %v", err)
+	}
+	if err := j.CloseInput(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j, 20*time.Second)
+	results, _ := j.Results(0)
+	assertExactlyOnceIDs(t, results, 30)
+	assertConserved(t, s)
+}
+
 // TestRecoveryReplaysAFleetRecordFromAnOlderBuild: earlier builds
 // journaled the coordinator's live registrations beside its ceilings. The
 // record below is such a build's journal byte for byte — magic 0xA7,

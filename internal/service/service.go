@@ -505,8 +505,6 @@ func (s *Service) startRunner(j *Job) error {
 	run, err := adapt.New(adapt.Spec{
 		Skeleton:  j.spec.Skeleton,
 		Chunk:     sched.Weighted{},
-		WaveSize:  j.spec.WaveSize,
-		Alpha:     j.spec.Alpha,
 		Stages:    len(j.spec.Stages),
 		StageTask: j.stageTask,
 	})

@@ -414,7 +414,7 @@ func TestServiceMixedSkeletonJobs(t *testing.T) {
 	specs := map[string]JobSpec{
 		"farm": {Window: 6, WarmupTasks: 1000},
 		"pipe": {Window: 6, WarmupTasks: 1000, Skeleton: "pipeline", Stages: []StageSpec{{Name: "a"}, {Name: "b", CostFactor: 2}, {Name: "c"}}},
-		"deal": {Window: 6, WarmupTasks: 1000, Skeleton: "dmap", WaveSize: 4},
+		"deal": {Window: 6, WarmupTasks: 1000, Skeleton: "dmap"},
 	}
 	handles := make(map[string]*Job, len(specs))
 	base := 0

@@ -22,7 +22,7 @@ import (
 // window, which a local job sizes to its daemon and a cluster job to its
 // pool.
 func TestSpecDefaultsResolve(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 2 * time.Second, MaxLeaseWait: 200 * time.Millisecond})
+	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 2 * time.Second})
 	t.Cleanup(coord.Close)
 	url := serveCluster(t, coord)
 	for _, id := range []string{"a", "b"} {

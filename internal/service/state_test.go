@@ -298,7 +298,7 @@ func TestBlockedSyncRemoveDoesNotStallLookups(t *testing.T) {
 // submitted, what never ran is lost, and a restart over the same data dir
 // reports exactly what the live service reported.
 func TestRecoveryPushCutShortByNodeLoss(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
+	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond})
 	t.Cleanup(coord.Close)
 	worker, err := cluster.StartWorker(cluster.WorkerConfig{
 		Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2,
@@ -451,7 +451,7 @@ func TestWalStorelessCommitAllocatesNothing(t *testing.T) {
 // runs exactly once.
 func TestRecoveryClusterJobWithoutCoordinator(t *testing.T) {
 	fleet := func() *cluster.Coordinator {
-		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond, MaxLeaseWait: 200 * time.Millisecond})
+		coord := cluster.NewCoordinator(cluster.Config{DeadAfter: 500 * time.Millisecond})
 		t.Cleanup(coord.Close)
 		worker, err := cluster.StartWorker(cluster.WorkerConfig{
 			Coordinator: serveCluster(t, coord), ID: "a", Capacity: 2,

@@ -44,10 +44,6 @@ type Spec struct {
 	// Chunk is the farm's granularity policy (default sched.Single; the
 	// service uses sched.Weighted so calibrated weights shift dispatch).
 	Chunk sched.ChunkPolicy
-	// WaveSize caps a dmap decomposition wave (0 = admission window).
-	WaveSize int
-	// Alpha is the dmap EWMA re-weighting factor (0 = 0.5).
-	Alpha float64
 	// Stages is the pipeline stage count.
 	Stages int
 	// StageTask derives the work pipeline stage si performs on a flowing
@@ -61,7 +57,7 @@ func New(sp Spec) (engine.Runner, error) {
 	case "", Farm:
 		return farm.Stream(sp.Chunk), nil
 	case DMap:
-		return dmap.Stream(dmap.StreamParams{WaveSize: sp.WaveSize, Alpha: sp.Alpha}), nil
+		return dmap.Stream, nil
 	case Pipeline:
 		if sp.Stages < 1 {
 			return nil, fmt.Errorf("adapt: pipeline job needs at least 1 stage")

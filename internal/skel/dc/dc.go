@@ -57,6 +57,10 @@ type Op struct {
 	Bytes func(p any) float64
 }
 
+// maxDepth bounds the division tree defensively: an instance this deep is
+// a leaf whatever the grain predicate says.
+const maxDepth = 40
+
 // Options configures a divide-and-conquer run.
 type Options struct {
 	// Workers are the chosen worker indices (default: all).
@@ -71,8 +75,6 @@ type Options struct {
 	Detector *monitor.Detector
 	// NormCost normalises detector observations (see farm.Options).
 	NormCost float64
-	// MaxDepth bounds the recursion defensively (default 40).
-	MaxDepth int
 	// Log receives trace events (optional).
 	Log *trace.Log
 }
@@ -117,10 +119,6 @@ type node struct {
 // Run executes the computation from within process c, blocking until the
 // root solution is ready or the run is abandoned.
 func Run(pf platform.Platform, c rt.Ctx, root any, op Op, opts Options) Report {
-	maxDepth := opts.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 40
-	}
 	start := c.Now()
 	rep := Report{}
 

@@ -240,24 +240,26 @@ func TestDCRootIsLeaf(t *testing.T) {
 }
 
 func TestDCMaxDepthBound(t *testing.T) {
-	// A divide that never reaches the grain must be cut off by MaxDepth.
+	// A divide that never reaches the grain must be cut off at maxDepth.
+	// Each division splits off one leaf (-1) and one deeper instance, so
+	// the cut tree is a spine of maxDepth levels with maxDepth+1 leaves.
 	op := Op{
-		Divide:      func(p any) []any { return []any{p, p} },
-		Indivisible: func(any, int) bool { return false },
+		Divide:      func(p any) []any { return []any{-1, p.(int) + 1} },
+		Indivisible: func(p any, _ int) bool { return p.(int) < 0 },
 	}
 	pf, sim := gridPF(t, equalSpecs(2, 10))
 	var rep Report
 	sim.Go("root", func(c rt.Ctx) {
-		rep = Run(pf, c, 1.0, op, Options{MaxDepth: 5})
+		rep = Run(pf, c, 0, op, Options{})
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Depth != 5 {
-		t.Errorf("depth = %d, want 5", rep.Depth)
+	if rep.Depth != maxDepth {
+		t.Errorf("depth = %d, want %d", rep.Depth, maxDepth)
 	}
-	if rep.Leaves != 32 {
-		t.Errorf("leaves = %d, want 32", rep.Leaves)
+	if rep.Leaves != maxDepth+1 {
+		t.Errorf("leaves = %d, want %d", rep.Leaves, maxDepth+1)
 	}
 }
 

@@ -22,11 +22,10 @@
 // One coordinator loop (run) serves both entry points. Stream feeds it
 // from a live channel under the engine's admission-credit window: a wave
 // fires as soon as the previous one has drained, sized by whatever the
-// window has buffered (up to WaveSize), and a breach recalibrates the
-// weights in place. Run feeds it a finite task slice as an already-closed
-// input split into Options.Waves even rounds and, on a breach, returns the
-// remaining waves so the GRASP core can recalibrate, exactly as the farm
-// does.
+// window has buffered, and a breach recalibrates the weights in place. Run
+// feeds it a finite task slice as an already-closed input split into
+// Options.Waves even rounds and, on a breach, returns the remaining waves
+// so the GRASP core can recalibrate, exactly as the farm does.
 //
 // Workers that crash mid-block (grid.ErrNodeFailed) lose the rest of their
 // block; the lost tasks are re-queued at the head of the next wave (or
@@ -76,17 +75,6 @@ type Options struct {
 // dispatches, one per live worker per wave, the deal skeleton's whole
 // dispatch traffic.
 type Report = engine.StreamReport
-
-// StreamParams are the streaming map's own knobs; everything adaptive
-// comes from engine.StreamOptions.
-type StreamParams struct {
-	// WaveSize caps how many tasks one decomposition wave scatters
-	// (default: the admission window).
-	WaveSize int
-	// Alpha is the EWMA blend factor for between-wave re-weighting in
-	// (0, 1]; 0 defaults to 0.5.
-	Alpha float64
-}
 
 // blockOutcome is what one worker reports back after processing its block.
 type blockOutcome struct {
@@ -155,26 +143,21 @@ func RunStatic(pf platform.Platform, c rt.Ctx, tasks []platform.Task, weights ma
 	})
 }
 
-// Stream returns the deal skeleton's engine runner: waves are
-// demand-driven, so the skeleton degrades to fine scatters under light
-// load and amortises dispatch under pressure.
-func Stream(params StreamParams) engine.Runner {
-	return func(pf platform.Platform, c rt.Ctx, in rt.Chan, opts engine.StreamOptions) engine.StreamReport {
-		if opts.Window <= 0 {
-			// The credit window's default: 2× the worker count.
-			opts.Window = 2 * pf.Size()
-			if n := len(opts.Workers); n > 0 {
-				opts.Window = 2 * n
-			}
+// Stream is the deal skeleton's engine runner: waves are demand-driven,
+// so the skeleton degrades to fine scatters under light load and
+// amortises dispatch under pressure. A wave scatters whatever the credit
+// window has buffered, so at most the window, and each wave's throughput
+// is blended into the weights half and half.
+func Stream(pf platform.Platform, c rt.Ctx, in rt.Chan, opts engine.StreamOptions) engine.StreamReport {
+	if opts.Window <= 0 {
+		// The credit window's default: 2× the worker count.
+		opts.Window = 2 * pf.Size()
+		if n := len(opts.Workers); n > 0 {
+			opts.Window = 2 * n
 		}
-		waveCap := params.WaveSize
-		if waveCap <= 0 || waveCap > opts.Window {
-			waveCap = opts.Window
-		}
-		return run(pf, c, in, nil, engine.ModeRecalibrate,
-			func(buffered, _ int) int { return min(buffered, waveCap) },
-			params.Alpha, opts)
 	}
+	return run(pf, c, in, nil, engine.ModeRecalibrate,
+		func(buffered, _ int) int { return min(buffered, opts.Window) }, 0.5, opts)
 }
 
 // run is the deal skeleton's one coordinator loop. Tasks reach the buffer

@@ -25,6 +25,11 @@ const (
 	ModeRecalibrate
 )
 
+// recentWindow is how many recent completions per worker a live
+// recalibration averages over, and how many the predictive policy fits
+// its trend line to and waits for before it trusts a forecast.
+const recentWindow = 8
+
 // Core is the engine's adaptive state: the versioned live worker
 // membership, calibrated weights, per-worker recent times, the threshold
 // detector, failure/retire bookkeeping, and the accumulated report. One
@@ -44,7 +49,6 @@ type Core struct {
 	weights       map[int]float64
 	det           *monitor.Detector
 	normCost      float64
-	recalWindow   int
 	log           *trace.Log
 	onResult      func(platform.Result)
 	onRecalibrate func(Breach) (Update, bool)
@@ -62,17 +66,13 @@ type Core struct {
 
 // NewCore builds the adaptive state for one run starting at time start.
 func NewCore(pf platform.Platform, workers []int, mode Mode, start time.Duration, opts StreamOptions) *Core {
-	recalWindow := opts.RecalWindow
-	if recalWindow <= 0 {
-		recalWindow = 8
-	}
 	member := make(map[int]bool, len(workers))
 	for _, w := range workers {
 		member[w] = true
 	}
 	var pred *predictor
 	if opts.Predict != nil {
-		pred = newPredictor(opts, len(workers), recalWindow)
+		pred = newPredictor(opts, len(workers))
 	}
 	return &Core{
 		Rep: StreamReport{
@@ -86,7 +86,6 @@ func NewCore(pf platform.Platform, workers []int, mode Mode, start time.Duration
 		weights:       opts.Weights,
 		det:           opts.Detector,
 		normCost:      opts.NormCost,
-		recalWindow:   recalWindow,
 		log:           opts.Log,
 		onResult:      opts.OnResult,
 		onRecalibrate: opts.OnRecalibrate,
@@ -302,7 +301,7 @@ func (co *Core) Observe(c rt.Ctx, res platform.Result) bool {
 	norm := Normalise(res, co.normCost)
 	win := co.recent[res.Worker]
 	if win == nil {
-		win = stats.NewWindow(co.recalWindow)
+		win = stats.NewWindow(recentWindow)
 		co.recent[res.Worker] = win
 	}
 	win.Push(norm.Seconds())

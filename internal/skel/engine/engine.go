@@ -70,9 +70,6 @@ type StreamOptions struct {
 	// Window bounds how many admitted-but-uncompleted tasks the skeleton
 	// holds (default 2× the worker count) — the admission-credit window.
 	Window int
-	// RecalWindow is how many recent per-worker times inform a live
-	// recalibration (default 8).
-	RecalWindow int
 	// Log receives dispatch/complete/threshold/recalibrate events.
 	Log *trace.Log
 	// OnResult is invoked once per finished task (for a pipeline: once per
@@ -111,8 +108,9 @@ type Breach struct {
 	Stat time.Duration
 	// At is the runtime clock at the breach.
 	At time.Duration
-	// RecentMean maps worker → mean of its recent (RecalWindow) normalised
-	// execution times. Workers with no recent completions are absent.
+	// RecentMean maps worker → mean of its recentWindow most recent
+	// normalised execution times. Workers with no recent completions are
+	// absent.
 	RecentMean map[int]time.Duration
 }
 

@@ -43,7 +43,7 @@ func adapters() []adapter {
 		},
 		{
 			name:   "dmap",
-			runner: dmap.Stream(dmap.StreamParams{}),
+			runner: dmap.Stream,
 			batch: func(t *testing.T, workers int, tasks []platform.Task) map[int]bool {
 				l := rt.NewLocal()
 				pf := platform.NewLocalPlatform(l, workers)
@@ -310,7 +310,7 @@ func TestPredictiveStreamMatchesBatchEverySkeleton(t *testing.T) {
 							Z: 2 * time.Millisecond, Rule: monitor.RuleMinOver,
 							Window: 3, MinSamples: 3,
 						},
-						Predict: &engine.Predict{Margin: 1.2, Window: 4, Cooldown: 2},
+						Predict: &engine.Predict{Margin: 1.2, Cooldown: 2},
 					})
 
 				if rep.Admitted != n {

@@ -3,8 +3,8 @@ package engine
 // Faults is the engine's failure/retire bookkeeping: executions lost to
 // worker crashes are counted and the crashed workers retired so no future
 // dispatch decision selects them. It is plain data — adapters whose
-// failure paths run in concurrent processes (compose pools, pipeline
-// replicas) guard it with their own report mutex.
+// failure paths run in concurrent processes (compose pools) guard it with
+// their own report mutex.
 type Faults struct {
 	// Failures counts executions lost to worker crashes.
 	Failures int

@@ -33,12 +33,6 @@ type Predict struct {
 	// time of the other live workers (and its own recent mean, so a
 	// uniformly slow fleet does not thrash). Values ≤ 1 default to 1.5.
 	Margin float64
-	// Window is the per-worker trend-window size — how many recent
-	// completions the forecast line is fitted over. Default RecalWindow.
-	Window int
-	// MinSamples is how many completions a worker must report before its
-	// forecast is trusted. Default Window.
-	MinSamples int
 	// Cooldown is the minimum number of fleet-wide completions between
 	// predictive recalibrations, so one degrading trend produces one
 	// reweight rather than one per completion. Default 2 × the initial
@@ -57,16 +51,10 @@ type predictor struct {
 }
 
 // newPredictor normalises the policy's defaults against the run shape.
-func newPredictor(opts StreamOptions, workers int, recalWindow int) *predictor {
+func newPredictor(opts StreamOptions, workers int) *predictor {
 	cfg := *opts.Predict
 	if cfg.Margin <= 1 {
 		cfg.Margin = 1.5
-	}
-	if cfg.Window < 2 {
-		cfg.Window = recalWindow
-	}
-	if cfg.MinSamples < 2 {
-		cfg.MinSamples = cfg.Window
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 2 * workers
@@ -112,7 +100,7 @@ func (co *Core) observeForecast(c rt.Ctx, w int, norm time.Duration, breached bo
 	p := co.pred
 	probe := p.probes[w]
 	if probe == nil {
-		probe = stats.NewTrendWindow(p.cfg.Window)
+		probe = stats.NewTrendWindow(recentWindow)
 		p.probes[w] = probe
 	}
 	probe.Observe(norm.Seconds())
@@ -127,7 +115,7 @@ func (co *Core) observeForecast(c rt.Ctx, w int, norm time.Duration, breached bo
 	if !breached && p.since >= p.cfg.Cooldown {
 		for _, v := range co.workers {
 			pv := p.probes[v]
-			if pv == nil || p.seen[v] < p.cfg.MinSamples || !co.Alive(v) {
+			if pv == nil || p.seen[v] < recentWindow || !co.Alive(v) {
 				continue
 			}
 			f := pv.Predict()
@@ -144,10 +132,10 @@ func (co *Core) observeForecast(c rt.Ctx, w int, norm time.Duration, breached bo
 		}
 	}
 
-	if p.seen[w] >= p.cfg.MinSamples && co.Alive(w) {
+	if p.seen[w] >= recentWindow && co.Alive(w) {
 		if fw := probe.Predict(); !math.IsNaN(fw) && fw > 0 {
 			fdur := time.Duration(fw * float64(time.Second))
-			if p.seen[w] == p.cfg.MinSamples && co.log != nil {
+			if p.seen[w] == recentWindow && co.log != nil {
 				if ref, ok := co.fleetRef(w); ok && ref > 0 {
 					co.log.Append(trace.Event{
 						At: c.Now(), Kind: trace.KindForecast,
@@ -201,7 +189,7 @@ func (co *Core) observeForecast(c rt.Ctx, w int, norm time.Duration, breached bo
 func (co *Core) forecastReweight() Update {
 	est := make(map[int]time.Duration, len(co.workers))
 	for _, w := range co.workers {
-		if probe := co.pred.probes[w]; probe != nil && co.pred.seen[w] >= co.pred.cfg.MinSamples {
+		if probe := co.pred.probes[w]; probe != nil && co.pred.seen[w] >= recentWindow {
 			if f := probe.Predict(); !math.IsNaN(f) && f > 0 {
 				est[w] = time.Duration(f * float64(time.Second))
 				continue

@@ -5,25 +5,17 @@
 // A pipeline of S stages is mapped onto workers (stage i on mapping[i]);
 // items flow through bounded inter-stage buffers. Each stage measures its
 // per-item service time with a monitor.Detector; a breach — the pipeline's
-// instance of Algorithm 2's rule — triggers the skeleton's inherent
-// adaptation levers:
-//
-//   - remapping: move the stage onto the fittest spare worker (the node is
-//     the problem);
-//   - replication: farm an order-insensitive stage across additional
-//     workers (the stage itself is the bottleneck), per ref [7]'s "fully
-//     adaptive" design.
+// instance of Algorithm 2's rule — triggers the skeleton's adaptation
+// lever: remapping the stage onto the fittest spare worker.
 //
 // Worker crashes (grid.ErrNodeFailed) are survived by retiring the dead
 // worker and remapping; items are lost only when no spare remains.
 //
 // The batch Run has no stage loop of its own: a stage is a farm.Stream over
 // a pool of one, on the stage graph compose.RunFarms, so its detector,
-// membership and crash handling are engine.Core's. A stage farm's Window is
-// the most workers the stage may ever hold — 1, or MaxReplicas for a
-// Replicable stage, which may therefore admit that many items before it
-// has replicated. Stream is the served pipeline, one coordinator for all
-// stages.
+// membership and crash handling are engine.Core's. A stage farm holds one
+// worker and one item at a time. Stream is the served pipeline, one
+// coordinator for all stages.
 package pipeline
 
 import (
@@ -49,10 +41,6 @@ type Stage struct {
 	InBytes, OutBytes float64
 	// Fn transforms the item value (local platform; optional elsewhere).
 	Fn func(v any) any
-	// Replicable marks the stage as order-insensitive: the adaptive
-	// pipeline may farm it across several workers when it is a persistent
-	// bottleneck (items can then leave the stage out of order).
-	Replicable bool
 }
 
 // Options configures a pipeline run.
@@ -60,7 +48,7 @@ type Options struct {
 	// Mapping assigns stage i to worker Mapping[i]. Its length must equal
 	// the number of stages. Defaults to stage i → worker i.
 	Mapping []int
-	// Spares are workers the adaptive pipeline may remap or replicate slow
+	// Spares are workers the adaptive pipeline may remap slow or crashed
 	// stages onto, in preference order (fittest first). Empty disables
 	// adaptation.
 	Spares []int
@@ -68,11 +56,6 @@ type Options struct {
 	DetectorFor func(stage int) *monitor.Detector
 	// BufSize is the inter-stage buffer capacity (default 1).
 	BufSize int
-	// MaxReplicas caps the total workers a Replicable stage may grow to
-	// (≤1 disables replication). On a threshold breach a replicable stage
-	// prefers replication over remapping: a structural bottleneck needs
-	// capacity, not relocation.
-	MaxReplicas int
 	// Log receives complete/adapt events (optional).
 	Log *trace.Log
 }
@@ -86,16 +69,13 @@ type Report struct {
 	// Outputs collects the final item values (local platform), in exit
 	// order.
 	Outputs []any
-	// ServiceByStage sums per-stage busy time (replicas included).
+	// ServiceByStage sums per-stage busy time.
 	ServiceByStage []time.Duration
 	// Remaps records every relocation adaptation.
 	Remaps []Remap
-	// Replications records every replication adaptation.
-	Replications []Replication
 	// ExitTimes records when each item left the pipeline, in exit order.
 	ExitTimes []time.Duration
-	// FinalMapping is the stage→worker mapping of the primaries after
-	// adaptation.
+	// FinalMapping is the stage→worker mapping after adaptation.
 	FinalMapping []int
 	// Failures counts stage executions lost to worker crashes (each was
 	// retried after a remap when a spare was available).
@@ -111,13 +91,6 @@ type Remap struct {
 	Stage      int
 	FromWorker int
 	ToWorker   int
-}
-
-// Replication is one stage-replication adaptation event.
-type Replication struct {
-	At     time.Duration
-	Stage  int
-	Worker int // the added worker
 }
 
 // mapping is the mutable stage→worker table plus the spare pool, shared by
@@ -154,18 +127,6 @@ func (m *mapping) remap(stage int, recycle bool) (from, to int, ok bool) {
 	return from, to, true
 }
 
-// takeSpare removes and returns the fittest spare for a replica.
-func (m *mapping) takeSpare() (int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.spares) == 0 {
-		return 0, false
-	}
-	w := m.spares[0]
-	m.spares = m.spares[1:]
-	return w, true
-}
-
 // Run pushes nItems items (IDs 0..nItems-1, initial value = their ID)
 // through the stages and blocks until the sink has drained.
 func Run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Options) Report {
@@ -174,13 +135,14 @@ func Run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Option
 }
 
 // run is Run plus each stage farm's engine report. The stage graph is
-// compose.RunFarms; this is the policy it runs with. Stage si starts as a
-// pool of one (its mapped worker) and every lever is a membership update
-// of its farm: a breach replicates the stage when it allows it and the cap
-// leaves room (Add a spare), else remaps it (Add the spare, Remove the old
-// worker); a crashed primary is replaced by the next spare and retired
-// from the mapping, a crashed replica just replaced. One stage's hooks run
-// in that stage's farmer process, so only the mapping and the report's
+// compose.RunFarms; this is the policy it runs with. Stage si is a pool of
+// one (its mapped worker) and every lever is a membership update of its
+// farm: a breach remaps it (Add the spare, Remove the old worker), and a
+// crashed worker is replaced by the next spare and retired from the
+// mapping. A pool of one holds one item, and a breach is observed on that
+// item's completion, so a worker a remap removed is idle: the only worker
+// that can crash under a stage is the one it maps to. One stage's hooks
+// run in that stage's farmer process, so only the mapping and the report's
 // history are shared between processes.
 func run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Options) (Report, []engine.StreamReport) {
 	if len(stages) == 0 {
@@ -196,15 +158,7 @@ func run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Option
 	}
 
 	var rep Report
-	var mu sync.Mutex // guards rep.Remaps and rep.Replications on the local runtime
-	logAdapt := func(si, w int, format string, args ...any) {
-		if opts.Log != nil {
-			opts.Log.Append(trace.Event{
-				At: c.Now(), Kind: trace.KindAdapt,
-				Proc: stages[si].Name, Node: pf.WorkerName(w), Msg: fmt.Sprintf(format, args...),
-			})
-		}
-	}
+	var mu sync.Mutex // guards rep.Remaps on the local runtime
 	// remap moves stage si to the next spare, if there is one; the vacated
 	// worker returns to the spares unless it crashed.
 	remap := func(si int, crashed bool, why string) (engine.Update, bool) {
@@ -215,7 +169,12 @@ func run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Option
 		mu.Lock()
 		rep.Remaps = append(rep.Remaps, Remap{At: c.Now(), Stage: si, FromWorker: from, ToWorker: to})
 		mu.Unlock()
-		logAdapt(si, to, "remap stage %d %s→%s (%s)", si, pf.WorkerName(from), pf.WorkerName(to), why)
+		if opts.Log != nil {
+			opts.Log.Append(trace.Event{
+				At: c.Now(), Kind: trace.KindAdapt, Proc: stages[si].Name, Node: pf.WorkerName(to),
+				Msg: fmt.Sprintf("remap stage %d %s→%s (%s)", si, pf.WorkerName(from), pf.WorkerName(to), why),
+			})
+		}
 		u := engine.Update{Add: []engine.Member{{Worker: to}}, ResetDetector: true}
 		if !crashed {
 			u.Remove = []int{from}
@@ -231,39 +190,15 @@ func run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Option
 			Cost: st.Cost, InBytes: st.InBytes, OutBytes: st.OutBytes, Fn: st.Fn,
 		}
 		o := &farms[si]
-		o.Window = 1 // the most workers the stage may ever hold
-		if st.Replicable && opts.MaxReplicas > 1 {
-			o.Window = opts.MaxReplicas
-		}
 		if opts.DetectorFor != nil {
 			o.Detector = opts.DetectorFor(si)
 		}
-		granted := 1 // workers ever granted to the stage, primary included
 		o.OnRecalibrate = func(b engine.Breach) (engine.Update, bool) {
-			if granted < o.Window {
-				if w, ok := m.takeSpare(); ok {
-					granted++
-					mu.Lock()
-					rep.Replications = append(rep.Replications, Replication{At: c.Now(), Stage: si, Worker: w})
-					mu.Unlock()
-					logAdapt(si, w, "replicate stage %d onto %s (stat %v)", si, pf.WorkerName(w), b.Stat)
-					return engine.Update{Add: []engine.Member{{Worker: w}}}, true
-				}
-			}
 			u, _ := remap(si, false, fmt.Sprintf("stat %v", b.Stat))
 			return u, true // handled even with no spare left: nothing to reweight
 		}
-		o.OnFailure = func(dead int) (engine.Update, bool) {
-			if dead == m.workerOf(si) {
-				return remap(si, true, "worker failed")
-			}
-			w, ok := m.takeSpare()
-			if !ok {
-				return engine.Update{}, false
-			}
-			logAdapt(si, w, "replica of stage %d moved %s→%s (replica worker failed)",
-				si, pf.WorkerName(dead), pf.WorkerName(w))
-			return engine.Update{Add: []engine.Member{{Worker: w}}}, true
+		o.OnFailure = func(int) (engine.Update, bool) {
+			return remap(si, true, "worker failed")
 		}
 	}
 	flow, reports := compose.RunFarms(pf, c, pools, farms, nItems,

@@ -46,6 +46,16 @@ func fixedStages(n int, cost float64) []Stage {
 	return stages
 }
 
+// tightDetector breaches as soon as two items exceed z.
+func tightDetector(z time.Duration) func(int) *monitor.Detector {
+	return func(int) *monitor.Detector {
+		d := monitor.NewDetector(z)
+		d.Window = 2
+		d.MinSamples = 2
+		return d
+	}
+}
+
 func TestPipelineAllItemsExitInOrder(t *testing.T) {
 	pf, sim := gridPF(t, evenSpeeds(3, 10))
 	var rep Report

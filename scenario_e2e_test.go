@@ -351,10 +351,7 @@ func TestDaemonMixedSkeletonTraffic(t *testing.T) {
 // speaking the real protocol, and the exactly-once check holds across the
 // process-shaped substrate.
 func TestDriveClusterScenario(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{
-		DeadAfter:    time.Second,
-		MaxLeaseWait: 200 * time.Millisecond,
-	})
+	coord := cluster.NewCoordinator(cluster.Config{DeadAfter: time.Second})
 	defer coord.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
