@@ -234,7 +234,7 @@ func TestExpiredLeaseIsRedeliveredOnLiveNode(t *testing.T) {
 
 func TestDeadRegistrationsArePruned(t *testing.T) {
 	// Sweeps every 10ms, declares the node dead after 40ms of silence and
-	// prunes it 800ms after that.
+	// prunes it once 800ms have passed since its last contact.
 	co := NewCoordinator(Config{DeadAfter: 40 * time.Millisecond})
 	t.Cleanup(co.Close)
 	co.Register(RegisterRequest{ID: "churn-1", Capacity: 1})

@@ -181,12 +181,12 @@ func TestRestoreIsAFloorNotAReset(t *testing.T) {
 // sweep satellite: dead-registration pruning used to race Lease/Results
 // metric writes performed after releasing co.mu — a write that looked up
 // the node pre-prune could land post-prune and resurrect the deleted
-// series. With aggressive retention and continuous traffic the two paths
-// interleave constantly; under -race this doubles as a data-race probe,
+// series. With the floor's retention and continuous traffic the two paths
+// interleave; under -race this doubles as a data-race probe,
 // and the final check asserts no pruned node's series leaked back.
 func TestRecoveryPruneMetricsRace(t *testing.T) {
 	// The floor: sweeps every 750µs, death after 3ms of silence, pruning
-	// 60ms after that.
+	// once 60ms have passed since the last contact.
 	co := NewCoordinator(Config{DeadAfter: 3 * time.Millisecond})
 	t.Cleanup(co.Close)
 

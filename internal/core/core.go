@@ -462,31 +462,17 @@ func RunPipeline(pf platform.Platform, c rt.Ctx, stages []pipeline.Stage, nItems
 	mappingWorkers := out.Ranking.Select(len(stages))
 	spares := out.Ranking.Order[len(stages):]
 
-	// Per-stage thresholds reference the lesser of the stage's own expected
-	// cost and the pipeline's mean stage cost. Referencing the stage's own
-	// cost alone would only catch node degradation; the mean-cost bound
-	// additionally surfaces *structural* bottlenecks — a stage far above
-	// the pipe's mean service time throttles throughput no matter how
-	// healthy its node is — which remapping onto a faster node relieves.
-	stageCost := func(stage int) float64 {
-		if stages[stage].Cost != nil {
-			if sc := stages[stage].Cost(0); sc > 0 {
-				return sc
-			}
-		}
-		return probeCost
-	}
-	var meanStageCost float64
-	for si := range stages {
-		meanStageCost += stageCost(si)
-	}
-	meanStageCost /= float64(len(stages))
+	// Per-stage thresholds reference the stage's own expected cost on its
+	// node, so a breach flags node degradation, which remapping onto a
+	// spare relieves.
 	detFor := func(stage int) *monitor.Detector {
 		w := mappingWorkers[stage]
 		perUnit := out.Ranking.Score[w] / probeCost // seconds per op on this node
-		ref := stageCost(stage)
-		if meanStageCost < ref {
-			ref = meanStageCost
+		ref := probeCost
+		if stages[stage].Cost != nil {
+			if sc := stages[stage].Cost(0); sc > 0 {
+				ref = sc
+			}
 		}
 		z := time.Duration(perUnit * ref * factor * float64(time.Second))
 		if z <= 0 {

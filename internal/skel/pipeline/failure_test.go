@@ -13,7 +13,7 @@ func TestPipelineRemapsOnWorkerCrash(t *testing.T) {
 	// Stage 0's node dies at t=2s; the stage must retire it, remap onto
 	// the spare, retry the in-flight item, and lose nothing.
 	pf, sim := gridPF(t, []grid.NodeSpec{
-		{BaseSpeed: 10, FailAt: 3 * time.Second},
+		{BaseSpeed: 10, FailAt: 2 * time.Second},
 		{BaseSpeed: 10},
 		{BaseSpeed: 10}, // spare
 	})
