@@ -112,17 +112,6 @@ func (a *Allocator) SetShare(id string, share float64) {
 	a.rebalanceLocked("")
 }
 
-// Allocation returns a job's current slots (nil for unknown jobs).
-func (a *Allocator) Allocation(id string) []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	j, ok := a.jobs[id]
-	if !ok {
-		return nil
-	}
-	return append([]int(nil), j.assigned...)
-}
-
 // rebalanceLocked recomputes every job's target count, transfers the
 // minimum number of slots, and notifies every changed job except skip
 // (the joining job, whose initial set Join returns instead).

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// Allocation returns a job's current slots (nil for unknown jobs).
+func (a *Allocator) Allocation(id string) []int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	j, ok := a.jobs[id]
+	if !ok {
+		return nil
+	}
+	return append([]int(nil), j.assigned...)
+}
+
 func slots(n int) []int {
 	out := make([]int, n)
 	for i := range out {

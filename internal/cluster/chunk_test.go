@@ -199,7 +199,7 @@ func TestChunkedFarmAmortisesLeasesAndDeliversOnce(t *testing.T) {
 	// Tasks under resultHold never lease ahead: a short chunk answers as a
 	// unit.
 	for _, w := range workers {
-		if ahead := w.Metrics().Counter("worker_leases_ahead_total").Value(); ahead != 0 {
+		if ahead := w.cfg.Registry.Counter("worker_leases_ahead_total").Value(); ahead != 0 {
 			t.Errorf("%s: worker_leases_ahead_total = %d for chunks of empty tasks, want 0", w.ID(), ahead)
 		}
 	}
@@ -229,7 +229,7 @@ func TestLongLeaseStreamsPerTask(t *testing.T) {
 	if leases := co.Metrics().Counter("cluster_leases_total").Value(); leases != 4 {
 		t.Fatalf("the chunk went out in %d leases, want 4", leases)
 	}
-	if ahead := w.Metrics().Counter("worker_leases_ahead_total").Value(); ahead < 3 {
+	if ahead := w.cfg.Registry.Counter("worker_leases_ahead_total").Value(); ahead < 3 {
 		t.Errorf("worker_leases_ahead_total = %d, want >= 3: each task after the first is leased as its predecessor begins", ahead)
 	}
 	// The coordinator stamps each result as it arrives, with what the task
@@ -300,7 +300,7 @@ func TestLeaseAheadKeepsCapacityShares(t *testing.T) {
 	if took := time.Since(began); took >= 250*time.Millisecond {
 		t.Errorf("the chunk took %v, want two task lengths (< 250ms)", took)
 	}
-	if ahead := w.Metrics().Counter("worker_leases_ahead_total").Value(); ahead == 0 {
+	if ahead := w.cfg.Registry.Counter("worker_leases_ahead_total").Value(); ahead == 0 {
 		t.Errorf("worker_leases_ahead_total = 0: no lease went ahead of a 100 ms task")
 	}
 }
@@ -324,7 +324,7 @@ func TestLeaseAheadStopsWithoutWaitingOutTheParkedLease(t *testing.T) {
 	wait := startRun(l, func(c rt.Ctx) engine.StreamReport {
 		return farm.Run(pool, c, sleepTasks(0, n, 300_000), farm.Options{Workers: []int{0, 1}, Chunk: sched.FixedChunk{K: 1}})
 	})
-	for deadline := time.Now().Add(5 * time.Second); victim.Metrics().Counter("worker_leases_ahead_total").Value() == 0; {
+	for deadline := time.Now().Add(5 * time.Second); victim.cfg.Registry.Counter("worker_leases_ahead_total").Value() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("the victim never leased ahead of its 300 ms task")
 		}
@@ -450,7 +450,7 @@ func TestHeldResults(t *testing.T) {
 			}
 			// With 2 ms tasks the first request to carry results is a lease
 			// ahead: the one lost.
-			if ahead := victim.Metrics().Counter("worker_leases_ahead_total").Value(); (ahead > 0) != (tc.sleepUS > 0) {
+			if ahead := victim.cfg.Registry.Counter("worker_leases_ahead_total").Value(); (ahead > 0) != (tc.sleepUS > 0) {
 				t.Errorf("victim worker_leases_ahead_total = %d with %d µs tasks", ahead, tc.sleepUS)
 			}
 		})

@@ -98,16 +98,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	return err
 }
 
-// Addr returns the bound listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // Close stops the listener and every open connection.
 func (s *Server) Close() {
 	s.mu.Lock()

@@ -271,10 +271,6 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 // ID returns the node id this worker registered under.
 func (w *Worker) ID() string { return w.cfg.ID }
 
-// Metrics exposes the worker's operational metrics, including the lease
-// round-trip histogram.
-func (w *Worker) Metrics() *metrics.Registry { return w.cfg.Registry }
-
 // SpeedOPS returns the benchmark-derived speed reported at registration.
 func (w *Worker) SpeedOPS() float64 { return w.speed }
 

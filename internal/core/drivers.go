@@ -39,8 +39,6 @@ type MapConfig struct {
 	// Waves is the number of decomposition rounds per execution phase
 	// (default 4). One wave is the fully static deal.
 	Waves int
-	// Alpha is the inter-wave re-weighting blend (see dmap.Options.Alpha).
-	Alpha float64
 	// Log receives all trace events (optional).
 	Log *trace.Log
 }
@@ -62,8 +60,7 @@ func RunMap(pf platform.Platform, c rt.Ctx, tasks []platform.Task, cfg MapConfig
 		rule: cfg.Rule, maxRecal: cfg.MaxRecalibrations, log: cfg.Log,
 		exec: func(c rt.Ctx, e execution) engine.StreamReport {
 			return dmap.Run(pf, c, e.tasks, dmap.Options{
-				Workers: e.chosen, Weights: e.weights,
-				Waves: waves, Alpha: cfg.Alpha,
+				Workers: e.chosen, Weights: e.weights, Waves: waves,
 				Detector: e.detector, NormCost: e.normCost, Log: cfg.Log,
 			})
 		},

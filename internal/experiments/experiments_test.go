@@ -24,7 +24,12 @@ func TestAllExperimentShapesHold(t *testing.T) {
 			if res.ID != r.ID {
 				t.Errorf("result ID %q != runner ID %q", res.ID, r.ID)
 			}
-			if res.Table == nil || res.Table.NumRows() == 0 {
+			if res.Table == nil {
+				t.Fatal("experiment produced no table")
+			}
+			var md strings.Builder
+			res.Table.Markdown(&md)
+			if strings.Count("\n"+md.String(), "\n|") < 3 { // header, separator, a row
 				t.Fatal("experiment produced no table rows")
 			}
 			for _, c := range res.Checks {

@@ -36,37 +36,3 @@ func (g *Grid) Execute(p *vsim.Proc, id NodeID, w Work) (time.Duration, error) {
 	}
 	return g.env.Now() - start, nil
 }
-
-// Snapshot summarises per-node accounting at a point in virtual time, used
-// by experiments to report utilisation and imbalance.
-type Snapshot struct {
-	At    time.Duration
-	Nodes []NodeStat
-}
-
-// NodeStat is one node's accounting entry in a Snapshot.
-type NodeStat struct {
-	ID        NodeID
-	Name      string
-	BaseSpeed float64
-	Load      float64 // true external load at snapshot time
-	Busy      time.Duration
-	TasksDone int
-}
-
-// Snapshot captures accounting for all nodes at the current virtual time.
-func (g *Grid) Snapshot() Snapshot {
-	now := g.env.Now()
-	s := Snapshot{At: now}
-	for _, n := range g.nodes {
-		s.Nodes = append(s.Nodes, NodeStat{
-			ID:        n.ID,
-			Name:      n.Name,
-			BaseSpeed: n.BaseSpeed,
-			Load:      n.LoadAt(now),
-			Busy:      n.BusyTime(),
-			TasksDone: n.TasksDone(),
-		})
-	}
-	return s
-}

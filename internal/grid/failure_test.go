@@ -122,19 +122,3 @@ func TestFailedAt(t *testing.T) {
 		t.Error("FailAt=0 must never fail")
 	}
 }
-
-func TestCrashedNodeDoesNotAccountWork(t *testing.T) {
-	env := vsim.New()
-	g := mkGrid(t, env, Config{Nodes: []NodeSpec{
-		{BaseSpeed: 10, FailAt: 4 * time.Second},
-	}})
-	env.Go("m", func(p *vsim.Proc) {
-		g.Node(0).Compute(p, 100) // fails mid-way
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Node(0).TasksDone() != 0 {
-		t.Error("failed task counted as done")
-	}
-}

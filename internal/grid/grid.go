@@ -65,10 +65,6 @@ type Node struct {
 	load loadgen.Trace
 	cpu  *vsim.Resource
 	env  *vsim.Env
-
-	// accounting
-	busy      time.Duration // virtual time spent computing
-	tasksDone int
 }
 
 // FailedAt reports whether the node has crashed by time t.
@@ -84,12 +80,6 @@ func (n *Node) LoadAt(t time.Duration) float64 {
 	}
 	return n.load.At(t)
 }
-
-// BusyTime returns the cumulative virtual time this node spent computing.
-func (n *Node) BusyTime() time.Duration { return n.busy }
-
-// TasksDone returns the number of Compute calls completed on this node.
-func (n *Node) TasksDone() int { return n.tasksDone }
 
 // Compute executes cost operations on the node, blocking p for the exact
 // virtual time implied by the base speed and the load trace. Concurrent
@@ -121,8 +111,6 @@ func (n *Node) Compute(p *vsim.Proc, cost float64) (time.Duration, error) {
 	}
 	p.Sleep(d)
 	n.cpu.Release(p)
-	n.busy += n.env.Now() - start
-	n.tasksDone++
 	return n.env.Now() - start, nil
 }
 
@@ -309,9 +297,6 @@ func New(env *vsim.Env, cfg Config) (*Grid, error) {
 	return g, nil
 }
 
-// Env returns the simulation environment the grid lives in.
-func (g *Grid) Env() *vsim.Env { return g.env }
-
 // Size returns the number of worker nodes.
 func (g *Grid) Size() int { return len(g.nodes) }
 
@@ -322,9 +307,6 @@ func (g *Grid) Node(id NodeID) *Node {
 	}
 	return g.nodes[id]
 }
-
-// Nodes returns all nodes in ID order.
-func (g *Grid) Nodes() []*Node { return append([]*Node(nil), g.nodes...) }
 
 // Link returns the master↔node link for the given node.
 func (g *Grid) Link(id NodeID) *Link {

@@ -311,29 +311,6 @@ func TestEffectiveSpeedAndRank(t *testing.T) {
 	}
 }
 
-func TestAccounting(t *testing.T) {
-	env := vsim.New()
-	g := mkGrid(t, env, Config{Nodes: []NodeSpec{{BaseSpeed: 10}}})
-	env.Go("m", func(p *vsim.Proc) {
-		g.Node(0).Compute(p, 10)
-		g.Node(0).Compute(p, 20)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	n := g.Node(0)
-	if n.TasksDone() != 2 {
-		t.Errorf("TasksDone = %d", n.TasksDone())
-	}
-	if n.BusyTime() != 3*time.Second {
-		t.Errorf("BusyTime = %v", n.BusyTime())
-	}
-	snap := g.Snapshot()
-	if snap.Nodes[0].TasksDone != 2 || snap.Nodes[0].Busy != 3*time.Second {
-		t.Errorf("snapshot = %+v", snap.Nodes[0])
-	}
-}
-
 func TestHeterogeneousSpecs(t *testing.T) {
 	specs := HeterogeneousSpecs(42, 200, 100, 0.5)
 	if len(specs) != 200 {

@@ -270,51 +270,3 @@ func Spikes(base, height float64, n int, width, horizon time.Duration) *Piecewis
 	}
 	return NewPiecewise(segs)
 }
-
-// Scale wraps a trace, multiplying its value by factor (then clamping).
-type Scale struct {
-	T      Trace
-	Factor float64
-}
-
-// At implements Trace.
-func (s Scale) At(t time.Duration) float64 { return clamp(s.T.At(t) * s.Factor) }
-
-// NextChange implements Trace.
-func (s Scale) NextChange(t time.Duration) (time.Duration, bool) { return s.T.NextChange(t) }
-
-// Shift wraps a trace, delaying it by Delay (load before the delay is the
-// wrapped trace's value at time zero).
-type Shift struct {
-	T     Trace
-	Delay time.Duration
-}
-
-// At implements Trace.
-func (s Shift) At(t time.Duration) float64 {
-	if t < s.Delay {
-		return s.T.At(0)
-	}
-	return s.T.At(t - s.Delay)
-}
-
-// NextChange implements Trace.
-func (s Shift) NextChange(t time.Duration) (time.Duration, bool) {
-	if t < s.Delay {
-		// First change is either at Delay (if the underlying value differs)
-		// or the underlying trace's first change, shifted.
-		if s.T.At(0) != s.At(s.Delay) {
-			return s.Delay, true
-		}
-		nc, ok := s.T.NextChange(0)
-		if !ok {
-			return 0, false
-		}
-		return nc + s.Delay, true
-	}
-	nc, ok := s.T.NextChange(t - s.Delay)
-	if !ok {
-		return 0, false
-	}
-	return nc + s.Delay, true
-}

@@ -241,34 +241,6 @@ func TestSpikesDegenerate(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	s := Scale{T: NewConstant(0.4), Factor: 2}
-	if s.At(0) != 0.8 {
-		t.Errorf("scaled = %v", s.At(0))
-	}
-	s2 := Scale{T: NewConstant(0.9), Factor: 2}
-	if s2.At(0) != MaxLoad {
-		t.Error("scale should clamp")
-	}
-}
-
-func TestShift(t *testing.T) {
-	sh := Shift{T: NewStep(10*time.Second, 0.1, 0.6), Delay: 5 * time.Second}
-	if sh.At(0) != 0.1 {
-		t.Error("before delay should be initial value")
-	}
-	if sh.At(14*time.Second) != 0.1 {
-		t.Error("step should now be at 15s")
-	}
-	if sh.At(15*time.Second) != 0.6 {
-		t.Error("shifted step missing")
-	}
-	nc, ok := sh.NextChange(0)
-	if !ok || nc != 15*time.Second {
-		t.Errorf("NextChange = %v %v", nc, ok)
-	}
-}
-
 // Property: every generator's output is always within [0, MaxLoad] and
 // NextChange, when reported, is strictly in the future at a point where the
 // value really differs.

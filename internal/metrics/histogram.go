@@ -95,43 +95,3 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	}
 	return bounds, counts
 }
-
-// Quantile estimates the q-quantile (q in [0, 1]) by linear interpolation
-// within the bucket the rank falls into — the same estimate a Prometheus
-// histogram_quantile would produce from the exposition. Samples past the
-// last finite bound clamp to it. Returns 0 with no samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.bounds {
-		c := h.counts[i].Load()
-		if c > 0 && float64(cum+c) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-	}
-	// Rank lands in the +Inf bucket: clamp to the largest finite bound.
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
-}

@@ -58,39 +58,6 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{10, 20, 30, 40})
-	// 100 uniform samples over (0, 40]: 25 per bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 0.4)
-	}
-	if got := h.Quantile(0.5); math.Abs(got-20) > 2 {
-		t.Fatalf("p50 = %v, want ≈20", got)
-	}
-	if got := h.Quantile(0.25); math.Abs(got-10) > 2 {
-		t.Fatalf("p25 = %v, want ≈10", got)
-	}
-	if got := h.Quantile(1); got != 40 {
-		t.Fatalf("p100 = %v, want 40", got)
-	}
-	if got := h.Quantile(0); got < 0 || got > 1 {
-		t.Fatalf("p0 = %v, want ≈0", got)
-	}
-}
-
-func TestHistogramQuantileOverflowClamps(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
-	h.Observe(100)
-	h.Observe(200)
-	if got := h.Quantile(0.99); got != 2 {
-		t.Fatalf("overflow quantile = %v, want clamp to 2", got)
-	}
-	empty := newHistogram([]float64{1})
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
-	}
-}
-
 func TestRegistryHistogram(t *testing.T) {
 	r := NewRegistry()
 	h1 := r.Histogram("lat", BatchBuckets)

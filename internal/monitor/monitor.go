@@ -121,9 +121,6 @@ func (d *Detector) Observe(t time.Duration) {
 	}
 }
 
-// Count returns the number of observations in the current round.
-func (d *Detector) Count() int { return len(d.times) }
-
 // Reset discards the current round's observations (called after a
 // recalibration).
 func (d *Detector) Reset() { d.times = d.times[:0] }

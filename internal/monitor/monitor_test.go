@@ -151,12 +151,12 @@ func TestDetectorDisabled(t *testing.T) {
 func TestDetectorResetAndCount(t *testing.T) {
 	d := NewDetector(time.Second)
 	d.Observe(2 * time.Second)
-	if d.Count() != 1 {
-		t.Errorf("Count = %d", d.Count())
+	if len(d.times) != 1 {
+		t.Errorf("count = %d", len(d.times))
 	}
 	d.Reset()
-	if d.Count() != 0 {
-		t.Errorf("Count after reset = %d", d.Count())
+	if len(d.times) != 0 {
+		t.Errorf("count after reset = %d", len(d.times))
 	}
 	if b, _ := d.Breached(); b {
 		t.Error("reset detector should not breach")

@@ -69,25 +69,9 @@ func (tw *TrendWatch) Sample() int {
 }
 
 // Triggered reports whether the watch has fired. It latches: once fired it
-// stays fired until Reset.
+// stays fired.
 func (tw *TrendWatch) Triggered() bool {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
 	return tw.fired
-}
-
-// Reset re-arms the watch and clears the forecast history (called after a
-// recalibration changes the worker set).
-func (tw *TrendWatch) Reset() {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	tw.fired = false
-	for _, f := range tw.forecasts {
-		f.Reset()
-	}
-}
-
-// Workers returns the watched worker indices.
-func (tw *TrendWatch) Workers() []int {
-	return append([]int(nil), tw.workers...)
 }

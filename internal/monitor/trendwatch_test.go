@@ -59,7 +59,7 @@ func TestTrendWatchMinWorkersQuorum(t *testing.T) {
 	}
 }
 
-func TestTrendWatchLatchesAndResets(t *testing.T) {
+func TestTrendWatchLatches(t *testing.T) {
 	s := &rampSensor{v: 0.5, step: 0.3}
 	tw := NewTrendWatch(0.6, 1, 3, []int{0}, []Sensor{s})
 	for i := 0; i < 5; i++ {
@@ -73,14 +73,6 @@ func TestTrendWatchLatchesAndResets(t *testing.T) {
 	tw.Sample()
 	if !tw.Triggered() {
 		t.Error("trigger must latch")
-	}
-	tw.Reset()
-	if tw.Triggered() {
-		t.Error("Reset must re-arm")
-	}
-	tw.Sample()
-	if tw.Triggered() {
-		t.Error("flat zero after reset must stay quiet")
 	}
 }
 
@@ -97,20 +89,5 @@ func TestTrendWatchSampleReturnsOverCount(t *testing.T) {
 	}
 	if tw.Triggered() {
 		t.Error("quorum of 3 not met")
-	}
-}
-
-func TestTrendWatchWorkers(t *testing.T) {
-	tw := NewTrendWatch(0.5, 1, 2, []int{4, 7}, []Sensor{
-		FuncSensor(func() float64 { return 0 }),
-		FuncSensor(func() float64 { return 0 }),
-	})
-	ws := tw.Workers()
-	if len(ws) != 2 || ws[0] != 4 || ws[1] != 7 {
-		t.Errorf("workers = %v", ws)
-	}
-	ws[0] = 99 // must be a copy
-	if tw.Workers()[0] != 4 {
-		t.Error("Workers must return a copy")
 	}
 }

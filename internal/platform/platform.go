@@ -113,9 +113,6 @@ func NewGridPlatform(sim *rt.Sim, g *grid.Grid, sensorNoise float64, seed int64)
 // Runtime implements Platform.
 func (p *GridPlatform) Runtime() rt.Runtime { return p.sim }
 
-// Grid exposes the underlying grid for experiment assertions.
-func (p *GridPlatform) Grid() *grid.Grid { return p.g }
-
 // Size implements Platform.
 func (p *GridPlatform) Size() int { return p.g.Size() }
 

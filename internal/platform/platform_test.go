@@ -49,7 +49,7 @@ func TestGridPlatformAccessors(t *testing.T) {
 	if pf.WorkerName(0) != "alpha" || pf.WorkerName(1) != "n1" {
 		t.Errorf("names = %q %q", pf.WorkerName(0), pf.WorkerName(1))
 	}
-	if pf.Runtime() == nil || pf.Grid() == nil {
+	if pf.Runtime() == nil {
 		t.Error("nil accessors")
 	}
 }

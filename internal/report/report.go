@@ -42,9 +42,6 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.headers))

@@ -44,18 +44,6 @@ func TestNotes(t *testing.T) {
 	}
 }
 
-func TestNumRows(t *testing.T) {
-	tb := NewTable("", "a")
-	if tb.NumRows() != 0 {
-		t.Error("empty table rows != 0")
-	}
-	tb.AddRow(1)
-	tb.AddRow(2)
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
-	}
-}
-
 func TestEmptyTitleOmitted(t *testing.T) {
 	tb := NewTable("", "a")
 	tb.AddRow(1)

@@ -25,7 +25,7 @@ func ExampleGuided() {
 // speeds for a static deal.
 func ExampleWeightedBlocks() {
 	p := sched.WeightedBlocks(10, []float64{3, 1})
-	fmt.Println(p.Sizes())
+	fmt.Println(p)
 	// Output:
-	// [8 2]
+	// [[0 1 2 3 4 5 6 7] [8 9]]
 }

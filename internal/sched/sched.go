@@ -208,21 +208,3 @@ func WeightedBlocks(n int, weights []float64) Partition {
 	}
 	return p
 }
-
-// Sizes returns the number of tasks per worker.
-func (p Partition) Sizes() []int {
-	out := make([]int, len(p))
-	for i, tasks := range p {
-		out[i] = len(tasks)
-	}
-	return out
-}
-
-// Total returns the number of assigned tasks.
-func (p Partition) Total() int {
-	var n int
-	for _, tasks := range p {
-		n += len(tasks)
-	}
-	return n
-}

@@ -144,9 +144,6 @@ func TestRoundRobin(t *testing.T) {
 	if fmt.Sprint(p) != "[[0 3 6] [1 4] [2 5]]" {
 		t.Errorf("RoundRobin = %v", p)
 	}
-	if p.Total() != 7 {
-		t.Errorf("Total = %d", p.Total())
-	}
 }
 
 func TestBlocks(t *testing.T) {
@@ -154,14 +151,11 @@ func TestBlocks(t *testing.T) {
 	if fmt.Sprint(p) != "[[0 1 2] [3 4] [5 6]]" {
 		t.Errorf("Blocks = %v", p)
 	}
-	if fmt.Sprint(p.Sizes()) != "[3 2 2]" {
-		t.Errorf("Sizes = %v", p.Sizes())
-	}
 }
 
 func TestBlocksFewerTasksThanWorkers(t *testing.T) {
 	p := Blocks(2, 5)
-	if p.Total() != 2 || len(p) != 5 {
+	if fmt.Sprint(p) != "[[0] [1] [] [] []]" {
 		t.Errorf("Blocks = %v", p)
 	}
 }
@@ -169,10 +163,7 @@ func TestBlocksFewerTasksThanWorkers(t *testing.T) {
 func TestWeightedBlocks(t *testing.T) {
 	p := WeightedBlocks(100, []float64{3, 1})
 	if len(p[0]) != 75 || len(p[1]) != 25 {
-		t.Errorf("Sizes = %v, want [75 25]", p.Sizes())
-	}
-	if p.Total() != 100 {
-		t.Errorf("Total = %d", p.Total())
+		t.Errorf("sizes = %d %d, want 75 25", len(p[0]), len(p[1]))
 	}
 	// Contiguity.
 	if p[0][0] != 0 || p[0][74] != 74 || p[1][0] != 75 {
@@ -182,16 +173,16 @@ func TestWeightedBlocks(t *testing.T) {
 
 func TestWeightedBlocksDegenerate(t *testing.T) {
 	p := WeightedBlocks(10, []float64{0, 0})
-	if fmt.Sprint(p.Sizes()) != "[5 5]" {
-		t.Errorf("all-zero weights = %v", p.Sizes())
+	if fmt.Sprint(p) != "[[0 1 2 3 4] [5 6 7 8 9]]" {
+		t.Errorf("all-zero weights = %v", p)
 	}
-	if WeightedBlocks(5, nil).Total() != 5 {
-		t.Error("nil weights should still assign all tasks")
+	if p := WeightedBlocks(5, nil); fmt.Sprint(p) != "[[0 1 2 3 4]]" {
+		t.Errorf("nil weights should still assign all tasks: %v", p)
 	}
 	// Negative weights treated as zero.
 	p = WeightedBlocks(10, []float64{-1, 1})
 	if len(p[1]) != 10 {
-		t.Errorf("negative weight worker should get nothing: %v", p.Sizes())
+		t.Errorf("negative weight worker should get nothing: %v", p)
 	}
 }
 

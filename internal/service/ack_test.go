@@ -158,7 +158,7 @@ func TestAsyncAckJournalFailureMidPush(t *testing.T) {
 func TestAsyncAckOwnsItsRecord(t *testing.T) {
 	dir := t.TempDir()
 	ks := &kindStore{Store: walOverStore(t, dir)}
-	s := New(Config{Workers: 4})
+	s := OpenForTest(t, Config{Workers: 4})
 	s.wal = newWAL(ks, walOptions{})
 
 	const jobs, perJob = 3, 100

@@ -39,7 +39,7 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Workers: 2})
+			s := OpenForTest(t, Config{Workers: 2})
 			s.forecastByHand = true
 			j, err := s.Submit("adm", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
 			if err != nil {
@@ -108,7 +108,7 @@ func TestAdmissionShedsOnlyLoadWaitingOutsideTheEngine(t *testing.T) {
 // forecastWindow/2 samples the forecaster must not act on it. Once the
 // window has seen enough of a queue that really is growing, it sheds.
 func TestForecastColdStartDecidesNothing(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	s.forecastByHand = true // the loop never samples: the test does
 	j, err := s.Submit("cold", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive})
 	if err != nil {
@@ -152,7 +152,7 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Workers: 2})
+			s := OpenForTest(t, Config{Workers: 2})
 			s.forecastByHand = true // the loop never samples: the test does
 			j, err := s.Submit("young", JobSpec{Window: 8, WarmupTasks: 2, Adapt: AdaptPredictive})
 			if err != nil {
@@ -184,7 +184,7 @@ func TestForecastYoungWindowJudgedByLevel(t *testing.T) {
 func TestForecastResumesOnTheMeasuredDepth(t *testing.T) {
 	const window = 4
 	half := float64(shedFactor*window) / 2
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	s.forecastByHand = true // the loop never samples: the test does
 	j, err := s.Submit("drain", JobSpec{Window: window, WarmupTasks: 2, Adapt: AdaptPredictive})
 	if err != nil {
@@ -228,7 +228,7 @@ func TestForecastResumesOnTheMeasuredDepth(t *testing.T) {
 // the slot back.
 func TestForecastAutoscalesTheShare(t *testing.T) {
 	const window = 8
-	s := New(Config{Workers: 4})
+	s := OpenForTest(t, Config{Workers: 4})
 	s.forecastByHand = true // the loop never samples: the test does
 	steady, err := s.Submit("steady", JobSpec{WarmupTasks: 2})
 	if err != nil {
@@ -294,7 +294,7 @@ func TestForecastAutoscalesTheShare(t *testing.T) {
 // the engine removes three workers, and the flag clears so later results
 // walk no sets.
 func TestDeferredMembershipDeltaLandsOnTheNextResult(t *testing.T) {
-	s := New(Config{Workers: 4})
+	s := OpenForTest(t, Config{Workers: 4})
 	light, err := s.Submit("light", JobSpec{WarmupTasks: 1000})
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 // service path allocates per task. The store-less wal must add nothing to
 // it: a commit there is lock, apply, unlock.
 func BenchmarkServicePush(b *testing.B) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(b, Config{Workers: 2})
 	j, err := s.Submit("bench", JobSpec{Window: 64})
 	if err != nil {
 		b.Fatal(err)

@@ -41,7 +41,7 @@ func startClusterDaemonURL(t *testing.T, n int) (*service.Service, *cluster.Coor
 	for i := 0; i < n; i++ {
 		startClusterWorker(t, url, string(rune('a'+i)))
 	}
-	s := service.New(service.Config{
+	s := service.OpenForTest(t, service.Config{
 		Workers: 2,
 		Cluster: coord,
 	})
@@ -486,7 +486,7 @@ func TestEvictedNodeRejoinsRunningJob(t *testing.T) {
 func TestClusterPlacementUnavailable(t *testing.T) {
 	// No coordinator at all: placement must be refused as unavailable, not
 	// silently run locally.
-	s := service.New(service.Config{Workers: 2})
+	s := service.OpenForTest(t, service.Config{Workers: 2})
 	if _, err := s.Submit("j", service.JobSpec{Placement: service.PlacementCluster}); !errors.Is(err, service.ErrNoCluster) {
 		t.Errorf("no-coordinator err = %v, want ErrNoCluster", err)
 	}
@@ -494,7 +494,7 @@ func TestClusterPlacementUnavailable(t *testing.T) {
 	// A coordinator with no live nodes is just as unavailable.
 	coord := cluster.NewCoordinator(cluster.Config{})
 	defer coord.Close()
-	s2 := service.New(service.Config{Workers: 2, Cluster: coord})
+	s2 := service.OpenForTest(t, service.Config{Workers: 2, Cluster: coord})
 	if _, err := s2.Submit("j", service.JobSpec{Placement: service.PlacementCluster}); !errors.Is(err, service.ErrNoCluster) {
 		t.Errorf("no-nodes err = %v, want ErrNoCluster", err)
 	}

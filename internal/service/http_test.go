@@ -17,7 +17,7 @@ import (
 // testServer spins up the full handler stack over a small service.
 func testServer(t *testing.T) (*httptest.Server, *Service) {
 	t.Helper()
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	srv := httptest.NewServer(NewHandler(s))
 	t.Cleanup(srv.Close)
 	return srv, s
@@ -186,7 +186,7 @@ func awaitPoll(t *testing.T, c <-chan polled, d time.Duration) polled {
 // as its result is visible — not an empty page now and the result on the
 // next tick.
 func TestResultsPollWaitsForTheWatermark(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	t.Cleanup(func() { s.Close() })
 	j, err := s.Submit("wm", JobSpec{WarmupTasks: 2})
 	if err != nil {
@@ -311,7 +311,7 @@ func TestResultsPollWakesOnLifecycle(t *testing.T) {
 // service, and with nothing to wait for it answers the empty page after
 // resultsHold.
 func TestResultsPollReleases(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	h := NewHandler(s)
 	j, err := s.Submit("idle", JobSpec{WarmupTasks: 2})
 	if err != nil {

@@ -976,10 +976,3 @@ func (j *Job) Results(after int) ([]TaskResult, int) {
 	}
 	return pool.Results[after-base : next-base : next-base], next
 }
-
-// Report returns the final engine report (zero until the job is done).
-func (j *Job) Report() engine.StreamReport {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rep
-}

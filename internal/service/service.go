@@ -150,19 +150,6 @@ type Service struct {
 	forecastByHand bool
 }
 
-// New builds a service over a fresh local runtime and platform. The
-// fair-share allocator partitions the platform's worker slots among the
-// live local jobs, so no job assumes it owns the whole platform. New
-// panics if the durable layer cannot open; daemons configuring a DataDir
-// should call Open and handle the error.
-func New(cfg Config) *Service {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("service: %v", err))
-	}
-	return s
-}
-
 // Open builds a service, recovering durable state when cfg.DataDir is
 // set: the journal under it is replayed, done jobs reappear with their
 // retained results (pollers' cursors stay valid across the restart),

@@ -7,8 +7,26 @@ import (
 	"testing"
 	"time"
 
+	"grasp/internal/skel/engine"
 	"grasp/internal/trace"
 )
+
+// OpenForTest opens a service over cfg, failing the test if it cannot.
+func OpenForTest(tb testing.TB, cfg Config) *Service {
+	tb.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// Report returns the job's final engine report (zero until it is done).
+func (j *Job) Report() engine.StreamReport {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rep
+}
 
 // burst builds n task specs with IDs base..base+n-1 sleeping sleepUS each.
 func burst(base, n int, sleepUS int64) []TaskSpec {
@@ -45,7 +63,7 @@ func TestServiceThreeConcurrentStreamingJobs(t *testing.T) {
 		slowUS  = 30000
 		batches = 6
 	)
-	s := New(Config{Workers: 4})
+	s := OpenForTest(t, Config{Workers: 4})
 
 	var wg sync.WaitGroup
 	handles := make([]*Job, jobs)
@@ -161,7 +179,7 @@ func TestServicePushBlocksUnderBackpressure(t *testing.T) {
 	// Window 2 and a one-slot hand-off: pushing 20 tasks of ~1ms each on 2
 	// workers cannot return before all but 3 of them have been admitted, so
 	// Push must take at least a few task durations.
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	j, err := s.Submit("bp", JobSpec{Window: 2, WarmupTasks: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +224,7 @@ func TestJobWindowIsTheOnlyBound(t *testing.T) {
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			s := New(Config{Workers: 2})
+			s := OpenForTest(t, Config{Workers: 2})
 			j, err := s.Submit("bound", spec)
 			if err != nil {
 				t.Fatal(err)
@@ -252,7 +270,7 @@ func TestJobWindowIsTheOnlyBound(t *testing.T) {
 }
 
 func TestServiceDuplicateJobName(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	if _, err := s.Submit("same", JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +287,7 @@ func TestServiceDuplicateJobName(t *testing.T) {
 // of eight slots owned by no job. A share past maxShare is refused, and
 // two jobs at the bound still split every slot between them.
 func TestShareIsBounded(t *testing.T) {
-	s := New(Config{Workers: 8})
+	s := OpenForTest(t, Config{Workers: 8})
 	defer s.Close()
 	huge := 1e308
 	if _, err := s.Submit("huge", JobSpec{Share: &huge}); err == nil || !strings.Contains(err.Error(), "share must be in") {
@@ -296,7 +314,7 @@ func TestShareIsBounded(t *testing.T) {
 // is refused, and over the accepted range a larger factor installs a
 // larger Z.
 func TestThresholdNeverFallsAsTheFactorRises(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	defer s.Close()
 	if _, err := s.Submit("huge", JobSpec{ThresholdFactor: 1e300}); err == nil || !strings.Contains(err.Error(), "threshold_factor must be in") {
 		t.Fatalf("threshold_factor 1e300: err = %v, want the factor bound", err)
@@ -321,7 +339,7 @@ func TestThresholdNeverFallsAsTheFactorRises(t *testing.T) {
 }
 
 func TestServicePushAfterCloseFails(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	j, err := s.Submit("closed", JobSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +357,7 @@ func TestServicePushAfterCloseFails(t *testing.T) {
 }
 
 func TestServiceResultsCursor(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	j, err := s.Submit("cursor", JobSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +388,7 @@ func TestServiceResultsCursor(t *testing.T) {
 }
 
 func TestServiceResultsRetentionBound(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	j, err := s.Submit("bounded", JobSpec{MaxResults: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +428,7 @@ func TestServiceMixedSkeletonJobs(t *testing.T) {
 	// the skeleton-agnostic layer must stream every topology through the
 	// same Push/Results surface, exactly once, off one shared calibration.
 	const perJob = 30
-	s := New(Config{Workers: 4})
+	s := OpenForTest(t, Config{Workers: 4})
 	specs := map[string]JobSpec{
 		"farm": {Window: 6, WarmupTasks: 1000},
 		"pipe": {Window: 6, WarmupTasks: 1000, Skeleton: "pipeline", Stages: []StageSpec{{Name: "a"}, {Name: "b", CostFactor: 2}, {Name: "c"}}},

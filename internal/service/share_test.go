@@ -39,7 +39,7 @@ func waitDone(t *testing.T, j *service.Job) {
 // competitor's finish hands its workers back.
 func TestFairShareRebalancesLiveJobs(t *testing.T) {
 	const workers = 8
-	s := service.New(service.Config{Workers: workers})
+	s := service.OpenForTest(t, service.Config{Workers: workers})
 
 	light, err := s.Submit("light", service.JobSpec{Share: share(1), WarmupTasks: 2})
 	if err != nil {
@@ -131,7 +131,7 @@ func TestFairShareRebalancesLiveJobs(t *testing.T) {
 // TestShareValidation checks the spec-level contract: explicit
 // non-positive shares are rejected, omitted shares default to 1.
 func TestShareValidation(t *testing.T) {
-	s := service.New(service.Config{Workers: 2})
+	s := service.OpenForTest(t, service.Config{Workers: 2})
 	if _, err := s.Submit("bad", service.JobSpec{Share: share(0)}); err == nil {
 		t.Error("share 0 accepted, want rejection")
 	}

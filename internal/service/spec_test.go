@@ -34,7 +34,7 @@ func TestSpecDefaultsResolve(t *testing.T) {
 		}
 		t.Cleanup(w.Stop)
 	}
-	s := New(Config{Workers: 2, Cluster: coord})
+	s := OpenForTest(t, Config{Workers: 2, Cluster: coord})
 	t.Cleanup(func() { s.Close() })
 	srv := httptest.NewServer(NewHandler(s))
 	t.Cleanup(srv.Close)

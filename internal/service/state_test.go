@@ -149,7 +149,7 @@ func (k *kindStore) parkedSyncs() int {
 func serviceOverStore(t *testing.T) (*Service, *kindStore) {
 	t.Helper()
 	ks := &kindStore{Store: walOverStore(t, t.TempDir())}
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	s.wal = newWAL(ks, walOptions{})
 	t.Cleanup(func() { s.Close() })
 	return s, ks
@@ -210,7 +210,7 @@ func TestBlockedSyncVisibleImpliesDurable(t *testing.T) {
 // onResult adds for the pollers is a nil check — a completion allocates
 // nothing it did not before (the results append amortises to 0).
 func TestResultWakeAllocatesNothingWithoutPollers(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := OpenForTest(t, Config{Workers: 2})
 	t.Cleanup(func() { s.Close() })
 	j, err := s.Submit("nowake", JobSpec{MaxResults: 1 << 20, WarmupTasks: 2})
 	if err != nil {

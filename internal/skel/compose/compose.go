@@ -124,8 +124,8 @@ func Run(pf platform.Platform, c rt.Ctx, stages []Stage, nItems int, opts Option
 // process over the stage's input buffer, the sink runs in the caller.
 // farms[si] is what stage si's farm gets beyond its starting pool — Window,
 // Detector, OnRecalibrate, OnFailure — so a caller adapts a stage through
-// engine membership updates (pipeline.Run: a pool of one that grows or
-// moves); Run passes none. A stage's Window defaults to its pool size:
+// engine membership updates (pipeline.Run: a pool of one that moves); Run
+// passes none. A stage's Window defaults to its pool size:
 // every member holds one item and nothing queues inside the stage, which
 // leaves BufSize the only buffering between stages. With Options.Migrate
 // the stages' Control, OnFailure and Window are the rebalancer's. The

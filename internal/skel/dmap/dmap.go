@@ -54,9 +54,6 @@ type Options struct {
 	// Waves is the number of successive decomposition rounds (default 1:
 	// a fully static single-scatter map).
 	Waves int
-	// Alpha is the EWMA blend factor for throughput-derived re-weighting in
-	// (0, 1]; 0 defaults to 0.5. Higher values trust the latest wave more.
-	Alpha float64
 	// Detector observes normalised task times and, on breach, stops the map
 	// after the current wave (optional).
 	Detector *monitor.Detector
@@ -120,7 +117,6 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 			}
 			return waveSize(buffered, waves-wave)
 		},
-		opts.Alpha,
 		engine.StreamOptions{
 			Workers:  opts.Workers,
 			Weights:  opts.Weights,
@@ -129,18 +125,6 @@ func Run(pf platform.Platform, c rt.Ctx, tasks []platform.Task, opts Options) Re
 			Log:      opts.Log,
 			OnResult: opts.OnResult,
 		})
-}
-
-// RunStatic executes tasks as a single-wave map with the given weights: the
-// non-adaptive deal baseline (equivalent to Run with Waves=1 and no
-// detector, provided for symmetry with farm.RunStatic).
-func RunStatic(pf platform.Platform, c rt.Ctx, tasks []platform.Task, weights map[int]float64, workers []int, log *trace.Log) Report {
-	return Run(pf, c, tasks, Options{
-		Workers: workers,
-		Weights: weights,
-		Waves:   1,
-		Log:     log,
-	})
 }
 
 // Stream is the deal skeleton's engine runner: waves are demand-driven,
@@ -157,7 +141,7 @@ func Stream(pf platform.Platform, c rt.Ctx, in rt.Chan, opts engine.StreamOption
 		}
 	}
 	return run(pf, c, in, nil, engine.ModeRecalibrate,
-		func(buffered, _ int) int { return min(buffered, opts.Window) }, 0.5, opts)
+		func(buffered, _ int) int { return min(buffered, opts.Window) }, opts)
 }
 
 // run is the deal skeleton's one coordinator loop. Tasks reach the buffer
@@ -172,17 +156,13 @@ func Stream(pf platform.Platform, c rt.Ctx, in rt.Chan, opts engine.StreamOption
 // weights. In ModeStop a breach ends the run after the current wave;
 // whatever is still buffered is returned as Remaining.
 func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mode engine.Mode,
-	take func(buffered, wave int) int, alpha float64,
-	opts engine.StreamOptions) engine.StreamReport {
+	take func(buffered, wave int) int, opts engine.StreamOptions) engine.StreamReport {
 	workers := opts.Workers
 	if len(workers) == 0 {
 		workers = make([]int, pf.Size())
 		for i := range workers {
 			workers[i] = i
 		}
-	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
 	}
 	opts.Weights = engine.NormalisedWeights(workers, opts.Weights)
 
@@ -278,7 +258,7 @@ func run(pf platform.Platform, c rt.Ctx, in rt.Chan, backlog []platform.Task, mo
 					pf.WorkerName(out.worker), len(out.lost)))
 				buffer = append(append([]platform.Task(nil), out.lost...), buffer...)
 			}
-			co.SetWeights(reweight(co.Weights(), outcomes, alpha))
+			co.SetWeights(reweight(co.Weights(), outcomes))
 			if mode == engine.ModeStop && co.Rep.Breached {
 				stopped = true
 				if opts.Log != nil {
@@ -379,13 +359,17 @@ func indexTasks(tasks []platform.Task, idxs []int) []platform.Task {
 	return out
 }
 
+// blend is the EWMA weight reweight gives a wave's throughput-derived
+// shares against the prior weights, for batch and served maps alike.
+const blend = 0.5
+
 // reweight blends one wave's throughput-derived shares into the full
 // weight map: the wave's workers redistribute their combined prior mass by
 // observed rate (cost per second), EWMA-blended so one noisy wave cannot
 // capsize the decomposition; workers outside the wave (empty block, joined
 // since) keep their shares, and dead ones are excluded from the next wave
 // by the engine's membership.
-func reweight(prev map[int]float64, outcomes []blockOutcome, alpha float64) map[int]float64 {
+func reweight(prev map[int]float64, outcomes []blockOutcome) map[int]float64 {
 	rates := make(map[int]float64, len(outcomes))
 	var totalRate, groupMass float64
 	for _, o := range outcomes {
@@ -410,7 +394,7 @@ func reweight(prev map[int]float64, outcomes []blockOutcome, alpha float64) map[
 		if r, ok := rates[w]; ok {
 			target = groupMass * r / totalRate
 		}
-		next[w] = alpha*target + (1-alpha)*prev[w]
+		next[w] = blend*target + (1-blend)*prev[w]
 	}
 	for _, v := range next {
 		total += v

@@ -151,7 +151,7 @@ func TestMapWavesRebalanceWrongWeights(t *testing.T) {
 		log := trace.New()
 		var rep Report
 		sim.Go("root", func(c rt.Ctx) {
-			rep = Run(pf, c, fixedTasks(200, 1), Options{Weights: bad, Waves: waves, Alpha: 0.8, Log: log})
+			rep = Run(pf, c, fixedTasks(200, 1), Options{Weights: bad, Waves: waves, Log: log})
 		})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
@@ -428,31 +428,6 @@ func TestMapOnLocalPlatform(t *testing.T) {
 		if r.Value.(int) != r.Task.ID*r.Task.ID {
 			t.Errorf("task %d value = %v", r.Task.ID, r.Value)
 		}
-	}
-}
-
-func TestMapRunStaticMatchesSingleWave(t *testing.T) {
-	specs := []grid.NodeSpec{{BaseSpeed: 20}, {BaseSpeed: 10}}
-	w := map[int]float64{0: 2, 1: 1}
-
-	makespan := func(f func(pf *platform.GridPlatform, c rt.Ctx) Report) time.Duration {
-		pf, sim := gridPF(t, specs)
-		var rep Report
-		sim.Go("root", func(c rt.Ctx) { rep = f(pf, c) })
-		if err := sim.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return rep.Makespan
-	}
-
-	a := makespan(func(pf *platform.GridPlatform, c rt.Ctx) Report {
-		return Run(pf, c, fixedTasks(60, 1), Options{Weights: w, Waves: 1})
-	})
-	b := makespan(func(pf *platform.GridPlatform, c rt.Ctx) Report {
-		return RunStatic(pf, c, fixedTasks(60, 1), w, nil, nil)
-	})
-	if a != b {
-		t.Errorf("RunStatic %v != single-wave Run %v", b, a)
 	}
 }
 

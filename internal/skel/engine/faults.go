@@ -29,14 +29,3 @@ func (f *Faults) Retire(w int) bool {
 
 // Alive reports whether worker w has not been retired.
 func (f *Faults) Alive(w int) bool { return !f.dead[w] }
-
-// Live filters the retired workers out of workers, preserving order.
-func (f *Faults) Live(workers []int) []int {
-	out := make([]int, 0, len(workers))
-	for _, w := range workers {
-		if f.Alive(w) {
-			out = append(out, w)
-		}
-	}
-	return out
-}

@@ -37,7 +37,7 @@ func ExampleRun() {
 func ExampleNewPlan() {
 	scores := map[int]float64{0: 0.9, 1: 0.2, 2: 0.5, 3: 0.7}
 	plan := reduce.NewPlan(reduce.CalibratedTree, []int{0, 1, 2, 3}, scores)
-	fmt.Printf("root=%d depth=%d combines=%d\n", plan.Root, plan.Depth(), plan.Steps())
+	fmt.Printf("root=%d rounds=%d\n", plan.Root, len(plan.Rounds))
 	// Output:
-	// root=1 depth=2 combines=3
+	// root=1 rounds=2
 }

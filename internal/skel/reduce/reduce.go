@@ -76,18 +76,6 @@ type Plan struct {
 	Rounds [][]Step
 }
 
-// Steps returns the total number of combines in the plan.
-func (p Plan) Steps() int {
-	var n int
-	for _, r := range p.Rounds {
-		n += len(r)
-	}
-	return n
-}
-
-// Depth returns the number of rounds.
-func (p Plan) Depth() int { return len(p.Rounds) }
-
 // Validate checks that the plan reduces the given workers to exactly its
 // Root: every worker except the root is eliminated exactly once, no step
 // reads an eliminated worker, and the root survives to the end.

@@ -40,11 +40,20 @@ func seqWorkers(n int) []int {
 
 // --- Plan construction -------------------------------------------------
 
+// steps returns the total number of combines in the plan.
+func steps(p Plan) int {
+	var n int
+	for _, r := range p.Rounds {
+		n += len(r)
+	}
+	return n
+}
+
 func TestPlanStepsAlwaysPMinusOne(t *testing.T) {
 	for _, shape := range []Shape{Flat, Tree, CalibratedTree} {
 		for p := 1; p <= 33; p++ {
 			plan := NewPlan(shape, seqWorkers(p), map[int]float64{})
-			if got := plan.Steps(); got != p-1 {
+			if got := steps(plan); got != p-1 {
 				t.Errorf("%v P=%d: steps=%d, want %d", shape, p, got, p-1)
 			}
 			if err := plan.Validate(seqWorkers(p)); err != nil {
@@ -57,16 +66,16 @@ func TestPlanStepsAlwaysPMinusOne(t *testing.T) {
 func TestPlanTreeDepthIsLogP(t *testing.T) {
 	for p, want := range map[int]int{2: 1, 3: 2, 4: 2, 8: 3, 9: 4, 16: 4, 31: 5, 32: 5} {
 		plan := NewPlan(Tree, seqWorkers(p), nil)
-		if plan.Depth() != want {
-			t.Errorf("P=%d depth=%d, want %d", p, plan.Depth(), want)
+		if len(plan.Rounds) != want {
+			t.Errorf("P=%d depth=%d, want %d", p, len(plan.Rounds), want)
 		}
 	}
 }
 
 func TestPlanFlatIsFullySerial(t *testing.T) {
 	plan := NewPlan(Flat, seqWorkers(8), nil)
-	if plan.Depth() != 7 {
-		t.Errorf("flat depth = %d, want 7 (one combine per round)", plan.Depth())
+	if len(plan.Rounds) != 7 {
+		t.Errorf("flat depth = %d, want 7 (one combine per round)", len(plan.Rounds))
 	}
 	if plan.Root != 0 {
 		t.Errorf("flat root = %d, want 0", plan.Root)
@@ -103,7 +112,7 @@ func TestPlanCalibratedRootsAtFittest(t *testing.T) {
 func TestPlanSingleWorker(t *testing.T) {
 	for _, shape := range []Shape{Flat, Tree, CalibratedTree} {
 		plan := NewPlan(shape, []int{7}, nil)
-		if plan.Root != 7 || plan.Steps() != 0 {
+		if plan.Root != 7 || steps(plan) != 0 {
 			t.Errorf("%v: plan = %+v", shape, plan)
 		}
 		if err := plan.Validate([]int{7}); err != nil {
@@ -114,7 +123,7 @@ func TestPlanSingleWorker(t *testing.T) {
 
 func TestPlanEmptyWorkers(t *testing.T) {
 	plan := NewPlan(Tree, nil, nil)
-	if plan.Steps() != 0 {
+	if steps(plan) != 0 {
 		t.Errorf("empty plan has steps: %+v", plan)
 	}
 }
@@ -151,7 +160,7 @@ func TestPlanValidityProperty(t *testing.T) {
 			scores[i] = float64((int(scoreSeed)+i*31)%17 + 1)
 		}
 		plan := NewPlan(shape, workers, scores)
-		return plan.Validate(workers) == nil && plan.Steps() == p-1
+		return plan.Validate(workers) == nil && steps(plan) == p-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -56,9 +56,6 @@ func (f *TrendWindow) Predict() float64 {
 	return fit.Predict(float64(n))
 }
 
-// Reset discards all samples.
-func (f *TrendWindow) Reset() { f.buf = nil }
-
 // Window is a fixed-capacity sliding window of float64 samples with O(1)
 // descriptive queries used by the monitoring layer.
 type Window struct {

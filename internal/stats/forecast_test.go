@@ -65,10 +65,6 @@ func TestForecastersOnNoisyConstant(t *testing.T) {
 	if m := f.Mean(); math.Abs(m-5) > 1 {
 		t.Errorf("window mean = %v, want ≈5", m)
 	}
-	f.Reset()
-	if !math.IsNaN(f.Predict()) || !math.IsNaN(f.Mean()) {
-		t.Error("after Reset should predict and average NaN")
-	}
 }
 
 func TestWindowBasics(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery GRASP's calibration and
-// monitoring layers rely on: descriptive statistics, percentiles,
-// covariance/correlation, ordinary-least-squares regression (univariate and
-// multivariate), and a linear-trend time-series forecaster.
+// monitoring layers rely on: descriptive statistics, covariance/correlation,
+// ordinary-least-squares regression (univariate and multivariate), and a
+// linear-trend time-series forecaster.
 //
 // Algorithm 1 of the paper ranks nodes either "based on the execution times
 // only" or "on statistical functions, such as univariate and multivariate
@@ -72,20 +72,6 @@ func Imbalance(busy []time.Duration) float64 {
 	return Max(xs)/m - 1
 }
 
-// Min returns the smallest element of xs, or NaN if xs is empty.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or NaN if xs is empty.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -98,37 +84,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs (zero for an empty slice).
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It returns NaN for an empty sample or
-// out-of-range p. The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || p < 0 || p > 100 || math.IsNaN(p) {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Covariance returns the unbiased sample covariance of paired samples xs, ys.

@@ -29,7 +29,7 @@ func ExampleSpec_Build() {
 // tasks with occasional expensive stragglers.
 func ExampleBimodal() {
 	d := workload.Bimodal{Light: 1, Heavy: 20, PHeavy: 0.1}
-	fmt.Printf("mean=%.1f %s\n", d.Mean(), d)
+	fmt.Println(d)
 	// Output:
-	// mean=2.9 bimodal(1,20,p=0.1)
+	// bimodal(1,20,p=0.1)
 }

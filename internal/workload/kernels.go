@@ -42,17 +42,3 @@ func Integrate(f func(float64) float64, a, b float64, n int) float64 {
 	}
 	return sum * h
 }
-
-// Spin burns approximately the given number of floating-point operations
-// and returns a value that depends on all of them, preventing the work from
-// being optimised away. It calibrates local-runtime task costs.
-func Spin(ops int) float64 {
-	acc := 1.0001
-	for i := 0; i < ops; i++ {
-		acc = acc*1.0000001 + 1e-9
-		if acc > 2 {
-			acc -= 1
-		}
-	}
-	return acc
-}

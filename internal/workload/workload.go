@@ -1,7 +1,7 @@
 // Package workload generates the synthetic task populations the experiments
 // run and provides real compute kernels for the local-runtime examples.
 //
-// Task costs are drawn from seeded distributions (uniform, normal,
+// Task costs are drawn from seeded distributions (fixed, uniform,
 // heavy-tailed Pareto, bimodal), letting experiments control the
 // computation/communication ratio and cost variance the paper identifies as
 // the levers of skeleton performance.
@@ -17,8 +17,6 @@ import (
 type Dist interface {
 	// Sample draws one value using the given source.
 	Sample(rng *rand.Rand) float64
-	// Mean returns the distribution's expected value.
-	Mean() float64
 	// String describes the distribution.
 	String() string
 }
@@ -28,9 +26,6 @@ type Fixed struct{ V float64 }
 
 // Sample implements Dist.
 func (f Fixed) Sample(*rand.Rand) float64 { return f.V }
-
-// Mean implements Dist.
-func (f Fixed) Mean() float64 { return f.V }
 
 // String implements Dist.
 func (f Fixed) String() string { return fmt.Sprintf("fixed(%g)", f.V) }
@@ -46,34 +41,8 @@ func (u Uniform) Sample(rng *rand.Rand) float64 {
 	return u.Lo + rng.Float64()*(u.Hi-u.Lo)
 }
 
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // String implements Dist.
 func (u Uniform) String() string { return fmt.Sprintf("uniform(%g,%g)", u.Lo, u.Hi) }
-
-// Normal is Gaussian with the given mean and standard deviation, truncated
-// below at Floor (default 0).
-type Normal struct {
-	Mu, Sigma float64
-	Floor     float64
-}
-
-// Sample implements Dist.
-func (n Normal) Sample(rng *rand.Rand) float64 {
-	v := n.Mu + rng.NormFloat64()*n.Sigma
-	if v < n.Floor {
-		v = n.Floor
-	}
-	return v
-}
-
-// Mean implements Dist. The truncation bias is ignored; callers keep
-// Sigma ≪ Mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// String implements Dist.
-func (n Normal) String() string { return fmt.Sprintf("normal(%g,%g)", n.Mu, n.Sigma) }
 
 // Pareto is a heavy-tailed distribution with scale Xm and shape Alpha
 // (> 1 for a finite mean). It models the occasional huge task that makes
@@ -96,14 +65,6 @@ func (p Pareto) Sample(rng *rand.Rand) float64 {
 	return p.Xm / math.Pow(u, 1/a)
 }
 
-// Mean implements Dist. Infinite for Alpha ≤ 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
 // String implements Dist.
 func (p Pareto) String() string { return fmt.Sprintf("pareto(%g,%g)", p.Xm, p.Alpha) }
 
@@ -122,9 +83,6 @@ func (b Bimodal) Sample(rng *rand.Rand) float64 {
 	}
 	return b.Light
 }
-
-// Mean implements Dist.
-func (b Bimodal) Mean() float64 { return b.Light*(1-b.PHeavy) + b.Heavy*b.PHeavy }
 
 // String implements Dist.
 func (b Bimodal) String() string {

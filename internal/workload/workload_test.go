@@ -15,9 +15,6 @@ func TestFixed(t *testing.T) {
 			t.Fatal("fixed not fixed")
 		}
 	}
-	if d.Mean() != 7 {
-		t.Error("mean wrong")
-	}
 }
 
 func TestUniformRangeAndMean(t *testing.T) {
@@ -35,38 +32,12 @@ func TestUniformRangeAndMean(t *testing.T) {
 	if mean := sum / n; math.Abs(mean-15) > 0.2 {
 		t.Errorf("sample mean = %v", mean)
 	}
-	if d.Mean() != 15 {
-		t.Error("analytic mean wrong")
-	}
 }
 
 func TestUniformDegenerate(t *testing.T) {
 	d := Uniform{Lo: 5, Hi: 5}
 	if d.Sample(rand.New(rand.NewSource(1))) != 5 {
 		t.Error("degenerate uniform should return Lo")
-	}
-}
-
-func TestNormalTruncation(t *testing.T) {
-	d := Normal{Mu: 1, Sigma: 10, Floor: 0}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		if d.Sample(rng) < 0 {
-			t.Fatal("normal escaped floor")
-		}
-	}
-}
-
-func TestNormalMean(t *testing.T) {
-	d := Normal{Mu: 100, Sigma: 5}
-	rng := rand.New(rand.NewSource(4))
-	var sum float64
-	const n = 5000
-	for i := 0; i < n; i++ {
-		sum += d.Sample(rng)
-	}
-	if mean := sum / n; math.Abs(mean-100) > 0.5 {
-		t.Errorf("sample mean = %v", mean)
 	}
 }
 
@@ -92,11 +63,16 @@ func TestParetoTail(t *testing.T) {
 }
 
 func TestParetoMean(t *testing.T) {
-	if m := (Pareto{Xm: 2, Alpha: 3}).Mean(); m != 3 {
-		t.Errorf("mean = %v, want 3", m)
+	// The mean is Alpha·Xm/(Alpha−1): 3 for Xm 2, Alpha 3.
+	d := Pareto{Xm: 2, Alpha: 3}
+	rng := rand.New(rand.NewSource(7))
+	var sum float64
+	const n = 20000
+	for i := 0; i < n; i++ {
+		sum += d.Sample(rng)
 	}
-	if !math.IsInf((Pareto{Xm: 1, Alpha: 1}).Mean(), 1) {
-		t.Error("alpha<=1 mean should be +Inf")
+	if mean := sum / n; math.Abs(mean-3) > 0.1 {
+		t.Errorf("sample mean = %v, want ≈3", mean)
 	}
 }
 
@@ -126,9 +102,6 @@ func TestBimodal(t *testing.T) {
 	frac := float64(heavies) / n
 	if frac < 0.08 || frac > 0.12 {
 		t.Errorf("heavy fraction = %v", frac)
-	}
-	if math.Abs(d.Mean()-10.9) > 1e-9 {
-		t.Errorf("mean = %v, want 10.9", d.Mean())
 	}
 }
 
@@ -187,7 +160,6 @@ func TestPropDistsNonNegative(t *testing.T) {
 		dists := []Dist{
 			Fixed{V: 5},
 			Uniform{Lo: 0, Hi: 10},
-			Normal{Mu: 5, Sigma: 2},
 			Pareto{Xm: 1, Alpha: 2},
 			Bimodal{Light: 1, Heavy: 50, PHeavy: 0.2},
 		}
@@ -269,15 +241,5 @@ func TestIntegrateDegenerate(t *testing.T) {
 	got := Integrate(func(x float64) float64 { return 1 }, 0, 1, 0)
 	if math.Abs(got-1) > 1e-9 {
 		t.Errorf("n clamped integral = %v", got)
-	}
-}
-
-func TestSpin(t *testing.T) {
-	v := Spin(1000)
-	if math.IsNaN(v) || v <= 0 {
-		t.Errorf("Spin = %v", v)
-	}
-	if Spin(0) != 1.0001 {
-		t.Error("zero ops should return seed value")
 	}
 }

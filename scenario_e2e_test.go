@@ -267,7 +267,11 @@ func TestScenarioE2ESlowNode(t *testing.T) {
 // daemonServer serves a fresh service's handler stack in-process.
 func daemonServer(t *testing.T, cfg service.Config) string {
 	t.Helper()
-	srv := httptest.NewServer(service.NewHandler(service.New(cfg)))
+	s, err := service.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewHandler(s))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
